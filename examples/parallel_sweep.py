@@ -2,7 +2,7 @@
 """Parallel sweep demo: fan a figure-style grid over a process pool.
 
 Runs the organization x cluster-shape cross product of one benchmark
-with ``parallel_sweep`` — every cell is an independent, deterministic
+with ``sweep(jobs=...)`` — every cell is an independent, deterministic
 simulation, so the rows are bit-identical to a serial ``sweep`` in the
 same order, just wall-clock-divided by the worker count. A JSON result
 cache (``.sweep_cache/``) makes re-runs after an interrupt, or with an
@@ -15,7 +15,8 @@ import os
 import sys
 import time
 
-from repro.harness.parallel import aggregate_stats, parallel_sweep
+from repro.harness.parallel import aggregate_stats
+from repro.harness.sweep import sweep
 from repro.params import Organization
 
 SCALE = 0.2  # keep the example quick
@@ -35,10 +36,9 @@ SHAPES = [(4, 1), (4, 4)]
 def main() -> None:
     JOBS = _jobs_from_argv()
     t0 = time.monotonic()
-    rows = parallel_sweep("water_spatial", metric="runtime", jobs=JOBS,
-                          cache_dir=".sweep_cache",
-                          organization=ORGS, cluster=SHAPES,
-                          scale=[SCALE])
+    rows = sweep("water_spatial", metric="runtime", jobs=JOBS,
+                 cache_dir=".sweep_cache",
+                 organization=ORGS, cluster=SHAPES, scale=[SCALE])
     wall = time.monotonic() - t0
     print(f"{len(rows)} runs on {JOBS} workers in {wall:.1f}s\n")
     print(f"{'organization':18s} {'cluster':8s} {'runtime':>9s}")
@@ -49,8 +49,8 @@ def main() -> None:
 
     # Full-result mode returns RunResult objects, whose Stats merge into
     # one fleet-wide roll-up (Stats.merge under the hood).
-    full = parallel_sweep("water_spatial", jobs=JOBS,
-                          organization=ORGS[:2], scale=[SCALE])
+    full = sweep("water_spatial", jobs=JOBS,
+                 organization=ORGS[:2], scale=[SCALE])
     merged = aggregate_stats([r["result"] for r in full])
     print(f"\nmerged l1 accesses across {len(full)} runs: "
           f"{merged.value('l1_hits') + merged.value('l1_misses')}")

@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.harness.experiment import HierarchyAxes, _traces_for
-from repro.harness.units import SweepUnit, metric_of
+from repro.harness.units import SweepUnit, reduce_result
 from repro.params import NocKind, Organization
 
 from repro.batch.engine import (GroupShape, LaneSpec, mark_event_of,
@@ -79,7 +79,7 @@ def batchable(unit: Any) -> bool:
             and exp.organization in _BATCH_ORGS
             # the lockstep engine has no speculative front-end; spec
             # units fall back to the scalar path
-            and exp.speculation == "off"
+            and exp.spec.mode == "off"
             # ... nor a scratchpad model: hierarchy-partitioned units
             # and the SPM-op dataflow workloads both decline
             and exp.hierarchy == HierarchyAxes()
@@ -99,15 +99,6 @@ def group_shape(unit: SweepUnit) -> GroupShape:
         l1_lat=cfg.l1.access_latency, l2_lat=cfg.l2.access_latency,
         mem_lat=cfg.memory.access_latency,
         dir_lat=cfg.memory.directory_latency)
-
-
-def _reduce(unit: SweepUnit, result: Any) -> Any:
-    """Identical reduction to ``SweepUnit.run``."""
-    if unit.metric is None:
-        return result
-    if isinstance(unit.metric, str):
-        return metric_of(result, unit.metric)
-    return {m: metric_of(result, m) for m in unit.metric}
 
 
 def run_batched(units: List[Any], batch: int) -> Dict[int, Any]:
@@ -154,5 +145,5 @@ def run_batched(units: List[Any], batch: int) -> Dict[int, Any]:
             for (i, unit, _), result in zip(chunk, results):
                 if result is None:
                     continue  # cycle-limit lane: scalar path raises
-                out[i] = _reduce(unit, result)
+                out[i] = reduce_result(result, unit.metric)
     return out

@@ -279,13 +279,14 @@ def _dataflow_scenario(bench: str,
     accesses (the all-cache arm of the crossover)."""
     def prepare() -> RunFn:
         from repro.cmp.system import CmpSystem
-        from repro.harness.experiment import ExperimentConfig, _traces_for
+        from repro.harness.experiment import (ExperimentConfig,
+                                              HierarchyAxes, _traces_for)
         from repro.params import Organization
 
         exp = ExperimentConfig(
             benchmark=bench, organization=Organization.SHARED, cores=16,
             cluster=(2, 2), scale=0.25,
-            scratchpad_fraction=scratchpad_fraction)
+            hierarchy=HierarchyAxes(scratchpad_fraction=scratchpad_fraction))
         traces, _ = _traces_for(exp)
         cfg = exp.system_config()
 

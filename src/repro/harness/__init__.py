@@ -1,7 +1,7 @@
 """Experiment harness: one entry point per paper figure."""
 
 from repro.harness.experiment import ExperimentConfig, run_benchmark, run_workload
-from repro.harness.parallel import aggregate_stats, parallel_sweep
+from repro.harness.parallel import aggregate_stats
 from repro.harness.report import format_table, normalize
 from repro.harness.sweep import best, sweep
 from repro.harness.checks import (check_all, check_directory,
@@ -18,7 +18,6 @@ __all__ = [
     "normalize",
     "best",
     "sweep",
-    "parallel_sweep",
     "aggregate_stats",
     "check_all",
     "check_directory",

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cmp.system import CmpSystem, RunResult
 from repro.errors import ConfigError, SnapshotError
@@ -81,24 +81,19 @@ class HierarchyAxes:
             raise ConfigError("spm_latency must be >= 1")
 
 
-_DEFAULT_SPEC = SpecAxes()
 _DEFAULT_HIERARCHY = HierarchyAxes()
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class ExperimentConfig:
     """What to run: workload x machine.
 
-    The machine-shaping axes live in two frozen sub-configs: ``spec``
-    (:class:`SpecAxes`) and ``hierarchy`` (:class:`HierarchyAxes`).
-    The pre-grouping flat spelling — ``speculation=``/``spec_window=``
-    /``spec_rate=`` kwargs and the matching attribute reads — still
-    works via ``__init__`` shims and read-only properties, and is
-    *deprecated in favour of the grouped form*; flat and grouped
-    spellings of the same axes construct equal configs. ``repr`` (and
-    therefore ``unit_key``/``warmup_key`` hashing and the warmup-image
-    cache identity) of any config expressible pre-grouping is pinned
-    byte-identical to the flat era by regression tests.
+    The machine-shaping axes live in two frozen, keyword-only
+    sub-configs: ``spec`` (:class:`SpecAxes`) and ``hierarchy``
+    (:class:`HierarchyAxes`). ``repr`` (and therefore ``unit_key``/
+    ``warmup_key`` hashing and the warmup-image cache identity) of any
+    default-hierarchy config is pinned byte-identical to the
+    pre-grouping flat-field era by regression tests.
     """
 
     benchmark: str
@@ -118,59 +113,10 @@ class ExperimentConfig:
     #: 8 KB L2 slices. Set to 1.0 for the paper's raw geometry.
     cache_scale: float = 0.125
     #: speculative front-end axis group
-    spec: SpecAxes = field(default_factory=SpecAxes)
+    spec: SpecAxes = field(kw_only=True, default_factory=SpecAxes)
     #: reconfigurable memory hierarchy axis group
-    hierarchy: HierarchyAxes = field(default_factory=HierarchyAxes)
-
-    def __init__(self, benchmark: str, organization: Organization,
-                 cores: int = 64, noc: NocKind = NocKind.SMART,
-                 cluster: Tuple[int, int] = (4, 4),
-                 scale: float = SCALE_MEDIUM, full_system: bool = False,
-                 seed: int = 1, warmup_fraction: float = 0.35,
-                 cache_scale: float = 0.125,
-                 speculation: Optional[str] = None,
-                 spec_window: Optional[int] = None,
-                 spec_rate: Optional[float] = None,
-                 spec: Optional[SpecAxes] = None,
-                 hierarchy: Optional[HierarchyAxes] = None,
-                 scratchpad_fraction: Optional[float] = None,
-                 spm_latency: Optional[int] = None) -> None:
-        # Positional order through cache_scale..spec_rate is the flat-
-        # era signature, so positional call sites keep working.
-        flat_spec = (speculation, spec_window, spec_rate)
-        if spec is not None and any(v is not None for v in flat_spec):
-            raise ConfigError(
-                "pass either spec=SpecAxes(...) or the flat "
-                "speculation/spec_window/spec_rate kwargs, not both")
-        if spec is None:
-            spec = SpecAxes(
-                mode=speculation if speculation is not None else "off",
-                window=spec_window if spec_window is not None else 8,
-                rate=spec_rate if spec_rate is not None else 0.0)
-        flat_hier = (scratchpad_fraction, spm_latency)
-        if hierarchy is not None and any(v is not None for v in flat_hier):
-            raise ConfigError(
-                "pass either hierarchy=HierarchyAxes(...) or the flat "
-                "scratchpad_fraction/spm_latency kwargs, not both")
-        if hierarchy is None:
-            hierarchy = HierarchyAxes(
-                scratchpad_fraction=(scratchpad_fraction
-                                     if scratchpad_fraction is not None
-                                     else 0.0),
-                spm_latency=spm_latency if spm_latency is not None else 2)
-        set_ = object.__setattr__
-        set_(self, "benchmark", benchmark)
-        set_(self, "organization", organization)
-        set_(self, "cores", cores)
-        set_(self, "noc", noc)
-        set_(self, "cluster", cluster)
-        set_(self, "scale", scale)
-        set_(self, "full_system", full_system)
-        set_(self, "seed", seed)
-        set_(self, "warmup_fraction", warmup_fraction)
-        set_(self, "cache_scale", cache_scale)
-        set_(self, "spec", spec)
-        set_(self, "hierarchy", hierarchy)
+    hierarchy: HierarchyAxes = field(kw_only=True,
+                                     default_factory=HierarchyAxes)
 
     def __repr__(self) -> str:
         # The flat-era repr, byte-for-byte: warmup_key/unit_key hash
@@ -192,28 +138,6 @@ class ExperimentConfig:
             s += f", hierarchy={self.hierarchy!r}"
         return s + ")"
 
-    # -- flat-spelling compatibility reads (deprecated, kept so the
-    # flat era's attribute accesses keep working verbatim) --
-    @property
-    def speculation(self) -> str:
-        return self.spec.mode
-
-    @property
-    def spec_window(self) -> int:
-        return self.spec.window
-
-    @property
-    def spec_rate(self) -> float:
-        return self.spec.rate
-
-    @property
-    def scratchpad_fraction(self) -> float:
-        return self.hierarchy.scratchpad_fraction
-
-    @property
-    def spm_latency(self) -> int:
-        return self.hierarchy.spm_latency
-
     def system_config(self) -> SystemConfig:
         cfg = paper_config(self.cores, organization=self.organization)
         cfg = cfg.with_cluster(*self.cluster).with_noc(self.noc)
@@ -226,12 +150,8 @@ class ExperimentConfig:
         return cfg
 
 
-#: every axis name a sweep grid may vary: the grouped field names plus
-#: the flat compatibility spellings ``__init__`` still accepts.
-SWEEP_AXES = frozenset(
-    f.name for f in ExperimentConfig.__dataclass_fields__.values()
-) | frozenset({"speculation", "spec_window", "spec_rate",
-               "scratchpad_fraction", "spm_latency"})
+#: every axis name a sweep grid may vary: the config's field names
+SWEEP_AXES = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def _traces_for(exp: ExperimentConfig
@@ -275,6 +195,9 @@ def warmup_key(exp: ExperimentConfig) -> str:
     return hashlib.sha256(f"warmup|{exp!r}".encode()).hexdigest()[:24]
 
 
+_IMAGE_SUFFIX = ".warmup.snap"
+
+
 class WarmupImageCache:
     """In-memory (+ optionally on-disk) store of warmup checkpoints.
 
@@ -297,7 +220,17 @@ class WarmupImageCache:
 
     def _path(self, key: str) -> str:
         assert self.cache_dir is not None
-        return os.path.join(self.cache_dir, f"{key}.warmup.snap")
+        return os.path.join(self.cache_dir, key + _IMAGE_SUFFIX)
+
+    def keys(self) -> Iterator[str]:
+        """Every key this cache holds an image for, in memory or in
+        its directory (how one cache's images are copied to another)."""
+        # a copy: the caller's get() may reorder an LRU subclass's dict
+        yield from list(self._mem)
+        if self.cache_dir is not None and os.path.isdir(self.cache_dir):
+            for name in os.listdir(self.cache_dir):
+                if name.endswith(_IMAGE_SUFFIX):
+                    yield name[:-len(_IMAGE_SUFFIX)]
 
     def get(self, key: str) -> Optional[bytes]:
         blob = self._mem.get(key)
@@ -357,7 +290,7 @@ def run_benchmark(exp: ExperimentConfig,
                 warmup_images.discard(key)
     if system is None:
         speculation = None
-        if exp.speculation != "off" or exp.benchmark.startswith("leak_"):
+        if exp.spec.mode != "off" or exp.benchmark.startswith("leak_"):
             # Leakage benchmarks keep the probe recorder live even with
             # speculation "off" — that is the control arm of the
             # experiment (probe timing with no transient traffic).

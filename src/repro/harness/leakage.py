@@ -30,7 +30,7 @@ Bit recovery is organization-independent:
 (:class:`repro.cmp.core.SpecConfig` probe fields) uses exactly this to
 bucket probe timings into ``leak_probes_b{k}`` / ``leak_slow_b{k}``.
 
-The *control arm* runs the identical traces with ``speculation="off"``:
+The *control arm* runs the identical traces with ``SpecAxes(mode="off")``:
 the victim's SPEC_LOADs are squashed without issuing, so any recovery
 accuracy above chance there would mean the channel is not actually
 carried by transient traffic.
@@ -132,17 +132,17 @@ def build_leak_traces(exp: "ExperimentConfig"
 def spec_config_for(exp: "ExperimentConfig") -> "SpecConfig":
     """The per-core :class:`SpecConfig` an experiment's cores run with.
 
-    Ordinary benchmarks with ``speculation="on"`` get the speculative
+    Ordinary benchmarks with ``spec.mode == "on"`` get the speculative
     front-end without a probe recorder; ``leak_*`` benchmarks get the
     recorder in both arms (``issue`` off is the control arm)."""
     from repro.cmp.core import SpecConfig
-    issue = exp.speculation != "off"
+    issue = exp.spec.mode != "off"
     if not exp.benchmark.startswith("leak_"):
-        return SpecConfig(issue=issue, window=exp.spec_window,
-                          rate=exp.spec_rate)
+        return SpecConfig(issue=issue, window=exp.spec.window,
+                          rate=exp.spec.rate)
     geo = geometry_for(exp)
-    return SpecConfig(issue=issue, window=exp.spec_window,
-                      rate=exp.spec_rate,
+    return SpecConfig(issue=issue, window=exp.spec.window,
+                      rate=exp.spec.rate,
                       probe_base=geo.probe_base, probe_end=geo.probe_end,
                       probe_stride=geo.tiles, probe_mod=geo.sets,
                       probe_threshold=geo.threshold)
@@ -210,20 +210,21 @@ def leakage_rows(benchmark: str = "leak_prime_probe",
     gains ``accuracy`` (bit-recovery vs the true secret) and
     ``transient`` (wrong-path loads the victim actually issued).
     """
-    from repro.harness.experiment import ExperimentConfig
+    from repro.harness.experiment import ExperimentConfig, SpecAxes
     from repro.harness.sweep import sweep
     rows = sweep(benchmark, metric=None, max_cycles=max_cycles,
                  jobs=jobs, service=service,
                  organization=list(organizations),
-                 speculation=list(speculation),
+                 spec=[SpecAxes(mode=mode) for mode in speculation],
                  cores=[LEAK_CORES], cluster=[LEAK_CLUSTER],
                  warmup_fraction=[0.0], seed=[seed])
     for row in rows:
+        spec = row.pop("spec")
+        row["speculation"] = spec.mode
         exp = ExperimentConfig(benchmark=benchmark,
                                organization=row["organization"],
                                cores=LEAK_CORES, cluster=LEAK_CLUSTER,
-                               warmup_fraction=0.0, seed=seed,
-                               speculation=row["speculation"])
+                               warmup_fraction=0.0, seed=seed, spec=spec)
         result = row["result"]
         row["accuracy"] = recovery_accuracy(result, exp)
         row["transient"] = result.stats.value("spec_issued")

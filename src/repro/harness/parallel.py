@@ -1,4 +1,4 @@
-"""Parallel experiment execution: process-pool and service backends.
+"""Experiment execution backends: in-process, process pool, service.
 
 Every figure of the paper is a sweep of *independent* full-system
 simulations (organizations x benchmarks x cluster sizes), so the
@@ -9,39 +9,37 @@ worker of the :mod:`repro.service` fleet — and reduced to a result row.
 Determinism is preserved everywhere — each run's RNG streams are seeded
 from its own :class:`ExperimentConfig` (``seed`` field), never from
 worker identity or scheduling order, so every backend returns
-**bit-identical rows in the same order** as the serial
-:func:`repro.harness.sweep.sweep`.
+**bit-identical rows in the same order**.
 
-Extras over the serial path:
+Besides :func:`run_units`, the dispatch every sweep goes through:
 
 * :func:`aggregate_stats` — fold many runs' :class:`Stats` into one via
   ``Stats.merge`` (cross-benchmark roll-ups, fleet dashboards).
 * JSON result caching keyed on the unit hash (``cache_dir=``):
   re-running a sweep after an interrupt, or growing one axis, only
-  simulates the missing cells. The same keys back the coordinator's
-  result memo, so a local cache and a service cache are interchangeable.
+  simulates the missing cells. The coordinator's result memo uses the
+  same key but other file names (``<key>.result.json``, not
+  ``<key>.json``), so the two directories do not serve each other.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
-from repro.harness.experiment import (ExperimentConfig, WarmupImageCache,
-                                      warmup_key)
-# Shared with the serial path so sweep(jobs=1) and sweep(jobs=N) can
-# never diverge on validation, grid expansion or metric resolution
-# (sweep.py imports this module lazily, so there is no cycle).
-from repro.harness.sweep import _assemble_rows, grid_units
-from repro.harness.units import Metric, SweepUnit, as_unit, unit_key
+from repro.harness.experiment import WarmupImageCache
+from repro.harness.units import SweepUnit, WorkloadUnit
+from repro.sim.snapshot import save_file
 from repro.sim.stats import Stats
 
-__all__ = ["parallel_sweep", "run_units", "aggregate_stats", "config_key",
-           "pmap"]
+__all__ = ["run_units", "aggregate_stats", "pmap"]
+
+Unit = Union[SweepUnit, WorkloadUnit]
 
 
 def pmap(fn, items: Sequence[Any], jobs: Optional[int] = None) -> List[Any]:
@@ -62,44 +60,24 @@ def pmap(fn, items: Sequence[Any], jobs: Optional[int] = None) -> List[Any]:
         return list(pool.map(fn, items))
 
 
-def config_key(exp: ExperimentConfig, max_cycles: int,
-               metric: Metric) -> str:
-    """Stable cache key for one work unit (alias of
-    :func:`repro.harness.units.unit_key`, kept for the callers and
-    on-disk caches that predate the :class:`SweepUnit` extraction)."""
-    return unit_key(exp, max_cycles, metric)
+def _run_unit(args: Tuple[Unit, Optional[WarmupImageCache]]) -> Any:
+    """Simulate one unit against the image store the dispatch chose
+    (module-level so a pool can pickle it; a directory-backed store
+    pickles as its path and each worker re-opens it)."""
+    unit, images = args
+    return unit.run(warmup_images=images)
 
 
-def _run_unit(unit: SweepUnit,
-              warmup_images: Optional[WarmupImageCache] = None):
-    """Pool entry point: simulate one unit (must stay module-level and
-    tuple-tolerant — in-flight pickles from older callers ship bare
-    tuples; ``as_unit`` also passes :class:`WorkloadUnit` through)."""
-    return as_unit(unit).run(warmup_images=warmup_images)
+def _copy_images(src: WarmupImageCache, dst: WarmupImageCache) -> None:
+    """Give ``dst`` every image ``src`` holds that it lacks."""
+    for key in src.keys():
+        if dst.get(key) is None:
+            blob = src.get(key)
+            if blob is not None:
+                dst.put(key, blob)
 
 
-def _run_unit_warm(args: Tuple[SweepUnit, str]):
-    """Pool entry point for warmup-forked units: the image store is the
-    shared directory (each worker re-opens it)."""
-    unit, warmup_dir = args
-    return _run_unit(unit, warmup_images=WarmupImageCache(warmup_dir))
-
-
-def _as_image_cache(warmup_cache: Union[None, str, WarmupImageCache]
-                    ) -> WarmupImageCache:
-    if isinstance(warmup_cache, WarmupImageCache):
-        return warmup_cache
-    return WarmupImageCache(warmup_cache)
-
-
-def _warmup_dir_of(warmup_cache: Union[None, str, WarmupImageCache]
-                   ) -> Optional[str]:
-    if isinstance(warmup_cache, WarmupImageCache):
-        return warmup_cache.cache_dir
-    return warmup_cache
-
-
-def run_units(units: Sequence[Union[SweepUnit, tuple]],
+def run_units(units: Sequence[Unit],
               jobs: Optional[int] = None,
               cache_dir: Optional[str] = None,
               warmup_snapshots: bool = False,
@@ -111,14 +89,17 @@ def run_units(units: Sequence[Union[SweepUnit, tuple]],
     ``jobs`` <= 1 (or a single unit) runs in-process — same code path,
     no pool overhead. ``cache_dir`` enables the JSON metric cache;
     full-``RunResult`` units (metric None) are never cached (they are
-    not JSON-serializable by design).
+    not JSON-serializable by design). Results are cached as they
+    arrive, so an interrupt or a failing later unit keeps every
+    completed cell — the resumability the cache exists for.
 
     ``warmup_snapshots=True`` makes units sharing a config prefix fork
     from one warmup checkpoint: each prefix group simulates its warmup
     exactly once (skipping |group|-1 warmup re-simulations, more when
-    ``warmup_cache`` is a directory that already holds images). On a
-    pool, the first unit of each prefix runs as a *leader* building the
-    image; the rest fork from it via the shared directory.
+    ``warmup_cache`` is a directory that already holds images). The
+    first unit of each prefix runs as a *leader* building the image;
+    once every leader is done the rest fork from it — on a pool, via
+    the shared directory.
 
     ``service="host:port"`` ships the units to a running
     :mod:`repro.service` fleet instead (``jobs`` is then ignored): the
@@ -141,130 +122,106 @@ def run_units(units: Sequence[Union[SweepUnit, tuple]],
     under ``warmup_snapshots`` (warmup forking is the scalar path's
     own amortization of the same cost).
     """
-    units = [as_unit(u) for u in units]
     out: List[Any] = [None] * len(units)
-    todo: List[Tuple[int, SweepUnit]] = []
+
+    def record(i: int, value: Any) -> None:
+        out[i] = value
+        _cache_store(cache_dir, units[i], value)
+
+    todo: List[int] = []
     for i, unit in enumerate(units):
         cached = _cache_load(cache_dir, unit)
         if cached is not None:
             out[i] = cached[0]
         else:
-            todo.append((i, unit))
-    if not todo:
-        return out
-    if batch is not None and batch >= 1 and service is None \
+            todo.append(i)
+    if todo and batch is not None and batch >= 1 and service is None \
             and not warmup_snapshots:
         from repro.batch import run_batched
 
-        done = run_batched([u for _, u in todo], batch)
-        if done:
-            rest: List[Tuple[int, SweepUnit]] = []
-            for pos, (i, unit) in enumerate(todo):
-                if pos in done:
-                    out[i] = done[pos]
-                    _cache_store(cache_dir, unit, done[pos])
-                else:
-                    rest.append((i, unit))
-            todo = rest
-            if not todo:
-                return out
+        done = run_batched([units[i] for i in todo], batch)
+        for pos, i in enumerate(todo):
+            if pos in done:
+                record(i, done[pos])
+        todo = [i for pos, i in enumerate(todo) if pos not in done]
+    if not todo:
+        return out
+    # Both backends take the outstanding cells and report each value by
+    # its position among them, as it arrives.
+    cells = [units[i] for i in todo]
+
+    def on_row(pos: int, value: Any) -> None:
+        record(todo[pos], value)
+
     if service is not None:
         from repro.service.client import ServiceClient
 
-        # cache each row as it streams (same contract as the pool
-        # path): a fleet dying mid-job costs only the rows that never
-        # arrived, and the retry resumes from the cache
-        def _absorb(j: int, value: Any) -> None:
-            i, unit = todo[j]
-            out[i] = value
-            _cache_store(cache_dir, unit, value)
-
         with ServiceClient(service) as client:
-            client.run_units([u for _, u in todo],
-                             warmup_snapshots=warmup_snapshots,
-                             warmup_dir=_warmup_dir_of(warmup_cache),
-                             on_row=_absorb)
-        return out
-    pooled = jobs is not None and jobs > 1 and len(todo) > 1
-    # Results are cached as they arrive (pool.map yields in input
-    # order), so an interrupt or a failing later unit keeps every
-    # completed cell — the resumability the cache exists for.
-    if not warmup_snapshots:
-        if pooled:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for (i, unit), value in zip(
-                        todo, pool.map(_run_unit, [u for _, u in todo])):
-                    out[i] = value
-                    _cache_store(cache_dir, unit, value)
-        else:
-            for i, unit in todo:
-                value = _run_unit(unit)
-                out[i] = value
-                _cache_store(cache_dir, unit, value)
-        return out
-    if not pooled:
-        images = _as_image_cache(warmup_cache)
-        for i, unit in todo:
-            value = _run_unit(unit, warmup_images=images)
-            out[i] = value
-            _cache_store(cache_dir, unit, value)
-        return out
-    # Pooled + warmup-forked: images cross process boundaries on disk.
-    mem_cache = (warmup_cache
-                 if isinstance(warmup_cache, WarmupImageCache) else None)
-    warmup_dir = mem_cache.cache_dir if mem_cache is not None \
-        else warmup_cache
-    tmpdir: Optional[str] = None
-    if warmup_dir is None:
-        # A memory-only WarmupImageCache still honors the reuse
-        # contract across a pool: its images seed the transient
-        # directory, and images built by workers are folded back into
-        # it before the directory is removed.
-        tmpdir = warmup_dir = tempfile.mkdtemp(prefix="repro-warmup-")
-        if mem_cache is not None:
-            seeded = WarmupImageCache(warmup_dir)
-            for key, blob in mem_cache._mem.items():
-                seeded.put(key, blob)
-    try:
-        # One leader per prefix group builds (or finds) the image, then
-        # the follower phase forks from the shared directory — a
-        # prefix's warmup is never simulated twice. (The two phases are
-        # global barriers: all leaders finish before any follower
-        # starts.)
-        leaders: List[Tuple[int, SweepUnit]] = []
-        followers: List[Tuple[int, SweepUnit]] = []
-        seen: Dict[str, bool] = {}
-        for i, unit in todo:
-            key = unit.warmup_key
-            if key in seen:
-                followers.append((i, unit))
-            else:
-                seen[key] = True
-                leaders.append((i, unit))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for batch in (leaders, followers):
-                if not batch:
-                    continue
-                for (i, unit), value in zip(batch, pool.map(
-                        _run_unit_warm,
-                        [(u, warmup_dir) for _, u in batch])):
-                    out[i] = value
-                    _cache_store(cache_dir, unit, value)
-    finally:
-        if tmpdir is not None:
-            if mem_cache is not None:
-                harvest = WarmupImageCache(tmpdir)
-                for name in os.listdir(tmpdir):
-                    if name.endswith(".warmup.snap"):
-                        key = name[:-len(".warmup.snap")]
-                        blob = harvest.get(key)
-                        if blob is not None and key not in mem_cache._mem:
-                            mem_cache._mem[key] = blob
-            shutil.rmtree(tmpdir, ignore_errors=True)
+            client.run_units(
+                cells, warmup_snapshots=warmup_snapshots,
+                warmup_dir=(warmup_cache.cache_dir
+                            if isinstance(warmup_cache, WarmupImageCache)
+                            else warmup_cache),
+                on_row=on_row)
+    else:
+        _run_local(cells, on_row, jobs, warmup_snapshots, warmup_cache)
     return out
 
 
-def _cache_load(cache_dir: Optional[str], unit: SweepUnit):
+def _run_local(cells: List[Unit], on_row: Callable[[int, Any], None],
+               jobs: Optional[int], warmup_snapshots: bool,
+               warmup_cache: Union[None, str, WarmupImageCache]) -> None:
+    """The in-process / process-pool backend of :func:`run_units`.
+
+    Serial and pooled, cold and warmup-forked are one loop: they differ
+    only in which ``map`` runs :func:`_run_unit` and which image store
+    it is handed."""
+    pooled = jobs is not None and jobs > 1 and len(cells) > 1
+    with contextlib.ExitStack() as stack:
+        images: Optional[WarmupImageCache] = None
+        phases: List[Sequence[int]] = [range(len(cells))]
+        if warmup_snapshots:
+            images = warmup_cache \
+                if isinstance(warmup_cache, WarmupImageCache) \
+                else WarmupImageCache(warmup_cache)
+            if pooled and images.cache_dir is None:
+                # Images cross process boundaries on disk. A caller's
+                # memory-only WarmupImageCache still honors the reuse
+                # contract across a pool: its images seed the transient
+                # directory, and images built by workers are folded
+                # back into it before the directory is removed.
+                shared = WarmupImageCache(stack.enter_context(
+                    tempfile.TemporaryDirectory(
+                        prefix="repro-warmup-",
+                        ignore_cleanup_errors=True)))
+                if images is warmup_cache:
+                    _copy_images(images, shared)
+                    stack.callback(_copy_images, shared, images)
+                images = shared
+            # One leader per prefix group builds (or finds) the image,
+            # then the follower phase forks from it — a prefix's warmup
+            # is never simulated twice. (The two phases are global
+            # barriers: all leaders finish before any follower starts.)
+            leader_of: Dict[str, int] = {}
+            for pos, unit in enumerate(cells):
+                leader_of.setdefault(unit.warmup_key, pos)
+            leaders = set(leader_of.values())
+            phases = [sorted(leaders), [pos for pos in range(len(cells))
+                                        if pos not in leaders]]
+        run_all = map
+        if pooled:
+            # Capped at the fan-out, like pmap (a fork-start pool
+            # launches every worker up front); one pool serves both
+            # phases.
+            run_all = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(jobs, len(cells)))).map
+        for phase in phases:
+            for pos, value in zip(phase, run_all(
+                    _run_unit, [(cells[pos], images) for pos in phase])):
+                on_row(pos, value)
+
+
+def _cache_load(cache_dir: Optional[str], unit: Unit):
     if cache_dir is None or unit.metric is None:
         return None
     path = os.path.join(cache_dir, unit.key() + ".json")
@@ -275,53 +232,18 @@ def _cache_load(cache_dir: Optional[str], unit: SweepUnit):
         return None
 
 
-def _cache_store(cache_dir: Optional[str], unit: SweepUnit, value) -> None:
+def _cache_store(cache_dir: Optional[str], unit: Unit, value) -> None:
     if cache_dir is None or unit.metric is None:
         return
     if not isinstance(value, (int, float, dict)):
         return  # only JSON-scalar metric reductions are cacheable
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, unit.key() + ".json")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
-        json.dump({"config": repr(unit.exp), "max_cycles": unit.max_cycles,
-                   "metric": (list(unit.metric)
-                              if isinstance(unit.metric, tuple)
-                              else unit.metric),
-                   "value": value}, f)
-    os.replace(tmp, path)  # atomic: concurrent sweeps may share the dir
-
-
-def parallel_sweep(benchmark: str, metric=None,
-                   max_cycles: int = 50_000_000,
-                   jobs: Optional[int] = None,
-                   cache_dir: Optional[str] = None,
-                   warmup_snapshots: bool = False,
-                   warmup_cache: Union[None, str, WarmupImageCache] = None,
-                   service: Optional[str] = None,
-                   batch: Optional[int] = None,
-                   **axes: Sequence[Any]) -> List[Dict[str, Any]]:
-    """Run ``benchmark`` for the cross product of ``axes`` on a process
-    pool — or a service fleet. Drop-in parallel replacement for
-    :func:`repro.harness.sweep.sweep`: same axis validation, same row
-    order, bit-identical rows (deterministic per-config seeding), same
-    ``metric``-list and ``warmup_snapshots`` semantics.
-
-    ``jobs`` defaults to ``os.cpu_count()``; pass 1 to force serial
-    execution through the same code path. ``service="host:port"``
-    routes the units to a running coordinator instead of a local pool.
-    ``batch=S`` runs compatible cells through the lockstep BatchSim
-    backend first (see :func:`run_units`).
-    """
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    names, combos, metrics, units = grid_units(benchmark, metric,
-                                               max_cycles, axes)
-    values = run_units(units, jobs=jobs, cache_dir=cache_dir,
-                       warmup_snapshots=warmup_snapshots,
-                       warmup_cache=warmup_cache, service=service,
-                       batch=batch)
-    return _assemble_rows(names, combos, metrics, values)
+    # atomic publish: concurrent sweeps may share the dir
+    save_file(os.path.join(cache_dir, unit.key() + ".json"), json.dumps({
+        "config": repr(unit.exp), "max_cycles": unit.max_cycles,
+        "metric": (list(unit.metric) if isinstance(unit.metric, tuple)
+                   else unit.metric),
+        "value": value}).encode())
 
 
 def aggregate_stats(results: Sequence[Any]) -> Stats:

@@ -23,21 +23,18 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.cmp.system import RunResult
 from repro.errors import ConfigError
 from repro.harness.experiment import (SWEEP_AXES, ExperimentConfig,
-                                      WarmupImageCache, run_benchmark)
-
-# Grid axes may use the grouped field names (spec=, hierarchy=) or the
-# flat compatibility spellings the ExperimentConfig shim accepts.
-_VALID_FIELDS = set(SWEEP_AXES)
+                                      WarmupImageCache)
+from repro.harness.parallel import run_units
+from repro.harness.units import SweepUnit
 
 
 def _validate_axes(axes: Dict[str, Sequence[Any]]) -> None:
     for name in axes:
-        if name not in _VALID_FIELDS:
+        if name not in SWEEP_AXES:
             raise ConfigError(
-                f"unknown sweep axis {name!r}; valid: {sorted(_VALID_FIELDS)}")
+                f"unknown sweep axis {name!r}; valid: {sorted(SWEEP_AXES)}")
 
 
 def _normalize_metrics(metric) -> List[Optional[str]]:
@@ -58,12 +55,9 @@ def grid_units(benchmark: str, metric, max_cycles: int,
     """Expand a sweep grid into its work units.
 
     The one place the (validate axes -> normalize metrics -> cross
-    product -> combo-major/metric-minor unit list) expansion lives —
-    the serial sweep, ``parallel_sweep`` and ``ServiceClient.sweep``
-    all call it, so their unit lists (and therefore their rows) can
-    never drift apart. Returns ``(names, combos, metrics, units)``
-    with one :class:`SweepUnit` per (combo, metric)."""
-    from repro.harness.units import SweepUnit
+    product -> combo-major/metric-minor unit list) expansion lives.
+    Returns ``(names, combos, metrics, units)`` with one
+    :class:`SweepUnit` per (combo, metric)."""
     _validate_axes(axes)
     metrics = _normalize_metrics(metric)
     names = list(axes)
@@ -93,6 +87,7 @@ def _assemble_rows(names: List[str], combos: List[tuple],
 
 def sweep(benchmark: str, metric=None,
           max_cycles: int = 50_000_000, jobs: Optional[int] = None,
+          cache_dir: Optional[str] = None,
           warmup_snapshots: bool = False,
           warmup_cache: Union[None, str, WarmupImageCache] = None,
           service: Optional[str] = None,
@@ -105,51 +100,24 @@ def sweep(benchmark: str, metric=None,
     the axis values plus the named ``metric`` column(s) (or the full
     result).
 
-    ``jobs`` > 1 delegates to
-    :func:`repro.harness.parallel.parallel_sweep`, which spreads the
-    cells over a process pool and returns bit-identical rows in the
-    same order (per-config deterministic seeding).
-
-    ``warmup_snapshots=True`` groups cells by their config prefix
-    (:func:`repro.harness.experiment.warmup_key`) and forks every cell
-    after the first of a prefix from the prefix's warmup checkpoint.
-    ``warmup_cache`` may be a directory (images persist across calls
-    and processes) or a :class:`WarmupImageCache`; omitted, images live
-    only for this call.
-
-    ``service="host:port"`` ships the cells to a running
-    :mod:`repro.service` coordinator/worker fleet (``jobs`` is then
-    ignored) — same rows, streamed back from persistent workers with
-    warmup-prefix affinity. Full ``RunResult`` cells (``metric=None``)
-    ride the fleet too: results are wire-encoded by the worker and
-    decoded back against each unit's config on this side.
-
-    ``batch=S`` runs compatible cells (single-tile trace-mode configs;
-    see :mod:`repro.batch`) through the lockstep BatchSim backend in
-    groups of up to S, falling back to the scalar path for the rest —
-    rows stay bit-identical either way.
+    The remaining options say how the cells are executed and go
+    straight to :func:`repro.harness.parallel.run_units`, which
+    documents them: ``jobs`` > 1 is a process pool (``None`` is
+    serial), ``cache_dir`` a resumable JSON cache of metric cells,
+    ``warmup_snapshots`` / ``warmup_cache`` fork the cells of a config
+    prefix from one warmup checkpoint, ``service="host:port"`` ships
+    them to a :mod:`repro.service` fleet, and ``batch=S`` runs
+    single-tile cells in lockstep groups of S. Whichever are set, the
+    rows are bit-identical and in the same order (per-config
+    deterministic seeding).
     """
-    if service is None and jobs is not None and jobs > 1:
-        from repro.harness.parallel import parallel_sweep
-        return parallel_sweep(benchmark, metric=metric,
-                              max_cycles=max_cycles, jobs=jobs,
-                              warmup_snapshots=warmup_snapshots,
-                              warmup_cache=warmup_cache, batch=batch,
-                              **axes)
     names, combos, metrics, units = grid_units(benchmark, metric,
                                                max_cycles, axes)
-    from repro.harness.parallel import run_units
-    values = run_units(units, jobs=1, warmup_snapshots=warmup_snapshots,
+    values = run_units(units, jobs=jobs, cache_dir=cache_dir,
+                       warmup_snapshots=warmup_snapshots,
                        warmup_cache=warmup_cache, service=service,
                        batch=batch)
     return _assemble_rows(names, combos, metrics, values)
-
-
-def _metric_of(result: RunResult, metric: str):
-    # Delegates to the shared unit-of-work helper so every backend
-    # (serial, pool, service worker) resolves metrics identically.
-    from repro.harness.units import metric_of
-    return metric_of(result, metric)
 
 
 def best(rows: List[Dict[str, Any]], metric: str,

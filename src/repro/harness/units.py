@@ -29,14 +29,15 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.cmp.system import RunResult
 from repro.errors import ConfigError
 from repro.harness.experiment import (ExperimentConfig, HierarchyAxes,
-                                      WarmupImageCache, run_benchmark,
-                                      run_workload, workload_config)
+                                      SpecAxes, WarmupImageCache,
+                                      run_benchmark, run_workload,
+                                      workload_config)
 from repro.harness.experiment import warmup_key as _warmup_key
 from repro.params import NocKind, Organization, SystemConfig
 from repro.sim.stats import Stats
 
 __all__ = ["SweepUnit", "WorkloadUnit", "Metric", "metric_of",
-           "unit_key", "as_unit", "unit_from_wire",
+           "reduce_result", "unit_key", "unit_from_wire",
            "encode_result", "decode_result"]
 
 #: what a unit reduces to: the full ``RunResult`` (``None``), one scalar
@@ -54,14 +55,38 @@ def metric_of(result: Any, metric: str) -> Any:
     return value
 
 
+def reduce_result(result: Any, metric: Metric) -> Any:
+    """What a unit reduces its ``RunResult`` to: the result itself
+    (``None``), one scalar (a name), or a ``{name: value}`` dict (a
+    tuple of names). Every backend — scalar units and the lockstep
+    batcher — reduces through here."""
+    if metric is None:
+        return result
+    if isinstance(metric, str):
+        return metric_of(result, metric)
+    return {m: metric_of(result, m) for m in metric}
+
+
+def _check_metric(metric: Any) -> Metric:
+    """Normalize a list of names to a hashable tuple; reject anything
+    that is not a :data:`Metric`."""
+    if isinstance(metric, list):
+        metric = tuple(metric)
+    if not (metric is None or isinstance(metric, str)
+            or (isinstance(metric, tuple)
+                and all(isinstance(m, str) for m in metric))):
+        raise ConfigError(f"malformed metric: {metric!r}")
+    return metric
+
+
 def unit_key(exp: ExperimentConfig, max_cycles: int, metric: Metric) -> str:
     """Stable identity hash for one work unit.
 
     ``ExperimentConfig`` is a frozen dataclass of scalars and enums, so
     its repr is deterministic across processes and sessions (no ids,
     no dict ordering hazards). The encoding for ``None``/``str``
-    metrics is unchanged from the original ``parallel.config_key``, so
-    existing on-disk result caches stay valid.
+    metrics has never changed, so existing on-disk result caches stay
+    valid.
     """
     blob = f"{exp!r}|max_cycles={max_cycles}|metric={metric}"
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
@@ -162,6 +187,23 @@ def decode_result(wire: Dict[str, Any],
         raise ConfigError(f"malformed encoded RunResult: {exc!r}") from exc
 
 
+def _encode_value(unit: Any, value: Any) -> Any:
+    """Make a unit's reduced value JSON-safe for the wire (the inverse
+    of ``decode_value``). Scalars and metric dicts pass through; a
+    full ``RunResult`` (metric None) is encoded."""
+    if unit.metric is None:
+        return encode_result(value)
+    return value
+
+
+def _decode_value(unit: Any, value: Any) -> Any:
+    """Rebuild a unit's in-process value from its wire form, against
+    the unit's own ``system_config()``."""
+    if unit.metric is None and is_encoded_result(value):
+        return decode_result(value, unit.system_config())
+    return value
+
+
 @dataclass(frozen=True)
 class SweepUnit:
     """One independent simulation: config x horizon x metric reduction."""
@@ -170,18 +212,8 @@ class SweepUnit:
     max_cycles: int = 50_000_000
     metric: Metric = None
 
-    @staticmethod
-    def coerce(unit: Union["SweepUnit", Tuple]) -> "SweepUnit":
-        """Accept the legacy ``(exp, max_cycles, metric)`` tuple form
-        (and normalize a list-of-metrics to a hashable tuple)."""
-        if isinstance(unit, SweepUnit):
-            u = unit
-        else:
-            exp, max_cycles, metric = unit
-            u = SweepUnit(exp, max_cycles, metric)
-        if isinstance(u.metric, list):
-            u = SweepUnit(u.exp, u.max_cycles, tuple(u.metric))
-        return u
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "metric", _check_metric(self.metric))
 
     def key(self) -> str:
         return unit_key(self.exp, self.max_cycles, self.metric)
@@ -197,28 +229,16 @@ class SweepUnit:
         """Simulate and reduce. Returns the full ``RunResult`` when
         ``metric`` is None, a scalar for a named metric, or a
         ``{name: value}`` dict for a metric tuple."""
-        result = run_benchmark(self.exp, max_cycles=self.max_cycles,
-                               warmup_images=warmup_images)
-        if self.metric is None:
-            return result
-        if isinstance(self.metric, str):
-            return metric_of(result, self.metric)
-        return {m: metric_of(result, m) for m in self.metric}
+        return reduce_result(
+            run_benchmark(self.exp, max_cycles=self.max_cycles,
+                          warmup_images=warmup_images), self.metric)
+
+    def system_config(self) -> SystemConfig:
+        return self.exp.system_config()
 
     # -- wire encoding (the service protocol ships units as JSON) ------
-    def encode_value(self, value: Any) -> Any:
-        """Make this unit's reduced value JSON-safe for the wire (the
-        inverse of :meth:`decode_value`). Scalars and metric dicts pass
-        through; a full ``RunResult`` (metric None) is encoded."""
-        if self.metric is None:
-            return encode_result(value)
-        return value
-
-    def decode_value(self, value: Any) -> Any:
-        """Rebuild this unit's in-process value from its wire form."""
-        if self.metric is None and is_encoded_result(value):
-            return decode_result(value, self.exp.system_config())
-        return value
+    encode_value = _encode_value
+    decode_value = _decode_value
 
     def to_wire(self) -> Dict[str, Any]:
         exp = self.exp
@@ -234,9 +254,9 @@ class SweepUnit:
             "seed": exp.seed,
             "warmup_fraction": exp.warmup_fraction,
             "cache_scale": exp.cache_scale,
-            "speculation": exp.speculation,
-            "spec_window": exp.spec_window,
-            "spec_rate": exp.spec_rate,
+            "speculation": exp.spec.mode,
+            "spec_window": exp.spec.window,
+            "spec_rate": exp.spec.rate,
             "max_cycles": self.max_cycles,
             "metric": (list(self.metric)
                        if isinstance(self.metric, tuple) else self.metric),
@@ -264,32 +284,16 @@ class SweepUnit:
                 seed=wire["seed"],
                 warmup_fraction=wire["warmup_fraction"],
                 cache_scale=wire["cache_scale"],
-                speculation=wire["speculation"],
-                spec_window=wire["spec_window"],
-                spec_rate=wire["spec_rate"],
-                scratchpad_fraction=wire.get("scratchpad_fraction", 0.0),
-                spm_latency=wire.get("spm_latency", 2),
+                spec=SpecAxes(mode=wire["speculation"],
+                              window=wire["spec_window"],
+                              rate=wire["spec_rate"]),
+                hierarchy=HierarchyAxes(
+                    scratchpad_fraction=wire.get("scratchpad_fraction", 0.0),
+                    spm_latency=wire.get("spm_latency", 2)),
             )
-            metric = wire["metric"]
+            return SweepUnit(exp, wire["max_cycles"], wire["metric"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed wire unit: {exc!r}") from exc
-        if isinstance(metric, list):
-            metric = tuple(metric)
-        if not (metric is None or isinstance(metric, str)
-                or (isinstance(metric, tuple)
-                    and all(isinstance(m, str) for m in metric))):
-            raise ConfigError(f"malformed wire metric: {metric!r}")
-        return SweepUnit(exp, wire["max_cycles"], metric)
-
-
-def _check_metric(metric: Any) -> Metric:
-    if isinstance(metric, list):
-        metric = tuple(metric)
-    if not (metric is None or isinstance(metric, str)
-            or (isinstance(metric, tuple)
-                and all(isinstance(m, str) for m in metric))):
-        raise ConfigError(f"malformed wire metric: {metric!r}")
-    return metric
 
 
 @dataclass(frozen=True)
@@ -320,6 +324,9 @@ class WorkloadUnit:
     max_cycles: int = 50_000_000
     metric: Metric = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "metric", _check_metric(self.metric))
+
     def key(self) -> str:
         blob = (f"workload|{self.workload}|{self.organization.value}"
                 f"|{self.cores}|{self.noc.value}|{self.cluster}"
@@ -348,30 +355,19 @@ class WorkloadUnit:
         """Simulate and reduce (``warmup_images`` is accepted for
         backend symmetry and ignored — workloads have no snapshot
         path)."""
-        result = run_workload(self.workload, self.organization,
-                              cores=self.cores, noc=self.noc,
-                              scale=self.scale, seed=self.seed,
-                              full_system=self.full_system,
-                              cluster=self.cluster,
-                              warmup_fraction=self.warmup_fraction,
-                              cache_scale=self.cache_scale,
-                              max_cycles=self.max_cycles)
-        if self.metric is None:
-            return result
-        if isinstance(self.metric, str):
-            return metric_of(result, self.metric)
-        return {m: metric_of(result, m) for m in self.metric}
+        return reduce_result(
+            run_workload(self.workload, self.organization,
+                         cores=self.cores, noc=self.noc,
+                         scale=self.scale, seed=self.seed,
+                         full_system=self.full_system,
+                         cluster=self.cluster,
+                         warmup_fraction=self.warmup_fraction,
+                         cache_scale=self.cache_scale,
+                         max_cycles=self.max_cycles), self.metric)
 
     # -- wire encoding -------------------------------------------------
-    def encode_value(self, value: Any) -> Any:
-        if self.metric is None:
-            return encode_result(value)
-        return value
-
-    def decode_value(self, value: Any) -> Any:
-        if self.metric is None and is_encoded_result(value):
-            return decode_result(value, self.system_config())
-        return value
+    encode_value = _encode_value
+    decode_value = _decode_value
 
     def to_wire(self) -> Dict[str, Any]:
         return {
@@ -408,23 +404,10 @@ class WorkloadUnit:
                 warmup_fraction=wire["warmup_fraction"],
                 cache_scale=wire["cache_scale"],
                 max_cycles=wire["max_cycles"],
-                metric=_check_metric(wire["metric"]),
+                metric=wire["metric"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed wire unit: {exc!r}") from exc
-
-
-def as_unit(unit: Union[SweepUnit, "WorkloadUnit", Tuple]
-            ) -> Union[SweepUnit, "WorkloadUnit"]:
-    """Normalize anything unit-shaped: passes :class:`WorkloadUnit`
-    through (normalizing a list metric), coerces everything else via
-    :meth:`SweepUnit.coerce` (including the legacy tuple form)."""
-    if isinstance(unit, WorkloadUnit):
-        if isinstance(unit.metric, list):
-            return WorkloadUnit(**{**unit.__dict__,
-                                   "metric": tuple(unit.metric)})
-        return unit
-    return SweepUnit.coerce(unit)
 
 
 def unit_from_wire(wire: Dict[str, Any]

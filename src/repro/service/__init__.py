@@ -22,7 +22,7 @@ Entry points: ``scripts/sweep_service.py`` (launch a fleet,
 (the tour).
 """
 
-from repro.service.client import ServiceClient, service_sweep
+from repro.service.client import ServiceClient
 from repro.service.cluster import (ClusterConfig, ClusterManager,
                                    pick_free_ports,
                                    spawn_coordinator_process)
@@ -41,7 +41,7 @@ from repro.service.worker import Worker, parse_address, parse_addresses
 
 __all__ = [
     "Coordinator", "Worker", "ServiceClient", "Scheduler",
-    "service_sweep", "parse_address", "parse_addresses",
+    "parse_address", "parse_addresses",
     "ClusterConfig", "ClusterManager", "ConsensusCore", "ReplicaLog",
     "SchedulerMachine", "pick_free_ports", "spawn_coordinator_process",
     "ServiceError", "FrameError", "ConnectionClosed", "WorkerLost",

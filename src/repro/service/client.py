@@ -8,8 +8,7 @@ units included (metric None): the worker wire-encodes the result and
 the client decodes it back against the unit's own config, so every
 experiment type rides the fleet. The harness entry points
 (``sweep(service=...)``, ``run_units(service=...)``) build on
-:meth:`ServiceClient.run_units`; :meth:`ServiceClient.sweep` is the
-standalone convenience mirror of :func:`repro.harness.sweep.sweep`.
+:meth:`ServiceClient.run_units`.
 
 The client's API is deliberately synchronous — a sweep is a batch, and
 the coordinator streams rows as they finish, so blocking on the socket
@@ -27,14 +26,14 @@ import socket
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.harness.units import SweepUnit, as_unit
+from repro.harness.units import SweepUnit, WorkloadUnit
 from repro.service.errors import (ConnectionClosed, JobFailed,
                                   ProtocolMismatch, ServiceError)
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.transport import SyncTransport
 from repro.service.worker import parse_address, parse_addresses
 
-__all__ = ["ServiceClient", "service_sweep"]
+__all__ = ["ServiceClient"]
 
 #: leader-flap backstop: how many times one ``run_units`` call will
 #: resubmit after losing its coordinator before giving up
@@ -227,7 +226,7 @@ class ServiceClient:
             pass
 
     # ------------------------------------------------------------------
-    def run_units(self, units: Sequence[Union[SweepUnit, tuple]], *,
+    def run_units(self, units: Sequence[Union[SweepUnit, WorkloadUnit]], *,
                   warmup_snapshots: bool = False,
                   warmup_dir: Optional[str] = None,
                   on_row: Optional[Callable[[int, Any], None]] = None
@@ -244,7 +243,6 @@ class ServiceClient:
         sharding still exploits. Raises :class:`JobFailed` when a unit
         exhausts its retries.
         """
-        units = [as_unit(u) for u in units]
         wire = [u.to_wire() for u in units]
         values: List[Any] = [None] * len(units)
         got = [False] * len(units)
@@ -279,7 +277,8 @@ class ServiceClient:
                     raise JobFailed(
                         f"fail-over found no leader: {exc2}") from None
 
-    def _attempt(self, units: List[SweepUnit], wire: List[Any],
+    def _attempt(self, units: Sequence[Union[SweepUnit, WorkloadUnit]],
+                 wire: List[Any],
                  values: List[Any], got: List[bool],
                  state: Dict[str, int], warmup_snapshots: bool,
                  warmup_dir: Optional[str],
@@ -298,18 +297,20 @@ class ServiceClient:
             raise ServiceError(f"expected accepted, got "
                                f"{accepted.get('type')!r}")
         job_id = accepted["job"]
-        for idx, value in accepted.get("cached", []):
-            value = units[idx].decode_value(value)
+
+        def accept(idx: int, wire_value: Any) -> None:
+            value = units[idx].decode_value(wire_value)
             values[idx] = value
             if not got[idx]:
                 got[idx] = True
                 state["remaining"] -= 1
                 if on_row is not None:
                     on_row(idx, value)
-        if state["remaining"] == 0:
-            # every unit was memo-served in the accept itself; the
-            # coordinator still sends done with the job stats
-            pass
+
+        # units the memo served ride the accept itself (when that is
+        # all of them, the coordinator still sends done with the stats)
+        for idx, value in accepted.get("cached", []):
+            accept(idx, value)
         while True:  # exits via "done" (all rows), JobFailed, or error
             try:
                 msg = self._recv()
@@ -319,14 +320,7 @@ class ServiceClient:
                     f"{state['remaining']} rows outstanding") from None
             kind = msg.get("type")
             if kind == "row" and msg.get("job") == job_id:
-                idx = msg["idx"]
-                value = units[idx].decode_value(msg["value"])
-                values[idx] = value
-                if not got[idx]:
-                    got[idx] = True
-                    state["remaining"] -= 1
-                    if on_row is not None:
-                        on_row(idx, value)
+                accept(msg["idx"], msg["value"])
             elif kind == "done" and msg.get("job") == job_id:
                 if state["remaining"]:
                     raise JobFailed(
@@ -344,26 +338,3 @@ class ServiceClient:
             else:
                 raise ServiceError(f"unexpected {kind!r} while waiting "
                                    f"for {job_id} rows")
-
-    def sweep(self, benchmark: str, metric, *,
-              max_cycles: int = 50_000_000,
-              warmup_snapshots: bool = False,
-              warmup_dir: Optional[str] = None,
-              **axes: Sequence[Any]) -> List[Dict[str, Any]]:
-        """Run a sweep grid through the service; same rows as
-        :func:`repro.harness.sweep.sweep` with the same arguments."""
-        # Imported here: keeping client.py importable without the
-        # harness stack costs nothing.
-        from repro.harness.sweep import _assemble_rows, grid_units
-        names, combos, metrics, units = grid_units(benchmark, metric,
-                                                   max_cycles, axes)
-        values = self.run_units(units, warmup_snapshots=warmup_snapshots,
-                                warmup_dir=warmup_dir)
-        return _assemble_rows(names, combos, metrics, values)
-
-
-def service_sweep(address: str, benchmark: str, metric,
-                  **kwargs) -> List[Dict[str, Any]]:
-    """One-shot convenience: connect, sweep, close."""
-    with ServiceClient(address) as client:
-        return client.sweep(benchmark, metric, **kwargs)

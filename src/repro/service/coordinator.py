@@ -65,6 +65,7 @@ from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
                                     check_protocol, encode_frame,
                                     read_msg_async)
 from repro.service.replica import SchedulerMachine
+from repro.sim.snapshot import save_file
 
 __all__ = ["Coordinator"]
 
@@ -812,26 +813,18 @@ class Coordinator:
     def _store_result(self, key: Optional[str], value: Any) -> None:
         """Persist one memoized value to the cache directory (the
         in-memory memo is the machine's — the ``complete`` command
-        already recorded it). A failed write is non-fatal, but the
-        ``.tmp.<pid>`` staging file must not survive it: a long-lived
-        coordinator on a full/read-only disk would otherwise shed tmp
-        litter on every completion."""
+        already recorded it). A failed write is non-fatal, and
+        ``save_file`` removes its staging file when it fails: a
+        long-lived coordinator on a full/read-only disk must not shed
+        tmp litter on every completion."""
         if key is None:
             return
         self._results[key] = value  # idempotent next to the command
         if self.cache_dir is not None and isinstance(
                 value, (int, float, dict)):
-            path = self._cache_path(key)
-            tmp = f"{path}.tmp.{os.getpid()}"
             try:
                 os.makedirs(self.cache_dir, exist_ok=True)
-                with open(tmp, "w") as f:
-                    json.dump({"key": key, "value": value}, f)
-                os.replace(tmp, path)
+                save_file(self._cache_path(key), json.dumps(
+                    {"key": key, "value": value}).encode())
             except OSError:
                 pass
-            finally:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass

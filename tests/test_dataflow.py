@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TraceError
-from repro.harness.experiment import ExperimentConfig, run_benchmark
+from repro.harness.experiment import (ExperimentConfig, HierarchyAxes,
+                                      run_benchmark)
 from repro.params import Organization
 from repro.traces.dataflow import DATAFLOW_BENCHMARKS, dataflow_traces
 from repro.traces.events import SPM_STRIDE, Op, instruction_count
@@ -77,7 +78,7 @@ class TestPerOrganizationSmoke:
     @pytest.mark.parametrize("bench", DATAFLOW_BENCHMARKS)
     def test_one_cell(self, bench, org):
         exp = ExperimentConfig(bench, org, cores=16, cluster=(2, 2),
-                               scale=0.1, scratchpad_fraction=0.5)
+                               scale=0.1, hierarchy=HierarchyAxes(0.5))
         result = run_benchmark(exp, max_cycles=5_000_000)
         assert result.finished
         assert result.spm_refs > 0
@@ -89,7 +90,7 @@ class TestPerOrganizationSmoke:
     def test_op_count_fingerprint_stable_across_repeats(self, bench):
         exp = ExperimentConfig(bench, Organization.SHARED, cores=16,
                                cluster=(2, 2), scale=0.1,
-                               scratchpad_fraction=0.5)
+                               hierarchy=HierarchyAxes(0.5))
         a = run_benchmark(exp, max_cycles=5_000_000)
         b = run_benchmark(exp, max_cycles=5_000_000)
         assert a.runtime == b.runtime

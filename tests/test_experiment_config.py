@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.harness.experiment import (SWEEP_AXES, ExperimentConfig,
                                       HierarchyAxes, SpecAxes, warmup_key)
-from repro.harness.sweep import _validate_axes
+from repro.harness.sweep import _validate_axes, sweep
 from repro.harness.units import SweepUnit, unit_from_wire
 from repro.params import NocKind, Organization
 
@@ -51,17 +51,17 @@ FLAT_ERA_PINS = [
         lambda: ExperimentConfig(
             benchmark="canneal", organization=Organization.LOCO_CC_VMS_IVR,
             cores=16, cluster=(2, 2), scale=0.05, seed=7,
-            speculation="on", spec_window=4, spec_rate=0.01),
+            spec=SpecAxes(mode="on", window=4, rate=0.01)),
         None,
         "a6e75b658b1ae9088915eb48",
         "a5163352c9c7187fb4fa2242",
         None,
     ),
     (
-        # the full flat-era *positional* signature
+        # every positional field, then the keyword-only spec group
         lambda: ExperimentConfig("lu", Organization.PRIVATE, 16,
                                  NocKind.CONVENTIONAL, (2, 2), 0.5, True,
-                                 3, 0.2, 0.25, "on", 2, 0.5),
+                                 3, 0.2, 0.25, spec=SpecAxes("on", 2, 0.5)),
         None,
         "8ff73924a42c860d8ae0f2c0",
         "bed0a93c50a98ad23ebbd08c",
@@ -97,31 +97,8 @@ class TestFlatEraPins:
 
 
 class TestGroupedFlatEquivalence:
-    def test_grouped_equals_flat(self):
-        flat = ExperimentConfig(benchmark="canneal",
-                                organization=Organization.SHARED,
-                                speculation="on", spec_window=4,
-                                spec_rate=0.01, scratchpad_fraction=0.25,
-                                spm_latency=3)
-        grouped = ExperimentConfig(
-            benchmark="canneal", organization=Organization.SHARED,
-            spec=SpecAxes(mode="on", window=4, rate=0.01),
-            hierarchy=HierarchyAxes(scratchpad_fraction=0.25,
-                                    spm_latency=3))
-        assert flat == grouped
-        assert hash(flat) == hash(grouped)
-        assert repr(flat) == repr(grouped)
-
-    def test_flat_attribute_reads_delegate(self):
-        exp = ExperimentConfig(benchmark="lu",
-                               organization=Organization.SHARED,
-                               spec=SpecAxes(mode="on", window=2, rate=0.5),
-                               hierarchy=HierarchyAxes(0.5, 4))
-        assert exp.speculation == "on"
-        assert exp.spec_window == 2
-        assert exp.spec_rate == 0.5
-        assert exp.scratchpad_fraction == 0.5
-        assert exp.spm_latency == 4
+    """The flat spellings of the grouped axes are gone: one config
+    spelling, so nothing can bind a flat-era argument by accident."""
 
     @pytest.mark.parametrize("kw", [
         dict(speculation="on", spec=SpecAxes()),
@@ -131,13 +108,31 @@ class TestGroupedFlatEquivalence:
         dict(spm_latency=3, hierarchy=HierarchyAxes()),
     ])
     def test_grouped_and_flat_together_rejected(self, kw):
-        with pytest.raises(ConfigError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             ExperimentConfig("lu", Organization.PRIVATE, **kw)
+
+    def test_flat_spellings_rejected(self):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ExperimentConfig("lu", Organization.PRIVATE, speculation="on")
+        # the flat-era 13-positional call must not bind "on" to spec
+        with pytest.raises(TypeError, match="positional"):
+            ExperimentConfig("lu", Organization.PRIVATE, 16,
+                             NocKind.CONVENTIONAL, (2, 2), 0.5, True,
+                             3, 0.2, 0.25, "on", 2, 0.5)
+        exp = ExperimentConfig("lu", Organization.PRIVATE,
+                               spec=SpecAxes(mode="on"))
+        for name in ("speculation", "spec_window", "spec_rate",
+                     "scratchpad_fraction", "spm_latency"):
+            assert not hasattr(exp, name)
+            with pytest.raises(ConfigError, match="unknown sweep axis"):
+                sweep("lu", organization=[Organization.PRIVATE],
+                      **{name: [1]})
 
     def test_replace_and_pickle(self):
         exp = ExperimentConfig(benchmark="lu",
                                organization=Organization.SHARED,
-                               speculation="on", scratchpad_fraction=0.5)
+                               spec=SpecAxes(mode="on"),
+                               hierarchy=HierarchyAxes(0.5))
         clone = dataclasses.replace(exp, seed=9)
         assert clone.seed == 9
         assert clone.spec == exp.spec
@@ -166,20 +161,18 @@ class TestGroupedFlatEquivalence:
 
 
 class TestSweepAxes:
-    def test_flat_and_grouped_spellings_are_valid_axes(self):
-        _validate_axes({"speculation": ["off"], "spec_window": [4],
-                        "spec_rate": [0.0], "scratchpad_fraction": [0.5],
-                        "spm_latency": [2], "spec": [SpecAxes()],
+    def test_grouped_spellings_are_valid_axes(self):
+        _validate_axes({"spec": [SpecAxes()],
                         "hierarchy": [HierarchyAxes()], "seed": [1]})
 
     def test_unknown_axis_still_rejected(self):
         with pytest.raises(ConfigError):
             _validate_axes({"scratchpad": [0.5]})
 
-    def test_sweep_axes_cover_both_spellings(self):
-        assert {"benchmark", "spec", "hierarchy", "speculation",
-                "spec_window", "spec_rate", "scratchpad_fraction",
-                "spm_latency"} <= SWEEP_AXES
+    def test_sweep_axes_are_the_config_fields(self):
+        assert SWEEP_AXES == {f.name for f in
+                              dataclasses.fields(ExperimentConfig)}
+        assert {"benchmark", "spec", "hierarchy"} <= SWEEP_AXES
 
 
 _configs = st.builds(

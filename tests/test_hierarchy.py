@@ -25,7 +25,7 @@ from repro.traces.events import SPM_STRIDE, spm_addr
 def _twin_configs(bench: str = "dataflow_gemm", **kw):
     spm = ExperimentConfig(bench, Organization.SHARED, cores=16,
                            cluster=(2, 2), scale=0.25,
-                           scratchpad_fraction=0.5, **kw)
+                           hierarchy=HierarchyAxes(0.5), **kw)
     allc = ExperimentConfig(bench, Organization.SHARED, cores=16,
                             cluster=(2, 2), scale=0.25, **kw)
     return spm, allc
@@ -159,7 +159,7 @@ class TestBatcherDeclines:
         assert batchable(self._unit())
 
     def test_hierarchy_unit_declines(self):
-        assert not batchable(self._unit(scratchpad_fraction=0.5))
+        assert not batchable(self._unit(hierarchy=HierarchyAxes(0.5)))
         assert not batchable(self._unit(
             hierarchy=HierarchyAxes(0.25, 3)))
 

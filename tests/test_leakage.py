@@ -3,7 +3,7 @@ end-to-end bit recovery, and the speculation fields on the wire."""
 
 import pytest
 
-from repro.harness.experiment import ExperimentConfig
+from repro.harness.experiment import ExperimentConfig, SpecAxes
 from repro.harness.leakage import (ATTACKER, LEAK_BENCHMARKS, LEAK_CLUSTER,
                                    LEAK_CORES, VICTIM, build_leak_traces,
                                    geometry_for, leakage_rows,
@@ -21,7 +21,7 @@ def leak_exp(benchmark="leak_prime_probe", organization=Organization.SHARED,
     return ExperimentConfig(benchmark=benchmark, organization=organization,
                             cores=LEAK_CORES, cluster=LEAK_CLUSTER,
                             warmup_fraction=0.0, seed=seed,
-                            speculation=speculation)
+                            spec=SpecAxes(mode=speculation))
 
 
 class TestGeometry:
@@ -139,9 +139,8 @@ class TestSpeculationOnTheWire:
         unit = SweepUnit(exp, max_cycles=1000, metric="runtime")
         again = unit_from_wire(unit.to_wire())
         assert again == unit
-        assert again.exp.speculation == "on"
-        assert again.exp.spec_window == exp.spec_window
-        assert again.exp.spec_rate == exp.spec_rate
+        assert again.exp.spec == exp.spec
+        assert again.exp.spec.mode == "on"
 
     def test_speculating_units_never_batch(self):
         from repro.batch.grouping import batchable
@@ -153,5 +152,5 @@ class TestSpeculationOnTheWire:
         spec = ExperimentConfig(benchmark="water_spatial",
                                 organization=Organization.SHARED,
                                 cores=1, cluster=(1, 1), scale=0.04,
-                                speculation="on")
+                                spec=SpecAxes(mode="on"))
         assert not batchable(SweepUnit(spec, 1000, "runtime"))

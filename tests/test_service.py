@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.harness.experiment import ExperimentConfig
+from repro.harness.experiment import ExperimentConfig, HierarchyAxes
 from repro.harness.sweep import sweep
 from repro.harness.units import SweepUnit, WorkloadUnit, unit_key
 from repro.params import Organization
@@ -113,8 +113,9 @@ class TestEquivalence:
         _coord, address = fleet(workers=3)
         axes = dict(organization=[Organization.SHARED],
                     cores=[16], cluster=[(2, 2)], scale=[0.1],
-                    scratchpad_fraction=[0.0, 0.5],
-                    spm_latency=[2, 4])
+                    hierarchy=[HierarchyAxes(fraction, latency)
+                               for fraction in (0.0, 0.5)
+                               for latency in (2, 4)])
         for bench in ("dataflow_gemm", "dataflow_stencil"):
             cold = sweep(bench, metric=["runtime", "mpki"], **axes)
             svc = sweep(bench, metric=["runtime", "mpki"],

@@ -17,7 +17,7 @@ service trustworthy for figure tables:
   re-sign-in, the client resubmits, and the rows still come back
   bit-identical to serial.
 * **The result-cache store hits filesystem trouble** — no
-  ``.tmp.<pid>`` residue may survive a failed store.
+  ``.tmp-*`` staging residue may survive a failed store.
 """
 
 from __future__ import annotations
@@ -284,14 +284,14 @@ class TestLeaderKill:
 class TestCacheStoreHygiene:
     def test_no_tmp_residue_when_replace_fails(self, tmp_path):
         """A directory squatting on the destination makes the final
-        ``os.replace`` fail — the ``.tmp.<pid>`` staging file must not
+        ``os.replace`` fail — the ``.tmp-*`` staging file must not
         leak (it used to, on exactly this path)."""
         coord = Coordinator(cache_dir=str(tmp_path))
         key = unit(seed=1).key()
         os.makedirs(coord._cache_path(key))
         coord._store_result(key, 123)
         assert coord._results[key] == 123  # memo unaffected
-        residue = [p for p in os.listdir(tmp_path) if ".tmp." in p]
+        residue = [p for p in os.listdir(tmp_path) if ".tmp" in p]
         assert residue == []
 
     def test_no_tmp_residue_in_readonly_cache_dir(self, tmp_path):
@@ -308,7 +308,7 @@ class TestCacheStoreHygiene:
             coord._store_result(key, 456)
             assert coord._results[key] == 456
             residue = [p.name for p in cache.iterdir()
-                       if ".tmp." in p.name]
+                       if ".tmp" in p.name]
             assert residue == []
         finally:
             os.chmod(cache, 0o755)

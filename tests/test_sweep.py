@@ -52,10 +52,9 @@ class TestParallelSweep:
                 scale=[0.04], seed=[1, 2])
 
     def test_rows_bit_identical_to_serial(self):
-        from repro.harness.parallel import parallel_sweep
         serial = sweep("water_spatial", metric="runtime", **self.AXES)
-        par = parallel_sweep("water_spatial", metric="runtime", jobs=2,
-                             **self.AXES)
+        par = sweep("water_spatial", metric="runtime", jobs=2,
+                    **self.AXES)
         assert par == serial  # same order, same values, same types
 
     def test_sweep_jobs_kwarg_delegates(self):
@@ -64,32 +63,104 @@ class TestParallelSweep:
         assert len(rows) == 1 and rows[0]["runtime"] > 0
 
     def test_unknown_axis_rejected(self):
-        from repro.errors import ConfigError
-        from repro.harness.parallel import parallel_sweep
         with pytest.raises(ConfigError):
-            parallel_sweep("lu", metric="runtime", jobs=2,
-                           flux_capacitor=[1])
+            sweep("lu", metric="runtime", jobs=2, flux_capacitor=[1])
 
     def test_json_cache_roundtrip(self, tmp_path):
-        from repro.harness.parallel import parallel_sweep
-        first = parallel_sweep("water_spatial", metric="runtime", jobs=2,
-                               cache_dir=str(tmp_path), **self.AXES)
+        first = sweep("water_spatial", metric="runtime", jobs=2,
+                      cache_dir=str(tmp_path), **self.AXES)
         assert len(list(tmp_path.glob("*.json"))) == len(first)
-        again = parallel_sweep("water_spatial", metric="runtime", jobs=2,
-                               cache_dir=str(tmp_path), **self.AXES)
+        again = sweep("water_spatial", metric="runtime", jobs=2,
+                      cache_dir=str(tmp_path), **self.AXES)
         assert again == first
 
     def test_full_results_and_aggregate(self):
-        from repro.harness.parallel import aggregate_stats, parallel_sweep
-        rows = parallel_sweep("water_spatial", jobs=2,
-                              organization=[Organization.SHARED,
-                                            Organization.PRIVATE],
-                              scale=[0.04])
+        from repro.harness.parallel import aggregate_stats
+        rows = sweep("water_spatial", jobs=2,
+                     organization=[Organization.SHARED,
+                                   Organization.PRIVATE],
+                     scale=[0.04])
         results = [r["result"] for r in rows]
         assert all(r.finished for r in results)
         merged = aggregate_stats(results)
         assert merged.value("instructions") == sum(
             r.stats.value("instructions") for r in results)
+
+    def test_pool_width_capped_at_fan_out(self, monkeypatch):
+        """``jobs=cpu_count()`` on a 2-cell sweep must not fork a pile
+        of idle children (fork-start pools launch every worker up
+        front)."""
+        from repro.harness import parallel
+        widths = []
+
+        class RecordingPool(parallel.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kw):
+                widths.append(max_workers)
+                super().__init__(max_workers=max_workers, **kw)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        rows = sweep("water_spatial", metric="runtime", jobs=8,
+                     organization=[Organization.SHARED,
+                                   Organization.PRIVATE], scale=[0.04])
+        assert len(rows) == 2
+        assert widths == [2]
+
+
+class TestOneDispatchLoop:
+    """Every combination of the execution options goes through one
+    cache filter, one batch pre-pass and one dispatch loop, and returns
+    the cold serial rows."""
+
+    BENCH = "water_spatial"
+    METRICS = ["runtime", "mpki"]
+    #: 2 prefixes x 2 metrics; the one-core cells are batchable, the
+    #: four-core cells are not
+    AXES = dict(organization=[Organization.SHARED], cores=[1, 4],
+                cluster=[(1, 1)], scale=[0.04], warmup_fraction=[0.5])
+
+    @pytest.fixture(scope="class")
+    def cold(self):
+        return sweep(self.BENCH, metric=self.METRICS, **self.AXES)
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["nocache", "cache_dir"])
+    @pytest.mark.parametrize("batch", [None, 4], ids=["scalar", "batch4"])
+    @pytest.mark.parametrize("images", ["cold", "dir", "mem"])
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "jobs2"])
+    def test_rows_equal_cold_serial(self, jobs, images, batch, cached,
+                                    cold, tmp_path, monkeypatch):
+        from repro.harness import experiment, units
+        from repro.harness.experiment import (WarmupImageCache,
+                                              clear_trace_cache)
+        cache_dir = str(tmp_path / "rows") if cached else None
+        store = {"cold": None,
+                 "dir": WarmupImageCache(str(tmp_path / "images")),
+                 "mem": WarmupImageCache()}[images]
+        opts = dict(metric=self.METRICS, jobs=jobs, batch=batch,
+                    cache_dir=cache_dir, warmup_snapshots=store is not None,
+                    warmup_cache=store, **self.AXES)
+        assert sweep(self.BENCH, **opts) == cold
+        if store is not None:
+            # one image per prefix, whichever process built it; only an
+            # in-process run counts on the caller's own cache object
+            assert len(list(store.keys())) == 2
+            assert (store.misses, store.hits) == \
+                ((2, 2) if jobs is None else (0, 0))
+        if not cached:
+            return
+        files = sorted(p.name for p in (tmp_path / "rows").iterdir())
+        assert len(files) == 4
+        assert all(name.endswith(".json") for name in files)
+        # a second call is served from the row cache: it simulates
+        # nothing, in this process or in a pool forked from it
+        clear_trace_cache()
+
+        def poisoned(*args, **kwargs):
+            raise AssertionError("cached sweep must not simulate")
+
+        monkeypatch.setattr(units, "run_benchmark", poisoned)
+        assert sweep(self.BENCH, **opts) == cold
+        assert experiment._trace_cache == {}
 
 
 class TestSweepCacheRobustness:
@@ -106,34 +177,44 @@ class TestSweepCacheRobustness:
         return files[0]
 
     def test_corrupt_cache_file_recomputed(self, tmp_path):
-        from repro.harness.parallel import parallel_sweep
-        first = parallel_sweep("water_spatial", metric="runtime", jobs=1,
-                               cache_dir=str(tmp_path), **self.AXES)
+        first = sweep("water_spatial", metric="runtime", jobs=1,
+                      cache_dir=str(tmp_path), **self.AXES)
         path = self._one_cache_file(tmp_path)
         path.write_text("{not json at all")
-        again = parallel_sweep("water_spatial", metric="runtime", jobs=1,
-                               cache_dir=str(tmp_path), **self.AXES)
+        again = sweep("water_spatial", metric="runtime", jobs=1,
+                      cache_dir=str(tmp_path), **self.AXES)
         assert again == first
         # the recompute repaired the cache file
         import json
         assert json.loads(path.read_text())["value"] == first[0]["runtime"]
 
     def test_partial_cache_file_recomputed(self, tmp_path):
-        from repro.harness.parallel import parallel_sweep
-        first = parallel_sweep("water_spatial", metric="runtime", jobs=1,
-                               cache_dir=str(tmp_path), **self.AXES)
+        first = sweep("water_spatial", metric="runtime", jobs=1,
+                      cache_dir=str(tmp_path), **self.AXES)
         path = self._one_cache_file(tmp_path)
         path.write_text('{"config": "x", "metric": "runtime"}')  # no value
-        again = parallel_sweep("water_spatial", metric="runtime", jobs=1,
-                               cache_dir=str(tmp_path), **self.AXES)
+        again = sweep("water_spatial", metric="runtime", jobs=1,
+                      cache_dir=str(tmp_path), **self.AXES)
         assert again == first
 
     def test_cache_ignored_for_full_results(self, tmp_path):
-        from repro.harness.parallel import parallel_sweep
-        rows = parallel_sweep("water_spatial", jobs=1,
-                              cache_dir=str(tmp_path), **self.AXES)
+        rows = sweep("water_spatial", jobs=1,
+                     cache_dir=str(tmp_path), **self.AXES)
         assert rows[0]["result"].finished
         assert list(tmp_path.glob("*.json")) == []  # never cached
+
+    def test_failed_store_raises_and_leaves_no_staging_file(self, tmp_path):
+        """A directory squatting on the final ``<key>.json`` path makes
+        the publish fail; the staging file must not survive it."""
+        from repro.harness.sweep import grid_units
+        (unit,) = grid_units("water_spatial", "runtime", 50_000_000,
+                             self.AXES)[3]
+        (tmp_path / (unit.key() + ".json")).mkdir()
+        with pytest.raises(OSError):
+            sweep("water_spatial", metric="runtime",
+                  cache_dir=str(tmp_path), **self.AXES)
+        assert [p.name for p in tmp_path.iterdir()
+                if ".tmp" in p.name] == []
 
 
 class TestStatsMerge:
