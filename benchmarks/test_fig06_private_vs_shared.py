@@ -8,10 +8,10 @@ workloads, growing with working-set pressure.
 from repro.harness import figures
 
 
-def test_fig06(benchmark, bench_scale, bench_set):
+def test_fig06(benchmark, bench_scale, bench_set, cache_dir):
     rows = benchmark.pedantic(
         lambda: figures.figure6(benchmarks=bench_set, scale=bench_scale,
-                                verbose=False),
+                                verbose=False, cache_dir=cache_dir),
         rounds=1, iterations=1)
     print()
     from repro.harness.report import format_table

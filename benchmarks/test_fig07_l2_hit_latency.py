@@ -14,10 +14,11 @@ from repro.harness import figures
 from repro.harness.report import format_table
 
 
-def test_fig07_64(benchmark, bench_scale, bench_set):
+def test_fig07_64(benchmark, bench_scale, bench_set, cache_dir):
     rows = benchmark.pedantic(
         lambda: figures.figure7(benchmarks=bench_set, cores=64,
-                                scale=bench_scale, verbose=False),
+                                scale=bench_scale, verbose=False,
+                                cache_dir=cache_dir),
         rounds=1, iterations=1)
     print()
     print(format_table("Figure 7a: L2 hit latency increase (64c)", rows))
@@ -30,11 +31,11 @@ def test_fig07_64(benchmark, bench_scale, bench_set):
 
 @pytest.mark.skipif(not os.environ.get("REPRO_BENCH_FULL"),
                     reason="256-core bench: set REPRO_BENCH_FULL=1")
-def test_fig07_256(benchmark, bench_scale):
+def test_fig07_256(benchmark, bench_scale, cache_dir):
     rows = benchmark.pedantic(
         lambda: figures.figure7(benchmarks=["blackscholes", "barnes"],
                                 cores=256, scale=bench_scale,
-                                verbose=False),
+                                verbose=False, cache_dir=cache_dir),
         rounds=1, iterations=1)
     print()
     print(format_table("Figure 7b: L2 hit latency increase (256c)", rows))

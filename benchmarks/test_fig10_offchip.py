@@ -9,10 +9,11 @@ from repro.harness import figures
 from repro.harness.report import format_table
 
 
-def test_fig10_64(benchmark, bench_scale, bench_set):
+def test_fig10_64(benchmark, bench_scale, bench_set, cache_dir):
     rows = benchmark.pedantic(
         lambda: figures.figure10(benchmarks=bench_set, cores=64,
-                                 scale=bench_scale, verbose=False),
+                                 scale=bench_scale, verbose=False,
+                                 cache_dir=cache_dir),
         rounds=1, iterations=1)
     print()
     print(format_table("Figure 10a: normalized off-chip accesses (64c)",

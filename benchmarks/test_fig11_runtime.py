@@ -13,7 +13,7 @@ from repro.harness import figures
 from repro.harness.report import format_table
 
 
-def test_fig11_64(benchmark, bench_scale):
+def test_fig11_64(benchmark, bench_scale, cache_dir):
     # Cluster-friendly + capacity-imbalanced subset: the configurations
     # where the paper's runtime win is largest. (Chip-wide-sharing
     # benchmarks like barnes pay broadcast congestion in our shorter,
@@ -21,7 +21,8 @@ def test_fig11_64(benchmark, bench_scale):
     benches = ["blackscholes", "water_spatial", "swaptions"]
     rows = benchmark.pedantic(
         lambda: figures.figure11(benchmarks=benches, cores=64,
-                                 scale=bench_scale, verbose=False),
+                                 scale=bench_scale, verbose=False,
+                                 cache_dir=cache_dir),
         rounds=1, iterations=1)
     print()
     print(format_table("Figure 11a: normalized runtime (64c)", rows))
@@ -32,11 +33,11 @@ def test_fig11_64(benchmark, bench_scale):
 
 @pytest.mark.skipif(not os.environ.get("REPRO_BENCH_FULL"),
                     reason="256-core bench: set REPRO_BENCH_FULL=1")
-def test_fig11_256(benchmark, bench_scale):
+def test_fig11_256(benchmark, bench_scale, cache_dir):
     rows = benchmark.pedantic(
         lambda: figures.figure11(benchmarks=["blackscholes", "barnes"],
                                  cores=256, scale=bench_scale,
-                                 verbose=False),
+                                 verbose=False, cache_dir=cache_dir),
         rounds=1, iterations=1)
     print()
     print(format_table("Figure 11b: normalized runtime (256c)", rows))

@@ -11,10 +11,11 @@ from repro.harness import figures
 from repro.harness.report import format_table
 
 
-def test_fig12(benchmark, bench_scale, bench_set):
+def test_fig12(benchmark, bench_scale, bench_set, cache_dir):
     lat, search = benchmark.pedantic(
         lambda: figures.figure12(benchmarks=bench_set, cores=64,
-                                 scale=bench_scale, verbose=False),
+                                 scale=bench_scale, verbose=False,
+                                 cache_dir=cache_dir),
         rounds=1, iterations=1)
     print()
     print(format_table("Figure 12a: L2 hit latency increase by NoC (64c)",
@@ -27,10 +28,11 @@ def test_fig12(benchmark, bench_scale, bench_set):
     assert smart < radix, "SMART must beat high-radix on hit latency"
 
 
-def test_fig13(benchmark, bench_scale, bench_set):
+def test_fig13(benchmark, bench_scale, bench_set, cache_dir):
     rows = benchmark.pedantic(
         lambda: figures.figure13(benchmarks=bench_set, cores=64,
-                                 scale=bench_scale, verbose=False),
+                                 scale=bench_scale, verbose=False,
+                                 cache_dir=cache_dir),
         rounds=1, iterations=1)
     print()
     print(format_table("Figure 13: normalized runtime by NoC (64c)", rows))

@@ -10,11 +10,11 @@ from repro.harness import figures
 from repro.harness.report import format_table
 
 
-def test_fig14(benchmark, bench_scale):
+def test_fig14(benchmark, bench_scale, cache_dir):
     benches = ["swaptions", "water_spatial"]
     out = benchmark.pedantic(
         lambda: figures.figure14(benchmarks=benches, scale=bench_scale,
-                                 verbose=False),
+                                 verbose=False, cache_dir=cache_dir),
         rounds=1, iterations=1)
     print()
     for metric, title in [("hit_latency", "14a hit latency"),

@@ -14,10 +14,10 @@ from repro.harness.report import format_table
 WORKLOADS = ["W1", "W6", "W9"]
 
 
-def test_fig15(benchmark, bench_scale):
+def test_fig15(benchmark, bench_scale, cache_dir):
     offchip, runtime = benchmark.pedantic(
         lambda: figures.figure15(workloads=WORKLOADS, scale=bench_scale,
-                                 verbose=False),
+                                 verbose=False, cache_dir=cache_dir),
         rounds=1, iterations=1)
     print()
     print(format_table("Figure 15a: normalized off-chip (multi-program)",

@@ -13,10 +13,10 @@ from repro.harness.report import format_table
 BENCHES = ["blackscholes", "barnes"]
 
 
-def test_fig16(benchmark, bench_scale):
+def test_fig16(benchmark, bench_scale, cache_dir):
     mpki, runtime = benchmark.pedantic(
         lambda: figures.figure16(benchmarks=BENCHES, scale=bench_scale,
-                                 verbose=False),
+                                 verbose=False, cache_dir=cache_dir),
         rounds=1, iterations=1)
     print()
     print(format_table("Figure 16a: MPKI, full-system (64c)", mpki))

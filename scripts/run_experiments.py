@@ -1,534 +1,150 @@
 #!/usr/bin/env python3
-"""Run the full experiment matrix and write EXPERIMENTS.md.
+"""Run the paper's figure matrix and write EXPERIMENTS.md.
 
-Runs every (benchmark x organization x fabric x cluster) configuration
-each figure needs ONCE, then assembles all figure tables from the shared
-result pool — much cheaper than calling each ``figures.figureN`` (which
-would re-run overlapping configs).
-
-Usage: python scripts/run_experiments.py [scale] [out.md] [--jobs N]
-
-``--jobs N`` pre-runs the whole configuration matrix on an N-process
-pool before the figure tables are assembled from the shared result
-pool. Each run is an independent, deterministically seeded simulation,
-so the tables are identical to a serial run.
+Binds the figure declarations of ``repro.harness.figures`` to benchmark
+subsets that finish in minutes and hands them to ``figures.run_figures``,
+which simulates the de-duplicated union of their cells in one
+``run_units`` call: in-process, on a ``--jobs N`` pool or on a
+``--service HOST:PORT`` fleet (Fig 15's multi-program cells included).
+Cells are deterministically seeded, so the backend does not change the
+tables. If a cell fails, finished cells stay in a temporary result
+cache, each figure is retried on its own, those that still fail become
+``FAILED: ...`` sections and the exit status is 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import time
-from concurrent.futures import ProcessPoolExecutor
+import sys
+import tempfile
+import traceback
+from functools import partial
+from typing import Dict, List, Optional
 
-from repro.harness.experiment import (ExperimentConfig, WarmupImageCache,
-                                      run_benchmark, run_workload)
+from repro.harness import figures
 from repro.harness.report import format_table
-from repro.params import NocKind, Organization
-
-_cli = argparse.ArgumentParser(description=__doc__)
-_cli.add_argument("scale", nargs="?", type=float, default=0.5,
-                  help="trace-length scale (default 0.5)")
-_cli.add_argument("out", nargs="?", default="EXPERIMENTS.md",
-                  help="output markdown path")
-_cli.add_argument("--jobs", type=int, default=1, metavar="N",
-                  help="worker processes for the run matrix (default 1)")
-_cli.add_argument("--service", default=None, metavar="HOST:PORT",
-                  help="address of a running sweep-service fleet "
-                       "(scripts/sweep_service.py); the benchmark "
-                       "matrix is simulated on its workers instead of "
-                       "locally (multi-program workload cells always "
-                       "run locally). Results are identical — runs are "
-                       "seeded by config, not by where they execute")
-_cli.add_argument("--speculation", action="store_true",
-                  help="run the transient-leakage scenario pack instead "
-                       "of the paper matrix: prime+probe and "
-                       "evict+reload across all four organizations, "
-                       "speculation off (control) and on, reported as "
-                       "per-organization bit-recovery accuracy")
-_cli.add_argument("--warmup-cache", default=None, metavar="DIR",
-                  help="directory of deterministic warmup checkpoint "
-                       "images; benchmark cells fork their measured "
-                       "region from the image of their config prefix "
-                       "instead of re-simulating warmup (results are "
-                       "bit-identical; images persist across runs and "
-                       "workers)")
-_args = _cli.parse_args()
-SCALE = _args.scale
-OUT = _args.out
-JOBS = _args.jobs
-SERVICE = _args.service
-SPECULATION = _args.speculation
-WARMUP_CACHE_DIR = _args.warmup_cache
-
-
-_warmup_handle = None
-
-
-def _warmup_images():
-    """This process's handle on the shared image directory (pool
-    workers each lazily open their own)."""
-    global _warmup_handle
-    if WARMUP_CACHE_DIR is not None and _warmup_handle is None:
-        _warmup_handle = WarmupImageCache(WARMUP_CACHE_DIR)
-    return _warmup_handle
 
 BENCHES = ["barnes", "blackscholes", "swaptions", "water_spatial"]
+BENCHES_NOC = BENCHES[:3]
 BENCHES_256 = ["blackscholes"]
 BENCHES_FS = ["blackscholes", "water_spatial"]
 WORKLOADS = ["W1", "W9"]
 
-ORGS = {
-    "private": Organization.PRIVATE,
-    "shared": Organization.SHARED,
-    "cc": Organization.LOCO_CC,
-    "vms": Organization.LOCO_CC_VMS,
-    "ivr": Organization.LOCO_CC_VMS_IVR,
-}
-
-# Shared figure axes — matrix_units() (the --jobs prewarm) and the
-# figure assembly in main() both iterate these, so the two encodings
-# of the run matrix cannot drift.
-NOC_KINDS = [(NocKind.SMART, "SMART"), (NocKind.CONVENTIONAL, "Conv"),
-             (NocKind.FLATTENED_BUTTERFLY, "HighRadix")]
-CLUSTER_SHAPES = [((4, 1), "4x1"), ((8, 1), "8x1"), ((4, 4), "4x4")]
-FS_ORGS = [("CC", Organization.LOCO_CC),
-           ("CC+VMS", Organization.LOCO_CC_VMS),
-           ("CC+VMS+IVR", Organization.LOCO_CC_VMS_IVR)]
-MP_ORGS = [Organization.SHARED, Organization.LOCO_CC,
-           Organization.LOCO_CC_VMS_IVR]
-
-results: dict = {}
+def paper_figures(scale: float) -> Dict[str, figures.Figure]:
+    """The matrix: every figure declaration bound to its subset."""
+    f = figures
+    scaling = {7: f.fig7, 8: f.fig8, 9: f.fig9, 10: f.fig10, 11: f.fig11}
+    figs = {"fig6": partial(f.fig6, benchmarks=BENCHES)}
+    for n, fig in scaling.items():
+        figs[f"fig{n}_64"] = partial(fig, benchmarks=BENCHES)
+    figs["fig12"] = partial(f.fig12, benchmarks=BENCHES_NOC)
+    figs["fig13"] = partial(f.fig13, benchmarks=BENCHES_NOC)
+    figs["fig14"] = partial(f.fig14, benchmarks=BENCHES)
+    for n, fig in scaling.items():
+        figs[f"fig{n}_256"] = partial(fig, benchmarks=BENCHES_256, cores=256)
+    figs["fig15"] = partial(f.fig15, workloads=WORKLOADS)
+    figs["fig16"] = partial(f.fig16, benchmarks=BENCHES_FS)
+    return {name: partial(fig, scale=scale) for name, fig in figs.items()}
 
 
-def key(*parts) -> str:
-    return "/".join(str(p) for p in parts)
+def run_matrix(figs: Dict[str, figures.Figure], **backend) -> dict:
+    """All figures in one ``run_figures`` call; if a cell raises, each
+    figure again on its own through the same result cache. Maps each
+    name to its tables, or to a ``FAILED: ...`` line."""
+    with tempfile.TemporaryDirectory(prefix="repro-figures-") as cache:
+        try:
+            return figures.run_figures(figs, cache_dir=cache, **backend)
+        except Exception:
+            traceback.print_exc()
+            print("== a cell failed; retrying per figure ==", flush=True)
+        sections = {}
+        for name, fig in figs.items():
+            try:
+                sections.update(figures.run_figures(
+                    {name: fig}, cache_dir=cache, **backend))
+            except Exception as exc:
+                traceback.print_exc()
+                sections[name] = f"FAILED: {type(exc).__name__}: {exc}"
+        return sections
 
 
-_FAILED = dict(runtime=0, mpki=0.0, hit_lat=0.0, search=0.0, offchip=0,
-               fetches=0, failed=True)
-
-
-def bench_key(bench, org, cores=64, noc=NocKind.SMART, cluster=(4, 4),
-              full_system=False):
-    return key(bench, org.value, cores, noc.value,
-               f"{cluster[0]}x{cluster[1]}", "fs" if full_system else "tr")
-
-
-def run(bench, org, cores=64, noc=NocKind.SMART, cluster=(4, 4),
-        full_system=False):
-    k = bench_key(bench, org, cores, noc, cluster, full_system)
-    if k in results:
-        return results[k]
-    t0 = time.monotonic()
-    try:
-        r = run_benchmark(ExperimentConfig(
-            benchmark=bench, organization=org, cores=cores, noc=noc,
-            cluster=cluster, scale=SCALE, full_system=full_system),
-            max_cycles=30_000_000, warmup_images=_warmup_images())
-    except Exception as exc:  # record and continue: one bad config must
-        # not lose the whole matrix
-        print(f"  {k}: FAILED ({exc})", flush=True)
-        results[k] = dict(_FAILED)
-        return results[k]
-    results[k] = dict(
-        runtime=r.runtime, mpki=r.mpki, hit_lat=r.l2_hit_latency,
-        search=r.search_delay, offchip=r.offchip_accesses,
-        fetches=r.offchip_fetches)
-    print(f"  {k}: runtime={r.runtime} ({time.monotonic()-t0:.0f}s)", flush=True)
-    return results[k]
-
-
-def run_mp(workload, org):
-    k = key("mp", workload, org.value)
-    if k in results:
-        return results[k]
-    t0 = time.monotonic()
-    try:
-        r = run_workload(workload, org, scale=SCALE,
-                         max_cycles=30_000_000)
-    except Exception as exc:
-        print(f"  {k}: FAILED ({exc})", flush=True)
-        results[k] = dict(runtime=0, offchip=0, failed=True)
-        return results[k]
-    results[k] = dict(runtime=r.runtime, offchip=r.offchip_accesses)
-    print(f"  {k}: runtime={r.runtime} ({time.monotonic()-t0:.0f}s)", flush=True)
-    return results[k]
-
-
-# ---- parallel prewarm ---------------------------------------------------
-def matrix_units():
-    """Every (kind, params) unit any figure below will request,
-    enumerated from the same shared axis lists main() iterates."""
-    units = []
-    for b in BENCHES:
-        for org in ORGS.values():
-            units.append(("bench", (b, org, 64, NocKind.SMART, (4, 4), False)))
-    for b in BENCHES[:3]:
-        for noc, _label in NOC_KINDS[1:]:  # SMART covered by the matrix
-            units.append(("bench", (b, Organization.LOCO_CC_VMS_IVR, 64,
-                                    noc, (4, 4), False)))
-    for b in BENCHES:
-        for shape, _label in CLUSTER_SHAPES[:-1]:  # 4x4 covered above
-            units.append(("bench", (b, Organization.LOCO_CC_VMS_IVR, 64,
-                                    NocKind.SMART, shape, False)))
-    for b in BENCHES_256:
-        for org in ORGS.values():
-            units.append(("bench", (b, org, 256, NocKind.SMART, (4, 4),
-                                    False)))
-    for b in BENCHES_FS:
-        for org in [Organization.SHARED] + [o for _, o in FS_ORGS]:
-            units.append(("bench", (b, org, 64, NocKind.SMART, (4, 4),
-                                    True)))
-    for w in WORKLOADS:
-        for org in MP_ORGS:
-            units.append(("mp", (w, org)))
-    return units
-
-
-def _prewarm_unit(unit):
-    """Worker entry point: one matrix cell -> (result key, row dict).
-
-    Delegates to the same run()/run_mp() the figure assembly uses (the
-    worker's `results` dict is its own copy, so the cell simulates
-    fresh there). Determinism comes from the config seed, so parallel
-    results match serial ones.
-    """
-    kind, params = unit
-    if kind == "bench":
-        bench, org, cores, noc, cluster, full_system = params
-        return (bench_key(bench, org, cores, noc, cluster, full_system),
-                run(bench, org, cores=cores, noc=noc, cluster=cluster,
-                    full_system=full_system))
-    workload, org = params
-    return key("mp", workload, org.value), run_mp(workload, org)
-
-
-def prewarm(jobs: int) -> None:
-    units = matrix_units()
-    print(f"== prewarming {len(units)} configs on {jobs} workers ==",
-          flush=True)
-    t0 = time.monotonic()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for k, row in pool.map(_prewarm_unit, units):
-            results[k] = row
-            print(f"  {k}: runtime={row.get('runtime')}", flush=True)
-    print(f"== prewarm done in {time.monotonic()-t0:.0f}s ==", flush=True)
-
-
-# ---- service prewarm ----------------------------------------------------
-#: every column run() reads from a result row, as (row key, metric name)
-_SERVICE_METRICS = (("runtime", "runtime"), ("mpki", "mpki"),
-                    ("hit_lat", "l2_hit_latency"),
-                    ("search", "search_delay"),
-                    ("offchip", "offchip_accesses"),
-                    ("fetches", "offchip_fetches"))
-
-
-def prewarm_service(address: str) -> None:
-    """Simulate the benchmark matrix on a sweep-service fleet.
-
-    Each cell ships as one :class:`SweepUnit` reducing to the full
-    metric tuple the figure tables read; the coordinator shards them
-    with warmup-prefix affinity and streams rows back. Multi-program
-    workload cells are not wire-encodable (they are not
-    ``ExperimentConfig`` units) and stay local.
-    """
-    from repro.harness.units import SweepUnit
-    from repro.service.client import ServiceClient
-
-    metric = tuple(m for _, m in _SERVICE_METRICS)
-    cells = [(k, p) for k, p in matrix_units() if k == "bench"]
-    units, keys = [], []
-    for _kind, (bench, org, cores, noc, cluster, full_system) in cells:
-        exp = ExperimentConfig(benchmark=bench, organization=org,
-                               cores=cores, noc=noc, cluster=cluster,
-                               scale=SCALE, full_system=full_system)
-        units.append(SweepUnit(exp, 30_000_000, metric))
-        keys.append(bench_key(bench, org, cores, noc, cluster,
-                              full_system))
-    print(f"== prewarming {len(units)} configs on fleet @ {address} ==",
-          flush=True)
-    t0 = time.monotonic()
-
-    # Rows are recorded as they stream, so a unit that fails the whole
-    # job (or a dying fleet) only costs the cells that never arrived —
-    # run() recomputes those locally, preserving the local path's
-    # one-bad-config-must-not-lose-the-matrix contract.
-    def on_row(idx, value):
-        results[keys[idx]] = {row_key: value[m]
-                              for row_key, m in _SERVICE_METRICS}
-        print(f"  {keys[idx]}: runtime={value.get('runtime')}",
-              flush=True)
-
-    try:
-        with ServiceClient(address) as client:
-            client.run_units(units, warmup_snapshots=True,
-                             warmup_dir=WARMUP_CACHE_DIR, on_row=on_row)
-    except Exception as exc:
-        missing = sum(1 for k in keys if k not in results)
-        print(f"== fleet prewarm aborted ({exc}); {missing} cells "
-              f"will run locally ==", flush=True)
-    print(f"== fleet prewarm done in {time.monotonic()-t0:.0f}s ==", flush=True)
-
-
-def leakage_main() -> None:
-    """The --speculation path: the cache-leakage scenario pack."""
-    from repro.harness.leakage import leakage_report
-    # don't clobber the paper matrix when no explicit path was given
-    out = OUT if OUT != "EXPERIMENTS.md" else "LEAKAGE.md"
-    print("== transient-leakage scenario pack ==", flush=True)
-    t0 = time.monotonic()
-    table = leakage_report(jobs=JOBS if JOBS > 1 else None,
-                           service=SERVICE)
-    print(table, flush=True)
-    lines = [
-        "# Transient-execution cache leakage by L2 organization",
-        "",
-        "From `scripts/run_experiments.py --speculation`: a victim",
-        "core's *squashed* speculative loads touch secret-dependent",
-        "cache sets; an attacker on another core recovers the secret",
-        "from the timing of its own committed probe loads. Accuracy",
-        "1.0 = every bit leaks; ~0.5 = indistinguishable from",
-        "guessing. The `off` columns are the control arm (speculation",
-        "disabled, identical traces).",
-        "",
-        "```",
-        table,
-        "```",
-        "",
-    ]
-    with open(out, "w") as f:
-        f.write("\n".join(lines))
-    print(f"wrote {out} in {time.monotonic()-t0:.0f}s", flush=True)
-
-
-def main() -> None:
-    if SPECULATION:
-        leakage_main()
-        return
-    sections = []
-
-    if SERVICE is not None:
-        prewarm_service(SERVICE)
-    elif JOBS > 1:
-        prewarm(JOBS)
-
-    # ---- 64-core matrix ------------------------------------------------
-    print("== 64-core matrix ==", flush=True)
-    for b in BENCHES:
-        for org in ORGS.values():
-            run(b, org)
-
-    # Figure 6
-    rows = {b: {"Private/Shared":
-                run(b, Organization.PRIVATE)["runtime"]
-                / run(b, Organization.SHARED)["runtime"]}
-            for b in BENCHES}
-    sections.append(("Figure 6 — private vs shared runtime (64c)",
-                     "private 2.3x slower on average",
-                     format_table("Fig 6: Private/Shared runtime", rows)))
-
-    # Figure 7a
-    rows = {}
-    for b in BENCHES:
-        base = run(b, Organization.PRIVATE)["hit_lat"]
-        rows[b] = {"Shared": run(b, Organization.SHARED)["hit_lat"] - base,
-                   "LOCO": run(b, Organization.LOCO_CC_VMS_IVR)["hit_lat"]
-                   - base}
-    sections.append(("Figure 7a — L2 hit-latency increase over private "
-                     "(64c)", "LOCO +2.9cy vs shared +11.5cy",
-                     format_table("Fig 7a", rows)))
-
-    # Figure 8a
-    rows = {b: {"Shared": run(b, Organization.SHARED)["mpki"],
-                "LOCO": run(b, Organization.LOCO_CC_VMS_IVR)["mpki"]}
-            for b in BENCHES}
-    sections.append(("Figure 8a — L2 MPKI (64c)",
-                     "LOCO within ~0.3% of shared",
-                     format_table("Fig 8a", rows)))
-
-    # Figure 9a
-    rows = {b: {"LOCO CC": run(b, Organization.LOCO_CC)["search"],
-                "LOCO CC+VMS": run(b, Organization.LOCO_CC_VMS)["search"]}
-            for b in BENCHES}
-    sections.append(("Figure 9a — on-chip search delay (64c)",
-                     "VMS -34.8%", format_table("Fig 9a", rows)))
-
-    # Figure 10a
-    rows = {}
-    for b in BENCHES:
-        base = max(1, run(b, Organization.SHARED)["offchip"])
-        rows[b] = {
-            "CC+VMS": run(b, Organization.LOCO_CC_VMS)["offchip"] / base,
-            "CC+VMS+IVR":
-                run(b, Organization.LOCO_CC_VMS_IVR)["offchip"] / base}
-    sections.append(("Figure 10a — normalized off-chip accesses (64c)",
-                     "IVR -15.6% vs CC+VMS; ~= shared overall",
-                     format_table("Fig 10a", rows)))
-
-    # Figure 11a
-    rows = {}
-    for b in BENCHES:
-        base = run(b, Organization.SHARED)["runtime"]
-        rows[b] = {
-            "CC": run(b, Organization.LOCO_CC)["runtime"] / base,
-            "CC+VMS": run(b, Organization.LOCO_CC_VMS)["runtime"] / base,
-            "CC+VMS+IVR":
-                run(b, Organization.LOCO_CC_VMS_IVR)["runtime"] / base}
-    sections.append(("Figure 11a — normalized runtime (64c)",
-                     "LOCO -13.9% average (5.5/4.8/3.7 steps)",
-                     format_table("Fig 11a", rows)))
-
-    # ---- NoC comparison (Figs 12, 13) ----------------------------------
-    print("== NoC comparison ==", flush=True)
-    lat, search, runt = {}, {}, {}
-    for b in BENCHES[:3]:
-        base = run(b, Organization.PRIVATE)["hit_lat"]
-        shared_rt = run(b, Organization.SHARED)["runtime"]
-        lat[b], search[b], runt[b] = {}, {}, {}
-        for kind, label in NOC_KINDS:
-            r = run(b, Organization.LOCO_CC_VMS_IVR, noc=kind)
-            lat[b][label] = r["hit_lat"] - base
-            search[b][label] = r["search"]
-            runt[b][label] = r["runtime"] / shared_rt
-    sections.append(("Figure 12a — L2 hit-latency increase by NoC (64c)",
-                     "conv ~2x, high-radix ~3.1x vs SMART",
-                     format_table("Fig 12a", lat)))
-    sections.append(("Figure 12b — search delay by NoC (64c)",
-                     "conv ~2x vs SMART",
-                     format_table("Fig 12b", search)))
-    sections.append(("Figure 13 — LOCO runtime by NoC vs shared+SMART",
-                     "SMART -18.9% vs conv; high-radix worst",
-                     format_table("Fig 13", runt)))
-
-    # ---- cluster sizes (Fig 14) ----------------------------------------
-    print("== cluster sizes ==", flush=True)
-    out = {m: {} for m in ("hit", "mpki", "search", "runtime")}
-    for b in BENCHES:
-        shared_rt = run(b, Organization.SHARED)["runtime"]
-        for m in out:
-            out[m][b] = {}
-        for shape, label in CLUSTER_SHAPES:
-            r = run(b, Organization.LOCO_CC_VMS_IVR, cluster=shape)
-            out["hit"][b][label] = r["hit_lat"]
-            out["mpki"][b][label] = r["mpki"]
-            out["search"][b][label] = r["search"]
-            out["runtime"][b][label] = r["runtime"] / shared_rt
-    sections.append(("Figure 14a — L2 hit latency by cluster size",
-                     "4x1 lowest (-1.17cy vs 4x4)",
-                     format_table("Fig 14a", out["hit"])))
-    sections.append(("Figure 14b — MPKI by cluster size",
-                     "4x1 +35%, 8x1 +20% vs 4x4",
-                     format_table("Fig 14b", out["mpki"])))
-    sections.append(("Figure 14c — search delay by cluster size", "",
-                     format_table("Fig 14c", out["search"])))
-    sections.append(("Figure 14d — normalized runtime by cluster size",
-                     "optimum is application-dependent",
-                     format_table("Fig 14d", out["runtime"])))
-
-    # ---- 256-core scaling (Figs 7b/8b/9b/10b/11b) ----------------------
-    print("== 256-core ==", flush=True)
-    rows7, rows9, rows11 = {}, {}, {}
-    for b in BENCHES_256:
-        for org in ORGS.values():
-            run(b, org, cores=256)
-        base = run(b, Organization.PRIVATE, cores=256)["hit_lat"]
-        rows7[b] = {
-            "Shared": run(b, Organization.SHARED, cores=256)["hit_lat"]
-            - base,
-            "LOCO": run(b, Organization.LOCO_CC_VMS_IVR,
-                        cores=256)["hit_lat"] - base}
-        rows9[b] = {
-            "LOCO CC": run(b, Organization.LOCO_CC, cores=256)["search"],
-            "LOCO CC+VMS": run(b, Organization.LOCO_CC_VMS,
-                               cores=256)["search"]}
-        shared_rt = run(b, Organization.SHARED, cores=256)["runtime"]
-        rows11[b] = {
-            "CC": run(b, Organization.LOCO_CC, cores=256)["runtime"]
-            / shared_rt,
-            "CC+VMS": run(b, Organization.LOCO_CC_VMS,
-                          cores=256)["runtime"] / shared_rt,
-            "CC+VMS+IVR": run(b, Organization.LOCO_CC_VMS_IVR,
-                              cores=256)["runtime"] / shared_rt}
-    sections.append(("Figure 7b — hit-latency increase (256c)",
-                     "shared +4.5cy over its 64c value; LOCO flat",
-                     format_table("Fig 7b", rows7)))
-    sections.append(("Figure 9b — search delay (256c)", "VMS -39.9%",
-                     format_table("Fig 9b", rows9)))
-    sections.append(("Figure 11b — normalized runtime (256c)",
-                     "LOCO -17.9%", format_table("Fig 11b", rows11)))
-
-    # ---- multi-program (Fig 15) ----------------------------------------
-    print("== multi-program ==", flush=True)
-    rows_off, rows_rt = {}, {}
-    for w in WORKLOADS:
-        sh = run_mp(w, Organization.SHARED)
-        cc = run_mp(w, Organization.LOCO_CC)
-        ivr = run_mp(w, Organization.LOCO_CC_VMS_IVR)
-        base = max(1, sh["offchip"])
-        rows_off[w] = {"Clustered (CC)": cc["offchip"] / base,
-                       "LOCO": ivr["offchip"] / base}
-        rows_rt[w] = {"Clustered (CC)": cc["runtime"] / sh["runtime"],
-                      "LOCO": ivr["runtime"] / sh["runtime"]}
-    sections.append(("Figure 15a — multi-program off-chip accesses "
-                     "(norm. to shared)",
-                     "clustered +26.6%, LOCO +5.1%",
-                     format_table("Fig 15a", rows_off)))
-    sections.append(("Figure 15b — multi-program runtime (norm. to "
-                     "shared)", "LOCO -13.8% vs clustered",
-                     format_table("Fig 15b", rows_rt)))
-
-    # ---- full-system (Fig 16) ------------------------------------------
-    print("== full-system ==", flush=True)
-    rows16a, rows16b = {}, {}
-    for b in BENCHES_FS:
-        sh = run(b, Organization.SHARED, full_system=True)
-        rows16a[b] = {"Shared": sh["mpki"]}
-        rows16b[b] = {}
-        for label, org in FS_ORGS:
-            r = run(b, org, full_system=True)
-            rows16b[b][label] = r["runtime"] / sh["runtime"]
-            if org is Organization.LOCO_CC_VMS_IVR:
-                rows16a[b]["LOCO"] = r["mpki"]
-    sections.append(("Figure 16a — MPKI, full-system (64c)", "",
-                     format_table("Fig 16a", rows16a)))
-    sections.append(("Figure 16b — normalized runtime, full-system (64c)",
-                     "LOCO -44.5% average",
-                     format_table("Fig 16b", rows16b)))
-
-    write_markdown(sections)
-    with open("experiments_results.json", "w") as f:
-        json.dump(results, f, indent=1)
-    print(f"wrote {OUT} and experiments_results.json", flush=True)
-
-
-def write_markdown(sections) -> None:
+def write_markdown(out: str, scale: float, sections: dict) -> None:
     lines = [
         "# EXPERIMENTS — paper vs. measured",
         "",
-        f"All numbers from `scripts/run_experiments.py {SCALE}` "
-        f"(trace scale {SCALE}, cache scale 1/8 — DESIGN.md §5; "
+        f"All numbers from `scripts/run_experiments.py {scale}` "
+        f"(trace scale {scale}, cache scale 1/8 — DESIGN.md §5; "
         f"benchmarks: {', '.join(BENCHES)}).",
         "",
-        "Absolute values are not comparable to the paper's (different",
-        "substrate, synthetic traces); the reproduction target is the",
-        "SHAPE: orderings, rough ratios and crossovers. Each section",
-        "quotes the paper's headline for comparison.",
-        "",
-    ]
-    for title, paper_says, table in sections:
-        lines.append(f"## {title}")
-        if paper_says:
-            lines.append(f"**Paper:** {paper_says}")
-        lines.append("")
-        lines.append("```")
-        lines.append(table)
-        lines.append("```")
-        lines.append("")
-    with open(OUT, "w") as f:
+        "Absolute values are not comparable to the paper's (different "
+        "substrate, synthetic traces); the target is the SHAPE: orderings, "
+        "rough ratios, crossovers. Each section quotes the paper's headline.",
+        ""]
+    for name, tables in sections.items():
+        if isinstance(tables, str):
+            lines += [f"## {name}", "", tables, ""]
+            continue
+        for title, paper_says, rows in tables:
+            lines.append(f"## {title}")
+            if paper_says:
+                lines.append(f"**Paper:** {paper_says}")
+            lines += ["", "```", format_table(title, rows), "```", ""]
+    with open(out, "w") as f:
         f.write("\n".join(lines))
 
 
+def write_leakage(out: str, **backend) -> None:
+    """The --speculation path: the cache-leakage scenario pack."""
+    from repro.harness.leakage import leakage_report
+    table = leakage_report(**backend)
+    print(table, flush=True)
+    with open(out, "w") as f:
+        f.write("\n".join([
+            "# Transient-execution cache leakage by L2 organization",
+            "",
+            "From `scripts/run_experiments.py --speculation`: a victim core's "
+            "*squashed* speculative loads touch secret-dependent cache sets; "
+            "an attacker core recovers the secret from the timing of its own "
+            "committed probe loads. Accuracy 1.0 = every bit leaks, ~0.5 = "
+            "guessing; `off` columns are the control arm (no speculation).",
+            "", "```", table, "```", ""]))
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    cli = argparse.ArgumentParser(description=__doc__)
+    cli.add_argument("scale", nargs="?", type=float, default=0.5,
+                     help="trace-length scale (default 0.5)")
+    cli.add_argument("out", nargs="?", default="EXPERIMENTS.md",
+                     help="output markdown path")
+    cli.add_argument("--jobs", type=int, default=1, metavar="N",
+                     help="worker processes for the cells (default 1)")
+    cli.add_argument("--service", default=None, metavar="HOST:PORT",
+                     help="sweep-service fleet to run the cells on")
+    cli.add_argument("--speculation", action="store_true",
+                     help="run the transient-leakage scenario pack "
+                          "instead and write LEAKAGE.md")
+    cli.add_argument("--warmup-cache", default=None, metavar="DIR",
+                     help="directory of warmup checkpoint images kept "
+                          "across runs; cells fork from them instead of "
+                          "re-simulating warmup (bit-identical results)")
+    args = cli.parse_args(argv)
+    backend: dict = dict(jobs=args.jobs, service=args.service)
+    if args.speculation:
+        # don't clobber the paper matrix when no explicit path was given
+        out = "LEAKAGE.md" if args.out == "EXPERIMENTS.md" else args.out
+        write_leakage(out, **backend)
+        print(f"wrote {out}", flush=True)
+        return 0
+    if args.warmup_cache is not None:
+        backend.update(warmup_snapshots=True, warmup_cache=args.warmup_cache)
+    sections = run_matrix(paper_figures(args.scale), **backend)
+    write_markdown(args.out, args.scale, sections)
+    with open("experiments_results.json", "w") as f:
+        json.dump(sections, f, indent=1)
+    print(f"wrote {args.out} and experiments_results.json", flush=True)
+    return 1 if any(isinstance(s, str) for s in sections.values()) else 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,320 +1,402 @@
-"""One entry point per figure of the paper's evaluation (Section 4).
+"""The paper's evaluation (Section 4): one declaration per figure.
 
-Every ``figureN`` function runs the configurations that figure compares
-and returns a ``{row -> {series -> value}}`` mapping (the same rows and
-series the paper plots); with ``verbose=True`` it prints the table.
-Absolute values come from our simulator + synthetic traces, so the
-*shape* (orderings, rough ratios) is the reproduction target — see
-EXPERIMENTS.md.
+``figN(v, ...)`` *declares* figure N: the table arithmetic written
+against a cell lookup ``v(cell) -> {metric: value}``, returning the
+figure's tables as ``(title, paper's headline, rows)`` triples with
+``rows = {row -> {series -> value}}`` (the rows and series the paper
+plots). The cells of a figure are exactly what its arithmetic reads —
+:func:`figure_cells` lists them without simulating — so there is one
+encoding of each figure, and every cell reduces to the one
+:data:`METRICS` tuple, which gives a cell that several figures share
+(``blackscholes``/SHARED is read by six of them) one unit key.
+
+:func:`run_figures` runs the de-duplicated union of many declarations'
+cells through one :func:`~repro.harness.parallel.run_units` call and
+tabulates each figure from the values; ``**backend`` is forwarded to
+it verbatim (``jobs=``, ``service=``, ``cache_dir=``, ... — its
+docstring is the reference), so the figures ride the pool, the fleet
+and the resumable cache like any sweep.
+``figureN(..., **backend)`` runs one figure and returns its rows
+(printing the tables when ``verbose``); :func:`all_figures` runs them
+all. Absolute values come from our simulator + synthetic traces, so
+the *shape* (orderings, rough ratios) is the reproduction target.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
-from repro.harness.experiment import (SCALE_MEDIUM, ExperimentConfig,
-                                      run_benchmark, run_workload)
-from repro.harness.report import format_table, normalize
+from repro.harness.experiment import SCALE_MEDIUM, ExperimentConfig
+from repro.harness.parallel import Unit, run_units
+from repro.harness.report import format_table
+from repro.harness.units import SweepUnit, WorkloadUnit
 from repro.params import NocKind, Organization
 from repro.traces.benchmarks import FULL_SYSTEM, TRACE_DRIVEN
 from repro.traces.multiprogram import workload_names
 
 Rows = Dict[str, Dict[str, float]]
+#: (title, the paper's headline for it, rows)
+Table = Tuple[str, str, Rows]
+#: a cell lookup: the metric dict of one simulated cell
+Lookup = Callable[[Unit], Mapping[str, Any]]
+#: a declaration with everything but the lookup bound
+Figure = Callable[[Lookup], List[Table]]
 
+#: what every figure cell reduces to
+METRICS = ("runtime", "mpki", "l2_hit_latency", "search_delay",
+           "offchip_accesses")
+
+_LOCO = Organization.LOCO_CC_VMS_IVR
 #: the three LOCO variants of the ablation figures
-_LOCO_STACK = [Organization.LOCO_CC, Organization.LOCO_CC_VMS,
-               Organization.LOCO_CC_VMS_IVR]
-_LOCO_LABEL = {
-    Organization.SHARED: "Shared",
-    Organization.PRIVATE: "Private",
-    Organization.LOCO_CC: "LOCO CC",
-    Organization.LOCO_CC_VMS: "LOCO CC+VMS",
-    Organization.LOCO_CC_VMS_IVR: "LOCO CC+VMS+IVR",
-}
+_LOCO_STACK = [(Organization.LOCO_CC, "LOCO CC"),
+               (Organization.LOCO_CC_VMS, "LOCO CC+VMS"),
+               (_LOCO, "LOCO CC+VMS+IVR")]
+_NOCS = [(NocKind.SMART, "SMART"), (NocKind.CONVENTIONAL, "Conv"),
+         (NocKind.FLATTENED_BUTTERFLY, "HighRadix")]
+_SHAPES = [((4, 1), "4x1"), ((8, 1), "8x1"), ((4, 4), "4x4")]
 
 
-def _run(benchmark: str, org: Organization, cores: int = 64,
-         noc: NocKind = NocKind.SMART, cluster: Tuple[int, int] = (4, 4),
-         scale: float = SCALE_MEDIUM, full_system: bool = False,
-         seed: int = 1):
-    return run_benchmark(ExperimentConfig(
+def _cell(benchmark: str, org: Organization, cores: int = 64,
+          noc: NocKind = NocKind.SMART, cluster: Tuple[int, int] = (4, 4),
+          scale: float = SCALE_MEDIUM,
+          full_system: bool = False) -> SweepUnit:
+    return SweepUnit(ExperimentConfig(
         benchmark=benchmark, organization=org, cores=cores, noc=noc,
-        cluster=cluster, scale=scale, full_system=full_system, seed=seed))
-
-
-def _emit(title: str, rows: Rows, verbose: bool) -> Rows:
-    if verbose:
-        print(format_table(title, rows))
-    return rows
+        cluster=cluster, scale=scale, full_system=full_system),
+        metric=METRICS)
 
 
 # ---------------------------------------------------------------------------
-def figure6(benchmarks: Optional[Sequence[str]] = None,
-            scale: float = SCALE_MEDIUM, verbose: bool = True) -> Rows:
-    """Normalized runtime of private vs shared caches (64-core).
-
-    Paper: private is on average 2.3x slower than shared."""
-    benchmarks = list(benchmarks or TRACE_DRIVEN)
+# declarations
+# ---------------------------------------------------------------------------
+def fig6(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
+         scale: float = SCALE_MEDIUM) -> List[Table]:
     rows: Rows = {}
-    for b in benchmarks:
-        shared = _run(b, Organization.SHARED, scale=scale)
-        private = _run(b, Organization.PRIVATE, scale=scale)
-        rows[b] = {"Private/Shared": private.runtime / shared.runtime}
-    return _emit("Figure 6: normalized runtime, private vs shared (64c)",
-                 rows, verbose)
+    for b in benchmarks or TRACE_DRIVEN:
+        shared = v(_cell(b, Organization.SHARED, scale=scale))
+        private = v(_cell(b, Organization.PRIVATE, scale=scale))
+        rows[b] = {"Private/Shared": private["runtime"] / shared["runtime"]}
+    return [("Figure 6: normalized runtime, private vs shared (64c)",
+             "private 2.3x slower on average", rows)]
+
+
+def fig7(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
+         cores: int = 64, scale: float = SCALE_MEDIUM) -> List[Table]:
+    rows: Rows = {}
+    for b in benchmarks or TRACE_DRIVEN:
+        base, shared, loco = (
+            v(_cell(b, org, cores, scale=scale))["l2_hit_latency"]
+            for org in (Organization.PRIVATE, Organization.SHARED, _LOCO))
+        rows[b] = {"Shared": shared - base, "LOCO": loco - base}
+    return [(f"Figure 7: L2 hit latency increase over private ({cores}c)",
+             "64c: LOCO +2.9cy vs shared +11.5cy; 256c: shared +4.5cy "
+             "more, LOCO flat", rows)]
+
+
+def fig8(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
+         cores: int = 64, scale: float = SCALE_MEDIUM) -> List[Table]:
+    rows: Rows = {
+        b: {label: v(_cell(b, org, cores, scale=scale))["mpki"]
+            for org, label in ((Organization.SHARED, "Shared"),
+                               (_LOCO, "LOCO"))}
+        for b in benchmarks or TRACE_DRIVEN}
+    return [(f"Figure 8: L2 MPKI ({cores}c)",
+             "LOCO within ~0.3% of shared", rows)]
+
+
+def fig9(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
+         cores: int = 64, scale: float = SCALE_MEDIUM) -> List[Table]:
+    rows: Rows = {
+        b: {label: v(_cell(b, org, cores, scale=scale))["search_delay"]
+            for org, label in _LOCO_STACK[:2]}
+        for b in benchmarks or TRACE_DRIVEN}
+    return [(f"Figure 9: on-chip data search delay ({cores}c)",
+             "VMS -34.8% (64c) / -39.9% (256c)", rows)]
+
+
+def fig10(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
+          cores: int = 64, scale: float = SCALE_MEDIUM) -> List[Table]:
+    rows: Rows = {}
+    for b in benchmarks or TRACE_DRIVEN:
+        base = max(1, v(_cell(b, Organization.SHARED, cores,
+                              scale=scale))["offchip_accesses"])
+        rows[b] = {
+            label: v(_cell(b, org, cores,
+                           scale=scale))["offchip_accesses"] / base
+            for org, label in _LOCO_STACK[1:]}
+    return [(f"Figure 10: normalized off-chip accesses ({cores}c)",
+             "IVR -15.6% (64c) / -17.9% (256c) vs CC+VMS; ~= shared "
+             "overall", rows)]
+
+
+def fig11(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
+          cores: int = 64, scale: float = SCALE_MEDIUM) -> List[Table]:
+    rows: Rows = {}
+    for b in benchmarks or TRACE_DRIVEN:
+        base = v(_cell(b, Organization.SHARED, cores,
+                       scale=scale))["runtime"]
+        rows[b] = {"Shared": 1.0}
+        for org, label in _LOCO_STACK:
+            rows[b][label] = v(_cell(b, org, cores,
+                                     scale=scale))["runtime"] / base
+    return [(f"Figure 11: normalized runtime ({cores}c)",
+             "LOCO -13.9% (64c; steps 5.5/4.8/3.7) / -17.9% (256c)", rows)]
+
+
+def fig12(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
+          cores: int = 64, scale: float = SCALE_MEDIUM) -> List[Table]:
+    lat: Rows = {}
+    search: Rows = {}
+    for b in benchmarks or TRACE_DRIVEN:
+        base = v(_cell(b, Organization.PRIVATE, cores,
+                       scale=scale))["l2_hit_latency"]
+        by_noc = {label: v(_cell(b, _LOCO, cores, noc, scale=scale))
+                  for noc, label in _NOCS}
+        lat[b] = {label: r["l2_hit_latency"] - base
+                  for label, r in by_noc.items()}
+        search[b] = {label: r["search_delay"]
+                     for label, r in by_noc.items()}
+    return [(f"Figure 12a: L2 hit latency increase by NoC ({cores}c)",
+             "256c: conv ~2x, high-radix ~3.1x vs SMART (every hop pays "
+             "the 4-stage pipeline)", lat),
+            (f"Figure 12b: search delay by NoC ({cores}c)",
+             "256c: conv ~2x vs SMART", search)]
+
+
+def fig13(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
+          cores: int = 64, scale: float = SCALE_MEDIUM) -> List[Table]:
+    rows: Rows = {}
+    for b in benchmarks or TRACE_DRIVEN:
+        base = v(_cell(b, Organization.SHARED, cores,
+                       scale=scale))["runtime"]
+        rows[b] = {label: v(_cell(b, _LOCO, cores, noc,
+                                  scale=scale))["runtime"] / base
+                   for noc, label in _NOCS}
+    return [(f"Figure 13: normalized runtime by NoC ({cores}c)",
+             "SMART -18.9% (64c) / -24.6% (256c) vs conv; high-radix "
+             "worst", rows)]
+
+
+def fig14(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
+          scale: float = SCALE_MEDIUM) -> List[Table]:
+    hit: Rows = {}
+    mpki: Rows = {}
+    search: Rows = {}
+    runtime: Rows = {}
+    for b in benchmarks or TRACE_DRIVEN:
+        base = v(_cell(b, Organization.SHARED, scale=scale))["runtime"]
+        by_shape = {label: v(_cell(b, _LOCO, cluster=shape, scale=scale))
+                    for shape, label in _SHAPES}
+        hit[b] = {k: r["l2_hit_latency"] for k, r in by_shape.items()}
+        mpki[b] = {k: r["mpki"] for k, r in by_shape.items()}
+        search[b] = {k: r["search_delay"] for k, r in by_shape.items()}
+        runtime[b] = {k: r["runtime"] / base for k, r in by_shape.items()}
+    return [("Figure 14a: L2 hit latency by cluster size (64c)",
+             "4x1 lowest (-1.17cy vs 4x4)", hit),
+            ("Figure 14b: MPKI by cluster size (64c)",
+             "4x1 +35%, 8x1 +20% vs 4x4", mpki),
+            ("Figure 14c: search delay by cluster size (64c)", "", search),
+            ("Figure 14d: normalized runtime by cluster size (64c)",
+             "optimum is application-dependent", runtime)]
+
+
+def fig15(v: Lookup, workloads: Optional[Sequence[str]] = None,
+          scale: float = SCALE_MEDIUM) -> List[Table]:
+    offchip: Rows = {}
+    runtime: Rows = {}
+    for w in workloads or workload_names():
+        shared, cc, ivr = (
+            v(WorkloadUnit(w, org, scale=scale, metric=METRICS))
+            for org in (Organization.SHARED, Organization.LOCO_CC, _LOCO))
+        base = max(1, shared["offchip_accesses"])
+        offchip[w] = {"Shared": 1.0,
+                      "LOCO CC": cc["offchip_accesses"] / base,
+                      "LOCO CC+VMS+IVR": ivr["offchip_accesses"] / base}
+        runtime[w] = {"Shared": 1.0,
+                      "LOCO CC": cc["runtime"] / shared["runtime"],
+                      "LOCO CC+VMS+IVR": ivr["runtime"] / shared["runtime"]}
+    return [("Figure 15a: normalized off-chip accesses (multi-program)",
+             "clustered (LOCO CC) +26.6%, LOCO +5.1%", offchip),
+            ("Figure 15b: normalized runtime (multi-program)",
+             "LOCO -13.8% vs clustered", runtime)]
+
+
+def fig16(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
+          scale: float = SCALE_MEDIUM) -> List[Table]:
+    mpki: Rows = {}
+    runtime: Rows = {}
+    for b in benchmarks or FULL_SYSTEM:
+        shared = v(_cell(b, Organization.SHARED, scale=scale,
+                         full_system=True))
+        stack = {label: v(_cell(b, org, scale=scale, full_system=True))
+                 for org, label in _LOCO_STACK}
+        mpki[b] = {"Shared": shared["mpki"],
+                   "LOCO": stack["LOCO CC+VMS+IVR"]["mpki"]}
+        runtime[b] = {label: r["runtime"] / shared["runtime"]
+                      for label, r in stack.items()}
+    return [("Figure 16a: MPKI, full-system (64c)", "", mpki),
+            ("Figure 16b: normalized runtime, full-system (64c)",
+             "LOCO -44.5% average (spinning amplifies the advantage)",
+             runtime)]
+
+
+# ---------------------------------------------------------------------------
+# execution
+# ---------------------------------------------------------------------------
+def figure_cells(fig: Figure) -> List[Unit]:
+    """The cells a declaration reads, in first-use order, without
+    simulating: its arithmetic is evaluated once against a recorder
+    that answers 1.0 for every metric (no figure branches on a value).
+    """
+    ones = dict.fromkeys(METRICS, 1.0)
+    seen: Dict[Unit, None] = {}
+
+    def record(cell: Unit) -> Mapping[str, Any]:
+        seen[cell] = None
+        return ones
+
+    fig(record)
+    return list(seen)
+
+
+def run_figures(figs: Mapping[str, Figure],
+                **backend: Any) -> Dict[str, List[Table]]:
+    """Run many declarations at once: ``{name: partial(figN, ...)}`` in,
+    ``{name: tables}`` out. A cell several figures read is simulated
+    once, and the whole union is one ``run_units(cells, **backend)``
+    call, so ``jobs=`` / ``service=`` see all of it."""
+    cells = list(dict.fromkeys(
+        cell for fig in figs.values() for cell in figure_cells(fig)))
+    values = dict(zip(cells, run_units(cells, **backend)))
+    return {name: fig(values.__getitem__) for name, fig in figs.items()}
+
+
+def _print(tables: List[Table], verbose: bool) -> List[Rows]:
+    if verbose:
+        for title, _paper, rows in tables:
+            print(format_table(title, rows))
+    return [rows for _title, _paper, rows in tables]
+
+
+def _run(fig: Figure, verbose: bool, backend: Dict[str, Any]) -> List[Rows]:
+    return _print(run_figures({"fig": fig}, **backend)["fig"], verbose)
+
+
+def figure6(benchmarks: Optional[Sequence[str]] = None,
+            scale: float = SCALE_MEDIUM, verbose: bool = True,
+            **backend: Any) -> Rows:
+    """Normalized runtime of private vs shared caches (64-core)."""
+    return _run(partial(fig6, benchmarks=benchmarks, scale=scale),
+                verbose, backend)[0]
 
 
 def figure7(benchmarks: Optional[Sequence[str]] = None,
             cores: int = 64, scale: float = SCALE_MEDIUM,
-            verbose: bool = True) -> Rows:
-    """L2 hit-latency increase over the private cache.
-
-    Paper (64c): LOCO adds ~2.9 cycles, shared ~11.5 cycles; the gap
-    grows at 256 cores."""
-    benchmarks = list(benchmarks or TRACE_DRIVEN)
-    rows: Rows = {}
-    for b in benchmarks:
-        private = _run(b, Organization.PRIVATE, cores=cores, scale=scale)
-        shared = _run(b, Organization.SHARED, cores=cores, scale=scale)
-        loco = _run(b, Organization.LOCO_CC_VMS_IVR, cores=cores,
-                    scale=scale)
-        base = private.l2_hit_latency
-        rows[b] = {"Shared": shared.l2_hit_latency - base,
-                   "LOCO": loco.l2_hit_latency - base}
-    return _emit(f"Figure 7: L2 hit latency increase over private ({cores}c)",
-                 rows, verbose)
+            verbose: bool = True, **backend: Any) -> Rows:
+    """L2 hit-latency increase over the private cache."""
+    return _run(partial(fig7, benchmarks=benchmarks, cores=cores,
+                        scale=scale), verbose, backend)[0]
 
 
 def figure8(benchmarks: Optional[Sequence[str]] = None,
             cores: int = 64, scale: float = SCALE_MEDIUM,
-            verbose: bool = True) -> Rows:
-    """L2 misses per 1000 instructions: shared vs LOCO.
-
-    Paper: LOCO's MPKI is within a fraction of a percent of shared."""
-    benchmarks = list(benchmarks or TRACE_DRIVEN)
-    rows: Rows = {}
-    for b in benchmarks:
-        shared = _run(b, Organization.SHARED, cores=cores, scale=scale)
-        loco = _run(b, Organization.LOCO_CC_VMS_IVR, cores=cores,
-                    scale=scale)
-        rows[b] = {"Shared": shared.mpki, "LOCO": loco.mpki}
-    return _emit(f"Figure 8: L2 MPKI ({cores}c)", rows, verbose)
+            verbose: bool = True, **backend: Any) -> Rows:
+    """L2 misses per 1000 instructions: shared vs LOCO."""
+    return _run(partial(fig8, benchmarks=benchmarks, cores=cores,
+                        scale=scale), verbose, backend)[0]
 
 
 def figure9(benchmarks: Optional[Sequence[str]] = None,
             cores: int = 64, scale: float = SCALE_MEDIUM,
-            verbose: bool = True) -> Rows:
-    """On-chip data search delay: LOCO CC (directory) vs CC+VMS.
-
-    Paper: VMS cuts search delay by 34.8% (64c) / 39.9% (256c)."""
-    benchmarks = list(benchmarks or TRACE_DRIVEN)
-    rows: Rows = {}
-    for b in benchmarks:
-        cc = _run(b, Organization.LOCO_CC, cores=cores, scale=scale)
-        vms = _run(b, Organization.LOCO_CC_VMS, cores=cores, scale=scale)
-        rows[b] = {"LOCO CC": cc.search_delay,
-                   "LOCO CC+VMS": vms.search_delay}
-    return _emit(f"Figure 9: on-chip data search delay ({cores}c)",
-                 rows, verbose)
+            verbose: bool = True, **backend: Any) -> Rows:
+    """On-chip data search delay: LOCO CC (directory) vs CC+VMS."""
+    return _run(partial(fig9, benchmarks=benchmarks, cores=cores,
+                        scale=scale), verbose, backend)[0]
 
 
 def figure10(benchmarks: Optional[Sequence[str]] = None,
              cores: int = 64, scale: float = SCALE_MEDIUM,
-             verbose: bool = True) -> Rows:
-    """Off-chip memory accesses normalized to shared.
-
-    Paper: IVR cuts off-chip accesses by 15.6% (64c) / 17.9% (256c)
-    over LOCO CC+VMS, landing close to shared overall."""
-    benchmarks = list(benchmarks or TRACE_DRIVEN)
-    rows: Rows = {}
-    for b in benchmarks:
-        shared = _run(b, Organization.SHARED, cores=cores, scale=scale)
-        vms = _run(b, Organization.LOCO_CC_VMS, cores=cores, scale=scale)
-        ivr = _run(b, Organization.LOCO_CC_VMS_IVR, cores=cores,
-                   scale=scale)
-        base = max(1, shared.offchip_accesses)
-        rows[b] = {"LOCO CC+VMS": vms.offchip_accesses / base,
-                   "LOCO CC+VMS+IVR": ivr.offchip_accesses / base}
-    return _emit(f"Figure 10: normalized off-chip accesses ({cores}c)",
-                 rows, verbose)
+             verbose: bool = True, **backend: Any) -> Rows:
+    """Off-chip memory accesses normalized to shared."""
+    return _run(partial(fig10, benchmarks=benchmarks, cores=cores,
+                        scale=scale), verbose, backend)[0]
 
 
 def figure11(benchmarks: Optional[Sequence[str]] = None,
              cores: int = 64, scale: float = SCALE_MEDIUM,
-             verbose: bool = True) -> Rows:
-    """Normalized runtime of the LOCO stack against shared.
-
-    Paper: overall -13.9% (64c), -17.9% (256c), accumulating over CC,
-    +VMS, +IVR."""
-    benchmarks = list(benchmarks or TRACE_DRIVEN)
-    rows: Rows = {}
-    for b in benchmarks:
-        shared = _run(b, Organization.SHARED, cores=cores, scale=scale)
-        cells = {"Shared": 1.0}
-        for org in _LOCO_STACK:
-            r = _run(b, org, cores=cores, scale=scale)
-            cells[_LOCO_LABEL[org]] = r.runtime / shared.runtime
-        rows[b] = cells
-    return _emit(f"Figure 11: normalized runtime ({cores}c)", rows, verbose)
+             verbose: bool = True, **backend: Any) -> Rows:
+    """Normalized runtime of the LOCO stack (CC, +VMS, +IVR) against
+    shared."""
+    return _run(partial(fig11, benchmarks=benchmarks, cores=cores,
+                        scale=scale), verbose, backend)[0]
 
 
 def figure12(benchmarks: Optional[Sequence[str]] = None,
              cores: int = 64, scale: float = SCALE_MEDIUM,
-             verbose: bool = True) -> Tuple[Rows, Rows]:
+             verbose: bool = True, **backend: Any) -> Tuple[Rows, Rows]:
     """LOCO on SMART vs conventional NoC vs high-radix routers:
-    (a) L2 hit latency increase over private, (b) search delay.
-
-    Paper (256c): conventional is ~2x on both; high-radix is ~3.1x on
-    hit latency (every hop pays the 4-stage pipeline)."""
-    benchmarks = list(benchmarks or TRACE_DRIVEN)
-    lat: Rows = {}
-    search: Rows = {}
-    nocs = [(NocKind.SMART, "SMART"), (NocKind.CONVENTIONAL, "Conv"),
-            (NocKind.FLATTENED_BUTTERFLY, "HighRadix")]
-    for b in benchmarks:
-        private = _run(b, Organization.PRIVATE, cores=cores, scale=scale)
-        lat[b] = {}
-        search[b] = {}
-        for kind, label in nocs:
-            r = _run(b, Organization.LOCO_CC_VMS_IVR, cores=cores,
-                     noc=kind, scale=scale)
-            lat[b][label] = r.l2_hit_latency - private.l2_hit_latency
-            search[b][label] = r.search_delay
-    _emit(f"Figure 12a: L2 hit latency increase by NoC ({cores}c)",
-          lat, verbose)
-    _emit(f"Figure 12b: search delay by NoC ({cores}c)", search, verbose)
+    (a) L2 hit latency increase over private, (b) search delay."""
+    lat, search = _run(partial(fig12, benchmarks=benchmarks, cores=cores,
+                               scale=scale), verbose, backend)
     return lat, search
 
 
 def figure13(benchmarks: Optional[Sequence[str]] = None,
              cores: int = 64, scale: float = SCALE_MEDIUM,
-             verbose: bool = True) -> Rows:
-    """Runtime of LOCO under the three NoCs, normalized to shared+SMART.
-
-    Paper: SMART beats conventional by 18.9% (64c) / 24.6% (256c);
-    high-radix is worst."""
-    benchmarks = list(benchmarks or TRACE_DRIVEN)
-    rows: Rows = {}
-    nocs = [(NocKind.SMART, "SMART"), (NocKind.CONVENTIONAL, "Conv"),
-            (NocKind.FLATTENED_BUTTERFLY, "HighRadix")]
-    for b in benchmarks:
-        shared = _run(b, Organization.SHARED, cores=cores, scale=scale)
-        rows[b] = {}
-        for kind, label in nocs:
-            r = _run(b, Organization.LOCO_CC_VMS_IVR, cores=cores,
-                     noc=kind, scale=scale)
-            rows[b][label] = r.runtime / shared.runtime
-    return _emit(f"Figure 13: normalized runtime by NoC ({cores}c)",
-                 rows, verbose)
+             verbose: bool = True, **backend: Any) -> Rows:
+    """Runtime of LOCO under the three NoCs, normalized to
+    shared+SMART."""
+    return _run(partial(fig13, benchmarks=benchmarks, cores=cores,
+                        scale=scale), verbose, backend)[0]
 
 
 def figure14(benchmarks: Optional[Sequence[str]] = None,
-             scale: float = SCALE_MEDIUM, verbose: bool = True
-             ) -> Dict[str, Rows]:
+             scale: float = SCALE_MEDIUM, verbose: bool = True,
+             **backend: Any) -> Dict[str, Rows]:
     """Cluster size/topology study: 4x1, 8x1, 4x4 (64-core LOCO).
-
-    Paper: smaller clusters cut hit latency but raise MPKI ~35% (4x1) /
-    ~20% (8x1); the best shape is application-dependent."""
-    benchmarks = list(benchmarks or TRACE_DRIVEN)
-    shapes = [((4, 1), "4x1"), ((8, 1), "8x1"), ((4, 4), "4x4")]
-    out: Dict[str, Rows] = {"hit_latency": {}, "mpki": {},
-                            "search_delay": {}, "runtime": {}}
-    for b in benchmarks:
-        shared = _run(b, Organization.SHARED, scale=scale)
-        for metric in out:
-            out[metric][b] = {}
-        for shape, label in shapes:
-            r = _run(b, Organization.LOCO_CC_VMS_IVR, cluster=shape,
-                     scale=scale)
-            out["hit_latency"][b][label] = r.l2_hit_latency
-            out["mpki"][b][label] = r.mpki
-            out["search_delay"][b][label] = r.search_delay
-            out["runtime"][b][label] = r.runtime / shared.runtime
-    for metric, title in [("hit_latency", "Figure 14a: L2 hit latency"),
-                          ("mpki", "Figure 14b: MPKI"),
-                          ("search_delay", "Figure 14c: search delay"),
-                          ("runtime", "Figure 14d: normalized runtime")]:
-        _emit(f"{title} by cluster size (64c)", out[metric], verbose)
-    return out
+    Smaller clusters cut hit latency but raise MPKI."""
+    return dict(zip(
+        ("hit_latency", "mpki", "search_delay", "runtime"),
+        _run(partial(fig14, benchmarks=benchmarks, scale=scale),
+             verbose, backend)))
 
 
 def figure15(workloads: Optional[Sequence[str]] = None,
-             scale: float = SCALE_MEDIUM, verbose: bool = True
-             ) -> Tuple[Rows, Rows]:
+             scale: float = SCALE_MEDIUM, verbose: bool = True,
+             **backend: Any) -> Tuple[Rows, Rows]:
     """Multi-program workloads W0-W9: (a) off-chip accesses and
-    (b) runtime, normalized to shared.
-
-    Paper: the baseline clustered cache (LOCO CC) has +26.6% off-chip
-    accesses; IVR pulls that back to +5.1% and cuts runtime 13.8%
-    vs clustered."""
-    workloads = list(workloads or workload_names())
-    offchip: Rows = {}
-    runtime: Rows = {}
-    for w in workloads:
-        shared = run_workload(w, Organization.SHARED, scale=scale)
-        cc = run_workload(w, Organization.LOCO_CC, scale=scale)
-        ivr = run_workload(w, Organization.LOCO_CC_VMS_IVR, scale=scale)
-        base_off = max(1, shared.offchip_accesses)
-        offchip[w] = {"Shared": 1.0,
-                      "LOCO CC": cc.offchip_accesses / base_off,
-                      "LOCO CC+VMS+IVR": ivr.offchip_accesses / base_off}
-        runtime[w] = {"Shared": 1.0,
-                      "LOCO CC": cc.runtime / shared.runtime,
-                      "LOCO CC+VMS+IVR": ivr.runtime / shared.runtime}
-    _emit("Figure 15a: normalized off-chip accesses (multi-program)",
-          offchip, verbose)
-    _emit("Figure 15b: normalized runtime (multi-program)",
-          runtime, verbose)
+    (b) runtime, normalized to shared."""
+    offchip, runtime = _run(partial(fig15, workloads=workloads,
+                                    scale=scale), verbose, backend)
     return offchip, runtime
 
 
 def figure16(benchmarks: Optional[Sequence[str]] = None,
-             scale: float = SCALE_MEDIUM, verbose: bool = True
-             ) -> Tuple[Rows, Rows]:
+             scale: float = SCALE_MEDIUM, verbose: bool = True,
+             **backend: Any) -> Tuple[Rows, Rows]:
     """Full-system (dependency-aware) simulation, 64 cores:
-    (a) MPKI shared vs LOCO, (b) normalized runtime of the LOCO stack.
-
-    Paper: spinning amplifies LOCO's advantage to 44.5% average
-    runtime reduction."""
-    benchmarks = list(benchmarks or FULL_SYSTEM)
-    mpki: Rows = {}
-    runtime: Rows = {}
-    for b in benchmarks:
-        shared = _run(b, Organization.SHARED, scale=scale,
-                      full_system=True)
-        mpki[b] = {"Shared": shared.mpki}
-        cells = {}
-        for org in _LOCO_STACK:
-            r = _run(b, org, scale=scale, full_system=True)
-            cells[_LOCO_LABEL[org]] = r.runtime / shared.runtime
-            if org is Organization.LOCO_CC_VMS_IVR:
-                mpki[b]["LOCO"] = r.mpki
-        runtime[b] = cells
-    _emit("Figure 16a: MPKI, full-system (64c)", mpki, verbose)
-    _emit("Figure 16b: normalized runtime, full-system (64c)",
-          runtime, verbose)
+    (a) MPKI shared vs LOCO, (b) normalized runtime of the LOCO stack."""
+    mpki, runtime = _run(partial(fig16, benchmarks=benchmarks,
+                                 scale=scale), verbose, backend)
     return mpki, runtime
 
 
-def all_figures(scale: float = SCALE_MEDIUM,
-                verbose: bool = True) -> Dict[str, object]:
+def all_figures(scale: float = SCALE_MEDIUM, verbose: bool = True,
+                **backend: Any) -> Dict[str, List[Table]]:
     """Run every figure at the given scale (hours at medium scale on a
-    laptop; use a smaller scale for a quick pass)."""
-    return {
-        "fig6": figure6(scale=scale, verbose=verbose),
-        "fig7_64": figure7(cores=64, scale=scale, verbose=verbose),
-        "fig7_256": figure7(cores=256, scale=scale, verbose=verbose),
-        "fig8_64": figure8(cores=64, scale=scale, verbose=verbose),
-        "fig8_256": figure8(cores=256, scale=scale, verbose=verbose),
-        "fig9_64": figure9(cores=64, scale=scale, verbose=verbose),
-        "fig9_256": figure9(cores=256, scale=scale, verbose=verbose),
-        "fig10_64": figure10(cores=64, scale=scale, verbose=verbose),
-        "fig10_256": figure10(cores=256, scale=scale, verbose=verbose),
-        "fig11_64": figure11(cores=64, scale=scale, verbose=verbose),
-        "fig11_256": figure11(cores=256, scale=scale, verbose=verbose),
-        "fig12": figure12(cores=64, scale=scale, verbose=verbose),
-        "fig13": figure13(cores=64, scale=scale, verbose=verbose),
-        "fig14": figure14(scale=scale, verbose=verbose),
-        "fig15": figure15(scale=scale, verbose=verbose),
-        "fig16": figure16(scale=scale, verbose=verbose),
-    }
+    laptop; use a smaller scale, ``jobs=`` or ``service=`` for a quick
+    pass) and return ``{name: tables}`` as :func:`run_figures` does."""
+    figs: Dict[str, Figure] = {"fig6": partial(fig6, scale=scale)}
+    for n, fig in ((7, fig7), (8, fig8), (9, fig9), (10, fig10),
+                   (11, fig11)):
+        for cores in (64, 256):
+            figs[f"fig{n}_{cores}"] = partial(fig, cores=cores, scale=scale)
+    for n, fig in ((12, fig12), (13, fig13), (14, fig14), (15, fig15),
+                   (16, fig16)):
+        figs[f"fig{n}"] = partial(fig, scale=scale)
+    done = run_figures(figs, **backend)
+    for tables in done.values():
+        _print(tables, verbose)
+    return done

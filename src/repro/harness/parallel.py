@@ -240,10 +240,7 @@ def _cache_store(cache_dir: Optional[str], unit: Unit, value) -> None:
     os.makedirs(cache_dir, exist_ok=True)
     # atomic publish: concurrent sweeps may share the dir
     save_file(os.path.join(cache_dir, unit.key() + ".json"), json.dumps({
-        "config": repr(unit.exp), "max_cycles": unit.max_cycles,
-        "metric": (list(unit.metric) if isinstance(unit.metric, tuple)
-                   else unit.metric),
-        "value": value}).encode())
+        "unit": repr(unit), "value": value}).encode())
 
 
 def aggregate_stats(results: Sequence[Any]) -> Stats:

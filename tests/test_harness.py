@@ -1,7 +1,13 @@
 """Tests for the experiment harness: configs, reports, figure drivers."""
 
+import importlib.util
+import json
+import os
+from functools import partial
+
 import pytest
 
+from repro.harness import units
 from repro.harness.experiment import (ExperimentConfig, clear_trace_cache,
                                       run_benchmark, run_workload)
 from repro.harness.report import format_table, normalize
@@ -126,3 +132,125 @@ class TestFigureDrivers:
         mpki, runtime = figures.figure16(benchmarks=["water_spatial"],
                                          scale=self.SCALE, verbose=False)
         assert "water_spatial" in runtime
+
+
+class TestFigureMatrix:
+    """Figures are declarations executed through ``run_units``: one
+    enumeration of cells, shared across figures and backends."""
+
+    SCALE = 0.04
+    BENCH = ["water_spatial"]
+
+    def _figs(self):
+        return {
+            "fig6": partial(figures.fig6, benchmarks=self.BENCH,
+                            scale=self.SCALE),
+            "fig15": partial(figures.fig15, workloads=["W0"],
+                             scale=self.SCALE),
+        }
+
+    def test_rows_equal_across_backends(self, tmp_path, monkeypatch):
+        serial = figures.run_figures(self._figs())
+        pooled = figures.run_figures(self._figs(), jobs=2,
+                                     cache_dir=str(tmp_path))
+        assert pooled == serial
+        assert len(list(tmp_path.glob("*.json"))) == 5  # 2 + 3 cells
+
+        def poisoned(*args, **kwargs):
+            raise AssertionError("warm cache must not simulate")
+
+        monkeypatch.setattr(units, "run_benchmark", poisoned)
+        monkeypatch.setattr(units, "run_workload", poisoned)
+        assert figures.run_figures(
+            self._figs(), cache_dir=str(tmp_path)) == serial
+
+    def test_figure7_matches_run_benchmark_reference(self):
+        by_org = {org: run_benchmark(ExperimentConfig(
+            benchmark="water_spatial", organization=org,
+            scale=self.SCALE)).l2_hit_latency
+            for org in (Organization.PRIVATE, Organization.SHARED,
+                        Organization.LOCO_CC_VMS_IVR)}
+        base = by_org[Organization.PRIVATE]
+        assert figures.figure7(benchmarks=self.BENCH, scale=self.SCALE,
+                               verbose=False) == {"water_spatial": {
+            "Shared": by_org[Organization.SHARED] - base,
+            "LOCO": by_org[Organization.LOCO_CC_VMS_IVR] - base}}
+
+    def test_shared_cells_simulate_once(self, monkeypatch):
+        figs = {f"fig{n}": partial(fig, benchmarks=self.BENCH,
+                                   scale=self.SCALE)
+                for n, fig in ((6, figures.fig6), (7, figures.fig7),
+                               (8, figures.fig8))}
+        # declared without simulating: 2 + 3 + 2 reads of 3 cells
+        declared = [c for fig in figs.values()
+                    for c in figures.figure_cells(fig)]
+        assert len(declared) == 7 and len(set(declared)) == 3
+        assert len({c.key() for c in declared}) == 3
+        ran = []
+        real = units.run_benchmark
+
+        def counting(exp, **kwargs):
+            ran.append(exp.organization)
+            return real(exp, **kwargs)
+
+        monkeypatch.setattr(units, "run_benchmark", counting)
+        tables = figures.run_figures(figs)
+        assert sorted(o.value for o in ran) == sorted(
+            o.value for o in (Organization.SHARED, Organization.PRIVATE,
+                              Organization.LOCO_CC_VMS_IVR))
+        assert [title for title, _paper, _rows in tables["fig8"]] == [
+            "Figure 8: L2 MPKI (64c)"]
+
+
+class TestRunExperimentsScript:
+    PATH = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", "run_experiments.py")
+
+    @pytest.fixture()
+    def script(self):
+        spec = importlib.util.spec_from_file_location(
+            "run_experiments_script", self.PATH)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # must not parse argv or simulate
+        return module
+
+    def test_imports_cleanly_and_has_no_private_executor(self, script,
+                                                         capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            script.main(["--help"])
+        assert exit_info.value.code == 0
+        assert "--jobs" in capsys.readouterr().out
+        with open(self.PATH) as f:
+            source = f.read()
+        assert "ProcessPoolExecutor" not in source
+        assert "ServiceClient" not in source
+
+    def test_one_bad_cell_fails_its_figure_only(self, script, tmp_path,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)  # experiments_results.json lands here
+        monkeypatch.setattr(script, "paper_figures", lambda scale: {
+            "fig6": partial(figures.fig6, benchmarks=["water_spatial"],
+                            scale=scale),
+            "fig9": partial(figures.fig9, benchmarks=["water_spatial"],
+                            scale=scale)})
+        ran = []
+        real = units.run_benchmark
+
+        def flaky(exp, **kwargs):
+            ran.append(exp.organization)
+            if exp.organization is Organization.PRIVATE:
+                raise RuntimeError("boom")
+            return real(exp, **kwargs)
+
+        monkeypatch.setattr(units, "run_benchmark", flaky)
+        assert script.main(["0.04", "out.md"]) == 1
+        text = (tmp_path / "out.md").read_text()
+        assert "## fig6\n\nFAILED: RuntimeError: boom" in text
+        assert "## Figure 9: on-chip data search delay (64c)" in text
+        assert "water_spatial" in text
+        # the retry served fig6's finished SHARED cell from the cache
+        assert ran.count(Organization.SHARED) == 1
+        results = json.loads(
+            (tmp_path / "experiments_results.json").read_text())
+        assert results["fig6"].startswith("FAILED: ")
+        assert results["fig9"][0][0].startswith("Figure 9")

@@ -203,6 +203,24 @@ class TestSweepCacheRobustness:
         assert rows[0]["result"].finished
         assert list(tmp_path.glob("*.json")) == []  # never cached
 
+    def test_workload_unit_rides_the_cache(self, tmp_path, monkeypatch):
+        """A metric-reduced WorkloadUnit (a Fig 15 cell) is stored and
+        served like a SweepUnit: ``_cache_store`` used to read
+        ``unit.exp`` and lose the simulated value to AttributeError."""
+        from repro.harness.parallel import run_units
+        from repro.harness.units import WorkloadUnit
+        unit = WorkloadUnit("W0", Organization.SHARED, scale=0.04,
+                            metric=("runtime",))
+        first = run_units([unit], cache_dir=str(tmp_path))
+        assert first[0]["runtime"] > 0
+        assert self._one_cache_file(tmp_path).name == unit.key() + ".json"
+
+        def poisoned(self, warmup_images=None):
+            raise AssertionError("cached unit must not simulate")
+
+        monkeypatch.setattr(WorkloadUnit, "run", poisoned)
+        assert run_units([unit], cache_dir=str(tmp_path)) == first
+
     def test_failed_store_raises_and_leaves_no_staging_file(self, tmp_path):
         """A directory squatting on the final ``<key>.json`` path makes
         the publish fail; the staging file must not survive it."""
