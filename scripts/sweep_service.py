@@ -3,7 +3,7 @@
 
 Subcommands::
 
-    fleet        one coordinator + N worker processes on this host
+    fleet        the coordinator quorum + N worker processes on this host
     coordinator  just the coordinator (workers join from anywhere)
     worker       one worker, attached to a running coordinator
     status       fleet snapshot (workers, queue depth, cache counters)
@@ -26,14 +26,16 @@ Multi-host: run ``coordinator`` on one machine and ``worker
 --connect HOST:PORT`` on the others; give every worker the same
 ``--warmup-cache`` directory only when it is a *shared* filesystem.
 
-Replication: ``fleet --replicas 3`` runs three coordinator replicas
-(consecutive ports from ``--bind``, or all-ephemeral with port 0)
-that elect a leader and replicate every scheduling decision; workers
-and clients get the comma-separated replica list and follow
-redirects. SIGKILL the leader and the survivors elect a new one and
-finish the job — a killed replica is *not* respawned (the quorum
-margin is the failure budget); the fleet exits nonzero only when a
-majority is gone.
+Replication: ``fleet`` launches its coordinators as child processes
+forming one quorum. ``--replicas 1`` (the default) is a quorum of one:
+it leads from its first instant, commits without a round trip, and its
+death ends the fleet with rc 1. ``--replicas 3`` runs three
+(consecutive ports from ``--bind``, or all-ephemeral with port 0) that
+elect a leader and replicate every scheduling decision; workers and
+clients get the comma-separated replica list and follow redirects.
+SIGKILL the leader and the survivors finish the job — a killed replica
+is *not* respawned (the quorum margin is the failure budget); the
+fleet exits nonzero only when a majority is gone.
 """
 
 from __future__ import annotations
@@ -54,27 +56,20 @@ if REPO_SRC not in sys.path:
 from repro.service.client import ServiceClient           # noqa: E402
 from repro.service.cluster import (pick_free_ports,      # noqa: E402
                                    spawn_coordinator_process)
-from repro.service.coordinator import Coordinator        # noqa: E402
+from repro.service.__main__ import main as service_main  # noqa: E402
+from repro.service.errors import ServiceError            # noqa: E402
 from repro.service.worker import (Worker, parse_address,  # noqa: E402
                                   spawn_worker_process)
 
-# the one spawn recipe (shared with tests and examples)
-spawn_worker = spawn_worker_process
-
 
 def cmd_coordinator(args) -> int:
-    host, port = parse_address(args.bind)
-    coord = Coordinator(host=host, port=port, cache_dir=args.cache_dir,
-                        heartbeat_timeout=args.heartbeat_timeout,
-                        verbose=not args.quiet)
-    address = coord.start()
-    print(f"coordinator on {address} "
-          f"(cache: {args.cache_dir or 'memory only'})", flush=True)
-    try:
-        coord.wait()
-    except KeyboardInterrupt:
-        coord.stop()
-    return 0
+    argv = ["coordinator", "--bind", args.bind,
+            "--heartbeat-timeout", str(args.heartbeat_timeout)]
+    if args.cache_dir:
+        argv += ["--cache-dir", args.cache_dir]
+    if not args.quiet:
+        argv.append("--verbose")
+    return service_main(argv)  # the entry `fleet` spawns, in-process
 
 
 def cmd_worker(args) -> int:
@@ -90,155 +85,96 @@ _FLEET_MIN_UPTIME = 5.0
 
 
 def cmd_fleet(args) -> int:
-    if args.replicas > 1:
-        return _replicated_fleet(args)
+    """``fleet``: ``--replicas`` coordinator processes + the workers.
+
+    A dead worker slot is respawned (the leader already requeued its
+    units). A replica exiting rc 0 means a client committed
+    ``shutdown`` through the log — wind the fleet down; a *killed*
+    replica is not respawned (a rejoining node can disturb a stable
+    term, and the quorum margin is the failure budget the operator
+    asked for): the fleet fails only once a majority is gone."""
     host, port = parse_address(args.bind)
-    coord = Coordinator(host=host, port=port, cache_dir=args.cache_dir,
-                        heartbeat_timeout=args.heartbeat_timeout,
-                        verbose=not args.quiet)
-    address = coord.start()
-    print(f"coordinator on {address}; starting {args.workers} workers",
-          flush=True)
-    procs: List[subprocess.Popen] = [
-        spawn_worker_process(address, name=f"w{i}",
-                             verbose=not args.quiet)
-        for i in range(args.workers)]
-    spawned_at = [time.monotonic()] * len(procs)
-    crash_streak = [0] * len(procs)
-    rc = 0
-
-    # SIGTERM runs the same orderly teardown as Ctrl-C: wrappers (the
-    # CI trap, service managers) send TERM to this process only, and
-    # without this handler Python would die before the worker
-    # terminate/SIGKILL sweep below — leaking workers that hold the
-    # caller's stdout pipe open (and, in CI, hang the step).
-    def _on_term(signum, frame):
-        raise KeyboardInterrupt
-
-    prev_term = signal.signal(signal.SIGTERM, _on_term)
-    try:
-        while not coord.wait(timeout=1.0):
-            for i, p in enumerate(procs):
-                if p.poll() is None or coord._stopped.is_set():
-                    continue
-                # fleet mode keeps its worker count: respawn (the
-                # coordinator already requeued the lost units) — but a
-                # slot whose worker keeps dying straight after spawn
-                # (bad install, port mismatch, OOM on arrival) must not
-                # respawn forever: give up and exit nonzero so wrapping
-                # scripts/CI see the failure instead of a livelock.
-                uptime = time.monotonic() - spawned_at[i]
-                crash_streak[i] = (crash_streak[i] + 1
-                                   if uptime < _FLEET_MIN_UPTIME else 1)
-                if crash_streak[i] > args.max_respawns:
-                    print(f"worker w{i} crashed {crash_streak[i]} times "
-                          f"in a row within {_FLEET_MIN_UPTIME:.0f}s of "
-                          f"spawn (last rc={p.returncode}); giving up",
-                          file=sys.stderr, flush=True)
-                    rc = 1
-                    coord.stop()
-                    break
-                print(f"worker w{i} exited rc={p.returncode}; "
-                      f"respawning", flush=True)
-                procs[i] = spawn_worker_process(
-                    address, name=f"w{i}", verbose=not args.quiet)
-                spawned_at[i] = time.monotonic()
-    except KeyboardInterrupt:
-        coord.stop()
-    finally:
-        signal.signal(signal.SIGTERM, prev_term)
-    for p in procs:
-        if p.poll() is None:
-            p.terminate()
-    deadline = time.monotonic() + 5.0
-    for p in procs:
-        try:
-            p.wait(timeout=max(0.1, deadline - time.monotonic()))
-        except subprocess.TimeoutExpired:
-            p.send_signal(signal.SIGKILL)
-    return rc
-
-
-def _replicated_fleet(args) -> int:
-    """``fleet --replicas N``: N coordinator replicas + the workers.
-
-    Replica lifecycle differs from the worker slots: a replica that
-    exits cleanly (rc 0) means a client committed ``shutdown`` through
-    the log — wind the whole fleet down; a *killed* replica is not
-    respawned (a rejoining node can disturb a stable term, and the
-    quorum margin is exactly the failure budget the operator asked
-    for). The fleet fails only when a majority is gone."""
-    host, port = parse_address(args.bind)
-    if port == 0:
-        ports = pick_free_ports(args.replicas, host)
-    else:
-        ports = [port + i for i in range(args.replicas)]
+    ports = (pick_free_ports(args.replicas, host) if port == 0
+             else [port + i for i in range(args.replicas)])
     addresses = [f"{host}:{p}" for p in ports]
     addr_list = ",".join(addresses)
     quorum = args.replicas // 2 + 1
-    replicas: List[subprocess.Popen] = [
-        spawn_coordinator_process(addresses, i, cache_dir=args.cache_dir,
-                                  verbose=not args.quiet)
-        for i in range(args.replicas)]
-    print(f"replicated coordinator on {addr_list} "
-          f"({args.replicas} replicas, quorum {quorum}); "
-          f"starting {args.workers} workers", flush=True)
-    procs: List[subprocess.Popen] = [
-        spawn_worker_process(addr_list, name=f"w{i}",
-                             verbose=not args.quiet)
-        for i in range(args.workers)]
-    spawned_at = [time.monotonic()] * len(procs)
-    crash_streak = [0] * len(procs)
-    replica_noted = [False] * len(replicas)
+    replicas: List[subprocess.Popen] = []
+    procs: List[subprocess.Popen] = []
+    spawned_at = [0.0] * args.workers
+    crash_streak = [0] * args.workers
+    standing = args.replicas
     rc = 0
 
+    def spawn_worker(i: int) -> subprocess.Popen:
+        spawned_at[i] = time.monotonic()
+        return spawn_worker_process(addr_list, name=f"w{i}",
+                                    verbose=not args.quiet)
+
+    # SIGTERM runs the same orderly teardown as Ctrl-C: wrappers (the
+    # CI trap, service managers) send TERM to this process only, and
+    # without this handler Python would die before the terminate/
+    # SIGKILL sweep below — leaking children that hold the caller's
+    # stdout pipe open (and, in CI, hang the step).
     def _on_term(signum, frame):
         raise KeyboardInterrupt
 
     prev_term = signal.signal(signal.SIGTERM, _on_term)
     try:
-        shutting_down = False
-        while not shutting_down:
+        replicas += [
+            spawn_coordinator_process(
+                addresses, i, cache_dir=args.cache_dir,
+                heartbeat_timeout=args.heartbeat_timeout,
+                verbose=not args.quiet)
+            for i in range(args.replicas)]
+        print(f"coordinator on {addr_list} (quorum {quorum} of "
+              f"{args.replicas}); starting {args.workers} workers",
+              flush=True)
+        # a single-address worker exits when nobody answers, so the
+        # workers start once a leader does
+        ServiceClient(addr_list, connect_timeout=30.0).close()
+        procs += [spawn_worker(i) for i in range(args.workers)]
+        while not rc:
+            # workers found dead *before* the tick are respawned only
+            # if the quorum still stands after it: a fleet told to shut
+            # down loses its workers first, and must not regrow them
+            dead = [i for i, p in enumerate(procs) if p.poll() is not None]
             time.sleep(1.0)
-            alive = 0
-            for i, r in enumerate(replicas):
-                code = r.poll()
-                if code is None:
-                    alive += 1
-                elif code == 0:
-                    shutting_down = True
-                elif not replica_noted[i]:
-                    replica_noted[i] = True
-                    print(f"replica {i} ({addresses[i]}) died "
-                          f"rc={code}; not respawned — quorum margin "
-                          f"now {alive}/{quorum}", flush=True)
-            if shutting_down:
-                break
+            codes = [r.poll() for r in replicas]
+            alive = codes.count(None)
+            if 0 in codes:
+                break  # shutdown committed: the quorum is winding down
+            if alive < standing:
+                standing = alive
+                print(f"replica exit codes now {codes}; the dead are not "
+                      f"respawned — {alive} alive, quorum {quorum}",
+                      flush=True)
             if alive < quorum:
-                print(f"quorum lost: {alive} of {len(replicas)} "
-                      f"replicas alive (need {quorum}); giving up",
-                      file=sys.stderr, flush=True)
+                print(f"quorum lost: {alive} of {len(replicas)} replicas "
+                      f"alive (need {quorum})", file=sys.stderr, flush=True)
                 rc = 1
                 break
-            for i, p in enumerate(procs):
-                if p.poll() is None:
-                    continue
+            for i in dead:
+                # a slot whose worker keeps dying straight after spawn
+                # (bad install, port mismatch, OOM on arrival) must not
+                # respawn forever: exit nonzero so wrapping scripts/CI
+                # see the failure instead of a livelock
                 uptime = time.monotonic() - spawned_at[i]
                 crash_streak[i] = (crash_streak[i] + 1
                                    if uptime < _FLEET_MIN_UPTIME else 1)
                 if crash_streak[i] > args.max_respawns:
-                    print(f"worker w{i} crashed {crash_streak[i]} times "
-                          f"in a row within {_FLEET_MIN_UPTIME:.0f}s of "
-                          f"spawn (last rc={p.returncode}); giving up",
+                    print(f"worker w{i} crashed {crash_streak[i]} times in "
+                          f"a row within {_FLEET_MIN_UPTIME:.0f}s of spawn "
+                          f"(last rc={procs[i].returncode}); giving up",
                           file=sys.stderr, flush=True)
                     rc = 1
-                    shutting_down = True
                     break
-                print(f"worker w{i} exited rc={p.returncode}; "
+                print(f"worker w{i} exited rc={procs[i].returncode}; "
                       f"respawning", flush=True)
-                procs[i] = spawn_worker_process(
-                    addr_list, name=f"w{i}", verbose=not args.quiet)
-                spawned_at[i] = time.monotonic()
+                procs[i] = spawn_worker(i)
+    except ServiceError as exc:
+        print(f"no leader emerged: {exc}", file=sys.stderr, flush=True)
+        rc = 1
     except KeyboardInterrupt:
         pass
     finally:

@@ -10,10 +10,10 @@ dead workers, and streams rows back to
 bit-identical to ``sweep(jobs=0)`` — runs are seeded by config, results
 are deduplicated per unit, and retries are idempotent.
 
-The coordinator itself can be replicated: start N of them with a
-:class:`~repro.service.cluster.ClusterConfig` and they elect a leader
-and replicate every scheduler command over a consensus log
-(:mod:`repro.service.replica`); clients and workers follow
+Every coordinator commits scheduler commands through a consensus log
+(:mod:`repro.service.replica`); a lone one is a quorum of one. Start N
+of them with a :class:`~repro.service.cluster.ClusterConfig` and they
+elect a leader and replicate that log; clients and workers follow
 ``redirect`` frames to the leader and fail over when it dies.
 
 Entry points: ``scripts/sweep_service.py`` (launch a fleet,

@@ -6,10 +6,10 @@ Roles::
     coordinator  [--bind HOST:PORT] [--cache-dir DIR] [--verbose]
                  [--node-id I --peers HOST:PORT,HOST:PORT,…]
 
-``--node-id``/``--peers`` make the coordinator one replica of a
-quorum (see :mod:`repro.service.cluster`); every replica must be
-started with the same ``--peers`` list, and ``--bind`` must equal
-entry ``--node-id`` of it.
+``--node-id``/``--peers`` name the quorum this coordinator is one
+replica of (see :mod:`repro.service.cluster`; without them it is a
+quorum of one); every replica must be started with the same
+``--peers`` list, and ``--bind`` must equal entry ``--node-id`` of it.
 
 A dedicated dispatcher (rather than ``-m repro.service.worker``) keeps
 runpy from importing the worker module twice — once via the package

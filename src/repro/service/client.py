@@ -31,21 +31,14 @@ from repro.service.errors import (ConnectionClosed, JobFailed,
                                   ProtocolMismatch, ServiceError)
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.transport import SyncTransport
-from repro.service.worker import parse_address, parse_addresses
+from repro.service.worker import (LeaderHunt, _Redirected,
+                                  parse_address, parse_addresses)
 
 __all__ = ["ServiceClient"]
 
 #: leader-flap backstop: how many times one ``run_units`` call will
 #: resubmit after losing its coordinator before giving up
 _MAX_RESUBMITS = 8
-
-
-class _Redirect(Exception):
-    """Internal control flow: a follower answered with ``redirect``."""
-
-    def __init__(self, leader: Optional[str]) -> None:
-        super().__init__(leader)
-        self.leader = leader
 
 
 class ServiceClient:
@@ -68,8 +61,8 @@ class ServiceClient:
         self.connect_timeout = connect_timeout
         self.row_timeout = row_timeout
         #: fail-over on by default exactly when there is more than one
-        #: replica to fail over *to* (a solo coordinator's death stays
-        #: a typed JobFailed, as before)
+        #: replica to fail over *to* (a single-address coordinator's
+        #: death stays a typed JobFailed)
         self.failover = (len(self.addresses) > 1 if failover is None
                          else failover)
         #: where the last successful handshake landed (the leader)
@@ -82,7 +75,7 @@ class ServiceClient:
     def _handshake(self, address: str,
                    timeout: float) -> SyncTransport:
         """Dial one replica; returns the transport on ``welcome``,
-        raises :class:`_Redirect` when it points elsewhere."""
+        raises ``_Redirected`` when it points elsewhere."""
         host, port = parse_address(address)
         sock = socket.create_connection((host, port), timeout=timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -93,7 +86,7 @@ class ServiceClient:
                            timeout=timeout)
             welcome = self._recv_on(transport, timeout)
             if welcome.get("type") == "redirect":
-                raise _Redirect(welcome.get("leader"))
+                raise _Redirected(welcome.get("leader"))
             if welcome.get("type") != "welcome":
                 raise ServiceError(f"expected welcome, got "
                                    f"{welcome.get('type')!r}: "
@@ -114,28 +107,16 @@ class ServiceClient:
         deadline = time.monotonic() + self.connect_timeout
         last_exc: Optional[BaseException] = None
         while True:
-            # last known leader first, then the configured replicas;
-            # redirects splice the hinted leader in (bounded, deduped)
-            candidates = list(dict.fromkeys(
-                ([self.leader_address] if self.leader_address else [])
-                + self.addresses))
+            hunt = LeaderHunt(self.addresses, self.leader_address)
             self.leader_address = None
-            redirects = 0
-            i = 0
-            while i < len(candidates):
-                addr = candidates[i]
-                i += 1
+            for addr in hunt:
                 budget = deadline - time.monotonic()
                 if budget <= 0:
                     break
                 try:
                     transport = self._handshake(addr, budget)
-                except _Redirect as red:
-                    if (red.leader
-                            and redirects < 2 * len(self.addresses)
-                            and red.leader not in candidates[:i]):
-                        candidates.insert(i, red.leader)
-                        redirects += 1
+                except _Redirected as red:
+                    hunt.redirect(red.leader)
                     continue
                 except ProtocolMismatch:
                     raise

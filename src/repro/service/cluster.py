@@ -18,6 +18,13 @@ lives on its coordinator's event loop and drives the pure
   command to the log, replicate, resolve the caller's future when a
   majority holds it and it applies.
 
+A lone coordinator runs all of this with itself as the only member.
+No peer means no heartbeat to wait for — :meth:`ClusterManager.start`
+wins the election on the spot and no ticker runs; the leader alone is
+the majority, so :meth:`commit` returns without suspending; and since
+entries are retained only for peers' catch-up, a peerless core drops
+each one once applied (with peers the whole log stays, as before).
+
 Clients and workers never see any of this: a replica that is not the
 (ready) leader answers their ``hello`` with a ``redirect`` frame
 naming the current leader, and the client/worker transports follow
@@ -42,7 +49,7 @@ from repro.service.errors import (ConnectionClosed, FrameError,
 from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
                                     encode_frame, read_msg_async)
 from repro.service.replica import LEADER, ConsensusCore, SchedulerMachine
-from repro.service.worker import parse_address
+from repro.service.worker import parse_address, spawn_service_process
 
 __all__ = ["ClusterConfig", "ClusterManager",
            "spawn_coordinator_process", "pick_free_ports"]
@@ -155,8 +162,8 @@ class _PeerLink:
 class ClusterManager:
     """Drives one replica's consensus participation (module docstring).
 
-    Owned by a clustered coordinator; everything runs on — and only
-    on — the coordinator's event loop thread.
+    Owned by its coordinator; everything runs on — and only on — the
+    coordinator's event loop thread.
 
     ``on_apply(cmd, result)`` fires for every committed command on
     every replica (leader and followers alike); ``on_role_change(bool)``
@@ -186,11 +193,13 @@ class ClusterManager:
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._last_contact = loop.time()
+        self._last_contact = asyncio.get_running_loop().time()
         for peer in self.core.peers():
             self._links[peer] = _PeerLink(self, peer)
-        self._ticker = asyncio.create_task(self._tick_loop())
+        if self._links:
+            self._ticker = asyncio.create_task(self._tick_loop())
+        else:  # no peer to hear from or outvote us: lead from now on
+            self._start_election()
 
     async def stop(self) -> None:
         if self._ticker is not None:
@@ -219,8 +228,7 @@ class ClusterManager:
                     1 for l in self._links.values() if l.connected)}
 
     # -- the leader's write path ---------------------------------------
-    async def commit(self, cmd: Dict[str, Any],
-                     timeout: Optional[float] = None) -> Any:
+    async def commit(self, cmd: Dict[str, Any]) -> Any:
         """Append ``cmd``, replicate to a majority, apply, and return
         the machine's (deterministic) result. Raises
         :class:`ServiceError` when this node is not the leader or the
@@ -228,17 +236,14 @@ class ClusterManager:
         if self.core.role != LEADER:
             raise ServiceError("not the leader")
         index = self.core.append_command(cmd)
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
+        fut = asyncio.get_running_loop().create_future()
         self._waiters[index] = fut
-        if self.cfg.n_nodes == 1:
-            self._apply_committed()
-        else:
-            self._broadcast_appends()
+        self._apply_committed()
+        if fut.done():  # a quorum of one: applied without suspending
+            return fut.result()
+        self._broadcast_appends()
         try:
-            return await asyncio.wait_for(
-                fut, timeout if timeout is not None
-                else self.cfg.commit_timeout)
+            return await asyncio.wait_for(fut, self.cfg.commit_timeout)
         except asyncio.TimeoutError:
             self._waiters.pop(index, None)
             raise ServiceError(
@@ -383,25 +388,15 @@ def pick_free_ports(n: int, host: str = "127.0.0.1") -> List[int]:
 
 def spawn_coordinator_process(addresses: List[str], node_id: int, *,
                               cache_dir: Optional[str] = None,
+                              heartbeat_timeout: Optional[float] = None,
                               verbose: bool = False,
                               capture: bool = False):
-    """Start one replica coordinator as a detached OS process — the
-    replica twin of :func:`~repro.service.worker.spawn_worker_process`
-    (same ``PYTHONPATH`` recipe), shared by the fleet CLI and the
-    chaos tests that SIGKILL the result. Returns the ``Popen``."""
-    import subprocess
-    import sys
-
-    from repro.service.worker import service_child_env
-
-    cmd = [sys.executable, "-m", "repro.service", "coordinator",
-           "--bind", addresses[node_id],
-           "--node-id", str(node_id),
-           "--peers", ",".join(addresses)]
+    """Start replica ``node_id`` of ``addresses`` as an OS process —
+    the twin of :func:`~repro.service.worker.spawn_worker_process`."""
+    argv = ["coordinator", "--bind", addresses[node_id],
+            "--node-id", str(node_id), "--peers", ",".join(addresses)]
     if cache_dir:
-        cmd += ["--cache-dir", cache_dir]
-    if verbose:
-        cmd += ["--verbose"]
-    sink = subprocess.DEVNULL if capture else None
-    return subprocess.Popen(cmd, env=service_child_env(),
-                            stdout=sink, stderr=sink)
+        argv += ["--cache-dir", cache_dir]
+    if heartbeat_timeout is not None:
+        argv += ["--heartbeat-timeout", str(heartbeat_timeout)]
+    return spawn_service_process(argv, verbose, capture)

@@ -35,15 +35,16 @@ scenario). Liveness is a single monitor coroutine comparing monotonic
 ``loop.time()`` deadlines. The heavy work happens in worker
 *processes*, never here.
 
-Replication: pass a :class:`~repro.service.cluster.ClusterConfig` and
-this coordinator becomes one replica of a quorum. Every scheduler
-mutation then flows through :meth:`_commit` — a command appended to
-the replicated log, applied by each replica's
+Replication: every coordinator is one replica of the quorum its
+:class:`~repro.service.cluster.ClusterConfig` names — without one, the
+only member of a quorum of one at the bound address. Every scheduler
+mutation flows through :meth:`_commit` — a command appended to the
+replicated log, applied by each replica's
 :class:`~repro.service.replica.SchedulerMachine` once a majority
 holds it. Only the (ready) leader serves clients and workers; the
-others answer ``hello`` with a ``redirect``. Without a config,
-``_commit`` applies the same commands directly to the local machine —
-solo behaviour, timing and failure modes stay exactly as before.
+others answer ``hello`` with a ``redirect``. A coordinator without
+peers leads from its first instant (it never redirects), commits
+without suspending and retains no log.
 """
 
 from __future__ import annotations
@@ -184,20 +185,20 @@ class Coordinator:
         self.verbose = verbose
 
         # The replicated state: one pure scheduler + result memo.
-        # _sched/_results alias into the machine so the solo paths (and
-        # the tests poking them) read the same state the log applies to.
+        # _sched/_results alias into the machine so status (and the
+        # tests poking them) read the same state the log applies to.
         self._machine = SchedulerMachine()
         self._sched = self._machine.sched
         self._workers: Dict[str, _WorkerConn] = {}
         self._jobs: Dict[str, _Job] = {}
         self._results = self._machine.memo   # unit key -> value (memo)
-        self._cluster_mgr: Optional[ClusterManager] = None
+        self._cluster_mgr: ClusterManager  # built in _main, after bind
         self._replica_conns: Set[_Conn] = set()
         # a new leader serves only after its reset command committed
-        self._lead_ready = cluster is None
+        self._lead_ready = False
         # one replica stopping must not stop the fleet's workers; only
-        # a committed shutdown command (or solo mode) dismisses them
-        self._fleet_shutdown = cluster is None
+        # a committed shutdown command (or the last replica) does
+        self._fleet_shutdown = False
         self._job_seq = 0
         self._worker_seq = 0
         self._conns: Set[_Conn] = set()
@@ -280,27 +281,23 @@ class Coordinator:
             self._shutdown_evt.set()
 
     # ------------------------------------------------------------------
-    # replication plumbing (no-ops in solo mode)
+    # replication plumbing
     # ------------------------------------------------------------------
     def _leading(self) -> bool:
         """May this node serve clients and workers right now?"""
-        return self._cluster_mgr is None or (
-            self._cluster_mgr.is_leader and self._lead_ready)
+        return self._cluster_mgr.is_leader and self._lead_ready
 
     async def _commit(self, cmd: Dict[str, Any]) -> Any:
-        """The one write path to scheduler state. Solo: apply the
-        command directly (synchronous — behaviourally identical to the
-        pre-replication tier). Clustered: replicate it to a majority
-        first; raises :class:`ServiceError` on lost leadership or a
-        lost quorum."""
-        if self._cluster_mgr is None:
-            return self._machine.apply(cmd)
+        """The one write path to scheduler state: replicate the
+        command to a majority, apply it, return the machine's result
+        (without suspending when this node *is* the majority). Raises
+        :class:`ServiceError` on lost leadership or a lost quorum."""
         return await self._cluster_mgr.commit(cmd)
 
     async def _try_commit(self, cmd: Dict[str, Any]) -> Any:
         """Commit for cleanup paths: lost leadership just drops the
         command (the next leader's ``reset`` supersedes it)."""
-        if self._stopping and self._cluster_mgr is not None:
+        if self._stopping:
             return None  # quorum traffic already torn down
         try:
             return await self._commit(cmd)
@@ -309,16 +306,15 @@ class Coordinator:
             return None
 
     def _redirect_frame(self) -> Dict[str, Any]:
-        mgr = self._cluster_mgr
-        return {"type": "redirect",
-                "leader": mgr.leader_address if mgr else self.address,
-                "term": mgr.core.term if mgr else 0}
+        return {"type": "redirect", "term": self._cluster_mgr.core.term,
+                "leader": self._cluster_mgr.leader_address}
 
     def _on_apply(self, cmd: Dict[str, Any], result: Any) -> None:
         """Fires on every replica for every committed command."""
         if cmd.get("op") == "shutdown":
             self._fleet_shutdown = True
-            if self._cluster_mgr is not None and self._cluster_mgr.is_leader:
+            mgr = self._cluster_mgr
+            if mgr.is_leader and mgr.core.peers():
                 # let the commit-index broadcast reach the followers
                 # before this loop starts tearing connections down
                 assert self._loop is not None
@@ -345,12 +341,8 @@ class Coordinator:
     async def _assume_leadership(self) -> None:
         """Won an election: commit a ``reset`` so every replica agrees
         the worker/job slate is clean, then open for business."""
-        try:
-            await self._commit({"op": "reset"})
-        except ServiceError as exc:
-            self._log(f"leadership reset not committed ({exc})")
-            return
-        if self._cluster_mgr is not None and self._cluster_mgr.is_leader:
+        if (await self._try_commit({"op": "reset"}) == "ok"
+                and self._cluster_mgr.is_leader):
             self._lead_ready = True
             self._log("leader ready (reset committed)")
 
@@ -366,30 +358,27 @@ class Coordinator:
             self._ready.set()
             return
         self.port = server.sockets[0].getsockname()[1]
-        if self.cluster is not None:
-            self._cluster_mgr = ClusterManager(
-                self.cluster, self._machine,
-                on_apply=self._on_apply,
-                on_role_change=self._on_role_change,
-                log_fn=self._log)
-            self._cluster_mgr.start()
+        # no configured membership: a quorum of one, at the bound address
+        self.cluster = self.cluster or ClusterConfig(
+            node_id=0, addresses=[self.address])
+        self._cluster_mgr = ClusterManager(
+            self.cluster, self._machine, on_apply=self._on_apply,
+            on_role_change=self._on_role_change, log_fn=self._log)
+        self._cluster_mgr.start()
         self._ready.set()
         self._log(f"coordinator listening on {self.address} "
-                  f"(single-threaded event loop"
-                  + (f", replica {self.cluster.node_id}/"
-                     f"{self.cluster.n_nodes}" if self.cluster else "")
-                  + ")")
+                  f"(single-threaded event loop, replica "
+                  f"{self.cluster.node_id}/{self.cluster.n_nodes})")
         monitor = asyncio.create_task(self._monitor())
         try:
             await self._shutdown_evt.wait()
         finally:
             self._stopping = True
             monitor.cancel()
-            if self._cluster_mgr is not None:
-                await self._cluster_mgr.stop()
+            await self._cluster_mgr.stop()
             server.close()
             await server.wait_closed()
-            if self._fleet_shutdown:
+            if self._fleet_shutdown or not self._cluster_mgr.core.peers():
                 for w in list(self._workers.values()):
                     try:
                         w.conn.send({"type": "shutdown"})
@@ -472,9 +461,12 @@ class Coordinator:
     # ------------------------------------------------------------------
     async def _serve_replica(self, conn: _Conn,
                              hello: Dict[str, Any]) -> None:
-        if self._cluster_mgr is None:
-            raise FrameError("this coordinator is not clustered")
-        self._log(f"replica {hello.get('node')} connected")
+        node = hello.get("node")
+        if node not in self._cluster_mgr.core.peers():
+            # consensus frames from a non-member could depose the leader
+            raise FrameError(f"replica {node!r} is not a member of "
+                             f"this quorum")
+        self._log(f"replica {node} connected")
         self._replica_conns.add(conn)
         try:
             while not self._stopping:
@@ -534,15 +526,11 @@ class Coordinator:
         if worker is None:
             return
         worker.conn.close()
-        if self._cluster_mgr is not None and (
-                self._stopping or not self._leading()):
+        if self._stopping or not self._leading():
             return  # the (next) leader's reset rebuilds the slate
         requeued = await self._reap_worker(name, reason)
-        if requeued and not self._stopping:
-            self._log(f"worker {name} lost ({reason}); requeued "
-                      f"{[f'{j}#{i}' for j, i in requeued]}")
-        elif not self._stopping:
-            self._log(f"worker {name} left ({reason})")
+        self._log(f"worker {name} left ({reason}); requeued "
+                  f"{[f'{j}#{i}' for j, i in requeued]}")
         await self._dispatch()
 
     async def _reap_worker(self, name: str, reason: str):
@@ -636,12 +624,9 @@ class Coordinator:
                     submitted.append(await self._on_submit(conn, msg))
                 elif kind == "shutdown":
                     conn.send({"type": "bye"})
-                    if self._cluster_mgr is None:
-                        self._request_shutdown()
-                    else:
-                        # the whole quorum goes down via the log, so
-                        # the decision survives any single replica
-                        await self._try_commit({"op": "shutdown"})
+                    # the whole quorum goes down via the log, so the
+                    # decision survives any single replica
+                    await self._try_commit({"op": "shutdown"})
                     return
                 elif kind == "bye":
                     return
@@ -665,15 +650,11 @@ class Coordinator:
             # ReproError, which _handle_conn would not catch)
             raise FrameError(f"malformed submit: {exc}") from exc
         self._job_seq += 1
-        if self.cluster is not None:
-            # globally unique across leaders: a surviving worker's
-            # stale in-flight result must never complete a *different*
-            # job that reused the id under a new leader
-            mgr = self._cluster_mgr
-            job_id = (f"job-r{self.cluster.node_id}."
-                      f"{mgr.core.term if mgr else 0}.{self._job_seq}")
-        else:
-            job_id = f"job-{self._job_seq}"
+        # globally unique across leaders: a surviving worker's stale
+        # in-flight result must never complete a *different* job that
+        # reused the id under a new leader
+        job_id = (f"job-r{self.cluster.node_id}."
+                  f"{self._cluster_mgr.core.term}.{self._job_seq}")
         job = _Job(job_id=job_id, client=conn, units=units,
                    values=[None] * len(units), remaining=len(units),
                    warmup_snapshots=bool(msg.get("warmup_snapshots")),
@@ -744,11 +725,9 @@ class Coordinator:
                      units_completed=self.units_completed,
                      heartbeats_seen=self.heartbeats_seen,
                      results_cached=len(self._results))
-        reply = {"type": "status_reply", "workers": workers,
-                 "stats": stats, "pid": os.getpid()}
-        if self._cluster_mgr is not None:
-            reply["cluster"] = self._cluster_mgr.status()
-        return reply
+        return {"type": "status_reply", "workers": workers,
+                "stats": stats, "pid": os.getpid(),
+                "cluster": self._cluster_mgr.status()}
 
     # ------------------------------------------------------------------
     # dispatch + liveness

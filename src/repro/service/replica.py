@@ -118,9 +118,8 @@ class SchedulerMachine:
         return "ok"
 
     def _op_dispatch(self, cmd: Dict[str, Any]) -> Any:
-        """Assign pending units to idle workers (the full loop the
-        solo coordinator ran inline) — one logged command, so every
-        replica agrees on who runs what."""
+        """Assign pending units to idle workers — the whole loop as
+        one logged command, so every replica agrees on who runs what."""
         out: List[Dict[str, Any]] = []
         while True:
             assigned = False
@@ -207,29 +206,35 @@ _APPLIERS = {
 class ReplicaLog:
     """The ordered ``(term, command)`` log. Indices are 1-based (0 is
     the empty sentinel), matching the Raft convention so the matching
-    rule reads like the paper's."""
+    rule reads like the paper's. Entries exist for peers' catch-up: a
+    core without peers discards what it delivered, and ``base`` (the
+    dropped prefix) keeps the indices counting."""
 
     def __init__(self) -> None:
         self.entries: List[Tuple[int, Dict[str, Any]]] = []
+        self.base = 0        # entries dropped from the front
+        self.base_term = 0   # term of entry ``base`` (0: the sentinel)
 
     def last_index(self) -> int:
-        return len(self.entries)
+        return self.base + len(self.entries)
 
     def term_at(self, index: int) -> int:
-        if index == 0:
-            return 0
-        return self.entries[index - 1][0]
+        if index == self.base:
+            return self.base_term
+        return self.entries[index - self.base - 1][0]
+
+    def command_at(self, index: int) -> Dict[str, Any]:
+        return self.entries[index - self.base - 1][1]
 
     def append(self, term: int, cmd: Dict[str, Any]) -> int:
         self.entries.append((term, cmd))
-        return len(self.entries)
+        return self.last_index()
 
     def matches(self, prev_index: int, prev_term: int) -> bool:
         """Log-matching check: do we hold ``prev_index`` with
         ``prev_term``? (index 0 always matches — the empty prefix)."""
-        if prev_index > len(self.entries):
-            return False
-        return self.term_at(prev_index) == prev_term
+        return (self.base <= prev_index <= self.last_index()
+                and self.term_at(prev_index) == prev_term)
 
     def splice(self, prev_index: int,
                entries: List[Tuple[int, Dict[str, Any]]]) -> None:
@@ -238,16 +243,23 @@ class ReplicaLog:
         for re-delivered prefixes."""
         for offset, (term, cmd) in enumerate(entries):
             index = prev_index + 1 + offset
-            if index <= len(self.entries):
-                if self.entries[index - 1][0] == term:
+            if index <= self.last_index():
+                if self.term_at(index) == term:
                     continue  # already have it
-                del self.entries[index - 1:]  # conflict: truncate
+                del self.entries[index - self.base - 1:]  # conflict
             self.entries.append((term, cmd))
 
     def slice_from(self, index: int, limit: int
                    ) -> List[Tuple[int, Dict[str, Any]]]:
         """Entries starting at 1-based ``index`` (at most ``limit``)."""
-        return self.entries[index - 1:index - 1 + limit]
+        start = index - self.base - 1
+        return self.entries[start:start + limit]
+
+    def discard_through(self, index: int) -> None:
+        """Forget the entries up to ``index``; indices are unchanged."""
+        self.base_term = self.term_at(index)
+        del self.entries[:index - self.base]
+        self.base = index
 
 
 # ----------------------------------------------------------------------
@@ -385,8 +397,7 @@ class ConsensusCore:
         """Leader-only: put a command in the log; returns its index."""
         assert self.role == LEADER
         index = self.log.append(self.term, cmd)
-        if self.n_nodes == 1:  # single-replica degenerate quorum
-            self.advance_commit()
+        self.advance_commit()  # a quorum of one commits here and now
         return index
 
     def append_for(self, peer: int) -> Dict[str, Any]:
@@ -461,5 +472,7 @@ class ConsensusCore:
         while self.delivered < self.commit_index:
             self.delivered += 1
             out.append((self.delivered,
-                        self.log.entries[self.delivered - 1][1]))
+                        self.log.command_at(self.delivered)))
+        if not self.peers():  # nobody to catch up: retain nothing
+            self.log.discard_through(self.delivered)
         return out

@@ -43,7 +43,7 @@ from repro.service.errors import (ConnectionClosed, FrameError,
 from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
                                     encode_frame, read_msg_async)
 
-__all__ = ["Worker", "parse_address", "parse_addresses",
+__all__ = ["Worker", "parse_address", "parse_addresses", "LeaderHunt",
            "service_child_env"]
 
 
@@ -95,8 +95,8 @@ def parse_address(address: str) -> Tuple[str, int]:
 def parse_addresses(address: str) -> list:
     """``host:port[,host:port...]`` -> list of addresses (validated).
 
-    One address is a solo coordinator; several are the replicas of a
-    clustered one — clients and workers dial until one answers
+    One address is a quorum of one; several are the replicas of a
+    larger one — clients and workers dial until one answers
     ``welcome`` (following ``redirect`` frames to the leader)."""
     addrs = [a.strip() for a in address.split(",") if a.strip()]
     if not addrs:
@@ -104,6 +104,29 @@ def parse_addresses(address: str) -> list:
     for a in addrs:
         parse_address(a)
     return addrs
+
+
+class LeaderHunt:
+    """The dial order of one sign-in round: the last-known leader,
+    then the configured replicas; :meth:`redirect` moves the leader a
+    follower named to the front — unless it was already dialed, and at
+    most ``2 * len(addresses)`` times, so stale hints end the round."""
+
+    def __init__(self, addresses: list, hint: Optional[str] = None) -> None:
+        self._todo = list(dict.fromkeys(
+            ([hint] if hint else []) + addresses))
+        self._dialed: set = set()
+        self._redirects_left = 2 * len(addresses)
+
+    def __iter__(self):
+        while self._todo:
+            self._dialed.add(self._todo[0])
+            yield self._todo.pop(0)
+
+    def redirect(self, leader: Optional[str]) -> None:
+        if leader and self._redirects_left and leader not in self._dialed:
+            self._todo = [leader] + [a for a in self._todo if a != leader]
+            self._redirects_left -= 1
 
 
 def service_child_env() -> Dict[str, str]:
@@ -125,29 +148,30 @@ def service_child_env() -> Dict[str, str]:
     return env
 
 
-def spawn_worker_process(address: str, *, name: Optional[str] = None,
-                         verbose: bool = False, capture: bool = False):
-    """Start a worker as a detached OS process attached to ``address``
-    (which may be a comma-separated replica list).
-
-    The one spawn recipe (``python -m repro.service worker``, with this
-    checkout's ``src`` prepended to ``PYTHONPATH``) shared by the fleet
-    CLI, the examples, and the chaos tests that SIGKILL the result.
-    ``capture=True`` silences stdout/stderr (test fleets).
-    Returns the ``subprocess.Popen``.
-    """
+def spawn_service_process(argv: list, verbose: bool, capture: bool):
+    """The one spawn recipe: ``python -m repro.service *argv`` as an
+    OS process with this checkout's ``src`` on ``PYTHONPATH`` — shared
+    by the fleet CLI, the examples and the chaos tests that SIGKILL the
+    result. ``capture=True`` silences it. Returns the ``Popen``."""
     import subprocess
     import sys
 
-    env = service_child_env()
-    cmd = [sys.executable, "-m", "repro.service", "worker",
-           "--connect", address]
-    if name:
-        cmd += ["--name", name]
+    cmd = [sys.executable, "-m", "repro.service", *argv]
     if verbose:
-        cmd += ["--verbose"]
+        cmd.append("--verbose")
     sink = subprocess.DEVNULL if capture else None
-    return subprocess.Popen(cmd, env=env, stdout=sink, stderr=sink)
+    return subprocess.Popen(cmd, env=service_child_env(),
+                            stdout=sink, stderr=sink)
+
+
+def spawn_worker_process(address: str, *, name: Optional[str] = None,
+                         verbose: bool = False, capture: bool = False):
+    """Start a worker process attached to ``address`` (which may be a
+    comma-separated replica list)."""
+    argv = ["worker", "--connect", address]
+    if name:
+        argv += ["--name", name]
+    return spawn_service_process(argv, verbose, capture)
 
 
 class Worker:
@@ -236,9 +260,9 @@ class Worker:
         if self._stopping.is_set():  # stop() raced run()
             return
         # Session loop: sign in somewhere, serve until the connection
-        # ends, then (replicated fleets only) hunt for the new leader.
-        # A solo-address worker keeps the old exit-on-loss semantics —
-        # the fleet CLI's respawner owns its lifecycle.
+        # ends, then (several addresses only) hunt for the new leader.
+        # A single-address worker exits on loss — the fleet CLI's
+        # respawner owns its lifecycle.
         window_start = self._loop.time()
         while not self._stopping.is_set():
             outcome = await self._session()
@@ -268,24 +292,15 @@ class Worker:
         ``"unreachable"`` (nobody welcomed us this round).
         Protocol-level complaints (:class:`ProtocolMismatch`,
         :class:`ServiceError`) stay loud and propagate."""
-        candidates = list(dict.fromkeys(
-            ([self._leader_hint] if self._leader_hint else [])
-            + self.addresses))
+        hunt = LeaderHunt(self.addresses, self._leader_hint)
         self._leader_hint = None
-        redirects = 0
-        i = 0
-        while i < len(candidates) and not self._stopping.is_set():
-            addr = candidates[i]
-            i += 1
+        for addr in hunt:
+            if self._stopping.is_set():
+                break
             try:
                 return await self._serve_at(addr)
             except _Redirected as red:
-                # a follower told us who leads; try it next (bounded,
-                # deduped — a stale hint must not loop us forever)
-                if (red.leader and redirects < 2 * len(self.addresses)
-                        and red.leader not in candidates[:i]):
-                    candidates.insert(i, red.leader)
-                    redirects += 1
+                hunt.redirect(red.leader)  # a follower named the leader
             except (ConnectionClosed, FrameError, OSError,
                     asyncio.TimeoutError) as exc:
                 self._log(f"{addr} unreachable ({exc})")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -34,6 +35,8 @@ from repro.harness.units import SweepUnit
 from repro.params import Organization
 from repro.service import (Coordinator, JobFailed, ServiceClient, Worker,
                            pick_free_ports, spawn_coordinator_process)
+from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
+                                    encode_frame, recv_msg)
 from repro.service.worker import spawn_worker_process
 
 BENCH = "water_spatial"
@@ -279,6 +282,41 @@ class TestLeaderKill:
                     p.wait(timeout=10)
                 except Exception:
                     p.kill()
+
+
+class TestSpawnedCoordinatorOptions:
+    def test_heartbeat_timeout_reaches_the_spawned_coordinator(self):
+        """``fleet --heartbeat-timeout T`` goes through
+        ``spawn_coordinator_process``; it used to drop T on the floor
+        (every spawned replica ran with 8 s). A worker that signs in
+        and then falls silent must be dropped on *our* clock."""
+        addrs = [f"127.0.0.1:{pick_free_ports(1)[0]}"]
+        proc = spawn_coordinator_process(addrs, 0, heartbeat_timeout=0.5,
+                                         capture=True)
+        sock = None
+        try:
+            with ServiceClient(addrs[0], row_timeout=10.0) as mon:
+                host, port = addrs[0].rsplit(":", 1)
+                sock = socket.create_connection((host, int(port)),
+                                                timeout=10)
+                sock.sendall(encode_frame(
+                    {"type": "hello", "role": "worker", "name": "mute",
+                     "protocol": PROTOCOL_VERSION, "pid": 1}))
+                assert recv_msg(sock, FrameDecoder())["type"] == "welcome"
+                signed_in = time.monotonic()
+                assert mon.status()["stats"]["workers"] == 1
+                while mon.status()["stats"]["workers"]:
+                    assert time.monotonic() - signed_in < 3.0, \
+                        "silent worker outlived --heartbeat-timeout 0.5"
+                    time.sleep(0.05)
+        finally:
+            if sock is not None:
+                sock.close()
+            proc.terminate()
+            try:
+                proc.wait(timeout=10)
+            except Exception:
+                proc.kill()
 
 
 class TestCacheStoreHygiene:

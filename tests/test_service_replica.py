@@ -23,8 +23,10 @@ The process-level leader-SIGKILL campaign lives in
 
 from __future__ import annotations
 
+import asyncio
 import json
 import random
+import socket
 import threading
 import time
 
@@ -33,11 +35,15 @@ import pytest
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.units import SweepUnit, unit_from_wire
 from repro.params import Organization
-from repro.service import (ClusterConfig, Coordinator, ServiceClient,
-                           ServiceError, Worker, pick_free_ports)
+from repro.service import (ClusterConfig, ClusterManager, Coordinator,
+                           ServiceClient, ServiceError, Worker,
+                           pick_free_ports)
+from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
+                                    encode_frame, recv_msg, send_msg)
 from repro.service.replica import (CANDIDATE, FOLLOWER, LEADER,
                                    ConsensusCore, ReplicaLog,
                                    SchedulerMachine)
+from repro.service.worker import LeaderHunt, parse_address
 
 BENCH = "water_spatial"
 
@@ -294,6 +300,63 @@ class TestConsensusCore:
         solo.append_command({"op": "dispatch"})
         assert solo.commit_index == 1
 
+    def test_peerless_core_retains_no_delivered_entries(self):
+        """Entries exist for peers' catch-up: a core without peers
+        drops what it delivered, and the indices keep counting."""
+        solo = ConsensusCore(0, 1)
+        solo.start_election()
+        solo.on_vote_reply({"type": "replica-vote-reply", "term": 1,
+                            "voter": 0, "granted": True})
+        for n in range(1, 6):
+            assert solo.append_command({"op": "dispatch", "n": n}) == n
+            assert solo.take_committed() == [
+                (n, {"op": "dispatch", "n": n})]
+            assert solo.log.entries == []
+            assert solo.log.last_index() == solo.commit_index == n
+            assert solo.log.term_at(n) == 1
+        assert solo.take_committed() == []
+        # an undelivered tail is kept until it is delivered
+        solo.append_command({"op": "reset"})
+        assert len(solo.log.entries) == 1
+        # the next election still advertises the true log position
+        req = solo.start_election()
+        assert (req["last_index"], req["last_term"]) == (6, 1)
+
+    def test_log_offset_keeps_matching_and_splicing_exact(self):
+        log = ReplicaLog()
+        for n in range(1, 5):
+            log.append(1, {"n": n})
+        log.discard_through(2)
+        assert (log.base, log.last_index(), len(log.entries)) == (2, 4, 2)
+        assert log.term_at(2) == 1 and log.command_at(3) == {"n": 3}
+        assert log.matches(2, 1) and log.matches(4, 1)
+        assert not log.matches(1, 1)   # discarded: cannot vouch for it
+        assert not log.matches(5, 1)
+        assert log.slice_from(3, 64) == [(1, {"n": 3}), (1, {"n": 4})]
+        log.splice(3, [(2, {"n": "x"}), (2, {"n": "y"})])  # conflict @4
+        assert log.slice_from(3, 64) == [
+            (1, {"n": 3}), (2, {"n": "x"}), (2, {"n": "y"})]
+        assert log.last_index() == 5 and log.term_at(5) == 2
+
+    def test_leader_with_peers_retains_log_for_empty_rejoiner(self):
+        """Retention is unchanged when peers exist: a follower that
+        rejoins with an empty log is caught up from index 1."""
+        leader, f1, _ = self._elect()
+        for n in range(5):
+            leader.append_command({"op": "dispatch", "n": n})
+            leader.on_append_ack(f1.on_append(leader.append_for(1)))
+        assert leader.commit_index == 5
+        assert len(leader.take_committed()) == 5
+        assert leader.log.base == 0 and len(leader.log.entries) == 5
+        reborn = ConsensusCore(2, 3)  # node 2 lost its (memory) log
+        for _ in range(20):
+            ack = reborn.on_append(leader.append_for(2))
+            leader.on_append_ack(ack)
+            if ack["ok"] and ack["match"] == 5:
+                break
+        assert reborn.log.entries == leader.log.entries
+        assert [i for i, _ in reborn.take_committed()] == [1, 2, 3, 4, 5]
+
 
 # ----------------------------------------------------------------------
 # (term, vote) durability
@@ -352,6 +415,56 @@ class TestConsensusPersistence:
 
 
 # ----------------------------------------------------------------------
+# the leader hunt (one rule, shared by client and worker)
+# ----------------------------------------------------------------------
+class TestLeaderHunt:
+    def test_hint_first_then_configured_replicas_deduplicated(self):
+        assert list(LeaderHunt(["a:1", "b:2", "c:3"], "b:2")) == [
+            "b:2", "a:1", "c:3"]
+        assert list(LeaderHunt(["a:1"])) == ["a:1"]
+
+    def test_redirect_splices_the_named_leader_in_next(self):
+        hunt = LeaderHunt(["a:1", "b:2", "c:3"])
+        dial = iter(hunt)
+        assert next(dial) == "a:1"
+        hunt.redirect("c:3")
+        assert list(dial) == ["c:3", "b:2"]  # moved up, not repeated
+        hunt.redirect("a:1")  # already dialed this round: ignored
+        assert list(hunt) == []
+
+    def test_replica_redirecting_to_a_stale_address_terminates(self):
+        """Every dial answers ``redirect`` to the same dead address:
+        it is tried once, then the round ends."""
+        hunt = LeaderHunt(["a:1", "b:2"])
+        dialed = []
+        for addr in hunt:
+            dialed.append(addr)
+            hunt.redirect("stale:9")
+        assert dialed == ["a:1", "stale:9", "b:2"]
+
+    def test_ever_new_redirects_are_bounded(self):
+        """A (buggy or hostile) replica naming a fresh leader on every
+        dial cannot keep the round going: at most ``2 * len(addresses)``
+        redirects are followed."""
+        addresses = ["a:1", "b:2", "c:3"]
+        hunt = LeaderHunt(addresses)
+        dialed = []
+        for addr in hunt:
+            dialed.append(addr)
+            hunt.redirect(f"fresh:{len(dialed)}")
+            assert len(dialed) < 100, "the hunt never terminated"
+        assert len(dialed) == len(addresses) + 2 * len(addresses)
+        assert [a for a in dialed if a in addresses] == addresses
+
+    def test_empty_redirect_is_ignored(self):
+        hunt = LeaderHunt(["a:1", "b:2"])
+        dial = iter(hunt)
+        next(dial)
+        hunt.redirect(None)  # mid-election follower: no leader known
+        assert list(dial) == ["b:2"]
+
+
+# ----------------------------------------------------------------------
 # live in-process cluster
 # ----------------------------------------------------------------------
 def _start_cluster(n=3, **coord_kw):
@@ -377,6 +490,159 @@ def _wait_for_workers(address: str, count: int,
                 return
             time.sleep(0.05)
     raise AssertionError(f"fleet never reached {count} workers")
+
+
+def _dial(address: str, *frames) -> socket.socket:
+    """Raw socket with ``frames`` already written in one burst."""
+    sock = socket.create_connection(parse_address(address), timeout=10)
+    sock.sendall(b"".join(encode_frame(f) for f in frames))
+    return sock
+
+
+def _assert_stranger_cannot_depose(coord: Coordinator) -> None:
+    """A ``replica-hello`` from a node outside the membership gets the
+    typed error frame before any consensus frame is handled: its
+    term-99 vote request must not touch the leader."""
+    core = coord._cluster_mgr.core
+    before = (core.term, core.role, sorted(coord._workers))
+    assert before[1] == LEADER and before[2]
+    sock = _dial(coord.address,
+                 {"type": "replica-hello", "node": 7,
+                  "protocol": PROTOCOL_VERSION},
+                 {"type": "replica-vote", "term": 99, "candidate": 7,
+                  "last_index": 10 ** 6, "last_term": 99})
+    try:
+        reply = recv_msg(sock, FrameDecoder())
+    finally:
+        sock.close()
+    assert reply["type"] == "error"
+    assert "not a member" in reply["error"]
+    with ServiceClient(coord.address) as client:  # still serving
+        status = client.status()
+    assert status["cluster"]["term"] == before[0]
+    assert (core.term, core.role, sorted(coord._workers)) == before
+    assert sorted(w["name"] for w in status["workers"]) == before[2]
+
+
+class TestQuorumOfOne:
+    """``Coordinator()`` is a one-member quorum on the same commit
+    path as any replica — with none of a quorum's waiting."""
+
+    def test_first_hello_is_welcomed_by_the_term_1_leader(self):
+        coord = Coordinator()
+        address = coord.start()
+        try:
+            sock = _dial(address, {"type": "hello", "role": "client",
+                                   "protocol": PROTOCOL_VERSION})
+            try:
+                dec = FrameDecoder()
+                assert recv_msg(sock, dec)["type"] == "welcome"
+                send_msg(sock, {"type": "status"})
+                cluster = recv_msg(sock, dec)["cluster"]
+            finally:
+                sock.close()
+            assert cluster["role"] == "leader"
+            assert cluster["term"] == 1
+            assert cluster["leader"] == address
+            assert cluster["peers_connected"] == 0
+        finally:
+            coord.stop()
+
+    def test_commit_never_suspends_without_peers(self):
+        """The leader alone is the majority: ``commit`` finishes in
+        its first step, so nothing can interleave between a result
+        arriving and its row leaving."""
+        async def main():
+            machine = SchedulerMachine()
+            mgr = ClusterManager(
+                ClusterConfig(node_id=0, addresses=["127.0.0.1:1"]),
+                machine, on_apply=lambda cmd, result: None,
+                on_role_change=lambda won: None)
+            mgr.start()  # no election wait either
+            assert mgr.is_leader and mgr.core.term == 1
+            step = mgr.commit({"op": "worker_add", "name": "w0"})
+            with pytest.raises(StopIteration) as finished:
+                step.send(None)  # a suspension would yield a future
+            assert finished.value.value == "ok"
+            assert machine.sched.worker_names() == ["w0"]
+            await mgr.stop()
+
+        asyncio.run(main())
+
+    def test_log_is_not_retained_but_keeps_counting(self):
+        coord = Coordinator()
+        address = coord.start()
+        worker = Worker(address, name="w0", heartbeat_interval=0.5)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            _wait_for_workers(address, 1)
+            with ServiceClient(address) as client:
+                for seed in (1, 2, 3):
+                    units = [unit(seed=seed), unit(seed=seed,
+                                                   metric="mpki")]
+                    assert client.run_units(units) == [
+                        u.run() for u in units]
+                cluster = client.status()["cluster"]
+            core = coord._cluster_mgr.core
+            assert core.log.entries == []
+            assert cluster["log"] == cluster["commit"] \
+                == coord._machine.applied >= 3 * 4
+        finally:
+            coord.stop()
+            worker.stop()
+            thread.join(timeout=10)
+
+    def test_stop_still_dismisses_the_workers(self):
+        """No committed ``shutdown`` needed: the last replica of a
+        quorum stopping *is* the fleet stopping."""
+        coord = Coordinator()
+        address = coord.start()
+        sock = _dial(address, {"type": "hello", "role": "worker",
+                               "protocol": PROTOCOL_VERSION,
+                               "name": "raw", "pid": 1})
+        try:
+            dec = FrameDecoder()
+            assert recv_msg(sock, dec)["type"] == "welcome"
+            coord.stop()
+            assert recv_msg(sock, dec) == {"type": "shutdown"}
+        finally:
+            sock.close()
+            coord.stop()
+
+    def test_client_shutdown_skips_the_follower_grace(self):
+        """The 0.3 s pause lets a commit-index broadcast reach the
+        followers; without followers nothing is scheduled later."""
+        coord = Coordinator()
+        address = coord.start()
+        loop = coord._loop
+        graces = []
+        real_call_later = loop.call_later
+
+        def spy(delay, callback, *args, **kw):
+            if callback == coord._request_shutdown:
+                graces.append(delay)
+            return real_call_later(delay, callback, *args, **kw)
+
+        loop.call_later = spy
+        with ServiceClient(address) as client:
+            client.shutdown()
+        assert coord.wait(timeout=10)
+        assert graces == []
+
+    def test_stranger_replica_cannot_depose_a_fresh_coordinator(self):
+        coord = Coordinator()
+        address = coord.start()
+        worker = Worker(address, name="w0", heartbeat_interval=0.5)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            _wait_for_workers(address, 1)
+            _assert_stranger_cannot_depose(coord)
+        finally:
+            coord.stop()
+            worker.stop()
+            thread.join(timeout=10)
 
 
 class TestReplicatedCluster:
@@ -476,12 +742,38 @@ class TestReplicatedCluster:
         client still gets the PR-6 JobFailed contract (pinned by
         test_service_chaos.TestCoordinatorDeath too)."""
         coords, addrs = _start_cluster(1)
+        worker = Worker(addrs[0], name="w0", heartbeat_interval=0.5)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
         try:
             with ServiceClient(addrs[0]) as client:
                 assert client.failover is False
+                _wait_for_workers(addrs[0], 1)
+                units = [unit(seed=1), unit(seed=2, metric="mpki")]
+                assert client.run_units(units) == [u.run() for u in units]
         finally:
             for c in coords:
                 c.stop()
+            worker.stop()
+            thread.join(timeout=10)
+
+    def test_stranger_replica_cannot_depose_a_live_leader(self):
+        coords, addrs = _start_cluster(3)
+        addr_list = ",".join(addrs)
+        worker = Worker(addr_list, name="w0", heartbeat_interval=0.5)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            _wait_for_workers(addr_list, 1)
+            with ServiceClient(addr_list) as client:
+                leader = client.leader_address
+            _assert_stranger_cannot_depose(
+                next(c for c in coords if c.address == leader))
+        finally:
+            for c in coords:
+                c.stop()
+            worker.stop()
+            thread.join(timeout=10)
 
     def test_cluster_shutdown_rides_the_log(self):
         """One client shutdown stops every replica, not just the
