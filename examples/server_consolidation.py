@@ -12,7 +12,8 @@ Run:  python examples/server_consolidation.py
 """
 
 from repro import Organization
-from repro.harness.experiment import run_workload
+from repro.harness.experiment import ExperimentConfig, run_benchmark
+from repro.traces.multiprogram import CLUSTER_SHAPE
 
 WORKLOAD = "W1"   # nlu + swaptions + water_nsq + water_spatial, 4x each
 SCALE = 0.4
@@ -22,7 +23,9 @@ def main() -> None:
     rows = []
     for org in (Organization.SHARED, Organization.LOCO_CC,
                 Organization.LOCO_CC_VMS_IVR):
-        result = run_workload(WORKLOAD, org, scale=SCALE, seed=11)
+        result = run_benchmark(ExperimentConfig(
+            WORKLOAD, org, cluster=CLUSTER_SHAPE[WORKLOAD], scale=SCALE,
+            seed=11))
         rows.append((org, result))
         print(f"{org.value:18s} runtime={result.runtime:8d}  "
               f"off-chip accesses={result.offchip_accesses:6d}")

@@ -8,7 +8,6 @@ coverage of the dominant sweep shapes is the design point.
 
 A unit is batchable when:
 
-* it is a plain :class:`SweepUnit` (workloads never batch),
 * ``cores == 1`` on a ``(1, 1)`` cluster — the single-tile regime in
   which the event machine has a closed form (see
   :mod:`repro.batch.engine`),
@@ -34,7 +33,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.harness.experiment import HierarchyAxes, _traces_for
+from repro.harness.experiment import (HierarchyAxes, _trace_key,
+                                      _traces_for)
 from repro.harness.units import SweepUnit, reduce_result
 from repro.params import NocKind, Organization
 
@@ -67,10 +67,8 @@ def _metric_ok(metric: Any) -> bool:
     return False
 
 
-def batchable(unit: Any) -> bool:
+def batchable(unit: SweepUnit) -> bool:
     """Can this unit ride a lockstep batch (bit-identically)?"""
-    if not isinstance(unit, SweepUnit):
-        return False
     exp = unit.exp
     return (exp.cores == 1
             and tuple(exp.cluster) == (1, 1)
@@ -101,7 +99,7 @@ def group_shape(unit: SweepUnit) -> GroupShape:
         dir_lat=cfg.memory.directory_latency)
 
 
-def run_batched(units: List[Any], batch: int) -> Dict[int, Any]:
+def run_batched(units: List[SweepUnit], batch: int) -> Dict[int, Any]:
     """Run every batchable unit in lockstep groups of up to ``batch``.
 
     Returns ``{index-in-units: reduced value}`` for the units the
@@ -126,8 +124,7 @@ def run_batched(units: List[Any], batch: int) -> Dict[int, Any]:
             continue  # scalar path reports the canonical error
         if not trace:
             continue  # empty trace: scalar degenerate case
-        tkey = (exp.benchmark, exp.cores, exp.scale, exp.full_system,
-                exp.seed)
+        tkey = _trace_key(exp)
         packed = pack_cache.get(tkey)
         if packed is None:
             packed = pack_cache[tkey] = pack_trace(trace)

@@ -1,6 +1,6 @@
 """Experiment harness: one entry point per paper figure."""
 
-from repro.harness.experiment import ExperimentConfig, run_benchmark, run_workload
+from repro.harness.experiment import ExperimentConfig, run_benchmark
 from repro.harness.parallel import aggregate_stats
 from repro.harness.report import format_table, normalize
 from repro.harness.sweep import best, sweep
@@ -13,7 +13,6 @@ from repro.harness import figures
 __all__ = [
     "ExperimentConfig",
     "run_benchmark",
-    "run_workload",
     "format_table",
     "normalize",
     "best",

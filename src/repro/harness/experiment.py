@@ -30,14 +30,17 @@ from repro.params import (HierarchyConfig, NocKind, Organization,
                           SystemConfig, paper_config)
 from repro.traces.benchmarks import get_benchmark
 from repro.traces.events import TraceEvent
-from repro.traces.multiprogram import CLUSTER_SHAPE, build_workload
+from repro.traces.dataflow import dataflow_traces
+from repro.traces.multiprogram import WORKLOADS, build_workload
 from repro.traces.synthetic import generate_traces
 
 #: trace-length scaling presets (DESIGN.md §5)
 SCALE_SMALL = 0.25    # benches / CI
 SCALE_MEDIUM = 1.0    # EXPERIMENTS.md numbers
 
-_trace_cache: Dict[Tuple, Tuple[List[List[TraceEvent]], Optional[List[int]]]] = {}
+#: (per-core traces, barrier populations or None)
+_Traces = Tuple[List[List[TraceEvent]], Optional[List[int]]]
+_trace_cache: Dict[Tuple, _Traces] = {}
 
 
 @dataclass(frozen=True)
@@ -88,9 +91,14 @@ _DEFAULT_HIERARCHY = HierarchyAxes()
 class ExperimentConfig:
     """What to run: workload x machine.
 
+    ``benchmark`` names the traces the cores replay: a preset, a
+    ``leak_*`` / ``dataflow_*`` scenario, or a Table-2 multi-program
+    workload (``"W0"``-``"W9"``; pass the paper's shape for it as
+    ``cluster=CLUSTER_SHAPE[name]``).
+
     The machine-shaping axes live in two frozen, keyword-only
     sub-configs: ``spec`` (:class:`SpecAxes`) and ``hierarchy``
-    (:class:`HierarchyAxes`). ``repr`` (and therefore ``unit_key``/
+    (:class:`HierarchyAxes`). ``repr`` (and therefore ``SweepUnit.key``/
     ``warmup_key`` hashing and the warmup-image cache identity) of any
     default-hierarchy config is pinned byte-identical to the
     pre-grouping flat-field era by regression tests.
@@ -119,7 +127,7 @@ class ExperimentConfig:
                                      default_factory=HierarchyAxes)
 
     def __repr__(self) -> str:
-        # The flat-era repr, byte-for-byte: warmup_key/unit_key hash
+        # The flat-era repr, byte-for-byte: warmup_key/SweepUnit.key hash
         # repr, so any config expressible before the axis grouping must
         # render exactly as it did then (warmup images and sweep caches
         # stay valid across the redesign). Only a non-default hierarchy
@@ -154,32 +162,54 @@ class ExperimentConfig:
 SWEEP_AXES = frozenset(f.name for f in fields(ExperimentConfig))
 
 
-def _traces_for(exp: ExperimentConfig
-                ) -> Tuple[List[List[TraceEvent]], Optional[List[int]]]:
-    if exp.benchmark.startswith("leak_"):
-        # Leakage scenarios derive the probe-line table from the cache
-        # geometry, so their cache key carries the geometry fields too.
-        key = ("leak", exp.benchmark, exp.cores, exp.seed,
-               exp.cache_scale, exp.cluster)
-        if key not in _trace_cache:
-            from repro.harness.leakage import build_leak_traces
-            _trace_cache[key] = build_leak_traces(exp)
-        return _trace_cache[key]
-    if exp.benchmark.startswith("dataflow_"):
-        key = ("dataflow", exp.benchmark, exp.cores, exp.scale, exp.seed)
-        if key not in _trace_cache:
-            from repro.traces.dataflow import dataflow_traces
-            traces = dataflow_traces(exp.benchmark, exp.cores,
-                                     scale=exp.scale, seed=exp.seed)
-            _trace_cache[key] = (traces, None)
-        return _trace_cache[key]
-    key = ("bench", exp.benchmark, exp.cores, exp.scale, exp.full_system,
-           exp.seed)
+def _build_leak(exp: ExperimentConfig) -> _Traces:
+    from repro.harness.leakage import build_leak_traces  # imports us
+    return build_leak_traces(exp)
+
+
+#: The four trace families a benchmark name can select; the first row
+#: claiming the name wins: (claims the name?, the config fields that
+#: key its traces besides the name, builder -> (traces, populations)).
+_TRACE_FAMILIES = (
+    # leakage scenarios derive the probe-line table from the cache
+    # geometry, so their key carries the geometry fields too
+    (lambda name: name.startswith("leak_"),
+     ("cores", "seed", "cache_scale", "cluster"), _build_leak),
+    (lambda name: name.startswith("dataflow_"),
+     ("cores", "scale", "seed"),
+     lambda exp: (dataflow_traces(exp.benchmark, exp.cores,
+                                  scale=exp.scale, seed=exp.seed), None)),
+    # Table 2 (W0-W9): independent jobs, one barrier population each
+    (WORKLOADS.__contains__,
+     ("cores", "scale", "full_system", "seed"),
+     lambda exp: build_workload(exp.benchmark, num_cores=exp.cores,
+                                scale=exp.scale, seed=exp.seed,
+                                full_system=exp.full_system)),
+    (lambda name: True,
+     ("cores", "scale", "full_system", "seed"),
+     lambda exp: (generate_traces(
+         get_benchmark(exp.benchmark, scale=exp.scale,
+                       full_system=exp.full_system),
+         exp.cores, seed=exp.seed), None)),
+)
+
+
+def _trace_family(exp: ExperimentConfig) -> Tuple:
+    return next(row for row in _TRACE_FAMILIES if row[0](exp.benchmark))
+
+
+def _trace_key(exp: ExperimentConfig) -> Tuple:
+    """What identifies ``exp``'s traces: configs with equal keys replay
+    the same events (the paired comparison across organizations)."""
+    _claims, key_fields, _build = _trace_family(exp)
+    return (exp.benchmark, *(getattr(exp, name) for name in key_fields))
+
+
+def _traces_for(exp: ExperimentConfig) -> _Traces:
+    key = _trace_key(exp)
     if key not in _trace_cache:
-        spec = get_benchmark(exp.benchmark, scale=exp.scale,
-                             full_system=exp.full_system)
-        traces = generate_traces(spec, exp.cores, seed=exp.seed)
-        _trace_cache[key] = (traces, None)
+        _claims, _key_fields, build = _trace_family(exp)
+        _trace_cache[key] = build(exp)
     return _trace_cache[key]
 
 
@@ -269,7 +299,8 @@ def run_benchmark(exp: ExperimentConfig,
                   max_cycles: int = 50_000_000,
                   warmup_images: Optional[WarmupImageCache] = None
                   ) -> RunResult:
-    """Run one benchmark under one machine configuration.
+    """Run one benchmark (or Table-2 workload) under one machine
+    configuration.
 
     With ``warmup_images``, the run forks from the config prefix's
     warmup checkpoint when one exists (bit-identical to the cold path,
@@ -308,50 +339,6 @@ def run_benchmark(exp: ExperimentConfig,
         else:
             system.start()
     result = system.resume(max_cycles=max_cycles)
-    system.check_token_conservation()
-    return result
-
-
-def workload_config(name: str, organization: Organization,
-                    cores: int = 64, noc: NocKind = NocKind.SMART,
-                    cluster: Optional[Tuple[int, int]] = None,
-                    cache_scale: float = 0.125) -> SystemConfig:
-    """The machine configuration :func:`run_workload` builds for a
-    multi-program workload — factored out so the service tier can
-    reconstruct the *same* :class:`SystemConfig` when decoding a
-    wire-shipped ``RunResult`` (configs must not drift between the
-    worker that ran the unit and the client that reads it)."""
-    shape = cluster if cluster is not None else CLUSTER_SHAPE[name]
-    cfg = paper_config(cores, organization=organization)
-    cfg = cfg.with_cluster(*shape).with_noc(noc)
-    if cache_scale != 1.0:
-        cfg = cfg.with_cache_scale(cache_scale)
-    return cfg
-
-
-def run_workload(name: str, organization: Organization, cores: int = 64,
-                 noc: NocKind = NocKind.SMART, scale: float = SCALE_MEDIUM,
-                 seed: int = 1, full_system: bool = False,
-                 cluster: Optional[Tuple[int, int]] = None,
-                 warmup_fraction: float = 0.35,
-                 cache_scale: float = 0.125,
-                 max_cycles: int = 50_000_000) -> RunResult:
-    """Run one multi-program workload (Table 2) under an organization.
-
-    The cluster shape defaults to the paper's recommendation for the
-    workload (4x1 / 8x1 / 4x4)."""
-    key = ("mp", name, cores, scale, full_system, seed)
-    if key not in _trace_cache:
-        _trace_cache[key] = build_workload(name, num_cores=cores,
-                                           scale=scale, seed=seed,
-                                           full_system=full_system)
-    traces, populations = _trace_cache[key]
-    cfg = workload_config(name, organization, cores=cores, noc=noc,
-                          cluster=cluster, cache_scale=cache_scale)
-    system = CmpSystem(cfg, traces, full_system=full_system,
-                       barrier_populations=populations,
-                       warmup_fraction=warmup_fraction)
-    result = system.run(max_cycles=max_cycles)
     system.check_token_conservation()
     return result
 

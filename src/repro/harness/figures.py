@@ -29,18 +29,18 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from repro.harness.experiment import SCALE_MEDIUM, ExperimentConfig
-from repro.harness.parallel import Unit, run_units
+from repro.harness.parallel import run_units
 from repro.harness.report import format_table
-from repro.harness.units import SweepUnit, WorkloadUnit
+from repro.harness.units import SweepUnit
 from repro.params import NocKind, Organization
 from repro.traces.benchmarks import FULL_SYSTEM, TRACE_DRIVEN
-from repro.traces.multiprogram import workload_names
+from repro.traces.multiprogram import CLUSTER_SHAPE, workload_names
 
 Rows = Dict[str, Dict[str, float]]
 #: (title, the paper's headline for it, rows)
 Table = Tuple[str, str, Rows]
 #: a cell lookup: the metric dict of one simulated cell
-Lookup = Callable[[Unit], Mapping[str, Any]]
+Lookup = Callable[[SweepUnit], Mapping[str, Any]]
 #: a declaration with everything but the lookup bound
 Figure = Callable[[Lookup], List[Table]]
 
@@ -208,7 +208,7 @@ def fig15(v: Lookup, workloads: Optional[Sequence[str]] = None,
     runtime: Rows = {}
     for w in workloads or workload_names():
         shared, cc, ivr = (
-            v(WorkloadUnit(w, org, scale=scale, metric=METRICS))
+            v(_cell(w, org, cluster=CLUSTER_SHAPE[w], scale=scale))
             for org in (Organization.SHARED, Organization.LOCO_CC, _LOCO))
         base = max(1, shared["offchip_accesses"])
         offchip[w] = {"Shared": 1.0,
@@ -245,15 +245,15 @@ def fig16(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
-def figure_cells(fig: Figure) -> List[Unit]:
+def figure_cells(fig: Figure) -> List[SweepUnit]:
     """The cells a declaration reads, in first-use order, without
     simulating: its arithmetic is evaluated once against a recorder
     that answers 1.0 for every metric (no figure branches on a value).
     """
     ones = dict.fromkeys(METRICS, 1.0)
-    seen: Dict[Unit, None] = {}
+    seen: Dict[SweepUnit, None] = {}
 
-    def record(cell: Unit) -> Mapping[str, Any]:
+    def record(cell: SweepUnit) -> Mapping[str, Any]:
         seen[cell] = None
         return ones
 

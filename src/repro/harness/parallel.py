@@ -3,9 +3,11 @@
 Every figure of the paper is a sweep of *independent* full-system
 simulations (organizations x benchmarks x cluster sizes), so the
 experiment layer parallelizes trivially: each
-:class:`~repro.harness.units.SweepUnit` is simulated somewhere — in
-this process, in a ``ProcessPoolExecutor`` worker, or on a remote
-worker of the :mod:`repro.service` fleet — and reduced to a result row.
+:class:`~repro.harness.units.SweepUnit` (the one unit type; a Table-2
+multi-program workload is just its benchmark name) is simulated
+somewhere — in this process, in a ``ProcessPoolExecutor`` worker, or
+on a remote worker of the :mod:`repro.service` fleet — and reduced to
+a result row.
 Determinism is preserved everywhere — each run's RNG streams are seeded
 from its own :class:`ExperimentConfig` (``seed`` field), never from
 worker identity or scheduling order, so every backend returns
@@ -33,13 +35,11 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from repro.harness.experiment import WarmupImageCache
-from repro.harness.units import SweepUnit, WorkloadUnit
+from repro.harness.units import SweepUnit
 from repro.sim.snapshot import save_file
 from repro.sim.stats import Stats
 
 __all__ = ["run_units", "aggregate_stats", "pmap"]
-
-Unit = Union[SweepUnit, WorkloadUnit]
 
 
 def pmap(fn, items: Sequence[Any], jobs: Optional[int] = None) -> List[Any]:
@@ -60,7 +60,7 @@ def pmap(fn, items: Sequence[Any], jobs: Optional[int] = None) -> List[Any]:
         return list(pool.map(fn, items))
 
 
-def _run_unit(args: Tuple[Unit, Optional[WarmupImageCache]]) -> Any:
+def _run_unit(args: Tuple[SweepUnit, Optional[WarmupImageCache]]) -> Any:
     """Simulate one unit against the image store the dispatch chose
     (module-level so a pool can pickle it; a directory-backed store
     pickles as its path and each worker re-opens it)."""
@@ -77,7 +77,7 @@ def _copy_images(src: WarmupImageCache, dst: WarmupImageCache) -> None:
                 dst.put(key, blob)
 
 
-def run_units(units: Sequence[Unit],
+def run_units(units: Sequence[SweepUnit],
               jobs: Optional[int] = None,
               cache_dir: Optional[str] = None,
               warmup_snapshots: bool = False,
@@ -168,7 +168,7 @@ def run_units(units: Sequence[Unit],
     return out
 
 
-def _run_local(cells: List[Unit], on_row: Callable[[int, Any], None],
+def _run_local(cells: List[SweepUnit], on_row: Callable[[int, Any], None],
                jobs: Optional[int], warmup_snapshots: bool,
                warmup_cache: Union[None, str, WarmupImageCache]) -> None:
     """The in-process / process-pool backend of :func:`run_units`.
@@ -221,7 +221,7 @@ def _run_local(cells: List[Unit], on_row: Callable[[int, Any], None],
                 on_row(pos, value)
 
 
-def _cache_load(cache_dir: Optional[str], unit: Unit):
+def _cache_load(cache_dir: Optional[str], unit: SweepUnit):
     if cache_dir is None or unit.metric is None:
         return None
     path = os.path.join(cache_dir, unit.key() + ".json")
@@ -232,7 +232,8 @@ def _cache_load(cache_dir: Optional[str], unit: Unit):
         return None
 
 
-def _cache_store(cache_dir: Optional[str], unit: Unit, value) -> None:
+def _cache_store(cache_dir: Optional[str], unit: SweepUnit,
+                 value) -> None:
     if cache_dir is None or unit.metric is None:
         return
     if not isinstance(value, (int, float, dict)):

@@ -4,18 +4,18 @@ Every execution backend — the serial ``sweep`` loop, the
 ``ProcessPoolExecutor`` in :mod:`repro.harness.parallel`, and the
 distributed coordinator/worker service in :mod:`repro.service` — runs
 the same thing: *simulate one configuration and reduce it*.
-:class:`SweepUnit` (one benchmark x :class:`ExperimentConfig`) and
-:class:`WorkloadUnit` (one multi-program Table-2 workload) are those
-units, sharing one identity scheme (cache key), one warmup-prefix key
-(scheduling affinity), one wire encoding, and one execution path —
-which is what keeps every backend's rows bit-identical to each other.
+:class:`SweepUnit` (one :class:`ExperimentConfig` — a benchmark, a
+leakage or dataflow scenario, or a multi-program Table-2 workload — x
+horizon x metric) is that unit, the only one: one identity scheme
+(cache key), one warmup-prefix key (scheduling affinity), one wire
+encoding, and one execution path — which is what keeps every backend's
+rows bit-identical to each other.
 
-Wire completeness: every unit kind and every value a unit can reduce
-to — including the full :class:`~repro.cmp.system.RunResult` when
+Wire completeness: the unit and every value it can reduce to —
+including the full :class:`~repro.cmp.system.RunResult` when
 ``metric`` is None — has an exact JSON encoding here
 (:func:`encode_result` / :func:`decode_result`, keyed by a
-``__run_result__`` marker; units dispatch via ``kind`` through
-:func:`unit_from_wire`). JSON float round-tripping is repr-exact, so
+``__run_result__`` marker). JSON float round-tripping is repr-exact, so
 a result decoded from the wire reports every derived metric
 bit-identically to the in-process object it was encoded from.
 """
@@ -24,20 +24,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.cmp.system import RunResult
 from repro.errors import ConfigError
 from repro.harness.experiment import (ExperimentConfig, HierarchyAxes,
                                       SpecAxes, WarmupImageCache,
-                                      run_benchmark, run_workload,
-                                      workload_config)
+                                      run_benchmark)
 from repro.harness.experiment import warmup_key as _warmup_key
 from repro.params import NocKind, Organization, SystemConfig
 from repro.sim.stats import Stats
 
-__all__ = ["SweepUnit", "WorkloadUnit", "Metric", "metric_of",
-           "reduce_result", "unit_key", "unit_from_wire",
+__all__ = ["SweepUnit", "Metric", "metric_of", "reduce_result",
            "encode_result", "decode_result"]
 
 #: what a unit reduces to: the full ``RunResult`` (``None``), one scalar
@@ -46,11 +44,13 @@ Metric = Union[None, str, Tuple[str, ...]]
 
 
 def metric_of(result: Any, metric: str) -> Any:
-    """Extract one named metric from a ``RunResult``."""
-    if hasattr(result, metric):
-        return getattr(result, metric)
-    value = result.to_dict().get(metric)
+    """Extract one named metric from a ``RunResult``: a number, so it
+    fits a result row, the JSON cache and the wire. A name that finds
+    anything else (``stats``, ``config``, a method) is not a metric."""
+    value = getattr(result, metric, None)
     if value is None:
+        value = result.to_dict().get(metric)
+    if not isinstance(value, (int, float)):
         raise ConfigError(f"unknown metric {metric!r}")
     return value
 
@@ -77,19 +77,6 @@ def _check_metric(metric: Any) -> Metric:
                 and all(isinstance(m, str) for m in metric))):
         raise ConfigError(f"malformed metric: {metric!r}")
     return metric
-
-
-def unit_key(exp: ExperimentConfig, max_cycles: int, metric: Metric) -> str:
-    """Stable identity hash for one work unit.
-
-    ``ExperimentConfig`` is a frozen dataclass of scalars and enums, so
-    its repr is deterministic across processes and sessions (no ids,
-    no dict ordering hazards). The encoding for ``None``/``str``
-    metrics has never changed, so existing on-disk result caches stay
-    valid.
-    """
-    blob = f"{exp!r}|max_cycles={max_cycles}|metric={metric}"
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +134,9 @@ def encode_result(result: RunResult) -> Dict[str, Any]:
 
     Everything except the :class:`SystemConfig` rides the wire — the
     config is reconstructed from the *unit* on the receiving side
-    (:meth:`SweepUnit.decode_value` / :meth:`WorkloadUnit.decode_value`),
-    because the unit already determines it exactly and re-deriving it
-    is what guarantees the two can never disagree. All statistics state
+    (:meth:`SweepUnit.decode_value`), because the unit already
+    determines it exactly and re-deriving it is what guarantees the
+    two can never disagree. All statistics state
     (counters, sampler moments, histogram bins, the warmup mark) is
     JSON-exact, so every derived metric of the decoded result is
     bit-identical to the original's.
@@ -187,23 +174,6 @@ def decode_result(wire: Dict[str, Any],
         raise ConfigError(f"malformed encoded RunResult: {exc!r}") from exc
 
 
-def _encode_value(unit: Any, value: Any) -> Any:
-    """Make a unit's reduced value JSON-safe for the wire (the inverse
-    of ``decode_value``). Scalars and metric dicts pass through; a
-    full ``RunResult`` (metric None) is encoded."""
-    if unit.metric is None:
-        return encode_result(value)
-    return value
-
-
-def _decode_value(unit: Any, value: Any) -> Any:
-    """Rebuild a unit's in-process value from its wire form, against
-    the unit's own ``system_config()``."""
-    if unit.metric is None and is_encoded_result(value):
-        return decode_result(value, unit.system_config())
-    return value
-
-
 @dataclass(frozen=True)
 class SweepUnit:
     """One independent simulation: config x horizon x metric reduction."""
@@ -216,7 +186,17 @@ class SweepUnit:
         object.__setattr__(self, "metric", _check_metric(self.metric))
 
     def key(self) -> str:
-        return unit_key(self.exp, self.max_cycles, self.metric)
+        """Stable identity hash for this work unit.
+
+        ``ExperimentConfig`` is a frozen dataclass of scalars and
+        enums, so its repr is deterministic across processes and
+        sessions (no ids, no dict ordering hazards). The encoding for
+        ``None``/``str`` metrics has never changed, so existing on-disk
+        result caches stay valid.
+        """
+        blob = f"{self.exp!r}|max_cycles={self.max_cycles}" \
+               f"|metric={self.metric}"
+        return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
     @property
     def warmup_key(self) -> str:
@@ -233,12 +213,21 @@ class SweepUnit:
             run_benchmark(self.exp, max_cycles=self.max_cycles,
                           warmup_images=warmup_images), self.metric)
 
-    def system_config(self) -> SystemConfig:
-        return self.exp.system_config()
-
     # -- wire encoding (the service protocol ships units as JSON) ------
-    encode_value = _encode_value
-    decode_value = _decode_value
+    def encode_value(self, value: Any) -> Any:
+        """Make the reduced value JSON-safe for the wire (the inverse
+        of :meth:`decode_value`). Scalars and metric dicts pass
+        through; a full ``RunResult`` (metric None) is encoded."""
+        if self.metric is None:
+            return encode_result(value)
+        return value
+
+    def decode_value(self, value: Any) -> Any:
+        """Rebuild the in-process value from its wire form, against
+        this unit's own machine configuration."""
+        if self.metric is None and is_encoded_result(value):
+            return decode_result(value, self.exp.system_config())
+        return value
 
     def to_wire(self) -> Dict[str, Any]:
         exp = self.exp
@@ -271,7 +260,14 @@ class SweepUnit:
         return wire
 
     @staticmethod
-    def from_wire(wire: Dict[str, Any]) -> "SweepUnit":
+    def from_wire(wire: Any) -> "SweepUnit":
+        """Decode a wire unit. A missing ``kind`` means a v1-era sweep
+        unit — accepted, since its field set is identical."""
+        if not isinstance(wire, dict):
+            raise ConfigError(f"wire unit is not an object: "
+                              f"{type(wire).__name__}")
+        if wire.get("kind", "sweep") != "sweep":
+            raise ConfigError(f"unknown unit kind {wire['kind']!r}")
         try:
             exp = ExperimentConfig(
                 benchmark=wire["benchmark"],
@@ -294,133 +290,3 @@ class SweepUnit:
             return SweepUnit(exp, wire["max_cycles"], wire["metric"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed wire unit: {exc!r}") from exc
-
-
-@dataclass(frozen=True)
-class WorkloadUnit:
-    """One multi-program workload run (paper Table 2): the unit form
-    of :func:`repro.harness.experiment.run_workload`, so consolidated-
-    server experiments ride every backend — including the service
-    fleet — instead of being local-only.
-
-    ``cluster=None`` defers to the paper's recommended shape for the
-    workload (resolved identically on every host from
-    ``CLUSTER_SHAPE``). There is no warmup-image forking for workloads
-    (``run_workload`` has no snapshot path), but :attr:`warmup_key`
-    still groups units sharing a trace set so affinity scheduling
-    lands them on the worker whose in-process trace cache is warm.
-    """
-
-    workload: str
-    organization: Organization
-    cores: int = 64
-    noc: NocKind = NocKind.SMART
-    cluster: Optional[Tuple[int, int]] = None
-    scale: float = 1.0
-    full_system: bool = False
-    seed: int = 1
-    warmup_fraction: float = 0.35
-    cache_scale: float = 0.125
-    max_cycles: int = 50_000_000
-    metric: Metric = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "metric", _check_metric(self.metric))
-
-    def key(self) -> str:
-        blob = (f"workload|{self.workload}|{self.organization.value}"
-                f"|{self.cores}|{self.noc.value}|{self.cluster}"
-                f"|{self.scale}|{self.full_system}|{self.seed}"
-                f"|{self.warmup_fraction}|{self.cache_scale}"
-                f"|max_cycles={self.max_cycles}|metric={self.metric}")
-        return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-    @property
-    def warmup_key(self) -> str:
-        """Affinity group: units replaying the same trace set. Routing
-        them to one worker reuses its in-process trace cache (the
-        build_workload output), the workload analogue of warmup-image
-        reuse."""
-        blob = (f"workload-traces|{self.workload}|{self.cores}"
-                f"|{self.scale}|{self.full_system}|{self.seed}")
-        return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-    def system_config(self) -> SystemConfig:
-        return workload_config(self.workload, self.organization,
-                               cores=self.cores, noc=self.noc,
-                               cluster=self.cluster,
-                               cache_scale=self.cache_scale)
-
-    def run(self, warmup_images: Optional[WarmupImageCache] = None) -> Any:
-        """Simulate and reduce (``warmup_images`` is accepted for
-        backend symmetry and ignored — workloads have no snapshot
-        path)."""
-        return reduce_result(
-            run_workload(self.workload, self.organization,
-                         cores=self.cores, noc=self.noc,
-                         scale=self.scale, seed=self.seed,
-                         full_system=self.full_system,
-                         cluster=self.cluster,
-                         warmup_fraction=self.warmup_fraction,
-                         cache_scale=self.cache_scale,
-                         max_cycles=self.max_cycles), self.metric)
-
-    # -- wire encoding -------------------------------------------------
-    encode_value = _encode_value
-    decode_value = _decode_value
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {
-            "kind": "workload",
-            "workload": self.workload,
-            "organization": self.organization.value,
-            "cores": self.cores,
-            "noc": self.noc.value,
-            "cluster": (list(self.cluster)
-                        if self.cluster is not None else None),
-            "scale": self.scale,
-            "full_system": self.full_system,
-            "seed": self.seed,
-            "warmup_fraction": self.warmup_fraction,
-            "cache_scale": self.cache_scale,
-            "max_cycles": self.max_cycles,
-            "metric": (list(self.metric)
-                       if isinstance(self.metric, tuple) else self.metric),
-        }
-
-    @staticmethod
-    def from_wire(wire: Dict[str, Any]) -> "WorkloadUnit":
-        try:
-            cluster = wire["cluster"]
-            return WorkloadUnit(
-                workload=wire["workload"],
-                organization=Organization(wire["organization"]),
-                cores=wire["cores"],
-                noc=NocKind(wire["noc"]),
-                cluster=tuple(cluster) if cluster is not None else None,
-                scale=wire["scale"],
-                full_system=wire["full_system"],
-                seed=wire["seed"],
-                warmup_fraction=wire["warmup_fraction"],
-                cache_scale=wire["cache_scale"],
-                max_cycles=wire["max_cycles"],
-                metric=wire["metric"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed wire unit: {exc!r}") from exc
-
-
-def unit_from_wire(wire: Dict[str, Any]
-                   ) -> Union[SweepUnit, WorkloadUnit]:
-    """Decode any wire unit by its ``kind`` discriminator. A missing
-    ``kind`` means a v1-era sweep unit — accepted, since its field set
-    is identical to ``kind="sweep"``."""
-    if not isinstance(wire, dict):
-        raise ConfigError(f"wire unit is not an object: "
-                          f"{type(wire).__name__}")
-    kind = wire.get("kind", "sweep")
-    if kind == "sweep":
-        return SweepUnit.from_wire(wire)
-    if kind == "workload":
-        return WorkloadUnit.from_wire(wire)
-    raise ConfigError(f"unknown unit kind {kind!r}")

@@ -1,14 +1,13 @@
 """Python client of the distributed sweep service.
 
 :class:`ServiceClient` speaks the client half of the protocol: submit
-a job (a list of :class:`~repro.harness.units.SweepUnit` /
-:class:`~repro.harness.units.WorkloadUnit`), consume the ``row``
-stream, and return the values in unit order — full ``RunResult``
-units included (metric None): the worker wire-encodes the result and
-the client decodes it back against the unit's own config, so every
-experiment type rides the fleet. The harness entry points
-(``sweep(service=...)``, ``run_units(service=...)``) build on
-:meth:`ServiceClient.run_units`.
+a job (a list of :class:`~repro.harness.units.SweepUnit`, the one unit
+type), consume the ``row`` stream, and return the values in unit order
+— full ``RunResult`` units included (metric None): the worker
+wire-encodes the result and the client decodes it back against the
+unit's own config, so every experiment rides the fleet. The harness
+entry points (``sweep(service=...)``, ``run_units(service=...)``)
+build on :meth:`ServiceClient.run_units`.
 
 The client's API is deliberately synchronous — a sweep is a batch, and
 the coordinator streams rows as they finish, so blocking on the socket
@@ -24,9 +23,9 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.harness.units import SweepUnit, WorkloadUnit
+from repro.harness.units import SweepUnit
 from repro.service.errors import (ConnectionClosed, JobFailed,
                                   ProtocolMismatch, ServiceError)
 from repro.service.protocol import PROTOCOL_VERSION
@@ -207,7 +206,7 @@ class ServiceClient:
             pass
 
     # ------------------------------------------------------------------
-    def run_units(self, units: Sequence[Union[SweepUnit, WorkloadUnit]], *,
+    def run_units(self, units: Sequence[SweepUnit], *,
                   warmup_snapshots: bool = False,
                   warmup_dir: Optional[str] = None,
                   on_row: Optional[Callable[[int, Any], None]] = None
@@ -258,8 +257,7 @@ class ServiceClient:
                     raise JobFailed(
                         f"fail-over found no leader: {exc2}") from None
 
-    def _attempt(self, units: Sequence[Union[SweepUnit, WorkloadUnit]],
-                 wire: List[Any],
+    def _attempt(self, units: Sequence[SweepUnit], wire: List[Any],
                  values: List[Any], got: List[bool],
                  state: Dict[str, int], warmup_snapshots: bool,
                  warmup_dir: Optional[str],

@@ -7,8 +7,8 @@ protocol version):
 * **workers** register, then loop receiving ``assign`` messages and
   pushing ``result``/``unit_error``/``heartbeat``;
 * **clients** ``submit`` jobs (lists of wire-encoded
-  :class:`~repro.harness.units.SweepUnit` /
-  :class:`~repro.harness.units.WorkloadUnit`), then receive ``row``
+  :class:`~repro.harness.units.SweepUnit`, the one unit type), then
+  receive ``row``
   messages streamed as units complete, closed by ``done`` (or
   ``job_failed``). ``status``/``ping``/``shutdown`` are one-shot
   requests.
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from repro.errors import ConfigError
-from repro.harness.units import unit_from_wire
+from repro.harness.units import SweepUnit
 from repro.service.cluster import ClusterConfig, ClusterManager
 from repro.service.errors import (ConnectionClosed, FrameError,
                                   ProtocolMismatch, ServiceError)
@@ -643,7 +643,7 @@ class Coordinator:
     async def _on_submit(self, conn: _Conn,
                          msg: Dict[str, Any]) -> str:
         try:
-            units = [unit_from_wire(w) for w in msg["units"]]
+            units = [SweepUnit.from_wire(w) for w in msg["units"]]
         except (ConfigError, KeyError, TypeError) as exc:
             # malformed submits get the typed error reply the protocol
             # promises, not a bare connection drop (ConfigError is a

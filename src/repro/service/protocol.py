@@ -29,12 +29,18 @@ __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
            "encode_frame", "FrameDecoder", "send_msg", "recv_msg",
            "read_msg_async", "check_protocol", "set_send_timeout"]
 
-#: Version 5: sweep units may carry the reconfigurable-hierarchy axes
+#: Version 6: ``kind: "sweep"`` is the only unit kind. A Table-2
+#: multi-program workload is a sweep unit whose ``benchmark`` names it
+#: (``"W0"``-``"W9"``), so a v5 worker's preset table would not know
+#: the name and a v6 coordinator refuses a v5 client's
+#: ``kind: "workload"`` submit; default sweep frames are byte-identical
+#: to v5's.
+#: (Version 5: sweep units may carry the reconfigurable-hierarchy axes
 #: (``scratchpad_fraction``/``spm_latency``) in their wire form; a
 #: default-hierarchy unit's frame is byte-identical to v4, but a v4
 #: worker would silently run a scratchpad-partitioned unit on the
 #: all-cache machine and return rows from the wrong hardware.
-#: (Version 4: sweep units carry the speculative-front-end fields
+#: Version 4: sweep units carry the speculative-front-end fields
 #: (``speculation``/``spec_window``/``spec_rate``) in their wire form —
 #: a v3 worker would silently run a speculation-on unit with
 #: speculation off and return committed-only rows missing every
@@ -51,7 +57,7 @@ __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
 #: mandatory and gave unit/value payloads a ``kind`` discriminator
 #: plus full-``RunResult`` encodings — see
 #: :mod:`repro.harness.units`.)
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: hard payload ceiling — a submit of ~100k units is a few MB; anything
 #: past this is a corrupt or hostile length prefix, not a real message.

@@ -47,7 +47,7 @@ import os
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.harness.units import unit_from_wire
+from repro.harness.units import SweepUnit
 from repro.service.scheduler import DEFAULT_MAX_ATTEMPTS, Scheduler
 
 __all__ = ["SchedulerMachine", "ReplicaLog", "ConsensusCore",
@@ -105,7 +105,7 @@ class SchedulerMachine:
         job_id = cmd["job"]
         if job_id in self.sched._jobs:
             return {"error": "duplicate"}
-        units = [unit_from_wire(w) for w in cmd["units"]]
+        units = [SweepUnit.from_wire(w) for w in cmd["units"]]
         self.sched.add_job(job_id, units, skip=set(cmd.get("skip", [])))
         return "ok"
 

@@ -37,7 +37,7 @@ import traceback
 from typing import Any, Dict, Optional, Tuple
 
 from repro.harness.experiment import WarmupImageCache
-from repro.harness.units import unit_from_wire
+from repro.harness.units import SweepUnit
 from repro.service.errors import (ConnectionClosed, FrameError,
                                   ProtocolMismatch, ServiceError)
 from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
@@ -234,13 +234,16 @@ class Worker:
 
     # ------------------------------------------------------------------
     def _send(self, msg: Dict[str, Any]) -> None:
-        """Queue one frame for the send pump (encode errors surface
+        """Queue one message for the send pump (encode errors surface
         here, at the caller)."""
+        self._send_frame(encode_frame(msg))
+
+    def _send_frame(self, frame: bytes) -> None:
         if self._sendq is None:
             # a unit finished while we were between coordinators; the
             # (re-signed-in) leader reassigns it, so dropping is safe
             raise ServiceError("not connected")
-        self._sendq.put_nowait(encode_frame(msg))
+        self._sendq.put_nowait(frame)
 
     async def _send_pump(self, writer: asyncio.StreamWriter) -> None:
         assert self._sendq is not None
@@ -438,39 +441,43 @@ class Worker:
         the reply. The loop — and the heartbeat — stay live
         throughout."""
         loop = asyncio.get_running_loop()
-        reply = await loop.run_in_executor(None, self._execute, msg)
+        frame = await loop.run_in_executor(None, self._execute, msg)
         try:
-            self._send(reply)
+            self._send_frame(frame)
         except ServiceError:
             pass  # connection already torn down
 
-    def _execute(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+    def _execute(self, msg: Dict[str, Any]) -> bytes:
         """The compute path (runs in an executor thread): decode the
-        unit, simulate, reduce, wire-encode the value."""
+        unit, simulate, reduce, and encode the reply frame — inside
+        the ``try``, so a value the wire cannot carry is a
+        ``unit_error`` like any other failure, never a silent loss of
+        the reply."""
         job_id, idx = msg["job"], msg["idx"]
         try:
-            unit = unit_from_wire(msg["unit"])
+            unit = SweepUnit.from_wire(msg["unit"])
             images: Optional[WarmupImageCache] = None
             if msg.get("warmup_snapshots"):
                 images = self._images_for(msg.get("warmup_dir"))
             builds0 = images.misses if images is not None else 0
             hits0 = images.hits if images is not None else 0
             value = unit.encode_value(unit.run(warmup_images=images))
-            reply = {
+            frame = encode_frame({
                 "type": "result", "job": job_id, "idx": idx,
                 "value": value,
                 "warm_builds": (images.misses - builds0) if images else 0,
                 "warm_hits": (images.hits - hits0) if images else 0,
-            }
+            })
             self.units_run += 1
             self._log(f"{job_id}#{idx} done")
         except Exception as exc:  # a bad unit must not kill the worker
             self._log(f"{job_id}#{idx} failed: {exc}\n"
                       f"{traceback.format_exc()}")
-            reply = {"type": "unit_error", "job": job_id, "idx": idx,
-                     "error": f"{type(exc).__name__}: {exc}",
-                     "traceback": traceback.format_exc()}
-        return reply
+            frame = encode_frame({
+                "type": "unit_error", "job": job_id, "idx": idx,
+                "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc()})
+        return frame
 
 
 def main(argv: Optional[list] = None) -> int:

@@ -23,7 +23,7 @@ from repro.errors import ConfigError
 from repro.harness.experiment import (SWEEP_AXES, ExperimentConfig,
                                       HierarchyAxes, SpecAxes, warmup_key)
 from repro.harness.sweep import _validate_axes, sweep
-from repro.harness.units import SweepUnit, unit_from_wire
+from repro.harness.units import SweepUnit
 from repro.params import NocKind, Organization
 
 #: (config factory, flat-era repr tail check, unit_key, warmup_key,
@@ -209,7 +209,7 @@ class TestWireV5Property:
                                                metric):
         unit = SweepUnit(exp, max_cycles, metric)
         wire = json.loads(json.dumps(unit.to_wire()))
-        back = unit_from_wire(wire)
+        back = SweepUnit.from_wire(wire)
         assert back == unit
         assert back.key() == unit.key()
         assert back.warmup_key == unit.warmup_key
@@ -225,3 +225,47 @@ class TestWireV5Property:
             assert wire["scratchpad_fraction"] == \
                 exp.hierarchy.scratchpad_fraction
             assert wire["spm_latency"] == exp.hierarchy.spm_latency
+
+
+class TestWorkloadNamedConfigPins:
+    """A Table-2 workload is a benchmark name: its config hashes and
+    wire-encodes through the one ``SweepUnit`` scheme, and ``kind:
+    "sweep"`` is the only unit kind the decoder accepts."""
+
+    def _unit(self):
+        return SweepUnit(ExperimentConfig(
+            "W0", Organization.LOCO_CC_VMS_IVR, cluster=(4, 1),
+            scale=0.25), 1_000_000, "runtime")
+
+    def test_repr_keys_and_wire_pinned(self):
+        unit = self._unit()
+        assert repr(unit.exp) == (
+            "ExperimentConfig(benchmark='W0', "
+            "organization=<Organization.LOCO_CC_VMS_IVR: "
+            "'loco_cc_vms_ivr'>, cores=64, "
+            "noc=<NocKind.SMART: 'smart'>, cluster=(4, 1), scale=0.25, "
+            "full_system=False, seed=1, warmup_fraction=0.35, "
+            "cache_scale=0.125, speculation='off', spec_window=8, "
+            "spec_rate=0.0)")
+        assert unit.key() == "b1d0d33488aac16d5e60f296"
+        assert unit.warmup_key == warmup_key(unit.exp) == \
+            "1db90dfc2077d6f08f0a3488"
+        assert json.dumps(unit.to_wire(), sort_keys=True) == (
+            '{"benchmark": "W0", "cache_scale": 0.125, '
+            '"cluster": [4, 1], "cores": 64, "full_system": false, '
+            '"kind": "sweep", "max_cycles": 1000000, '
+            '"metric": "runtime", "noc": "smart", '
+            '"organization": "loco_cc_vms_ivr", "scale": 0.25, '
+            '"seed": 1, "spec_rate": 0.0, "spec_window": 8, '
+            '"speculation": "off", "warmup_fraction": 0.35}')
+
+    def test_one_decoder_accepts_only_sweep_kind(self):
+        unit = self._unit()
+        wire = unit.to_wire()
+        assert SweepUnit.from_wire(wire) == unit
+        del wire["kind"]  # v1-era frames carried no discriminator
+        assert SweepUnit.from_wire(wire) == unit
+        for bad in (dict(wire, kind="workload"), dict(wire, kind=None),
+                    [wire], "W0"):
+            with pytest.raises(ConfigError):
+                SweepUnit.from_wire(bad)

@@ -7,12 +7,14 @@ from functools import partial
 
 import pytest
 
+from repro.errors import TraceError
 from repro.harness import units
 from repro.harness.experiment import (ExperimentConfig, clear_trace_cache,
-                                      run_benchmark, run_workload)
+                                      run_benchmark)
 from repro.harness.report import format_table, normalize
 from repro.harness import figures
 from repro.params import NocKind, Organization
+from repro.traces.multiprogram import CLUSTER_SHAPE
 
 
 class TestExperimentConfig:
@@ -55,9 +57,42 @@ class TestExperimentConfig:
             scale=0.05))
         assert r1.instructions == r2.instructions
 
-    def test_run_workload_smoke(self):
-        r = run_workload("W0", Organization.LOCO_CC_VMS_IVR, scale=0.05)
+    def test_table2_workload_smoke(self):
+        r = run_benchmark(ExperimentConfig(
+            "W0", Organization.LOCO_CC_VMS_IVR,
+            cluster=CLUSTER_SHAPE["W0"], scale=0.05))
         assert r.finished
+
+    #: captured (scale 0.05, seed 1) from the separate multi-program
+    #: run function, at the commit before ``run_benchmark`` absorbed it
+    WORKLOAD_PINS = [
+        ("W0", Organization.SHARED,
+         dict(runtime=14863, offchip_accesses=2169,
+              mpki=111.45399372524817,
+              l2_hit_latency=16.905817174515235)),
+        ("W5", Organization.LOCO_CC_VMS_IVR,
+         dict(runtime=14113, offchip_accesses=2007,
+              mpki=103.21584769745304,
+              l2_hit_latency=12.39292364990689)),
+        ("W8", Organization.LOCO_CC,
+         dict(runtime=14226, offchip_accesses=1910,
+              mpki=108.96146107413713,
+              l2_hit_latency=12.754347826086956,
+              search_delay=29.32936507936508)),
+    ]
+
+    @pytest.mark.parametrize("workload,org,pin", WORKLOAD_PINS,
+                             ids=[p[0] for p in WORKLOAD_PINS])
+    def test_table2_workload_golden_pins(self, workload, org, pin):
+        got = units.SweepUnit(ExperimentConfig(
+            workload, org, cluster=CLUSTER_SHAPE[workload], scale=0.05),
+            metric=figures.METRICS).run()
+        assert {m: got[m] for m in pin} == pin
+
+    def test_table2_workload_on_wrong_core_count_is_a_trace_error(self):
+        with pytest.raises(TraceError, match="needs 64 cores"):
+            run_benchmark(ExperimentConfig("W0", Organization.SHARED,
+                                           cores=16))
 
 
 class TestReport:
@@ -160,7 +195,6 @@ class TestFigureMatrix:
             raise AssertionError("warm cache must not simulate")
 
         monkeypatch.setattr(units, "run_benchmark", poisoned)
-        monkeypatch.setattr(units, "run_workload", poisoned)
         assert figures.run_figures(
             self._figs(), cache_dir=str(tmp_path)) == serial
 

@@ -134,10 +134,10 @@ class TestEndToEnd:
 
 class TestSpeculationOnTheWire:
     def test_sweep_unit_round_trips_spec_fields(self):
-        from repro.harness.units import SweepUnit, unit_from_wire
+        from repro.harness.units import SweepUnit
         exp = leak_exp(speculation="on")
         unit = SweepUnit(exp, max_cycles=1000, metric="runtime")
-        again = unit_from_wire(unit.to_wire())
+        again = SweepUnit.from_wire(unit.to_wire())
         assert again == unit
         assert again.exp.spec == exp.spec
         assert again.exp.spec.mode == "on"

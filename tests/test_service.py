@@ -18,9 +18,10 @@ import time
 
 import pytest
 
-from repro.harness.experiment import ExperimentConfig, HierarchyAxes
+from repro.harness.experiment import (ExperimentConfig, HierarchyAxes,
+                                      WarmupImageCache)
 from repro.harness.sweep import sweep
-from repro.harness.units import SweepUnit, WorkloadUnit, unit_key
+from repro.harness.units import SweepUnit
 from repro.params import Organization
 from repro.service import (ConnectionClosed, Coordinator, JobFailed,
                            ProtocolMismatch, ServiceClient, ServiceError,
@@ -85,12 +86,45 @@ def units_of(axes, metrics):
             for m in metrics]
 
 
+#: a Table-2 workload is a benchmark name; the paper's 4x1 shape for W0
+W0_AXES = dict(organization=[Organization.SHARED,
+                             Organization.LOCO_CC_VMS_IVR],
+               cluster=[(4, 1)], scale=[0.04])
+
+
+@pytest.fixture(scope="module")
+def w0_serial():
+    return sweep("W0", metric="runtime", **W0_AXES)
+
+
 class TestEquivalence:
     def test_rows_bit_identical_to_serial(self, fleet):
         _coord, address = fleet(workers=3)
         cold = sweep(BENCH, metric=METRICS, **AXES)
         svc = sweep(BENCH, metric=METRICS, service=address, **AXES)
         assert svc == cold
+
+    @pytest.mark.parametrize("backend",
+                             ["jobs2", "warmup_snapshots", "service"])
+    def test_table2_workload_rows_bit_identical_to_serial(
+            self, backend, fleet, w0_serial):
+        """Multi-program cells ride every backend like any other
+        benchmark name — warmup forking included."""
+        assert all(r["runtime"] > 0 for r in w0_serial)
+        if backend == "jobs2":
+            assert sweep("W0", metric="runtime", jobs=2,
+                         **W0_AXES) == w0_serial
+        elif backend == "service":
+            _coord, address = fleet(workers=2)
+            assert sweep("W0", metric="runtime", service=address,
+                         **W0_AXES) == w0_serial
+        else:
+            store = WarmupImageCache()
+            for hits in (0, 2):  # the second call forks every cell
+                assert sweep("W0", metric="runtime",
+                             warmup_snapshots=True, warmup_cache=store,
+                             **W0_AXES) == w0_serial
+                assert (store.misses, store.hits) == (2, hits)
 
     def test_order_stable_under_config_hash_sort(self, fleet):
         """The acceptance framing: values AND order must match the
@@ -183,11 +217,12 @@ class TestWireCompleteness:
 
     def test_workload_unit_round_trips_through_fleet(self, fleet):
         _coord, address = fleet(workers=2)
-        units = [WorkloadUnit("W0", Organization.SHARED, scale=0.02,
-                              metric="runtime"),
-                 WorkloadUnit("W0", Organization.LOCO_CC_VMS_IVR,
-                              scale=0.02,
-                              metric=("runtime", "offchip_accesses"))]
+        units = [SweepUnit(ExperimentConfig(
+                     "W0", org, cluster=(4, 1), scale=0.02), metric=metric)
+                 for org, metric in (
+                     (Organization.SHARED, "runtime"),
+                     (Organization.LOCO_CC_VMS_IVR,
+                      ("runtime", "offchip_accesses")))]
         with ServiceClient(address) as client:
             values = client.run_units(units)
         assert values == [u.run() for u in units]
@@ -256,8 +291,7 @@ class TestResultCache:
             client.run_units(units)
         for u in units:
             assert (tmp_path /
-                    f"{unit_key(u.exp, u.max_cycles, u.metric)}"
-                    ".result.json").exists()
+                    f"{u.key()}.result.json").exists()
 
     def test_local_cache_dir_short_circuits_service(self, fleet,
                                                     tmp_path):
@@ -288,6 +322,36 @@ class TestFailureModes:
             rows = client.run_units(units_of(AXES, ["runtime"]))
             assert len(rows) == 2
 
+    @pytest.mark.parametrize("case", ["non_numeric_metric",
+                                      "unencodable_value"])
+    def test_unencodable_reply_fails_typed_and_worker_survives(
+            self, case, fleet, monkeypatch):
+        """A value the wire cannot carry must come back as a
+        ``unit_error``: ``metric="stats"`` used to pass ``metric_of``,
+        kill ``Worker._run_assign`` inside ``encode_frame`` and leave
+        the unit assigned to a heartbeating worker forever. The metric
+        is now refused at the source, and the worker encodes its reply
+        inside the ``try`` for any value that still gets that far."""
+        _coord, address = fleet(workers=1)
+        exp = ExperimentConfig(BENCH, Organization.SHARED, scale=0.04)
+        if case == "non_numeric_metric":
+            bad, error = SweepUnit(exp, metric="stats"), "unknown metric"
+        else:
+            bad, error = SweepUnit(exp, metric="runtime"), "TypeError"
+            monkeypatch.setattr(SweepUnit, "encode_value",
+                                lambda self, value: object())
+        started = time.monotonic()
+        with ServiceClient(address, row_timeout=60.0) as client:
+            with pytest.raises(JobFailed, match=error):
+                client.run_units([bad])
+        assert time.monotonic() - started < 30.0
+        monkeypatch.undo()
+        # the one worker is still signed in and serves a good unit
+        with ServiceClient(address, row_timeout=60.0) as client:
+            assert client.status()["stats"]["workers"] == 1
+            assert client.run_units(units_of(AXES, ["runtime"])) == \
+                [u.run() for u in units_of(AXES, ["runtime"])]
+
     def test_client_reconnect_after_coordinator_restart(self):
         """`reconnect()` is the documented retry hook: a client that
         outlives a coordinator restart re-handshakes on the same
@@ -316,17 +380,20 @@ class TestFailureModes:
     def test_protocol_version_mismatch_rejected(self, fleet):
         _coord, address = fleet(workers=0)
         host, port = address.rsplit(":", 1)
-        sock = socket.create_connection((host, int(port)), timeout=5)
-        try:
-            send_msg(sock, {"type": "hello", "role": "client",
-                            "protocol": 999})
-            reply = recv_msg(sock, FrameDecoder())
-            assert reply["type"] == "error"
-            assert reply["code"] == "protocol-mismatch"
-            assert reply["expected"] == PROTOCOL_VERSION
-            assert "protocol" in reply["error"]
-        finally:
-            sock.close()
+        # a build from the future, and v5 (the last one that shipped a
+        # second unit kind on the wire)
+        for version in (999, 5):
+            sock = socket.create_connection((host, int(port)), timeout=5)
+            try:
+                send_msg(sock, {"type": "hello", "role": "client",
+                                "protocol": version})
+                reply = recv_msg(sock, FrameDecoder())
+                assert reply["type"] == "error"
+                assert reply["code"] == "protocol-mismatch"
+                assert reply["expected"] == PROTOCOL_VERSION == 6
+                assert "protocol" in reply["error"]
+            finally:
+                sock.close()
 
     def test_hello_without_protocol_field_rejected(self, fleet):
         """The version field is mandatory: a peer that omits it

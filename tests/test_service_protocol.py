@@ -421,3 +421,38 @@ class TestSocketRecv:
         finally:
             a.close()
             b.close()
+
+
+class TestProtocolV6:
+    """v6: ``kind: "sweep"`` is the only unit kind on the wire."""
+
+    def test_hello_samples_carry_protocol_6(self):
+        assert PROTOCOL_VERSION == 6
+        for kind in ("hello", "welcome", "replica-hello"):
+            assert SAMPLES[kind]["protocol"] == 6
+
+    def test_workload_kind_submit_gets_typed_error_frame(self):
+        """A v5-era ``kind: "workload"`` unit is refused with the
+        ``malformed submit`` error frame — not dropped, not run."""
+        from repro.service import Coordinator
+        coord = Coordinator()
+        host, port = coord.start().rsplit(":", 1)
+        sock = socket.create_connection((host, int(port)), timeout=5)
+        try:
+            dec = FrameDecoder()
+            send_msg(sock, {"type": "hello", "role": "client",
+                            "protocol": PROTOCOL_VERSION})
+            assert recv_msg(sock, dec)["type"] == "welcome"
+            send_msg(sock, {"type": "submit", "units": [{
+                "kind": "workload", "workload": "W0",
+                "organization": "shared", "cores": 64, "noc": "smart",
+                "cluster": None, "scale": 0.02, "full_system": False,
+                "seed": 1, "warmup_fraction": 0.35, "cache_scale": 0.125,
+                "max_cycles": 50_000_000, "metric": "runtime"}]})
+            reply = recv_msg(sock, dec)
+            assert reply["type"] == "error"
+            assert "malformed submit" in reply["error"]
+            assert "unknown unit kind 'workload'" in reply["error"]
+        finally:
+            sock.close()
+            coord.stop()

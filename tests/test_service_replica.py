@@ -33,7 +33,7 @@ import time
 import pytest
 
 from repro.harness.experiment import ExperimentConfig
-from repro.harness.units import SweepUnit, unit_from_wire
+from repro.harness.units import SweepUnit
 from repro.params import Organization
 from repro.service import (ClusterConfig, ClusterManager, Coordinator,
                            ServiceClient, ServiceError, Worker,
@@ -105,7 +105,7 @@ def _fuzz_log(seed: int):
                 inflight.extend(out)
         elif roll < 0.80 and inflight:
             a = inflight.pop(rng.randrange(len(inflight)))
-            key = unit_from_wire(a["unit"]).key()
+            key = SweepUnit.from_wire(a["unit"]).key()
             if rng.random() < 0.7:
                 do({"op": "complete", "name": a["worker"],
                     "job": a["job"], "idx": a["idx"], "key": key,
@@ -163,7 +163,7 @@ class TestMachineDeterminism:
         m.apply({"op": "job_add", "job": "j1",
                  "units": [_wire_units()[0]], "skip": []})
         (a,) = m.apply({"op": "dispatch"})
-        key = unit_from_wire(a["unit"]).key()
+        key = SweepUnit.from_wire(a["unit"]).key()
         m.apply({"op": "complete", "name": "w1", "job": "j1",
                  "idx": 0, "key": key, "value": 42})
         m.apply({"op": "reset"})

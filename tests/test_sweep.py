@@ -32,6 +32,17 @@ class TestSweep:
             sweep("water_spatial", metric="nonsense",
                   organization=[Organization.SHARED], scale=[0.04])
 
+    @pytest.mark.parametrize("metric,jobs", [
+        ("stats", None), ("config", None), ("to_dict", None),
+        ("stats", 2)])
+    def test_non_numeric_attribute_is_not_a_metric(self, metric, jobs):
+        """``hasattr(result, metric)`` is not enough: only a number
+        fits a row, the JSON cache and the wire."""
+        with pytest.raises(ConfigError, match="unknown metric"):
+            sweep("water_spatial", metric=metric, jobs=jobs,
+                  organization=[Organization.SHARED,
+                                Organization.PRIVATE], scale=[0.04])
+
     def test_full_result_when_no_metric(self):
         rows = sweep("water_spatial",
                      organization=[Organization.SHARED], scale=[0.04])
@@ -204,13 +215,14 @@ class TestSweepCacheRobustness:
         assert list(tmp_path.glob("*.json")) == []  # never cached
 
     def test_workload_unit_rides_the_cache(self, tmp_path, monkeypatch):
-        """A metric-reduced WorkloadUnit (a Fig 15 cell) is stored and
-        served like a SweepUnit: ``_cache_store`` used to read
-        ``unit.exp`` and lose the simulated value to AttributeError."""
+        """A metric-reduced Table-2 workload cell (a Fig 15 cell) is
+        stored and served like any other unit — it *is* a SweepUnit."""
+        from repro.harness.experiment import ExperimentConfig
         from repro.harness.parallel import run_units
-        from repro.harness.units import WorkloadUnit
-        unit = WorkloadUnit("W0", Organization.SHARED, scale=0.04,
-                            metric=("runtime",))
+        from repro.harness.units import SweepUnit
+        unit = SweepUnit(ExperimentConfig("W0", Organization.SHARED,
+                                          cluster=(4, 1), scale=0.04),
+                         metric=("runtime",))
         first = run_units([unit], cache_dir=str(tmp_path))
         assert first[0]["runtime"] > 0
         assert self._one_cache_file(tmp_path).name == unit.key() + ".json"
@@ -218,7 +230,7 @@ class TestSweepCacheRobustness:
         def poisoned(self, warmup_images=None):
             raise AssertionError("cached unit must not simulate")
 
-        monkeypatch.setattr(WorkloadUnit, "run", poisoned)
+        monkeypatch.setattr(SweepUnit, "run", poisoned)
         assert run_units([unit], cache_dir=str(tmp_path)) == first
 
     def test_failed_store_raises_and_leaves_no_staging_file(self, tmp_path):
