@@ -115,9 +115,3 @@ def driver_factory():
     def make(organization: Organization, **kw) -> AccessDriver:
         return AccessDriver(build_system(organization, **kw))
     return make
-
-
-# Timing-retry helper and the service-worker spawn recipe live in the
-# package (repro.harness.testutil / repro.service.worker) so that
-# benchmarks/ and any pytest invocation can import them; nothing
-# test-infra is duplicated here.

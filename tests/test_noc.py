@@ -155,6 +155,58 @@ class TestContention:
         solo_sim.run(until=200)
         assert small.delivered_at - small.injected_at > solo.latency
 
+    @pytest.mark.parametrize("kind,flit_hops,arb_losses,cycle", [
+        (NocKind.CONVENTIONAL, 46456, 450, 11991),
+        (NocKind.SMART, 217133, 6242, 17950),
+        (NocKind.FLATTENED_BUTTERFLY, 80215, 0, 18003),
+    ], ids=["conventional", "smart", "flattened_butterfly"])
+    def test_contended_traffic_counts_pinned(self, kind, flit_hops,
+                                             arb_losses, cycle):
+        """Cross-commit pin of router behaviour under contention:
+        12 000 seeded-LCG packets (5 VNs, 1/5-flit mix, bursty
+        injection) on an 8x8 mesh. The counts are committed constants —
+        a router rewrite that moves any of them changed arbitration or
+        routing, not just speed."""
+        sim = Simulator()
+        mesh = Mesh(8, 8)
+        net = build_network(sim, mesh, NocConfig(kind=kind))
+        delivered = []
+        for tile in range(mesh.num_tiles):
+            net.attach(tile, delivered.append)
+        # seeded from the kind's code points (str hashes are randomized
+        # per process); no RNG state shared with the simulator's streams
+        state = 0x0C0C0C ^ sum(ord(c) for c in kind.value)
+
+        def draw(bound):
+            nonlocal state
+            state = (1103515245 * state + 12345) & 0x7FFFFFFF
+            return state % bound
+
+        packets = 12_000
+        sent = 0
+
+        def inject():
+            nonlocal sent
+            for _ in range(1 + draw(3)):  # bursty: a few packets per event
+                if sent >= packets:
+                    return
+                src = draw(mesh.num_tiles)
+                dst = draw(mesh.num_tiles)
+                vn = VirtualNetwork(draw(5))
+                size = 1 + 4 * (draw(4) == 0)
+                net.send(Packet(src=src, dst=dst, vn=vn, size_flits=size))
+                sent += 1
+            if sent < packets:
+                sim.schedule(1 + draw(4), inject)
+
+        inject()
+        sim.run()
+        value = net.stats.value
+        assert len(delivered) == value(f"{net.name}.injected") == packets
+        assert (value(f"{net.name}.flit_hops"),
+                value(f"{net.name}.arb_losses"),
+                sim.cycle) == (flit_hops, arb_losses, cycle)
+
 
 class TestVmsMulticast:
     def make_vms(self):

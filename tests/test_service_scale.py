@@ -2,16 +2,16 @@
 
 The thread-per-connection tier died at a few hundred sockets (one OS
 thread each); the asyncio rewrite is supposed to make connection count
-a non-event. This campaign pins that: 128 simulated workers sign in
+a non-event. This campaign pins that: 512 simulated workers sign in
 and heartbeat through one coordinator, the fleet drains cleanly, and
 the same coordinator instance then serves a real job — all under hard
 internal deadlines so a regression shows up as a failure, not a hung
-CI job. The 500-connection version (with timing) lives in
-``repro.bench`` as the ``service_connections`` scenario.
+CI job.
 """
 
 from __future__ import annotations
 
+import resource
 import socket
 import threading
 import time
@@ -25,8 +25,15 @@ from repro.service import Coordinator, ServiceClient, Worker
 from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
                                     recv_msg, send_msg)
 
-N_FAKE = 128
+N_FAKE = 512
 DEADLINE = 120.0  # hard cap on every wait in this file
+
+# CI runners default to a 1024 soft fd limit; 512 client-side plus 512
+# accepted server-side sockets (one process) needs more.
+_soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+_want = 4096 if _hard == resource.RLIM_INFINITY else min(_hard, 4096)
+if _soft < _want:
+    resource.setrlimit(resource.RLIMIT_NOFILE, (_want, _hard))
 
 
 def _await_stats(address: str, pred, what: str,
@@ -55,7 +62,7 @@ def _sign_in(address: str, name: str) -> tuple:
 
 class TestManyConnections:
     def test_sign_in_storm_heartbeats_and_drain(self):
-        """128 workers connect, heartbeat twice, and leave; the
+        """512 workers connect, heartbeat twice, and leave; the
         coordinator tracks every arrival and departure."""
         coord = Coordinator(heartbeat_timeout=DEADLINE,
                             monitor_interval=5.0)

@@ -25,6 +25,20 @@ AXES = dict(organization=[Organization.SHARED, Organization.LOCO_CC],
 METRICS = ["runtime", "mpki", "offchip_accesses"]
 
 
+def retry_once_on_miss(check):
+    """Re-run a *timing* assertion that lost to machine noise.
+
+    ``check`` re-measures from scratch on every call, so one bounded
+    retry only filters a scheduler stall: a genuine regression fails
+    both attempts and still fails the test. Only ``AssertionError`` is
+    retried; real errors propagate at once.
+    """
+    try:
+        return check()
+    except AssertionError:
+        return check()
+
+
 class TestWarmupKey:
     def test_prefix_excludes_nothing_but_postwarmup_knobs(self):
         a = ExperimentConfig(benchmark=BENCH,
@@ -169,8 +183,6 @@ class TestWarmupPayoff:
         (~2.5x modeled; asserted conservatively for noisy CI boxes,
         with one bounded re-measure so a scheduler stall during the
         warm variant cannot produce a spurious red)."""
-        from repro.harness.testutil import retry_once_on_miss
-
         axes = dict(organization=[Organization.SHARED], scale=[0.06],
                     warmup_fraction=[0.6])
         metrics = ["runtime", "mpki", "offchip_accesses",
