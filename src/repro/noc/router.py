@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 from operator import attrgetter
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.errors import NetworkError
 from repro.noc.packet import Packet
@@ -35,6 +36,8 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
 
 Link = Tuple[int, int]  # directed (src_tile, dst_tile)
+#: an interned route plan: (link ids, routers passed) per hop
+Plan = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 _next_flit_seq = id_source("flit").next_fn
 
@@ -45,7 +48,7 @@ class _Flit:
     VMS tree (multicast); multicast flits then eject a copy and fork."""
 
     __slots__ = ("packet", "at", "leg_dst", "ready", "seq", "order",
-                 "mcast_root", "vms")
+                 "mcast_root", "vms", "links", "routers", "got")
 
     def __init__(self, packet: Packet, at: int, leg_dst: int, ready: int,
                  mcast_root: Optional[int] = None, vms=None) -> None:
@@ -60,10 +63,12 @@ class _Flit:
         self.order = (packet.injected_at, self.seq)
         self.mcast_root = mcast_root
         self.vms = vms
-
-    @property
-    def is_mcast(self) -> bool:
-        return self.vms is not None
+        # The interned route plan from ``at`` toward ``leg_dst`` (set
+        # whenever the flit is buffered at a router) and the number of
+        # its links this tick's arbitration granted.
+        self.links: Tuple[int, ...] = ()
+        self.routers: Tuple[int, ...] = ()
+        self.got = 0
 
 
 #: C-level sort key for the age-priority arbitration sort
@@ -119,14 +124,23 @@ class BaseNetwork:
         self._nic_pending: List[int] = [0] * n
         self._nic_pending_dirty: List[int] = []
         self._receivers: List[Optional[Callable[[Packet], None]]] = [None] * n
-        self._link_busy: Dict[Link, int] = {}
+        # Physical links are interned to dense ids the first time a plan
+        # uses them; ``_link_busy[id]`` is the last cycle the link is
+        # taken (-1 = never used). Arbitration claims a link by stamping
+        # the current cycle, the winner's serialization tail overwrites
+        # the stamp, and either way the link reads free once
+        # ``_link_busy[id] < cycle``.
+        self._link_ids: Dict[Link, int] = {}
+        self._link_busy: List[int] = []
         self._active: Set[int] = set()
         self._nic_active: Set[int] = set()  # tiles with a NIC backlog
         self._in_flight = 0
         self._tid = sim.add_ticker(self)
-        # Route plans depend only on (at, leg_dst) on a static mesh, so
-        # they are computed once and reused every cycle the flit re-arbs.
-        self._plan_cache: Dict[Link, Tuple[List[Link], List[int]]] = {}
+        # Route plans depend only on (at, leg_dst) on a static mesh:
+        # each is computed once, interned to ``(link_ids, routers)``
+        # tuples, and kept in a flat table indexed ``at * n + leg_dst``.
+        self._n = n
+        self._plans: List[Optional[Plan]] = [None] * (n * n)
         # Hot-path stat objects, bound once: Stats lookups and the
         # f-string name construction are measurable per-flit costs.
         st = self.stats
@@ -203,6 +217,9 @@ class BaseNetwork:
         receiver(packet)
 
     def _enqueue_nic(self, flit: _Flit) -> None:
+        if not 0 <= flit.leg_dst < self._n:
+            # the flat plan table must never be indexed out of range
+            raise NetworkError(f"tile {flit.leg_dst} out of range")
         self._in_flight += 1
         tile = flit.at
         # Injection happens in the event phase, always before this
@@ -213,9 +230,8 @@ class BaseNetwork:
         # behind an existing backlog, and ``_nic_pending`` keeps the
         # nic_backlog() observable identical to the queued path.
         if not self._nic_queues[tile] and self._occupancy[tile] < self._capacity:
-            cycle = self.sim.cycle
-            self._buffer_flit(flit, tile, cycle)
-            flit.ready = cycle + self.injection_delay
+            self._buffer_flit(flit, tile,
+                              self.sim.cycle + self.injection_delay)
             if not self._nic_pending[tile]:
                 self._nic_pending_dirty.append(tile)
             self._nic_pending[tile] += 1
@@ -225,9 +241,15 @@ class BaseNetwork:
             self._nic_active.add(tile)
         self.sim.wake(self._tid)
 
-    def _buffer_flit(self, flit: _Flit, tile: int, cycle: int) -> None:
+    def _buffer_flit(self, flit: _Flit, tile: int, ready: int) -> None:
+        """Place ``flit`` in ``tile``'s router, first able to traverse
+        at cycle ``ready``, with its plan from there to ``leg_dst``."""
         flit.at = tile
-        flit.ready = cycle + self.wait_cycles
+        flit.ready = ready
+        plan = self._plans[tile * self._n + flit.leg_dst]
+        if plan is None:
+            plan = self._intern_plan(tile, flit.leg_dst)
+        flit.links, flit.routers = plan
         self._buffers[tile].append(flit)
         self._occupancy[tile] += 1
         self._active.add(tile)
@@ -258,11 +280,22 @@ class BaseNetwork:
         self.sim.call_after(delay, fire)
 
     # -- route planning (subclass hook: _compute_plan) ------------------
-    # Plans depend only on (at, leg_dst) on a static mesh, so the
-    # movers' paths inline a memo probe on ``_plan_cache`` and call
-    # ``_compute_plan`` (the one subclass hook — see
-    # FlattenedButterflyNetwork) only on a miss: a blocked flit
-    # re-plans the identical traversal every arbitration round.
+    def _intern_plan(self, at: int, leg_dst: int) -> Plan:
+        """Plan-table miss: compute the plan once, give its links dense
+        ids, and store it. A flit is only ever buffered short of its leg
+        destination (it ejects on arrival), so an empty plan is a bug."""
+        links, routers = self._compute_plan(at, leg_dst)
+        if not links:
+            raise NetworkError(f"flit at {at} has no route to {leg_dst}")
+        ids = self._link_ids
+        for link in links:
+            if link not in ids:
+                ids[link] = len(self._link_busy)
+                self._link_busy.append(-1)
+        plan = self._plans[at * self._n + leg_dst] = (
+            tuple(ids[link] for link in links), tuple(routers))
+        return plan
+
     def _compute_plan(self, at: int, leg_dst: int
                       ) -> Tuple[List[Link], List[int]]:
         """Default planner: unit-link XY walk of up to
@@ -310,20 +343,18 @@ class BaseNetwork:
                 self._arbitrate_and_move(movers, cycle)
             else:
                 self._move_single(movers[0], cycle)
-        # _active is maintained in place (tiles leave in _move_flit the
-        # moment they empty), so no per-tick rebuild is needed.
+        # _active is maintained in place (tiles leave in _finish_moves
+        # the moment they empty), so no per-tick rebuild is needed.
         return bool(self._active)
 
     def _drain_nics(self, cycle: int) -> None:
         occupancy = self._occupancy
         capacity = self._capacity
-        injection_delay = self.injection_delay
+        ready = cycle + self.injection_delay
         for tile in list(self._nic_active):
             q = self._nic_queues[tile]
             while q and occupancy[tile] < capacity:
-                flit = q.popleft()
-                self._buffer_flit(flit, tile, cycle)
-                flit.ready = cycle + injection_delay
+                self._buffer_flit(q.popleft(), tile, ready)
             if not q:
                 self._nic_active.discard(tile)
 
@@ -340,120 +371,119 @@ class BaseNetwork:
         return movers
 
     def _move_single(self, flit: _Flit, cycle: int) -> None:
-        """Uncontended fast path: one mover this cycle means no
-        claimed-set bookkeeping — only physical link reservations
-        (``_link_busy``, serialization tails) can stop the flit.
-        Identical outcome to running the general arbiter on a
+        """Uncontended fast path: with one mover this cycle only
+        physical link reservations (serialization tails) can stop the
+        flit. Identical outcome to running the general arbiter on a
         singleton list."""
-        key = (flit.at, flit.leg_dst)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = self._plan_cache[key] = self._compute_plan(*key)
-        links, routers = plan
-        if not links:
-            raise NetworkError(
-                f"flit at {flit.at} has no route to {flit.leg_dst}")
         link_busy = self._link_busy
         got = 0
-        for link in links:
-            if link_busy.get(link, -1) >= cycle:
+        for link in flit.links:
+            if link_busy[link] >= cycle:
                 break
+            link_busy[link] = cycle
             got += 1
-        self._finish_move(flit, links, routers, got, cycle)
+        flit.got = got
+        self._finish_moves((flit,), cycle)
 
     def _arbitrate_and_move(self, movers: List[_Flit], cycle: int) -> None:
-        # Plan entries are [flit, links, routers, got] — `got` mutated
-        # in place during arbitration.
-        plans: List[List] = []
-        plans_append = plans.append
-        plan_cache = self._plan_cache
-        for flit in movers:
-            key = (flit.at, flit.leg_dst)
-            plan = plan_cache.get(key)
-            if plan is None:
-                plan = plan_cache[key] = self._compute_plan(*key)
-            links, routers = plan
-            if links:
-                plans_append([flit, links, routers, 0])
-            else:
-                # Shouldn't happen: flit buffered at its leg destination
-                # is ejected on arrival, never re-buffered.
-                raise NetworkError(
-                    f"flit at {flit.at} has no route to {flit.leg_dst}")
-        claimed: Set[Link] = set()
         link_busy = self._link_busy
         # Distance-priority arbitration: position 0 (local) claims
-        # first. A flit that fails to claim its next link stops for the
-        # cycle, so only still-advancing flits are rescanned per
-        # position (the plans list is priority-ordered already).
-        live = plans
+        # first. A claim is the stamp ``link_busy[id] = cycle``: it
+        # blocks every later mover this tick, whether or not the
+        # claimant ends up moving, and reads free again next cycle. A
+        # flit that fails to claim its next link stops for the cycle
+        # (``got`` = links claimed so far), so only still-advancing
+        # flits are rescanned per position (``movers`` is
+        # priority-ordered already).
+        live = movers
         pos = 0
         while live:
-            advancing: List[List] = []
-            for entry in live:
-                links = entry[1]
+            advancing: List[_Flit] = []
+            nxt = pos + 1
+            for flit in live:
+                links = flit.links
                 link = links[pos]
-                if link in claimed or link_busy.get(link, -1) >= cycle:
-                    continue  # flit stops before this link
-                claimed.add(link)
-                entry[3] = pos + 1
-                if pos + 1 < len(links):
-                    advancing.append(entry)
+                if link_busy[link] >= cycle:
+                    flit.got = pos  # flit stops before this link
+                    continue
+                link_busy[link] = cycle
+                if nxt < len(links):
+                    advancing.append(flit)
+                else:
+                    flit.got = nxt
             live = advancing
-            pos += 1
-        for flit, links, routers, got in plans:
-            self._finish_move(flit, links, routers, got, cycle)
+            pos = nxt
+        self._finish_moves(movers, cycle)
 
-    def _finish_move(self, flit: _Flit, links: List[Link],
-                     routers: List[int], got: int, cycle: int) -> None:
-        """The one copy of the post-arbitration rules, shared by the
-        single-mover fast path and the general arbiter: all-or-nothing
-        release, back-off from full routers (cannot stop where there is
-        no buffer space; the leg destination ejects, needing none),
-        link reservations, then move or charge an arbitration loss."""
-        if not self.allow_partial and got < len(links):
-            got = 0  # all-or-nothing fabrics release their claims
+    def _finish_moves(self, movers: Sequence[_Flit], cycle: int) -> None:
+        """The one copy of the post-arbitration rules, in priority
+        order over the tick's movers (each has its ``got`` set):
+        all-or-nothing release, back-off from full routers (cannot stop
+        where there is no buffer space; the leg destination ejects,
+        needing none), link reservations, then move or charge an
+        arbitration loss."""
+        allow_partial = self.allow_partial
         occupancy = self._occupancy
         capacity = self._capacity
-        leg_dst = flit.leg_dst
-        while got > 0:
-            stop = routers[got - 1]
-            if stop == leg_dst or occupancy[stop] < capacity:
-                break
-            got -= 1
-            self._c_backoff.value += 1
-        if got == 0:
-            flit.ready = cycle + 1  # fresh SSR / re-arbitrate next cycle
-            self._c_arb_losses.value += 1
-            return
-        tail = cycle + flit.packet.size_flits - 1
         link_busy = self._link_busy
-        for i in range(got):
-            link_busy[links[i]] = tail
-        self._move_flit(flit, routers[got - 1], got, cycle,
-                        premature=(got < len(links)))
-
-    def _move_flit(self, flit: _Flit, to: int, hops: int, cycle: int,
-                   premature: bool) -> None:
-        src = flit.at
-        self._buffers[src].remove(flit)
-        self._occupancy[src] -= 1
-        # In-place _active maintenance: this is the only place a tile's
-        # occupancy can drop, so the tick loop never rebuilds the set.
-        if not self._occupancy[src] and not self._nic_queues[src]:
-            self._active.discard(src)
-        self._c_flit_hops.value += hops * flit.packet.size_flits
-        if premature:
-            self._c_premature.value += 1
-        flit.at = to
-        if to == flit.leg_dst:
-            self._on_leg_complete(flit, cycle)
-        else:
-            # inlined _buffer_flit (hot)
-            flit.ready = cycle + self.wait_cycles
-            self._buffers[to].append(flit)
-            self._occupancy[to] += 1
-            self._active.add(to)
+        buffers = self._buffers
+        nic_queues = self._nic_queues
+        active = self._active
+        plans = self._plans
+        n = self._n
+        ready = cycle + self.wait_cycles
+        flit_hops = premature = losses = backoff = 0
+        for flit in movers:
+            got = flit.got
+            links = flit.links
+            if got < len(links) and not allow_partial:
+                got = 0  # all-or-nothing fabrics release their claims
+            routers = flit.routers
+            leg_dst = flit.leg_dst
+            while got:
+                to = routers[got - 1]
+                if to == leg_dst or occupancy[to] < capacity:
+                    break
+                got -= 1
+                backoff += 1
+            if not got:
+                flit.ready = cycle + 1  # fresh SSR / re-arbitrate next cycle
+                losses += 1
+                continue
+            size = flit.packet.size_flits
+            if size > 1:
+                # body flits hold the links past this cycle (a 1-flit
+                # packet's tail is the claim stamp already there)
+                tail = cycle + size - 1
+                for i in range(got):
+                    link_busy[links[i]] = tail
+            flit_hops += got * size
+            if got < len(links):
+                premature += 1
+            src = flit.at
+            buffers[src].remove(flit)
+            occupancy[src] -= 1
+            # In-place _active maintenance: this is the only place a
+            # tile's occupancy can drop, so tick never rebuilds the set.
+            if not occupancy[src] and not nic_queues[src]:
+                active.discard(src)
+            flit.at = to
+            if to == leg_dst:
+                self._on_leg_complete(flit, cycle)
+            else:
+                # inlined _buffer_flit (hot)
+                flit.ready = ready
+                plan = plans[to * n + leg_dst]
+                if plan is None:
+                    plan = self._intern_plan(to, leg_dst)
+                flit.links, flit.routers = plan
+                buffers[to].append(flit)
+                occupancy[to] += 1
+                active.add(to)
+        self._c_flit_hops.value += flit_hops
+        self._c_premature.value += premature
+        self._c_arb_losses.value += losses
+        self._c_backoff.value += backoff
 
     def _on_leg_complete(self, flit: _Flit, cycle: int) -> None:
         """Unicast: eject. Multicast (SMART subclass): eject + fork."""

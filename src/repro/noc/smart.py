@@ -72,11 +72,8 @@ class SmartNetwork(BaseNetwork):
         # VMS leg best case (Figure 3: 4 legs = 8 cycles).
         children = flit.vms.tree_children(flit.mcast_root, flit.at)
         for child in children:
-            branch = _Flit(flit.packet, flit.at, child,
-                           cycle + self.wait_cycles,
+            branch = _Flit(flit.packet, flit.at, child, 0,
                            mcast_root=flit.mcast_root, vms=flit.vms)
             self._in_flight += 1
-            self._buffers[flit.at].append(branch)
-            self._occupancy[flit.at] += 1
-            self._active.add(flit.at)
+            self._buffer_flit(branch, flit.at, cycle + self.wait_cycles)
             self._c_mcast_forks.value += 1
