@@ -299,30 +299,26 @@ class BaseNetwork:
     def _compute_plan(self, at: int, leg_dst: int
                       ) -> Tuple[List[Link], List[int]]:
         """Default planner: unit-link XY walk of up to
-        ``max_hops_per_move`` hops along one dimension."""
+        ``max_hops_per_move`` hops along one dimension (X first, then
+        Y; SMART 1D never bypasses a turn). Tile ids are row-major, so
+        a unit step is ``at +- 1`` or ``at +- width``."""
+        if not (0 <= at < self._n and 0 <= leg_dst < self._n):
+            raise NetworkError(f"tile {at} or {leg_dst} out of range")
+        width = self.mesh.width
+        y, x = divmod(at, width)
+        dst_y, dst_x = divmod(leg_dst, width)
+        if x != dst_x:
+            step, hops = (1, dst_x - x) if dst_x > x else (-1, x - dst_x)
+        else:
+            step, hops = ((width, dst_y - y) if dst_y > y
+                          else (-width, y - dst_y))
         links: List[Link] = []
         routers: List[int] = []
-        remaining = self.max_hops_per_move
-        while remaining > 0 and at != leg_dst:
-            nxt, moved = self.mesh.xy_next_stop(at, leg_dst, 1)
-            if moved == 0:
-                break
-            # Stay within one dimension per traversal (SMART 1D: stop at
-            # turns). xy_next_stop is dimension-ordered so consecutive
-            # unit steps share a dimension until X is exhausted.
-            if links and self._turns(links[-1], (at, nxt)):
-                break
-            links.append((at, nxt))
-            routers.append(nxt)
-            at = nxt
-            remaining -= 1
+        for _ in range(min(hops, self.max_hops_per_move)):
+            links.append((at, at + step))
+            at += step
+            routers.append(at)
         return links, routers
-
-    @staticmethod
-    def _turns(prev: Link, cur: Link) -> bool:
-        dx_prev = prev[1] - prev[0]
-        dx_cur = cur[1] - cur[0]
-        return (abs(dx_prev) == 1) != (abs(dx_cur) == 1)
 
     # -- main per-cycle evaluation --------------------------------------
     def tick(self, cycle: int) -> bool:

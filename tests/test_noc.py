@@ -3,9 +3,11 @@ bandwidth, and backpressure across the three fabrics."""
 
 import pytest
 
+from repro.errors import NetworkError
 from repro.noc.conventional import ConventionalNetwork
 from repro.noc.flattened_butterfly import FlattenedButterflyNetwork
 from repro.noc.packet import Packet, VirtualNetwork
+from repro.noc.router import _Flit
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import ClusterMap, Mesh
 from repro.noc.vms import VirtualMesh
@@ -206,6 +208,70 @@ class TestContention:
         assert (value(f"{net.name}.flit_hops"),
                 value(f"{net.name}.arb_losses"),
                 sim.cycle) == (flit_hops, arb_losses, cycle)
+
+
+class TestRoutePlans:
+    """The default planner walks ``at +- 1`` / ``at +- width``
+    arithmetically; the reference below is the mesh's own XY helper,
+    one unit step at a time, stopping at turns."""
+
+    @staticmethod
+    def reference_plan(mesh, at, dst, max_hops):
+        links, routers = [], []
+        while len(links) < max_hops:
+            nxt, moved = mesh.xy_next_stop(at, dst, 1)
+            if moved == 0:
+                break
+            if links and nxt - at != links[-1][1] - links[-1][0]:
+                break  # direction changed — SMART 1D: no bypass at a turn
+            links.append((at, nxt))
+            routers.append(nxt)
+            at = nxt
+        return links, routers
+
+    @pytest.mark.parametrize("width,height", [(8, 8), (4, 2), (1, 5)])
+    def test_arithmetic_plan_equals_xy_walk(self, width, height):
+        mesh = Mesh(width, height)
+        for max_hops in range(1, 9):
+            net = SmartNetwork(Simulator(), mesh, NocConfig(hpc_max=max_hops))
+            for at in range(mesh.num_tiles):
+                for dst in range(mesh.num_tiles):
+                    assert net._compute_plan(at, dst) == \
+                        self.reference_plan(mesh, at, dst, max_hops), \
+                        (max_hops, at, dst)
+
+    def test_interned_plan_keeps_links_distinct_and_routers(self):
+        sim, net, _ = make_net(SmartNetwork)
+        links, routers = net._compute_plan(0, 63)
+        ids, interned_routers = net._intern_plan(0, 63)
+        assert interned_routers == tuple(routers) == (1, 2, 3, 4)
+        assert [net._link_ids[link] for link in links] == list(ids)
+        assert len(set(ids)) == len(ids)
+        # the table hands back the very same plan on a hit
+        assert net._plans[0 * 64 + 63] == (ids, interned_routers)
+
+    def test_empty_plan_stops_the_movers(self):
+        """``at == dst`` plans nothing; a flit is never buffered at its
+        leg destination, so buffering one there is a NetworkError."""
+        sim, net, _ = make_net(SmartNetwork)
+        assert net._compute_plan(9, 9) == ([], [])
+        p = Packet(src=9, dst=9, vn=VirtualNetwork.REQUEST)
+        with pytest.raises(NetworkError):
+            net._buffer_flit(_Flit(p, 9, 9, 0), 9, 0)
+
+    @pytest.mark.parametrize("cls", [SmartNetwork, ConventionalNetwork,
+                                     FlattenedButterflyNetwork])
+    def test_out_of_range_tile_is_a_network_error(self, cls):
+        sim, net, _ = make_net(cls, mesh_side=4)
+        for at, dst in ((0, 16), (0, -1), (16, 0), (3, 4 * 4 + 3)):
+            with pytest.raises(NetworkError):
+                net._compute_plan(at, dst)
+        # ...and never an IndexError (or an aliased entry) from the flat
+        # plan table: 1 * 16 + 19 would index tile 2's row
+        for dst in (16, 19, -1, 400):
+            with pytest.raises(NetworkError):
+                net.send(Packet(src=1, dst=dst, vn=VirtualNetwork.REQUEST))
+        assert net.in_flight == 0
 
 
 class TestVmsMulticast:
