@@ -135,6 +135,8 @@ class BaseNetwork:
         self._active: Set[int] = set()
         self._nic_active: Set[int] = set()  # tiles with a NIC backlog
         self._in_flight = 0
+        # (packet, tile) ejected by the latest tick, delivered next cycle
+        self._ejects: List[Tuple[Packet, int]] = []
         self._tid = sim.add_ticker(self)
         # Route plans depend only on (at, leg_dst) on a static mesh:
         # each is computed once, interned to ``(link_ids, routers)``
@@ -254,30 +256,23 @@ class BaseNetwork:
         self._occupancy[tile] += 1
         self._active.add(tile)
 
-    def _eject(self, flit: _Flit, cycle: int) -> None:
-        """Deliver the packet at its destination tile (= flit.at).
-
-        Latency is charged at head-flit arrival (+1 NIC cycle); the
-        serialization tail of multi-flit packets is modelled as link
-        *bandwidth* (reservations in ``_link_busy``), matching how
-        packet latency is normally reported.
-        """
-        packet = flit.packet
-        tile = flit.at
-        delay = 1
-        self._c_delivered.value += 1
-
-        def fire(p=packet, t=tile) -> None:
-            cycle = self.sim.cycle
-            p.delivered_at = cycle
+    def _fire_ejects(self) -> None:
+        """Deliver the packets the latest tick ejected (see
+        ``_finish_moves``), in ejection order, one cycle after their
+        head flits arrived."""
+        cycle = self.sim.cycle
+        ejects = self._ejects
+        self._ejects = []
+        receivers = self._receivers
+        add_latency = self._s_latency.add
+        for packet, tile in ejects:
+            packet.delivered_at = cycle
             self._in_flight -= 1
-            self._s_latency.add(cycle - p.injected_at)
-            receiver = self._receivers[t]
+            add_latency(cycle - packet.injected_at)
+            receiver = receivers[tile]
             if receiver is None:
-                raise NetworkError(f"no receiver attached at tile {t}")
-            receiver(p)
-
-        self.sim.call_after(delay, fire)
+                raise NetworkError(f"no receiver attached at tile {tile}")
+            receiver(packet)
 
     # -- route planning (subclass hook: _compute_plan) ------------------
     def _intern_plan(self, at: int, leg_dst: int) -> Plan:
@@ -417,7 +412,16 @@ class BaseNetwork:
         all-or-nothing release, back-off from full routers (cannot stop
         where there is no buffer space; the leg destination ejects,
         needing none), link reservations, then move or charge an
-        arbitration loss."""
+        arbitration loss.
+
+        A flit that reaches its leg destination ejects: the packet is
+        delivered at head-flit arrival + 1 NIC cycle; the serialization
+        tail of a multi-flit packet is modelled only as link
+        *bandwidth* (the reservations below), matching how packet
+        latency is normally reported. Only this loop ejects and nothing
+        else schedules during the tick phase, so one event per tick —
+        scheduled by the tick's first ejection — delivers the whole
+        batch exactly where per-packet events would have fired."""
         allow_partial = self.allow_partial
         occupancy = self._occupancy
         capacity = self._capacity
@@ -427,6 +431,7 @@ class BaseNetwork:
         active = self._active
         plans = self._plans
         n = self._n
+        ejects = self._ejects
         ready = cycle + self.wait_cycles
         flit_hops = premature = losses = backoff = 0
         for flit in movers:
@@ -446,7 +451,8 @@ class BaseNetwork:
                 flit.ready = cycle + 1  # fresh SSR / re-arbitrate next cycle
                 losses += 1
                 continue
-            size = flit.packet.size_flits
+            packet = flit.packet
+            size = packet.size_flits
             if size > 1:
                 # body flits hold the links past this cycle (a 1-flit
                 # packet's tail is the claim stamp already there)
@@ -465,7 +471,11 @@ class BaseNetwork:
                 active.discard(src)
             flit.at = to
             if to == leg_dst:
-                self._on_leg_complete(flit, cycle)
+                if not ejects:
+                    self.sim.call_after(1, self._fire_ejects)
+                ejects.append((packet, to))
+                if flit.vms is not None:
+                    self._fork(flit, cycle)
             else:
                 # inlined _buffer_flit (hot)
                 flit.ready = ready
@@ -480,10 +490,13 @@ class BaseNetwork:
         self._c_premature.value += premature
         self._c_arb_losses.value += losses
         self._c_backoff.value += backoff
+        self._c_delivered.value += len(ejects)
 
-    def _on_leg_complete(self, flit: _Flit, cycle: int) -> None:
-        """Unicast: eject. Multicast (SMART subclass): eject + fork."""
-        self._eject(flit, cycle)
+    def _fork(self, flit: _Flit, cycle: int) -> None:
+        """Multicast hook: ``flit`` (``flit.vms`` set) just ejected a
+        copy at a home router of its tree. Only a fabric with hardware
+        tree broadcast creates such flits (see SmartNetwork)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def occupancy(self, tile: int) -> int:

@@ -61,15 +61,11 @@ class SmartNetwork(BaseNetwork):
             flit = _Flit(packet, root, child, 0, mcast_root=root, vms=vms)
             self._enqueue_nic(flit)
 
-    def _on_leg_complete(self, flit: _Flit, cycle: int) -> None:
-        if flit.vms is None:  # unicast (inlined is_mcast)
-            self._eject(flit, cycle)
-            return
-        # Arrived at a home router on the VMS: deliver a copy here...
-        self._eject(flit, cycle)
-        # ...and fork toward tree children. Each branch wins the switch
-        # and sends a fresh SSR next cycle, then traverses: 2 cycles per
-        # VMS leg best case (Figure 3: 4 legs = 8 cycles).
+    def _fork(self, flit: _Flit, cycle: int) -> None:
+        # Arrived at a home router on the VMS and delivered a copy
+        # there; now fork toward tree children. Each branch wins the
+        # switch and sends a fresh SSR next cycle, then traverses: 2
+        # cycles per VMS leg best case (Figure 3: 4 legs = 8 cycles).
         children = flit.vms.tree_children(flit.mcast_root, flit.at)
         for child in children:
             branch = _Flit(flit.packet, flit.at, child, 0,

@@ -210,6 +210,41 @@ class TestContention:
                 sim.cycle) == (flit_hops, arb_losses, cycle)
 
 
+class TestEjectionOrder:
+    def test_same_tick_ejections_keep_their_event_order(self):
+        """Two flits eject in the same tick at different tiles, next to
+        user events for the very same delivery cycle. The sequence
+        below was recorded at the parent commit (one event per
+        ejection): a tick's ejections sit between what was scheduled
+        before the tick and what their own receivers schedule, in
+        arbitration order, each seeing ``in_flight`` already counted
+        down for itself only."""
+        sim = Simulator()
+        net = SmartNetwork(sim, Mesh(8, 8), NocConfig())
+        log = []
+
+        def receiver(tile):
+            def on_packet(packet):
+                log.append(("recv", tile, sim.cycle, net.in_flight))
+                if tile == 1:
+                    sim.schedule(0, lambda: log.append(
+                        ("late", sim.cycle, net.in_flight)))
+            return on_packet
+
+        for tile in range(64):
+            net.attach(tile, receiver(tile))
+        p1 = Packet(src=0, dst=1, vn=VirtualNetwork.REQUEST)
+        p2 = Packet(src=8, dst=9, vn=VirtualNetwork.RESPONSE, size_flits=5)
+        sim.schedule(0, lambda: (net.send(p1), net.send(p2)))
+        sim.schedule(2, lambda: log.append(
+            ("early", sim.cycle, net.in_flight)))
+        sim.run()
+        assert log == [("early", 2, 2), ("recv", 1, 2, 1),
+                       ("recv", 9, 2, 0), ("late", 2, 0)]
+        assert (p1.delivered_at, p2.delivered_at) == (2, 2)
+        assert sim.pending_events() == 0 and net.in_flight == 0
+
+
 class TestRoutePlans:
     """The default planner walks ``at +- 1`` / ``at +- width``
     arithmetically; the reference below is the mesh's own XY helper,
