@@ -11,7 +11,7 @@ by indexing with the full line address, which preserves uniformity).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache.line import CacheLine
 from repro.cache.replacement import make_policy
@@ -38,17 +38,23 @@ class CacheArray:
         self.index_stride = index_stride
         self.num_sets = config.num_sets
         self.assoc = config.assoc
-        self._sets: List[Dict[int, CacheLine]] = [dict() for _ in range(self.num_sets)]
-        self._policies = [make_policy(policy, self.assoc)
-                          for _ in range(self.num_sets)]
+        make_policy(policy, self.assoc)  # validate name/assoc eagerly
+        self._policy = policy
+        # A set is materialised by its first ``allocate``. Until then it
+        # holds nothing of its own: every untouched set shares one
+        # never-written empty dict and two immutable way maps, so all
+        # read-only queries answer as an empty set would, and
+        # ``_policies[idx] is None`` marks it.
+        self._sets: List[Dict[int, CacheLine]] = [{}] * self.num_sets
+        self._policies: List[Optional[Any]] = [None] * self.num_sets
         # way bookkeeping: each resident line carries its own way
         # (``CacheLine.way``) and the reverse way -> line_addr map
         # (None = free) makes victim resolution an O(1) list index —
         # no parallel addr->way dict to probe on the hot paths.
-        self._addr_of_way: List[List[Optional[int]]] = [
-            [None] * self.assoc for _ in range(self.num_sets)]
-        self._free_ways: List[List[int]] = [list(range(self.assoc))
-                                            for _ in range(self.num_sets)]
+        self._addr_of_way: List[Sequence[Optional[int]]] = \
+            [(None,) * self.assoc] * self.num_sets
+        self._free_ways: List[Sequence[int]] = \
+            [tuple(range(self.assoc))] * self.num_sets
 
     def set_index(self, line_addr: int) -> int:
         return (line_addr // self.index_stride) % self.num_sets
@@ -77,18 +83,25 @@ class CacheArray:
         idx = (line_addr // self.index_stride) % self.num_sets
         if line_addr in self._sets[idx]:
             raise ConfigError(f"line {line_addr:#x} already resident")
+        policy = self._policies[idx]
+        if policy is None:
+            policy = self._policies[idx] = make_policy(self._policy,
+                                                       self.assoc)
+            self._sets[idx] = {}
+            self._addr_of_way[idx] = [None] * self.assoc
+            self._free_ways[idx] = list(range(self.assoc))
         victim: Optional[CacheLine] = None
         if self._free_ways[idx]:
             way = self._free_ways[idx].pop()
         else:
-            way = self._policies[idx].victim()
+            way = policy.victim()
             victim_addr = self._inverse_way(idx, way)
             victim = self._sets[idx].pop(victim_addr)
             victim.way = -1
         line = CacheLine(line_addr, way)
         self._sets[idx][line_addr] = line
         self._addr_of_way[idx][way] = line_addr
-        self._policies[idx].touch(way)
+        policy.touch(way)
         return line, victim
 
     def victim_candidate(self, line_addr: int) -> Optional[CacheLine]:
@@ -108,10 +121,12 @@ class CacheArray:
         in-flight transactions (which must not be evicted mid-flight).
         """
         idx = self.set_index(line_addr)
-        ranked = self._policies[idx].victim_ranking()
+        policy = self._policies[idx]
+        if policy is None:
+            return []
         lines = self._sets[idx]
         addr_of_way = self._addr_of_way[idx]
-        return [lines[addr_of_way[w]] for w in ranked
+        return [lines[addr_of_way[w]] for w in policy.victim_ranking()
                 if addr_of_way[w] is not None]
 
     def set_full(self, line_addr: int) -> bool:

@@ -274,6 +274,8 @@ class TestWayBookkeepingInvariants:
                 if addr is not None:
                     assert ways[addr] == way
             assert len(ways) + len(free) == a.assoc
+            if a._policies[idx] is None:  # set not materialised yet
+                assert not lines
 
     def test_free_way_reused_after_invalidate(self):
         a = small_array(sets=1, assoc=2)
@@ -332,5 +334,10 @@ class TestWayBookkeepingInvariants:
 
     def test_inverse_way_unmapped_rejected(self):
         a = small_array(sets=1, assoc=2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError):  # untouched set
             a._inverse_way(0, 0)
+        line, _ = a.allocate(0)
+        way = line.way
+        a.invalidate(0)
+        with pytest.raises(ConfigError):  # materialised, way freed
+            a._inverse_way(0, way)

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.array import CacheArray
-from repro.cache.replacement import LruPolicy
+from repro.cache.line import CacheLine
+from repro.cache.replacement import LruPolicy, make_policy
+from repro.errors import ConfigError
 from repro.params import CacheConfig
 
 
@@ -81,6 +83,63 @@ class TestCacheArrayProperties:
             idx = a.set_index(addr)
             assert 0 <= idx < 8
             assert idx == a.set_index((addr // stride) * stride)
+
+
+def eager_array(config, policy, index_stride):
+    """Reference: an array whose every set owns its dict, policy and
+    way maps from construction (the layout before sets were made
+    lazy)."""
+    a = CacheArray(config, policy=policy, index_stride=index_stride)
+    for idx in range(a.num_sets):
+        a._policies[idx] = make_policy(policy, a.assoc)
+        a._sets[idx] = {}
+        a._addr_of_way[idx] = [None] * a.assoc
+        a._free_ways[idx] = list(range(a.assoc))
+    return a
+
+
+def outcome(array, op, addr):
+    """What one operation returns (lines as (addr, way)), or that it
+    raised."""
+    def plain(value):
+        if isinstance(value, CacheLine):
+            return value.line_addr, value.way
+        if isinstance(value, (tuple, list)):
+            return [plain(v) for v in value]
+        return value
+    try:
+        if op == "lookup_quiet":
+            return plain(array.lookup(addr, touch=False))
+        return plain(getattr(array, op)(addr))
+    except ConfigError:
+        return "ConfigError"
+
+
+array_ops = st.lists(
+    st.tuples(st.sampled_from(["lookup", "lookup_quiet", "contains",
+                               "allocate", "invalidate", "victim_candidate",
+                               "victim_ranking", "set_full",
+                               "set_occupancy"]),
+              st.integers(min_value=0, max_value=400)),
+    min_size=1, max_size=200)
+
+
+class TestLazySetsDifferential:
+    @given(ops=array_ops, policy=st.sampled_from(["lru", "plru"]),
+           stride=st.sampled_from([1, 16]),
+           sets=st.sampled_from([1, 4, 8]), assoc=st.sampled_from([1, 2, 4]))
+    @settings(max_examples=120, deadline=None)
+    def test_fresh_array_answers_like_a_materialised_one(
+            self, ops, policy, stride, sets, assoc):
+        config = array_config(sets, assoc)
+        lazy = CacheArray(config, policy=policy, index_stride=stride)
+        eager = eager_array(config, policy, stride)
+        for op, addr in ops:
+            assert outcome(lazy, op, addr) == outcome(eager, op, addr), \
+                (op, addr)
+        assert lazy.resident_count == eager.resident_count
+        assert sorted((ln.line_addr, ln.way) for ln in lazy.lines()) == \
+            sorted((ln.line_addr, ln.way) for ln in eager.lines())
 
 
 class TestLruPolicyProperties:
