@@ -21,7 +21,6 @@ class ConventionalNetwork(BaseNetwork):
     """Baseline mesh: 2 cycles/hop, single-hop traversals."""
 
     allow_partial = False
-    express_links = False
     max_hops_per_move = 1
 
     def __init__(self, sim: Simulator, mesh: Mesh, config: NocConfig,

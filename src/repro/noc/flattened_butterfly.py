@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.noc.router import BaseNetwork, Link, _Flit
+from repro.noc.router import BaseNetwork, Link
 from repro.noc.topology import Mesh
 from repro.params import NocConfig
 from repro.sim.kernel import Simulator
@@ -31,7 +31,6 @@ class FlattenedButterflyNetwork(BaseNetwork):
     """Flattened butterfly with express links up to ``hpc_max`` hops."""
 
     allow_partial = False
-    express_links = True
 
     def __init__(self, sim: Simulator, mesh: Mesh, config: NocConfig,
                  stats: Optional[Stats] = None, name: str = "fbfly") -> None:

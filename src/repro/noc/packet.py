@@ -2,9 +2,10 @@
 
 Packets are modelled at head-flit granularity: the head flit arbitrates
 through the network (SSRs, switch allocation); body flits follow the
-path the head set up, so multi-flit packets are charged
-``size_flits - 1`` extra serialization cycles at ejection rather than
-simulated flit-by-flit (see DESIGN.md §2).
+path the head set up, so a multi-flit packet is not simulated
+flit-by-flit: it holds each link it crosses for ``size_flits`` cycles
+(link bandwidth) and is delivered at head-flit arrival + 1 NIC cycle
+(see the ``repro.noc.router`` module docstring).
 """
 
 from __future__ import annotations

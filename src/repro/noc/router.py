@@ -6,11 +6,13 @@ traversal, how long it waits between traversals (router pipeline + SSR),
 which physical links a traversal claims, and whether a flit may be
 *prematurely stopped* partway through its planned traversal.
 
-Modelling decisions (see DESIGN.md §2):
+Modelling decisions:
 
 * Head-flit granularity: a traversal claims its links for
-  ``size_flits`` cycles so body flits consume link bandwidth, and the
-  receiver callback is delayed by the serialization tail.
+  ``size_flits`` cycles so body flits consume link bandwidth. The
+  receiver callback fires at head-flit arrival + 1 NIC cycle — the
+  serialization tail is modelled only as those link reservations, not
+  as extra delivery latency.
 * Arbitration is distance-priority, as in SMART SSR arbitration: the
   engine claims links position-by-position, so a flit whose very next
   link this is (a "local" flit) always beats a flit trying to bypass
@@ -18,6 +20,11 @@ Modelling decisions (see DESIGN.md §2):
 * Buffer space is enforced at the router where a flit stops; bypassed
   routers hold nothing. Injection queues (NICs) are unbounded, but
   flits only enter a router when its buffers have room.
+
+Host-side layout: route plans are interned once per ``(at, leg_dst)``
+into a flat table of ``(link_ids, routers, hops)`` tuples, link reservations
+live in a flat list indexed by link id, and an arbitration claim is the
+stamp ``link_busy[id] = cycle`` — see ``BaseNetwork.__init__``.
 """
 
 from __future__ import annotations
@@ -36,8 +43,9 @@ from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
 
 Link = Tuple[int, int]  # directed (src_tile, dst_tile)
-#: an interned route plan: (link ids, routers passed) per hop
-Plan = Tuple[Tuple[int, ...], Tuple[int, ...]]
+#: an interned route plan: per hop the link id claimed and the router
+#: reached, and the hop count
+Plan = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
 _next_flit_seq = id_source("flit").next_fn
 
@@ -45,30 +53,28 @@ _next_flit_seq = id_source("flit").next_fn
 class _Flit:
     """A head flit in flight. ``leg_dst`` is where this flit stops for
     good: the packet destination (unicast) or the next home router on a
-    VMS tree (multicast); multicast flits then eject a copy and fork."""
+    VMS tree (multicast); multicast flits then eject a copy and fork.
 
-    __slots__ = ("packet", "at", "leg_dst", "ready", "seq", "order",
-                 "mcast_root", "vms", "links", "routers", "got")
+    The router owns three more slots and sets them itself: ``ready``
+    (first cycle the flit may traverse) and ``plan`` (the interned
+    route plan from ``at`` toward ``leg_dst``) whenever the flit is
+    buffered at a router, and ``got`` (how many of the plan's links
+    this tick's arbitration granted) for every mover of a tick."""
 
-    def __init__(self, packet: Packet, at: int, leg_dst: int, ready: int,
+    __slots__ = ("packet", "at", "leg_dst", "order", "mcast_root", "vms",
+                 "ready", "plan", "got")
+
+    def __init__(self, packet: Packet, at: int, leg_dst: int,
                  mcast_root: Optional[int] = None, vms=None) -> None:
         self.packet = packet
         self.at = at
         self.leg_dst = leg_dst
-        self.ready = ready
-        self.seq = _next_flit_seq()
         # Age-priority sort key, computed once: packets are injected
         # before their flits exist, so injected_at is final here, and
         # the per-cycle arbitration sort needs no key lambda.
-        self.order = (packet.injected_at, self.seq)
+        self.order = (packet.injected_at, _next_flit_seq())
         self.mcast_root = mcast_root
         self.vms = vms
-        # The interned route plan from ``at`` toward ``leg_dst`` (set
-        # whenever the flit is buffered at a router) and the number of
-        # its links this tick's arbitration granted.
-        self.links: Tuple[int, ...] = ()
-        self.routers: Tuple[int, ...] = ()
-        self.got = 0
 
 
 #: C-level sort key for the age-priority arbitration sort
@@ -85,15 +91,15 @@ class BaseNetwork:
       SSR + ST-LT for SMART; 5 for the 4-stage high-radix router).
     * ``max_hops_per_move`` — mesh hops coverable per traversal.
     * ``allow_partial`` — premature stops (SMART yes, others no).
-    * ``express_links`` — True if a multi-hop traversal uses one
-      dedicated physical channel (flattened butterfly) instead of a
-      chain of unit mesh links (SMART).
+
+    Which physical links a traversal claims is the planner's business
+    (``_compute_plan``): a chain of unit mesh links by default, one
+    dedicated express channel on the flattened butterfly.
     """
 
     wait_cycles = 2
     max_hops_per_move = 1
     allow_partial = False
-    express_links = False
     #: cycles between NIC injection and first traversal (the first
     #: router stage overlaps injection on shallow-pipeline routers)
     injection_delay = 1
@@ -121,8 +127,7 @@ class BaseNetwork:
         # the same event phase, and must see exactly what the
         # queue-until-tick path would have shown. Cleared at tick
         # start — the moment _drain_nics would have drained the queue.
-        self._nic_pending: List[int] = [0] * n
-        self._nic_pending_dirty: List[int] = []
+        self._nic_pending: Dict[int, int] = {}
         self._receivers: List[Optional[Callable[[Packet], None]]] = [None] * n
         # Physical links are interned to dense ids the first time a plan
         # uses them; ``_link_busy[id]`` is the last cycle the link is
@@ -135,12 +140,14 @@ class BaseNetwork:
         self._active: Set[int] = set()
         self._nic_active: Set[int] = set()  # tiles with a NIC backlog
         self._in_flight = 0
-        # (packet, tile) ejected by the latest tick, delivered next cycle
-        self._ejects: List[Tuple[Packet, int]] = []
+        # flits that reached their leg destination in the latest tick;
+        # their packets are delivered next cycle at ``flit.at``
+        self._ejects: List[_Flit] = []
         self._tid = sim.add_ticker(self)
         # Route plans depend only on (at, leg_dst) on a static mesh:
-        # each is computed once, interned to ``(link_ids, routers)``
-        # tuples, and kept in a flat table indexed ``at * n + leg_dst``.
+        # each is computed once, interned to a ``(link_ids, routers,
+        # hops)`` tuple, and kept in a flat table indexed
+        # ``at * n + leg_dst``.
         self._n = n
         self._plans: List[Optional[Plan]] = [None] * (n * n)
         # Hot-path stat objects, bound once: Stats lookups and the
@@ -164,17 +171,17 @@ class BaseNetwork:
 
     def send(self, packet: Packet) -> None:
         """Inject a unicast packet at ``packet.src`` this cycle."""
-        if packet.dst is None:
+        src, dst = packet.src, packet.dst
+        if dst is None:
             raise NetworkError("use multicast() for multicast packets")
         packet.injected_at = self.sim.cycle
         self._c_injected.value += 1
-        if packet.dst == packet.src:
+        if dst == src:
             # Loopback through the NIC: one cycle.
             self._in_flight += 1
             self.sim.call_after(1, lambda p=packet: self._deliver_local(p))
             return
-        flit = _Flit(packet, packet.src, packet.dst, 0)
-        self._enqueue_nic(flit)
+        self._enqueue_nic(_Flit(packet, src, dst))
 
     def multicast(self, packet: Packet, vms) -> None:
         """Broadcast ``packet`` from ``packet.src`` to every other member
@@ -188,7 +195,7 @@ class BaseNetwork:
                 continue
             copy = packet.clone_for(member)
             copy.injected_at = packet.injected_at
-            flit = _Flit(copy, packet.src, member, 0)
+            flit = _Flit(copy, packet.src, member)
             self._enqueue_nic(flit)
 
     @property
@@ -202,7 +209,7 @@ class BaseNetwork:
         this to detect output-queue pressure (IVR deadlock avoidance);
         it is an architectural observable, so the direct-injection
         fast path must not change what it reports."""
-        return len(self._nic_queues[tile]) + self._nic_pending[tile]
+        return len(self._nic_queues[tile]) + self._nic_pending.get(tile, 0)
 
     # ------------------------------------------------------------------
     # internals
@@ -219,11 +226,19 @@ class BaseNetwork:
         receiver(packet)
 
     def _enqueue_nic(self, flit: _Flit) -> None:
-        if not 0 <= flit.leg_dst < self._n:
-            # the flat plan table must never be indexed out of range
-            raise NetworkError(f"tile {flit.leg_dst} out of range")
-        self._in_flight += 1
         tile = flit.at
+        leg_dst = flit.leg_dst
+        n = self._n
+        if not 0 <= leg_dst < n:
+            # the flat plan table must never be indexed out of range
+            raise NetworkError(f"tile {leg_dst} out of range")
+        self._in_flight += 1
+        active = self._active
+        if not active:
+            # Asleep exactly when no tile is active: tick() reports
+            # bool(_active) to the kernel and tiles only leave in tick.
+            self.sim.wake(self._tid)
+        active.add(tile)
         # Injection happens in the event phase, always before this
         # cycle's tick phase, so when the NIC has no backlog and the
         # router has buffer room we can do now exactly what
@@ -231,27 +246,32 @@ class BaseNetwork:
         # round-trip. The `not queue` guard preserves FIFO order
         # behind an existing backlog, and ``_nic_pending`` keeps the
         # nic_backlog() observable identical to the queued path.
-        if not self._nic_queues[tile] and self._occupancy[tile] < self._capacity:
-            self._buffer_flit(flit, tile,
-                              self.sim.cycle + self.injection_delay)
-            if not self._nic_pending[tile]:
-                self._nic_pending_dirty.append(tile)
-            self._nic_pending[tile] += 1
+        occupancy = self._occupancy
+        if not self._nic_queues[tile] and occupancy[tile] < self._capacity:
+            # inlined _buffer_flit (hot)
+            flit.ready = self.sim.cycle + self.injection_delay
+            plan = self._plans[tile * n + leg_dst]
+            if plan is None:
+                plan = self._intern_plan(tile, leg_dst)
+            flit.plan = plan
+            self._buffers[tile].append(flit)
+            occupancy[tile] += 1
+            pending = self._nic_pending
+            pending[tile] = pending.get(tile, 0) + 1
         else:
             self._nic_queues[tile].append(flit)
-            self._active.add(tile)
             self._nic_active.add(tile)
-        self.sim.wake(self._tid)
 
-    def _buffer_flit(self, flit: _Flit, tile: int, ready: int) -> None:
-        """Place ``flit`` in ``tile``'s router, first able to traverse
-        at cycle ``ready``, with its plan from there to ``leg_dst``."""
-        flit.at = tile
+    def _buffer_flit(self, flit: _Flit, ready: int) -> None:
+        """Place ``flit`` in the router at ``flit.at``, first able to
+        traverse at cycle ``ready``, with its plan from there to
+        ``leg_dst``."""
+        tile = flit.at
         flit.ready = ready
         plan = self._plans[tile * self._n + flit.leg_dst]
         if plan is None:
             plan = self._intern_plan(tile, flit.leg_dst)
-        flit.links, flit.routers = plan
+        flit.plan = plan
         self._buffers[tile].append(flit)
         self._occupancy[tile] += 1
         self._active.add(tile)
@@ -265,13 +285,15 @@ class BaseNetwork:
         self._ejects = []
         receivers = self._receivers
         add_latency = self._s_latency.add
-        for packet, tile in ejects:
+        for flit in ejects:
+            packet = flit.packet
             packet.delivered_at = cycle
             self._in_flight -= 1
             add_latency(cycle - packet.injected_at)
-            receiver = receivers[tile]
+            receiver = receivers[flit.at]
             if receiver is None:
-                raise NetworkError(f"no receiver attached at tile {tile}")
+                raise NetworkError(
+                    f"no receiver attached at tile {flit.at}")
             receiver(packet)
 
     # -- route planning (subclass hook: _compute_plan) ------------------
@@ -283,12 +305,15 @@ class BaseNetwork:
         if not links:
             raise NetworkError(f"flit at {at} has no route to {leg_dst}")
         ids = self._link_ids
+        link_ids = []
         for link in links:
-            if link not in ids:
-                ids[link] = len(self._link_busy)
+            link_id = ids.get(link)
+            if link_id is None:
+                link_id = ids[link] = len(self._link_busy)
                 self._link_busy.append(-1)
+            link_ids.append(link_id)
         plan = self._plans[at * self._n + leg_dst] = (
-            tuple(ids[link] for link in links), tuple(routers))
+            tuple(link_ids), tuple(routers), len(link_ids))
         return plan
 
     def _compute_plan(self, at: int, leg_dst: int
@@ -317,15 +342,17 @@ class BaseNetwork:
 
     # -- main per-cycle evaluation --------------------------------------
     def tick(self, cycle: int) -> bool:
-        if self._nic_pending_dirty:
+        if self._nic_pending:
             # direct injections are now "past the drain": stop counting
             # them in nic_backlog(), exactly when the queued path would
-            for tile in self._nic_pending_dirty:
-                self._nic_pending[tile] = 0
-            self._nic_pending_dirty.clear()
+            self._nic_pending.clear()
         if self._nic_active:
             self._drain_nics(cycle)
-        movers = self._gather_movers(cycle)
+        occupancy = self._occupancy
+        buffers = self._buffers
+        movers = [flit for tile in self._active
+                  if occupancy[tile]  # else NIC backlog only; nothing to move
+                  for flit in buffers[tile] if flit.ready <= cycle]
         if movers:
             if len(movers) > 1:
                 # Age-priority (injected_at, seq) total order: gather
@@ -345,21 +372,9 @@ class BaseNetwork:
         for tile in list(self._nic_active):
             q = self._nic_queues[tile]
             while q and occupancy[tile] < capacity:
-                self._buffer_flit(q.popleft(), tile, ready)
+                self._buffer_flit(q.popleft(), ready)
             if not q:
                 self._nic_active.discard(tile)
-
-    def _gather_movers(self, cycle: int) -> List[_Flit]:
-        movers: List[_Flit] = []
-        append = movers.append
-        occupancy = self._occupancy
-        buffers = self._buffers
-        for tile in self._active:
-            if occupancy[tile]:  # else NIC backlog only; nothing to move
-                for flit in buffers[tile]:
-                    if flit.ready <= cycle:
-                        append(flit)
-        return movers
 
     def _move_single(self, flit: _Flit, cycle: int) -> None:
         """Uncontended fast path: with one mover this cycle only
@@ -368,7 +383,7 @@ class BaseNetwork:
         singleton list."""
         link_busy = self._link_busy
         got = 0
-        for link in flit.links:
+        for link in flit.plan[0]:
             if link_busy[link] >= cycle:
                 break
             link_busy[link] = cycle
@@ -392,13 +407,13 @@ class BaseNetwork:
             advancing: List[_Flit] = []
             nxt = pos + 1
             for flit in live:
-                links = flit.links
-                link = links[pos]
+                plan = flit.plan
+                link = plan[0][pos]
                 if link_busy[link] >= cycle:
                     flit.got = pos  # flit stops before this link
                     continue
                 link_busy[link] = cycle
-                if nxt < len(links):
+                if nxt < plan[2]:
                     advancing.append(flit)
                 else:
                     flit.got = nxt
@@ -422,7 +437,6 @@ class BaseNetwork:
         else schedules during the tick phase, so one event per tick —
         scheduled by the tick's first ejection — delivers the whole
         batch exactly where per-packet events would have fired."""
-        allow_partial = self.allow_partial
         occupancy = self._occupancy
         capacity = self._capacity
         link_busy = self._link_busy
@@ -436,10 +450,9 @@ class BaseNetwork:
         flit_hops = premature = losses = backoff = 0
         for flit in movers:
             got = flit.got
-            links = flit.links
-            if got < len(links) and not allow_partial:
+            links, routers, full = flit.plan
+            if got < full and not self.allow_partial:
                 got = 0  # all-or-nothing fabrics release their claims
-            routers = flit.routers
             leg_dst = flit.leg_dst
             while got:
                 to = routers[got - 1]
@@ -457,23 +470,23 @@ class BaseNetwork:
                 # body flits hold the links past this cycle (a 1-flit
                 # packet's tail is the claim stamp already there)
                 tail = cycle + size - 1
-                for i in range(got):
-                    link_busy[links[i]] = tail
+                for link in links if got == full else links[:got]:
+                    link_busy[link] = tail
             flit_hops += got * size
-            if got < len(links):
+            if got < full:
                 premature += 1
             src = flit.at
             buffers[src].remove(flit)
-            occupancy[src] -= 1
+            left = occupancy[src] = occupancy[src] - 1
             # In-place _active maintenance: this is the only place a
             # tile's occupancy can drop, so tick never rebuilds the set.
-            if not occupancy[src] and not nic_queues[src]:
+            if not left and not nic_queues[src]:
                 active.discard(src)
             flit.at = to
             if to == leg_dst:
                 if not ejects:
                     self.sim.call_after(1, self._fire_ejects)
-                ejects.append((packet, to))
+                ejects.append(flit)
                 if flit.vms is not None:
                     self._fork(flit, cycle)
             else:
@@ -482,15 +495,18 @@ class BaseNetwork:
                 plan = plans[to * n + leg_dst]
                 if plan is None:
                     plan = self._intern_plan(to, leg_dst)
-                flit.links, flit.routers = plan
+                flit.plan = plan
                 buffers[to].append(flit)
                 occupancy[to] += 1
                 active.add(to)
         self._c_flit_hops.value += flit_hops
-        self._c_premature.value += premature
-        self._c_arb_losses.value += losses
-        self._c_backoff.value += backoff
         self._c_delivered.value += len(ejects)
+        if losses:
+            self._c_arb_losses.value += losses
+        if premature:
+            self._c_premature.value += premature
+        if backoff:
+            self._c_backoff.value += backoff
 
     def _fork(self, flit: _Flit, cycle: int) -> None:
         """Multicast hook: ``flit`` (``flit.vms`` set) just ejected a

@@ -31,7 +31,6 @@ class SmartNetwork(BaseNetwork):
 
     wait_cycles = 2          # SSR cycle + ST-LT cycle per SMART-hop
     allow_partial = True     # premature stops under contention
-    express_links = False    # traversals claim chains of unit links
 
     def __init__(self, sim: Simulator, mesh: Mesh, config: NocConfig,
                  stats: Optional[Stats] = None, name: str = "smart") -> None:
@@ -58,7 +57,7 @@ class SmartNetwork(BaseNetwork):
             return
         # Each copy is tracked as an in-flight delivery of its own.
         for child in children:
-            flit = _Flit(packet, root, child, 0, mcast_root=root, vms=vms)
+            flit = _Flit(packet, root, child, mcast_root=root, vms=vms)
             self._enqueue_nic(flit)
 
     def _fork(self, flit: _Flit, cycle: int) -> None:
@@ -68,8 +67,8 @@ class SmartNetwork(BaseNetwork):
         # cycles per VMS leg best case (Figure 3: 4 legs = 8 cycles).
         children = flit.vms.tree_children(flit.mcast_root, flit.at)
         for child in children:
-            branch = _Flit(flit.packet, flit.at, child, 0,
+            branch = _Flit(flit.packet, flit.at, child,
                            mcast_root=flit.mcast_root, vms=flit.vms)
             self._in_flight += 1
-            self._buffer_flit(branch, flit.at, cycle + self.wait_cycles)
+            self._buffer_flit(branch, cycle + self.wait_cycles)
             self._c_mcast_forks.value += 1

@@ -278,12 +278,12 @@ class TestRoutePlans:
     def test_interned_plan_keeps_links_distinct_and_routers(self):
         sim, net, _ = make_net(SmartNetwork)
         links, routers = net._compute_plan(0, 63)
-        ids, interned_routers = net._intern_plan(0, 63)
+        ids, interned_routers, hops = net._intern_plan(0, 63)
         assert interned_routers == tuple(routers) == (1, 2, 3, 4)
         assert [net._link_ids[link] for link in links] == list(ids)
-        assert len(set(ids)) == len(ids)
+        assert len(set(ids)) == len(ids) == hops == 4
         # the table hands back the very same plan on a hit
-        assert net._plans[0 * 64 + 63] == (ids, interned_routers)
+        assert net._plans[0 * 64 + 63] == (ids, interned_routers, hops)
 
     def test_empty_plan_stops_the_movers(self):
         """``at == dst`` plans nothing; a flit is never buffered at its
@@ -292,7 +292,7 @@ class TestRoutePlans:
         assert net._compute_plan(9, 9) == ([], [])
         p = Packet(src=9, dst=9, vn=VirtualNetwork.REQUEST)
         with pytest.raises(NetworkError):
-            net._buffer_flit(_Flit(p, 9, 9, 0), 9, 0)
+            net._buffer_flit(_Flit(p, 9, 9), 0)
 
     @pytest.mark.parametrize("cls", [SmartNetwork, ConventionalNetwork,
                                      FlattenedButterflyNetwork])
