@@ -22,12 +22,25 @@ Policy:
   a unit retried after a kill that had actually finished) are reported
   as duplicates and must be dropped by the caller. Retried units stay
   bit-identical because runs are seeded by config, never by worker.
+
+The queue is one global order (``add_job`` / retry append at the back,
+a dead worker's unit goes to the front) held as an index, so
+assignment never scans it: every pending unit has a sequence number
+(``_seq``: back positive and rising, front negative and falling), a
+FIFO per prefix (``_queues``), and per owner — ``None`` for unowned —
+a heap of ``(head sequence, prefix)`` (``_ready``). "First pending unit
+this worker owns, else first of an unowned prefix" is the top live
+entry of two heaps. Heap entries are never removed in place: one is
+live while its prefix still belongs to that heap's owner and still has
+that sequence number at its head, and dead ones are dropped when they
+surface. A unit's prefix hash is computed once, in ``add_job``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.harness.units import SweepUnit
@@ -52,6 +65,7 @@ class Assignment:
 @dataclass
 class _UnitState:
     unit: SweepUnit
+    prefix: str
     attempts: int = 0
 
 
@@ -75,17 +89,78 @@ class Scheduler:
         self.max_attempts = max_attempts
         self._workers: Dict[str, _WorkerState] = {}
         self._jobs: Dict[str, _JobState] = {}
-        self._pending: Deque[UnitId] = deque()
         self._units: Dict[UnitId, _UnitState] = {}
         self._prefix_owner: Dict[str, str] = {}
+        # the pending index (module docstring)
+        self._seq: Dict[UnitId, int] = {}
+        self._last_seq = 0
+        self._queues: Dict[str, Deque[UnitId]] = {}
+        self._ready: Dict[Optional[str], List[Tuple[int, str]]] = {None: []}
         self.requeues = 0
         self.duplicates = 0
+
+    # ---- pending index -----------------------------------------------
+    @property
+    def _pending(self) -> List[UnitId]:
+        """The queue in order — for snapshots and tests; nothing on
+        the dispatch path reads it."""
+        return sorted(self._seq, key=self._seq.__getitem__)
+
+    def _advertise(self, prefix: str) -> None:
+        """``prefix`` has a new head or a new owner: list it with its
+        current owner's heap."""
+        entry = (self._seq[self._queues[prefix][0]], prefix)
+        heappush(self._ready[self._prefix_owner.get(prefix)], entry)
+
+    def _enqueue(self, uid: UnitId, front: bool = False) -> None:
+        prefix = self._units[uid].prefix
+        queue = self._queues.get(prefix)
+        if queue is None:
+            queue = self._queues[prefix] = deque()
+        self._last_seq += 1
+        if front:
+            if uid in self._seq:  # one copy only: it moves to the front
+                queue.remove(uid)
+            self._seq[uid] = -self._last_seq
+            queue.appendleft(uid)
+        else:
+            self._seq[uid] = self._last_seq
+            queue.append(uid)
+        if queue[0] == uid:
+            self._advertise(prefix)
+
+    def _unqueue(self, uid: UnitId, prefix: str) -> None:
+        """Take a pending unit out: O(1) at the head of its prefix
+        (every assignment), a scan of that one prefix otherwise."""
+        del self._seq[uid]
+        queue = self._queues[prefix]
+        if queue[0] != uid:
+            queue.remove(uid)
+        else:
+            queue.popleft()
+            if queue:
+                self._advertise(prefix)
+            else:
+                del self._queues[prefix]
+
+    def _first_ready(self, owner: Optional[str]) -> Optional[UnitId]:
+        """The first pending unit among ``owner``'s prefixes."""
+        heap = self._ready[owner]
+        while heap:
+            seq, prefix = heap[0]
+            queue = self._queues.get(prefix)
+            if (queue is not None and self._seq[queue[0]] == seq
+                    and self._prefix_owner.get(prefix) == owner):
+                return queue[0]
+            heappop(heap)
+        return None
 
     # ---- workers -----------------------------------------------------
     def add_worker(self, name: str) -> None:
         if name in self._workers:
             raise ValueError(f"worker {name!r} already registered")
         self._workers[name] = _WorkerState(name)
+        self._ready[name] = []
 
     def remove_worker(self, name: str
                       ) -> Tuple[List[UnitId], List[UnitId]]:
@@ -101,16 +176,19 @@ class Scheduler:
         w = self._workers.pop(name, None)
         if w is None:
             return [], []
+        del self._ready[name]
         for prefix in w.prefixes:
             if self._prefix_owner.get(prefix) == name:
                 del self._prefix_owner[prefix]
+                if prefix in self._queues:
+                    self._advertise(prefix)
         requeued: List[UnitId] = []
         fatal: List[UnitId] = []
         if w.busy is not None and w.busy in self._units:
             if self._units[w.busy].attempts >= self.max_attempts:
                 fatal.append(w.busy)
             else:
-                self._pending.appendleft(w.busy)
+                self._enqueue(w.busy, front=True)
                 requeued.append(w.busy)
                 self.requeues += 1
         return requeued, fatal
@@ -138,8 +216,8 @@ class Scheduler:
                 job.done.add(idx)
                 continue
             uid = (job_id, idx)
-            self._units[uid] = _UnitState(unit)
-            self._pending.append(uid)
+            self._units[uid] = _UnitState(unit, unit.warmup_key)
+            self._enqueue(uid)
 
     def cancel_job(self, job_id: str) -> None:
         """Forget a job (its client went away): pending units are
@@ -147,9 +225,20 @@ class Scheduler:
         job = self._jobs.pop(job_id, None)
         if job is None:
             return
-        self._pending = deque(u for u in self._pending if u[0] != job_id)
-        for uid in [u for u in self._units if u[0] == job_id]:
-            del self._units[uid]
+        touched: Set[str] = set()
+        for idx in range(len(job.units)):
+            uid = (job_id, idx)
+            state = self._units.pop(uid, None)
+            if state is not None and self._seq.pop(uid, None) is not None:
+                touched.add(state.prefix)
+        for prefix in touched:
+            queue = deque(u for u in self._queues[prefix]
+                          if u[0] != job_id)
+            if queue:
+                self._queues[prefix] = queue
+                self._advertise(prefix)
+            else:
+                del self._queues[prefix]
 
     def job_done(self, job_id: str) -> bool:
         job = self._jobs[job_id]
@@ -166,24 +255,15 @@ class Scheduler:
         w = self._workers[name]
         if w.busy is not None:
             return None
-        pick: Optional[UnitId] = None
-        claim: Optional[UnitId] = None  # first unit of an unowned prefix
-        for uid in self._pending:
-            prefix = self._units[uid].unit.warmup_key
-            owner = self._prefix_owner.get(prefix)
-            if owner == name:
-                pick = uid
-                break
-            if owner is None and claim is None:
-                claim = uid
+        pick = self._first_ready(name)
         if pick is None:
-            pick = claim
+            pick = self._first_ready(None)  # claim an unowned prefix
         if pick is None:
             return None
-        self._pending.remove(pick)
         state = self._units[pick]
-        prefix = state.unit.warmup_key
+        prefix = state.prefix
         self._prefix_owner.setdefault(prefix, name)
+        self._unqueue(pick, prefix)
         w.prefixes.add(prefix)
         w.busy = pick
         state.attempts += 1
@@ -205,13 +285,11 @@ class Scheduler:
         if idx in job.done or uid not in self._units:
             self.duplicates += 1
             return "duplicate"
-        del self._units[uid]
+        state = self._units.pop(uid)
         # a requeued copy may still sit in pending if the "dead" worker
         # raced its result in before reassignment — drop it
-        try:
-            self._pending.remove(uid)
-        except ValueError:
-            pass
+        if uid in self._seq:
+            self._unqueue(uid, state.prefix)
         job.done.add(idx)
         if w is not None:
             w.completed += 1
@@ -234,8 +312,8 @@ class Scheduler:
         # uid (remove_worker already put it back); a second pending
         # copy would later be assigned concurrently or dangle after
         # completion, so requeue only when absent
-        if uid not in self._pending:
-            self._pending.append(uid)
+        if uid not in self._seq:
+            self._enqueue(uid)
         return "retry"
 
     def fail_job(self, job_id: str) -> None:
@@ -246,7 +324,7 @@ class Scheduler:
 
     # ---- introspection ----------------------------------------------
     def pending_count(self) -> int:
-        return len(self._pending)
+        return len(self._seq)
 
     def in_flight(self) -> Dict[str, UnitId]:
         return {n: w.busy for n, w in self._workers.items()
@@ -255,7 +333,7 @@ class Scheduler:
     def stats(self) -> Dict[str, int]:
         return {
             "workers": len(self._workers),
-            "pending": len(self._pending),
+            "pending": len(self._seq),
             "in_flight": len(self.in_flight()),
             "jobs": len(self._jobs),
             "requeues": self.requeues,
