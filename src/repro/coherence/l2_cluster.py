@@ -208,7 +208,7 @@ class TokenL2Controller(HomeL2Base):
         if not ready:
             return
         s["collecting"] = False  # token handlers stop touching this MSHR
-        ev = s.get("timeout_ev")
+        ev = s.pop("timeout_ev", None)
         if ev is not None:
             ev.cancel()
         if s["persist_requested"]:
@@ -561,7 +561,8 @@ class TokenL2Controller(HomeL2Base):
 
     def _ivr_local_victim(self, line_addr: int) -> Optional[CacheLine]:
         """A local line IVR may displace: not mid-transaction and with no
-        L1 sharers (avoiding a nested invalidation round — see DESIGN.md)."""
+        L1 sharers: displacing a shared line would need an invalidation
+        round nested inside the migration being installed."""
         for cand in self.array.victim_ranking(line_addr):
             if self.mshrs.busy(cand.line_addr):
                 continue

@@ -20,6 +20,7 @@ Concurrency discipline:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.cache.array import CacheArray
@@ -267,34 +268,40 @@ class HomeL2Base:
         else:
             self._c_fills_offchip.inc()
 
-        def install() -> None:
-            existing = self.array.lookup(mshr.line_addr, touch=True)
-            if existing is None:
-                existing, evicted = self.array.allocate(mshr.line_addr)
-                if evicted is not None:
-                    raise ProtocolError("allocate evicted despite make-room")
-            apply_state(existing)
-            # A WB_L1 that landed while the fill was in flight carries
-            # newer data than the fill source; fold it in.
-            wbv = mshr.scratch.get("wb_value")
-            if wbv is not None:
-                existing.shadow = merge_shadow(existing.shadow, wbv)
-            existing.touch(self.ctx.timestamp.now())
-            msg: Msg = mshr.scratch["msg"]
-            if msg.kind is MsgKind.GETS:
-                self._grant_read(mshr, existing)
-            else:
-                self._grant_write(mshr, existing)
+        mshr.scratch["apply_state"] = apply_state
+        self._try_install(mshr)
 
-        def try_install() -> None:
-            # Re-check fullness every time: while our eviction waited
-            # for L1 acks, a concurrent fill may have taken the way.
-            if self.array.set_full(mshr.line_addr):
-                self._make_room(mshr.line_addr, try_install)
-            else:
-                install()
+    def _try_install(self, mshr: Mshr) -> None:
+        # Re-check fullness every time: while our eviction waited
+        # for L1 acks, a concurrent fill may have taken the way. The
+        # continuation must not name itself (a partial over a bound
+        # method, ``apply_state`` parked in the MSHR until install): a
+        # self-referencing closure is a reference cycle per miss, and
+        # retired transactions are to be freed by refcount alone.
+        if self.array.set_full(mshr.line_addr):
+            self._make_room(mshr.line_addr,
+                            partial(self._try_install, mshr))
+        else:
+            self._install(mshr)
 
-        try_install()
+    def _install(self, mshr: Mshr) -> None:
+        existing = self.array.lookup(mshr.line_addr, touch=True)
+        if existing is None:
+            existing, evicted = self.array.allocate(mshr.line_addr)
+            if evicted is not None:
+                raise ProtocolError("allocate evicted despite make-room")
+        mshr.scratch.pop("apply_state")(existing)
+        # A WB_L1 that landed while the fill was in flight carries
+        # newer data than the fill source; fold it in.
+        wbv = mshr.scratch.get("wb_value")
+        if wbv is not None:
+            existing.shadow = merge_shadow(existing.shadow, wbv)
+        existing.touch(self.ctx.timestamp.now())
+        msg: Msg = mshr.scratch["msg"]
+        if msg.kind is MsgKind.GETS:
+            self._grant_read(mshr, existing)
+        else:
+            self._grant_write(mshr, existing)
 
     def _make_room(self, line_addr: int, cont: Callable[[], None]) -> None:
         victim = self._pick_victim(line_addr)

@@ -44,9 +44,12 @@ class Event:
         self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing (it stays in the heap lazily)."""
+        """Prevent the event from firing (it stays in the heap lazily,
+        but lets go of its callback: a cancelled timeout must not keep
+        the transaction it guarded alive until the heap reaches it)."""
         if not self.cancelled:
             self.cancelled = True
+            self.fn = None
             if self._sim is not None:
                 self._sim._live_events -= 1
 

@@ -1,0 +1,146 @@
+"""A finished cell leaves no cyclic garbage, and the continuations
+that replaced the cycles survive a checkpoint.
+
+Every L2 miss used to leave ~26 unreachable objects behind (the fill's
+self-naming ``try_install`` closure, and a cancelled timeout whose
+lambda named the MSHR that held it), so the collector ran often and
+its full passes walked the whole machine. The fill's continuation is
+now ``partial(self._try_install, mshr)`` with ``apply_state`` parked in
+the MSHR, and ``Event.cancel()`` lets go of the callback; these tests
+pin both the absence of garbage and the bit-identity of a restore taken
+while exactly those objects are live.
+"""
+
+from __future__ import annotations
+
+import gc
+from functools import partial
+
+import pytest
+
+from repro.cmp.system import CmpSystem
+from repro.harness.experiment import ExperimentConfig, _traces_for
+from repro.params import Organization
+from repro.sim.kernel import Event
+from repro.traces.synthetic import WorkloadSpec, generate_traces
+from tests.conftest import tiny_config
+
+ORGS = [Organization.PRIVATE, Organization.SHARED,
+        Organization.LOCO_CC_VMS_IVR]
+
+
+@pytest.mark.parametrize("org", ORGS, ids=lambda o: o.value)
+def test_finished_cell_leaves_no_cyclic_garbage(org):
+    """With the collector off for the whole run and the machine still
+    referenced, nothing it made is unreachable-but-uncollected: every
+    retired transaction was freed by reference counting alone."""
+    exp = ExperimentConfig("water_spatial", org, cores=16, cluster=(2, 2),
+                           scale=0.04)
+    traces, populations = _traces_for(exp)
+    gc.collect()
+    gc.disable()
+    try:
+        system = CmpSystem(exp.system_config(), traces,
+                           barrier_populations=populations,
+                           warmup_fraction=exp.warmup_fraction)
+        result = system.run()
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert result.stats.value("l2_misses") > 400  # the path was taken
+    assert unreachable == 0
+    assert len(system.l2s) == 16  # ... with the machine still referenced
+
+
+# ----------------------------------------------------------------------
+# checkpoint with the new continuations live
+# ----------------------------------------------------------------------
+def _pressure_traces():
+    """Footprints well over the tiny L2 slices, with sharing: fills
+    queue behind evictions that wait for L1 invalidation acks."""
+    spec = WorkloadSpec(name="gcsnap", refs_per_core=200,
+                        private_lines=160, shared_lines=48,
+                        shared_fraction=0.35, write_fraction=0.3,
+                        sharing="neighbor", group_size=4,
+                        zipf_alpha=0.4, gap_mean=2.0)
+    return generate_traces(spec, 16, seed=11)
+
+
+def _parked_fills(system: CmpSystem) -> int:
+    """Fills waiting behind ``_make_room``: an EVICT transaction whose
+    parked ``done`` carries the ``partial(_try_install, mshr)``."""
+    count = 0
+    for l2 in system.l2s:
+        for mshr in l2.mshrs._entries.values():
+            cont = mshr.scratch.get("cont")
+            if mshr.kind == "EVICT" and cont is not None and any(
+                    isinstance(cell.cell_contents, partial)
+                    for cell in cont.__closure__):
+                count += 1
+    return count
+
+
+def _cancelled_in_heap(system: CmpSystem) -> int:
+    return sum(1 for entry in system.sim._heap
+               if entry[2].__class__ is Event and entry[2].cancelled)
+
+
+def _pause_where(system: CmpSystem, ready, limit: int = 40_000) -> int:
+    system.start()
+    for cycle in range(1, limit):
+        system.sim.run(until=cycle)
+        if ready(system):
+            return cycle
+    raise AssertionError("the workload never reached the state under test")
+
+
+@pytest.mark.parametrize("org", ORGS, ids=lambda o: o.value)
+def test_restore_with_a_fill_parked_behind_make_room(org):
+    traces = _pressure_traces()
+    token = org is Organization.LOCO_CC_VMS_IVR
+
+    def ready(system):
+        # the token machine must also hold a cancelled timeout in its
+        # heap, callback already dropped
+        return _parked_fills(system) and (
+            not token or _cancelled_in_heap(system))
+
+    straight = CmpSystem(tiny_config(org), traces, warmup_fraction=0.35)
+    r_straight = straight.run()
+
+    paused = CmpSystem(tiny_config(org), traces, warmup_fraction=0.35)
+    _pause_where(paused, ready)
+    assert all(entry[2].fn is None for entry in paused.sim._heap
+               if entry[2].__class__ is Event and entry[2].cancelled)
+    image = paused.checkpoint()
+    r_resumed = paused.resume()
+
+    forked = CmpSystem.restore(image, traces)
+    assert _parked_fills(forked) > 0  # the partial came back as one
+    r_forked = forked.resume()
+
+    assert r_resumed.stats.to_dict() == r_straight.stats.to_dict()
+    assert r_forked.stats.to_dict() == r_straight.stats.to_dict()
+    assert r_forked.runtime == r_straight.runtime
+    assert r_forked.per_core_finish == r_straight.per_core_finish
+    forked.check_token_conservation()
+
+
+def test_completed_token_collection_holds_no_timeout_event():
+    """``_maybe_complete`` pops the timeout it cancels: between token
+    collection and retire (the fill may park for a long time) the MSHR
+    holds no event, fired or cancelled."""
+    org = Organization.LOCO_CC_VMS_IVR
+    system = CmpSystem(tiny_config(org), _pressure_traces(),
+                       warmup_fraction=0.35)
+    seen = []
+
+    def collected(system):
+        for l2 in system.l2s:
+            for mshr in l2.mshrs._entries.values():
+                if mshr.scratch.get("collecting") is False:
+                    seen.append("timeout_ev" in mshr.scratch)
+        return len(seen) >= 50
+
+    _pause_where(system, collected)
+    assert not any(seen)

@@ -115,6 +115,41 @@ class TestScheduling:
         ev.cancel()
         assert sim.pending_events() == 0
 
+    def test_cancel_drops_the_callback_and_never_calls_none(self):
+        """A cancelled event stays in the heap but lets go of ``fn``
+        (a timeout's lambda names the transaction it guarded); the
+        loop skips it, and a cancel that comes after the event fired
+        touches nothing."""
+        sim = Simulator()
+        seen = []
+        dropped = sim.schedule(3, lambda: seen.append("dropped"))
+        fired = sim.schedule(4, lambda: seen.append("fired"))
+        dropped.cancel()
+        assert dropped.fn is None and any(e[2] is dropped
+                                          for e in sim._heap)
+        sim.run()
+        assert seen == ["fired"]
+        fired.cancel()  # late: already consumed
+        assert fired.fn is not None
+        assert sim.pending_events() == 0
+
+    def test_epoch_hook_cancelled_from_its_own_callback(self):
+        """The hook reschedules before it calls out, so a callback that
+        cancels its hook cancels the *next* firing — whose ``fn`` is
+        then None and must never be called."""
+        sim = Simulator()
+        fires = []
+
+        def once(cycle):
+            fires.append(cycle)
+            hook.cancel()
+
+        hook = sim.add_epoch_hook(10, once)
+        sim.schedule(50, lambda: None)
+        sim.run()
+        assert fires == [10]
+        assert hook._event.cancelled and hook._event.fn is None
+
     def test_double_cancel_counts_once(self):
         sim = Simulator()
         ev = sim.schedule(5, lambda: None)
