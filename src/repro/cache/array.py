@@ -44,7 +44,9 @@ class CacheArray:
         # holds nothing of its own: every untouched set shares one
         # never-written empty dict and two immutable way maps, so all
         # read-only queries answer as an empty set would, and
-        # ``_policies[idx] is None`` marks it.
+        # ``_policies[idx] is None`` marks it. A materialised LRU set
+        # costs one dict and three short lists (its policy is a list
+        # of ways, LRU first).
         self._sets: List[Dict[int, CacheLine]] = [{}] * self.num_sets
         self._policies: List[Optional[Any]] = [None] * self.num_sets
         # way bookkeeping: each resident line carries its own way

@@ -8,7 +8,6 @@ Policies are per-*set* objects so state never leaks across sets.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List
 
 from repro.errors import ConfigError
@@ -17,36 +16,32 @@ from repro.errors import ConfigError
 class LruPolicy:
     """True LRU over the ways of one set.
 
-    The recency order lives in an :class:`OrderedDict` (a hash map over
-    a doubly-linked list), so ``touch`` is an O(1) ``move_to_end``
-    instead of the O(assoc) ``list.remove`` a plain list needs — this
-    runs on every cache lookup, the hottest path in the simulator.
-    ``touch`` is the bound C method itself (an instance slot, assigned
-    in ``__init__``), so the hottest call in the array has no Python
-    frame at all.
+    The recency order is a plain list of way numbers, LRU first and
+    MRU last. ``touch`` runs on every cache lookup: re-touching the MRU
+    way (the common hit) is one compare, anything else a ``remove`` +
+    ``append`` over at most ``assoc`` small ints. A list is cheap to
+    build and to keep, which matters more than O(1) reordering at
+    these sizes: a figure job materialises tens of thousands of sets,
+    and a hash-linked order per set is the machine's largest
+    allocation site.
     """
 
-    __slots__ = ("assoc", "_order", "touch")
+    __slots__ = ("assoc", "_order")
 
     def __init__(self, assoc: int) -> None:
         if assoc < 1:
             raise ConfigError("associativity must be >= 1")
         self.assoc = assoc
-        # Keys in LRU ... MRU order; values unused.
-        self._order: "OrderedDict[int, None]" = OrderedDict(
-            (way, None) for way in range(assoc))
-        #: touch(way) == move_to_end(way): C-level, no wrapper frame
-        self.touch = self._order.move_to_end
+        self._order: List[int] = list(range(assoc))
 
-    def __getstate__(self):
-        return self.assoc, self._order
-
-    def __setstate__(self, state) -> None:
-        self.assoc, self._order = state
-        self.touch = self._order.move_to_end
+    def touch(self, way: int) -> None:
+        order = self._order
+        if order[-1] != way:
+            order.remove(way)
+            order.append(way)
 
     def victim(self) -> int:
-        return next(iter(self._order))
+        return self._order[0]
 
     def victim_ranking(self) -> List[int]:
         """Ways ordered from most- to least-evictable."""

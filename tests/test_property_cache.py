@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) for the cache substrate."""
 
+import pickle
+from collections import OrderedDict
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,3 +167,36 @@ class TestLruPolicyProperties:
         for w in touches:
             p.touch(w)
         assert sorted(p.victim_ranking()) == list(range(8))
+
+
+lru_ops = st.lists(
+    st.tuples(st.sampled_from(["touch", "touch", "victim",
+                               "victim_ranking", "pickle"]),
+              st.integers(min_value=0, max_value=15)),
+    min_size=1, max_size=120)
+
+
+class TestListLruDifferential:
+    @given(ops=lru_ops, assoc=st.integers(min_value=1, max_value=16))
+    @settings(max_examples=120, deadline=None)
+    def test_list_lru_matches_ordered_dict_model(self, ops, assoc):
+        """The list ``LruPolicy`` against the hash-linked order it
+        replaced (``move_to_end`` / first key / key order), with a
+        pickle round trip wherever the op stream asks for one."""
+        policy = LruPolicy(assoc)
+        model = OrderedDict((way, None) for way in range(assoc))
+        for op, arg in ops:
+            way = arg % assoc
+            if op == "touch":
+                policy.touch(way)
+                model.move_to_end(way)
+            elif op == "victim":
+                assert policy.victim() == next(iter(model))
+            elif op == "victim_ranking":
+                ranking = policy.victim_ranking()
+                assert ranking == list(model)
+                ranking.clear()  # a copy: the caller may not reach in
+            else:
+                policy = pickle.loads(pickle.dumps(policy))
+                assert policy.assoc == assoc
+        assert policy.victim_ranking() == list(model)
