@@ -48,43 +48,72 @@ class MemoryController:
         self._total_tokens = ctx.cluster_map.num_clusters
         # persistent-request arbiter: line -> queue of requestor tiles
         self._persist: Dict[int, Deque[int]] = {}
+        # off-chip traffic counters, bound by the first fetch /
+        # writeback: a counter that exists is part of the result, so
+        # they are not created before something counts
+        self._c_fetches = None
+        self._c_writebacks = None
+        self._build_dispatch()
         ctx.register(tile, Unit.MC, self.handle)
 
     # ------------------------------------------------------------------
+    def _build_dispatch(self) -> None:
+        """Dispatch table of bound methods indexed by the dense
+        import-time ``MsgKind.idx`` (the L1 / home-L2 idiom). Derived
+        state: excluded from snapshots and rebuilt on restore."""
+        self._dispatch = [None] * len(MsgKind)
+        for kind, fn in ((MsgKind.MEM_READ, self._mem_read),
+                         (MsgKind.MEM_WB, self._count_writeback),
+                         (MsgKind.DIR_GETS, self._dir_request_later),
+                         (MsgKind.DIR_GETX, self._dir_request_later),
+                         (MsgKind.DIR_DONE, self._dir_done),
+                         (MsgKind.DIR_WB, self._dir_writeback_later),
+                         (MsgKind.TOK_GETS, self._token_request),
+                         (MsgKind.TOK_GETX, self._token_request),
+                         (MsgKind.TOK_WB, self._token_writeback),
+                         (MsgKind.PERSIST_START, self._persist_start),
+                         (MsgKind.PERSIST_DONE, self._persist_done)):
+            self._dispatch[kind.idx] = fn
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_dispatch"]  # derived; rebuilt in __setstate__
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_dispatch()
+
     def handle(self, msg: Msg) -> None:
-        kind = msg.kind
-        if kind is MsgKind.MEM_READ:
-            self._mem_read(msg)
-        elif kind is MsgKind.MEM_WB:
-            self._count_writeback(msg)
-        elif kind in (MsgKind.DIR_GETS, MsgKind.DIR_GETX):
-            self.ctx.sim.call_after(self.dir_latency,
-                                  lambda: self._dir_request(msg))
-        elif kind is MsgKind.DIR_DONE:
-            self._dir_done(msg)
-        elif kind is MsgKind.DIR_WB:
-            self.ctx.sim.call_after(self.dir_latency,
-                                  lambda: self._dir_writeback(msg))
-        elif kind in (MsgKind.TOK_GETS, MsgKind.TOK_GETX):
-            self._token_request(msg)
-        elif kind is MsgKind.TOK_WB:
-            self._token_writeback(msg)
-        elif kind is MsgKind.PERSIST_START:
-            self._persist_start(msg)
-        elif kind is MsgKind.PERSIST_DONE:
-            self._persist_done(msg)
-        else:
+        fn = self._dispatch[msg.kind.idx]
+        if fn is None:
             raise ProtocolError(f"MC at tile {self.tile} got {msg}")
+        fn(msg)
+
+    def _dir_request_later(self, msg: Msg) -> None:
+        self.ctx.sim.call_after(self.dir_latency,
+                                lambda: self._dir_request(msg))
+
+    def _dir_writeback_later(self, msg: Msg) -> None:
+        self.ctx.sim.call_after(self.dir_latency,
+                                lambda: self._dir_writeback(msg))
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
     def _count_fetch(self) -> None:
-        self.ctx.stats.counter("offchip_fetches").inc()
+        c = self._c_fetches
+        if c is None:
+            c = self._c_fetches = self.ctx.stats.counter("offchip_fetches")
+        c.value += 1
 
     def _count_writeback(self, msg: Msg) -> None:
         if msg.dirty:
-            self.ctx.stats.counter("offchip_writebacks").inc()
+            c = self._c_writebacks
+            if c is None:
+                c = self._c_writebacks = \
+                    self.ctx.stats.counter("offchip_writebacks")
+            c.value += 1
             self._merge_value(msg)
 
     def _merge_value(self, msg: Msg) -> None:

@@ -44,6 +44,19 @@ class TestOffchipAccounting:
         assert drv.system.stats.value("offchip_writebacks") == 0
 
 
+    def test_counters_appear_with_the_first_count(self):
+        """A counter that exists is part of a result (the stats wire
+        encoding lists every one), so binding them once must not
+        create them early."""
+        drv = AccessDriver(build_system(Organization.SHARED))
+        counters = drv.system.stats._counters
+        assert "offchip_fetches" not in counters
+        assert "offchip_writebacks" not in counters
+        drv.read(0, 0x40)
+        assert drv.system.stats.value("offchip_fetches") == 1
+        assert "offchip_writebacks" not in counters
+
+
 class TestTokenHome:
     def test_initial_state_full_tokens(self):
         system = build_system(Organization.LOCO_CC_VMS)
