@@ -30,9 +30,9 @@ peer that stops draining its receive buffer becomes a bounded
 Scheduler, job table and result memo are touched only from the loop
 thread: there are no locks, and no thread-per-connection ceiling —
 one coordinator holds hundreds of idle worker connections at the cost
-of one queue and two tasks each (see the ``service_connections`` bench
-scenario). Liveness is a single monitor coroutine comparing monotonic
-``loop.time()`` deadlines. The heavy work happens in worker
+of one queue and two tasks each (``tests/test_service_scale.py``
+storms 512 of them). Liveness is a single monitor coroutine comparing
+monotonic ``loop.time()`` deadlines. The heavy work happens in worker
 *processes*, never here.
 
 Replication: every coordinator is one replica of the quorum its
@@ -71,7 +71,7 @@ from repro.sim.snapshot import save_file
 __all__ = ["Coordinator"]
 
 #: accept backlog — sized for bursts of a whole fleet signing in at
-#: once (the scale bench dials 500+ connections in one loop)
+#: once (``tests/test_service_scale.py`` dials 512 in one loop)
 _BACKLOG = 1024
 
 
