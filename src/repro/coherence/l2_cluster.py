@@ -581,10 +581,7 @@ class TokenL2Controller(HomeL2Base):
                                   msg.owner_token, msg.dirty, msg.value)
             self.ctx.stats.counter("ivr_threshold_writebacks").inc()
             return
-        cm = self.ctx.cluster_map
-        hnid = cm.hnid_of_line(msg.line_addr)
-        others = [c for c in range(cm.num_clusters) if c != self.my_cluster]
-        target = cm.home_tile(self.ctx.rng.choice("ivr", others), hnid)
+        target = self._pick_ivr_target(msg.line_addr)
         onward = Msg(MsgKind.IVR_MIGRATE, msg.line_addr, self.tile, Unit.L2,
                      requestor=msg.requestor, tokens=msg.tokens,
                      owner_token=msg.owner_token, dirty=msg.dirty,

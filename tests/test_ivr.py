@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.coherence.messages import Msg, MsgKind, Unit
 from repro.params import IvrConfig, Organization
 from tests.conftest import AccessDriver, build_system
 
@@ -71,6 +72,29 @@ class TestMigration:
         fill_home_set(drv, 0, 0x0, assoc + 4)
         drv.settle()
         assert drv.system.stats.value("ivr_migrations") >= 1
+
+    def test_round_robin_policy_covers_the_onward_hop(self):
+        """A denied migrant's next hop follows ``target_policy`` too:
+        under ``round_robin`` it advances the shared cursor and draws
+        nothing from the ``ivr`` stream."""
+        system = build_system(ORG, ivr=IvrConfig(target_policy="round_robin"))
+        cm = system.ctx.cluster_map
+        l2 = system.l2s[0]
+        others = [c for c in range(cm.num_clusters) if c != l2.my_cluster]
+        sent = []
+        system.ctx.send = lambda msg, src, dst: sent.append((msg, dst))
+        for hop in range(len(others) + 1):
+            migrant = Msg(MsgKind.IVR_MIGRATE, 0x40, 5, Unit.L2, requestor=5,
+                          tokens=1, migrations=1)
+            l2._forward_or_writeback(migrant)
+            onward, dst = sent[-1]
+            assert onward.kind is MsgKind.IVR_MIGRATE
+            assert onward.migrations == 2
+            assert dst == cm.home_tile(others[hop % len(others)],
+                                       cm.hnid_of_line(0x40))
+        assert system.stats.value("ivr_rr_cursor") == len(others) + 1
+        assert system.stats.value("ivr_forwards") == len(others) + 1
+        assert "ivr" not in system.rng._streams
 
 
 class TestTimestampArbitration:
