@@ -16,6 +16,7 @@ Two execution modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -207,6 +208,14 @@ class Core:
             self._c_spec_issued = stats.counter("spec_issued")
             self._c_spec_squashed = stats.counter("spec_squashed")
 
+    def __getstate__(self) -> dict:
+        # The trace is large and re-derivable from the experiment seed:
+        # images leave it out and ``CmpSystem.restore`` re-attaches the
+        # caller's (digest-verified) copy.
+        state = self.__dict__.copy()
+        del state["trace"]
+        return state
+
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Schedule the first event; call once after system build."""
@@ -221,7 +230,7 @@ class Core:
         if ev.gap > 0:
             self.instructions += ev.gap
             self._c_instructions.value += ev.gap
-            self.sim.call_after(ev.gap, lambda: self._execute(ev))
+            self.sim.call_after(ev.gap, partial(self._execute, ev))
         else:
             self._execute(ev)
 
@@ -365,16 +374,14 @@ class Core:
             self.l1.access(addr, False, self._step)
             return
         bit = ((addr - spec.probe_base) // spec.probe_stride) % spec.probe_mod
-        start = self.sim.cycle
-        stats = self.stats
+        self.l1.access(addr, False,
+                       partial(self._probe_measured, bit, self.sim.cycle))
 
-        def measured() -> None:
-            stats.counter(f"leak_probes_b{bit}").inc()
-            if self.sim.cycle - start >= spec.probe_threshold:
-                stats.counter(f"leak_slow_b{bit}").inc()
-            self._step()
-
-        self.l1.access(addr, False, measured)
+    def _probe_measured(self, bit: int, start: int) -> None:
+        self.stats.counter(f"leak_probes_b{bit}").inc()
+        if self.sim.cycle - start >= self.spec.probe_threshold:
+            self.stats.counter(f"leak_slow_b{bit}").inc()
+        self._step()
 
     # -- synchronization --------------------------------------------------
     def _do_barrier(self, ev: TraceEvent) -> None:
@@ -387,34 +394,36 @@ class Core:
         # Full-system mode: announce arrival with a store to the barrier
         # line, then spin reading it.
         barrier_line = self._barrier_line(barrier_id)
-
-        def after_store() -> None:
-            self.sync.arrive_barrier(barrier_id)
-            self._spin_barrier(barrier_id, barrier_line)
-
         self._c_mem_refs.inc()
-        self.l1.access(barrier_line, True, after_store)
+        self.l1.access(barrier_line, True,
+                       partial(self._barrier_announced, barrier_id,
+                               barrier_line))
+
+    def _barrier_announced(self, barrier_id: int, barrier_line: int) -> None:
+        self.sync.arrive_barrier(barrier_id)
+        self._spin_barrier(barrier_id, barrier_line)
 
     def _wait_barrier_free(self, barrier_id: int) -> None:
         if self.sync.barrier_done(barrier_id, self.barrier_population):
             self._step()
         else:
             self.sim.call_after(_SPIN_BACKOFF,
-                                lambda: self._wait_barrier_free(barrier_id))
+                                partial(self._wait_barrier_free, barrier_id))
 
     def _spin_barrier(self, barrier_id: int, barrier_line: int) -> None:
         if self.sync.barrier_done(barrier_id, self.barrier_population):
             self._step()
             return
-
-        def after_probe() -> None:
-            self.stats.counter("spin_probes").inc()
-            self.sim.call_after(
-                _SPIN_BACKOFF,
-                lambda: self._spin_barrier(barrier_id, barrier_line))
-
         self._c_mem_refs.inc()
-        self.l1.access(barrier_line, False, after_probe)
+        self.l1.access(barrier_line, False,
+                       partial(self._barrier_probed, barrier_id,
+                               barrier_line))
+
+    def _barrier_probed(self, barrier_id: int, barrier_line: int) -> None:
+        self.stats.counter("spin_probes").inc()
+        self.sim.call_after(_SPIN_BACKOFF,
+                            partial(self._spin_barrier, barrier_id,
+                                    barrier_line))
 
     def _barrier_line(self, barrier_id: int) -> int:
         # A dedicated, globally shared line per barrier id.
@@ -425,38 +434,44 @@ class Core:
         until the lock is observed free, then attempt the atomic RMW.
         A plain test-and-set spin floods the chip with exclusive
         requests from every waiter and convoys the whole system."""
-        def probe() -> None:
-            def after_read() -> None:
-                holder = self.sync.lock_holders.get(ev.line_addr)
-                if holder is None or holder == self.tile:
-                    attempt()
-                else:
-                    self.stats.counter("lock_spins").inc()
-                    self.sim.call_after(_SPIN_BACKOFF, probe)
+        self._lock_attempt(ev.line_addr)
 
-            self._c_mem_refs.inc()
-            self.l1.access(ev.line_addr, False, after_read)
+    def _lock_probe(self, line_addr: int) -> None:
+        self._c_mem_refs.inc()
+        self.l1.access(line_addr, False,
+                       partial(self._lock_probed, line_addr))
 
-        def attempt() -> None:
-            def after_rmw() -> None:
-                if self.sync.try_lock(ev.line_addr, self.tile):
-                    self._step()
-                else:
-                    self.stats.counter("lock_spins").inc()
-                    self.sim.call_after(_SPIN_BACKOFF, probe)
+    def _lock_probed(self, line_addr: int) -> None:
+        holder = self.sync.lock_holders.get(line_addr)
+        if holder is None or holder == self.tile:
+            self._lock_attempt(line_addr)
+        else:
+            self._lock_spin(line_addr)
 
-            self._c_mem_refs.inc()
-            self.l1.access(ev.line_addr, True, after_rmw)
+    def _lock_attempt(self, line_addr: int) -> None:
+        self._c_mem_refs.inc()
+        self.l1.access(line_addr, True,
+                       partial(self._lock_attempted, line_addr))
 
-        attempt()
+    def _lock_attempted(self, line_addr: int) -> None:
+        if self.sync.try_lock(line_addr, self.tile):
+            self._step()
+        else:
+            self._lock_spin(line_addr)
+
+    def _lock_spin(self, line_addr: int) -> None:
+        self.stats.counter("lock_spins").inc()
+        self.sim.call_after(_SPIN_BACKOFF,
+                            partial(self._lock_probe, line_addr))
 
     def _do_unlock(self, ev: TraceEvent) -> None:
-        def after_store() -> None:
-            self.sync.unlock(ev.line_addr, self.tile)
-            self._step()
-
         self._c_mem_refs.inc()
-        self.l1.access(ev.line_addr, True, after_store)
+        self.l1.access(ev.line_addr, True,
+                       partial(self._unlocked, ev.line_addr))
+
+    def _unlocked(self, line_addr: int) -> None:
+        self.sync.unlock(line_addr, self.tile)
+        self._step()
 
     # ------------------------------------------------------------------
     def _finish(self) -> None:

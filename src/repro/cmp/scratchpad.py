@@ -23,6 +23,7 @@ only — see the snapshot picklability invariant in ROADMAP.md).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Tuple
 
 from repro.coherence.context import SystemContext
@@ -124,10 +125,10 @@ class ScratchpadUnit:
         kind = msg.kind
         if kind is MsgKind.SPM_READ:
             self.ctx.sim.call_after(self.latency,
-                                    lambda: self._reply_read(msg))
+                                    partial(self._reply_read, msg))
         elif kind is MsgKind.SPM_WRITE:
             self.ctx.sim.call_after(self.latency,
-                                    lambda: self._apply_remote(msg))
+                                    partial(self._apply_remote, msg))
         elif kind is MsgKind.SPM_DATA or kind is MsgKind.SPM_ACK:
             done = self._pending.pop(msg.line_addr, None)
             if done is None:

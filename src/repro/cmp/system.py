@@ -10,6 +10,7 @@ the metrics every figure of the paper is computed from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.cmp.core import Core, SpecConfig, SyncState, WarmupTracker
@@ -24,7 +25,7 @@ from repro.noc.topology import Mesh
 from repro.params import SystemConfig
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
-from repro.sim.stats import Stats
+from repro.sim.stats import Counter, Stats
 from repro.traces.events import TraceEvent
 
 
@@ -187,9 +188,11 @@ class CmpSystem:
     def _done_predicate(self):
         # O(1) stop predicate: the kernel evaluates it every loop
         # iteration, and an all()-scan over cores dominates large runs.
-        fin = self.stats.counter("cores_finished")
-        n_cores = len(self.cores)
-        return lambda: fin.value >= n_cores
+        return partial(self._all_finished,
+                       self.stats.counter("cores_finished"))
+
+    def _all_finished(self, finished: Counter) -> bool:
+        return finished.value >= len(self.cores)
 
     def run(self, max_cycles: int = 50_000_000) -> RunResult:
         """Run to completion of all cores (or ``max_cycles``)."""
@@ -254,14 +257,13 @@ class CmpSystem:
         streams, Stats (incl. warmup marks), cores — into a versioned
         image.
 
-        Per-core trace lists are externalized (they are large and
-        re-derivable from the experiment seed); :meth:`restore` splices
-        the caller's re-derived traces back in and verifies them against
-        per-core digests recorded here.
+        Per-core trace lists stay out of the image (they are large and
+        re-derivable from the experiment seed; ``Core.__getstate__``
+        drops them); :meth:`restore` re-attaches the caller's re-derived
+        traces after verifying them against the per-core digests
+        recorded here.
         """
         from repro.sim import snapshot
-        external = {id(core.trace): ("trace", core.tile)
-                    for core in self.cores}
         if self._trace_digests is None:
             self._trace_digests = [_trace_digest(core.trace)
                                    for core in self.cores]
@@ -271,7 +273,7 @@ class CmpSystem:
             "config": repr(self.config),
             "trace_digests": self._trace_digests,
         }
-        return snapshot.dumps(self, external=external, meta=meta)
+        return snapshot.dumps(self, meta=meta)
 
     @staticmethod
     def restore(blob: bytes,
@@ -294,9 +296,8 @@ class CmpSystem:
             raise SnapshotError(
                 f"image has {len(digests)} core traces, caller provided "
                 f"{len(traces)}")
-        external = {}
+        traces = [list(trace) for trace in traces]
         for tile, (trace, digest) in enumerate(zip(traces, digests)):
-            trace = list(trace)
             got = _trace_digest(trace)
             if got != digest:
                 raise SnapshotError(
@@ -304,12 +305,13 @@ class CmpSystem:
                     f"expects {digest}, re-derived trace hashes to "
                     f"{got} — traces were not re-derived from the same "
                     f"(benchmark, seed)")
-            external[("trace", tile)] = trace
-        system = snapshot.loads(blob, external=external)
+        system = snapshot.loads(blob)
         if not isinstance(system, CmpSystem):
             raise SnapshotError(
                 f"image does not contain a CmpSystem (got "
                 f"{type(system).__name__})")
+        for core, trace in zip(system.cores, traces):
+            core.trace = trace
         return system
 
     # ------------------------------------------------------------------

@@ -8,6 +8,7 @@ stay small and mapping policy lives in exactly one place.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cache.timestamp import CoarseTimestamp
@@ -96,7 +97,8 @@ class SystemContext:
         self._handlers: List[List[Optional[Callable[[Msg], None]]]] = [
             [None] * len(Unit) for _ in range(self.mesh.num_tiles)]
         for tile in range(self.mesh.num_tiles):
-            network.attach(tile, self._make_receiver(tile))
+            network.attach(tile, partial(self._receive, tile,
+                                         self._handlers[tile]))
 
     # ------------------------------------------------------------------
     # address mapping
@@ -150,17 +152,14 @@ class SystemContext:
             raise ConfigError(f"unit {unit} at tile {tile} already registered")
         row[unit.idx] = handler
 
-    def _make_receiver(self, tile: int) -> Callable[[Packet], None]:
-        row = self._handlers[tile]
-
-        def receive(packet: Packet) -> None:
-            msg: Msg = packet.payload
-            handler = row[msg.unit.idx]
-            if handler is None:
-                raise ConfigError(
-                    f"no {msg.unit} handler at tile {tile} for {msg}")
-            handler(msg)
-        return receive
+    def _receive(self, tile: int, row: List[Optional[Callable[[Msg], None]]],
+                 packet: Packet) -> None:
+        msg: Msg = packet.payload
+        handler = row[msg.unit.idx]
+        if handler is None:
+            raise ConfigError(
+                f"no {msg.unit} handler at tile {tile} for {msg}")
+        handler(msg)
 
     def send(self, msg: Msg, src: int, dst: int) -> None:
         """Unicast ``msg`` from tile ``src`` to tile ``dst``."""

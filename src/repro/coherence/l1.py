@@ -21,6 +21,7 @@ State machine (stable states I/S/M; transient states live in MSHRs):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from repro.cache.array import CacheArray
@@ -73,8 +74,8 @@ class L1Controller:
                     if speculative else
                     self.ctx.shadow.bind(self, line_addr, is_write, done))
         self.ctx.sim.call_after(self.latency,
-                                lambda: self._access_body(line_addr, is_write,
-                                                          done, speculative))
+                                partial(self._access_body, line_addr,
+                                        is_write, done, speculative))
 
     def _access_body(self, line_addr: int, is_write: bool, done: DoneCb,
                      spec: bool = False) -> None:
@@ -170,21 +171,14 @@ class L1Controller:
             # hot-line writers would otherwise poison each other's
             # fills in a deterministic limit cycle (livelock).
             self.ctx.stats.counter("l1_poisoned_fills").inc()
-            was_write = mshr.kind == "GETX"
-            was_spec = bool(mshr.scratch.get("spec"))
-            cbs: List[DoneCb] = mshr.scratch["done_cbs"]
-            deferred = self.mshrs.retire(line_addr)
+            reissue = partial(self._reissue, line_addr, mshr.kind == "GETX",
+                              bool(mshr.scratch.get("spec")),
+                              mshr.scratch["done_cbs"],
+                              self.mshrs.retire(line_addr))
             streak = min(self._poison_streak.get(line_addr, 0) + 1, 8)
             self._poison_streak[line_addr] = streak
             delay = self.ctx.rng.randint("l1_poison_backoff",
                                          1, 16 * (1 << streak))
-
-            def reissue() -> None:
-                for cb in cbs:
-                    self._access_body(line_addr, was_write, cb, was_spec)
-                for args in deferred:
-                    self._access_body(*args)
-
             self.ctx.sim.call_after(delay, reissue)
             return
         self._poison_streak.pop(line_addr, None)
@@ -208,6 +202,13 @@ class L1Controller:
         deferred = self.mshrs.retire(line_addr)
         for cb in cbs:
             cb()
+        for args in deferred:
+            self._access_body(*args)
+
+    def _reissue(self, line_addr: int, was_write: bool, was_spec: bool,
+                 cbs: List[DoneCb], deferred: List[Tuple]) -> None:
+        for cb in cbs:
+            self._access_body(line_addr, was_write, cb, was_spec)
         for args in deferred:
             self._access_body(*args)
 

@@ -29,6 +29,7 @@ demand access touches the line (a useful line earns a fresh journey).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.cache.line import CacheLine, L2State
@@ -127,7 +128,7 @@ class TokenL2Controller(HomeL2Base):
         timeout = int(_TIMEOUT_BASE * (_BACKOFF ** s["retries"]))
         jitter = self.ctx.rng.randint("tok_backoff", 0, 64)
         s["timeout_ev"] = self.ctx.sim.schedule(
-            timeout + jitter, lambda: self._on_timeout(mshr))
+            timeout + jitter, partial(self._on_timeout, mshr))
 
     def _on_timeout(self, mshr: Mshr) -> None:
         if self.mshrs.get(mshr.line_addr) is not mshr:
@@ -215,25 +216,21 @@ class TokenL2Controller(HomeL2Base):
             done = Msg(MsgKind.PERSIST_DONE, mshr.line_addr, self.tile,
                        Unit.MC, requestor=self.tile)
             self.ctx.send(done, self.tile, self.ctx.mc_tile(mshr.line_addr))
-        tokens = s["tokens_acc"]
-        owner = s["owner_acc"]
-        dirty = s["dirty_acc"]
-        want_x = s["want_x"]
-        value = s["value_acc"]
+        self._fill(mshr, offchip=s["offchip_acc"])
 
-        def apply(line: CacheLine) -> None:
-            line.tokens = tokens
-            line.owner_token = owner
-            if value is not None:
-                line.shadow = merge_shadow(line.shadow, value)
-            if want_x:
-                line.l2_state = L2State.M
-            elif owner:
-                line.l2_state = self._owned_state(tokens, dirty)
-            else:
-                line.l2_state = L2State.S
-
-        self._fill(mshr, apply, offchip=s["offchip_acc"])
+    def _apply_fill(self, mshr: Mshr, line: CacheLine) -> None:
+        # the accumulators are final: nothing touches them once
+        # ``collecting`` is False
+        s = mshr.scratch
+        line.tokens = s["tokens_acc"]
+        line.owner_token = s["owner_acc"]
+        line.shadow = merge_shadow(line.shadow, s["value_acc"])
+        if s["want_x"]:
+            line.l2_state = L2State.M
+        elif line.owner_token:
+            line.l2_state = self._owned_state(line.tokens, s["dirty_acc"])
+        else:
+            line.l2_state = L2State.S
 
     def _owned_state(self, tokens: int, dirty: bool) -> L2State:
         if tokens == self.total_tokens:
@@ -252,10 +249,10 @@ class TokenL2Controller(HomeL2Base):
             self._on_token_response(msg)
         elif kind is MsgKind.TOK_GETS:
             self.ctx.sim.call_after(self.latency,
-                                    lambda: self._peer_gets(msg))
+                                    partial(self._peer_gets, msg))
         elif kind is MsgKind.TOK_GETX:
             self.ctx.sim.call_after(self.latency,
-                                    lambda: self._peer_getx(msg))
+                                    partial(self._peer_getx, msg))
         elif kind is MsgKind.PERSIST_GRANT:
             self._on_persist_grant(msg)
         elif kind is MsgKind.IVR_MIGRATE:
@@ -326,36 +323,42 @@ class TokenL2Controller(HomeL2Base):
             if line.l2_state in (L2State.M, L2State.E):
                 line.l2_state = L2State.O  # now shared, we keep ownership
             # Recall the latest data from a dirty local L1 first.
-            def after_recall(recall_dirty: bool, value, line=line) -> None:
-                line.shadow = merge_shadow(line.shadow, value)
-                if recall_dirty:
-                    line.l2_state = L2State.O
-                resp = Msg(MsgKind.TOK_DATA, msg.line_addr, self.tile,
-                           Unit.L2, requestor=msg.requestor, tokens=1,
-                           value=line.shadow)
-                self.ctx.send(resp, self.tile, msg.requestor)
-
-            self._local_recall(msg.line_addr, after_recall)
+            self._local_recall(msg.line_addr,
+                               partial(self._share_recalled, msg, line))
         else:
             # Last token: the owner token (and our copy) leaves with it.
             # Invalidate synchronously so nothing merges into a doomed
             # line while the L1 purge is in flight.
             targets = sorted(line.sharers)
             dirty_holder = line.dirty_l1
-            state_dirty = line.l2_state.dirty
-            state_value = line.shadow
+            cont = partial(self._surrender, msg, 1, True,
+                           line.l2_state.dirty, line.shadow)
             self.array.invalidate(line.line_addr)
-
-            def after_purge(purge_dirty: bool, value) -> None:
-                resp = Msg(MsgKind.TOK_DATA, msg.line_addr, self.tile,
-                           Unit.L2, requestor=msg.requestor, tokens=1,
-                           owner_token=True,
-                           dirty=state_dirty or purge_dirty,
-                           value=merge_shadow(state_value, value))
-                self.ctx.send(resp, self.tile, msg.requestor)
-
-            self._local_purge(msg.line_addr, after_purge, targets=targets,
+            self._local_purge(msg.line_addr, cont, targets=targets,
                               dirty_holder=dirty_holder)
+
+    def _share_recalled(self, msg: Msg, line: CacheLine, recall_dirty: bool,
+                        value: Optional[int]) -> None:
+        line.shadow = merge_shadow(line.shadow, value)
+        if recall_dirty:
+            line.l2_state = L2State.O
+        resp = Msg(MsgKind.TOK_DATA, msg.line_addr, self.tile, Unit.L2,
+                   requestor=msg.requestor, tokens=1, value=line.shadow)
+        self.ctx.send(resp, self.tile, msg.requestor)
+
+    def _surrender(self, msg: Msg, tokens: int, owner: bool, dirty: bool,
+                   value: Optional[int], purge_dirty: bool,
+                   purge_value: Optional[int]) -> None:
+        """The local L1 copies are gone: hand ``tokens`` to the
+        requesting home, with the data (``value`` not None) folded over
+        what the L1 purge brought back."""
+        resp = Msg(MsgKind.TOK_DATA if owner else MsgKind.TOK_ACK,
+                   msg.line_addr, self.tile, Unit.L2,
+                   requestor=msg.requestor, tokens=tokens,
+                   owner_token=owner, dirty=dirty or purge_dirty,
+                   value=(None if value is None
+                          else merge_shadow(value, purge_value)))
+        self.ctx.send(resp, self.tile, msg.requestor)
 
     # -- peer write: every holder surrenders everything ------------------
     def _peer_getx(self, msg: Msg) -> None:
@@ -365,26 +368,15 @@ class TokenL2Controller(HomeL2Base):
             return
         line = self.array.lookup(msg.line_addr, touch=False)
         if line is not None and line.tokens > 0:
-            tokens = line.tokens
-            owner = line.owner_token
-            state_dirty = line.l2_state.dirty
-            state_value = line.shadow
+            cont = partial(self._surrender, msg, line.tokens,
+                           line.owner_token, line.l2_state.dirty,
+                           line.shadow)
             targets = sorted(line.sharers)
             dirty_holder = line.dirty_l1
             # Invalidate synchronously: a doomed-but-resident line would
             # silently swallow tokens merged into it during the purge.
             self.array.invalidate(msg.line_addr)
-
-            def after_purge(purge_dirty: bool, value) -> None:
-                dirty = state_dirty or purge_dirty
-                kind = MsgKind.TOK_DATA if owner else MsgKind.TOK_ACK
-                resp = Msg(kind, msg.line_addr, self.tile, Unit.L2,
-                           requestor=msg.requestor, tokens=tokens,
-                           owner_token=owner, dirty=dirty,
-                           value=merge_shadow(state_value, value))
-                self.ctx.send(resp, self.tile, msg.requestor)
-
-            self._local_purge(msg.line_addr, after_purge, targets=targets,
+            self._local_purge(msg.line_addr, cont, targets=targets,
                               dirty_holder=dirty_holder)
             return
         mshr = self.mshrs.get(msg.line_addr)
@@ -400,21 +392,12 @@ class TokenL2Controller(HomeL2Base):
             s = mshr.scratch
             tokens, owner = s["tokens_acc"], s["owner_acc"]
             dirty = s["dirty_acc"]
-            value = s["value_acc"]
+            # only an owner's data travels with its tokens
+            value = (s["value_acc"] or 0) if owner else None
             s["tokens_acc"] = 0
             s["owner_acc"] = False
             if owner:
                 s["data_seen"] = False
-
-            def send_resp(extra_dirty: bool, pvalue) -> None:
-                kind = MsgKind.TOK_DATA if owner else MsgKind.TOK_ACK
-                resp = Msg(kind, msg.line_addr, self.tile, Unit.L2,
-                           requestor=msg.requestor, tokens=tokens,
-                           owner_token=owner, dirty=dirty or extra_dirty,
-                           value=merge_shadow(value or 0, pvalue)
-                           if owner else None)
-                self.ctx.send(resp, self.tile, msg.requestor)
-
             # An *upgrading* collector's tokens came with a resident
             # readable copy (moved into the MSHR by _fetch). Handing
             # them to a remote writer hands the copy away too: the line
@@ -424,19 +407,18 @@ class TokenL2Controller(HomeL2Base):
             if line is not None:
                 l1_targets = sorted(line.sharers)
                 dirty_holder = line.dirty_l1
-                state_dirty = line.l2_state.dirty
-                state_value = line.shadow
+                dirty = dirty or line.l2_state.dirty
+                if owner:
+                    value = merge_shadow(value, line.shadow)
                 self.array.invalidate(msg.line_addr)
-
-                def after_purge(purge_dirty: bool, pvalue,
-                                sd=state_dirty, sv=state_value) -> None:
-                    send_resp(sd or purge_dirty, merge_shadow(sv, pvalue))
-
-                self._local_purge(msg.line_addr, after_purge,
+                self._local_purge(msg.line_addr,
+                                  partial(self._surrender, msg, tokens,
+                                          owner, dirty, value),
                                   targets=l1_targets,
                                   dirty_holder=dirty_holder)
             else:
-                send_resp(False, None)
+                self._surrender(msg, tokens, owner, dirty, value,
+                                False, None)
 
     # ------------------------------------------------------------------
     # victims: IVR or token writeback

@@ -114,7 +114,8 @@ class HomeL2Base:
                                    issued_cycle=self.ctx.sim.cycle)
         mshr.scratch["msg"] = msg
         self._c_l2_accesses.value += 1
-        self.ctx.sim.call_after(self.latency, lambda: self._serve_body(mshr))
+        self.ctx.sim.call_after(self.latency,
+                                partial(self._serve_body, mshr))
 
     def _serve_body(self, mshr: Mshr) -> None:
         msg: Msg = mshr.scratch["msg"]
@@ -153,30 +154,30 @@ class HomeL2Base:
             # (it already cleared ``dirty_l1``): our copy is stale until
             # that data lands, so granting now would serve a stale line.
             # Park the grant as an op waiter and retry at completion.
-            def wake() -> None:
-                fresh = self.array.lookup(mshr.line_addr, touch=False)
-                if fresh is not None and fresh.l2_state.readable:
-                    self._grant_read(mshr, fresh)
-                else:
-                    # Back to the miss path: drop the granting flag or
-                    # forwards would be deferred behind our fetch (the
-                    # cross-deferral deadlock).
-                    mshr.scratch.pop("granting", None)
-                    mshr.scratch.setdefault("miss_cycle",
-                                            self.ctx.sim.cycle)
-                    self._fetch(mshr, exclusive=False)
-
-            op.setdefault("waiters", []).append(wake)
+            op.setdefault("waiters", []).append(
+                partial(self._regrant_read, mshr))
             return
         if line.dirty_l1 is not None and line.dirty_l1 != req:
             holder = line.dirty_l1
-            mshr.scratch["cont"] = lambda: self._finish_read(mshr, line)
+            mshr.scratch["cont"] = partial(self._finish_read, mshr, line)
             recall = Msg(MsgKind.RECALL_L1, line.line_addr, self.tile,
                          Unit.L1, requestor=req)
             line.dirty_l1 = None  # holder downgrades to S on recall
             self.ctx.send(recall, self.tile, holder)
             return
         self._finish_read(mshr, line)
+
+    def _regrant_read(self, mshr: Mshr) -> None:
+        fresh = self.array.lookup(mshr.line_addr, touch=False)
+        if fresh is not None and fresh.l2_state.readable:
+            self._grant_read(mshr, fresh)
+        else:
+            # Back to the miss path: drop the granting flag or forwards
+            # would be deferred behind our fetch (the cross-deferral
+            # deadlock).
+            mshr.scratch.pop("granting", None)
+            mshr.scratch.setdefault("miss_cycle", self.ctx.sim.cycle)
+            self._fetch(mshr, exclusive=False)
 
     def _finish_read(self, mshr: Mshr, line: CacheLine) -> None:
         req = mshr.requestor
@@ -196,29 +197,15 @@ class HomeL2Base:
             # leaving the recall waiting forever for data that came
             # back on our ack instead. Park until the op completes,
             # then re-check permissions (the op may have demoted us).
-            def wake() -> None:
-                fresh = self.array.lookup(mshr.line_addr, touch=False)
-                if fresh is not None and self._can_write(fresh):
-                    self._grant_write(mshr, fresh)
-                    return
-                # Back to the miss path: drop the granting flag or
-                # forwards would be deferred behind our fetch (the
-                # cross-deferral deadlock).
-                mshr.scratch.pop("granting", None)
-                mshr.scratch.setdefault("miss_cycle", self.ctx.sim.cycle)
-                if fresh is not None and fresh.l2_state.readable:
-                    self._upgrade(mshr, fresh)
-                else:
-                    self._fetch(mshr, exclusive=True)
-
-            op.setdefault("waiters", []).append(wake)
+            op.setdefault("waiters", []).append(
+                partial(self._regrant_write, mshr))
             return
         targets = sorted(line.sharers - {req})
         if INJECT_SKIP_SHARER_INV and targets:
             targets = targets[1:]
         if targets:
             mshr.pending_acks = len(targets)
-            mshr.scratch["cont"] = lambda: self._finish_write(mshr, line)
+            mshr.scratch["cont"] = partial(self._finish_write, mshr, line)
             for t in targets:
                 inv = Msg(MsgKind.INV_L1, line.line_addr, self.tile, Unit.L1,
                           requestor=req)
@@ -227,6 +214,21 @@ class HomeL2Base:
             line.dirty_l1 = None
             return
         self._finish_write(mshr, line)
+
+    def _regrant_write(self, mshr: Mshr) -> None:
+        fresh = self.array.lookup(mshr.line_addr, touch=False)
+        if fresh is not None and self._can_write(fresh):
+            self._grant_write(mshr, fresh)
+            return
+        # Back to the miss path: drop the granting flag or forwards
+        # would be deferred behind our fetch (the cross-deferral
+        # deadlock).
+        mshr.scratch.pop("granting", None)
+        mshr.scratch.setdefault("miss_cycle", self.ctx.sim.cycle)
+        if fresh is not None and fresh.l2_state.readable:
+            self._upgrade(mshr, fresh)
+        else:
+            self._fetch(mshr, exclusive=True)
 
     def _finish_write(self, mshr: Mshr, line: CacheLine) -> None:
         req = mshr.requestor
@@ -257,9 +259,10 @@ class HomeL2Base:
     # ------------------------------------------------------------------
     # fills and evictions
     # ------------------------------------------------------------------
-    def _fill(self, mshr: Mshr, apply_state: Callable[[CacheLine], None],
-              offchip: bool) -> None:
-        """Second-level data arrived: install and grant."""
+    def _fill(self, mshr: Mshr, offchip: bool) -> None:
+        """Second-level data arrived: install (``_apply_fill`` sets the
+        line's state from what the subclass collected in
+        ``mshr.scratch``) and grant."""
         mshr.scratch["offchip"] = offchip
         if not offchip:
             delay = self.ctx.sim.cycle - mshr.scratch["miss_cycle"]
@@ -267,16 +270,12 @@ class HomeL2Base:
             self._c_fills_onchip.inc()
         else:
             self._c_fills_offchip.inc()
-
-        mshr.scratch["apply_state"] = apply_state
         self._try_install(mshr)
 
     def _try_install(self, mshr: Mshr) -> None:
         # Re-check fullness every time: while our eviction waited
         # for L1 acks, a concurrent fill may have taken the way. The
-        # continuation must not name itself (a partial over a bound
-        # method, ``apply_state`` parked in the MSHR until install): a
-        # self-referencing closure is a reference cycle per miss, and
+        # continuation holds the MSHR, never the other way round:
         # retired transactions are to be freed by refcount alone.
         if self.array.set_full(mshr.line_addr):
             self._make_room(mshr.line_addr,
@@ -290,7 +289,7 @@ class HomeL2Base:
             existing, evicted = self.array.allocate(mshr.line_addr)
             if evicted is not None:
                 raise ProtocolError("allocate evicted despite make-room")
-        mshr.scratch.pop("apply_state")(existing)
+        self._apply_fill(mshr, existing)
         # A WB_L1 that landed while the fill was in flight carries
         # newer data than the fill source; fold it in.
         wbv = mshr.scratch.get("wb_value")
@@ -307,8 +306,8 @@ class HomeL2Base:
         victim = self._pick_victim(line_addr)
         if victim is None:
             # Every way is mid-transaction; retry shortly.
-            self.ctx.sim.call_after(self.latency,
-                                  lambda: self._retry_make_room(line_addr, cont))
+            self.ctx.sim.call_after(
+                self.latency, partial(self._retry_make_room, line_addr, cont))
             return
         self.array.invalidate(victim.line_addr)
         ev = self.mshrs.allocate(victim.line_addr, "EVICT",
@@ -317,19 +316,13 @@ class HomeL2Base:
                                  force=True)
         ev.scratch["victim"] = victim
         self.ctx.stats.counter("l2_evictions").inc()
-
-        def done() -> None:
-            self._dispose_victim(victim)
-            self._retire(ev)
-            cont()
-
         targets = sorted(victim.sharers)
         dirty_holder = victim.dirty_l1
         victim.sharers = set()
         victim.dirty_l1 = None
         if targets:
             ev.pending_acks = len(targets)
-            ev.scratch["cont"] = done
+            ev.scratch["cont"] = partial(self._evicted, ev, cont)
             # A dirty L1 copy must hand its data back before the victim
             # is disposed — via a dirty invalidation ack, or (if the L1
             # evicted concurrently) via the crossing WB_L1. Disposing
@@ -342,7 +335,12 @@ class HomeL2Base:
                           Unit.L1, requestor=self.tile)
                 self.ctx.send(inv, self.tile, t)
         else:
-            done()
+            self._evicted(ev, cont)
+
+    def _evicted(self, ev: Mshr, cont: Callable[[], None]) -> None:
+        self._dispose_victim(ev.scratch["victim"])
+        self._retire(ev)
+        cont()
 
     def _retry_make_room(self, line_addr: int, cont: Callable[[], None]) -> None:
         if self.array.set_full(line_addr):
@@ -593,6 +591,9 @@ class HomeL2Base:
         raise NotImplementedError
 
     def _fetch(self, mshr: Mshr, exclusive: bool) -> None:
+        raise NotImplementedError
+
+    def _apply_fill(self, mshr: Mshr, line: CacheLine) -> None:
         raise NotImplementedError
 
     def _upgrade(self, mshr: Mshr, line: CacheLine) -> None:

@@ -26,6 +26,7 @@ the writeback — guaranteed progress without a three-phase directory.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.cache.line import CacheLine, L2State
@@ -74,31 +75,23 @@ class DirectoryL2Controller(HomeL2Base):
             return
         if s["acks_got"] < s["header_need"]:
             return
-
-        want_x = s["want_x"]
-        dirty = s["fill_dirty"]
-        exclusive = s["fill_exclusive"]
-
         # Confirm to the directory: it commits owner/sharer state and
         # unblocks queued requests for this line.
         done = Msg(MsgKind.DIR_DONE, mshr.line_addr, self.tile, Unit.MC,
-                   requestor=self.tile, writable=want_x,
-                   exclusive=exclusive)
+                   requestor=self.tile, writable=s["want_x"],
+                   exclusive=s["fill_exclusive"])
         self.ctx.send(done, self.tile, self.ctx.mc_tile(mshr.line_addr))
+        self._fill(mshr, offchip=s["fill_offchip"])
 
-        fill_value = s["fill_value"]
-
-        def apply(line: CacheLine) -> None:
-            if fill_value is not None:
-                line.shadow = merge_shadow(line.shadow, fill_value)
-            if want_x:
-                line.l2_state = L2State.M
-            elif exclusive:
-                line.l2_state = L2State.E
-            else:
-                line.l2_state = L2State.S
-
-        self._fill(mshr, apply, offchip=s["fill_offchip"])
+    def _apply_fill(self, mshr: Mshr, line: CacheLine) -> None:
+        s = mshr.scratch
+        line.shadow = merge_shadow(line.shadow, s["fill_value"])
+        if s["want_x"]:
+            line.l2_state = L2State.M
+        elif s["fill_exclusive"]:
+            line.l2_state = L2State.E
+        else:
+            line.l2_state = L2State.S
 
     # ------------------------------------------------------------------
     # level-2 message handling
@@ -131,7 +124,7 @@ class DirectoryL2Controller(HomeL2Base):
             n = mshr.scratch.get("nack_retries", 0)
             mshr.scratch["nack_retries"] = n + 1
             delay = min(_RETRY_DELAY * (2 ** n), 800)
-            self.ctx.sim.call_after(delay, lambda: self._refetch(mshr))
+            self.ctx.sim.call_after(delay, partial(self._refetch, mshr))
             return
         s = mshr.scratch
         s["data_seen"] = True
@@ -178,7 +171,7 @@ class DirectoryL2Controller(HomeL2Base):
             self.mshrs.defer(msg.line_addr, msg)
             return
         self.ctx.sim.call_after(self.latency,
-                              lambda: self._forward_body(msg))
+                                partial(self._forward_body, msg))
 
     def _forward_body(self, msg: Msg) -> None:
         # Re-check: state may have changed during the array latency.
@@ -192,31 +185,31 @@ class DirectoryL2Controller(HomeL2Base):
             self.ctx.send(nack, self.tile, msg.requestor)
             return
         if msg.kind is MsgKind.DIR_FWD_GETS:
-            def after_recall(_dirty: bool, value, line=line) -> None:
-                line.shadow = merge_shadow(line.shadow, value)
-                resp = Msg(MsgKind.DATA_L2, msg.line_addr, self.tile,
-                           Unit.L2, requestor=msg.requestor,
-                           dirty=line.l2_state.dirty, value=line.shadow)
-                self.ctx.send(resp, self.tile, msg.requestor)
-                line.l2_state = L2State.O  # shared, we keep ownership
-
-            self._local_recall(msg.line_addr, after_recall)
+            self._local_recall(msg.line_addr,
+                               partial(self._share_recalled, msg, line))
         else:  # DIR_FWD_GETX: hand everything over
             targets = sorted(line.sharers)
             dirty_holder = line.dirty_l1
-            state_dirty = line.l2_state.dirty
-            state_value = line.shadow
+            cont = partial(self._send_data, msg, line.l2_state.dirty,
+                           line.shadow)
             self.array.invalidate(line.line_addr)
-
-            def after_purge(dirty_l1: bool, value) -> None:
-                resp = Msg(MsgKind.DATA_L2, msg.line_addr, self.tile,
-                           Unit.L2, requestor=msg.requestor,
-                           dirty=state_dirty or dirty_l1,
-                           value=merge_shadow(state_value, value))
-                self.ctx.send(resp, self.tile, msg.requestor)
-
-            self._local_purge(msg.line_addr, after_purge, targets=targets,
+            self._local_purge(msg.line_addr, cont, targets=targets,
                               dirty_holder=dirty_holder)
+
+    def _share_recalled(self, msg: Msg, line: CacheLine, _dirty: bool,
+                        value: Optional[int]) -> None:
+        line.shadow = merge_shadow(line.shadow, value)
+        self._send_data(msg, line.l2_state.dirty, line.shadow, False, None)
+        line.l2_state = L2State.O  # shared, we keep ownership
+
+    def _send_data(self, msg: Msg, dirty: bool, value: int,
+                   dirty_l1: bool, l1_value: Optional[int]) -> None:
+        """Answer a forwarded request with our data, folding in what the
+        local L1s handed back."""
+        resp = Msg(MsgKind.DATA_L2, msg.line_addr, self.tile, Unit.L2,
+                   requestor=msg.requestor, dirty=dirty or dirty_l1,
+                   value=merge_shadow(value, l1_value))
+        self.ctx.send(resp, self.tile, msg.requestor)
 
     def _on_dir_inv(self, msg: Msg) -> None:
         """Invalidate our (shared) copy. Must not block on the MSHR: a
@@ -226,16 +219,16 @@ class DirectoryL2Controller(HomeL2Base):
         targets = sorted(line.sharers) if line is not None else []
         dirty_holder = line.dirty_l1 if line is not None else None
         self.array.invalidate(msg.line_addr)
+        self._local_purge(msg.line_addr, partial(self._ack_dir_inv, msg),
+                          targets=targets, dirty_holder=dirty_holder)
 
-        def after_purge(_dirty: bool, _value) -> None:
-            # fwd=True marks this as a sharer ack, distinguishing it
-            # from the directory's DIR_ACK header at the requestor.
-            ack = Msg(MsgKind.DIR_ACK, msg.line_addr, self.tile, Unit.L2,
-                      requestor=msg.requestor, fwd=True)
-            self.ctx.send(ack, self.tile, msg.requestor)
-
-        self._local_purge(msg.line_addr, after_purge, targets=targets,
-                          dirty_holder=dirty_holder)
+    def _ack_dir_inv(self, msg: Msg, _dirty: bool,
+                     _value: Optional[int]) -> None:
+        # fwd=True marks this as a sharer ack, distinguishing it from
+        # the directory's DIR_ACK header at the requestor.
+        ack = Msg(MsgKind.DIR_ACK, msg.line_addr, self.tile, Unit.L2,
+                  requestor=msg.requestor, fwd=True)
+        self.ctx.send(ack, self.tile, msg.requestor)
 
     # ------------------------------------------------------------------
     # victims

@@ -54,11 +54,9 @@ class SharedL2Controller(HomeL2Base):
         mshr = self.mshrs.get(msg.line_addr)
         if mshr is None:
             raise ProtocolError(f"unsolicited MEM_DATA at {self.tile}")
-        value = msg.value
+        mshr.scratch["fill_value"] = msg.value
+        self._fill(mshr, offchip=True)
 
-        def apply(line: CacheLine) -> None:
-            if value is not None:
-                line.shadow = merge_shadow(line.shadow, value)
-            line.l2_state = L2State.E
-
-        self._fill(mshr, apply, offchip=True)
+    def _apply_fill(self, mshr: Mshr, line: CacheLine) -> None:
+        line.shadow = merge_shadow(line.shadow, mshr.scratch["fill_value"])
+        line.l2_state = L2State.E

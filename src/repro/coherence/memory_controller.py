@@ -20,6 +20,7 @@ data fetch bumps ``offchip_fetches``; every dirty writeback bumps
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.coherence.context import SystemContext
@@ -92,11 +93,11 @@ class MemoryController:
 
     def _dir_request_later(self, msg: Msg) -> None:
         self.ctx.sim.call_after(self.dir_latency,
-                                lambda: self._dir_request(msg))
+                                partial(self._dir_request, msg))
 
     def _dir_writeback_later(self, msg: Msg) -> None:
         self.ctx.sim.call_after(self.dir_latency,
-                                lambda: self._dir_writeback(msg))
+                                partial(self._dir_writeback, msg))
 
     # ------------------------------------------------------------------
     # accounting
@@ -130,15 +131,25 @@ class MemoryController:
     # plain memory (shared baseline)
     # ------------------------------------------------------------------
     def _mem_read(self, msg: Msg) -> None:
+        self._fetch_for(msg, MsgKind.MEM_DATA)
+
+    def _fetch_for(self, msg: Msg, kind: MsgKind, tokens: int = 0,
+                   owner_token: bool = False,
+                   exclusive: bool = False) -> None:
+        """One off-chip fetch: answer ``msg`` with the line's data,
+        ``mem_latency`` cycles from now."""
         self._count_fetch()
+        self.ctx.sim.call_after(
+            self.mem_latency,
+            partial(self._respond, msg, kind, tokens, owner_token, exclusive))
 
-        def respond() -> None:
-            resp = Msg(MsgKind.MEM_DATA, msg.line_addr, self.tile, Unit.L2,
-                       requestor=msg.requestor, offchip=True,
-                       value=self.mem_value(msg.line_addr))
-            self.ctx.send(resp, self.tile, msg.requestor)
-
-        self.ctx.sim.call_after(self.mem_latency, respond)
+    def _respond(self, msg: Msg, kind: MsgKind, tokens: int,
+                 owner_token: bool, exclusive: bool) -> None:
+        resp = Msg(kind, msg.line_addr, self.tile, Unit.L2,
+                   requestor=msg.requestor, tokens=tokens,
+                   owner_token=owner_token, exclusive=exclusive,
+                   offchip=True, value=self.mem_value(msg.line_addr))
+        self.ctx.send(resp, self.tile, msg.requestor)
 
     # ------------------------------------------------------------------
     # directory flavour (private / LOCO CC)
@@ -181,7 +192,7 @@ class MemoryController:
                 # No on-chip owner: memory supplies the data. E is legal
                 # only when nobody else holds the line.
                 can_e = not entry.sharers and owner is None
-                self._mem_fill(msg, exclusive_grant=can_e)
+                self._fetch_for(msg, MsgKind.DATA_L2, exclusive=can_e)
         else:
             invalidatees = sorted(entry.sharers - {requestor})
             self._send_header(msg, ack_count=len(invalidatees))
@@ -201,7 +212,7 @@ class MemoryController:
                            Unit.L2, requestor=requestor)
                 self.ctx.send(resp, self.tile, requestor)
             else:
-                self._mem_fill(msg, exclusive_grant=False)
+                self._fetch_for(msg, MsgKind.DATA_L2)
 
     def _dir_done(self, msg: Msg) -> None:
         """The grantee's fill completed: commit state, unblock the line."""
@@ -222,7 +233,7 @@ class MemoryController:
             entry.busy = True
             entry.grantee = nxt.requestor
             self.ctx.sim.call_after(self.dir_latency,
-                                  lambda: self._dir_dispatch(entry, nxt))
+                                    partial(self._dir_dispatch, entry, nxt))
         else:
             self.directory.drop_if_empty(msg.line_addr)
 
@@ -230,18 +241,6 @@ class MemoryController:
         header = Msg(MsgKind.DIR_ACK, msg.line_addr, self.tile, Unit.L2,
                      requestor=msg.requestor, ack_count=ack_count)
         self.ctx.send(header, self.tile, msg.requestor)
-
-    def _mem_fill(self, msg: Msg, exclusive_grant: bool) -> None:
-        self._count_fetch()
-
-        def respond() -> None:
-            resp = Msg(MsgKind.DATA_L2, msg.line_addr, self.tile, Unit.L2,
-                       requestor=msg.requestor, offchip=True,
-                       exclusive=exclusive_grant,
-                       value=self.mem_value(msg.line_addr))
-            self.ctx.send(resp, self.tile, msg.requestor)
-
-        self.ctx.sim.call_after(self.mem_latency, respond)
 
     def _dir_writeback(self, msg: Msg) -> None:
         entry = self.directory.peek(msg.line_addr)
@@ -272,32 +271,14 @@ class MemoryController:
             # Memory is the owner: send the data with all spare tokens
             # (all T when uncached -> the requestor installs E).
             self._set_mem_tokens(msg.line_addr, 0, False)
-            self._count_fetch()
-
-            def respond(t=tokens) -> None:
-                resp = Msg(MsgKind.TOK_DATA, msg.line_addr, self.tile,
-                           Unit.L2, requestor=msg.requestor, tokens=t,
-                           owner_token=True, offchip=True,
-                           value=self.mem_value(msg.line_addr))
-                self.ctx.send(resp, self.tile, msg.requestor)
-
-            self.ctx.sim.call_after(self.mem_latency, respond)
+            self._fetch_for(msg, MsgKind.TOK_DATA, tokens, owner_token=True)
             return
         # GETX: surrender whatever memory holds.
         if tokens == 0 and not owner:
             return
         self._set_mem_tokens(msg.line_addr, 0, False)
         if owner:
-            self._count_fetch()
-
-            def respond_x(t=tokens) -> None:
-                resp = Msg(MsgKind.TOK_DATA, msg.line_addr, self.tile,
-                           Unit.L2, requestor=msg.requestor, tokens=t,
-                           owner_token=True, offchip=True,
-                           value=self.mem_value(msg.line_addr))
-                self.ctx.send(resp, self.tile, msg.requestor)
-
-            self.ctx.sim.call_after(self.mem_latency, respond_x)
+            self._fetch_for(msg, MsgKind.TOK_DATA, tokens, owner_token=True)
         else:
             resp = Msg(MsgKind.TOK_ACK, msg.line_addr, self.tile, Unit.L2,
                        requestor=msg.requestor, tokens=tokens)

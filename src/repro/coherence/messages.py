@@ -8,12 +8,11 @@ carry protocol state (token counts, ack expectations, IVR metadata).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Optional
 
 from repro.noc.packet import VirtualNetwork
-from repro.sim.ids import id_source
 
 
 class Unit(Enum):
@@ -141,9 +140,6 @@ for _i, _u in enumerate(Unit):
     _u.idx = _i
 del _i, _k, _u
 
-#: bound C-level draw — one call per Msg, no lambda/lock layers
-_next_msg_id = id_source("msg").next_fn
-
 
 @dataclass(slots=True)
 class Msg:
@@ -170,7 +166,6 @@ class Msg:
     #                                  not the home's own transaction
     value: Optional[int] = None      # shadow value of the carried line
     #                                  (None = message carries no data)
-    msg_id: int = field(default_factory=_next_msg_id)
 
     @property
     def vn(self) -> VirtualNetwork:

@@ -25,6 +25,7 @@ attribute test per L1 access.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 
@@ -81,10 +82,12 @@ class ShadowOracle:
         Called by :meth:`L1Controller.access` when an oracle is
         attached; the wrapped callback commits the access against the
         oracle at the exact cycle the core sees it complete."""
-        def committed() -> None:
-            self.commit(l1, line_addr, is_write)
-            done()
-        return committed
+        return partial(self._commit_then, l1, line_addr, is_write, done)
+
+    def _commit_then(self, l1, line_addr: int, is_write: bool,
+                     done: Callable[[], None]) -> None:
+        self.commit(l1, line_addr, is_write)
+        done()
 
     def bind_transient(self, l1, line_addr: int,
                        done: Callable[[], None]) -> Callable[[], None]:
@@ -95,14 +98,16 @@ class ShadowOracle:
         is architecturally invisible), but they are counted so the
         harness can see how much wrong-path traffic a run generated and
         whether any of it observed non-architectural state."""
-        def squashed() -> None:
-            self.transient_reads += 1
-            line = l1.array.lookup(line_addr, touch=False)
-            observed = line.shadow if line is not None else -1
-            if observed != self.committed.get(line_addr, 0):
-                self.transient_stale += 1
-            done()
-        return squashed
+        return partial(self._squash_then, l1, line_addr, done)
+
+    def _squash_then(self, l1, line_addr: int,
+                     done: Callable[[], None]) -> None:
+        self.transient_reads += 1
+        line = l1.array.lookup(line_addr, touch=False)
+        observed = line.shadow if line is not None else -1
+        if observed != self.committed.get(line_addr, 0):
+            self.transient_stale += 1
+        done()
 
     def commit(self, l1, line_addr: int, is_write: bool) -> None:
         line = l1.array.lookup(line_addr, touch=False)

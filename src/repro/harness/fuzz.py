@@ -226,6 +226,13 @@ class SnapshotRecorder:
         return state
 
 
+def _on_epoch(system: CmpSystem, violations: List[str], cycle: int) -> None:
+    found = check_epoch(system)
+    if found:
+        violations.extend(f"cycle {cycle}: {v}" for v in found)
+        system.sim.stop()
+
+
 def _build_fuzz_system(cfg: FuzzConfig, organization: Organization,
                        traces: Sequence[Sequence[TraceEvent]],
                        speculative: bool = False) -> CmpSystem:
@@ -241,14 +248,8 @@ def _build_fuzz_system(cfg: FuzzConfig, organization: Organization,
     system.ctx.shadow = oracle
 
     epoch_violations: List[str] = []
-
-    def on_epoch(cycle: int) -> None:
-        found = check_epoch(system)
-        if found:
-            epoch_violations.extend(f"cycle {cycle}: {v}" for v in found)
-            system.sim.stop()
-
-    hook = system.sim.add_epoch_hook(cfg.epoch_period, on_epoch)
+    hook = system.sim.add_epoch_hook(
+        cfg.epoch_period, partial(_on_epoch, system, epoch_violations))
     recorder = (SnapshotRecorder(system, cfg.snapshot_every)
                 if cfg.snapshot_every else None)
     system.fuzz_state = {"oracle": oracle, "violations": epoch_violations,

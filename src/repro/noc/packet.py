@@ -6,15 +6,17 @@ path the head set up, so a multi-flit packet is not simulated
 flit-by-flit: it holds each link it crosses for ``size_flits`` cycles
 (link bandwidth) and is delivered at head-flit arrival + 1 NIC cycle
 (see the ``repro.noc.router`` module docstring).
+
+A packet carries no id: it is the object the network hands to the
+receiver, told apart by its payload. What orders packets in flight is
+the network's own flit age sequence (``BaseNetwork._flit_seq``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Any, Optional, Tuple
-
-from repro.sim.ids import id_source
 
 
 class VirtualNetwork(IntEnum):
@@ -29,10 +31,6 @@ class VirtualNetwork(IntEnum):
     RESPONSE = 2       # data + ack responses
     WRITEBACK = 3      # evictions / writebacks to memory
     MIGRATION = 4      # IVR victim migration traffic
-
-
-#: bound C-level draw — one call per Packet, no lambda/lock layers
-_next_packet_id = id_source("packet").next_fn
 
 
 @dataclass(slots=True)
@@ -59,7 +57,6 @@ class Packet:
     size_flits: int = 1
     payload: Any = None
     mcast_group: Optional[Tuple[int, ...]] = None
-    pkt_id: int = field(default_factory=_next_packet_id)
     injected_at: int = -1
     delivered_at: int = -1
 

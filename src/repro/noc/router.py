@@ -30,6 +30,7 @@ stamp ``link_busy[id] = cycle`` — see ``BaseNetwork.__init__``.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from operator import attrgetter
 from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
                     Tuple)
@@ -38,7 +39,6 @@ from repro.errors import NetworkError
 from repro.noc.packet import Packet
 from repro.noc.topology import Mesh
 from repro.params import NocConfig
-from repro.sim.ids import id_source
 from repro.sim.kernel import Simulator
 from repro.sim.stats import Stats
 
@@ -47,19 +47,20 @@ Link = Tuple[int, int]  # directed (src_tile, dst_tile)
 #: reached, and the hop count
 Plan = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
-_next_flit_seq = id_source("flit").next_fn
-
 
 class _Flit:
     """A head flit in flight. ``leg_dst`` is where this flit stops for
     good: the packet destination (unicast) or the next home router on a
     VMS tree (multicast); multicast flits then eject a copy and fork.
 
-    The router owns three more slots and sets them itself: ``ready``
-    (first cycle the flit may traverse) and ``plan`` (the interned
-    route plan from ``at`` toward ``leg_dst``) whenever the flit is
-    buffered at a router, and ``got`` (how many of the plan's links
-    this tick's arbitration granted) for every mover of a tick."""
+    The router owns four more slots and sets them itself: ``order``
+    (the age-priority sort key ``(injected_at, seq)``, computed once
+    when the flit enters the fabric so the per-cycle arbitration sort
+    needs no key function), ``ready`` (first cycle the flit may
+    traverse) and ``plan`` (the interned route plan from ``at`` toward
+    ``leg_dst``) whenever the flit is buffered at a router, and ``got``
+    (how many of the plan's links this tick's arbitration granted) for
+    every mover of a tick."""
 
     __slots__ = ("packet", "at", "leg_dst", "order", "mcast_root", "vms",
                  "ready", "plan", "got")
@@ -69,10 +70,6 @@ class _Flit:
         self.packet = packet
         self.at = at
         self.leg_dst = leg_dst
-        # Age-priority sort key, computed once: packets are injected
-        # before their flits exist, so injected_at is final here, and
-        # the per-cycle arbitration sort needs no key lambda.
-        self.order = (packet.injected_at, _next_flit_seq())
         self.mcast_root = mcast_root
         self.vms = vms
 
@@ -140,6 +137,10 @@ class BaseNetwork:
         self._active: Set[int] = set()
         self._nic_active: Set[int] = set()  # tiles with a NIC backlog
         self._in_flight = 0
+        # Age tie-break: flits are numbered as they enter the fabric.
+        # Machine state, so a restored network keeps numbering above
+        # every flit its image carries.
+        self._flit_seq = 0
         # flits that reached their leg destination in the latest tick;
         # their packets are delivered next cycle at ``flit.at``
         self._ejects: List[_Flit] = []
@@ -179,7 +180,7 @@ class BaseNetwork:
         if dst == src:
             # Loopback through the NIC: one cycle.
             self._in_flight += 1
-            self.sim.call_after(1, lambda p=packet: self._deliver_local(p))
+            self.sim.call_after(1, partial(self._deliver_local, packet))
             return
         self._enqueue_nic(_Flit(packet, src, dst))
 
@@ -233,6 +234,9 @@ class BaseNetwork:
             # the flat plan table must never be indexed out of range
             raise NetworkError(f"tile {leg_dst} out of range")
         self._in_flight += 1
+        seq = self._flit_seq
+        self._flit_seq = seq + 1
+        flit.order = (flit.packet.injected_at, seq)
         active = self._active
         if not active:
             # Asleep exactly when no tile is active: tick() reports

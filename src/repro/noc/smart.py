@@ -69,6 +69,8 @@ class SmartNetwork(BaseNetwork):
         for child in children:
             branch = _Flit(flit.packet, flit.at, child,
                            mcast_root=flit.mcast_root, vms=flit.vms)
+            branch.order = (flit.packet.injected_at, self._flit_seq)
+            self._flit_seq += 1
             self._in_flight += 1
             self._buffer_flit(branch, cycle + self.wait_cycles)
             self._c_mcast_forks.value += 1

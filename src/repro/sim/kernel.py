@@ -20,6 +20,12 @@ method in the hot path would dominate large runs, and the unique
 ``seq`` guarantees comparisons never reach the third element (which is
 a cancellable :class:`Event` for :meth:`Simulator.schedule` and the
 bare callable for the allocation-free :meth:`Simulator.call_after`).
+
+Everything the kernel stores — heap callbacks, tickers, epoch hooks,
+the registry — is part of a checkpoint, and a checkpoint is a plain
+:mod:`pickle` (:mod:`repro.sim.snapshot`): hand the kernel bound
+methods or :func:`functools.partial` objects over them, never a lambda
+or a nested function.
 """
 
 from __future__ import annotations

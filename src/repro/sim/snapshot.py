@@ -1,50 +1,43 @@
 """Versioned, deterministic serialize/restore for whole machine states.
 
-The simulator's live state is an object graph full of *continuations*:
-the event heap holds bound methods and closures, MSHRs queue completion
-callbacks, the NoC keeps delivery closures, the shadow oracle wraps L1
-callbacks. Plain :mod:`pickle` refuses closures, and ``copy.deepcopy``
-silently *shares* them (a copied event would still mutate the original
-system). This module closes that gap with a pickler that serializes
-nested functions **by code reference** — module, code name, first line
-— plus their cells, defaults and dict, and reconstructs them against
-the live module at load time. Cells use a create-empty-then-fill
-reduction so mutually recursive closures (``probe``/``attempt`` spin
-loops) round-trip with identity and cycles intact.
+A machine image is a cleartext JSON header followed by a stock
+:mod:`pickle` of the object graph. That works because the simulator's
+live state is ordinary data: every *continuation* it stores (event-heap
+entries, MSHR callbacks, forward-op waiters, NoC receivers, oracle
+wrappers) is a bound method or a :func:`functools.partial` over one,
+which :mod:`pickle` serializes by name with identity and cycles intact.
+A nested function or lambda that reaches an image is refused at
+:func:`dumps` time with a :class:`SnapshotError` naming it
+(``copy.deepcopy`` would silently *share* it with the original system).
 
-Because functions are resolved by reference, an image is only
-meaningful to the exact code that wrote it. Every image therefore
-carries a header with a **format version** and a **source fingerprint**
-(SHA-256 over every ``repro`` source file plus the Python/NumPy
-versions); :func:`loads` refuses mismatches loudly instead of letting
-silent drift corrupt a restored run. The header also records the
-positions of the global id sources (:mod:`repro.sim.ids`) so a restore
-in a fresh process can fast-forward them above every id present in the
-image (flit-age arbitration compares ids).
+Methods are resolved by name, so an image is only meaningful to the
+exact code that wrote it. Every image therefore carries a header with a
+**format version** and a **source fingerprint** (SHA-256 over every
+``repro`` source file plus the Python/NumPy versions); :func:`loads`
+refuses mismatches loudly instead of letting silent drift corrupt a
+restored run.
 
-Large, re-derivable objects (per-core trace lists) are *externalized*:
-``dumps(obj, external={id(traces): tag})`` replaces them with a
-persistent tag and ``loads(blob, external={tag: value})`` splices the
-caller's (deterministically re-derived) replacement back in — images
-stay small and the process-global trace cache is never captured.
+Nothing process-global is captured: ids that order in-flight objects
+(the NoC's flit age sequence) are fields of the machine, and large
+re-derivable inputs (per-core trace lists) are left out by their owner's
+``__getstate__`` and re-attached by the caller (``CmpSystem.restore``,
+digest-verified).
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import pickle
 import struct
 import sys
-import types
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import SnapshotError
-from repro.sim.ids import capture_id_sources, restore_id_sources
 
-#: bump when the image layout or the function encoding changes shape
-SNAPSHOT_FORMAT = 1
+#: bump when the image layout changes shape (2: plain pickle payload,
+#: no id-source positions in the header)
+SNAPSHOT_FORMAT = 2
 
 _MAGIC = b"RSNAP1"
 _HEADER_LEN = struct.Struct(">I")
@@ -60,9 +53,10 @@ def source_fingerprint() -> str:
     """Digest of every ``repro`` source file + interpreter versions.
 
     Restoring an image produced by different source is refused: the
-    image's continuations reference code objects by (name, line), so
-    *any* edit could silently splice the wrong code into a restored
-    machine. Failing the restore is the feature.
+    image's continuations reference methods by name and its objects
+    carry the writer's attribute layout, so *any* edit could silently
+    splice the wrong behaviour into a restored machine. Failing the
+    restore is the feature.
     """
     global _fingerprint_cache
     if _fingerprint_cache is None:
@@ -84,206 +78,28 @@ def source_fingerprint() -> str:
 
 
 # ----------------------------------------------------------------------
-# nested-function reconstruction (the cloudpickle-by-reference core)
-# ----------------------------------------------------------------------
-# module name -> {(co_name, co_firstlineno): code object}
-_code_tables: Dict[str, Dict[Tuple[str, int], types.CodeType]] = {}
-
-
-#: table entry for a (name, line) key claimed by 2+ distinct code
-#: objects (e.g. two lambdas in one expression): resolution would be a
-#: silent coin-flip, so both dump and load refuse such functions.
-_AMBIGUOUS = object()
-
-
-def _collect_codes(code: types.CodeType, table: Dict[Tuple[str, int],
-                                                     Any]) -> None:
-    key = (code.co_name, code.co_firstlineno)
-    present = table.get(key)
-    if present is not None and present is not code:
-        table[key] = _AMBIGUOUS
-    else:
-        table[key] = code
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            _collect_codes(const, table)
-
-
-def _code_table(module_name: str) -> Dict[Tuple[str, int], Any]:
-    """Every code object defined in ``module_name``, keyed by
-    (name, first line); keys claimed by more than one code object map
-    to ``_AMBIGUOUS`` (two lambdas on one line) and are refused at both
-    dump and load time. Nested code objects (closures, lambdas,
-    comprehensions) are reached through ``co_consts`` of the functions
-    and methods that contain them."""
-    table = _code_tables.get(module_name)
-    if table is not None:
-        return table
-    import importlib
-
-    try:
-        module = importlib.import_module(module_name)
-    except ImportError as exc:
-        raise SnapshotError(
-            f"cannot restore function: module {module_name!r} is not "
-            f"importable in this process ({exc})") from exc
-    table = {}
-    for obj in vars(module).values():
-        fns = []
-        if isinstance(obj, types.FunctionType):
-            fns.append(obj)
-        elif isinstance(obj, type):
-            for member in vars(obj).values():
-                if isinstance(member, types.FunctionType):
-                    fns.append(member)
-                elif isinstance(member, (staticmethod, classmethod)):
-                    fns.append(member.__func__)
-                elif isinstance(member, property):
-                    fns.extend(f for f in (member.fget, member.fset,
-                                           member.fdel)
-                               if isinstance(f, types.FunctionType))
-        for fn in fns:
-            if fn.__module__ == module_name:
-                _collect_codes(fn.__code__, table)
-    _code_tables[module_name] = table
-    return table
-
-
-def _make_empty_cell() -> types.CellType:
-    return types.CellType()
-
-
-def _fill_cell(cell: types.CellType, state: Tuple[bool, Any]) -> None:
-    has_contents, contents = state
-    if has_contents:
-        cell.cell_contents = contents
-
-
-def _rebuild_function(module_name: str, co_name: str, firstlineno: int,
-                      cells: Tuple[types.CellType, ...]) -> types.FunctionType:
-    import importlib
-
-    table = _code_table(module_name)
-    code = table.get((co_name, firstlineno))
-    if code is None:
-        raise SnapshotError(
-            f"cannot restore function {module_name}.{co_name} "
-            f"(line {firstlineno}): no matching code object — the source "
-            f"changed since the image was written")
-    if code is _AMBIGUOUS:
-        raise SnapshotError(
-            f"cannot restore function {module_name}.{co_name} "
-            f"(line {firstlineno}): several code objects share that "
-            f"name and line (two lambdas in one expression?) — "
-            f"resolution would be ambiguous")
-    if len(cells) != len(code.co_freevars):
-        raise SnapshotError(
-            f"closure arity mismatch restoring {module_name}.{co_name}: "
-            f"image has {len(cells)} cells, code wants "
-            f"{len(code.co_freevars)}")
-    module = importlib.import_module(module_name)
-    return types.FunctionType(code, module.__dict__, co_name, None,
-                              tuple(cells))
-
-
-def _set_function_state(fn: types.FunctionType, state: Tuple) -> None:
-    defaults, kwdefaults, fn_dict = state
-    if defaults is not None:
-        fn.__defaults__ = defaults
-    if kwdefaults is not None:
-        fn.__kwdefaults__ = kwdefaults
-    if fn_dict:
-        fn.__dict__.update(fn_dict)
-
-
-class _SnapshotPickler(pickle.Pickler):
-    """Adds by-reference closures/cells and external-object tagging."""
-
-    def __init__(self, file, external: Optional[Dict[int, Any]] = None
-                 ) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._external = external or {}
-
-    def persistent_id(self, obj: Any) -> Optional[Any]:
-        return self._external.get(id(obj))
-
-    def reducer_override(self, obj: Any):
-        if isinstance(obj, types.FunctionType):
-            # Module-level functions pickle by name as usual; only
-            # nested functions and lambdas need the code-reference path.
-            if "<locals>" not in obj.__qualname__:
-                return NotImplemented
-            code = obj.__code__
-            # Fail at dump time (not restore time) if this code object
-            # cannot be resolved back unambiguously by reference.
-            if _code_table(obj.__module__).get(
-                    (code.co_name, code.co_firstlineno)) is not code:
-                raise SnapshotError(
-                    f"cannot snapshot function {obj.__module__}."
-                    f"{obj.__qualname__} (line {code.co_firstlineno}): "
-                    f"its code object is not resolvable by (name, line) "
-                    f"reference — several definitions share that line, "
-                    f"or it was created dynamically")
-            # Cells travel in the *construction* args (a function's
-            # closure tuple is read-only); cycles through them are safe
-            # because each cell is memoized empty before its contents.
-            return (_rebuild_function,
-                    (obj.__module__, code.co_name, code.co_firstlineno,
-                     obj.__closure__ or ()),
-                    (obj.__defaults__, obj.__kwdefaults__,
-                     obj.__dict__ or None),
-                    None, None, _set_function_state)
-        if isinstance(obj, types.CellType):
-            try:
-                state = (True, obj.cell_contents)
-            except ValueError:       # cell exists but was never assigned
-                state = (False, None)
-            return (_make_empty_cell, (), state, None, None, _fill_cell)
-        return NotImplemented
-
-
-class _SnapshotUnpickler(pickle.Unpickler):
-    def __init__(self, file, external: Optional[Dict[Any, Any]] = None
-                 ) -> None:
-        super().__init__(file)
-        self._external = external or {}
-
-    def persistent_load(self, pid: Any) -> Any:
-        try:
-            return self._external[pid]
-        except KeyError:
-            raise SnapshotError(
-                f"image references external object {pid!r} but the "
-                f"caller provided no replacement for it") from None
-
-
-# ----------------------------------------------------------------------
 # public API
 # ----------------------------------------------------------------------
-def dumps(obj: Any, external: Optional[Dict[int, Any]] = None,
-          meta: Optional[Dict[str, Any]] = None) -> bytes:
+def dumps(obj: Any, meta: Optional[Dict[str, Any]] = None) -> bytes:
     """Serialize ``obj`` (and everything reachable from it) to an image.
 
-    ``external`` maps ``id(sub_object) -> tag`` for sub-objects to
-    externalize (the tag, not the object, is stored; :func:`loads` must
-    supply the replacement). ``meta`` is caller metadata kept in the
-    cleartext JSON header, readable without unpickling via
-    :func:`read_meta`.
+    ``meta`` is caller metadata kept in the cleartext JSON header,
+    readable without unpickling via :func:`read_meta`.
     """
     header = {
         "format": SNAPSHOT_FORMAT,
         "fingerprint": source_fingerprint(),
-        "id_sources": capture_id_sources(),
         "meta": meta or {},
     }
     header_blob = json.dumps(header, sort_keys=True).encode()
-    buf = io.BytesIO()
     try:
-        _SnapshotPickler(buf, external=external).dump(obj)
+        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        # e.g. "Can't pickle local object 'f.<locals>.g'": a closure
+        # was stored where a bound method or partial belongs
         raise SnapshotError(f"state is not snapshottable: {exc}") from exc
     return (_MAGIC + _HEADER_LEN.pack(len(header_blob)) + header_blob
-            + buf.getvalue())
+            + payload)
 
 
 def _split(blob: bytes) -> Tuple[Dict[str, Any], bytes]:
@@ -308,14 +124,12 @@ def read_meta(blob: bytes) -> Dict[str, Any]:
     return dict(header.get("meta", {}))
 
 
-def loads(blob: bytes, external: Optional[Dict[Any, Any]] = None) -> Any:
+def loads(blob: bytes) -> Any:
     """Restore an image produced by :func:`dumps`.
 
     Verifies format version and source fingerprint first (raising
-    :class:`SnapshotError` on any mismatch), fast-forwards the global
-    id sources past the image's, then rebuilds the object graph —
-    splicing ``external[tag]`` in wherever :func:`dumps` externalized a
-    sub-object.
+    :class:`SnapshotError` on any mismatch), then rebuilds the object
+    graph.
     """
     header, payload = _split(blob)
     if header.get("format") != SNAPSHOT_FORMAT:
@@ -328,12 +142,8 @@ def loads(blob: bytes, external: Optional[Dict[Any, Any]] = None) -> Any:
             "snapshot source fingerprint mismatch — the image was "
             "written by different repro sources (or another "
             "Python/NumPy); rebuild it instead of restoring blindly")
-    restore_id_sources(header.get("id_sources", {}))
     try:
-        return _SnapshotUnpickler(io.BytesIO(payload),
-                                  external=external).load()
-    except SnapshotError:
-        raise
+        return pickle.loads(payload)
     except Exception as exc:  # unpickling failures are all corruption
         raise SnapshotError(f"corrupt snapshot payload: {exc}") from exc
 

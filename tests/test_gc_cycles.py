@@ -5,7 +5,7 @@ Every L2 miss used to leave ~26 unreachable objects behind (the fill's
 self-naming ``try_install`` closure, and a cancelled timeout whose
 lambda named the MSHR that held it), so the collector ran often and
 its full passes walked the whole machine. The fill's continuation is
-now ``partial(self._try_install, mshr)`` with ``apply_state`` parked in
+now ``partial(self._try_install, mshr)`` reading its fill state from
 the MSHR, and ``Event.cancel()`` lets go of the callback; these tests
 pin both the absence of garbage and the bit-identity of a restore taken
 while exactly those objects are live.
@@ -68,14 +68,14 @@ def _pressure_traces():
 
 def _parked_fills(system: CmpSystem) -> int:
     """Fills waiting behind ``_make_room``: an EVICT transaction whose
-    parked ``done`` carries the ``partial(_try_install, mshr)``."""
+    parked ``partial(_evicted, ev, cont)`` carries the
+    ``partial(_try_install, mshr)``."""
     count = 0
     for l2 in system.l2s:
         for mshr in l2.mshrs._entries.values():
             cont = mshr.scratch.get("cont")
             if mshr.kind == "EVICT" and cont is not None and any(
-                    isinstance(cell.cell_contents, partial)
-                    for cell in cont.__closure__):
+                    isinstance(arg, partial) for arg in cont.args):
                 count += 1
     return count
 

@@ -36,9 +36,13 @@ class TestMsg:
         assert DATA_KINDS <= set(MsgKind)
 
     def test_msg_ids_unique(self):
+        """A message's identity is the object: no id is drawn per
+        message (nothing under ``src/`` ever read one), so equal-field
+        messages compare equal and stay two objects."""
         a = Msg(MsgKind.GETS, 0, 0, Unit.L2)
         b = Msg(MsgKind.GETS, 0, 0, Unit.L2)
-        assert a.msg_id != b.msg_id
+        assert a == b and a is not b
+        assert "msg_id" not in Msg.__slots__
 
     def test_repr_mentions_kind_and_line(self):
         m = Msg(MsgKind.TOK_GETS, 0xabc, 3, Unit.L2, requestor=3)
@@ -66,4 +70,5 @@ class TestPacket:
                    mcast_group=(1, 2, 3), payload="x")
         c = p.clone_for(2)
         assert c.dst == 2 and c.payload == "x" and not c.is_multicast
-        assert c.pkt_id != p.pkt_id
+        assert c is not p and p.dst is None  # a copy; the original untouched
+        assert "pkt_id" not in Packet.__slots__

@@ -80,20 +80,19 @@ class TestDeliveryProperties:
         net = net_cls(sim, Mesh(8, 8), NocConfig())
         delivered = []
         for t in range(64):
-            net.attach(t, lambda p, t=t: delivered.append((t, p.pkt_id)))
+            net.attach(t, lambda p, t=t: delivered.append((t, p.payload)))
         packets = []
         for i, (src, dst) in enumerate(pairs):
             p = Packet(src=src, dst=dst, vn=VirtualNetwork(i % 5),
-                       size_flits=1 + (i % 3))
+                       size_flits=1 + (i % 3), payload=i)
             packets.append(p)
             sim.schedule(i % 7, lambda p=p: net.send(p))
         sim.run(until=200_000)
         assert len(delivered) == len(packets)
         assert net.in_flight == 0
-        # each at the right tile
-        by_id = {p.pkt_id: p.dst for p in packets}
-        for tile, pkt_id in delivered:
-            assert by_id[pkt_id] == tile
+        # each at the right tile, each exactly once
+        assert sorted(delivered, key=lambda d: d[1]) == [
+            (p.dst, p.payload) for p in packets]
 
     @given(pairs=st.lists(st.tuples(tiles64, tiles64), min_size=1,
                           max_size=30))

@@ -11,22 +11,26 @@ order) shows up here as a hard inequality.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
 from repro.cmp.system import CmpSystem
 from repro.coherence.shadow import ShadowOracle
 from repro.errors import SnapshotError
+from repro.harness.fuzz import SnapshotRecorder
 from repro.noc.interface import build_network
 from repro.noc.packet import Packet, VirtualNetwork
 from repro.noc.topology import Mesh
 from repro.params import NocConfig, NocKind, Organization
 from repro.sim import snapshot
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Event, Simulator
 from repro.traces.synthetic import WorkloadSpec, generate_traces
 from tests.conftest import tiny_config
 
@@ -135,8 +139,25 @@ class TestRoundTripProperties:
 
 
 # ----------------------------------------------------------------------
-# kernel-level round trips (closures, cells, tickers, hooks)
+# kernel-level round trips (heap continuations, tickers, hooks)
 # ----------------------------------------------------------------------
+class _Pinger:
+    """Continuation target for the kernel fixtures: like the simulator,
+    they store only bound methods and partials over them."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.log = sim.registry.setdefault("log", [])
+
+    def ping(self, n):
+        self.log.append(("ping", self.sim.cycle, n))
+        if n < 6:
+            self.sim.schedule(5, partial(self.ping, n + 1))
+
+    def epoch(self, cycle):
+        self.log.append(("epoch", cycle))
+
+
 class _CountdownTicker:
     """Ticks until its budget runs out (module-level: picklable)."""
 
@@ -154,21 +175,13 @@ class _CountdownTicker:
 class TestKernelRoundTrip:
     def _seed_kernel(self):
         sim = Simulator()
-        log = sim.registry.setdefault("log", [])
-
-        def ping(n):
-            log.append(("ping", sim.cycle, n))
-            if n < 6:
-                sim.schedule(5, lambda: ping(n + 1))
-
-        sim.schedule(3, lambda: ping(0))
+        pinger = _Pinger(sim)
+        sim.schedule(3, partial(pinger.ping, 0))
         ticker = _CountdownTicker(sim, budget=4)
         tid = sim.add_ticker(ticker)
         sim.registry["ticker"] = ticker
         sim.wake(tid)
-        hook = sim.add_epoch_hook(8, lambda cycle: log.append(("epoch",
-                                                               cycle)))
-        sim.registry["hook"] = hook
+        sim.registry["hook"] = sim.add_epoch_hook(8, pinger.epoch)
         return sim
 
     def test_heap_tickers_hooks_roundtrip(self):
@@ -187,46 +200,23 @@ class TestKernelRoundTrip:
         assert restored.registry["log"] == sim.registry["log"]
         assert (restored.registry["ticker"].ticked_at
                 == sim.registry["ticker"].ticked_at)
-        # and the copies are independent (no shared closure cells)
+        # and the copies are independent (nothing shared with the original)
         sim.registry["log"].append("only-original")
         assert restored.registry["log"] != sim.registry["log"]
-
-    def test_mutually_recursive_closures_share_cells_after_restore(self):
-        sim = Simulator()
-        log = sim.registry.setdefault("log", [])
-
-        def make_pair():
-            state = {"rounds": 0}
-
-            def probe():
-                state["rounds"] += 1
-                log.append(("probe", sim.cycle, state["rounds"]))
-                if state["rounds"] < 4:
-                    sim.schedule(2, attempt)
-
-            def attempt():
-                log.append(("attempt", sim.cycle))
-                sim.schedule(1, probe)
-            return probe
-
-        sim.schedule(1, make_pair())
-        sim.run(until=3)
-        blob = sim.checkpoint()
-        restored = Simulator.restore(blob)
-        sim.run()
-        restored.run()
-        # identical continuation => probe/attempt still share their
-        # closure cells (state dict, each other) after the round trip
-        assert restored.registry["log"] == sim.registry["log"]
 
     def test_epoch_hook_keeps_firing_after_restore(self):
         sim = Simulator()
         fired = sim.registry.setdefault("fired", [])
-        sim.add_epoch_hook(10, lambda cycle: fired.append(cycle))
+        sim.add_epoch_hook(10, fired.append)
         sim.run(until=25)
         restored = Simulator.restore(sim.checkpoint())
         restored.run(until=55)
         assert restored.registry["fired"] == [10, 20, 30, 40, 50]
+
+
+def _log_delivery(sim, net, tile, packet):
+    sim.registry["log"].append(
+        (tile, sim.cycle, packet.src, packet.vn, net.in_flight))
 
 
 class TestNetworkMidEjectionRoundTrip:
@@ -240,19 +230,14 @@ class TestNetworkMidEjectionRoundTrip:
         mesh = Mesh(4, 4)
         net = build_network(sim, mesh, NocConfig(kind=kind))
         sim.registry["net"] = net
-        log = sim.registry.setdefault("log", [])
-
-        def receiver(tile):
-            return lambda packet: log.append(
-                (tile, sim.cycle, packet.src, packet.vn, net.in_flight))
-
+        sim.registry["log"] = []
         for tile in range(mesh.num_tiles):
-            net.attach(tile, receiver(tile))
+            net.attach(tile, partial(_log_delivery, sim, net, tile))
         for i in range(120):
             src, dst = (i * 7) % 16, (i * 11 + 5) % 16
             packet = Packet(src=src, dst=dst, vn=VirtualNetwork(i % 5),
                             size_flits=1 + 4 * (i % 3 == 0))
-            sim.schedule(i // 6, lambda packet=packet: net.send(packet))
+            sim.schedule(i // 6, partial(net.send, packet))
         return sim, net
 
     @pytest.mark.parametrize("kind", list(NocKind), ids=lambda k: k.value)
@@ -278,6 +263,202 @@ class TestNetworkMidEjectionRoundTrip:
         assert forks >= 3  # the scenario does pause mid-batch
         sim.run()
         assert sim.registry["log"] == straight.registry["log"]
+
+
+# ----------------------------------------------------------------------
+# periodic checkpoints through the converted continuation sites
+# ----------------------------------------------------------------------
+def _continuation_names(fn, out):
+    """Method names behind one stored callable: a bound method, or a
+    partial over one whose arguments may carry further callbacks."""
+    if isinstance(fn, partial):
+        _continuation_names(fn.func, out)
+        for arg in fn.args:
+            _continuation_names(arg, out)
+    elif hasattr(fn, "__func__"):
+        out.add(fn.__func__.__name__)
+
+
+class _ImageRecorder(SnapshotRecorder):
+    """Checkpoints every ``period`` cycles and keeps the newest image
+    plus, per continuation seen live in the event heap, the first image
+    that holds it."""
+
+    def __init__(self, system, period):
+        self.first_with = {}
+        super().__init__(system, period)
+
+    def _snap(self, cycle):
+        super()._snap(cycle)
+        names = set()
+        for _cycle, _seq, entry in self.system.sim._heap:
+            _continuation_names(
+                entry.fn if entry.__class__ is Event else entry, names)
+        for name in names - self.first_with.keys():
+            self.first_with[name] = self.latest
+
+    def __getstate__(self):
+        state = super().__getstate__()
+        state["first_with"] = {}
+        return state
+
+
+def _assert_images_finish_like_straight(make, traces, every, expect):
+    """Run ``make()`` straight through and again checkpointed every
+    ``every`` cycles; the newest image, and the first image holding each
+    continuation in ``expect``, must restore and finish bit-identically."""
+    r_straight = make().run()
+    recorded = make()
+    recorded.recorder = recorder = _ImageRecorder(recorded, every)
+    r_recorded = recorded.run()
+    assert r_recorded.stats.to_dict() == r_straight.stats.to_dict()
+    assert recorder.snapshots_taken >= 10
+    assert expect <= recorder.first_with.keys(), \
+        sorted(expect - recorder.first_with.keys())
+    images = {recorder.latest, *(recorder.first_with[n] for n in expect)}
+    for _cycle, image in sorted(images):
+        forked = CmpSystem.restore(image, traces)
+        forked.recorder.hook.cancel()  # re-imaging the replay adds nothing
+        r_forked = forked.resume()
+        assert r_forked.stats.to_dict() == r_straight.stats.to_dict()
+        assert r_forked.runtime == r_straight.runtime
+        assert r_forked.per_core_finish == r_straight.per_core_finish
+    return r_straight
+
+
+class TestPeriodicCheckpoints:
+    def test_full_system_lock_and_barrier_spins(self):
+        import numpy as np
+        from repro.traces.adversarial import barrier_phases, lock_pingpong
+        rng = np.random.default_rng(5)
+        traces = [a + b for a, b in zip(lock_pingpong(rng, 16),
+                                        barrier_phases(rng, 16))]
+        result = _assert_images_finish_like_straight(
+            lambda: CmpSystem(tiny_config(Organization.LOCO_CC_VMS_IVR),
+                              traces, full_system=True),
+            traces, every=200,
+            expect={"_lock_probe", "_lock_probed", "_lock_attempted",
+                    "_unlocked", "_spin_barrier", "_barrier_probed"})
+        assert result.stats.value("lock_spins") > 0
+        assert result.stats.value("spin_probes") > 0
+
+    def test_scratchpad_remote_reads_and_writes(self):
+        """The stencil's halo pushes, then blocking loads and stores on
+        other tiles' banks (no benchmark issues those)."""
+        from repro.harness.experiment import (ExperimentConfig,
+                                              HierarchyAxes, _traces_for)
+        from repro.traces.events import Op, TraceEvent, spm_addr
+        exp = ExperimentConfig("dataflow_stencil", Organization.SHARED,
+                               cores=16, cluster=(2, 2), scale=0.1,
+                               hierarchy=HierarchyAxes(0.5))
+        stencil, populations = _traces_for(exp)
+        traces = [list(trace) + [
+            TraceEvent(op, spm_addr((core + hop) % 16, slot), slot % 3)
+            for slot in range(12)
+            for op, hop in ((Op.SPM_STORE, 1), (Op.SPM_LOAD, 5))]
+            for core, trace in enumerate(stencil)]
+        result = _assert_images_finish_like_straight(
+            lambda: CmpSystem(exp.system_config(), traces,
+                              barrier_populations=populations),
+            traces, every=25, expect={"_reply_read", "_apply_remote"})
+        assert result.stats.value("spm_pushes") > 0
+        assert result.stats.value("spm_remote_reads") == 16 * 12
+        assert result.stats.value("spm_remote_writes") == 16 * 12
+
+    def test_leakage_cell_speculating_under_the_oracle(self):
+        from repro.harness.experiment import ExperimentConfig, SpecAxes
+        from repro.harness.leakage import (LEAK_CLUSTER, LEAK_CORES,
+                                           build_leak_traces,
+                                           spec_config_for)
+        exp = ExperimentConfig(benchmark="leak_prime_probe",
+                               organization=Organization.SHARED,
+                               cores=LEAK_CORES, cluster=LEAK_CLUSTER,
+                               warmup_fraction=0.0,
+                               spec=SpecAxes(mode="on", rate=0.2))
+        traces, populations = build_leak_traces(exp)
+
+        def make():
+            system = CmpSystem(exp.system_config(), traces,
+                               barrier_populations=populations,
+                               speculation=spec_config_for(exp))
+            system.ctx.shadow = ShadowOracle()
+            return system
+
+        result = _assert_images_finish_like_straight(
+            make, traces, every=40,
+            expect={"_commit_then", "_squash_then", "_probe_measured",
+                    "_spec_fill", "_wait_barrier_free"})
+        assert result.stats.value("spec_issued") > 0
+
+    #: what each organization's storm must be caught holding in its
+    #: event heap (seed and geometry are picked for it)
+    STORM_CONTINUATIONS = {
+        Organization.PRIVATE: {"_refetch", "_reissue"},
+        Organization.SHARED: {"_commit_then"},
+        Organization.LOCO_CC: {"_refetch", "_reissue", "_retry_make_room"},
+        Organization.LOCO_CC_VMS_IVR: {"_reissue", "_on_timeout"},
+    }
+
+    @pytest.mark.parametrize("org", ORGS4, ids=lambda o: o.value)
+    def test_eviction_storm(self, org):
+        """Direct-mapped 4-line L2 slices under ``eviction_storm``:
+        evictions find every way busy, fills get poisoned and reissue,
+        forwards NACK and refetch through the directory."""
+        from repro.params import CacheConfig
+        from repro.traces.adversarial import generate_adversarial
+        _name, traces = generate_adversarial(3, 16, "eviction_storm")
+        cfg = tiny_config(org, l2=CacheConfig(
+            size_bytes=128, assoc=1, line_bytes=32, access_latency=4))
+
+        def make():
+            system = CmpSystem(cfg, traces)
+            system.ctx.shadow = ShadowOracle()
+            return system
+
+        _assert_images_finish_like_straight(
+            make, traces, every=50, expect=self.STORM_CONTINUATIONS[org])
+
+
+# ----------------------------------------------------------------------
+# the simulator defines no closures to store
+# ----------------------------------------------------------------------
+def _closures_in(node, inside_function=False):
+    """(name, line) of every lambda and nested def under ``node``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if isinstance(child, ast.Lambda):
+            found.append(("<lambda>", child.lineno))
+        elif is_def and inside_function:
+            found.append((child.name, child.lineno))
+        found.extend(_closures_in(child, inside_function or is_def))
+    return found
+
+
+def test_simulator_layers_define_no_lambda_or_nested_def():
+    """A stray closure in the machine is a latent checkpoint crash (the
+    pickler no longer absorbs one), so the layers whose objects reach an
+    image define none at all — transient ones included. Exempt:
+    ``noc/visualize.py``'s recursive render helper (builds a string)."""
+    import repro
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for layer in ("sim", "coherence", "noc", "cmp", "cache"):
+        for path in sorted((root / layer).glob("*.py")):
+            for name, line in _closures_in(ast.parse(path.read_text())):
+                if (path.name, name) != ("visualize.py", "walk"):
+                    offenders.append(f"{layer}/{path.name}:{line} {name}")
+    # the fuzz harness attaches its detectors to machines it checkpoints
+    fuzz = ast.parse((root / "harness" / "fuzz.py").read_text())
+    attach = {"SnapshotRecorder", "_on_epoch", "_build_fuzz_system"}
+    for node in fuzz.body:
+        if getattr(node, "name", None) in attach:
+            attach.discard(node.name)
+            offenders.extend(
+                f"harness/fuzz.py:{line} {name}" for name, line in
+                _closures_in(node, isinstance(node, ast.FunctionDef)))
+    assert not attach, f"attach path moved: {sorted(attach)}"
+    assert not offenders, offenders
 
 
 # ----------------------------------------------------------------------
@@ -338,21 +519,17 @@ class TestCorruption:
         with pytest.raises(SnapshotError, match="digest mismatch"):
             CmpSystem.restore(image, wrong)
 
-    def test_two_lambdas_on_one_line_rejected_at_dump(self):
-        """Two code objects sharing (name, line) cannot be resolved by
-        reference; refusing the dump beats a coin-flip at restore."""
-        pair = [lambda: 1, lambda: 2]  # both '<lambda>' on this line
-        with pytest.raises(SnapshotError, match="not resolvable"):
-            snapshot.dumps(pair)
+    def test_stored_closure_rejected_at_dump_by_name(self):
+        """Nothing absorbs a closure any more: a kernel holding one
+        fails its checkpoint loudly, naming the function."""
+        sim = Simulator()
 
-    def test_missing_external_object_rejected(self):
-        payload = [1, 2, 3]
-        blob = snapshot.dumps({"x": payload},
-                              external={id(payload): ("tag", 0)})
-        with pytest.raises(SnapshotError, match="external"):
-            snapshot.loads(blob)  # no replacement supplied
-        back = snapshot.loads(blob, external={("tag", 0): [7]})
-        assert back == {"x": [7]}
+        def stray():
+            sim.stop()
+
+        sim.schedule(3, stray)
+        with pytest.raises(SnapshotError, match=r"<locals>\.stray"):
+            sim.checkpoint()
 
 
 # ----------------------------------------------------------------------
@@ -402,8 +579,10 @@ class TestTraceExternalization:
         assert forked.runtime == cold.runtime
 
     def test_clean_subprocess_restore_matches_in_process(self, tmp_path):
-        """A fresh worker process (empty trace memo, fresh id sources)
-        restoring the same image must produce the identical result."""
+        """A fresh worker process (empty trace memo, nothing
+        process-global to fast-forward: the flit sequence rides in the
+        image) restoring the same image must produce the identical
+        result."""
         from repro.harness.experiment import (ExperimentConfig,
                                               WarmupImageCache,
                                               run_benchmark)
