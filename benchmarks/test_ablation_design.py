@@ -1,4 +1,4 @@
-"""Ablation benches for DESIGN.md §6 design choices.
+"""Ablation benches for the simulator's design choices.
 
 Not figures from the paper — these probe the levers behind its results:
 

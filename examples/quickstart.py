@@ -27,7 +27,8 @@ def main() -> None:
     results = {}
     for org in (Organization.SHARED, Organization.LOCO_CC_VMS_IVR):
         # paper_config() is Table 1 of the paper; we shrink the caches
-        # 8x to match the scaled-down trace (see DESIGN.md §5).
+        # 8x to match the scaled-down trace (the harness default,
+        # ``ExperimentConfig.cache_scale``).
         config = paper_config(64, organization=org).with_cache_scale(0.125)
         system = CmpSystem(config, traces)
         results[org] = system.run()

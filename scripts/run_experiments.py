@@ -74,7 +74,7 @@ def write_markdown(out: str, scale: float, sections: dict) -> None:
         "# EXPERIMENTS — paper vs. measured",
         "",
         f"All numbers from `scripts/run_experiments.py {scale}` "
-        f"(trace scale {scale}, cache scale 1/8 — DESIGN.md §5; "
+        f"(trace scale {scale}, cache scale 1/8; "
         f"benchmarks: {', '.join(BENCHES)}).",
         "",
         "Absolute values are not comparable to the paper's (different "

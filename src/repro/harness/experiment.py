@@ -34,7 +34,7 @@ from repro.traces.dataflow import dataflow_traces
 from repro.traces.multiprogram import WORKLOADS, build_workload
 from repro.traces.synthetic import generate_traces
 
-#: trace-length scaling presets (DESIGN.md §5)
+#: trace-length scaling presets
 SCALE_SMALL = 0.25    # benches / CI
 SCALE_MEDIUM = 1.0    # EXPERIMENTS.md numbers
 
@@ -116,9 +116,9 @@ class ExperimentConfig:
     #: gathered after it (paper: "statistics are gathered at the end of
     #: the parallel portion")
     warmup_fraction: float = 0.35
-    #: proportional cache shrink matching the scaled-down traces
-    #: (DESIGN.md §5): 1/8 of Table 1 by default -> 2 KB L1 slices,
-    #: 8 KB L2 slices. Set to 1.0 for the paper's raw geometry.
+    #: proportional cache shrink matching the scaled-down traces:
+    #: 1/8 of Table 1 by default -> 2 KB L1 slices, 8 KB L2 slices.
+    #: Set to 1.0 for the paper's raw geometry.
     cache_scale: float = 0.125
     #: speculative front-end axis group
     spec: SpecAxes = field(kw_only=True, default_factory=SpecAxes)

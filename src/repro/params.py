@@ -70,7 +70,7 @@ class CacheConfig:
     def scaled(self, factor: float) -> "CacheConfig":
         """Capacity scaled by ``factor`` (associativity, line size and
         latency unchanged). Used to shrink caches proportionally with
-        trace length (DESIGN.md §5)."""
+        trace length (``ExperimentConfig.cache_scale``)."""
         new_size = int(self.size_bytes * factor)
         granule = self.assoc * self.line_bytes
         new_size = max(granule, (new_size // granule) * granule)
@@ -273,7 +273,8 @@ class SystemConfig:
         return replace(self, noc=replace(self.noc, kind=kind))
 
     def with_cache_scale(self, factor: float) -> "SystemConfig":
-        """Both cache levels scaled by ``factor`` (DESIGN.md §5)."""
+        """Both cache levels scaled by ``factor``
+        (:meth:`CacheConfig.scaled`)."""
         return replace(self, l1=self.l1.scaled(factor),
                        l2=self.l2.scaled(factor))
 

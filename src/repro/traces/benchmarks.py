@@ -40,7 +40,7 @@ def _define(name: str, **kwargs) -> None:
                                   **kwargs)
 
 
-# Capacity anchors at the default 1/8 cache scale (DESIGN.md §5):
+# Capacity anchors at the default 1/8 ``ExperimentConfig.cache_scale``:
 # L1 64 lines, L2 slice 256, 4x4 cluster 4096, 64-core chip 16384.
 # --- neighbour-concentrated (cluster-friendly) --------------------------
 _define("blackscholes",

@@ -104,7 +104,8 @@ def capacity_pressure(profile: TraceProfile, l2_slice_lines: int,
     the paper compares (private slice / cluster / whole chip).
 
     Values > 1 mean the working set oversubscribes that level — the
-    capacity anchors that DESIGN.md §5 places workloads around.
+    capacity anchors ``repro.traces.benchmarks`` places workloads
+    around.
     """
     per_core = profile.footprint_lines / max(1, profile.num_cores)
     return {

@@ -25,7 +25,8 @@ On an all-cache machine the same traces degrade gracefully: every SPM
 op executes as a coherent access to the same address (see
 ``Core._do_spm``), which makes scratchpad-vs-cache a paired
 comparison. Generation is deterministic given (name, cores, scale,
-seed) — the op-count fingerprints the bench scenarios pin depend on it.
+seed) — the end-to-end benchmark's ``traces.events`` count and row
+digests depend on it.
 """
 
 from __future__ import annotations

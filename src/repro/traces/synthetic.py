@@ -1,8 +1,8 @@
 """Synthetic multi-threaded workload generator.
 
-Substitute for Graphite-captured SPLASH-2 / PARSEC traces (DESIGN.md
-§2). A :class:`WorkloadSpec` captures exactly the workload properties
-the paper's effects hinge on:
+Substitute for Graphite-captured SPLASH-2 / PARSEC traces. A
+:class:`WorkloadSpec` captures exactly the workload properties the
+paper's effects hinge on:
 
 * per-core private working-set size vs. the L2 slice / cluster capacity
   (drives private-cache thrashing and IVR's capacity benefit);
