@@ -171,15 +171,17 @@ class L1Controller:
             # hot-line writers would otherwise poison each other's
             # fills in a deterministic limit cycle (livelock).
             self.ctx.stats.counter("l1_poisoned_fills").inc()
-            reissue = partial(self._reissue, line_addr, mshr.kind == "GETX",
-                              bool(mshr.scratch.get("spec")),
-                              mshr.scratch["done_cbs"],
-                              self.mshrs.retire(line_addr))
+            was_write = mshr.kind == "GETX"
+            was_spec = bool(mshr.scratch.get("spec"))
+            cbs: List[DoneCb] = mshr.scratch["done_cbs"]
+            deferred = self.mshrs.retire(line_addr)
             streak = min(self._poison_streak.get(line_addr, 0) + 1, 8)
             self._poison_streak[line_addr] = streak
             delay = self.ctx.rng.randint("l1_poison_backoff",
                                          1, 16 * (1 << streak))
-            self.ctx.sim.call_after(delay, reissue)
+            self.ctx.sim.call_after(
+                delay, partial(self._reissue, line_addr, was_write,
+                               was_spec, cbs, deferred))
             return
         self._poison_streak.pop(line_addr, None)
         line = self.array.lookup(line_addr, touch=True)

@@ -56,7 +56,7 @@ class _Flit:
     The router owns four more slots and sets them itself: ``order``
     (the age-priority sort key ``(injected_at, seq)``, computed once
     when the flit enters the fabric so the per-cycle arbitration sort
-    needs no key function), ``ready`` (first cycle the flit may
+    needs no Python-level key), ``ready`` (first cycle the flit may
     traverse) and ``plan`` (the interned route plan from ``at`` toward
     ``leg_dst``) whenever the flit is buffered at a router, and ``got``
     (how many of the plan's links this tick's arbitration granted) for
