@@ -36,8 +36,9 @@ from repro.service.protocol import (MAX_FRAME, MESSAGE_TYPES,
 from repro.service.replica import (ConsensusCore, ReplicaLog,
                                    SchedulerMachine)
 from repro.service.scheduler import Scheduler
-from repro.service.transport import SyncTransport
-from repro.service.worker import Worker, parse_address, parse_addresses
+from repro.service.transport import (Connection, SyncTransport,
+                                     parse_address, parse_addresses)
+from repro.service.worker import Worker
 
 __all__ = [
     "Coordinator", "Worker", "ServiceClient", "Scheduler",
@@ -47,5 +48,5 @@ __all__ = [
     "ServiceError", "FrameError", "ConnectionClosed", "WorkerLost",
     "JobFailed", "ProtocolMismatch",
     "PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES", "FrameDecoder",
-    "encode_frame", "SyncTransport",
+    "encode_frame", "Connection", "SyncTransport",
 ]

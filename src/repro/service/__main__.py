@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     args = cli.parse_args(rest)
     from repro.service.cluster import ClusterConfig
     from repro.service.coordinator import Coordinator
-    from repro.service.worker import parse_address, parse_addresses
+    from repro.service.transport import parse_address, parse_addresses
     cluster = None
     if (args.node_id is None) != (args.peers is None):
         cli.error("--node-id and --peers go together")

@@ -29,9 +29,9 @@ from repro.harness.units import SweepUnit
 from repro.service.errors import (ConnectionClosed, JobFailed,
                                   ProtocolMismatch, ServiceError)
 from repro.service.protocol import PROTOCOL_VERSION
-from repro.service.transport import SyncTransport
-from repro.service.worker import (LeaderHunt, _Redirected,
-                                  parse_address, parse_addresses)
+from repro.service.transport import (LeaderHunt, Redirected,
+                                     SyncTransport, check_welcome,
+                                     parse_addresses, raise_for_error)
 
 __all__ = ["ServiceClient"]
 
@@ -53,17 +53,15 @@ class ServiceClient:
 
     def __init__(self, address: str, *,
                  connect_timeout: float = 30.0,
-                 row_timeout: Optional[float] = None,
-                 failover: Optional[bool] = None) -> None:
+                 row_timeout: Optional[float] = None) -> None:
         self.address = address
         self.addresses = parse_addresses(address)
         self.connect_timeout = connect_timeout
         self.row_timeout = row_timeout
-        #: fail-over on by default exactly when there is more than one
-        #: replica to fail over *to* (a single-address coordinator's
-        #: death stays a typed JobFailed)
-        self.failover = (len(self.addresses) > 1 if failover is None
-                         else failover)
+        #: fail-over is on exactly when there is more than one replica
+        #: to fail over *to* (a single-address coordinator's death
+        #: stays a typed JobFailed)
+        self.failover = len(self.addresses) > 1
         #: where the last successful handshake landed (the leader)
         self.leader_address: Optional[str] = None
         #: warm_builds / warm_hits / from_cache of the last finished job
@@ -74,27 +72,13 @@ class ServiceClient:
     def _handshake(self, address: str,
                    timeout: float) -> SyncTransport:
         """Dial one replica; returns the transport on ``welcome``,
-        raises ``_Redirected`` when it points elsewhere."""
-        host, port = parse_address(address)
-        sock = socket.create_connection((host, port), timeout=timeout)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        transport = SyncTransport(sock)
+        raises ``Redirected`` when it points elsewhere."""
+        transport = SyncTransport.open(address, timeout)
         try:
             transport.send({"type": "hello", "role": "client",
                             "protocol": PROTOCOL_VERSION},
                            timeout=timeout)
-            welcome = self._recv_on(transport, timeout)
-            if welcome.get("type") == "redirect":
-                raise _Redirected(welcome.get("leader"))
-            if welcome.get("type") != "welcome":
-                raise ServiceError(f"expected welcome, got "
-                                   f"{welcome.get('type')!r}: "
-                                   f"{welcome.get('error', '')}")
-            if welcome.get("protocol") != PROTOCOL_VERSION:
-                raise ProtocolMismatch(
-                    f"coordinator speaks protocol "
-                    f"{welcome.get('protocol')!r}, this client speaks "
-                    f"{PROTOCOL_VERSION}")
+            check_welcome(self._recv_on(transport, timeout))
         except BaseException:
             transport.close()
             raise
@@ -114,7 +98,7 @@ class ServiceClient:
                     break
                 try:
                     transport = self._handshake(addr, budget)
-                except _Redirected as red:
+                except Redirected as red:
                     hunt.redirect(red.leader)
                     continue
                 except ProtocolMismatch:
@@ -152,11 +136,7 @@ class ServiceClient:
             raise ServiceError(
                 f"no message from coordinator within "
                 f"{timeout}s") from None
-        if msg.get("type") == "error":
-            if msg.get("code") == "protocol-mismatch":
-                raise ProtocolMismatch(f"coordinator error: "
-                                       f"{msg.get('error')}")
-            raise ServiceError(f"coordinator error: {msg.get('error')}")
+        raise_for_error(msg)
         return msg
 
     def _recv(self) -> Dict[str, Any]:

@@ -1,27 +1,34 @@
 """Cluster membership, leader election and replication driver.
 
-The async half of coordinator replication: a :class:`ClusterManager`
-lives on its coordinator's event loop and drives the pure
-:class:`~repro.service.replica.ConsensusCore` over the wire —
+The timed half of coordinator replication, as a state machine its
+owner steps: a :class:`ClusterManager` drives the pure
+:class:`~repro.service.replica.ConsensusCore` from three inputs —
+:meth:`~ClusterManager.tick` (the owner's clock),
+:meth:`~ClusterManager.handle_message` (a consensus frame arrived) and
+:meth:`~ClusterManager.commit` (the leader's one write path) — and
+sends through whatever link objects the owner keeps in ``links``. It
+holds no socket, task or clock of its own, so the coordinator steps it
+from its event loop and a test steps three of them from a ``for`` loop
+over a float (``tests/test_service_replica.py::TestSteppedCluster``):
 
-* one lazily-reconnecting :class:`_PeerLink` per peer replica (the
-  same length-prefixed frames as every other service connection,
-  opened with ``replica-hello``);
-* an election ticker: a follower that hears no leader within its
-  election timeout becomes a candidate and solicits votes; timeouts
-  are staggered by node id (plus jitter) so replica 0 usually wins
-  the first election without split votes;
+* an election timer: a follower that hears no leader before its
+  election deadline becomes a candidate and solicits votes; the
+  deadline is drawn once each time the timer is armed (start, a
+  granted vote, an accepted append) and staggered by node id plus
+  seeded jitter, so replica 0 usually wins the first election without
+  split votes;
 * a leader lease: the leader broadcasts ``replica-append`` heartbeats
-  every ``heartbeat_interval``, which is what resets everyone else's
-  election timer;
-* :meth:`commit`: the leader's one write path — append a scheduler
-  command to the log, replicate, resolve the caller's future when a
-  majority holds it and it applies.
+  every :data:`HEARTBEAT_INTERVAL`, which is what re-arms everyone
+  else's election timer;
+* :meth:`~ClusterManager.commit`: append a scheduler command to the
+  log, replicate, call ``done(result, None)`` when a majority holds it
+  and it applied — or ``done(None, ServiceError)`` on lost leadership
+  or at the :data:`COMMIT_TIMEOUT` deadline, which ``tick`` checks.
 
 A lone coordinator runs all of this with itself as the only member.
 No peer means no heartbeat to wait for — :meth:`ClusterManager.start`
-wins the election on the spot and no ticker runs; the leader alone is
-the majority, so :meth:`commit` returns without suspending; and since
+wins the election on the spot; the leader alone is the majority, so
+``done`` fires before :meth:`~ClusterManager.commit` returns; and since
 entries are retained only for peers' catch-up, a peerless core drops
 each one once applied (with peers the whole log stays, as before).
 
@@ -37,22 +44,34 @@ in-flight units, never a wrong or missing row.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import random
 import socket
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.service.errors import (ConnectionClosed, FrameError,
-                                  ServiceError)
-from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
-                                    encode_frame, read_msg_async)
+from repro.service.errors import FrameError, ServiceError
 from repro.service.replica import LEADER, ConsensusCore, SchedulerMachine
-from repro.service.worker import parse_address, spawn_service_process
+from repro.service.worker import spawn_service_process
 
-__all__ = ["ClusterConfig", "ClusterManager",
+__all__ = ["ClusterConfig", "ClusterManager", "HEARTBEAT_INTERVAL",
+           "ELECTION_TIMEOUT", "COMMIT_TIMEOUT", "TICK_INTERVAL",
            "spawn_coordinator_process", "pick_free_ports"]
+
+#: leader lease: a leader re-sends ``replica-append`` this often
+HEARTBEAT_INTERVAL = 0.25
+#: replica 0's base election timeout; replica ``i`` waits
+#: ``1 + 0.4 * i`` times as long, plus up to 20 % seeded jitter
+ELECTION_TIMEOUT = 1.5
+#: a command not committed this long after :meth:`ClusterManager.commit`
+#: fails its ``done`` (quorum lost)
+COMMIT_TIMEOUT = 5.0
+#: how often the owner must call :meth:`ClusterManager.tick` for the
+#: three periods above to be honoured
+TICK_INTERVAL = 0.05
+
+#: ``done(result, error)`` — exactly one of the two is not None
+Done = Callable[[Any, Optional[ServiceError]], None]
 
 
 @dataclass
@@ -63,10 +82,6 @@ class ClusterConfig:
     address list."""
     node_id: int
     addresses: List[str]
-    heartbeat_interval: float = 0.25
-    election_timeout: float = 1.5
-    commit_timeout: float = 5.0
-    reconnect_interval: float = 0.3
     #: directory for this replica's durable (term, vote) file — without
     #: it a restarted replica can grant a second, conflicting vote in a
     #: term it already voted in (see :mod:`repro.service.replica`)
@@ -83,99 +98,29 @@ class ClusterConfig:
         return len(self.addresses)
 
 
-class _PeerLink:
-    """One outbound connection to a peer replica, reconnecting with
-    backoff forever (a dead peer is a normal condition — the quorum
-    rule, not the link, decides what that means). Messages sent while
-    disconnected are dropped: every consensus message is re-driven by
-    a timer (heartbeats, election retries), so loss is only latency."""
-
-    def __init__(self, manager: "ClusterManager", peer_id: int) -> None:
-        self.manager = manager
-        self.peer_id = peer_id
-        self.connected = False
-        self._queue: Optional[asyncio.Queue] = None
-        self._task = asyncio.create_task(self._run())
-
-    def send(self, msg: Dict[str, Any]) -> None:
-        q = self._queue
-        if q is not None:
-            try:
-                q.put_nowait(encode_frame(msg))
-            except asyncio.QueueFull:
-                pass  # peer is stalled; timers re-drive what matters
-
-    async def close(self) -> None:
-        self._task.cancel()
-        try:
-            await self._task
-        except (asyncio.CancelledError, Exception):
-            pass
-
-    async def _pump(self, writer: asyncio.StreamWriter) -> None:
-        assert self._queue is not None
-        while True:
-            frame = await self._queue.get()
-            writer.write(frame)
-            await asyncio.wait_for(writer.drain(), 10.0)
-
-    async def _run(self) -> None:
-        cfg = self.manager.cfg
-        host, port = parse_address(cfg.addresses[self.peer_id])
-        while True:
-            writer = pump = None
-            try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port), 5.0)
-                sock = writer.get_extra_info("socket")
-                if sock is not None:
-                    sock.setsockopt(socket.IPPROTO_TCP,
-                                    socket.TCP_NODELAY, 1)
-                self._queue = asyncio.Queue(maxsize=1024)
-                writer.write(encode_frame(
-                    {"type": "replica-hello",
-                     "node": cfg.node_id,
-                     "protocol": PROTOCOL_VERSION}))
-                await writer.drain()
-                self.connected = True
-                pump = asyncio.create_task(self._pump(writer))
-                decoder = FrameDecoder()
-                while True:
-                    msg = await read_msg_async(reader, decoder)
-                    self.manager.handle_message(msg, self.send)
-            except (OSError, ConnectionClosed, FrameError,
-                    ServiceError, asyncio.TimeoutError):
-                pass
-            finally:
-                self.connected = False
-                self._queue = None
-                if pump is not None:
-                    pump.cancel()
-                if writer is not None:
-                    try:
-                        writer.close()
-                    except (OSError, RuntimeError):
-                        pass
-            await asyncio.sleep(cfg.reconnect_interval)
-
-
 class ClusterManager:
     """Drives one replica's consensus participation (module docstring).
 
-    Owned by its coordinator; everything runs on — and only on — the
-    coordinator's event loop thread.
+    ``links[peer]`` is whatever currently carries frames to that peer
+    — anything with ``send(msg)`` — or None while the owner has no
+    connection to it; the owner keeps the mapping current. A frame for
+    a disconnected peer is dropped: every consensus message is
+    re-driven by a timer (heartbeats, election retries), so loss is
+    only latency. ``seed`` seeds the election jitter.
 
     ``on_apply(cmd, result)`` fires for every committed command on
     every replica (leader and followers alike); ``on_role_change(bool)``
     fires on this node's own leadership transitions.
     """
 
-    def __init__(self, cfg: ClusterConfig, machine: SchedulerMachine, *,
+    def __init__(self, cfg: ClusterConfig, machine: SchedulerMachine,
+                 links: Dict[int, Any], *, seed: int,
                  on_apply: Callable[[Dict[str, Any], Any], None],
                  on_role_change: Callable[[bool], None],
                  log_fn: Callable[[str], None] = lambda s: None) -> None:
         self.cfg = cfg
         self.machine = machine
+        self.links = links
         state_path = (os.path.join(cfg.state_dir,
                                    f"replica{cfg.node_id}.state.json")
                       if cfg.state_dir else None)
@@ -184,29 +129,23 @@ class ClusterManager:
         self.on_apply = on_apply
         self.on_role_change = on_role_change
         self._log = log_fn
-        self._links: Dict[int, _PeerLink] = {}
-        self._waiters: Dict[int, asyncio.Future] = {}
-        self._ticker: Optional[asyncio.Task] = None
-        self._last_contact = 0.0
+        #: log index -> (done, deadline, op), in index = deadline order
+        self._pending: Dict[int, Tuple[Done, float, Any]] = {}
+        self._now = 0.0  # the latest time the owner told us
         self._last_broadcast = 0.0
-        self._rng = random.Random(os.getpid() ^ cfg.node_id)
+        self._election_due = 0.0
+        self._rng = random.Random(seed)
 
     # -- lifecycle -----------------------------------------------------
-    def start(self) -> None:
-        self._last_contact = asyncio.get_running_loop().time()
-        for peer in self.core.peers():
-            self._links[peer] = _PeerLink(self, peer)
-        if self._links:
-            self._ticker = asyncio.create_task(self._tick_loop())
+    def start(self, now: float) -> None:
+        self._now = now
+        if self.core.peers():
+            self._arm_election()
         else:  # no peer to hear from or outvote us: lead from now on
             self._start_election()
 
-    async def stop(self) -> None:
-        if self._ticker is not None:
-            self._ticker.cancel()
-        for link in self._links.values():
-            await link.close()
-        self._fail_waiters("cluster shutting down")
+    def stop(self) -> None:
+        self._fail_pending("cluster shutting down")
 
     # -- introspection -------------------------------------------------
     @property
@@ -225,44 +164,57 @@ class ClusterManager:
                 "commit": self.core.commit_index,
                 "log": self.core.log.last_index(),
                 "peers_connected": sum(
-                    1 for l in self._links.values() if l.connected)}
+                    1 for link in self.links.values()
+                    if link is not None)}
 
-    # -- the leader's write path ---------------------------------------
-    async def commit(self, cmd: Dict[str, Any]) -> Any:
-        """Append ``cmd``, replicate to a majority, apply, and return
-        the machine's (deterministic) result. Raises
-        :class:`ServiceError` when this node is not the leader or the
+    # -- the three inputs ----------------------------------------------
+    def tick(self, now: float) -> None:
+        """The owner's clock: heartbeat and expire overdue commits
+        (leader), or stand for election at the deadline (others)."""
+        self._now = now
+        if self.core.role == LEADER:
+            if now - self._last_broadcast >= HEARTBEAT_INTERVAL:
+                self._broadcast_appends()
+            for index in [i for i, (_, deadline, _) in
+                          self._pending.items() if now >= deadline]:
+                done, _, op = self._pending.pop(index)
+                done(None, ServiceError(
+                    f"command {op!r} not committed within "
+                    f"{COMMIT_TIMEOUT}s (quorum lost?)"))
+        elif now >= self._election_due:
+            self._arm_election()
+            self._start_election()
+
+    def commit(self, cmd: Dict[str, Any], done: Done) -> None:
+        """The leader's write path: append ``cmd``, replicate to a
+        majority, apply, then ``done(result, None)`` with the machine's
+        (deterministic) result — before this call returns when this
+        node alone is the majority. ``done(None, ServiceError)`` when
+        this node is not the leader, loses leadership first, or the
         quorum cannot be reached in time."""
         if self.core.role != LEADER:
-            raise ServiceError("not the leader")
+            done(None, ServiceError("not the leader"))
+            return
         index = self.core.append_command(cmd)
-        fut = asyncio.get_running_loop().create_future()
-        self._waiters[index] = fut
+        self._pending[index] = (done, self._now + COMMIT_TIMEOUT,
+                                cmd.get("op"))
         self._apply_committed()
-        if fut.done():  # a quorum of one: applied without suspending
-            return fut.result()
-        self._broadcast_appends()
-        try:
-            return await asyncio.wait_for(fut, self.cfg.commit_timeout)
-        except asyncio.TimeoutError:
-            self._waiters.pop(index, None)
-            raise ServiceError(
-                f"command {cmd.get('op')!r} not committed within "
-                f"{self.cfg.commit_timeout}s (quorum lost?)") from None
+        if index in self._pending:
+            self._broadcast_appends()
 
-    # -- message handling (inbound conns and peer links) ---------------
     def handle_message(self, msg: Dict[str, Any],
-                       send: Callable[[Dict[str, Any]], None]) -> None:
+                       send: Callable[[Dict[str, Any]], None],
+                       now: float) -> None:
         """Process one consensus frame; ``send`` answers on whichever
         connection the frame arrived on."""
-        loop = asyncio.get_running_loop()
+        self._now = now
         was_leader = self.core.role == LEADER
         kind = msg.get("type")
         try:
             if kind == "replica-vote":
                 reply = self.core.on_vote(msg)
                 if reply["granted"]:
-                    self._last_contact = loop.time()
+                    self._arm_election()
                 send(reply)
             elif kind == "replica-vote-reply":
                 if self.core.on_vote_reply(msg):
@@ -270,7 +222,7 @@ class ClusterManager:
             elif kind == "replica-append":
                 ack = self.core.on_append(msg)
                 if ack["ok"]:
-                    self._last_contact = loop.time()
+                    self._arm_election()
                     self._apply_committed()
                 send(ack)
             elif kind == "replica-append-ack":
@@ -296,24 +248,12 @@ class ClusterManager:
             self._lost_leadership()
 
     # -- internals -----------------------------------------------------
-    def _election_timeout(self) -> float:
-        base = self.cfg.election_timeout
-        return (base * (1.0 + 0.4 * self.cfg.node_id)
-                + self._rng.uniform(0.0, 0.2 * base))
-
-    async def _tick_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(
-                min(0.05, self.cfg.heartbeat_interval / 4))
-            now = loop.time()
-            if self.core.role == LEADER:
-                if (now - self._last_broadcast
-                        >= self.cfg.heartbeat_interval):
-                    self._broadcast_appends()
-            elif now - self._last_contact >= self._election_timeout():
-                self._last_contact = now
-                self._start_election()
+    def _arm_election(self) -> None:
+        """(Re)start the election timer: one jitter draw per arming,
+        so the number of draws never depends on the tick cadence."""
+        self._election_due = (
+            self._now + ELECTION_TIMEOUT * (1.0 + 0.4 * self.cfg.node_id)
+            + self._rng.uniform(0.0, 0.2 * ELECTION_TIMEOUT))
 
     def _start_election(self) -> None:
         request = self.core.start_election()
@@ -324,8 +264,9 @@ class ClusterManager:
                  "voter": self.cfg.node_id, "granted": True}):
             self._became_leader()
             return
-        for link in self._links.values():
-            link.send(request)
+        for link in self.links.values():
+            if link is not None:
+                link.send(request)
 
     def _became_leader(self) -> None:
         self._log(f"replica {self.cfg.node_id}: leader of term "
@@ -336,31 +277,30 @@ class ClusterManager:
     def _lost_leadership(self) -> None:
         self._log(f"replica {self.cfg.node_id}: deposed (term "
                   f"{self.core.term})")
-        self._fail_waiters("leadership lost before commit")
+        self._fail_pending("leadership lost before commit")
         self.on_role_change(False)
 
-    def _fail_waiters(self, reason: str) -> None:
-        for fut in self._waiters.values():
-            if not fut.done():
-                fut.set_exception(ServiceError(reason))
-        self._waiters.clear()
+    def _fail_pending(self, reason: str) -> None:
+        pending, self._pending = self._pending, {}
+        for done, _, _ in pending.values():
+            done(None, ServiceError(reason))
 
     def _send_append(self, peer: int) -> None:
-        link = self._links.get(peer)
+        link = self.links.get(peer)
         if link is not None:
             link.send(self.core.append_for(peer))
 
     def _broadcast_appends(self) -> None:
-        self._last_broadcast = asyncio.get_running_loop().time()
+        self._last_broadcast = self._now
         for peer in self.core.peers():
             self._send_append(peer)
 
     def _apply_committed(self) -> None:
         for index, cmd in self.core.take_committed():
             result = self.machine.apply(cmd)
-            fut = self._waiters.pop(index, None)
-            if fut is not None and not fut.done():
-                fut.set_result(result)
+            waiter = self._pending.pop(index, None)
+            if waiter is not None:
+                waiter[0](result, None)
             self.on_apply(cmd, result)
 
 

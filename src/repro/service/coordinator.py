@@ -23,17 +23,19 @@ cache directory serves repeat jobs without re-simulating anything.
 
 Concurrency model: a single-threaded asyncio event loop (running in
 one background thread so ``start()``/``stop()`` keep their blocking
-API). Every connection is one reader coroutine plus one writer task
-draining a per-connection queue, so sends never block the loop and a
-peer that stops draining its receive buffer becomes a bounded
-``send_timeout`` failure on its own writer — not a wedged fleet.
-Scheduler, job table and result memo are touched only from the loop
-thread: there are no locks, and no thread-per-connection ceiling —
-one coordinator holds hundreds of idle worker connections at the cost
-of one queue and two tasks each (``tests/test_service_scale.py``
-storms 512 of them). Liveness is a single monitor coroutine comparing
-monotonic ``loop.time()`` deadlines. The heavy work happens in worker
-*processes*, never here.
+API). Every connection — accepted or dialed — is one
+:class:`~repro.service.transport.Connection`: a reader coroutine plus
+one writer task draining a per-connection queue, so sends never block
+the loop and a peer that stops draining its receive buffer becomes a
+bounded ``SEND_TIMEOUT`` abort of its own connection — not a wedged
+fleet. Scheduler, job table and result memo are touched only from the
+loop thread: there are no locks, and no thread-per-connection ceiling
+— one coordinator holds hundreds of idle worker connections at the
+cost of one queue and two tasks each (``tests/test_service_scale.py``
+storms 512 of them). There is one timer coroutine (:meth:`_timer`): it
+compares worker ``last_seen`` stamps against monotonic ``loop.time()``
+and steps the consensus state machine. The heavy work happens in
+worker *processes*, never here.
 
 Replication: every coordinator is one replica of the quorum its
 :class:`~repro.service.cluster.ClusterConfig` names — without one, the
@@ -41,10 +43,14 @@ only member of a quorum of one at the bound address. Every scheduler
 mutation flows through :meth:`_commit` — a command appended to the
 replicated log, applied by each replica's
 :class:`~repro.service.replica.SchedulerMachine` once a majority
-holds it. Only the (ready) leader serves clients and workers; the
-others answer ``hello`` with a ``redirect``. A coordinator without
-peers leads from its first instant (it never redirects), commits
-without suspending and retains no log.
+holds it. The :class:`~repro.service.cluster.ClusterManager` is a pure
+state machine; this module owns everything timed or connected around
+it — the future a commit resolves, one reconnecting outbound link per
+peer (:meth:`_peer_link`) and the timer that calls ``tick``. Only the
+(ready) leader serves clients and workers; the others answer ``hello``
+with a ``redirect``. A coordinator without peers leads from its first
+instant (it never redirects), commits without suspending and retains
+no log.
 """
 
 from __future__ import annotations
@@ -52,20 +58,20 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import socket
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Coroutine, Dict, List, Optional, Set
 
 from repro.errors import ConfigError
 from repro.harness.units import SweepUnit
-from repro.service.cluster import ClusterConfig, ClusterManager
-from repro.service.errors import (ConnectionClosed, FrameError,
-                                  ProtocolMismatch, ServiceError)
-from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
-                                    check_protocol, encode_frame,
-                                    read_msg_async)
+from repro.service.cluster import (TICK_INTERVAL, ClusterConfig,
+                                   ClusterManager)
+from repro.service.errors import (FrameError, ProtocolMismatch,
+                                  ServiceError)
+from repro.service.protocol import PROTOCOL_VERSION, check_protocol
 from repro.service.replica import SchedulerMachine
+from repro.service.transport import Connection
 from repro.sim.snapshot import save_file
 
 __all__ = ["Coordinator"]
@@ -75,80 +81,26 @@ __all__ = ["Coordinator"]
 _BACKLOG = 1024
 
 
-class _Conn:
-    """One live connection, owned entirely by the event loop.
+#: pause between a replica link's loss and its next dial
+RECONNECT_INTERVAL = 0.3
 
-    Sends are enqueued (never awaited by the caller); a writer task
-    drains the queue with a ``send_timeout``-bounded ``drain()`` per
-    frame. A stalled peer therefore kills its own writer task, which
-    closes the transport, which wakes the reader — the connection's
-    teardown path — without ever blocking anyone else.
-    """
 
-    __slots__ = ("reader", "writer", "decoder", "send_timeout",
-                 "_queue", "_pump_task", "_close_requested")
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 send_timeout: float) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.decoder = FrameDecoder()
-        self.send_timeout = send_timeout
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._pump_task = asyncio.create_task(self._pump())
-        self._close_requested = False
-
-    def send(self, msg: Dict[str, Any]) -> None:
-        """Queue one message (encoding errors surface here, transport
-        errors surface as connection teardown)."""
-        if not self._close_requested:
-            self._queue.put_nowait(encode_frame(msg))
-
-    def close(self) -> None:
-        """Flush queued frames, then close the transport."""
-        if not self._close_requested:
-            self._close_requested = True
-            self._queue.put_nowait(None)
-
-    async def _pump(self) -> None:
-        try:
-            while True:
-                frame = await self._queue.get()
-                if frame is None:
-                    break
-                self.writer.write(frame)
-                await asyncio.wait_for(self.writer.drain(),
-                                       self.send_timeout)
-        except (asyncio.TimeoutError, OSError, ConnectionError):
-            pass
-        finally:
-            self._close_requested = True
-            try:
-                self.writer.close()
-            except (OSError, RuntimeError):
-                pass
-
-    async def wait_closed(self) -> None:
-        await self._pump_task
-        try:
-            await self.writer.wait_closed()
-        except (OSError, ConnectionError):
-            pass
-
-    def abort(self) -> None:
-        self._close_requested = True
-        self._pump_task.cancel()
-        try:
-            self.writer.transport.abort()
-        except (OSError, RuntimeError):
-            pass
+def _settle(fut: asyncio.Future, result: Any,
+            error: Optional[ServiceError]) -> None:
+    """A commit's ``done``: resolve the future its caller awaits
+    (unless that caller was cancelled meanwhile)."""
+    if fut.done():
+        return
+    if error is not None:
+        fut.set_exception(error)
+    else:
+        fut.set_result(result)
 
 
 @dataclass
 class _WorkerConn:
     name: str
-    conn: _Conn
+    conn: Connection
     pid: Optional[int] = None
     last_seen: float = 0.0
 
@@ -156,7 +108,7 @@ class _WorkerConn:
 @dataclass
 class _Job:
     job_id: str
-    client: _Conn
+    client: Connection
     units: List[Any]
     values: List[Any]
     remaining: int
@@ -172,7 +124,6 @@ class Coordinator:
                  cache_dir: Optional[str] = None,
                  heartbeat_timeout: float = 8.0,
                  monitor_interval: float = 0.5,
-                 send_timeout: float = 30.0,
                  cluster: Optional[ClusterConfig] = None,
                  verbose: bool = False) -> None:
         self.host = host
@@ -180,7 +131,6 @@ class Coordinator:
         self.cache_dir = cache_dir
         self.heartbeat_timeout = heartbeat_timeout
         self.monitor_interval = monitor_interval
-        self.send_timeout = send_timeout
         self.cluster = cluster
         self.verbose = verbose
 
@@ -193,7 +143,10 @@ class Coordinator:
         self._jobs: Dict[str, _Job] = {}
         self._results = self._machine.memo   # unit key -> value (memo)
         self._cluster_mgr: ClusterManager  # built in _main, after bind
-        self._replica_conns: Set[_Conn] = set()
+        # peer id -> our outbound connection to it (None while down);
+        # shared with the manager, which sends through it
+        self._links: Dict[int, Optional[Connection]] = {}
+        self._replica_conns: Set[Connection] = set()
         # a new leader serves only after its reset command committed
         self._lead_ready = False
         # one replica stopping must not stop the fleet's workers; only
@@ -201,7 +154,7 @@ class Coordinator:
         self._fleet_shutdown = False
         self._job_seq = 0
         self._worker_seq = 0
-        self._conns: Set[_Conn] = set()
+        self._conns: Set[Connection] = set()
         self._conn_tasks: Set[asyncio.Task] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -289,10 +242,16 @@ class Coordinator:
 
     async def _commit(self, cmd: Dict[str, Any]) -> Any:
         """The one write path to scheduler state: replicate the
-        command to a majority, apply it, return the machine's result
-        (without suspending when this node *is* the majority). Raises
-        :class:`ServiceError` on lost leadership or a lost quorum."""
-        return await self._cluster_mgr.commit(cmd)
+        command to a majority, apply it, return the machine's result.
+        Raises :class:`ServiceError` on lost leadership or a lost
+        quorum. When this node *is* the majority the future is done
+        before it is awaited, and awaiting a done future does not
+        suspend — nothing interleaves between a result arriving and
+        its row leaving."""
+        assert self._loop is not None
+        fut = self._loop.create_future()
+        self._cluster_mgr.commit(cmd, partial(_settle, fut))
+        return await fut
 
     async def _try_commit(self, cmd: Dict[str, Any]) -> Any:
         """Commit for cleanup paths: lost leadership just drops the
@@ -322,11 +281,15 @@ class Coordinator:
             else:
                 self._request_shutdown()
 
+    def _spawn(self, coro: Coroutine) -> None:
+        """Run ``coro`` as a task this coordinator's teardown awaits."""
+        task = asyncio.ensure_future(coro)
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+
     def _on_role_change(self, won: bool) -> None:
         if won:
-            task = asyncio.ensure_future(self._assume_leadership())
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+            self._spawn(self._assume_leadership())
             return
         # Deposed: drop every client/worker session (they re-sign-in
         # with the new leader, whose reset command rebuilds the
@@ -361,29 +324,33 @@ class Coordinator:
         # no configured membership: a quorum of one, at the bound address
         self.cluster = self.cluster or ClusterConfig(
             node_id=0, addresses=[self.address])
-        self._cluster_mgr = ClusterManager(
-            self.cluster, self._machine, on_apply=self._on_apply,
+        self._cluster_mgr = mgr = ClusterManager(
+            self.cluster, self._machine, self._links,
+            seed=os.getpid() ^ self.cluster.node_id,
+            on_apply=self._on_apply,
             on_role_change=self._on_role_change, log_fn=self._log)
-        self._cluster_mgr.start()
+        assert self._loop is not None
+        mgr.start(self._loop.time())
         self._ready.set()
         self._log(f"coordinator listening on {self.address} "
                   f"(single-threaded event loop, replica "
                   f"{self.cluster.node_id}/{self.cluster.n_nodes})")
-        monitor = asyncio.create_task(self._monitor())
+        background = [asyncio.create_task(self._timer())] + [
+            asyncio.create_task(self._peer_link(peer))
+            for peer in mgr.core.peers()]
         try:
             await self._shutdown_evt.wait()
         finally:
             self._stopping = True
-            monitor.cancel()
-            await self._cluster_mgr.stop()
+            for task in background:
+                task.cancel()
+            await asyncio.gather(*background, return_exceptions=True)
+            mgr.stop()
             server.close()
             await server.wait_closed()
             if self._fleet_shutdown or not self._cluster_mgr.core.peers():
                 for w in list(self._workers.values()):
-                    try:
-                        w.conn.send({"type": "shutdown"})
-                    except ServiceError:
-                        pass
+                    w.conn.send({"type": "shutdown"})
             for conn in list(self._conns):
                 conn.close()
             handlers = [t for t in self._conn_tasks if not t.done()]
@@ -400,26 +367,16 @@ class Coordinator:
     # ------------------------------------------------------------------
     # per-connection handling
     # ------------------------------------------------------------------
-    async def _read(self, conn: _Conn,
-                    timeout: Optional[float] = None) -> Dict[str, Any]:
-        coro = read_msg_async(conn.reader, conn.decoder)
-        if timeout is None:
-            return await coro
-        return await asyncio.wait_for(coro, timeout)
-
     async def _handle_conn(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         if task is not None:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Conn(reader, writer, self.send_timeout)
+        conn = Connection(reader, writer)
         self._conns.add(conn)
         try:
-            hello = await self._read(conn, timeout=30.0)
+            hello = await conn.read(30.0)
             if hello.get("type") == "replica-hello":
                 check_protocol(hello, peer="replica peer")
                 await self._serve_replica(conn, hello)
@@ -444,23 +401,18 @@ class Coordinator:
             if isinstance(exc, ProtocolMismatch):
                 error["code"] = "protocol-mismatch"
                 error["expected"] = PROTOCOL_VERSION
-            try:
-                conn.send(error)
-            except ServiceError:
-                pass
+            conn.send(error)
         finally:
-            conn.close()
-            try:
-                await asyncio.wait_for(conn.wait_closed(), 2.0)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                conn.abort()
             self._conns.discard(conn)
+            conn.close()
+            await conn.wait_closed()
 
     # ------------------------------------------------------------------
     # replica side
     # ------------------------------------------------------------------
-    async def _serve_replica(self, conn: _Conn,
+    async def _serve_replica(self, conn: Connection,
                              hello: Dict[str, Any]) -> None:
+        assert self._loop is not None
         node = hello.get("node")
         if node not in self._cluster_mgr.core.peers():
             # consensus frames from a non-member could depose the leader
@@ -470,15 +422,42 @@ class Coordinator:
         self._replica_conns.add(conn)
         try:
             while not self._stopping:
-                msg = await self._read(conn)
-                self._cluster_mgr.handle_message(msg, conn.send)
+                msg = await conn.read()
+                self._cluster_mgr.handle_message(msg, conn.send,
+                                                 self._loop.time())
         finally:
             self._replica_conns.discard(conn)
+
+    async def _peer_link(self, peer: int) -> None:
+        """Our outbound link to replica ``peer``: dial, say
+        ``replica-hello``, feed what comes back to the manager, and
+        redial forever — a dead peer is a normal condition (the quorum
+        rule, not the link, decides what that means)."""
+        assert self._loop is not None and self.cluster is not None
+        while True:
+            conn = None
+            try:
+                conn = await Connection.open(
+                    self.cluster.addresses[peer], 5.0)
+                conn.send({"type": "replica-hello",
+                           "node": self.cluster.node_id,
+                           "protocol": PROTOCOL_VERSION})
+                self._links[peer] = conn
+                while True:
+                    self._cluster_mgr.handle_message(
+                        await conn.read(), conn.send, self._loop.time())
+            except (OSError, ServiceError, asyncio.TimeoutError):
+                pass
+            finally:
+                self._links[peer] = None
+                if conn is not None:
+                    conn.abort()
+            await asyncio.sleep(RECONNECT_INTERVAL)
 
     # ------------------------------------------------------------------
     # worker side
     # ------------------------------------------------------------------
-    async def _serve_worker(self, conn: _Conn,
+    async def _serve_worker(self, conn: Connection,
                             hello: Dict[str, Any]) -> None:
         assert self._loop is not None
         if not self._leading():
@@ -504,7 +483,7 @@ class Coordinator:
         await self._dispatch()
         try:
             while not self._stopping:
-                msg = await self._read(conn)
+                msg = await conn.read()
                 worker.last_seen = self._loop.time()
                 kind = msg["type"]
                 if kind == "heartbeat":
@@ -553,11 +532,8 @@ class Coordinator:
         job = self._jobs.pop(job_id, None)
         await self._try_commit({"op": "job_fail", "job": job_id})
         if job is not None:
-            try:
-                job.client.send({"type": "job_failed", "job": job_id,
-                                 "idx": idx, "error": error})
-            except ServiceError:
-                pass
+            job.client.send({"type": "job_failed", "job": job_id,
+                             "idx": idx, "error": error})
 
     async def _on_result(self, name: str, msg: Dict[str, Any]) -> None:
         job_id, idx = msg["job"], msg["idx"]
@@ -606,7 +582,7 @@ class Coordinator:
     # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------
-    async def _serve_client(self, conn: _Conn) -> None:
+    async def _serve_client(self, conn: Connection) -> None:
         if not self._leading():
             conn.send(self._redirect_frame())
             return
@@ -614,7 +590,7 @@ class Coordinator:
         submitted: List[str] = []
         try:
             while not self._stopping:
-                msg = await self._read(conn)
+                msg = await conn.read()
                 kind = msg["type"]
                 if kind == "ping":
                     conn.send({"type": "pong"})
@@ -640,7 +616,7 @@ class Coordinator:
                     await self._try_commit({"op": "job_cancel",
                                             "job": job_id})
 
-    async def _on_submit(self, conn: _Conn,
+    async def _on_submit(self, conn: Connection,
                          msg: Dict[str, Any]) -> str:
         try:
             units = [SweepUnit.from_wire(w) for w in msg["units"]]
@@ -699,13 +675,10 @@ class Coordinator:
         # status would report finished jobs as live)
         await self._try_commit({"op": "job_cancel",
                                 "job": job.job_id})
-        try:
-            job.client.send({"type": "done", "job": job.job_id,
-                             "warm_builds": job.warm_builds,
-                             "warm_hits": job.warm_hits,
-                             "from_cache": job.from_cache})
-        except ServiceError:
-            pass
+        job.client.send({"type": "done", "job": job.job_id,
+                         "warm_builds": job.warm_builds,
+                         "warm_hits": job.warm_hits,
+                         "from_cache": job.from_cache})
         self._log(f"{job.job_id}: done (builds={job.warm_builds} "
                   f"hits={job.warm_hits} cached={job.from_cache})")
 
@@ -757,15 +730,25 @@ class Coordinator:
                 "warmup_dir": job.warmup_dir,
             })
 
-    async def _monitor(self) -> None:
+    async def _timer(self) -> None:
+        """The one clock: steps the consensus state machine and checks
+        worker liveness. A quorum with peers needs ``tick`` every
+        ``TICK_INTERVAL``; without peers nothing is ever due between
+        liveness checks, so the loop wakes only for those."""
         assert self._loop is not None
+        period = self.monitor_interval
+        if self._cluster_mgr.core.peers():
+            period = min(period, TICK_INTERVAL)
         while True:
-            await asyncio.sleep(self.monitor_interval)
+            await asyncio.sleep(period)
             now = self._loop.time()
-            stale = [name for name, w in self._workers.items()
-                     if now - w.last_seen > self.heartbeat_timeout]
-            for name in stale:
-                await self._drop_worker(name, "heartbeat timeout")
+            self._cluster_mgr.tick(now)
+            for name, w in self._workers.items():
+                if now - w.last_seen > self.heartbeat_timeout:
+                    # not awaited: a commit that waits on the quorum
+                    # expires in tick(), which runs from this loop
+                    self._spawn(self._drop_worker(name,
+                                                  "heartbeat timeout"))
 
     # ------------------------------------------------------------------
     # result memo (idempotency + restart warm cache)

@@ -17,17 +17,14 @@ from a clean close (:class:`ConnectionClosed`).
 from __future__ import annotations
 
 import json
-import socket
 import struct
-import threading
 from typing import Any, Dict, Iterator, Optional
 
 from repro.service.errors import (ConnectionClosed, FrameError,
-                                  ProtocolMismatch)
+                                  ProtocolMismatch, ServiceError)
 
 __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
-           "encode_frame", "FrameDecoder", "send_msg", "recv_msg",
-           "read_msg_async", "check_protocol", "set_send_timeout"]
+           "encode_frame", "FrameDecoder", "check_protocol"]
 
 #: Version 6: ``kind: "sweep"`` is the only unit kind. A Table-2
 #: multi-program workload is a sweep unit whose ``benchmark`` names it
@@ -64,7 +61,6 @@ PROTOCOL_VERSION = 6
 MAX_FRAME = 64 * 1024 * 1024
 
 _LEN = struct.Struct("!I")
-_RECV_CHUNK = 1 << 16
 
 MESSAGE_TYPES = frozenset({
     # session establishment (both directions)
@@ -117,6 +113,14 @@ class FrameDecoder:
         """True when no partial frame is buffered (a clean EOF point)."""
         return not self._buf
 
+    def eof(self) -> ServiceError:
+        """The error a reader raises when its stream ends here: the
+        one copy of the EOF rule, shared by both read loops
+        (:mod:`repro.service.transport`)."""
+        if self.at_boundary:
+            return ConnectionClosed("peer closed the connection")
+        return FrameError("stream truncated mid-frame")
+
     def feed(self, data: bytes) -> None:
         self._buf.extend(data)
         # Reject a poisoned length prefix as soon as it is readable:
@@ -157,86 +161,6 @@ class FrameDecoder:
             if msg is None:
                 return
             yield msg
-
-
-def set_send_timeout(sock: socket.socket, seconds: float) -> None:
-    """Bound *sends* without touching receives (``SO_SNDTIMEO``).
-
-    For blocking-socket peers of the service (tests, the bench
-    connection storm, third-party tooling speaking the protocol with
-    ``send_msg``/``recv_msg``): a peer that stops draining its receive
-    buffer would otherwise block ``sendall`` forever. A kernel-level
-    send timeout turns that into a bounded stall and an ``OSError``
-    the caller already treats as peer death. A Python-level
-    ``settimeout`` cannot do this: it would also time out the blocking
-    ``recv`` that idle peers legitimately sit in. (The event-loop
-    coordinator and worker bound their sends differently — a
-    ``wait_for`` around ``drain()``; the client's
-    :class:`~repro.service.transport.SyncTransport` uses monotonic
-    deadlines per call.)
-    """
-    usec = int(seconds * 1_000_000)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO,
-                    struct.pack("ll", usec // 1_000_000,
-                                usec % 1_000_000))
-
-
-def send_msg(sock: socket.socket, msg: Dict[str, Any],
-             lock: Optional[threading.Lock] = None) -> None:
-    """Send one message; ``lock`` serializes writers sharing a socket
-    (a worker's heartbeat thread vs its result sends)."""
-    frame = encode_frame(msg)
-    if lock is None:
-        sock.sendall(frame)
-    else:
-        with lock:
-            sock.sendall(frame)
-
-
-def recv_msg(sock: socket.socket, decoder: FrameDecoder) -> Dict[str, Any]:
-    """Block until one complete message is available.
-
-    Raises :class:`ConnectionClosed` on clean EOF (between frames) and
-    :class:`FrameError` when the stream ends mid-frame or the frame is
-    malformed. ``socket.timeout`` propagates to the caller.
-    """
-    while True:
-        msg = decoder.next_message()
-        if msg is not None:
-            return msg
-        try:
-            chunk = sock.recv(_RECV_CHUNK)
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            if isinstance(exc, socket.timeout):
-                raise
-            raise ConnectionClosed(f"connection lost: {exc}") from exc
-        if not chunk:
-            if decoder.at_boundary:
-                raise ConnectionClosed("peer closed the connection")
-            raise FrameError("stream truncated mid-frame")
-        decoder.feed(chunk)
-
-
-async def read_msg_async(reader, decoder: FrameDecoder) -> Dict[str, Any]:
-    """Await one complete message from an :class:`asyncio.StreamReader`.
-
-    The event-loop twin of :func:`recv_msg`, with identical EOF
-    semantics: :class:`ConnectionClosed` on a clean EOF between frames,
-    :class:`FrameError` on truncation mid-frame or malformed framing.
-    """
-    while True:
-        msg = decoder.next_message()
-        if msg is not None:
-            return msg
-        try:
-            chunk = await reader.read(_RECV_CHUNK)
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            raise ConnectionClosed(f"connection lost: {exc}") from exc
-        if not chunk:
-            if decoder.at_boundary:
-                raise ConnectionClosed("peer closed the connection")
-            raise FrameError("stream truncated mid-frame")
-        decoder.feed(chunk)
 
 
 def check_protocol(msg: Dict[str, Any], *, peer: str) -> None:

@@ -1,36 +1,248 @@
-"""Non-blocking framed transport for synchronous service peers.
+"""Framed connections and sign-in: the one of each every peer shares.
 
-:class:`SyncTransport` is the client-side twin of the coordinator's
-event loop: one non-blocking socket driven by a ``selectors`` poll,
-an incremental :class:`~repro.service.protocol.FrameDecoder`, and
-monotonic deadlines. The public calls still *block* (a sweep client
-is a batch consumer; blocking on the row stream is the progress
-loop), but no call ever parks in a kernel ``recv``/``send`` it cannot
-bound: timeouts are enforced at the poll, so a dead or stalled
-coordinator becomes a typed error at the deadline instead of a hang.
+One connection class per I/O style, one read loop in each, both over
+the incremental :class:`~repro.service.protocol.FrameDecoder`, which
+owns the EOF rule (clean between frames: :class:`ConnectionClosed`;
+mid-frame: :class:`FrameError`):
 
-EOF semantics match :func:`~repro.service.protocol.recv_msg` exactly
-(they are pinned by the protocol property suite): a clean EOF between
-frames raises :class:`ConnectionClosed`, an EOF mid-frame raises
-:class:`FrameError`, and a deadline raises ``socket.timeout`` for the
-caller to translate.
+* :class:`Connection` — the event-loop connection of the coordinator
+  (accepted sockets and outbound replica links) and the worker. Sends
+  are queued, never awaited by the caller; one pump task drains the
+  queue with a ``send_timeout``-bounded ``drain()`` per frame. A peer
+  that stops reading therefore aborts *its own* connection at the
+  bound, which wakes that connection's reader with
+  :class:`ConnectionClosed` — the ordinary teardown path — and blocks
+  nobody else.
+* :class:`SyncTransport` — the blocking peer (the sweep client, the
+  tests' raw peers): a non-blocking socket driven by a ``selectors``
+  poll. Calls *block* (a sweep client is a batch consumer; blocking on
+  the row stream is the progress loop) but never in a kernel
+  ``recv``/``send`` they cannot bound: a monotonic deadline raises
+  ``socket.timeout`` for the caller to translate.
+
+Sign-in is shared the same way: :func:`parse_addresses` reads the
+replica list, :class:`LeaderHunt` orders one round of dials and
+:func:`check_welcome` interprets the reply to a ``hello``.
 """
 
 from __future__ import annotations
 
+import asyncio
 import selectors
 import socket
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.service.errors import ConnectionClosed, FrameError
-from repro.service.protocol import FrameDecoder, encode_frame
+from repro.service.errors import (ConnectionClosed, ProtocolMismatch,
+                                  ServiceError)
+from repro.service.protocol import (FrameDecoder, check_protocol,
+                                    encode_frame)
 
-__all__ = ["SyncTransport"]
+__all__ = ["Connection", "SyncTransport", "SEND_TIMEOUT",
+           "parse_address", "parse_addresses", "LeaderHunt",
+           "Redirected", "raise_for_error", "check_welcome"]
 
 _RECV_CHUNK = 1 << 16
 
+#: how long one frame may sit in a :class:`Connection`'s socket buffer
+#: before the peer counts as stalled and the connection is aborted
+SEND_TIMEOUT = 30.0
 
+
+# ----------------------------------------------------------------------
+# sign-in: addresses, the dial order, the reply to a hello
+# ----------------------------------------------------------------------
+def parse_address(address: str) -> Tuple[str, int]:
+    """``host:port`` -> ``(host, port)`` (IPv4/hostname form)."""
+    host, sep, port = address.rpartition(":")
+    if not sep or not port.isdigit():
+        raise ServiceError(f"bad service address {address!r} "
+                           f"(expected host:port)")
+    return host or "127.0.0.1", int(port)
+
+
+def parse_addresses(address: str) -> List[str]:
+    """``host:port[,host:port...]`` -> list of addresses (validated).
+
+    One address is a quorum of one; several are the replicas of a
+    larger one — clients and workers dial until one answers
+    ``welcome`` (following ``redirect`` frames to the leader)."""
+    addrs = [a.strip() for a in address.split(",") if a.strip()]
+    if not addrs:
+        raise ServiceError(f"bad service address {address!r}")
+    for a in addrs:
+        parse_address(a)
+    return addrs
+
+
+class Redirected(Exception):
+    """Control flow of a sign-in round: a follower answered ``hello``
+    with ``redirect`` (``leader`` is None mid-election)."""
+
+    def __init__(self, leader: Optional[str]) -> None:
+        super().__init__(leader)
+        self.leader = leader
+
+
+class LeaderHunt:
+    """The dial order of one sign-in round: the last-known leader,
+    then the configured replicas; :meth:`redirect` moves the leader a
+    follower named to the front — unless it was already dialed, and at
+    most ``2 * len(addresses)`` times, so stale hints end the round."""
+
+    def __init__(self, addresses: list, hint: Optional[str] = None) -> None:
+        self._todo = list(dict.fromkeys(
+            ([hint] if hint else []) + addresses))
+        self._dialed: set = set()
+        self._redirects_left = 2 * len(addresses)
+
+    def __iter__(self):
+        while self._todo:
+            self._dialed.add(self._todo[0])
+            yield self._todo.pop(0)
+
+    def redirect(self, leader: Optional[str]) -> None:
+        if leader and self._redirects_left and leader not in self._dialed:
+            self._todo = [leader] + [a for a in self._todo if a != leader]
+            self._redirects_left -= 1
+
+
+def raise_for_error(msg: Dict[str, Any]) -> None:
+    """Raise the typed exception an ``error`` frame carries."""
+    if msg.get("type") == "error":
+        kind = (ProtocolMismatch if msg.get("code") == "protocol-mismatch"
+                else ServiceError)
+        raise kind(f"coordinator error: {msg.get('error')}")
+
+
+def check_welcome(reply: Dict[str, Any]) -> Dict[str, Any]:
+    """Interpret the coordinator's reply to a ``hello`` — the one
+    sign-in rule of client and worker. Returns the ``welcome`` frame;
+    raises :class:`Redirected` when a follower points at the leader,
+    :class:`ProtocolMismatch` across drifted builds and
+    :class:`ServiceError` for any other refusal."""
+    raise_for_error(reply)
+    if reply.get("type") == "redirect":
+        raise Redirected(reply.get("leader"))
+    if reply.get("type") != "welcome":
+        raise ServiceError(f"expected welcome, got "
+                           f"{reply.get('type')!r}")
+    check_protocol(reply, peer="coordinator")
+    return reply
+
+
+# ----------------------------------------------------------------------
+# the event-loop connection
+# ----------------------------------------------------------------------
+class Connection:
+    """One live framed connection, owned entirely by its event loop
+    (module docstring). Must be created on a running loop."""
+
+    __slots__ = ("send_timeout", "_reader", "_writer", "_decoder",
+                 "_queue", "_closing", "_pump_task")
+
+    def __init__(self, reader: asyncio.StreamReader,
+                 writer: asyncio.StreamWriter,
+                 send_timeout: float = SEND_TIMEOUT) -> None:
+        self.send_timeout = send_timeout
+        self._reader = reader
+        self._writer = writer
+        self._decoder = FrameDecoder()
+        self._queue: asyncio.Queue = asyncio.Queue()
+        self._closing = False
+        sock = writer.get_extra_info("socket")
+        if sock is not None and sock.family in (socket.AF_INET,
+                                                 socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        # drain() returns only once the kernel took the whole frame, so
+        # the bound below is per frame and close() finds nothing left
+        writer.transport.set_write_buffer_limits(high=0)
+        self._pump_task = asyncio.create_task(self._pump())
+
+    @classmethod
+    async def open(cls, address: str, timeout: float) -> "Connection":
+        """Dial ``host:port`` (at most ``timeout`` seconds)."""
+        host, port = parse_address(address)
+        reader, writer = await asyncio.wait_for(
+            asyncio.open_connection(host, port), timeout)
+        return cls(reader, writer)
+
+    # -- sending -------------------------------------------------------
+    def send(self, msg: Dict[str, Any]) -> None:
+        """Queue one message (encoding errors surface here, transport
+        errors surface as connection teardown)."""
+        self.send_frame(encode_frame(msg))
+
+    def send_frame(self, frame: bytes) -> None:
+        """Queue one already-encoded frame; dropped once closing."""
+        if not self._closing:
+            self._queue.put_nowait(frame)
+
+    async def _pump(self) -> None:
+        try:
+            while True:
+                frame = await self._queue.get()
+                if frame is None:  # close(): everything queued is out
+                    self._writer.close()
+                    return
+                self._writer.write(frame)
+                await asyncio.wait_for(self._writer.drain(),
+                                       self.send_timeout)
+        except (asyncio.TimeoutError, OSError):
+            # Stalled or dead peer. close() would wait for the socket
+            # buffer it will never take; abort() drops it, and the
+            # connection-lost callback is what wakes our reader.
+            self._writer.transport.abort()
+        finally:
+            self._closing = True
+
+    # -- receiving -----------------------------------------------------
+    async def read(self, timeout: Optional[float] = None
+                   ) -> Dict[str, Any]:
+        """Await one complete message (``asyncio.TimeoutError`` past
+        ``timeout``); EOF and malformed framing raise as the decoder
+        rules."""
+        if timeout is not None:
+            return await asyncio.wait_for(self.read(), timeout)
+        while True:
+            msg = self._decoder.next_message()
+            if msg is not None:
+                return msg
+            try:
+                chunk = await self._reader.read(_RECV_CHUNK)
+            except OSError as exc:
+                raise ConnectionClosed(f"connection lost: {exc}") from exc
+            if not chunk:
+                raise self._decoder.eof()
+            self._decoder.feed(chunk)
+
+    # -- teardown ------------------------------------------------------
+    def close(self) -> None:
+        """Flush queued frames, then close the transport."""
+        if not self._closing:
+            self._closing = True
+            self._queue.put_nowait(None)
+
+    async def wait_closed(self, timeout: float = 2.0) -> None:
+        """Wait for :meth:`close` to finish, at most ``timeout``; a
+        peer too slow to take the tail is aborted instead."""
+        try:
+            await asyncio.wait_for(self._writer.wait_closed(), timeout)
+        except (asyncio.TimeoutError, OSError):
+            pass
+        finally:  # also on cancellation; a no-op after a clean close
+            self.abort()
+
+    def abort(self) -> None:
+        """Drop the connection now, unsent frames included."""
+        self._closing = True
+        self._pump_task.cancel()
+        self._writer.transport.abort()
+
+
+# ----------------------------------------------------------------------
+# the blocking connection
+# ----------------------------------------------------------------------
 class SyncTransport:
     """Blocking-API framed messaging over a non-blocking socket."""
 
@@ -41,6 +253,14 @@ class SyncTransport:
         self._sel = selectors.DefaultSelector()
         self._sel.register(sock, selectors.EVENT_READ)
         self._closed = False
+
+    @classmethod
+    def open(cls, address: str, timeout: float) -> "SyncTransport":
+        """Dial ``host:port`` (at most ``timeout`` seconds)."""
+        sock = socket.create_connection(parse_address(address),
+                                        timeout=timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return cls(sock)
 
     # ------------------------------------------------------------------
     def _wait(self, events: int, deadline: Optional[float]) -> None:
@@ -94,9 +314,7 @@ class SyncTransport:
             except OSError as exc:
                 raise ConnectionClosed(f"connection lost: {exc}") from exc
             if not chunk:
-                if self._decoder.at_boundary:
-                    raise ConnectionClosed("peer closed the connection")
-                raise FrameError("stream truncated mid-frame")
+                raise self._decoder.eof()
             self._decoder.feed(chunk)
 
     def close(self) -> None:

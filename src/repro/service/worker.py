@@ -31,28 +31,25 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
-import socket
 import threading
 import traceback
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.harness.experiment import WarmupImageCache
 from repro.harness.units import SweepUnit
 from repro.service.errors import (ConnectionClosed, FrameError,
                                   ProtocolMismatch, ServiceError)
-from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
-                                    encode_frame, read_msg_async)
+from repro.service.protocol import PROTOCOL_VERSION, encode_frame
+from repro.service.transport import (Connection, LeaderHunt, Redirected,
+                                     check_welcome, parse_address,
+                                     parse_addresses, raise_for_error)
 
-__all__ = ["Worker", "parse_address", "parse_addresses", "LeaderHunt",
+__all__ = ["Worker", "parse_address", "parse_addresses",
            "service_child_env"]
 
-
-class _Redirected(Exception):
-    """Internal control flow: a follower answered with ``redirect``."""
-
-    def __init__(self, leader: Optional[str]) -> None:
-        super().__init__(leader)
-        self.leader = leader
+#: memory-only warmup images a worker keeps (LRU) for jobs without a
+#: warmup directory
+MAX_MEMORY_IMAGES = 8
 
 
 class _BoundedImageCache(WarmupImageCache):
@@ -81,52 +78,6 @@ class _BoundedImageCache(WarmupImageCache):
         self._mem[key] = blob
         while len(self._mem) > self.max_images:
             del self._mem[next(iter(self._mem))]
-
-
-def parse_address(address: str) -> Tuple[str, int]:
-    """``host:port`` -> ``(host, port)`` (IPv4/hostname form)."""
-    host, sep, port = address.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ServiceError(f"bad service address {address!r} "
-                           f"(expected host:port)")
-    return host or "127.0.0.1", int(port)
-
-
-def parse_addresses(address: str) -> list:
-    """``host:port[,host:port...]`` -> list of addresses (validated).
-
-    One address is a quorum of one; several are the replicas of a
-    larger one — clients and workers dial until one answers
-    ``welcome`` (following ``redirect`` frames to the leader)."""
-    addrs = [a.strip() for a in address.split(",") if a.strip()]
-    if not addrs:
-        raise ServiceError(f"bad service address {address!r}")
-    for a in addrs:
-        parse_address(a)
-    return addrs
-
-
-class LeaderHunt:
-    """The dial order of one sign-in round: the last-known leader,
-    then the configured replicas; :meth:`redirect` moves the leader a
-    follower named to the front — unless it was already dialed, and at
-    most ``2 * len(addresses)`` times, so stale hints end the round."""
-
-    def __init__(self, addresses: list, hint: Optional[str] = None) -> None:
-        self._todo = list(dict.fromkeys(
-            ([hint] if hint else []) + addresses))
-        self._dialed: set = set()
-        self._redirects_left = 2 * len(addresses)
-
-    def __iter__(self):
-        while self._todo:
-            self._dialed.add(self._todo[0])
-            yield self._todo.pop(0)
-
-    def redirect(self, leader: Optional[str]) -> None:
-        if leader and self._redirects_left and leader not in self._dialed:
-            self._todo = [leader] + [a for a in self._todo if a != leader]
-            self._redirects_left -= 1
 
 
 def service_child_env() -> Dict[str, str]:
@@ -179,14 +130,12 @@ class Worker:
 
     def __init__(self, address: str, *, name: Optional[str] = None,
                  heartbeat_interval: float = 2.0,
-                 max_memory_images: int = 8,
                  failover_timeout: float = 60.0,
                  verbose: bool = False) -> None:
         self.address = address
         self.addresses = parse_addresses(address)
         self.name = name
         self.heartbeat_interval = heartbeat_interval
-        self.max_memory_images = max_memory_images
         #: replicated fleets only: how long to hunt for a (new) leader
         #: after losing the coordinator before giving up
         self.failover_timeout = failover_timeout
@@ -197,7 +146,7 @@ class Worker:
         self._stopping = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_evt: Optional[asyncio.Event] = None
-        self._sendq: Optional[asyncio.Queue] = None
+        self._conn: Optional[Connection] = None
         # one image cache per warmup directory, living across
         # assignments — the affinity payoff. None key = memory-only.
         self._images: Dict[Optional[str], WarmupImageCache] = {}
@@ -233,29 +182,10 @@ class Worker:
             self._stop_evt.set()
 
     # ------------------------------------------------------------------
-    def _send(self, msg: Dict[str, Any]) -> None:
-        """Queue one message for the send pump (encode errors surface
-        here, at the caller)."""
-        self._send_frame(encode_frame(msg))
-
-    def _send_frame(self, frame: bytes) -> None:
-        if self._sendq is None:
-            # a unit finished while we were between coordinators; the
-            # (re-signed-in) leader reassigns it, so dropping is safe
-            raise ServiceError("not connected")
-        self._sendq.put_nowait(frame)
-
-    async def _send_pump(self, writer: asyncio.StreamWriter) -> None:
-        assert self._sendq is not None
-        while True:
-            frame = await self._sendq.get()
-            writer.write(frame)
-            await writer.drain()
-
-    async def _heartbeat(self) -> None:
+    async def _heartbeat(self, conn: Connection) -> None:
         while True:
             await asyncio.sleep(self.heartbeat_interval)
-            self._send({"type": "heartbeat"})
+            conn.send({"type": "heartbeat"})
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -302,8 +232,10 @@ class Worker:
                 break
             try:
                 return await self._serve_at(addr)
-            except _Redirected as red:
-                hunt.redirect(red.leader)  # a follower named the leader
+            except Redirected as red:  # a follower named the leader
+                self._log(f"{addr} redirects to {red.leader!r}")
+                self._leader_hint = red.leader
+                hunt.redirect(red.leader)
             except (ConnectionClosed, FrameError, OSError,
                     asyncio.TimeoutError) as exc:
                 self._log(f"{addr} unreachable ({exc})")
@@ -319,55 +251,26 @@ class Worker:
         return "unreachable"
 
     async def _serve_at(self, address: str) -> str:
-        host, port = parse_address(address)
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), 30.0)
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        decoder = FrameDecoder()
+        conn = await Connection.open(address, 30.0)
         tasks: set = set()
-        self._sendq = asyncio.Queue()
-        pump = asyncio.create_task(self._send_pump(writer))
         registered = False
         try:
-            self._send({"type": "hello", "role": "worker",
-                        "protocol": PROTOCOL_VERSION,
-                        "name": self.name, "pid": os.getpid()})
-            welcome = await asyncio.wait_for(
-                read_msg_async(reader, decoder), 30.0)
-            if welcome.get("type") == "redirect":
-                leader = welcome.get("leader")
-                self._leader_hint = leader
-                self._log(f"{address} redirects to {leader!r}")
-                raise _Redirected(leader)
-            if welcome.get("type") == "error":
-                if welcome.get("code") == "protocol-mismatch":
-                    raise ProtocolMismatch(
-                        f"coordinator rejected worker: "
-                        f"{welcome.get('error')}")
-                raise ServiceError(f"coordinator rejected worker: "
-                                   f"{welcome.get('error')}")
-            if welcome.get("type") != "welcome":
-                raise ServiceError(f"expected welcome, got "
-                                   f"{welcome.get('type')!r}")
-            if welcome.get("protocol") != PROTOCOL_VERSION:
-                raise ProtocolMismatch(
-                    f"coordinator speaks protocol "
-                    f"{welcome.get('protocol')!r}, this worker speaks "
-                    f"{PROTOCOL_VERSION}")
+            conn.send({"type": "hello", "role": "worker",
+                       "protocol": PROTOCOL_VERSION,
+                       "name": self.name, "pid": os.getpid()})
+            welcome = check_welcome(await conn.read(30.0))
             self.name = welcome.get("name", self.name)
             self._leader_hint = address
             self.signins += 1
             registered = True
+            self._conn = conn
             self._log(f"registered with {address}")
-            heartbeat = asyncio.create_task(self._heartbeat())
-            read_loop = asyncio.create_task(
-                self._read_loop(reader, decoder, tasks))
+            heartbeat = asyncio.create_task(self._heartbeat(conn))
+            read_loop = asyncio.create_task(self._read_loop(conn, tasks))
             stop_wait = asyncio.create_task(self._stop_evt.wait())
             tasks.update({heartbeat, read_loop, stop_wait})
             done, _pending = await asyncio.wait(
-                {read_loop, stop_wait, pump},
+                {read_loop, stop_wait},
                 return_when=asyncio.FIRST_COMPLETED)
             if read_loop in done:
                 read_loop.result()  # surface protocol-level errors
@@ -375,8 +278,9 @@ class Worker:
         except (ConnectionClosed, FrameError, OSError,
                 asyncio.TimeoutError) as exc:
             # transport-level loss (incl. a close racing a frame
-            # mid-flight at shutdown) ends this *session* quietly —
-            # the coordinator requeues anything it owed; only
+            # mid-flight at shutdown, and a stalled coordinator our
+            # send pump gave up on) ends this *session* quietly — the
+            # coordinator requeues anything it owed; only
             # protocol-level complaints above stay loud
             if not registered:
                 raise
@@ -392,24 +296,21 @@ class Worker:
                 return "served"
             raise
         finally:
-            self._sendq = None
-            for t in list(tasks) + [pump]:
+            # a unit finishing between coordinators drops its reply;
+            # the (re-signed-in) leader reassigns it, so that is safe
+            self._conn = None
+            for t in tasks:
                 t.cancel()
             try:
-                await asyncio.gather(*tasks, pump,
-                                     return_exceptions=True)
-            except asyncio.CancelledError:
-                pass
-            try:
-                writer.close()
-                await asyncio.wait_for(writer.wait_closed(), 2.0)
-            except (OSError, ConnectionError, asyncio.TimeoutError):
-                pass
+                await asyncio.gather(*tasks, return_exceptions=True)
+            finally:
+                conn.close()
+                await conn.wait_closed()
 
-    async def _read_loop(self, reader: asyncio.StreamReader,
-                         decoder: FrameDecoder, tasks: set) -> None:
+    async def _read_loop(self, conn: Connection, tasks: set) -> None:
         while True:
-            msg = await read_msg_async(reader, decoder)
+            msg = await conn.read()
+            raise_for_error(msg)
             kind = msg.get("type")
             if kind == "assign":
                 task = asyncio.create_task(self._run_assign(msg))
@@ -418,9 +319,6 @@ class Worker:
             elif kind == "shutdown":
                 self._log("shutdown requested")
                 return
-            elif kind == "error":
-                raise ServiceError(f"coordinator error: "
-                                   f"{msg.get('error')}")
             else:
                 raise ServiceError(f"unexpected {kind!r} from "
                                    f"coordinator")
@@ -430,7 +328,7 @@ class Worker:
         cache = self._images.get(warmup_dir)
         if cache is None:
             if warmup_dir is None:  # memory-only: bound the blobs
-                cache = _BoundedImageCache(self.max_memory_images)
+                cache = _BoundedImageCache(MAX_MEMORY_IMAGES)
             else:  # disk-backed caches hold nothing in RAM
                 cache = WarmupImageCache(warmup_dir)
             self._images[warmup_dir] = cache
@@ -442,10 +340,8 @@ class Worker:
         throughout."""
         loop = asyncio.get_running_loop()
         frame = await loop.run_in_executor(None, self._execute, msg)
-        try:
-            self._send_frame(frame)
-        except ServiceError:
-            pass  # connection already torn down
+        if self._conn is not None:  # else: torn down while simulating
+            self._conn.send_frame(frame)
 
     def _execute(self, msg: Dict[str, Any]) -> bytes:
         """The compute path (runs in an executor thread): decode the

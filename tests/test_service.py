@@ -12,7 +12,6 @@ to serve; the kill-and-requeue campaign lives in
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 
@@ -26,8 +25,8 @@ from repro.params import Organization
 from repro.service import (ConnectionClosed, Coordinator, JobFailed,
                            ProtocolMismatch, ServiceClient, ServiceError,
                            Worker)
-from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
-                                    recv_msg, send_msg)
+from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.transport import SyncTransport
 from repro.service.worker import spawn_worker_process
 
 BENCH = "water_spatial"
@@ -379,67 +378,62 @@ class TestFailureModes:
 
     def test_protocol_version_mismatch_rejected(self, fleet):
         _coord, address = fleet(workers=0)
-        host, port = address.rsplit(":", 1)
         # a build from the future, and v5 (the last one that shipped a
         # second unit kind on the wire)
         for version in (999, 5):
-            sock = socket.create_connection((host, int(port)), timeout=5)
+            peer = SyncTransport.open(address, 5)
             try:
-                send_msg(sock, {"type": "hello", "role": "client",
-                                "protocol": version})
-                reply = recv_msg(sock, FrameDecoder())
+                peer.send({"type": "hello", "role": "client",
+                           "protocol": version})
+                reply = peer.recv(timeout=5)
                 assert reply["type"] == "error"
                 assert reply["code"] == "protocol-mismatch"
                 assert reply["expected"] == PROTOCOL_VERSION == 6
                 assert "protocol" in reply["error"]
             finally:
-                sock.close()
+                peer.close()
 
     def test_hello_without_protocol_field_rejected(self, fleet):
         """The version field is mandatory: a peer that omits it
         predates the field, which is exactly the drift it catches."""
         _coord, address = fleet(workers=0)
-        host, port = address.rsplit(":", 1)
-        sock = socket.create_connection((host, int(port)), timeout=5)
+        peer = SyncTransport.open(address, 5)
         try:
-            send_msg(sock, {"type": "hello", "role": "client"})
-            reply = recv_msg(sock, FrameDecoder())
+            peer.send({"type": "hello", "role": "client"})
+            reply = peer.recv(timeout=5)
             assert reply["type"] == "error"
             assert reply["code"] == "protocol-mismatch"
         finally:
-            sock.close()
+            peer.close()
 
     def test_malformed_submit_gets_typed_error_reply(self, fleet):
         """A wire unit that fails validation (ConfigError) must come
         back as a typed error frame, not a silent connection drop."""
         _coord, address = fleet(workers=0)
-        host, port = address.rsplit(":", 1)
-        sock = socket.create_connection((host, int(port)), timeout=5)
+        peer = SyncTransport.open(address, 5)
         try:
-            dec = FrameDecoder()
-            send_msg(sock, {"type": "hello", "role": "client",
-                            "protocol": PROTOCOL_VERSION})
-            assert recv_msg(sock, dec)["type"] == "welcome"
-            send_msg(sock, {"type": "submit",
-                            "units": [{"benchmark": "barnes",
-                                       "organization": "no_such_org"}]})
-            reply = recv_msg(sock, dec)
+            peer.send({"type": "hello", "role": "client",
+                       "protocol": PROTOCOL_VERSION})
+            assert peer.recv(timeout=5)["type"] == "welcome"
+            peer.send({"type": "submit",
+                       "units": [{"benchmark": "barnes",
+                                  "organization": "no_such_org"}]})
+            reply = peer.recv(timeout=5)
             assert reply["type"] == "error"
             assert "malformed submit" in reply["error"]
         finally:
-            sock.close()
+            peer.close()
 
     def test_unknown_role_rejected(self, fleet):
         _coord, address = fleet(workers=0)
-        host, port = address.rsplit(":", 1)
-        sock = socket.create_connection((host, int(port)), timeout=5)
+        peer = SyncTransport.open(address, 5)
         try:
-            send_msg(sock, {"type": "hello", "role": "wizard",
-                            "protocol": PROTOCOL_VERSION})
-            reply = recv_msg(sock, FrameDecoder())
+            peer.send({"type": "hello", "role": "wizard",
+                       "protocol": PROTOCOL_VERSION})
+            reply = peer.recv(timeout=5)
             assert reply["type"] == "error"
         finally:
-            sock.close()
+            peer.close()
 
 
 class TestOperations:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import signal
-import socket
 import threading
 import time
 
@@ -35,8 +34,8 @@ from repro.harness.units import SweepUnit
 from repro.params import Organization
 from repro.service import (Coordinator, JobFailed, ServiceClient, Worker,
                            pick_free_ports, spawn_coordinator_process)
-from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
-                                    encode_frame, recv_msg)
+from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.transport import SyncTransport
 from repro.service.worker import spawn_worker_process
 
 BENCH = "water_spatial"
@@ -293,16 +292,14 @@ class TestSpawnedCoordinatorOptions:
         addrs = [f"127.0.0.1:{pick_free_ports(1)[0]}"]
         proc = spawn_coordinator_process(addrs, 0, heartbeat_timeout=0.5,
                                          capture=True)
-        sock = None
+        mute = None
         try:
             with ServiceClient(addrs[0], row_timeout=10.0) as mon:
-                host, port = addrs[0].rsplit(":", 1)
-                sock = socket.create_connection((host, int(port)),
-                                                timeout=10)
-                sock.sendall(encode_frame(
+                mute = SyncTransport.open(addrs[0], 10)
+                mute.send(
                     {"type": "hello", "role": "worker", "name": "mute",
-                     "protocol": PROTOCOL_VERSION, "pid": 1}))
-                assert recv_msg(sock, FrameDecoder())["type"] == "welcome"
+                     "protocol": PROTOCOL_VERSION, "pid": 1})
+                assert mute.recv(timeout=10)["type"] == "welcome"
                 signed_in = time.monotonic()
                 assert mon.status()["stats"]["workers"] == 1
                 while mon.status()["stats"]["workers"]:
@@ -310,8 +307,8 @@ class TestSpawnedCoordinatorOptions:
                         "silent worker outlived --heartbeat-timeout 0.5"
                     time.sleep(0.05)
         finally:
-            if sock is not None:
-                sock.close()
+            if mute is not None:
+                mute.close()
             proc.terminate()
             try:
                 proc.wait(timeout=10)

@@ -19,6 +19,7 @@ the scheduler state machine, so its contract is pinned hard:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import random
 import socket
@@ -31,8 +32,8 @@ from repro.service.errors import (ConnectionClosed, FrameError,
                                   ServiceError)
 from repro.service.protocol import (MAX_FRAME, MESSAGE_TYPES,
                                     PROTOCOL_VERSION, FrameDecoder,
-                                    encode_frame, recv_msg, send_msg)
-from repro.service.transport import SyncTransport
+                                    encode_frame)
+from repro.service.transport import Connection, SyncTransport
 
 #: one representative payload per message type — keep in sync with
 #: MESSAGE_TYPES (the completeness test below enforces it)
@@ -271,19 +272,18 @@ class TestFrameBound:
 
 
 class TestSocketRecv:
-    """recv_msg over a real socket pair: EOF semantics."""
+    """SyncTransport (the blocking peer) over a real socket pair: EOF
+    semantics."""
 
     def _pair(self):
         a, b = socket.socketpair()
-        a.settimeout(5.0)
-        b.settimeout(5.0)
-        return a, b
+        return SyncTransport(a), SyncTransport(b)
 
     def test_send_recv_round_trip(self):
         a, b = self._pair()
         try:
-            send_msg(a, SAMPLES["assign"])
-            assert recv_msg(b, FrameDecoder()) == SAMPLES["assign"]
+            a.send(SAMPLES["assign"], timeout=5.0)
+            assert b.recv(timeout=5.0) == SAMPLES["assign"]
         finally:
             a.close()
             b.close()
@@ -291,43 +291,41 @@ class TestSocketRecv:
     def test_clean_eof_between_frames_is_connection_closed(self):
         a, b = self._pair()
         try:
-            send_msg(a, SAMPLES["ping"])
+            a.send(SAMPLES["ping"], timeout=5.0)
             a.close()
-            dec = FrameDecoder()
-            assert recv_msg(b, dec) == SAMPLES["ping"]
+            assert b.recv(timeout=5.0) == SAMPLES["ping"]
             with pytest.raises(ConnectionClosed):
-                recv_msg(b, dec)
+                b.recv(timeout=5.0)
         finally:
             b.close()
 
     def test_eof_mid_frame_is_frame_error(self):
-        a, b = self._pair()
-        try:
-            frame = encode_frame(SAMPLES["row"])
-            a.sendall(frame[:len(frame) // 2])
-            a.close()
-            with pytest.raises(FrameError):
-                recv_msg(b, FrameDecoder())
-        finally:
-            b.close()
-
-    def test_transport_eof_semantics_match_recv_msg(self):
-        """SyncTransport (the client's non-blocking reader) keeps the
-        same EOF contract: clean EOF at a frame boundary is
-        ConnectionClosed, EOF mid-frame is FrameError."""
         a, b = socket.socketpair()
         transport = SyncTransport(b)
         try:
-            send_msg(a, SAMPLES["ping"])
-            assert transport.recv(timeout=5.0) == SAMPLES["ping"]
             frame = encode_frame(SAMPLES["row"])
             a.sendall(frame[:len(frame) // 2])
             a.close()
             with pytest.raises(FrameError):
                 transport.recv(timeout=5.0)
         finally:
-            a.close()
             transport.close()
+
+    def test_transport_eof_semantics_match_recv_msg(self):
+        """The EOF rule lives once, on the decoder both read loops
+        share (``recv_msg``'s copy is gone): clean at a frame boundary
+        is ConnectionClosed, mid-frame is FrameError — before any
+        frame, between frames, and after a partial one."""
+        dec = FrameDecoder()
+        assert isinstance(dec.eof(), ConnectionClosed)
+        frame = encode_frame(SAMPLES["row"])
+        dec.feed(frame + frame[:3])
+        assert isinstance(dec.eof(), FrameError)  # partial tail
+        assert dec.next_message() == SAMPLES["row"]
+        assert isinstance(dec.eof(), FrameError)
+        dec.feed(frame[3:])
+        assert dec.next_message() == SAMPLES["row"]
+        assert isinstance(dec.eof(), ConnectionClosed)
 
     def test_transport_clean_eof_is_connection_closed(self):
         a, b = socket.socketpair()
@@ -384,43 +382,120 @@ class TestSocketRecv:
             transport.close()
 
     def test_transport_send_round_trips(self):
-        a, b = socket.socketpair()
-        a.settimeout(5.0)
-        transport = SyncTransport(b)
-        try:
-            transport.send(SAMPLES["submit"], timeout=5.0)
-            assert recv_msg(a, FrameDecoder()) == SAMPLES["submit"]
-        finally:
-            a.close()
-            transport.close()
-
-    def test_interleaved_writers_do_not_corrupt_frames(self):
-        """Two threads sharing one socket through send_msg's lock (the
-        worker's heartbeat vs. result pattern): every frame must come
-        out whole."""
         a, b = self._pair()
-        lock = threading.Lock()
-        n = 100
         try:
-            def blast(kind):
-                for _ in range(n):
-                    send_msg(a, SAMPLES[kind], lock=lock)
-            threads = [threading.Thread(target=blast, args=(k,))
-                       for k in ("heartbeat", "result")]
-            for t in threads:
-                t.start()
-            dec = FrameDecoder()
-            got = [recv_msg(b, dec) for _ in range(2 * n)]
-            for t in threads:
-                t.join()
-            kinds = [m["type"] for m in got]
-            assert kinds.count("heartbeat") == n
-            assert kinds.count("result") == n
-            for m in got:
-                assert m == SAMPLES[m["type"]]
+            b.send(SAMPLES["submit"], timeout=5.0)
+            assert a.recv(timeout=5.0) == SAMPLES["submit"]
         finally:
             a.close()
             b.close()
+
+
+class TestConnection:
+    """The event-loop connection over a real socket pair: the same
+    EOF semantics from its one read loop, and the send bound."""
+
+    @staticmethod
+    async def _connect(sock, **kw):
+        reader, writer = await asyncio.open_connection(sock=sock)
+        return Connection(reader, writer, **kw)
+
+    def test_read_round_trip_in_order_across_chunks(self):
+        async def main():
+            a, b = socket.socketpair()
+            conn = await self._connect(a)
+            kinds = sorted(MESSAGE_TYPES)
+            blob = b"".join(encode_frame(SAMPLES[k]) for k in kinds)
+            b.sendall(blob[:7])  # a prefix and three bytes of payload
+            await asyncio.sleep(0.01)
+            b.sendall(blob[7:])
+            assert [await conn.read(5.0) for _ in kinds] == [
+                SAMPLES[k] for k in kinds]
+            conn.send(SAMPLES["pong"])
+            conn.close()  # flush-then-close: the pong still arrives
+            await conn.wait_closed()
+            peer = SyncTransport(b)
+            assert peer.recv(timeout=5.0) == SAMPLES["pong"]
+            with pytest.raises(ConnectionClosed):
+                peer.recv(timeout=5.0)
+            peer.close()
+
+        asyncio.run(main())
+
+    def test_clean_eof_between_frames_is_connection_closed(self):
+        async def main():
+            a, b = socket.socketpair()
+            conn = await self._connect(a)
+            b.sendall(encode_frame(SAMPLES["ping"]))
+            b.close()
+            assert await conn.read(5.0) == SAMPLES["ping"]
+            with pytest.raises(ConnectionClosed):
+                await conn.read(5.0)
+            conn.abort()
+
+        asyncio.run(main())
+
+    def test_eof_mid_frame_is_frame_error(self):
+        async def main():
+            a, b = socket.socketpair()
+            conn = await self._connect(a)
+            frame = encode_frame(SAMPLES["row"])
+            b.sendall(frame[:len(frame) // 2])
+            b.close()
+            with pytest.raises(FrameError):
+                await conn.read(5.0)
+            conn.abort()
+
+        asyncio.run(main())
+
+    def test_read_timeout_loses_no_bytes(self):
+        async def main():
+            a, b = socket.socketpair()
+            conn = await self._connect(a)
+            frame = encode_frame(SAMPLES["row"])
+            b.sendall(frame[:5])
+            with pytest.raises(asyncio.TimeoutError):
+                await conn.read(0.05)
+            b.sendall(frame[5:])
+            assert await conn.read(5.0) == SAMPLES["row"]
+            conn.abort()
+            b.close()
+
+        asyncio.run(main())
+
+    def test_stalled_peer_kills_its_own_writer_not_the_fleet(self):
+        """A peer that never reads (tiny socket buffers, so the kernel
+        stops taking bytes at once) is torn down within
+        ``send_timeout``: its reader wakes with ConnectionClosed, and
+        a healthy connection on the same loop never notices."""
+        async def main():
+            a, b = socket.socketpair()
+            for sock in (a, b):
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stalled = await self._connect(a, send_timeout=0.3)
+            c, d = socket.socketpair()
+            healthy = await self._connect(c)
+            peer = SyncTransport(d)
+            loop = asyncio.get_running_loop()
+            t0 = loop.time()
+            for _ in range(2048):  # ~1 MiB nobody will ever read
+                stalled.send(SAMPLES["unit_error"])
+            reader = asyncio.create_task(stalled.read())
+            await asyncio.sleep(0.1)  # the stalled pump is mid-drain
+            healthy.send(SAMPLES["row"])
+            assert await loop.run_in_executor(
+                None, peer.recv, 5.0) == SAMPLES["row"]
+            with pytest.raises(ConnectionClosed):
+                await asyncio.wait_for(reader, 5.0)
+            assert 0.3 <= loop.time() - t0 < 3.0
+            stalled.send(SAMPLES["ping"])  # dropped, not queued
+            await stalled.wait_closed()
+            healthy.abort()
+            peer.close()
+            b.close()
+
+        asyncio.run(main())
 
 
 class TestProtocolV6:
@@ -436,23 +511,21 @@ class TestProtocolV6:
         ``malformed submit`` error frame — not dropped, not run."""
         from repro.service import Coordinator
         coord = Coordinator()
-        host, port = coord.start().rsplit(":", 1)
-        sock = socket.create_connection((host, int(port)), timeout=5)
+        peer = SyncTransport.open(coord.start(), 5)
         try:
-            dec = FrameDecoder()
-            send_msg(sock, {"type": "hello", "role": "client",
-                            "protocol": PROTOCOL_VERSION})
-            assert recv_msg(sock, dec)["type"] == "welcome"
-            send_msg(sock, {"type": "submit", "units": [{
+            peer.send({"type": "hello", "role": "client",
+                       "protocol": PROTOCOL_VERSION})
+            assert peer.recv(timeout=5)["type"] == "welcome"
+            peer.send({"type": "submit", "units": [{
                 "kind": "workload", "workload": "W0",
                 "organization": "shared", "cores": 64, "noc": "smart",
                 "cluster": None, "scale": 0.02, "full_system": False,
                 "seed": 1, "warmup_fraction": 0.35, "cache_scale": 0.125,
                 "max_cycles": 50_000_000, "metric": "runtime"}]})
-            reply = recv_msg(sock, dec)
+            reply = peer.recv(timeout=5)
             assert reply["type"] == "error"
             assert "malformed submit" in reply["error"]
             assert "unknown unit kind 'workload'" in reply["error"]
         finally:
-            sock.close()
+            peer.close()
             coord.stop()

@@ -39,12 +39,11 @@ from repro.params import Organization
 from repro.service import (ClusterConfig, ClusterManager, Coordinator,
                            ServiceClient, ServiceError, Worker,
                            pick_free_ports)
-from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
-                                    encode_frame, recv_msg, send_msg)
+from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.replica import (CANDIDATE, FOLLOWER, LEADER,
                                    ConsensusCore, ReplicaLog,
                                    SchedulerMachine)
-from repro.service.worker import LeaderHunt, parse_address
+from repro.service.transport import LeaderHunt, SyncTransport
 
 BENCH = "water_spatial"
 
@@ -496,6 +495,199 @@ class TestLeaderHunt:
 
 
 # ----------------------------------------------------------------------
+# three stepped managers, in-memory links, a float clock
+# ----------------------------------------------------------------------
+class _Link:
+    """In-memory replica link: ``send`` puts the (JSON round-tripped)
+    frame on the fleet's wire."""
+
+    def __init__(self, wire, src: int, dst: int) -> None:
+        self.wire, self.src, self.dst = wire, src, dst
+
+    def send(self, msg) -> None:
+        self.wire.append((self.src, self.dst,
+                          json.loads(json.dumps(msg))))
+
+
+class _SteppedFleet:
+    """N :class:`ClusterManager` s the test steps by hand: every
+    ``step`` advances the clock, ticks each manager, then delivers the
+    wire until it is quiet. ``isolated`` nodes keep ticking but every
+    frame to or from them is lost."""
+
+    def __init__(self, seed: int, n: int = 3, step_ms: int = 10) -> None:
+        self.step_ms = step_ms
+        self.now_ms = 0
+        self.wire: list = []
+        self.isolated: set = set()
+        self.leaders: list = []  # (term, node), in the order they won
+        self.machines = [SchedulerMachine() for _ in range(n)]
+        addrs = [f"replica{i}:1" for i in range(n)]
+        self.mgrs = [
+            ClusterManager(
+                ClusterConfig(node_id=i, addresses=addrs),
+                self.machines[i],
+                {p: _Link(self.wire, i, p) for p in range(n) if p != i},
+                seed=1000 * seed + i,
+                on_apply=lambda cmd, result: None,
+                on_role_change=lambda won, i=i: self._role(i, won))
+            for i in range(n)]
+        for mgr in self.mgrs:
+            mgr.start(0.0)
+
+    def _role(self, node: int, won: bool) -> None:
+        if won:
+            self.leaders.append((self.mgrs[node].core.term, node))
+
+    @property
+    def now(self) -> float:
+        return self.now_ms / 1000
+
+    def step(self) -> None:
+        self.now_ms += self.step_ms
+        for mgr in self.mgrs:
+            mgr.tick(self.now)
+        while self.wire:
+            src, dst, msg = self.wire.pop(0)
+            if src not in self.isolated and dst not in self.isolated:
+                self.mgrs[dst].handle_message(
+                    msg, self.mgrs[dst].links[src].send, self.now)
+
+    def run(self, seconds: float) -> None:
+        for _ in range(round(seconds * 1000 / self.step_ms)):
+            self.step()
+
+    def leader(self, among=None) -> int:
+        """The one node that believes it leads (among ``among``)."""
+        nodes = range(len(self.mgrs)) if among is None else among
+        (node,) = [i for i in nodes if self.mgrs[i].is_leader]
+        return node
+
+    def snapshots(self) -> list:
+        return [json.dumps(m.snapshot(), sort_keys=True)
+                for m in self.machines]
+
+
+class TestSteppedCluster:
+    """Open item 1's first schedule family: no socket, no sleep, no
+    event loop — the consensus tier under a clock the test owns."""
+
+    @pytest.fixture(autouse=True)
+    def _no_sockets(self, monkeypatch):
+        def refuse(*args, **kw):
+            raise AssertionError("a stepped cluster opened a socket")
+        monkeypatch.setattr(socket, "socket", refuse)
+
+    @staticmethod
+    def _schedule(seed: int, step_ms: int = 10):
+        """One fixed fault schedule; returns everything observable."""
+        fleet = _SteppedFleet(seed, step_ms=step_ms)
+        outcomes: list = []
+
+        def commit(node, cmd):
+            fleet.mgrs[node].commit(
+                cmd, lambda result, error: outcomes.append(
+                    (cmd["op"], result, error and str(error))))
+
+        # 1. first election: replica 0's stagger wins it
+        fleet.run(4.0)
+        first = fleet.leader()
+        assert fleet.leaders == [(fleet.mgrs[first].core.term, first)]
+
+        # 2. a commit needs a majority ack: not done when commit
+        # returns, done one delivery round later, on every machine
+        # once the next heartbeat carried the commit index
+        commit(first, {"op": "worker_add", "name": "w0"})
+        assert outcomes == []
+        fleet.step()
+        assert outcomes == [("worker_add", "ok", None)]
+        commit(first, {"op": "job_add", "job": "j1",
+                       "units": _wire_units(), "skip": [0]})
+        commit(first, {"op": "dispatch"})
+        fleet.run(1.0)
+        assert len(outcomes) == 3 and outcomes[2][1][0]["worker"] == "w0"
+        assert len(set(fleet.snapshots())) == 1
+        assert fleet.machines[0].applied == 3
+
+        # 3. cut the leader off mid-commit: the others elect a
+        # higher-term leader; the old one still thinks it leads, and
+        # its pending commit has neither completed nor failed yet
+        fleet.isolated = {first}
+        commit(first, {"op": "worker_add", "name": "lost"})
+        fleet.run(4.0)
+        rest = [i for i in range(3) if i != first]
+        second = fleet.leader(among=rest)
+        assert fleet.mgrs[second].core.term > fleet.mgrs[first].core.term
+        assert fleet.mgrs[first].is_leader and len(outcomes) == 3
+
+        # 4. heal: the new leader's heartbeat deposes the old one,
+        # whose pending done fires — once, with the typed error —
+        # and whose uncommitted entry is truncated away
+        fleet.isolated = set()
+        commit(second, {"op": "worker_add", "name": "w1"})
+        fleet.run(8.0)  # past COMMIT_TIMEOUT: still exactly once
+        assert fleet.leader() == second
+        assert [o[0] for o in outcomes] == [
+            "worker_add", "job_add", "dispatch", "worker_add",
+            "worker_add"]
+        assert outcomes[3] == ("worker_add", None,
+                               "leadership lost before commit")
+        assert outcomes[4] == ("worker_add", "ok", None)
+        assert len(set(fleet.snapshots())) == 1
+        assert fleet.machines[first].sched.worker_names() == ["w0", "w1"]
+
+        # every term had at most one leader
+        terms = [term for term, _node in fleet.leaders]
+        assert len(terms) == len(set(terms))
+        return fleet.leaders, outcomes, fleet.snapshots()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_three_replica_schedule_replays_from_its_seed(self, seed):
+        assert self._schedule(seed) == self._schedule(seed)
+
+    def test_isolated_leader_commit_expires_at_the_deadline(self):
+        """Never healed: the deposed-by-nobody leader's pending commit
+        fails in ``tick`` at COMMIT_TIMEOUT, exactly once."""
+        from repro.service.cluster import COMMIT_TIMEOUT
+        fleet = _SteppedFleet(seed=5)
+        fleet.run(4.0)
+        first = fleet.leader()
+        fleet.isolated = {first}
+        errors: list = []
+        fleet.mgrs[first].commit(
+            {"op": "worker_add", "name": "lost"},
+            lambda result, error: errors.append((fleet.now, error)))
+        began = fleet.now
+        fleet.run(COMMIT_TIMEOUT - 0.1)
+        assert errors == []
+        fleet.run(3.0)
+        ((when, error),) = errors
+        assert isinstance(error, ServiceError)
+        assert "not committed within" in str(error)
+        assert when - began == pytest.approx(COMMIT_TIMEOUT, abs=0.011)
+
+    def test_history_does_not_depend_on_tick_cadence(self):
+        """The election deadline is drawn when the timer is armed, not
+        on every tick (the old ticker re-rolled the jitter each ≤ 50 ms
+        wake, so the draw count — and every later draw — depended on
+        how often it woke)."""
+        for seed in range(5):
+            fine, *_ = self._schedule(seed, step_ms=10)
+            coarse, *_ = self._schedule(seed, step_ms=50)
+            assert fine == coarse
+        mgr = _SteppedFleet(seed=3).mgrs[2]  # every link's wire unread
+        due, rolls = mgr._election_due, mgr._rng.getstate()
+        assert 1.8 * 1.5 <= due <= 2.0 * 1.5  # stagger + 20 % jitter
+        for ms in range(10, int(due * 1000), 10):
+            mgr.tick(ms / 1000)
+        assert (mgr._election_due, mgr._rng.getstate()) == (due, rolls)
+        assert mgr.core.term == 0
+        mgr.tick(due)
+        assert mgr.core.term == 1 and mgr.core.role == CANDIDATE
+        assert mgr._election_due >= due + 1.8 * 1.5  # re-armed from now
+
+
+# ----------------------------------------------------------------------
 # live in-process cluster
 # ----------------------------------------------------------------------
 def _start_cluster(n=3, **coord_kw):
@@ -523,11 +715,12 @@ def _wait_for_workers(address: str, count: int,
     raise AssertionError(f"fleet never reached {count} workers")
 
 
-def _dial(address: str, *frames) -> socket.socket:
-    """Raw socket with ``frames`` already written in one burst."""
-    sock = socket.create_connection(parse_address(address), timeout=10)
-    sock.sendall(b"".join(encode_frame(f) for f in frames))
-    return sock
+def _dial(address: str, *frames) -> SyncTransport:
+    """Raw peer with ``frames`` already written."""
+    peer = SyncTransport.open(address, 10)
+    for frame in frames:
+        peer.send(frame, timeout=10)
+    return peer
 
 
 def _assert_stranger_cannot_depose(coord: Coordinator) -> None:
@@ -537,15 +730,15 @@ def _assert_stranger_cannot_depose(coord: Coordinator) -> None:
     core = coord._cluster_mgr.core
     before = (core.term, core.role, sorted(coord._workers))
     assert before[1] == LEADER and before[2]
-    sock = _dial(coord.address,
+    peer = _dial(coord.address,
                  {"type": "replica-hello", "node": 7,
                   "protocol": PROTOCOL_VERSION},
                  {"type": "replica-vote", "term": 99, "candidate": 7,
                   "last_index": 10 ** 6, "last_term": 99})
     try:
-        reply = recv_msg(sock, FrameDecoder())
+        reply = peer.recv(timeout=10)
     finally:
-        sock.close()
+        peer.close()
     assert reply["type"] == "error"
     assert "not a member" in reply["error"]
     with ServiceClient(coord.address) as client:  # still serving
@@ -563,15 +756,14 @@ class TestQuorumOfOne:
         coord = Coordinator()
         address = coord.start()
         try:
-            sock = _dial(address, {"type": "hello", "role": "client",
+            peer = _dial(address, {"type": "hello", "role": "client",
                                    "protocol": PROTOCOL_VERSION})
             try:
-                dec = FrameDecoder()
-                assert recv_msg(sock, dec)["type"] == "welcome"
-                send_msg(sock, {"type": "status"})
-                cluster = recv_msg(sock, dec)["cluster"]
+                assert peer.recv(timeout=10)["type"] == "welcome"
+                peer.send({"type": "status"})
+                cluster = peer.recv(timeout=10)["cluster"]
             finally:
-                sock.close()
+                peer.close()
             assert cluster["role"] == "leader"
             assert cluster["term"] == 1
             assert cluster["leader"] == address
@@ -580,25 +772,36 @@ class TestQuorumOfOne:
             coord.stop()
 
     def test_commit_never_suspends_without_peers(self):
-        """The leader alone is the majority: ``commit`` finishes in
-        its first step, so nothing can interleave between a result
-        arriving and its row leaving."""
-        async def main():
-            machine = SchedulerMachine()
-            mgr = ClusterManager(
-                ClusterConfig(node_id=0, addresses=["127.0.0.1:1"]),
-                machine, on_apply=lambda cmd, result: None,
-                on_role_change=lambda won: None)
-            mgr.start()  # no election wait either
-            assert mgr.is_leader and mgr.core.term == 1
-            step = mgr.commit({"op": "worker_add", "name": "w0"})
-            with pytest.raises(StopIteration) as finished:
-                step.send(None)  # a suspension would yield a future
-            assert finished.value.value == "ok"
-            assert machine.sched.worker_names() == ["w0"]
-            await mgr.stop()
+        """The leader alone is the majority: ``done`` fires before
+        ``commit`` returns, so ``Coordinator._commit`` awaits a future
+        that is already done and finishes in its first step — nothing
+        can interleave between a result arriving and its row leaving."""
+        machine = SchedulerMachine()
+        mgr = ClusterManager(
+            ClusterConfig(node_id=0, addresses=["127.0.0.1:1"]),
+            machine, {}, seed=0, on_apply=lambda cmd, result: None,
+            on_role_change=lambda won: None)
+        mgr.start(0.0)  # no election wait either
+        assert mgr.is_leader and mgr.core.term == 1
+        outcomes = []
+        mgr.commit({"op": "worker_add", "name": "w0"},
+                   lambda result, error: outcomes.append((result, error)))
+        assert outcomes == [("ok", None)]
+        assert machine.sched.worker_names() == ["w0"]
+        mgr.tick(10 ** 6)  # nothing pending, nothing to expire
+        assert outcomes == [("ok", None)]
 
-        asyncio.run(main())
+        coord = Coordinator()
+        coord._loop = asyncio.new_event_loop()  # never run
+        try:
+            coord._cluster_mgr = mgr
+            step = coord._commit({"op": "worker_add", "name": "w1"})
+            with pytest.raises(StopIteration) as finished:
+                step.send(None)  # a suspension would yield the future
+            assert finished.value.value == "ok"
+            assert machine.sched.worker_names() == ["w0", "w1"]
+        finally:
+            coord._loop.close()
 
     def test_log_is_not_retained_but_keeps_counting(self):
         coord = Coordinator()
@@ -629,16 +832,15 @@ class TestQuorumOfOne:
         quorum stopping *is* the fleet stopping."""
         coord = Coordinator()
         address = coord.start()
-        sock = _dial(address, {"type": "hello", "role": "worker",
+        peer = _dial(address, {"type": "hello", "role": "worker",
                                "protocol": PROTOCOL_VERSION,
                                "name": "raw", "pid": 1})
         try:
-            dec = FrameDecoder()
-            assert recv_msg(sock, dec)["type"] == "welcome"
+            assert peer.recv(timeout=10)["type"] == "welcome"
             coord.stop()
-            assert recv_msg(sock, dec) == {"type": "shutdown"}
+            assert peer.recv(timeout=10) == {"type": "shutdown"}
         finally:
-            sock.close()
+            peer.close()
             coord.stop()
 
     def test_client_shutdown_skips_the_follower_grace(self):

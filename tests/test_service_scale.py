@@ -12,7 +12,6 @@ CI job.
 from __future__ import annotations
 
 import resource
-import socket
 import threading
 import time
 
@@ -22,14 +21,15 @@ from repro.harness.experiment import ExperimentConfig
 from repro.harness.units import SweepUnit
 from repro.params import Organization
 from repro.service import Coordinator, ServiceClient, Worker
-from repro.service.protocol import (PROTOCOL_VERSION, FrameDecoder,
-                                    recv_msg, send_msg)
+from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.transport import SyncTransport
 
 N_FAKE = 512
 DEADLINE = 120.0  # hard cap on every wait in this file
 
-# CI runners default to a 1024 soft fd limit; 512 client-side plus 512
-# accepted server-side sockets (one process) needs more.
+# CI runners default to a 1024 soft fd limit; 512 client-side sockets,
+# their 512 selectors and 512 accepted server-side sockets (one
+# process) need more.
 _soft, _hard = resource.getrlimit(resource.RLIMIT_NOFILE)
 _want = 4096 if _hard == resource.RLIM_INFINITY else min(_hard, 4096)
 if _soft < _want:
@@ -49,15 +49,11 @@ def _await_stats(address: str, pred, what: str,
     raise AssertionError(f"coordinator never {what}; last: {stats}")
 
 
-def _sign_in(address: str, name: str) -> tuple:
-    host, port = address.rsplit(":", 1)
-    sock = socket.create_connection((host, int(port)), timeout=30.0)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    sock.settimeout(30.0)
-    send_msg(sock, {"type": "hello", "role": "worker",
-                    "protocol": PROTOCOL_VERSION, "name": name,
-                    "pid": 0})
-    return sock, FrameDecoder()
+def _sign_in(address: str, name: str) -> SyncTransport:
+    peer = SyncTransport.open(address, 30.0)
+    peer.send({"type": "hello", "role": "worker",
+               "protocol": PROTOCOL_VERSION, "name": name, "pid": 0})
+    return peer
 
 
 class TestManyConnections:
@@ -71,24 +67,24 @@ class TestManyConnections:
         try:
             for i in range(N_FAKE):
                 conns.append(_sign_in(address, f"fw{i}"))
-            for sock, dec in conns:
-                assert recv_msg(sock, dec)["type"] == "welcome"
+            for peer in conns:
+                assert peer.recv(timeout=30.0)["type"] == "welcome"
             for _ in range(2):
-                for sock, _dec in conns:
-                    send_msg(sock, {"type": "heartbeat"})
+                for peer in conns:
+                    peer.send({"type": "heartbeat"})
             stats = _await_stats(
                 address,
                 lambda s: (s["workers"] == N_FAKE and
                            s["heartbeats_seen"] >= 2 * N_FAKE),
                 f"saw {N_FAKE} workers and their heartbeats")
             assert stats["workers"] == N_FAKE
-            for sock, _dec in conns:
-                send_msg(sock, {"type": "bye"})
+            for peer in conns:
+                peer.send({"type": "bye"})
             _await_stats(address, lambda s: s["workers"] == 0,
                          "drained to 0 workers")
         finally:
-            for sock, _dec in conns:
-                sock.close()
+            for peer in conns:
+                peer.close()
             coord.stop()
 
     def test_coordinator_serves_real_job_after_storm(self):
@@ -104,13 +100,13 @@ class TestManyConnections:
         try:
             for i in range(N_FAKE):
                 conns.append(_sign_in(address, f"fw{i}"))
-            for sock, dec in conns:
-                assert recv_msg(sock, dec)["type"] == "welcome"
+            for peer in conns:
+                assert peer.recv(timeout=30.0)["type"] == "welcome"
             _await_stats(address, lambda s: s["workers"] == N_FAKE,
                          f"registered {N_FAKE} workers")
-            for sock, _dec in conns:
-                send_msg(sock, {"type": "bye"})
-                sock.close()
+            for peer in conns:
+                peer.send({"type": "bye"})
+                peer.close()
             conns.clear()
             _await_stats(address, lambda s: s["workers"] == 0,
                          "drained the storm")
@@ -132,8 +128,8 @@ class TestManyConnections:
                 values = client.run_units([unit])
             assert values == [unit.run()]
         finally:
-            for sock, _dec in conns:
-                sock.close()
+            for peer in conns:
+                peer.close()
             coord.stop()
             for w in workers:
                 w.stop()

@@ -461,6 +461,40 @@ def test_simulator_layers_define_no_lambda_or_nested_def():
     assert not offenders, offenders
 
 
+def test_service_state_machines_hold_no_clock_loop_or_coroutine():
+    """The fleet's three pure layers are stepped by their owner: the
+    scheduler by the machine, the machine by the consensus core's log,
+    the cluster manager by ``tick`` / ``handle_message`` / ``commit``.
+    None may import a clock, an event loop or a thread, and none may
+    define a coroutine — that is what lets a test drive three replicas
+    from a ``for`` loop (``tests/test_service_replica.py``)."""
+    import inspect
+
+    import repro
+    from repro.service.cluster import ClusterManager
+    root = pathlib.Path(repro.__file__).parent / "service"
+    banned = {"asyncio", "time", "threading", "selectors"}
+    offenders = []
+    for name in ("scheduler.py", "replica.py", "cluster.py"):
+        for node in ast.walk(ast.parse((root / name).read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+                if isinstance(node, (ast.AsyncFunctionDef, ast.Await)):
+                    offenders.append(f"{name}:{node.lineno} coroutine")
+            offenders.extend(f"{name}:{node.lineno} imports {m}"
+                             for m in modules
+                             if m.split(".")[0] in banned)
+    offenders.extend(
+        f"ClusterManager.{attr} is a coroutine function"
+        for attr, fn in vars(ClusterManager).items()
+        if inspect.iscoroutinefunction(fn))
+    assert not offenders, offenders
+
+
 # ----------------------------------------------------------------------
 # corruption & version mismatch
 # ----------------------------------------------------------------------
