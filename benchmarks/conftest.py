@@ -18,6 +18,9 @@ import os
 
 import pytest
 
+from repro.harness import figures
+from repro.harness.report import format_table
+
 #: trace-length scale for benches (EXPERIMENTS.md runs use 0.4-1.0)
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.15"))
 
@@ -40,3 +43,20 @@ def bench_set():
 @pytest.fixture(scope="session")
 def cache_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("figure-cells"))
+
+
+@pytest.fixture
+def run_figure(benchmark, cache_dir):
+    """``run_figure(partial(figures.figN, ...))``: time one figure
+    declaration through ``figures.run_figures`` on the shared cell
+    cache, print its tables, and return their rows in table order."""
+    def run(fig):
+        tables = benchmark.pedantic(
+            lambda: figures.run_figures({"fig": fig},
+                                        cache_dir=cache_dir)["fig"],
+            rounds=1, iterations=1)
+        print()
+        for title, _paper, rows in tables:
+            print(format_table(title, rows))
+        return [rows for _title, _paper, rows in tables]
+    return run

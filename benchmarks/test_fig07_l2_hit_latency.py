@@ -7,21 +7,16 @@ widening at 256 cores.
 """
 
 import os
+from functools import partial
 
 import pytest
 
 from repro.harness import figures
-from repro.harness.report import format_table
 
 
-def test_fig07_64(benchmark, bench_scale, bench_set, cache_dir):
-    rows = benchmark.pedantic(
-        lambda: figures.figure7(benchmarks=bench_set, cores=64,
-                                scale=bench_scale, verbose=False,
-                                cache_dir=cache_dir),
-        rounds=1, iterations=1)
-    print()
-    print(format_table("Figure 7a: L2 hit latency increase (64c)", rows))
+def test_fig07_64(run_figure, bench_scale, bench_set):
+    rows, = run_figure(partial(figures.fig7, benchmarks=bench_set,
+                               cores=64, scale=bench_scale))
     avg_shared = sum(r["Shared"] for r in rows.values()) / len(rows)
     avg_loco = sum(r["LOCO"] for r in rows.values()) / len(rows)
     assert avg_loco < avg_shared, (
@@ -31,14 +26,10 @@ def test_fig07_64(benchmark, bench_scale, bench_set, cache_dir):
 
 @pytest.mark.skipif(not os.environ.get("REPRO_BENCH_FULL"),
                     reason="256-core bench: set REPRO_BENCH_FULL=1")
-def test_fig07_256(benchmark, bench_scale, cache_dir):
-    rows = benchmark.pedantic(
-        lambda: figures.figure7(benchmarks=["blackscholes", "barnes"],
-                                cores=256, scale=bench_scale,
-                                verbose=False, cache_dir=cache_dir),
-        rounds=1, iterations=1)
-    print()
-    print(format_table("Figure 7b: L2 hit latency increase (256c)", rows))
+def test_fig07_256(run_figure, bench_scale):
+    rows, = run_figure(partial(figures.fig7,
+                               benchmarks=["blackscholes", "barnes"],
+                               cores=256, scale=bench_scale))
     avg_shared = sum(r["Shared"] for r in rows.values()) / len(rows)
     avg_loco = sum(r["LOCO"] for r in rows.values()) / len(rows)
     assert avg_loco < avg_shared

@@ -10,18 +10,14 @@ that LOCO stays within a small factor rather than private-cache levels
 (which run an order of magnitude above shared on these workloads).
 """
 
+from functools import partial
+
 from repro.harness import figures
-from repro.harness.report import format_table
 
 
-def test_fig08_64(benchmark, bench_scale, bench_set, cache_dir):
-    rows = benchmark.pedantic(
-        lambda: figures.figure8(benchmarks=bench_set, cores=64,
-                                scale=bench_scale, verbose=False,
-                                cache_dir=cache_dir),
-        rounds=1, iterations=1)
-    print()
-    print(format_table("Figure 8a: L2 MPKI (64c)", rows))
+def test_fig08_64(run_figure, bench_scale, bench_set):
+    rows, = run_figure(partial(figures.fig8, benchmarks=bench_set,
+                               cores=64, scale=bench_scale))
     avg_shared = sum(r["Shared"] for r in rows.values()) / len(rows)
     avg_loco = sum(r["LOCO"] for r in rows.values()) / len(rows)
     assert avg_loco < avg_shared * 5.0, (

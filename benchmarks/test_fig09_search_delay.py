@@ -5,18 +5,14 @@ Paper result: VMS broadcasts cut the search cost by 34.8% (64c) and
 target: CC+VMS search delay below CC's on average.
 """
 
+from functools import partial
+
 from repro.harness import figures
-from repro.harness.report import format_table
 
 
-def test_fig09_64(benchmark, bench_scale, bench_set, cache_dir):
-    rows = benchmark.pedantic(
-        lambda: figures.figure9(benchmarks=bench_set, cores=64,
-                                scale=bench_scale, verbose=False,
-                                cache_dir=cache_dir),
-        rounds=1, iterations=1)
-    print()
-    print(format_table("Figure 9a: on-chip search delay (64c)", rows))
+def test_fig09_64(run_figure, bench_scale, bench_set):
+    rows, = run_figure(partial(figures.fig9, benchmarks=bench_set,
+                               cores=64, scale=bench_scale))
     cc = sum(r["LOCO CC"] for r in rows.values()) / len(rows)
     vms = sum(r["LOCO CC+VMS"] for r in rows.values()) / len(rows)
     assert vms < cc, (f"VMS search ({vms:.1f}cy) should beat the "

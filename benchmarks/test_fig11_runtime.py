@@ -6,26 +6,21 @@ target: full LOCO (CC+VMS+IVR) beats the shared baseline on average.
 """
 
 import os
+from functools import partial
 
 import pytest
 
 from repro.harness import figures
-from repro.harness.report import format_table
 
 
-def test_fig11_64(benchmark, bench_scale, cache_dir):
+def test_fig11_64(run_figure, bench_scale):
     # Cluster-friendly + capacity-imbalanced subset: the configurations
     # where the paper's runtime win is largest. (Chip-wide-sharing
     # benchmarks like barnes pay broadcast congestion in our shorter,
     # denser traces — see EXPERIMENTS.md.)
     benches = ["blackscholes", "water_spatial", "swaptions"]
-    rows = benchmark.pedantic(
-        lambda: figures.figure11(benchmarks=benches, cores=64,
-                                 scale=bench_scale, verbose=False,
-                                 cache_dir=cache_dir),
-        rounds=1, iterations=1)
-    print()
-    print(format_table("Figure 11a: normalized runtime (64c)", rows))
+    rows, = run_figure(partial(figures.fig11, benchmarks=benches,
+                               cores=64, scale=bench_scale))
     full = sum(r["LOCO CC+VMS+IVR"] for r in rows.values()) / len(rows)
     assert full < 1.05, (f"full LOCO should be competitive with shared "
                          f"on average, got {full:.3f}")
@@ -33,13 +28,9 @@ def test_fig11_64(benchmark, bench_scale, cache_dir):
 
 @pytest.mark.skipif(not os.environ.get("REPRO_BENCH_FULL"),
                     reason="256-core bench: set REPRO_BENCH_FULL=1")
-def test_fig11_256(benchmark, bench_scale, cache_dir):
-    rows = benchmark.pedantic(
-        lambda: figures.figure11(benchmarks=["blackscholes", "barnes"],
-                                 cores=256, scale=bench_scale,
-                                 verbose=False, cache_dir=cache_dir),
-        rounds=1, iterations=1)
-    print()
-    print(format_table("Figure 11b: normalized runtime (256c)", rows))
+def test_fig11_256(run_figure, bench_scale):
+    rows, = run_figure(partial(figures.fig11,
+                               benchmarks=["blackscholes", "barnes"],
+                               cores=256, scale=bench_scale))
     full = sum(r["LOCO CC+VMS+IVR"] for r in rows.values()) / len(rows)
     assert full < 1.1

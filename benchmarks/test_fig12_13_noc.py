@@ -7,20 +7,14 @@ Runtime: LOCO+SMART is 18.9% (64c) / 24.6% (256c) faster than
 LOCO+conventional, and high-radix underperforms even conventional.
 """
 
+from functools import partial
+
 from repro.harness import figures
-from repro.harness.report import format_table
 
 
-def test_fig12(benchmark, bench_scale, bench_set, cache_dir):
-    lat, search = benchmark.pedantic(
-        lambda: figures.figure12(benchmarks=bench_set, cores=64,
-                                 scale=bench_scale, verbose=False,
-                                 cache_dir=cache_dir),
-        rounds=1, iterations=1)
-    print()
-    print(format_table("Figure 12a: L2 hit latency increase by NoC (64c)",
-                       lat))
-    print(format_table("Figure 12b: search delay by NoC (64c)", search))
+def test_fig12(run_figure, bench_scale, bench_set):
+    lat, _search = run_figure(partial(figures.fig12, benchmarks=bench_set,
+                                      cores=64, scale=bench_scale))
     smart = sum(r["SMART"] for r in lat.values()) / len(lat)
     conv = sum(r["Conv"] for r in lat.values()) / len(lat)
     radix = sum(r["HighRadix"] for r in lat.values()) / len(lat)
@@ -28,14 +22,9 @@ def test_fig12(benchmark, bench_scale, bench_set, cache_dir):
     assert smart < radix, "SMART must beat high-radix on hit latency"
 
 
-def test_fig13(benchmark, bench_scale, bench_set, cache_dir):
-    rows = benchmark.pedantic(
-        lambda: figures.figure13(benchmarks=bench_set, cores=64,
-                                 scale=bench_scale, verbose=False,
-                                 cache_dir=cache_dir),
-        rounds=1, iterations=1)
-    print()
-    print(format_table("Figure 13: normalized runtime by NoC (64c)", rows))
+def test_fig13(run_figure, bench_scale, bench_set):
+    rows, = run_figure(partial(figures.fig13, benchmarks=bench_set,
+                               cores=64, scale=bench_scale))
     smart = sum(r["SMART"] for r in rows.values()) / len(rows)
     conv = sum(r["Conv"] for r in rows.values()) / len(rows)
     assert smart < conv, (

@@ -7,23 +7,17 @@ cuts runtime 13.8% vs clustered. Reproduction target: IVR's off-chip
 count strictly below plain clustering's.
 """
 
+from functools import partial
+
 from repro.harness import figures
-from repro.harness.report import format_table
 
 # a spread of Table 2 shapes: 4x1 jobs, 8x1 jobs, 4x4 jobs
 WORKLOADS = ["W1", "W6", "W9"]
 
 
-def test_fig15(benchmark, bench_scale, cache_dir):
-    offchip, runtime = benchmark.pedantic(
-        lambda: figures.figure15(workloads=WORKLOADS, scale=bench_scale,
-                                 verbose=False, cache_dir=cache_dir),
-        rounds=1, iterations=1)
-    print()
-    print(format_table("Figure 15a: normalized off-chip (multi-program)",
-                       offchip))
-    print(format_table("Figure 15b: normalized runtime (multi-program)",
-                       runtime))
+def test_fig15(run_figure, bench_scale):
+    offchip, _runtime = run_figure(partial(
+        figures.fig15, workloads=WORKLOADS, scale=bench_scale))
     cc = sum(r["LOCO CC"] for r in offchip.values()) / len(offchip)
     ivr = sum(r["LOCO CC+VMS+IVR"] for r in offchip.values()) / len(offchip)
     assert ivr < cc, (

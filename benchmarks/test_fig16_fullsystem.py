@@ -7,21 +7,16 @@ full-system LOCO advantage is at least as large as the trace-driven one
 on the same benchmarks.
 """
 
+from functools import partial
+
 from repro.harness import figures
-from repro.harness.report import format_table
 
 BENCHES = ["blackscholes", "barnes"]
 
 
-def test_fig16(benchmark, bench_scale, cache_dir):
-    mpki, runtime = benchmark.pedantic(
-        lambda: figures.figure16(benchmarks=BENCHES, scale=bench_scale,
-                                 verbose=False, cache_dir=cache_dir),
-        rounds=1, iterations=1)
-    print()
-    print(format_table("Figure 16a: MPKI, full-system (64c)", mpki))
-    print(format_table("Figure 16b: normalized runtime, full-system (64c)",
-                       runtime))
+def test_fig16(run_figure, bench_scale):
+    _mpki, runtime = run_figure(partial(
+        figures.fig16, benchmarks=BENCHES, scale=bench_scale))
     full = sum(r["LOCO CC+VMS+IVR"] for r in runtime.values()) / len(runtime)
     assert full < 1.05, (
         f"full-system LOCO should not lose to shared, got {full:.3f}")

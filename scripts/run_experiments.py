@@ -34,18 +34,20 @@ WORKLOADS = ["W1", "W9"]
 def paper_figures(scale: float) -> Dict[str, figures.Figure]:
     """The matrix: every figure declaration bound to its subset."""
     f = figures
+    bind = partial(partial, scale=scale)  # bind(fig, **subset)
     scaling = {7: f.fig7, 8: f.fig8, 9: f.fig9, 10: f.fig10, 11: f.fig11}
-    figs = {"fig6": partial(f.fig6, benchmarks=BENCHES)}
+    figs = {"fig6": bind(f.fig6, benchmarks=BENCHES)}
     for n, fig in scaling.items():
-        figs[f"fig{n}_64"] = partial(fig, benchmarks=BENCHES)
-    figs["fig12"] = partial(f.fig12, benchmarks=BENCHES_NOC)
-    figs["fig13"] = partial(f.fig13, benchmarks=BENCHES_NOC)
-    figs["fig14"] = partial(f.fig14, benchmarks=BENCHES)
+        figs[f"fig{n}_64"] = bind(fig, benchmarks=BENCHES)
+    figs["fig12"] = bind(f.fig12, benchmarks=BENCHES_NOC)
+    figs["fig13"] = bind(f.fig13, benchmarks=BENCHES_NOC)
+    figs["router"] = f.fig_router  # the DSENT table: no cell, no scale
+    figs["fig14"] = bind(f.fig14, benchmarks=BENCHES)
     for n, fig in scaling.items():
-        figs[f"fig{n}_256"] = partial(fig, benchmarks=BENCHES_256, cores=256)
-    figs["fig15"] = partial(f.fig15, workloads=WORKLOADS)
-    figs["fig16"] = partial(f.fig16, benchmarks=BENCHES_FS)
-    return {name: partial(fig, scale=scale) for name, fig in figs.items()}
+        figs[f"fig{n}_256"] = bind(fig, benchmarks=BENCHES_256, cores=256)
+    figs["fig15"] = bind(f.fig15, workloads=WORKLOADS)
+    figs["fig16"] = bind(f.fig16, benchmarks=BENCHES_FS)
+    return figs
 
 
 def run_matrix(figs: Dict[str, figures.Figure], **backend) -> dict:

@@ -79,7 +79,7 @@ class ScratchpadUnit:
         self._c_remote_reads.value += 1
         self._await(addr, done)
         self.ctx.send(Msg(MsgKind.SPM_READ, addr, self.tile, Unit.SPM,
-                          requestor=self.tile), self.tile, owner)
+                          requestor=self.tile), owner)
 
     def store(self, addr: int, done: DoneCb) -> None:
         """Blocking scratchpad write; ``done`` fires on the ack."""
@@ -92,7 +92,7 @@ class ScratchpadUnit:
         self._c_remote_writes.value += 1
         self._await(addr, done)
         self.ctx.send(Msg(MsgKind.SPM_WRITE, addr, self.tile, Unit.SPM,
-                          requestor=self.tile), self.tile, owner)
+                          requestor=self.tile), owner)
 
     def push(self, addr: int) -> None:
         """Fire-and-forget remote write (the systolic forward op): the
@@ -105,7 +105,7 @@ class ScratchpadUnit:
             return
         # requestor=-1 marks "no ack wanted" to the owning unit
         self.ctx.send(Msg(MsgKind.SPM_WRITE, addr, self.tile, Unit.SPM,
-                          requestor=-1), self.tile, owner)
+                          requestor=-1), owner)
 
     def _await(self, addr: int, done: DoneCb) -> None:
         if addr in self._pending:
@@ -142,11 +142,11 @@ class ScratchpadUnit:
         value = self.data.get(self._slot(msg.line_addr))
         self.ctx.send(Msg(MsgKind.SPM_DATA, msg.line_addr, self.tile,
                           Unit.SPM, requestor=msg.requestor, value=value),
-                      self.tile, msg.src_tile)
+                      msg.src_tile)
 
     def _apply_remote(self, msg: Msg) -> None:
         self._apply_write(msg.line_addr)
         if msg.requestor >= 0:
             self.ctx.send(Msg(MsgKind.SPM_ACK, msg.line_addr, self.tile,
                               Unit.SPM, requestor=msg.requestor),
-                          self.tile, msg.src_tile)
+                          msg.src_tile)

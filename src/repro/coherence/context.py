@@ -161,24 +161,18 @@ class SystemContext:
                 f"no {msg.unit} handler at tile {tile} for {msg}")
         handler(msg)
 
-    def send(self, msg: Msg, src: int, dst: int) -> None:
-        """Unicast ``msg`` from tile ``src`` to tile ``dst``."""
-        # vn/size computed inline via the import-time MsgKind
-        # attributes (not the Msg properties): this is one of the two
-        # or three hottest call sites in a run.
-        kind = msg.kind
+    def send(self, msg: Msg, dst: int) -> None:
+        """Unicast ``msg`` from its ``src_tile`` to tile ``dst``."""
+        # size from the import-time MsgKind attribute: this is one of
+        # the two or three hottest call sites in a run.
         self.network.send(Packet(
-            src=src, dst=dst, vn=kind.vn,
-            size_flits=self.data_flits if kind.carries_data else 1,
-            payload=msg))
+            msg.src_tile, dst,
+            self.data_flits if msg.kind.carries_data else 1, msg))
 
-    def multicast(self, msg: Msg, src: int, vms: VirtualMesh) -> None:
-        """Broadcast ``msg`` from ``src`` over ``vms`` (to all other
-        members). SMART does this in hardware; other fabrics fall back
-        to serial unicasts."""
-        kind = msg.kind
-        packet = Packet(
-            src=src, dst=None, vn=kind.vn,
-            size_flits=self.data_flits if kind.carries_data else 1,
-            payload=msg, mcast_group=vms.members)
-        self.network.multicast(packet, vms)
+    def multicast(self, msg: Msg, vms: VirtualMesh) -> None:
+        """Broadcast ``msg`` from its ``src_tile`` over ``vms`` (to all
+        other members). SMART does this in hardware; other fabrics fall
+        back to serial unicasts."""
+        self.network.multicast(Packet(
+            msg.src_tile, None,
+            self.data_flits if msg.kind.carries_data else 1, msg), vms)

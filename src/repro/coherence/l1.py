@@ -116,7 +116,7 @@ class L1Controller:
         home = self.ctx.home_tile(self.tile, line_addr)
         msg = Msg(req_kind, line_addr, self.tile, Unit.L2,
                   requestor=self.tile)
-        self.ctx.send(msg, self.tile, home)
+        self.ctx.send(msg, home)
 
     @staticmethod
     def _hit(line: CacheLine, is_write: bool) -> bool:
@@ -224,7 +224,7 @@ class L1Controller:
                 wb = Msg(MsgKind.WB_L1, victim.line_addr, self.tile, Unit.L2,
                          requestor=self.tile, dirty=True,
                          value=victim.shadow)
-                self.ctx.send(wb, self.tile, home)
+                self.ctx.send(wb, home)
             # S victims evict silently: the home's sharer list goes
             # stale, which is safe because every INV_L1 is acked even
             # when the line is absent.
@@ -260,7 +260,7 @@ class L1Controller:
         ack = Msg(MsgKind.ACK_INV_L1, msg.line_addr, self.tile, Unit.L2,
                   requestor=msg.requestor, dirty=dirty, fwd=msg.fwd,
                   nack=nack, value=line.shadow if dirty else None)
-        self.ctx.send(ack, self.tile, msg.src_tile)
+        self.ctx.send(ack, msg.src_tile)
 
     def _on_recall(self, msg: Msg) -> None:
         line = self.array.lookup(msg.line_addr, touch=False)
@@ -279,7 +279,7 @@ class L1Controller:
         resp = Msg(MsgKind.RECALL_RESP, msg.line_addr, self.tile, Unit.L2,
                    requestor=msg.requestor, dirty=dirty, fwd=msg.fwd,
                    nack=nack, value=line.shadow if dirty else None)
-        self.ctx.send(resp, self.tile, msg.src_tile)
+        self.ctx.send(resp, msg.src_tile)
 
     # ------------------------------------------------------------------
     def resident_state(self, line_addr: int) -> L1State:

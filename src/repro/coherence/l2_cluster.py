@@ -120,10 +120,10 @@ class TokenL2Controller(HomeL2Base):
                   requestor=self.tile, persistent=s["persist_granted"])
         vms = self.ctx.vms_of_line(mshr.line_addr)
         if len(vms.members) > 1:
-            self.ctx.multicast(msg, self.tile, vms)
+            self.ctx.multicast(msg, vms)
         mc_msg = Msg(kind, mshr.line_addr, self.tile, Unit.MC,
                      requestor=self.tile, persistent=s["persist_granted"])
-        self.ctx.send(mc_msg, self.tile, self.ctx.mc_tile(mshr.line_addr))
+        self.ctx.send(mc_msg, self.ctx.mc_tile(mshr.line_addr))
         self.ctx.stats.counter("tok_broadcasts").inc()
         timeout = int(_TIMEOUT_BASE * (_BACKOFF ** s["retries"]))
         jitter = self.ctx.rng.randint("tok_backoff", 0, 64)
@@ -141,8 +141,7 @@ class TokenL2Controller(HomeL2Base):
             self.ctx.stats.counter("tok_persistent").inc()
             start = Msg(MsgKind.PERSIST_START, mshr.line_addr, self.tile,
                         Unit.MC, requestor=self.tile)
-            self.ctx.send(start, self.tile,
-                          self.ctx.mc_tile(mshr.line_addr))
+            self.ctx.send(start, self.ctx.mc_tile(mshr.line_addr))
             return  # re-broadcast when the grant arrives
         self._broadcast(mshr)
 
@@ -152,7 +151,7 @@ class TokenL2Controller(HomeL2Base):
             # Completed before the grant arrived: release immediately.
             done = Msg(MsgKind.PERSIST_DONE, msg.line_addr, self.tile,
                        Unit.MC, requestor=self.tile)
-            self.ctx.send(done, self.tile, self.ctx.mc_tile(msg.line_addr))
+            self.ctx.send(done, self.ctx.mc_tile(msg.line_addr))
             return
         s = mshr.scratch
         s["persist_granted"] = True
@@ -181,7 +180,7 @@ class TokenL2Controller(HomeL2Base):
                  requestor=self.tile, tokens=msg.tokens,
                  owner_token=msg.owner_token, dirty=msg.dirty,
                  value=msg.value)
-        self.ctx.send(wb, self.tile, self.ctx.mc_tile(msg.line_addr))
+        self.ctx.send(wb, self.ctx.mc_tile(msg.line_addr))
 
     def _on_token_response(self, msg: Msg) -> None:
         mshr = self.mshrs.get(msg.line_addr)
@@ -215,7 +214,7 @@ class TokenL2Controller(HomeL2Base):
         if s["persist_requested"]:
             done = Msg(MsgKind.PERSIST_DONE, mshr.line_addr, self.tile,
                        Unit.MC, requestor=self.tile)
-            self.ctx.send(done, self.tile, self.ctx.mc_tile(mshr.line_addr))
+            self.ctx.send(done, self.ctx.mc_tile(mshr.line_addr))
         self._fill(mshr, offchip=s["offchip_acc"])
 
     def _apply_fill(self, mshr: Mshr, line: CacheLine) -> None:
@@ -314,7 +313,7 @@ class TokenL2Controller(HomeL2Base):
             s["tokens_acc"] -= 1
             resp = Msg(MsgKind.TOK_DATA, msg.line_addr, self.tile, Unit.L2,
                        requestor=msg.requestor, tokens=1, value=v)
-            self.ctx.send(resp, self.tile, msg.requestor)
+            self.ctx.send(resp, msg.requestor)
         # otherwise: not the owner — stay silent.
 
     def _owner_serve_gets(self, msg: Msg, line: CacheLine) -> None:
@@ -344,7 +343,7 @@ class TokenL2Controller(HomeL2Base):
             line.l2_state = L2State.O
         resp = Msg(MsgKind.TOK_DATA, msg.line_addr, self.tile, Unit.L2,
                    requestor=msg.requestor, tokens=1, value=line.shadow)
-        self.ctx.send(resp, self.tile, msg.requestor)
+        self.ctx.send(resp, msg.requestor)
 
     def _surrender(self, msg: Msg, tokens: int, owner: bool, dirty: bool,
                    value: Optional[int], purge_dirty: bool,
@@ -358,7 +357,7 @@ class TokenL2Controller(HomeL2Base):
                    owner_token=owner, dirty=dirty or purge_dirty,
                    value=(None if value is None
                           else merge_shadow(value, purge_value)))
-        self.ctx.send(resp, self.tile, msg.requestor)
+        self.ctx.send(resp, msg.requestor)
 
     # -- peer write: every holder surrenders everything ------------------
     def _peer_getx(self, msg: Msg) -> None:
@@ -459,7 +458,7 @@ class TokenL2Controller(HomeL2Base):
                   timestamp=line.timestamp, migrations=migrations,
                   value=line.shadow)
         self.ctx.stats.counter("ivr_migrations").inc()
-        self.ctx.send(msg, self.tile, target)
+        self.ctx.send(msg, target)
 
     def _pick_ivr_target(self, line_addr: int) -> int:
         cm = self.ctx.cluster_map
@@ -478,7 +477,7 @@ class TokenL2Controller(HomeL2Base):
         wb = Msg(MsgKind.TOK_WB, line_addr, self.tile, Unit.MC,
                  requestor=self.tile, tokens=tokens, owner_token=owner,
                  dirty=dirty, value=value)
-        self.ctx.send(wb, self.tile, self.ctx.mc_tile(line_addr))
+        self.ctx.send(wb, self.ctx.mc_tile(line_addr))
 
     # -- receiving a migrant ---------------------------------------------
     def _on_migrate(self, msg: Msg) -> None:
@@ -570,7 +569,7 @@ class TokenL2Controller(HomeL2Base):
                      timestamp=msg.timestamp, migrations=migrations,
                      value=msg.value)
         self.ctx.stats.counter("ivr_forwards").inc()
-        self.ctx.send(onward, self.tile, target)
+        self.ctx.send(onward, target)
 
     def _install_migrant(self, msg: Msg) -> None:
         line, evicted = self.array.allocate(msg.line_addr)

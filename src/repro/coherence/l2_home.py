@@ -163,7 +163,7 @@ class HomeL2Base:
             recall = Msg(MsgKind.RECALL_L1, line.line_addr, self.tile,
                          Unit.L1, requestor=req)
             line.dirty_l1 = None  # holder downgrades to S on recall
-            self.ctx.send(recall, self.tile, holder)
+            self.ctx.send(recall, holder)
             return
         self._finish_read(mshr, line)
 
@@ -209,7 +209,7 @@ class HomeL2Base:
             for t in targets:
                 inv = Msg(MsgKind.INV_L1, line.line_addr, self.tile, Unit.L1,
                           requestor=req)
-                self.ctx.send(inv, self.tile, t)
+                self.ctx.send(inv, t)
             line.sharers = {req} & line.sharers
             line.dirty_l1 = None
             return
@@ -247,7 +247,7 @@ class HomeL2Base:
                     home_hit=mshr.scratch.get("home_hit", False),
                     offchip=mshr.scratch.get("offchip", False),
                     value=value)
-        self.ctx.send(grant, self.tile, mshr.requestor)
+        self.ctx.send(grant, mshr.requestor)
 
     def _retire(self, mshr: Mshr) -> None:
         deferred = self.mshrs.retire(mshr.line_addr)
@@ -333,7 +333,7 @@ class HomeL2Base:
             for t in targets:
                 inv = Msg(MsgKind.INV_L1, victim.line_addr, self.tile,
                           Unit.L1, requestor=self.tile)
-                self.ctx.send(inv, self.tile, t)
+                self.ctx.send(inv, t)
         else:
             self._evicted(ev, cont)
 
@@ -520,7 +520,7 @@ class HomeL2Base:
         for t in targets:
             inv = Msg(MsgKind.INV_L1, line_addr, self.tile, Unit.L1,
                       requestor=self.tile, fwd=True)
-            self.ctx.send(inv, self.tile, t)
+            self.ctx.send(inv, t)
 
     def _local_recall(self, line_addr: int,
                       cont: Callable[[bool, Optional[int]], None]) -> None:
@@ -542,7 +542,7 @@ class HomeL2Base:
                                     "cont": cont, "queue": []}
         recall = Msg(MsgKind.RECALL_L1, line_addr, self.tile, Unit.L1,
                      requestor=self.tile, fwd=True)
-        self.ctx.send(recall, self.tile, holder)
+        self.ctx.send(recall, holder)
 
     def _fwd_ack(self, msg: Msg) -> None:
         op = self._fwd_ops.get(msg.line_addr)

@@ -62,7 +62,7 @@ class DirectoryL2Controller(HomeL2Base):
         kind = MsgKind.DIR_GETX if exclusive else MsgKind.DIR_GETS
         req = Msg(kind, mshr.line_addr, self.tile, Unit.MC,
                   requestor=self.tile)
-        self.ctx.send(req, self.tile, self.ctx.mc_tile(mshr.line_addr))
+        self.ctx.send(req, self.ctx.mc_tile(mshr.line_addr))
 
     def _upgrade(self, mshr: Mshr, line: CacheLine) -> None:
         # An upgrade is a GETX through the directory; data may be
@@ -80,7 +80,7 @@ class DirectoryL2Controller(HomeL2Base):
         done = Msg(MsgKind.DIR_DONE, mshr.line_addr, self.tile, Unit.MC,
                    requestor=self.tile, writable=s["want_x"],
                    exclusive=s["fill_exclusive"])
-        self.ctx.send(done, self.tile, self.ctx.mc_tile(mshr.line_addr))
+        self.ctx.send(done, self.ctx.mc_tile(mshr.line_addr))
         self._fill(mshr, offchip=s["fill_offchip"])
 
     def _apply_fill(self, mshr: Mshr, line: CacheLine) -> None:
@@ -182,7 +182,7 @@ class DirectoryL2Controller(HomeL2Base):
         if line is None or not line.l2_state.is_owner:
             nack = Msg(MsgKind.DATA_L2, msg.line_addr, self.tile, Unit.L2,
                        requestor=msg.requestor, nack=True)
-            self.ctx.send(nack, self.tile, msg.requestor)
+            self.ctx.send(nack, msg.requestor)
             return
         if msg.kind is MsgKind.DIR_FWD_GETS:
             self._local_recall(msg.line_addr,
@@ -209,7 +209,7 @@ class DirectoryL2Controller(HomeL2Base):
         resp = Msg(MsgKind.DATA_L2, msg.line_addr, self.tile, Unit.L2,
                    requestor=msg.requestor, dirty=dirty or dirty_l1,
                    value=merge_shadow(value, l1_value))
-        self.ctx.send(resp, self.tile, msg.requestor)
+        self.ctx.send(resp, msg.requestor)
 
     def _on_dir_inv(self, msg: Msg) -> None:
         """Invalidate our (shared) copy. Must not block on the MSHR: a
@@ -228,7 +228,7 @@ class DirectoryL2Controller(HomeL2Base):
         # the directory's DIR_ACK header at the requestor.
         ack = Msg(MsgKind.DIR_ACK, msg.line_addr, self.tile, Unit.L2,
                   requestor=msg.requestor, fwd=True)
-        self.ctx.send(ack, self.tile, msg.requestor)
+        self.ctx.send(ack, msg.requestor)
 
     # ------------------------------------------------------------------
     # victims
@@ -238,11 +238,11 @@ class DirectoryL2Controller(HomeL2Base):
             wb = Msg(MsgKind.DIR_WB, victim.line_addr, self.tile, Unit.MC,
                      requestor=self.tile, dirty=victim.l2_state.dirty,
                      value=victim.shadow)
-            self.ctx.send(wb, self.tile, self.ctx.mc_tile(victim.line_addr))
+            self.ctx.send(wb, self.ctx.mc_tile(victim.line_addr))
         # Plain S victims evict silently; the directory's stale sharer
         # bit costs one spurious DIR_INV/DIR_ACK later, never correctness.
 
     def _orphan_wb(self, msg: Msg) -> None:
         wb = Msg(MsgKind.DIR_WB, msg.line_addr, self.tile, Unit.MC,
                  requestor=self.tile, dirty=True, value=msg.value)
-        self.ctx.send(wb, self.tile, self.ctx.mc_tile(msg.line_addr))
+        self.ctx.send(wb, self.ctx.mc_tile(msg.line_addr))

@@ -32,7 +32,7 @@ class SharedL2Controller(HomeL2Base):
     def _fetch(self, mshr: Mshr, exclusive: bool) -> None:
         req = Msg(MsgKind.MEM_READ, mshr.line_addr, self.tile, Unit.MC,
                   requestor=self.tile)
-        self.ctx.send(req, self.tile, self.ctx.mc_tile(mshr.line_addr))
+        self.ctx.send(req, self.ctx.mc_tile(mshr.line_addr))
 
     def _upgrade(self, mshr: Mshr, line: CacheLine) -> None:
         raise ProtocolError("shared home never needs a level-2 upgrade")
@@ -41,12 +41,12 @@ class SharedL2Controller(HomeL2Base):
         if victim.l2_state.dirty:
             wb = Msg(MsgKind.MEM_WB, victim.line_addr, self.tile, Unit.MC,
                      requestor=self.tile, dirty=True, value=victim.shadow)
-            self.ctx.send(wb, self.tile, self.ctx.mc_tile(victim.line_addr))
+            self.ctx.send(wb, self.ctx.mc_tile(victim.line_addr))
 
     def _orphan_wb(self, msg: Msg) -> None:
         wb = Msg(MsgKind.MEM_WB, msg.line_addr, self.tile, Unit.MC,
                  requestor=self.tile, dirty=True, value=msg.value)
-        self.ctx.send(wb, self.tile, self.ctx.mc_tile(msg.line_addr))
+        self.ctx.send(wb, self.ctx.mc_tile(msg.line_addr))
 
     def _handle_level2(self, msg: Msg) -> None:
         if msg.kind is not MsgKind.MEM_DATA:

@@ -149,7 +149,7 @@ class MemoryController:
                    requestor=msg.requestor, tokens=tokens,
                    owner_token=owner_token, exclusive=exclusive,
                    offchip=True, value=self.mem_value(msg.line_addr))
-        self.ctx.send(resp, self.tile, msg.requestor)
+        self.ctx.send(resp, msg.requestor)
 
     # ------------------------------------------------------------------
     # directory flavour (private / LOCO CC)
@@ -181,13 +181,13 @@ class MemoryController:
             if owner is not None and owner != requestor:
                 fwd = Msg(MsgKind.DIR_FWD_GETS, msg.line_addr, self.tile,
                           Unit.L2, requestor=requestor)
-                self.ctx.send(fwd, self.tile, owner)
+                self.ctx.send(fwd, owner)
             elif owner == requestor:
                 # Re-read by the owner (e.g. after losing only its L1
                 # copies): confirm from its own data.
                 resp = Msg(MsgKind.DATA_L2, msg.line_addr, self.tile,
                            Unit.L2, requestor=requestor)
-                self.ctx.send(resp, self.tile, requestor)
+                self.ctx.send(resp, requestor)
             else:
                 # No on-chip owner: memory supplies the data. E is legal
                 # only when nobody else holds the line.
@@ -199,18 +199,18 @@ class MemoryController:
             for t in invalidatees:
                 inv = Msg(MsgKind.DIR_INV, msg.line_addr, self.tile,
                           Unit.L2, requestor=requestor)
-                self.ctx.send(inv, self.tile, t)
+                self.ctx.send(inv, t)
             if owner is not None and owner != requestor:
                 fwd = Msg(MsgKind.DIR_FWD_GETX, msg.line_addr, self.tile,
                           Unit.L2, requestor=requestor)
-                self.ctx.send(fwd, self.tile, owner)
+                self.ctx.send(fwd, owner)
             elif owner == requestor or requestor in entry.sharers:
                 # Upgrade by a current holder: it already has the data,
                 # so the directory grants permissions without a memory
                 # fetch (a plain confirmation response).
                 resp = Msg(MsgKind.DATA_L2, msg.line_addr, self.tile,
                            Unit.L2, requestor=requestor)
-                self.ctx.send(resp, self.tile, requestor)
+                self.ctx.send(resp, requestor)
             else:
                 self._fetch_for(msg, MsgKind.DATA_L2)
 
@@ -240,7 +240,7 @@ class MemoryController:
     def _send_header(self, msg: Msg, ack_count: int) -> None:
         header = Msg(MsgKind.DIR_ACK, msg.line_addr, self.tile, Unit.L2,
                      requestor=msg.requestor, ack_count=ack_count)
-        self.ctx.send(header, self.tile, msg.requestor)
+        self.ctx.send(header, msg.requestor)
 
     def _dir_writeback(self, msg: Msg) -> None:
         entry = self.directory.peek(msg.line_addr)
@@ -282,7 +282,7 @@ class MemoryController:
         else:
             resp = Msg(MsgKind.TOK_ACK, msg.line_addr, self.tile, Unit.L2,
                        requestor=msg.requestor, tokens=tokens)
-            self.ctx.send(resp, self.tile, msg.requestor)
+            self.ctx.send(resp, msg.requestor)
 
     def _token_writeback(self, msg: Msg) -> None:
         tokens, owner = self._mem_tokens(msg.line_addr)
@@ -310,7 +310,7 @@ class MemoryController:
             return
         grant = Msg(MsgKind.PERSIST_GRANT, line_addr, self.tile, Unit.L2,
                     requestor=q[0])
-        self.ctx.send(grant, self.tile, q[0])
+        self.ctx.send(grant, q[0])
 
     def _persist_done(self, msg: Msg) -> None:
         q = self._persist.get(msg.line_addr)

@@ -167,14 +167,6 @@ class Msg:
     value: Optional[int] = None      # shadow value of the carried line
     #                                  (None = message carries no data)
 
-    @property
-    def vn(self) -> VirtualNetwork:
-        return self.kind.vn
-
-    @property
-    def carries_data(self) -> bool:
-        return self.kind.carries_data
-
     def __repr__(self) -> str:
         return (f"Msg({self.kind.name} line={self.line_addr:#x} "
                 f"src={self.src_tile} req={self.requestor})")

@@ -15,24 +15,23 @@ cells through one :func:`~repro.harness.parallel.run_units` call and
 tabulates each figure from the values; ``**backend`` is forwarded to
 it verbatim (``jobs=``, ``service=``, ``cache_dir=``, ... — its
 docstring is the reference), so the figures ride the pool, the fleet
-and the resumable cache like any sweep.
-``figureN(..., **backend)`` runs one figure and returns its rows
-(printing the tables when ``verbose``); :func:`all_figures` runs them
-all. Absolute values come from our simulator + synthetic traces, so
-the *shape* (orderings, rough ratios) is the reproduction target.
+and the resumable cache like any sweep; ``format_table(title, rows)``
+prints a table. The matrix the repo publishes is
+``scripts/run_experiments.py::paper_figures``. Absolute values come
+from our simulator + synthetic traces, so the *shape* (orderings,
+rough ratios) is the reproduction target.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from repro.harness.experiment import SCALE_MEDIUM, ExperimentConfig
 from repro.harness.parallel import run_units
-from repro.harness.report import format_table
 from repro.harness.units import SweepUnit
-from repro.params import NocKind, Organization
+from repro.noc.power import router_budget
+from repro.params import NocConfig, NocKind, Organization
 from repro.traces.benchmarks import FULL_SYSTEM, TRACE_DRIVEN
 from repro.traces.multiprogram import CLUSTER_SHAPE, workload_names
 
@@ -179,6 +178,17 @@ def fig13(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
              "worst", rows)]
 
 
+def fig_router(v: Lookup) -> List[Table]:
+    """The paper's DSENT comparison (Section 4.3, beside Figs 12/13):
+    relative router cost per fabric. Reads no cell."""
+    rows: Rows = {}
+    for noc, label in _NOCS:
+        b = router_budget(NocConfig(kind=noc))
+        rows[label] = {"ports": b.ports, "area": b.area, "power": b.power}
+    return [("Router area / power by NoC (conventional = 1.0)",
+             "high-radix 6.7x area / 2.3x power vs SMART", rows)]
+
+
 def fig14(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
           scale: float = SCALE_MEDIUM) -> List[Table]:
     hit: Rows = {}
@@ -271,132 +281,3 @@ def run_figures(figs: Mapping[str, Figure],
         cell for fig in figs.values() for cell in figure_cells(fig)))
     values = dict(zip(cells, run_units(cells, **backend)))
     return {name: fig(values.__getitem__) for name, fig in figs.items()}
-
-
-def _print(tables: List[Table], verbose: bool) -> List[Rows]:
-    if verbose:
-        for title, _paper, rows in tables:
-            print(format_table(title, rows))
-    return [rows for _title, _paper, rows in tables]
-
-
-def _run(fig: Figure, verbose: bool, backend: Dict[str, Any]) -> List[Rows]:
-    return _print(run_figures({"fig": fig}, **backend)["fig"], verbose)
-
-
-def figure6(benchmarks: Optional[Sequence[str]] = None,
-            scale: float = SCALE_MEDIUM, verbose: bool = True,
-            **backend: Any) -> Rows:
-    """Normalized runtime of private vs shared caches (64-core)."""
-    return _run(partial(fig6, benchmarks=benchmarks, scale=scale),
-                verbose, backend)[0]
-
-
-def figure7(benchmarks: Optional[Sequence[str]] = None,
-            cores: int = 64, scale: float = SCALE_MEDIUM,
-            verbose: bool = True, **backend: Any) -> Rows:
-    """L2 hit-latency increase over the private cache."""
-    return _run(partial(fig7, benchmarks=benchmarks, cores=cores,
-                        scale=scale), verbose, backend)[0]
-
-
-def figure8(benchmarks: Optional[Sequence[str]] = None,
-            cores: int = 64, scale: float = SCALE_MEDIUM,
-            verbose: bool = True, **backend: Any) -> Rows:
-    """L2 misses per 1000 instructions: shared vs LOCO."""
-    return _run(partial(fig8, benchmarks=benchmarks, cores=cores,
-                        scale=scale), verbose, backend)[0]
-
-
-def figure9(benchmarks: Optional[Sequence[str]] = None,
-            cores: int = 64, scale: float = SCALE_MEDIUM,
-            verbose: bool = True, **backend: Any) -> Rows:
-    """On-chip data search delay: LOCO CC (directory) vs CC+VMS."""
-    return _run(partial(fig9, benchmarks=benchmarks, cores=cores,
-                        scale=scale), verbose, backend)[0]
-
-
-def figure10(benchmarks: Optional[Sequence[str]] = None,
-             cores: int = 64, scale: float = SCALE_MEDIUM,
-             verbose: bool = True, **backend: Any) -> Rows:
-    """Off-chip memory accesses normalized to shared."""
-    return _run(partial(fig10, benchmarks=benchmarks, cores=cores,
-                        scale=scale), verbose, backend)[0]
-
-
-def figure11(benchmarks: Optional[Sequence[str]] = None,
-             cores: int = 64, scale: float = SCALE_MEDIUM,
-             verbose: bool = True, **backend: Any) -> Rows:
-    """Normalized runtime of the LOCO stack (CC, +VMS, +IVR) against
-    shared."""
-    return _run(partial(fig11, benchmarks=benchmarks, cores=cores,
-                        scale=scale), verbose, backend)[0]
-
-
-def figure12(benchmarks: Optional[Sequence[str]] = None,
-             cores: int = 64, scale: float = SCALE_MEDIUM,
-             verbose: bool = True, **backend: Any) -> Tuple[Rows, Rows]:
-    """LOCO on SMART vs conventional NoC vs high-radix routers:
-    (a) L2 hit latency increase over private, (b) search delay."""
-    lat, search = _run(partial(fig12, benchmarks=benchmarks, cores=cores,
-                               scale=scale), verbose, backend)
-    return lat, search
-
-
-def figure13(benchmarks: Optional[Sequence[str]] = None,
-             cores: int = 64, scale: float = SCALE_MEDIUM,
-             verbose: bool = True, **backend: Any) -> Rows:
-    """Runtime of LOCO under the three NoCs, normalized to
-    shared+SMART."""
-    return _run(partial(fig13, benchmarks=benchmarks, cores=cores,
-                        scale=scale), verbose, backend)[0]
-
-
-def figure14(benchmarks: Optional[Sequence[str]] = None,
-             scale: float = SCALE_MEDIUM, verbose: bool = True,
-             **backend: Any) -> Dict[str, Rows]:
-    """Cluster size/topology study: 4x1, 8x1, 4x4 (64-core LOCO).
-    Smaller clusters cut hit latency but raise MPKI."""
-    return dict(zip(
-        ("hit_latency", "mpki", "search_delay", "runtime"),
-        _run(partial(fig14, benchmarks=benchmarks, scale=scale),
-             verbose, backend)))
-
-
-def figure15(workloads: Optional[Sequence[str]] = None,
-             scale: float = SCALE_MEDIUM, verbose: bool = True,
-             **backend: Any) -> Tuple[Rows, Rows]:
-    """Multi-program workloads W0-W9: (a) off-chip accesses and
-    (b) runtime, normalized to shared."""
-    offchip, runtime = _run(partial(fig15, workloads=workloads,
-                                    scale=scale), verbose, backend)
-    return offchip, runtime
-
-
-def figure16(benchmarks: Optional[Sequence[str]] = None,
-             scale: float = SCALE_MEDIUM, verbose: bool = True,
-             **backend: Any) -> Tuple[Rows, Rows]:
-    """Full-system (dependency-aware) simulation, 64 cores:
-    (a) MPKI shared vs LOCO, (b) normalized runtime of the LOCO stack."""
-    mpki, runtime = _run(partial(fig16, benchmarks=benchmarks,
-                                 scale=scale), verbose, backend)
-    return mpki, runtime
-
-
-def all_figures(scale: float = SCALE_MEDIUM, verbose: bool = True,
-                **backend: Any) -> Dict[str, List[Table]]:
-    """Run every figure at the given scale (hours at medium scale on a
-    laptop; use a smaller scale, ``jobs=`` or ``service=`` for a quick
-    pass) and return ``{name: tables}`` as :func:`run_figures` does."""
-    figs: Dict[str, Figure] = {"fig6": partial(fig6, scale=scale)}
-    for n, fig in ((7, fig7), (8, fig8), (9, fig9), (10, fig10),
-                   (11, fig11)):
-        for cores in (64, 256):
-            figs[f"fig{n}_{cores}"] = partial(fig, cores=cores, scale=scale)
-    for n, fig in ((12, fig12), (13, fig13), (14, fig14), (15, fig15),
-                   (16, fig16)):
-        figs[f"fig{n}"] = partial(fig, scale=scale)
-    done = run_figures(figs, **backend)
-    for tables in done.values():
-        _print(tables, verbose)
-    return done

@@ -7,12 +7,11 @@ from repro.noc.smart import SmartNetwork
 from repro.noc.conventional import ConventionalNetwork
 from repro.noc.flattened_butterfly import FlattenedButterflyNetwork
 from repro.noc.interface import build_network
-from repro.noc.power import RouterBudget, compare, power_report, router_budget
+from repro.noc.power import RouterBudget, compare, router_budget
 
 __all__ = [
     "RouterBudget",
     "compare",
-    "power_report",
     "router_budget",
     "Packet",
     "VirtualNetwork",

@@ -17,15 +17,15 @@ model DSENT itself is built around:
 Outputs are *relative* units (conventional mesh router = 1.0), exactly
 how the paper quotes them. The weights are calibrated so the
 flattened-butterfly : SMART ratios land on the published 6.7x / 2.3x
-(see tests/test_power.py).
+(see tests/test_power.py). The evaluation prints the budgets as one
+more table of the figure matrix (``repro.harness.figures.fig_router``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
-from repro.errors import ConfigError
 from repro.params import NocConfig, NocKind
 
 # area weights (relative): wiring-dominated crossbar, SRAM buffers,
@@ -97,14 +97,3 @@ def compare(config_a: NocConfig, config_b: NocConfig) -> Tuple[float, float]:
     and 2.3X power overhead as compared to SMART".
     """
     return router_budget(config_a).ratio_to(router_budget(config_b))
-
-
-def power_report(configs: Dict[str, NocConfig]) -> str:
-    """A small text table of relative router budgets."""
-    if not configs:
-        raise ConfigError("power_report needs at least one config")
-    lines = [f"{'fabric':24s}{'ports':>7s}{'area':>8s}{'power':>8s}"]
-    for name, cfg in configs.items():
-        b = router_budget(cfg)
-        lines.append(f"{name:24s}{b.ports:7d}{b.area:8.2f}{b.power:8.2f}")
-    return "\n".join(lines)

@@ -21,9 +21,13 @@ Modelling decisions:
   routers hold nothing. Injection queues (NICs) are unbounded, but
   flits only enter a router when its buffers have room.
 
-Host-side layout: route plans are interned once per ``(at, leg_dst)``
-into a flat table of ``(link_ids, routers, hops)`` tuples, link reservations
-live in a flat list indexed by link id, and an arbitration claim is the
+Host-side layout: a ``Packet`` is its own head flit — the routers move
+the object the sender injected, and ``flit`` below names a packet in
+that role; it stops for good at ``flit.dst`` (the destination of a
+unicast, the next home router of a VMS tree copy, which ejects there
+and forks). Route plans are interned once per ``(at, dst)`` into a flat
+table of ``(link_ids, routers, hops)`` tuples, link reservations live
+in a flat list indexed by link id, and an arbitration claim is the
 stamp ``link_busy[id] = cycle`` — see ``BaseNetwork.__init__``.
 """
 
@@ -46,32 +50,6 @@ Link = Tuple[int, int]  # directed (src_tile, dst_tile)
 #: an interned route plan: per hop the link id claimed and the router
 #: reached, and the hop count
 Plan = Tuple[Tuple[int, ...], Tuple[int, ...], int]
-
-
-class _Flit:
-    """A head flit in flight. ``leg_dst`` is where this flit stops for
-    good: the packet destination (unicast) or the next home router on a
-    VMS tree (multicast); multicast flits then eject a copy and fork.
-
-    The router owns four more slots and sets them itself: ``order``
-    (the age-priority sort key ``(injected_at, seq)``, computed once
-    when the flit enters the fabric so the per-cycle arbitration sort
-    needs no Python-level key), ``ready`` (first cycle the flit may
-    traverse) and ``plan`` (the interned route plan from ``at`` toward
-    ``leg_dst``) whenever the flit is buffered at a router, and ``got``
-    (how many of the plan's links this tick's arbitration granted) for
-    every mover of a tick."""
-
-    __slots__ = ("packet", "at", "leg_dst", "order", "mcast_root", "vms",
-                 "ready", "plan", "got")
-
-    def __init__(self, packet: Packet, at: int, leg_dst: int,
-                 mcast_root: Optional[int] = None, vms=None) -> None:
-        self.packet = packet
-        self.at = at
-        self.leg_dst = leg_dst
-        self.mcast_root = mcast_root
-        self.vms = vms
 
 
 #: C-level sort key for the age-priority arbitration sort
@@ -114,10 +92,10 @@ class BaseNetwork:
         # list per tile instead of per (tile, vn) halves the per-cycle
         # mover scan, and arbitration order is unaffected because the
         # mover sort key (injected_at, seq) is a total order.
-        self._buffers: List[List[_Flit]] = [[] for _ in range(n)]
+        self._buffers: List[List[Packet]] = [[] for _ in range(n)]
         self._occupancy: List[int] = [0] * n
         self._capacity = config.num_vns * config.vcs_per_vn * config.vc_depth
-        self._nic_queues: List[Deque[_Flit]] = [deque() for _ in range(n)]
+        self._nic_queues: List[Deque[Packet]] = [deque() for _ in range(n)]
         # Flits direct-injected this cycle (already buffered, tick not
         # yet run). nic_backlog() adds them so the fast path below is
         # invisible to observers: IVR reads backlog from handlers in
@@ -141,14 +119,13 @@ class BaseNetwork:
         # Machine state, so a restored network keeps numbering above
         # every flit its image carries.
         self._flit_seq = 0
-        # flits that reached their leg destination in the latest tick;
-        # their packets are delivered next cycle at ``flit.at``
-        self._ejects: List[_Flit] = []
+        # packets that reached their ``dst`` in the latest tick; they
+        # are delivered next cycle
+        self._ejects: List[Packet] = []
         self._tid = sim.add_ticker(self)
-        # Route plans depend only on (at, leg_dst) on a static mesh:
-        # each is computed once, interned to a ``(link_ids, routers,
-        # hops)`` tuple, and kept in a flat table indexed
-        # ``at * n + leg_dst``.
+        # Route plans depend only on (at, dst) on a static mesh: each is
+        # computed once, interned to a ``(link_ids, routers, hops)``
+        # tuple, and kept in a flat table indexed ``at * n + dst``.
         self._n = n
         self._plans: List[Optional[Plan]] = [None] * (n * n)
         # Hot-path stat objects, bound once: Stats lookups and the
@@ -174,15 +151,17 @@ class BaseNetwork:
         """Inject a unicast packet at ``packet.src`` this cycle."""
         src, dst = packet.src, packet.dst
         if dst is None:
-            raise NetworkError("use multicast() for multicast packets")
+            raise NetworkError("packet needs a dst (or use multicast())")
         packet.injected_at = self.sim.cycle
         self._c_injected.value += 1
         if dst == src:
-            # Loopback through the NIC: one cycle.
+            # Loopback through the NIC: one cycle, no link or buffer
+            # touched (so nothing of _enqueue_nic's checks applies).
             self._in_flight += 1
             self.sim.call_after(1, partial(self._deliver_local, packet))
             return
-        self._enqueue_nic(_Flit(packet, src, dst))
+        packet.at = src
+        self._enqueue_nic(packet)
 
     def multicast(self, packet: Packet, vms) -> None:
         """Broadcast ``packet`` from ``packet.src`` to every other member
@@ -191,13 +170,10 @@ class BaseNetwork:
         paper's "15 copies sent from the source" case."""
         packet.injected_at = self.sim.cycle
         self._c_mcast_injected.value += 1
+        src = packet.src
         for member in vms.members:
-            if member == packet.src:
-                continue
-            copy = packet.clone_for(member)
-            copy.injected_at = packet.injected_at
-            flit = _Flit(copy, packet.src, member)
-            self._enqueue_nic(flit)
+            if member != src:
+                self._enqueue_nic(packet.clone_for(src, member))
 
     @property
     def in_flight(self) -> int:
@@ -226,17 +202,21 @@ class BaseNetwork:
             raise NetworkError(f"no receiver attached at tile {packet.src}")
         receiver(packet)
 
-    def _enqueue_nic(self, flit: _Flit) -> None:
+    def _enqueue_nic(self, flit: Packet) -> None:
+        # Where outside input enters the fabric: the flat plan table
+        # must never be indexed out of range, and a packet occupies its
+        # links for at least its head flit.
         tile = flit.at
-        leg_dst = flit.leg_dst
+        leg_dst = flit.dst
         n = self._n
         if not 0 <= leg_dst < n:
-            # the flat plan table must never be indexed out of range
             raise NetworkError(f"tile {leg_dst} out of range")
+        if flit.size_flits < 1:
+            raise NetworkError("size_flits must be >= 1")
         self._in_flight += 1
         seq = self._flit_seq
         self._flit_seq = seq + 1
-        flit.order = (flit.packet.injected_at, seq)
+        flit.order = (flit.injected_at, seq)
         active = self._active
         if not active:
             # Asleep exactly when no tile is active: tick() reports
@@ -266,15 +246,15 @@ class BaseNetwork:
             self._nic_queues[tile].append(flit)
             self._nic_active.add(tile)
 
-    def _buffer_flit(self, flit: _Flit, ready: int) -> None:
+    def _buffer_flit(self, flit: Packet, ready: int) -> None:
         """Place ``flit`` in the router at ``flit.at``, first able to
         traverse at cycle ``ready``, with its plan from there to
-        ``leg_dst``."""
+        ``flit.dst``."""
         tile = flit.at
         flit.ready = ready
-        plan = self._plans[tile * self._n + flit.leg_dst]
+        plan = self._plans[tile * self._n + flit.dst]
         if plan is None:
-            plan = self._intern_plan(tile, flit.leg_dst)
+            plan = self._intern_plan(tile, flit.dst)
         flit.plan = plan
         self._buffers[tile].append(flit)
         self._occupancy[tile] += 1
@@ -289,15 +269,14 @@ class BaseNetwork:
         self._ejects = []
         receivers = self._receivers
         add_latency = self._s_latency.add
-        for flit in ejects:
-            packet = flit.packet
+        for packet in ejects:
             packet.delivered_at = cycle
             self._in_flight -= 1
             add_latency(cycle - packet.injected_at)
-            receiver = receivers[flit.at]
+            receiver = receivers[packet.at]
             if receiver is None:
                 raise NetworkError(
-                    f"no receiver attached at tile {flit.at}")
+                    f"no receiver attached at tile {packet.at}")
             receiver(packet)
 
     # -- route planning (subclass hook: _compute_plan) ------------------
@@ -380,7 +359,7 @@ class BaseNetwork:
             if not q:
                 self._nic_active.discard(tile)
 
-    def _move_single(self, flit: _Flit, cycle: int) -> None:
+    def _move_single(self, flit: Packet, cycle: int) -> None:
         """Uncontended fast path: with one mover this cycle only
         physical link reservations (serialization tails) can stop the
         flit. Identical outcome to running the general arbiter on a
@@ -395,7 +374,7 @@ class BaseNetwork:
         flit.got = got
         self._finish_moves((flit,), cycle)
 
-    def _arbitrate_and_move(self, movers: List[_Flit], cycle: int) -> None:
+    def _arbitrate_and_move(self, movers: List[Packet], cycle: int) -> None:
         link_busy = self._link_busy
         # Distance-priority arbitration: position 0 (local) claims
         # first. A claim is the stamp ``link_busy[id] = cycle``: it
@@ -408,7 +387,7 @@ class BaseNetwork:
         live = movers
         pos = 0
         while live:
-            advancing: List[_Flit] = []
+            advancing: List[Packet] = []
             nxt = pos + 1
             for flit in live:
                 plan = flit.plan
@@ -425,7 +404,7 @@ class BaseNetwork:
             pos = nxt
         self._finish_moves(movers, cycle)
 
-    def _finish_moves(self, movers: Sequence[_Flit], cycle: int) -> None:
+    def _finish_moves(self, movers: Sequence[Packet], cycle: int) -> None:
         """The one copy of the post-arbitration rules, in priority
         order over the tick's movers (each has its ``got`` set):
         all-or-nothing release, back-off from full routers (cannot stop
@@ -457,7 +436,7 @@ class BaseNetwork:
             links, routers, full = flit.plan
             if got < full and not self.allow_partial:
                 got = 0  # all-or-nothing fabrics release their claims
-            leg_dst = flit.leg_dst
+            leg_dst = flit.dst
             while got:
                 to = routers[got - 1]
                 if to == leg_dst or occupancy[to] < capacity:
@@ -468,8 +447,7 @@ class BaseNetwork:
                 flit.ready = cycle + 1  # fresh SSR / re-arbitrate next cycle
                 losses += 1
                 continue
-            packet = flit.packet
-            size = packet.size_flits
+            size = flit.size_flits
             if size > 1:
                 # body flits hold the links past this cycle (a 1-flit
                 # packet's tail is the claim stamp already there)
@@ -512,7 +490,7 @@ class BaseNetwork:
         if backoff:
             self._c_backoff.value += backoff
 
-    def _fork(self, flit: _Flit, cycle: int) -> None:
+    def _fork(self, flit: Packet, cycle: int) -> None:
         """Multicast hook: ``flit`` (``flit.vms`` set) just ejected a
         copy at a home router of its tree. Only a fabric with hardware
         tree broadcast creates such flits (see SmartNetwork)."""
@@ -521,6 +499,3 @@ class BaseNetwork:
     # ------------------------------------------------------------------
     def occupancy(self, tile: int) -> int:
         return self._occupancy[tile]
-
-    def buffered_flits(self) -> int:
-        return sum(self._occupancy)

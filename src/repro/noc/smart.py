@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.noc.packet import Packet
-from repro.noc.router import BaseNetwork, _Flit
+from repro.noc.router import BaseNetwork
 from repro.noc.topology import Mesh
 from repro.params import NocConfig
 from repro.sim.kernel import Simulator
@@ -49,27 +49,21 @@ class SmartNetwork(BaseNetwork):
         them early (then they resume with fresh SSRs, like unicasts).
         """
         packet.injected_at = self.sim.cycle
-        packet.mcast_group = vms.members
         self._c_mcast_injected.value += 1
         root = packet.src
-        children = vms.tree_children(root, root)
-        if not children:
-            return
-        # Each copy is tracked as an in-flight delivery of its own.
-        for child in children:
-            flit = _Flit(packet, root, child, mcast_root=root, vms=vms)
-            self._enqueue_nic(flit)
+        # Each copy is an in-flight delivery (and record) of its own.
+        for child in vms.tree_children(root, root):
+            self._enqueue_nic(packet.clone_for(root, child, root, vms))
 
-    def _fork(self, flit: _Flit, cycle: int) -> None:
+    def _fork(self, flit: Packet, cycle: int) -> None:
         # Arrived at a home router on the VMS and delivered a copy
         # there; now fork toward tree children. Each branch wins the
         # switch and sends a fresh SSR next cycle, then traverses: 2
         # cycles per VMS leg best case (Figure 3: 4 legs = 8 cycles).
-        children = flit.vms.tree_children(flit.mcast_root, flit.at)
-        for child in children:
-            branch = _Flit(flit.packet, flit.at, child,
-                           mcast_root=flit.mcast_root, vms=flit.vms)
-            branch.order = (flit.packet.injected_at, self._flit_seq)
+        root, vms = flit.mcast_root, flit.vms
+        for child in vms.tree_children(root, flit.at):
+            branch = flit.clone_for(flit.at, child, root, vms)
+            branch.order = (flit.injected_at, self._flit_seq)
             self._flit_seq += 1
             self._in_flight += 1
             self._buffer_flit(branch, cycle + self.wait_cycles)

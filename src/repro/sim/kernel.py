@@ -64,18 +64,6 @@ class Event:
         return f"Event(cycle={self.cycle}, seq={self.seq}, {state})"
 
 
-class Ticker:
-    """Interface for per-cycle components (duck-typed; see SmartNetwork).
-
-    A ticker must expose ``tick(cycle) -> bool`` returning whether it
-    still has work; when it returns False the kernel stops ticking it
-    until :meth:`Simulator.wake` is called for it again.
-    """
-
-    def tick(self, cycle: int) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
 class EpochHook:
     """A callback fired every ``period`` simulated cycles.
 
@@ -189,7 +177,10 @@ class Simulator:
     # tickers
     # ------------------------------------------------------------------
     def add_ticker(self, ticker: Any) -> int:
-        """Register a per-cycle component; returns its ticker id."""
+        """Register a per-cycle component; returns its ticker id. A
+        ticker exposes ``tick(cycle) -> bool`` returning whether it
+        still has work; once it returns False the kernel stops ticking
+        it until :meth:`wake` is called for it again."""
         tid = len(self._tickers)
         self._tickers.append(ticker)
         self._awake.append(False)
@@ -200,9 +191,6 @@ class Simulator:
         if not self._awake[tid]:
             self._awake[tid] = True
             self._awake_count += 1
-
-    def _any_awake(self) -> bool:
-        return self._awake_count > 0
 
     # ------------------------------------------------------------------
     # epoch hooks

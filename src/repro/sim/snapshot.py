@@ -177,11 +177,3 @@ def save_file(path: str, blob: bytes) -> None:
         except OSError:
             pass
         raise
-
-
-def load_file(path: str) -> bytes:
-    try:
-        with open(path, "rb") as f:
-            return f.read()
-    except OSError as exc:
-        raise SnapshotError(f"cannot read snapshot {path!r}: {exc}") from exc

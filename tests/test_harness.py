@@ -123,49 +123,48 @@ class TestReport:
 
 
 class TestFigureDrivers:
-    """Tiny-scale smoke runs of figure entry points (full-scale shape
-    checks live in benchmarks/)."""
+    """Tiny-scale smoke runs of the figure declarations through
+    ``run_figures`` (full-scale shape checks live in benchmarks/)."""
 
     SCALE = 0.04
 
-    def test_figure6(self, capsys):
-        rows = figures.figure6(benchmarks=["water_spatial"],
-                               scale=self.SCALE)
+    def _tables(self, fig, **subset):
+        subset = subset or {"benchmarks": ["water_spatial"]}
+        return figures.run_figures(
+            {"fig": partial(fig, scale=self.SCALE, **subset)})["fig"]
+
+    def test_figure6(self):
+        (title, _paper, rows), = self._tables(figures.fig6)
         assert "water_spatial" in rows
-        assert "Figure 6" in capsys.readouterr().out
+        assert "Figure 6" in format_table(title, rows)
 
     def test_figure7(self):
-        rows = figures.figure7(benchmarks=["water_spatial"],
-                               scale=self.SCALE, verbose=False)
+        (_title, _paper, rows), = self._tables(figures.fig7)
         assert set(rows["water_spatial"]) == {"Shared", "LOCO"}
 
     def test_figure9(self):
-        rows = figures.figure9(benchmarks=["water_spatial"],
-                               scale=self.SCALE, verbose=False)
+        (_title, _paper, rows), = self._tables(figures.fig9)
         assert "LOCO CC+VMS" in rows["water_spatial"]
 
     def test_figure11(self):
-        rows = figures.figure11(benchmarks=["water_spatial"],
-                                scale=self.SCALE, verbose=False)
+        (_title, _paper, rows), = self._tables(figures.fig11)
         cells = rows["water_spatial"]
         assert cells["Shared"] == 1.0
         assert len(cells) == 4
 
     def test_figure14(self):
-        out = figures.figure14(benchmarks=["water_spatial"],
-                               scale=self.SCALE, verbose=False)
-        assert set(out) == {"hit_latency", "mpki", "search_delay",
-                            "runtime"}
+        titles = [title for title, _paper, _rows
+                  in self._tables(figures.fig14)]
+        assert [t.split(":")[0] for t in titles] == [
+            "Figure 14a", "Figure 14b", "Figure 14c", "Figure 14d"]
 
     def test_figure15(self):
-        offchip, runtime = figures.figure15(workloads=["W0"],
-                                            scale=self.SCALE,
-                                            verbose=False)
+        (_, _, offchip), (_, _, runtime) = self._tables(
+            figures.fig15, workloads=["W0"])
         assert "W0" in offchip and "W0" in runtime
 
     def test_figure16(self):
-        mpki, runtime = figures.figure16(benchmarks=["water_spatial"],
-                                         scale=self.SCALE, verbose=False)
+        _mpki, (_title, _paper, runtime) = self._tables(figures.fig16)
         assert "water_spatial" in runtime
 
 
@@ -205,8 +204,10 @@ class TestFigureMatrix:
             for org in (Organization.PRIVATE, Organization.SHARED,
                         Organization.LOCO_CC_VMS_IVR)}
         base = by_org[Organization.PRIVATE]
-        assert figures.figure7(benchmarks=self.BENCH, scale=self.SCALE,
-                               verbose=False) == {"water_spatial": {
+        (_title, _paper, rows), = figures.run_figures({"fig7": partial(
+            figures.fig7, benchmarks=self.BENCH,
+            scale=self.SCALE)})["fig7"]
+        assert rows == {"water_spatial": {
             "Shared": by_org[Organization.SHARED] - base,
             "LOCO": by_org[Organization.LOCO_CC_VMS_IVR] - base}}
 

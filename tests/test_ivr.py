@@ -82,7 +82,7 @@ class TestMigration:
         l2 = system.l2s[0]
         others = [c for c in range(cm.num_clusters) if c != l2.my_cluster]
         sent = []
-        system.ctx.send = lambda msg, src, dst: sent.append((msg, dst))
+        system.ctx.send = lambda msg, dst: sent.append((msg, dst))
         for hop in range(len(others) + 1):
             migrant = Msg(MsgKind.IVR_MIGRATE, 0x40, 5, Unit.L2, requestor=5,
                           tokens=1, migrations=1)

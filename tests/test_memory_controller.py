@@ -89,10 +89,10 @@ class TestPersistentArbiter:
         # intercept grants by patching send
         orig = system.ctx.send
 
-        def spy(msg, src, dst):
+        def spy(msg, dst):
             if msg.kind is MsgKind.PERSIST_GRANT:
                 granted.append(dst)
-            orig(msg, src, dst)
+            orig(msg, dst)
 
         system.ctx.send = spy
         line = 0xF0

@@ -6,8 +6,7 @@ import pytest
 from repro.errors import NetworkError
 from repro.noc.conventional import ConventionalNetwork
 from repro.noc.flattened_butterfly import FlattenedButterflyNetwork
-from repro.noc.packet import Packet, VirtualNetwork
-from repro.noc.router import _Flit
+from repro.noc.packet import Packet
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import ClusterMap, Mesh
 from repro.noc.vms import VirtualMesh
@@ -26,8 +25,8 @@ def make_net(cls, mesh_side=8, **cfg_kw):
     return sim, net, delivered
 
 
-def send_one(sim, net, src, dst, vn=VirtualNetwork.REQUEST, size=1):
-    p = Packet(src=src, dst=dst, vn=vn, size_flits=size)
+def send_one(sim, net, src, dst, size=1):
+    p = Packet(src=src, dst=dst, size_flits=size)
     sim.schedule(0, lambda: net.send(p))
     return p
 
@@ -109,8 +108,8 @@ class TestFlattenedButterfly:
         """Express channels have no premature stops: two flits wanting
         the same channel serialize, the loser waits at its source."""
         sim, net, _ = make_net(FlattenedButterflyNetwork)
-        p1 = Packet(src=0, dst=4, vn=VirtualNetwork.REQUEST)
-        p2 = Packet(src=0, dst=4, vn=VirtualNetwork.REQUEST)
+        p1 = Packet(src=0, dst=4)
+        p2 = Packet(src=0, dst=4)
         sim.schedule(0, lambda: (net.send(p1), net.send(p2)))
         sim.run(until=200)
         assert p1.latency != p2.latency
@@ -123,8 +122,8 @@ class TestContention:
         resumes (paper Figure 2c)."""
         sim, net, _ = make_net(SmartNetwork)
         # Both traverse the row-0 links eastward
-        p1 = Packet(src=0, dst=7, vn=VirtualNetwork.REQUEST)
-        p2 = Packet(src=1, dst=7, vn=VirtualNetwork.REQUEST)
+        p1 = Packet(src=0, dst=7)
+        p2 = Packet(src=1, dst=7)
         sim.schedule(0, lambda: (net.send(p1), net.send(p2)))
         sim.run(until=200)
         assert p1.delivered_at > 0 and p2.delivered_at > 0
@@ -138,7 +137,7 @@ class TestContention:
             src, dst = (i * 13) % 64, (i * 29 + 7) % 64
             if src == dst:
                 dst = (dst + 1) % 64
-            p = Packet(src=src, dst=dst, vn=VirtualNetwork(i % 5))
+            p = Packet(src=src, dst=dst)
             sim.schedule(i % 10, lambda p=p: net.send(p))
         sim.run(until=5000)
         assert len(delivered) == n
@@ -148,8 +147,8 @@ class TestContention:
         """A 3-flit data packet occupies its links for 3 cycles, so a
         trailing packet on the same path is delayed."""
         sim, net, _ = make_net(SmartNetwork)
-        big = Packet(src=0, dst=7, vn=VirtualNetwork.RESPONSE, size_flits=3)
-        small = Packet(src=0, dst=7, vn=VirtualNetwork.RESPONSE)
+        big = Packet(src=0, dst=7, size_flits=3)
+        small = Packet(src=0, dst=7)
         sim.schedule(0, lambda: (net.send(big), net.send(small)))
         sim.run(until=200)
         solo_sim, solo_net, _ = make_net(SmartNetwork)
@@ -194,9 +193,9 @@ class TestContention:
                     return
                 src = draw(mesh.num_tiles)
                 dst = draw(mesh.num_tiles)
-                vn = VirtualNetwork(draw(5))
+                draw(5)  # the VN draw of the pinned sequence (no fabric reads it)
                 size = 1 + 4 * (draw(4) == 0)
-                net.send(Packet(src=src, dst=dst, vn=vn, size_flits=size))
+                net.send(Packet(src=src, dst=dst, size_flits=size))
                 sent += 1
             if sent < packets:
                 sim.schedule(1 + draw(4), inject)
@@ -233,8 +232,8 @@ class TestEjectionOrder:
 
         for tile in range(64):
             net.attach(tile, receiver(tile))
-        p1 = Packet(src=0, dst=1, vn=VirtualNetwork.REQUEST)
-        p2 = Packet(src=8, dst=9, vn=VirtualNetwork.RESPONSE, size_flits=5)
+        p1 = Packet(src=0, dst=1)
+        p2 = Packet(src=8, dst=9, size_flits=5)
         sim.schedule(0, lambda: (net.send(p1), net.send(p2)))
         sim.schedule(2, lambda: log.append(
             ("early", sim.cycle, net.in_flight)))
@@ -290,9 +289,10 @@ class TestRoutePlans:
         leg destination, so buffering one there is a NetworkError."""
         sim, net, _ = make_net(SmartNetwork)
         assert net._compute_plan(9, 9) == ([], [])
-        p = Packet(src=9, dst=9, vn=VirtualNetwork.REQUEST)
+        p = Packet(src=9, dst=9)
+        p.at = 9
         with pytest.raises(NetworkError):
-            net._buffer_flit(_Flit(p, 9, 9), 0)
+            net._buffer_flit(p, 0)
 
     @pytest.mark.parametrize("cls", [SmartNetwork, ConventionalNetwork,
                                      FlattenedButterflyNetwork])
@@ -305,7 +305,7 @@ class TestRoutePlans:
         # plan table: 1 * 16 + 19 would index tile 2's row
         for dst in (16, 19, -1, 400):
             with pytest.raises(NetworkError):
-                net.send(Packet(src=1, dst=dst, vn=VirtualNetwork.REQUEST))
+                net.send(Packet(src=1, dst=dst))
         assert net.in_flight == 0
 
 
@@ -317,8 +317,7 @@ class TestVmsMulticast:
     def test_smart_broadcast_reaches_all_other_members(self):
         vms = self.make_vms()
         sim, net, delivered = make_net(SmartNetwork)
-        p = Packet(src=vms.members[0], dst=None, vn=VirtualNetwork.REQUEST,
-                   mcast_group=vms.members)
+        p = Packet(src=vms.members[0], dst=None)
         sim.schedule(0, lambda: net.multicast(p, vms))
         sim.run(until=300)
         tiles = sorted(t for t, _, _ in delivered)
@@ -328,19 +327,39 @@ class TestVmsMulticast:
     def test_conventional_falls_back_to_unicasts(self):
         vms = self.make_vms()
         sim, net, delivered = make_net(ConventionalNetwork)
-        p = Packet(src=vms.members[0], dst=None, vn=VirtualNetwork.REQUEST,
-                   mcast_group=vms.members)
+        p = Packet(src=vms.members[0], dst=None)
         sim.schedule(0, lambda: net.multicast(p, vms))
         sim.run(until=500)
         assert len(delivered) == len(vms.members) - 1
+
+    @pytest.mark.parametrize("cls", [SmartNetwork, ConventionalNetwork],
+                             ids=["smart", "conventional"])
+    def test_each_copy_is_its_own_delivery_record(self, cls):
+        """Every receiver is handed a packet of its own: ``dst`` names
+        its tile and ``delivered_at`` is the cycle it was handed over —
+        not that of the tree's last leg (forks used to share one
+        record, so the two copies SMART delivers at cycle 2 read 4)."""
+        vms = self.make_vms()
+        sim, net, delivered = make_net(cls)
+        p = Packet(src=vms.members[0], dst=None, payload="probe")
+        sim.schedule(0, lambda: net.multicast(p, vms))
+        sim.run(until=500)
+        assert len(delivered) == len(vms.members) - 1
+        assert len({id(copy) for _, _, copy in delivered}) == len(delivered)
+        for tile, cycle, copy in delivered:
+            assert copy is not p and copy.payload == "probe"
+            assert (copy.src, copy.dst) == (p.src, tile)
+            assert (copy.injected_at, copy.delivered_at) == (0, cycle)
+            assert copy.latency == cycle
+        if cls is SmartNetwork:  # Figure 3: 2 cycles per VMS leg
+            assert sorted(c for _, c, _ in delivered) == [2, 2, 4]
 
     def test_smart_broadcast_faster_than_conventional(self):
         vms = self.make_vms()
         results = {}
         for cls in (SmartNetwork, ConventionalNetwork):
             sim, net, delivered = make_net(cls)
-            p = Packet(src=vms.members[0], dst=None,
-                       vn=VirtualNetwork.REQUEST, mcast_group=vms.members)
+            p = Packet(src=vms.members[0], dst=None)
             sim.schedule(0, lambda: net.multicast(p, vms))
             sim.run(until=500)
             results[cls] = max(c for _, c, _ in delivered)

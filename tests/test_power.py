@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.noc.power import compare, power_report, router_budget
+from repro.harness.figures import figure_cells, fig_router
+from repro.harness.report import format_table
+from repro.noc.power import compare, router_budget
 from repro.params import NocConfig, NocKind
 
 
@@ -41,11 +42,13 @@ class TestRouterBudget:
         assert big.power > small.power
 
     def test_report(self):
-        text = power_report({"smart": cfg(NocKind.SMART),
-                             "fbfly": cfg(NocKind.FLATTENED_BUTTERFLY)})
-        assert "smart" in text and "fbfly" in text
-        assert "ports" in text
-
-    def test_report_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            power_report({})
+        """The budgets are one zero-cell table of the figure matrix."""
+        assert figure_cells(fig_router) == []
+        (title, paper, rows), = fig_router(None)
+        assert "6.7x area" in paper and "2.3x power" in paper
+        assert rows["HighRadix"]["ports"] == 20
+        assert rows["Conv"] == {"ports": 5, "area": 1.0, "power": 1.0}
+        assert (rows["HighRadix"]["area"] / rows["SMART"]["area"]
+                == pytest.approx(6.7, rel=0.05))
+        text = format_table(title, rows)
+        assert "SMART" in text and "HighRadix" in text and "ports" in text

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc.conventional import ConventionalNetwork
-from repro.noc.packet import Packet, VirtualNetwork
+from repro.noc.packet import Packet
 from repro.noc.smart import SmartNetwork
 from repro.noc.topology import ClusterMap, Mesh
 from repro.noc.vms import xy_tree_children
@@ -83,8 +83,8 @@ class TestDeliveryProperties:
             net.attach(t, lambda p, t=t: delivered.append((t, p.payload)))
         packets = []
         for i, (src, dst) in enumerate(pairs):
-            p = Packet(src=src, dst=dst, vn=VirtualNetwork(i % 5),
-                       size_flits=1 + (i % 3), payload=i)
+            p = Packet(src=src, dst=dst, size_flits=1 + (i % 3),
+                       payload=i)
             packets.append(p)
             sim.schedule(i % 7, lambda p=p: net.send(p))
         sim.run(until=200_000)
@@ -110,7 +110,7 @@ class TestDeliveryProperties:
                 net = cls(sim, Mesh(8, 8), NocConfig())
                 for t in range(64):
                     net.attach(t, lambda p: None)
-                p = Packet(src=src, dst=dst, vn=VirtualNetwork.REQUEST)
+                p = Packet(src=src, dst=dst)
                 sim.schedule(0, lambda p=p: net.send(p))
                 sim.run(until=10_000)
                 lat[cls] = p.latency

@@ -26,7 +26,7 @@ from repro.coherence.shadow import ShadowOracle
 from repro.errors import SnapshotError
 from repro.harness.fuzz import SnapshotRecorder
 from repro.noc.interface import build_network
-from repro.noc.packet import Packet, VirtualNetwork
+from repro.noc.packet import Packet
 from repro.noc.topology import Mesh
 from repro.params import NocConfig, NocKind, Organization
 from repro.sim import snapshot
@@ -216,7 +216,7 @@ class TestKernelRoundTrip:
 
 def _log_delivery(sim, net, tile, packet):
     sim.registry["log"].append(
-        (tile, sim.cycle, packet.src, packet.vn, net.in_flight))
+        (tile, sim.cycle, packet.src, packet.size_flits, net.in_flight))
 
 
 class TestNetworkMidEjectionRoundTrip:
@@ -235,7 +235,7 @@ class TestNetworkMidEjectionRoundTrip:
             net.attach(tile, partial(_log_delivery, sim, net, tile))
         for i in range(120):
             src, dst = (i * 7) % 16, (i * 11 + 5) % 16
-            packet = Packet(src=src, dst=dst, vn=VirtualNetwork(i % 5),
+            packet = Packet(src=src, dst=dst,
                             size_flits=1 + 4 * (i % 3 == 0))
             sim.schedule(i // 6, partial(net.send, packet))
         return sim, net
