@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 import pytest
 
 from repro.cmp.system import CmpSystem
+from repro.coherence.messages import Msg, MsgKind, Unit
 from repro.params import (CacheConfig, IvrConfig, NocConfig, NocKind,
                           Organization, SystemConfig)
 from repro.traces.events import Op, TraceEvent
@@ -115,3 +116,95 @@ def driver_factory():
     def make(organization: Organization, **kw) -> AccessDriver:
         return AccessDriver(build_system(organization, **kw))
     return make
+
+
+class ScriptedHome:
+    """A built system whose network is a list: ``ctx.send`` /
+    ``ctx.multicast`` append to ``sent`` instead of injecting, and the
+    test hands each reply to a controller's ``handle`` in the order it
+    chooses — the delivery orders no fabric produces (a clean L1 reply
+    overtaking that L1's own ``WB_L1``) become directed cases."""
+
+    def __init__(self, organization: Organization, **cfg_overrides) -> None:
+        self.system = build_system(organization, **cfg_overrides)
+        self.ctx = self.system.ctx
+        self.sent: list = []            # (msg, dst tile or VirtualMesh)
+        self.ctx.send = self._capture
+        self.ctx.multicast = self._capture
+
+    def _capture(self, msg, dst) -> None:
+        self.sent.append((msg, dst))
+
+    def resident(self, tile: int, line_addr: int, **fields):
+        """Install ``line_addr`` at ``tile``'s L2 with the given
+        ``CacheLine`` fields, bypassing the protocol."""
+        line, evicted = self.system.l2s[tile].array.allocate(line_addr)
+        assert evicted is None
+        for name, value in fields.items():
+            setattr(line, name, value)
+        return line
+
+    def deliver(self, tile: int, msg, cycles: int = 50) -> None:
+        """Hand ``msg`` to ``tile``'s L2 and let its array latency run
+        (well short of any retry timeout)."""
+        self.system.l2s[tile].handle(msg)
+        self.system.sim.run(until=self.system.sim.cycle + cycles)
+
+    def deliver_held(self, tile: int, script) -> None:
+        """Deliver ``script`` in order; until its last message lands
+        the home must answer nothing and stay busy."""
+        for msg in script[:-1]:
+            self.deliver(tile, msg)
+            assert self.take() == [] and not self.idle(tile)
+        self.deliver(tile, script[-1])
+
+    def take(self, *kinds):
+        """Pop and return the captured messages of ``kinds`` (all of
+        them when none is named), oldest first."""
+        hit = [m for m, _ in self.sent if not kinds or m.kind in kinds]
+        self.sent = [(m, d) for m, d in self.sent
+                     if kinds and m.kind not in kinds]
+        return hit
+
+    def idle(self, tile: int) -> bool:
+        """No transaction and no forward op left at ``tile``'s L2."""
+        l2 = self.system.l2s[tile]
+        return len(l2.mshrs) == 0 and not l2._fwd_ops
+
+
+#: shadow versions of the directed race table: what the home's copy
+#: holds, and the newer data the believed-dirty L1 holder wrote
+OLD_VALUE, NEW_VALUE = 5, 9
+
+#: What the L1 the home believes holds a line modified sends back when
+#: asked for it, in delivery order. ``reply`` is its ACK_INV_L1 /
+#: RECALL_RESP; ``wb`` the WB_L1 of a concurrent L1 eviction, which
+#: then carries the data the (clean) reply lacks. Every order but the
+#: nack must hand NEW_VALUE to whatever the round was started for.
+RACE_ORDERS = {
+    "dirty_reply": ("dirty",),
+    "clean_reply_then_wb": ("clean", "wb"),
+    "wb_then_clean_reply": ("wb", "clean"),
+    "holder_nack": ("nack",),
+}
+
+
+def wb_l1(line_addr: int, holder: int) -> Msg:
+    """The holder's L1 evicting its modified copy."""
+    return Msg(MsgKind.WB_L1, line_addr, holder, Unit.L2, requestor=holder,
+               dirty=True, value=NEW_VALUE)
+
+
+def holder_script(order: str, reply_kind: MsgKind, line_addr: int,
+                  holder: int, fwd: bool = False) -> List[Msg]:
+    """The holder's messages for one ``RACE_ORDERS`` row."""
+    script = []
+    for step in RACE_ORDERS[order]:
+        if step == "wb":
+            script.append(wb_l1(line_addr, holder))
+        else:
+            dirty = step == "dirty"
+            script.append(Msg(reply_kind, line_addr, holder, Unit.L2,
+                              dirty=dirty, nack=step == "nack", fwd=fwd,
+                              value=NEW_VALUE if dirty else None))
+    return script

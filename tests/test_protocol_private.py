@@ -4,8 +4,11 @@ controllers) and the shared directory machinery it exercises."""
 import pytest
 
 from repro.cache.line import L1State, L2State
-from repro.params import Organization
-from tests.conftest import AccessDriver, build_system
+from repro.coherence.messages import Msg, MsgKind, Unit
+from repro.params import CacheConfig, Organization
+from tests.conftest import (NEW_VALUE, OLD_VALUE, RACE_ORDERS, AccessDriver,
+                            ScriptedHome, build_system, holder_script,
+                            wb_l1)
 
 ORG = Organization.PRIVATE
 
@@ -117,3 +120,158 @@ class TestEvictionRaces:
                   and drv.system.l2s[t].array.lookup(
                       0x900, touch=False).l2_state.is_owner]
         assert len(owners) == 1
+
+
+# ----------------------------------------------------------------------
+# directed race table: forward ops answered with DATA_L2, and a grant
+# parked behind one that must fall back to the miss path
+# ----------------------------------------------------------------------
+TILE = 5                      # a private L2 and its one L1
+LINE = 0x240
+PEER = 11                     # the L2 the directory forwards for
+
+
+def _fwd(kind, line_addr=LINE):
+    return Msg(kind, line_addr, 0, Unit.L2, requestor=PEER)
+
+
+@pytest.mark.parametrize("order", RACE_ORDERS)
+class TestForwardOpRaces:
+    def test_forwarded_getx_hands_over_the_newest_data(self, order):
+        sh = ScriptedHome(ORG)
+        sh.resident(TILE, LINE, l2_state=L2State.E, sharers={TILE},
+                    dirty_l1=TILE, shadow=OLD_VALUE)
+        sh.deliver(TILE, _fwd(MsgKind.DIR_FWD_GETX))
+        [inv] = sh.take()
+        assert inv.kind is MsgKind.INV_L1 and inv.fwd
+        assert not sh.system.l2s[TILE].array.contains(LINE)
+        sh.deliver_held(TILE, holder_script(order, MsgKind.ACK_INV_L1, LINE,
+                                            TILE, fwd=True))
+        [resp] = sh.take()
+        data = order != "holder_nack"
+        assert resp.kind is MsgKind.DATA_L2 and resp.requestor == PEER
+        assert resp.dirty == data and not resp.nack
+        assert resp.value == (NEW_VALUE if data else OLD_VALUE)
+        assert sh.idle(TILE)
+
+    def test_forwarded_gets_shares_the_newest_data(self, order):
+        sh = ScriptedHome(ORG)
+        line = sh.resident(TILE, LINE, l2_state=L2State.M, sharers={TILE},
+                           dirty_l1=TILE, shadow=OLD_VALUE)
+        sh.deliver(TILE, _fwd(MsgKind.DIR_FWD_GETS))
+        [recall] = sh.take()
+        assert recall.kind is MsgKind.RECALL_L1 and recall.fwd
+        sh.deliver_held(TILE, holder_script(order, MsgKind.RECALL_RESP, LINE,
+                                            TILE, fwd=True))
+        [resp] = sh.take()
+        data = order != "holder_nack"
+        assert resp.kind is MsgKind.DATA_L2 and resp.dirty
+        assert resp.value == line.shadow == (NEW_VALUE if data
+                                             else OLD_VALUE)
+        assert line.l2_state is L2State.O
+        assert sh.idle(TILE)
+
+
+class TestDirectoryCorners:
+    def test_shared_victim_that_absorbs_dirty_data_is_written_back(self):
+        """S -> O at eviction: a plain S victim evicts silently, one
+        that took an L1's modified data owes the directory a DIR_WB."""
+        sh = ScriptedHome(ORG, l2=CacheConfig(
+            size_bytes=128, assoc=1, line_bytes=32, access_latency=4))
+        conflict = LINE + 4
+        victim = sh.resident(TILE, LINE, l2_state=L2State.S,
+                             sharers={TILE}, dirty_l1=TILE,
+                             shadow=OLD_VALUE)
+        sh.deliver(TILE, Msg(MsgKind.GETS, conflict, TILE, Unit.L2,
+                             requestor=TILE))
+        assert [m.kind for m in sh.take()] == [MsgKind.DIR_GETS]
+        mc = sh.ctx.mc_tile(conflict)
+        sh.deliver(TILE, Msg(MsgKind.DIR_ACK, conflict, mc, Unit.L2))
+        sh.deliver(TILE, Msg(MsgKind.DATA_L2, conflict, mc, Unit.L2,
+                             exclusive=True, offchip=True, value=0))
+        assert [m.kind for m in sh.take()] == [MsgKind.DIR_DONE,
+                                               MsgKind.INV_L1]
+        [ack] = holder_script("dirty_reply", MsgKind.ACK_INV_L1, LINE, TILE)
+        sh.deliver(TILE, ack)
+        [wb] = sh.take(MsgKind.DIR_WB)
+        assert (wb.line_addr, wb.dirty, wb.value) == (LINE, True, NEW_VALUE)
+        assert victim.l2_state is L2State.O
+        assert [m.kind for m in sh.take()] == [MsgKind.DATA_L1]
+        assert sh.idle(TILE)
+
+    def test_orphan_wb_goes_to_the_directory(self):
+        sh = ScriptedHome(ORG)
+        sh.deliver(TILE, wb_l1(LINE, TILE))
+        [wb] = sh.take()
+        assert wb.kind is MsgKind.DIR_WB and wb.dirty
+        assert (wb.line_addr, wb.value) == (LINE, NEW_VALUE)
+        assert sh.idle(TILE)
+
+
+class TestGrantParkedBehindAForwardRecall:
+    """LOCO CC (a cluster home with several L1s): a local grant that
+    finds a forward recall of the dirty L1 data in flight parks behind
+    it and re-checks its permissions when the data has landed."""
+
+    HOLDER, LOCAL = 1, 4      # L1s of cluster 0
+
+    def _parked(self, kind):
+        sh = ScriptedHome(Organization.LOCO_CC)
+        home = sh.ctx.home_tile(self.HOLDER, LINE)
+        sh.resident(home, LINE, l2_state=L2State.M, sharers={self.HOLDER},
+                    dirty_l1=self.HOLDER, shadow=OLD_VALUE)
+        sh.deliver(home, _fwd(MsgKind.DIR_FWD_GETS))
+        assert [m.kind for m in sh.take()] == [MsgKind.RECALL_L1]
+        sh.deliver(home, Msg(kind, LINE, self.LOCAL, Unit.L2,
+                             requestor=self.LOCAL))
+        assert sh.take() == []                  # a hit, parked
+        return sh, home
+
+    def _recalled(self, sh, home):
+        [resp] = holder_script("dirty_reply", MsgKind.RECALL_RESP, LINE,
+                               self.HOLDER, fwd=True)
+        sh.deliver(home, resp)
+        [data] = sh.take(MsgKind.DATA_L2)
+        assert data.value == NEW_VALUE and data.requestor == PEER
+
+    def _fill(self, sh, home, acks=0):
+        mc = sh.ctx.mc_tile(LINE)
+        sh.deliver(home, Msg(MsgKind.DIR_ACK, LINE, mc, Unit.L2,
+                             ack_count=acks))
+        sh.deliver(home, Msg(MsgKind.DATA_L2, LINE, mc, Unit.L2,
+                             value=NEW_VALUE))
+
+    def test_write_grant_demoted_to_o_upgrades_through_the_directory(self):
+        sh, home = self._parked(MsgKind.GETX)
+        self._recalled(sh, home)                # M -> O: not writable now
+        assert [m.kind for m in sh.take()] == [MsgKind.DIR_GETX]
+        self._fill(sh, home)
+        assert [m.kind for m in sh.take()] == [MsgKind.DIR_DONE,
+                                               MsgKind.INV_L1]
+        sh.deliver(home, Msg(MsgKind.ACK_INV_L1, LINE, self.HOLDER,
+                             Unit.L2))
+        [grant] = sh.take()
+        assert grant.kind is MsgKind.DATA_L1 and grant.writable
+        assert grant.value == NEW_VALUE and sh.idle(home)
+
+    @pytest.mark.parametrize("kind", [MsgKind.GETS, MsgKind.GETX],
+                             ids=lambda k: k.name)
+    def test_grant_whose_line_was_invalidated_refetches(self, kind):
+        sh, home = self._parked(kind)
+        # the directory invalidates our copy while the recall is out
+        sh.deliver(home, Msg(MsgKind.DIR_INV, LINE, 0, Unit.L2,
+                             requestor=PEER))
+        assert sh.take() == []                  # queued behind the op
+        assert not sh.system.l2s[home].array.contains(LINE)
+        self._recalled(sh, home)
+        refetch = (MsgKind.DIR_GETX if kind is MsgKind.GETX
+                   else MsgKind.DIR_GETS)
+        assert [m.kind for m in sh.take()] == [MsgKind.INV_L1, refetch]
+        sh.deliver(home, Msg(MsgKind.ACK_INV_L1, LINE, self.HOLDER,
+                             Unit.L2, fwd=True))
+        [ack] = sh.take()
+        assert ack.kind is MsgKind.DIR_ACK and ack.fwd
+        self._fill(sh, home)
+        assert [m.kind for m in sh.take()] == [MsgKind.DIR_DONE,
+                                               MsgKind.DATA_L1]
+        assert sh.idle(home)

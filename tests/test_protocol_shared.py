@@ -3,8 +3,11 @@
 import pytest
 
 from repro.cache.line import L1State, L2State
-from repro.params import Organization
-from tests.conftest import AccessDriver, build_system
+from repro.coherence.messages import Msg, MsgKind, Unit
+from repro.params import CacheConfig, Organization
+from tests.conftest import (NEW_VALUE, OLD_VALUE, RACE_ORDERS, AccessDriver,
+                            ScriptedHome, build_system, holder_script,
+                            wb_l1)
 
 ORG = Organization.SHARED
 
@@ -154,3 +157,120 @@ class TestConcurrency:
         if m:
             # an M copy forbids any S copies
             assert not s
+
+
+# ----------------------------------------------------------------------
+# directed race table: the home's own L1 reply rounds
+# ----------------------------------------------------------------------
+HOME = 3
+LINE = 0x100 + HOME           # homed at tile 3 (line % 16)
+HOLDER, SHARER, READER = 2, 6, 9
+#: one-line sets: the resident line is the victim of any same-set fill
+DIRECT_MAPPED = CacheConfig(size_bytes=128, assoc=1, line_bytes=32,
+                            access_latency=4)
+CONFLICT = LINE + 16 * 4      # same home, same set of the 4-set slice
+
+
+def _gets(line_addr, requestor=READER):
+    return Msg(MsgKind.GETS, line_addr, requestor, Unit.L2,
+               requestor=requestor)
+
+
+def _mem_data(sh, line_addr, value=0):
+    return Msg(MsgKind.MEM_DATA, line_addr, sh.ctx.mc_tile(line_addr),
+               Unit.L2, value=value)
+
+
+@pytest.mark.parametrize("order", RACE_ORDERS)
+class TestReplyRoundRaces:
+    """A dirty L1 copy hands its data back on the reply or on the
+    ``WB_L1`` of a concurrent L1 eviction, in either order; the home's
+    transaction continues exactly once, with the newest data."""
+
+    def test_read_grant_recall(self, order):
+        sh = ScriptedHome(ORG)
+        line = sh.resident(HOME, LINE, l2_state=L2State.E,
+                           sharers={HOLDER}, dirty_l1=HOLDER,
+                           shadow=OLD_VALUE)
+        sh.deliver(HOME, _gets(LINE))
+        [recall] = sh.take()
+        assert recall.kind is MsgKind.RECALL_L1 and not recall.fwd
+        sh.deliver_held(HOME, holder_script(order, MsgKind.RECALL_RESP,
+                                            LINE, HOLDER))
+        [grant] = sh.take()
+        assert grant.kind is MsgKind.DATA_L1 and not grant.writable
+        assert grant.requestor == READER
+        data = order != "holder_nack"
+        assert grant.value == (NEW_VALUE if data else OLD_VALUE)
+        # the clean copy absorbed modified data: E -> M
+        assert line.l2_state is (L2State.M if data else L2State.E)
+        assert READER in line.sharers and line.dirty_l1 is None
+        assert sh.idle(HOME)
+
+    def test_eviction_collects_the_victims_dirty_data(self, order):
+        sh = ScriptedHome(ORG, l2=DIRECT_MAPPED)
+        victim = sh.resident(HOME, LINE, l2_state=L2State.E,
+                             sharers={HOLDER, SHARER}, dirty_l1=HOLDER,
+                             shadow=OLD_VALUE)
+        sh.deliver(HOME, _gets(CONFLICT))
+        assert [m.kind for m in sh.take()] == [MsgKind.MEM_READ]
+        sh.deliver(HOME, _mem_data(sh, CONFLICT))
+        invs = sh.take()
+        assert [m.kind for m in invs] == [MsgKind.INV_L1] * 2
+        assert not sh.system.l2s[HOME].array.contains(LINE)
+        sh.deliver(HOME, Msg(MsgKind.ACK_INV_L1, LINE, SHARER, Unit.L2))
+        sh.deliver_held(HOME, holder_script(order, MsgKind.ACK_INV_L1,
+                                            LINE, HOLDER))
+        data = order != "holder_nack"
+        wbs = sh.take(MsgKind.MEM_WB)
+        # the victim went E -> M, so its disposal writes the data back
+        assert [(m.line_addr, m.value) for m in wbs] == \
+            ([(LINE, NEW_VALUE)] if data else [])
+        assert victim.l2_state is (L2State.M if data else L2State.E)
+        [grant] = sh.take()                    # the fill went on, once
+        assert grant.kind is MsgKind.DATA_L1
+        assert (grant.line_addr, grant.requestor) == (CONFLICT, READER)
+        assert sh.idle(HOME)
+
+
+class TestWritebackCorners:
+    def test_wb_into_a_clean_resident_line_takes_ownership(self):
+        """No transaction in sight: the L1's modified data makes the
+        home's clean copy the dirty one (E -> M, S -> O)."""
+        for before, after in ((L2State.E, L2State.M),
+                              (L2State.S, L2State.O)):
+            sh = ScriptedHome(ORG)
+            line = sh.resident(HOME, LINE, l2_state=before,
+                               sharers={HOLDER}, dirty_l1=HOLDER,
+                               shadow=OLD_VALUE)
+            sh.deliver(HOME, wb_l1(LINE, HOLDER))
+            assert line.l2_state is after and line.shadow == NEW_VALUE
+            assert line.dirty_l1 is None and not line.sharers
+            assert sh.take() == [] and sh.idle(HOME)
+
+    def test_wb_during_a_refetch_is_folded_at_install(self):
+        """The home gave the line away and is fetching it again when a
+        late ``WB_L1`` lands: newer than the fill, so it is folded in at
+        install and pushed off-chip as an orphan."""
+        sh = ScriptedHome(ORG)
+        sh.deliver(HOME, _gets(LINE))
+        assert [m.kind for m in sh.take()] == [MsgKind.MEM_READ]
+        sh.deliver(HOME, wb_l1(LINE, HOLDER))
+        [orphan] = sh.take()
+        assert orphan.kind is MsgKind.MEM_WB and orphan.dirty
+        assert orphan.value == NEW_VALUE
+        sh.deliver(HOME, _mem_data(sh, LINE, value=OLD_VALUE))
+        [grant] = sh.take()
+        assert grant.kind is MsgKind.DATA_L1 and grant.value == NEW_VALUE
+        line = sh.system.l2s[HOME].array.lookup(LINE, touch=False)
+        assert line.shadow == NEW_VALUE
+        assert sh.idle(HOME)
+
+    def test_orphan_wb_goes_to_memory(self):
+        """``WB_L1`` for a line the home no longer tracks at all."""
+        sh = ScriptedHome(ORG)
+        sh.deliver(HOME, wb_l1(LINE, HOLDER))
+        [orphan] = sh.take()
+        assert orphan.kind is MsgKind.MEM_WB and orphan.dirty
+        assert (orphan.line_addr, orphan.value) == (LINE, NEW_VALUE)
+        assert sh.idle(HOME)

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.cache.line import L1State, L2State
-from repro.params import Organization
-from tests.conftest import AccessDriver, build_system
+from repro.coherence.messages import Msg, MsgKind, Unit
+from repro.params import CacheConfig, Organization
+from tests.conftest import (NEW_VALUE, OLD_VALUE, RACE_ORDERS, AccessDriver,
+                            ScriptedHome, build_system, holder_script,
+                            wb_l1)
 
 ORG = Organization.LOCO_CC_VMS
 
@@ -212,3 +215,147 @@ class TestGrantWindowRace:
              if system.l1s[t].resident_state(0x340) is L1State.M]
         assert len(m) == 1
         system.check_token_conservation()
+
+
+# ----------------------------------------------------------------------
+# directed race table: forward ops (a peer cluster's request makes this
+# home purge or recall its L1 copies) and the token corners no run hits
+# ----------------------------------------------------------------------
+LINE = 0x101
+HOLDER, READER = 1, 4         # L1s of cluster 0
+PEER = 15                     # a home of another cluster
+TOTAL = 4                     # tokens per line: one per cluster
+
+
+def _home(sh):
+    return sh.ctx.home_tile(HOLDER, LINE)
+
+
+def _owned_by_cluster0(sh, state=L2State.E, **fields):
+    """Cluster 0 holds every token of LINE; HOLDER's L1 has it M."""
+    return sh.resident(_home(sh), LINE, l2_state=state, tokens=TOTAL,
+                       owner_token=True, sharers={HOLDER}, dirty_l1=HOLDER,
+                       shadow=OLD_VALUE, **fields)
+
+
+def _peer(kind, **fields):
+    return Msg(kind, LINE, PEER, Unit.L2, requestor=PEER, **fields)
+
+
+@pytest.mark.parametrize("order", RACE_ORDERS)
+class TestForwardOpRaces:
+    def test_forward_purge_surrenders_the_newest_data(self, order):
+        sh = ScriptedHome(ORG)
+        home = _home(sh)
+        _owned_by_cluster0(sh)
+        sh.deliver(home, _peer(MsgKind.TOK_GETX))
+        [inv] = sh.take()
+        assert inv.kind is MsgKind.INV_L1 and inv.fwd
+        assert not sh.system.l2s[home].array.contains(LINE)
+        sh.deliver_held(home, holder_script(order, MsgKind.ACK_INV_L1, LINE,
+                                            HOLDER, fwd=True))
+        [resp] = sh.take()                      # surrendered exactly once
+        data = order != "holder_nack"
+        assert resp.kind is MsgKind.TOK_DATA and resp.owner_token
+        assert (resp.tokens, resp.dirty) == (TOTAL, data)
+        assert resp.value == (NEW_VALUE if data else OLD_VALUE)
+        assert sh.idle(home)
+
+    def test_forward_recall_shares_the_newest_data(self, order):
+        sh = ScriptedHome(ORG)
+        home = _home(sh)
+        line = _owned_by_cluster0(sh)
+        sh.deliver(home, _peer(MsgKind.TOK_GETS))
+        [recall] = sh.take()
+        assert recall.kind is MsgKind.RECALL_L1 and recall.fwd
+        sh.deliver_held(home, holder_script(order, MsgKind.RECALL_RESP, LINE,
+                                            HOLDER, fwd=True))
+        [resp] = sh.take()
+        data = order != "holder_nack"
+        assert resp.kind is MsgKind.TOK_DATA and not resp.owner_token
+        assert resp.tokens == 1 and line.tokens == TOTAL - 1
+        assert resp.value == line.shadow == (NEW_VALUE if data
+                                             else OLD_VALUE)
+        assert line.l2_state is L2State.O       # shared, still the owner
+        assert sh.idle(home)
+
+
+class TestTokenCorners:
+    def test_late_token_response_merges_into_the_resident_line(self):
+        """``_absorb_tokens``: a response that outlived its transaction
+        must not lose its tokens."""
+        sh = ScriptedHome(ORG)
+        home = _home(sh)
+        line = sh.resident(home, LINE, l2_state=L2State.S, tokens=1,
+                           shadow=OLD_VALUE)
+        sh.deliver(home, _peer(MsgKind.TOK_DATA, tokens=TOTAL - 1,
+                               owner_token=True, dirty=True,
+                               value=NEW_VALUE))
+        assert sh.take() == []
+        assert (line.tokens, line.owner_token) == (TOTAL, True)
+        assert line.shadow == NEW_VALUE and line.l2_state is L2State.M
+
+    def test_late_token_response_without_a_line_returns_to_memory(self):
+        sh = ScriptedHome(ORG)
+        sh.deliver(_home(sh), _peer(MsgKind.TOK_DATA, tokens=TOTAL - 1,
+                                    owner_token=True, dirty=True,
+                                    value=NEW_VALUE))
+        [wb] = sh.take()
+        assert wb.kind is MsgKind.TOK_WB and wb.unit is Unit.MC
+        assert (wb.tokens, wb.owner_token, wb.dirty, wb.value) == \
+            (TOTAL - 1, True, True, NEW_VALUE)
+
+    def test_orphan_wb_returns_data_without_tokens(self):
+        sh = ScriptedHome(ORG)
+        sh.deliver(_home(sh), wb_l1(LINE, HOLDER))
+        [wb] = sh.take()
+        assert wb.kind is MsgKind.TOK_WB and wb.dirty
+        assert (wb.tokens, wb.owner_token, wb.value) == (0, False, NEW_VALUE)
+        assert sh.idle(_home(sh))
+
+    def test_collector_spares_a_token_for_a_persistent_reader(self):
+        """A collecting home that already has valid data answers a
+        starving *persistent* TOK_GETS with one plain token."""
+        sh = ScriptedHome(ORG)
+        home = _home(sh)
+        sh.deliver(home, Msg(MsgKind.GETX, LINE, READER, Unit.L2,
+                             requestor=READER))
+        assert {m.kind for m in sh.take()} == {MsgKind.TOK_GETX}
+        sh.deliver(home, _peer(MsgKind.TOK_DATA, tokens=TOTAL - 1,
+                               owner_token=True, value=OLD_VALUE))
+        sh.deliver(home, _peer(MsgKind.TOK_GETS))      # not persistent
+        assert sh.take() == []
+        sh.deliver(home, _peer(MsgKind.TOK_GETS, persistent=True))
+        [spare] = sh.take()
+        assert spare.kind is MsgKind.TOK_DATA and not spare.owner_token
+        assert (spare.tokens, spare.value) == (1, OLD_VALUE)
+        # what the home keeps + what it gave away == what it was sent
+        sh.deliver(home, _peer(MsgKind.TOK_ACK, tokens=2))
+        [grant] = sh.take()
+        assert grant.kind is MsgKind.DATA_L1 and grant.writable
+        line = sh.system.l2s[home].array.lookup(LINE, touch=False)
+        assert line.tokens + spare.tokens == (TOTAL - 1) + 2
+        assert sh.idle(home)
+
+    def test_ivr_victim_is_written_back_when_the_nic_is_backed_up(self):
+        """Section 3.3 deadlock avoidance: never queue a migration
+        behind a full outgoing NIC."""
+        sh = ScriptedHome(Organization.LOCO_CC_VMS_IVR, l2=CacheConfig(
+            size_bytes=128, assoc=1, line_bytes=32, access_latency=4))
+        home = _home(sh)
+        conflict = LINE + 4 * 4      # same home, same one-line set
+        sh.resident(home, LINE, l2_state=L2State.M, tokens=TOTAL,
+                    owner_token=True, shadow=NEW_VALUE)
+        sh.system.network.nic_backlog = lambda tile: 17
+        sh.deliver(home, Msg(MsgKind.GETS, conflict, READER, Unit.L2,
+                             requestor=READER))
+        sh.take(MsgKind.TOK_GETS)
+        sh.deliver(home, Msg(MsgKind.TOK_DATA, conflict, PEER, Unit.L2,
+                             tokens=TOTAL, owner_token=True, value=0))
+        [wb] = sh.take(MsgKind.TOK_WB)
+        assert (wb.line_addr, wb.tokens, wb.owner_token, wb.dirty,
+                wb.value) == (LINE, TOTAL, True, True, NEW_VALUE)
+        assert [m.kind for m in sh.take()] == [MsgKind.DATA_L1]
+        assert sh.system.stats.value("ivr_backlog_writebacks") == 1
+        assert sh.system.stats.value("ivr_migrations") == 0
+        assert sh.idle(home)
