@@ -147,8 +147,11 @@ class TokenL2Controller(HomeL2Base):
 
     def _on_persist_grant(self, msg: Msg) -> None:
         mshr = self.mshrs.get(msg.line_addr)
-        if mshr is None or "persist_requested" not in mshr.scratch:
-            # Completed before the grant arrived: release immediately.
+        if (mshr is None or not mshr.scratch.get("persist_requested")
+                or mshr.scratch["persist_granted"]):
+            # The transaction that asked completed before the grant
+            # arrived (whatever holds the line's MSHR now never asked):
+            # release immediately.
             done = Msg(MsgKind.PERSIST_DONE, msg.line_addr, self.tile,
                        Unit.MC, requestor=self.tile)
             self.ctx.send(done, self.ctx.mc_tile(msg.line_addr))

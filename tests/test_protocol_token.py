@@ -359,3 +359,25 @@ class TestTokenCorners:
         assert sh.system.stats.value("ivr_backlog_writebacks") == 1
         assert sh.system.stats.value("ivr_migrations") == 0
         assert sh.idle(home)
+
+
+def test_stale_persist_grant_is_released_not_adopted():
+    """A PERSIST_GRANT that outlived its transaction finds a *new* fetch
+    of the same line (the deferred GETX replayed at retire is enough).
+    That fetch never asked for persistence: adopting the grant would
+    re-broadcast as persistent with no arbitration at the memory
+    controller and never send PERSIST_DONE."""
+    sh = ScriptedHome(ORG)
+    home = _home(sh)
+    sh.deliver(home, Msg(MsgKind.GETX, LINE, READER, Unit.L2,
+                         requestor=READER))
+    assert {m.kind for m in sh.take()} == {MsgKind.TOK_GETX}
+    sh.deliver(home, Msg(MsgKind.PERSIST_GRANT, LINE, sh.ctx.mc_tile(LINE),
+                         Unit.L2, requestor=home))
+    [done] = sh.take()
+    assert done.kind is MsgKind.PERSIST_DONE and done.unit is Unit.MC
+    sh.deliver(home, _peer(MsgKind.TOK_DATA, tokens=TOTAL, owner_token=True,
+                           value=OLD_VALUE))
+    [grant] = sh.take()                 # and no second PERSIST_DONE
+    assert grant.kind is MsgKind.DATA_L1 and grant.writable
+    assert sh.idle(home)
