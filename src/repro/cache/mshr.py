@@ -1,8 +1,8 @@
 """Miss Status Holding Registers.
 
 One MSHR tracks one outstanding transaction for a line address at a
-controller: the request kind, who asked, how many acks/tokens are still
-expected, and arbitrary protocol scratch. ``MshrFile`` enforces the
+controller: the request kind, who asked, the phase it is in and the
+typed records its controller hangs on it. ``MshrFile`` enforces the
 one-transaction-per-line invariant that every controller relies on for
 race freedom (secondary requests to a busy line are queued behind the
 MSHR and replayed when it retires).
@@ -11,9 +11,17 @@ MSHR and replayed when it retires).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ProtocolError
+
+#: Phases of a home-L2 SERVE transaction, in order. ``COLLECTING`` is
+#: the second level gathering data / tokens / acks (re-entered when a
+#: parked grant falls back to the miss path), ``FILLING`` the completed
+#: collection waiting for a way, ``GRANTING`` the hand-over to the
+#: requesting L1, which waits on local L1 replies only.
+ALLOCATED, COLLECTING, FILLING, GRANTING = (
+    "allocated", "collecting", "filling", "granting")
 
 
 @dataclass(slots=True)
@@ -21,17 +29,31 @@ class Mshr:
     """One outstanding transaction."""
 
     line_addr: int
-    kind: str                      # e.g. "GETS", "GETX", "WB", "IVR"
+    kind: str                      # home L2: "SERVE" / "EVICT";
+    #                                L1: "GETS" / "GETX"
     requestor: int = -1            # tile/core id that initiated it
     issued_cycle: int = 0
-    pending_acks: int = 0
-    data_seen: bool = False
-    scratch: Dict[str, Any] = field(default_factory=dict)
     deferred: List[Any] = field(default_factory=list)  # queued secondaries
+    # -- home L2 ---------------------------------------------------------
+    phase: str = ALLOCATED
+    msg: Any = None                # SERVE: the L1's GETS / GETX
+    victim: Any = None             # EVICT: the line being disposed
+    round: Any = None              # live L1 reply round (l2_home.ReplyRound)
+    fetch: Any = None              # the second level's collection state
+    #                                (TokenFetch / DirFetch; the shared
+    #                                home's is just memory's value)
+    home_hit: bool = False         # served without a second-level fetch
+    miss_cycle: Optional[int] = None  # when the second level was entered
+    offchip: bool = False          # the fill involved off-chip memory
+    wb_value: Optional[int] = None  # WB_L1 that landed while refetching
+    # -- L1 --------------------------------------------------------------
+    callbacks: Optional[List[Any]] = None  # completions of merged accesses
+    spec: bool = False             # wrong-path load: uncounted, droppable
+    poisoned: bool = False         # invalidated while the fill was in flight
 
     def __repr__(self) -> str:
         return (f"Mshr({self.kind} line={self.line_addr:#x} "
-                f"req={self.requestor} acks={self.pending_acks})")
+                f"req={self.requestor} {self.phase})")
 
 
 class MshrFile:

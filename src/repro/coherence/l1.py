@@ -108,10 +108,8 @@ class L1Controller:
         kind = "GETX" if is_write else "GETS"
         mshr = self.mshrs.allocate(line_addr, kind, requestor=self.tile,
                                    issued_cycle=self.ctx.sim.cycle)
-        mshr.scratch["done_cbs"] = [done]
-        mshr.scratch["upgrade"] = line is not None
-        if spec:
-            mshr.scratch["spec"] = True
+        mshr.callbacks = [done]
+        mshr.spec = spec
         req_kind = MsgKind.GETX if is_write else MsgKind.GETS
         home = self.ctx.home_tile(self.tile, line_addr)
         msg = Msg(req_kind, line_addr, self.tile, Unit.L2,
@@ -160,7 +158,7 @@ class L1Controller:
         if mshr is None:
             raise ProtocolError(f"unsolicited DATA_L1 for {line_addr:#x} "
                                 f"at tile {self.tile}")
-        if mshr.scratch.pop("poisoned", False):
+        if mshr.poisoned:
             # An INV/RECALL was processed while this fill was in
             # flight: the copy it installs was invalidated before it
             # arrived (the invalidator's transaction has already
@@ -172,8 +170,8 @@ class L1Controller:
             # fills in a deterministic limit cycle (livelock).
             self.ctx.stats.counter("l1_poisoned_fills").inc()
             was_write = mshr.kind == "GETX"
-            was_spec = bool(mshr.scratch.get("spec"))
-            cbs: List[DoneCb] = mshr.scratch["done_cbs"]
+            was_spec = mshr.spec
+            cbs: List[DoneCb] = mshr.callbacks
             deferred = self.mshrs.retire(line_addr)
             streak = min(self._poison_streak.get(line_addr, 0) + 1, 8)
             self._poison_streak[line_addr] = streak
@@ -193,14 +191,14 @@ class L1Controller:
         # latency accounting (Fig 7): issue-to-grant for on-chip fills.
         # Speculative transactions stay out of the samplers — squashed
         # traffic must not contaminate committed latency metrics.
-        if not mshr.scratch.get("spec"):
+        if not mshr.spec:
             elapsed = self.ctx.sim.cycle - mshr.issued_cycle
             if msg.home_hit:
                 self._s_l2_hit_latency.add(elapsed)
             if not msg.offchip:
                 self._s_onchip_latency.add(elapsed)
             self._s_miss_latency.add(elapsed)
-        cbs: List[DoneCb] = mshr.scratch["done_cbs"]
+        cbs: List[DoneCb] = mshr.callbacks
         deferred = self.mshrs.retire(line_addr)
         for cb in cbs:
             cb()
@@ -249,7 +247,7 @@ class L1Controller:
         will ever arrive from this L1 for the line."""
         mshr = self.mshrs.get(line_addr)
         if mshr is not None:
-            mshr.scratch["poisoned"] = True
+            mshr.poisoned = True
             return True
         return line_addr in self._poison_streak
 

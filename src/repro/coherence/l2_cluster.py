@@ -29,11 +29,12 @@ demand access touches the line (a useful line earns a fresh journey).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Any, Optional
 
 from repro.cache.line import CacheLine, L2State
-from repro.cache.mshr import Mshr
+from repro.cache.mshr import ALLOCATED, COLLECTING, FILLING, GRANTING, Mshr
 from repro.coherence.context import SystemContext
 from repro.coherence.l2_home import HomeL2Base
 from repro.coherence.messages import Msg, MsgKind, Unit
@@ -55,6 +56,35 @@ _BACKOFF = 1.4
 _MAX_RETRIES = 4
 #: NIC backlog above which IVR falls back to a direct writeback
 _IVR_BACKLOG_LIMIT = 16
+
+
+@dataclass(slots=True)
+class TokenFetch:
+    """What one token collection has gathered (``mshr.fetch``). It is
+    created by ``_fetch`` — or by a migrant that lands between MSHR
+    allocation and ``_fetch`` — and dropped when ``_apply_fill`` moves
+    its tokens onto the line, so a refetch always starts from zero."""
+
+    want_x: bool = False
+    tokens: int = 0
+    owner: bool = False               # the owner token is among them
+    dirty: bool = False
+    value: Optional[int] = None       # newest shadow value seen
+    data_seen: bool = False           # tokens alone are not a fill
+    offchip: bool = False
+    retries: int = 0                  # re-broadcasts so far
+    persist_requested: bool = False   # PERSIST_START sent
+    persist_granted: bool = False     # ... and granted by the MC
+    timeout_ev: Any = None            # the pending re-broadcast's Event
+
+    def merge(self, tokens: int, owner: bool, dirty: bool,
+              value: Optional[int]) -> None:
+        """The token merge rule: tokens add, owner and dirty OR, the
+        newest value wins."""
+        self.tokens += tokens
+        self.owner = self.owner or owner
+        self.dirty = self.dirty or dirty
+        self.value = merge_shadow_opt(self.value, value)
 
 
 class TokenL2Controller(HomeL2Base):
@@ -81,63 +111,54 @@ class TokenL2Controller(HomeL2Base):
     # ------------------------------------------------------------------
     def _fetch(self, mshr: Mshr, exclusive: bool,
                held_line: Optional[CacheLine] = None) -> None:
-        s = mshr.scratch
-        s.update(tokens_acc=0, owner_acc=False, data_seen=False,
-                 dirty_acc=False, offchip_acc=False, collecting=True,
-                 value_acc=None, want_x=exclusive, retries=0,
-                 persist_requested=False, persist_granted=False)
+        # A record already here holds the migrants that arrived between
+        # MSHR allocation and now: token+data responses for this very
+        # collection.
+        f = mshr.fetch
+        if f is None:
+            f = mshr.fetch = TokenFetch()
+        f.want_x = exclusive
         if held_line is not None:
             # Upgrade: our tokens move into the MSHR so concurrent
             # remote GETX see ``line.tokens == 0`` and cannot
             # double-count them.
-            s["tokens_acc"] = held_line.tokens
-            s["owner_acc"] = held_line.owner_token
-            s["data_seen"] = True
-            s["dirty_acc"] = held_line.l2_state.dirty
-            s["value_acc"] = held_line.shadow
+            f.merge(held_line.tokens, held_line.owner_token,
+                    held_line.l2_state.dirty, held_line.shadow)
+            f.data_seen = True
             held_line.tokens = 0
             held_line.owner_token = False
-        # Migrants that arrived between MSHR allocation and now are
-        # token+data responses for this very collection.
-        for migrant in s.pop("early_migrants", []):
-            s["tokens_acc"] += migrant.tokens
-            s["owner_acc"] = s["owner_acc"] or migrant.owner_token
-            s["dirty_acc"] = s["dirty_acc"] or migrant.dirty
-            s["data_seen"] = True
-            s["value_acc"] = merge_shadow_opt(s["value_acc"],
-                                              migrant.value)
         self._maybe_complete(mshr)
-        if s["collecting"]:
+        if mshr.phase == COLLECTING:
             self._broadcast(mshr)
 
     def _upgrade(self, mshr: Mshr, line: CacheLine) -> None:
         self._fetch(mshr, exclusive=True, held_line=line)
 
     def _broadcast(self, mshr: Mshr) -> None:
-        s = mshr.scratch
-        kind = MsgKind.TOK_GETX if s["want_x"] else MsgKind.TOK_GETS
+        f: TokenFetch = mshr.fetch
+        kind = MsgKind.TOK_GETX if f.want_x else MsgKind.TOK_GETS
         msg = Msg(kind, mshr.line_addr, self.tile, Unit.L2,
-                  requestor=self.tile, persistent=s["persist_granted"])
+                  requestor=self.tile, persistent=f.persist_granted)
         vms = self.ctx.vms_of_line(mshr.line_addr)
         if len(vms.members) > 1:
             self.ctx.multicast(msg, vms)
         mc_msg = Msg(kind, mshr.line_addr, self.tile, Unit.MC,
-                     requestor=self.tile, persistent=s["persist_granted"])
+                     requestor=self.tile, persistent=f.persist_granted)
         self.ctx.send(mc_msg, self.ctx.mc_tile(mshr.line_addr))
         self.ctx.stats.counter("tok_broadcasts").inc()
-        timeout = int(_TIMEOUT_BASE * (_BACKOFF ** s["retries"]))
+        timeout = int(_TIMEOUT_BASE * (_BACKOFF ** f.retries))
         jitter = self.ctx.rng.randint("tok_backoff", 0, 64)
-        s["timeout_ev"] = self.ctx.sim.schedule(
+        f.timeout_ev = self.ctx.sim.schedule(
             timeout + jitter, partial(self._on_timeout, mshr))
 
     def _on_timeout(self, mshr: Mshr) -> None:
         if self.mshrs.get(mshr.line_addr) is not mshr:
             return  # completed
-        s = mshr.scratch
-        s["retries"] += 1
+        f: TokenFetch = mshr.fetch
+        f.retries += 1
         self.ctx.stats.counter("tok_retries").inc()
-        if s["retries"] >= _MAX_RETRIES and not s["persist_requested"]:
-            s["persist_requested"] = True
+        if f.retries >= _MAX_RETRIES and not f.persist_requested:
+            f.persist_requested = True
             self.ctx.stats.counter("tok_persistent").inc()
             start = Msg(MsgKind.PERSIST_START, mshr.line_addr, self.tile,
                         Unit.MC, requestor=self.tile)
@@ -147,8 +168,8 @@ class TokenL2Controller(HomeL2Base):
 
     def _on_persist_grant(self, msg: Msg) -> None:
         mshr = self.mshrs.get(msg.line_addr)
-        if (mshr is None or not mshr.scratch.get("persist_requested")
-                or mshr.scratch["persist_granted"]):
+        f: Optional[TokenFetch] = mshr.fetch if mshr is not None else None
+        if f is None or not f.persist_requested or f.persist_granted:
             # The transaction that asked completed before the grant
             # arrived (whatever holds the line's MSHR now never asked):
             # release immediately.
@@ -156,81 +177,77 @@ class TokenL2Controller(HomeL2Base):
                        Unit.MC, requestor=self.tile)
             self.ctx.send(done, self.ctx.mc_tile(msg.line_addr))
             return
-        s = mshr.scratch
-        s["persist_granted"] = True
-        ev = s.get("timeout_ev")
-        if ev is not None:
-            ev.cancel()
+        f.persist_granted = True
+        if f.timeout_ev is not None:
+            f.timeout_ev.cancel()
         self._broadcast(mshr)
+
+    def _merge_into_line(self, line: CacheLine, msg: Msg) -> None:
+        """Tokens (and data) for a line we hold: conservation is the
+        protocol's correctness backbone, so they are never dropped."""
+        line.tokens += msg.tokens
+        line.owner_token = line.owner_token or msg.owner_token
+        if msg.dirty:
+            line.shadow = merge_shadow(line.shadow, msg.value)
+        if msg.owner_token:
+            line.l2_state = self._owned_state(
+                line.tokens, msg.dirty or line.l2_state.dirty)
 
     def _absorb_tokens(self, msg: Msg) -> None:
         """Token response with no live transaction (late response after a
         retry already completed): merge into the resident line, or
-        return to memory. Tokens are never dropped — conservation is the
-        protocol's correctness backbone."""
+        return to memory."""
         line = self.array.lookup(msg.line_addr, touch=False)
         if line is not None and line.l2_state.readable:
-            line.tokens += msg.tokens
-            line.owner_token = line.owner_token or msg.owner_token
-            if msg.dirty:
-                line.shadow = merge_shadow(line.shadow, msg.value)
-            if msg.owner_token:
-                line.l2_state = self._owned_state(line.tokens,
-                                                  msg.dirty or
-                                                  line.l2_state.dirty)
+            self._merge_into_line(line, msg)
             return
-        wb = Msg(MsgKind.TOK_WB, msg.line_addr, self.tile, Unit.MC,
-                 requestor=self.tile, tokens=msg.tokens,
-                 owner_token=msg.owner_token, dirty=msg.dirty,
-                 value=msg.value)
-        self.ctx.send(wb, self.ctx.mc_tile(msg.line_addr))
+        self._token_writeback(msg.line_addr, msg.tokens, msg.owner_token,
+                              msg.dirty, msg.value)
+
+    def _collect(self, f: TokenFetch, msg: Msg) -> None:
+        """A token response or a migrant joins the collection."""
+        f.merge(msg.tokens, msg.owner_token, msg.dirty, msg.value)
+        f.offchip = f.offchip or msg.offchip
+        if msg.kind.carries_data:   # TOK_DATA, IVR_MIGRATE; not TOK_ACK
+            f.data_seen = True
 
     def _on_token_response(self, msg: Msg) -> None:
         mshr = self.mshrs.get(msg.line_addr)
-        if mshr is None or not mshr.scratch.get("collecting"):
+        if mshr is None or mshr.phase != COLLECTING:
             self._absorb_tokens(msg)
             return
-        s = mshr.scratch
-        s["tokens_acc"] += msg.tokens
-        s["owner_acc"] = s["owner_acc"] or msg.owner_token
-        s["dirty_acc"] = s["dirty_acc"] or msg.dirty
-        s["offchip_acc"] = s["offchip_acc"] or msg.offchip
-        s["value_acc"] = merge_shadow_opt(s["value_acc"], msg.value)
-        if msg.kind is MsgKind.TOK_DATA:
-            s["data_seen"] = True
+        self._collect(mshr.fetch, msg)
         self._maybe_complete(mshr)
 
     def _maybe_complete(self, mshr: Mshr) -> None:
-        s = mshr.scratch
-        if not s.get("collecting"):
+        f: TokenFetch = mshr.fetch
+        if mshr.phase != COLLECTING or not f.data_seen:
             return
-        if s["want_x"]:
-            ready = (s["tokens_acc"] == self.total_tokens and s["data_seen"])
-        else:
-            ready = (s["tokens_acc"] >= 1 and s["data_seen"])
-        if not ready:
+        if not (f.tokens == self.total_tokens if f.want_x
+                else f.tokens >= 1):
             return
-        s["collecting"] = False  # token handlers stop touching this MSHR
-        ev = s.pop("timeout_ev", None)
-        if ev is not None:
-            ev.cancel()
-        if s["persist_requested"]:
+        # _fill leaves COLLECTING: token handlers stop touching this MSHR
+        if f.timeout_ev is not None:
+            f.timeout_ev.cancel()
+            f.timeout_ev = None
+        if f.persist_requested:
             done = Msg(MsgKind.PERSIST_DONE, mshr.line_addr, self.tile,
                        Unit.MC, requestor=self.tile)
             self.ctx.send(done, self.ctx.mc_tile(mshr.line_addr))
-        self._fill(mshr, offchip=s["offchip_acc"])
+        self._fill(mshr, offchip=f.offchip)
 
     def _apply_fill(self, mshr: Mshr, line: CacheLine) -> None:
-        # the accumulators are final: nothing touches them once
-        # ``collecting`` is False
-        s = mshr.scratch
-        line.tokens = s["tokens_acc"]
-        line.owner_token = s["owner_acc"]
-        line.shadow = merge_shadow(line.shadow, s["value_acc"])
-        if s["want_x"]:
+        # the collection is final (nothing touches it once the phase
+        # has left COLLECTING) and spent: its tokens live on the line now
+        f: TokenFetch = mshr.fetch
+        mshr.fetch = None
+        line.tokens = f.tokens
+        line.owner_token = f.owner
+        line.shadow = merge_shadow(line.shadow, f.value)
+        if f.want_x:
             line.l2_state = L2State.M
         elif line.owner_token:
-            line.l2_state = self._owned_state(line.tokens, s["dirty_acc"])
+            line.l2_state = self._owned_state(line.tokens, f.dirty)
         else:
             line.l2_state = L2State.S
 
@@ -267,9 +284,9 @@ class TokenL2Controller(HomeL2Base):
         """Park a peer token request while a local SERVE transaction is
         in its fill/grant window, replaying it at retire.
 
-        Once token collection completes (``collecting`` False) the
-        transaction is handing the line to a local L1 and only waits on
-        intra-cluster INV/RECALL acks — surrendering tokens *now* would
+        Once token collection completes (the phase leaves COLLECTING)
+        the transaction is handing the line to a local L1 and only waits
+        on a free way and intra-cluster INV/RECALL acks — surrendering tokens *now* would
         invalidate the line out from under the grant continuation, which
         then completes on the dead line and leaves a stale L1 M copy
         (write-serialization violation). Deferral here cannot deadlock:
@@ -281,10 +298,7 @@ class TokenL2Controller(HomeL2Base):
         if INJECT_GRANT_WINDOW_BUG:
             return False
         mshr = self.mshrs.get(msg.line_addr)
-        if (mshr is not None and mshr.kind == "SERVE"
-                and not mshr.scratch.get("collecting", False)
-                and ("collecting" in mshr.scratch
-                     or mshr.scratch.get("granting"))):
+        if mshr is not None and mshr.phase in (FILLING, GRANTING):
             self.mshrs.defer(msg.line_addr, msg)
             self.ctx.stats.counter("tok_grant_window_defers").inc()
             return True
@@ -302,18 +316,17 @@ class TokenL2Controller(HomeL2Base):
             self._owner_serve_gets(msg, line)
             return
         if (msg.persistent and mshr is not None
-                and mshr.scratch.get("collecting")
-                and mshr.scratch["tokens_acc"] > 1
-                and (mshr.scratch.get("data_seen")
+                and mshr.phase == COLLECTING and mshr.fetch.tokens > 1
+                and (mshr.fetch.data_seen
                      or (line is not None and line.l2_state.readable))):
             # A collector with valid data (an upgrade, or a fetch whose
             # data already arrived) can spare a plain token for a
             # starving persistent reader.
-            s = mshr.scratch
-            v = s["value_acc"]
+            f: TokenFetch = mshr.fetch
+            v = f.value
             if v is None and line is not None and line.l2_state.readable:
                 v = line.shadow
-            s["tokens_acc"] -= 1
+            f.tokens -= 1
             resp = Msg(MsgKind.TOK_DATA, msg.line_addr, self.tile, Unit.L2,
                        requestor=msg.requestor, tokens=1, value=v)
             self.ctx.send(resp, msg.requestor)
@@ -329,15 +342,10 @@ class TokenL2Controller(HomeL2Base):
                                partial(self._share_recalled, msg, line))
         else:
             # Last token: the owner token (and our copy) leaves with it.
-            # Invalidate synchronously so nothing merges into a doomed
-            # line while the L1 purge is in flight.
-            targets = sorted(line.sharers)
-            dirty_holder = line.dirty_l1
-            cont = partial(self._surrender, msg, 1, True,
-                           line.l2_state.dirty, line.shadow)
-            self.array.invalidate(line.line_addr)
-            self._local_purge(msg.line_addr, cont, targets=targets,
-                              dirty_holder=dirty_holder)
+            self._drop_and_purge(
+                msg.line_addr, line,
+                partial(self._surrender, msg, 1, True, line.l2_state.dirty,
+                        line.shadow))
 
     def _share_recalled(self, msg: Msg, line: CacheLine, recall_dirty: bool,
                         value: Optional[int]) -> None:
@@ -370,20 +378,16 @@ class TokenL2Controller(HomeL2Base):
             return
         line = self.array.lookup(msg.line_addr, touch=False)
         if line is not None and line.tokens > 0:
-            cont = partial(self._surrender, msg, line.tokens,
-                           line.owner_token, line.l2_state.dirty,
-                           line.shadow)
-            targets = sorted(line.sharers)
-            dirty_holder = line.dirty_l1
-            # Invalidate synchronously: a doomed-but-resident line would
-            # silently swallow tokens merged into it during the purge.
-            self.array.invalidate(msg.line_addr)
-            self._local_purge(msg.line_addr, cont, targets=targets,
-                              dirty_holder=dirty_holder)
+            # (a doomed-but-resident line would silently swallow tokens
+            # merged into it during the purge)
+            self._drop_and_purge(
+                msg.line_addr, line,
+                partial(self._surrender, msg, line.tokens, line.owner_token,
+                        line.l2_state.dirty, line.shadow))
             return
         mshr = self.mshrs.get(msg.line_addr)
-        if (mshr is not None and mshr.scratch.get("collecting")
-                and mshr.scratch["tokens_acc"] > 0
+        if (mshr is not None and mshr.phase == COLLECTING
+                and mshr.fetch.tokens > 0
                 and (msg.persistent or msg.requestor < self.tile)):
             # Surrender accumulated tokens to the persistent winner —
             # or, for ordinary races, to the lower-numbered home: a
@@ -391,15 +395,14 @@ class TokenL2Controller(HomeL2Base):
             # waiting out retry timeouts (hot-line write races would
             # otherwise convoy). Starvation of high-numbered homes is
             # still bounded by persistent-request escalation.
-            s = mshr.scratch
-            tokens, owner = s["tokens_acc"], s["owner_acc"]
-            dirty = s["dirty_acc"]
+            f: TokenFetch = mshr.fetch
+            tokens, owner, dirty = f.tokens, f.owner, f.dirty
             # only an owner's data travels with its tokens
-            value = (s["value_acc"] or 0) if owner else None
-            s["tokens_acc"] = 0
-            s["owner_acc"] = False
+            value = (f.value or 0) if owner else None
+            f.tokens = 0
+            f.owner = False
             if owner:
-                s["data_seen"] = False
+                f.data_seen = False
             # An *upgrading* collector's tokens came with a resident
             # readable copy (moved into the MSHR by _fetch). Handing
             # them to a remote writer hands the copy away too: the line
@@ -407,17 +410,13 @@ class TokenL2Controller(HomeL2Base):
             # survive the remote write and serve stale reads
             # (fuzzer-found write-serialization violation).
             if line is not None:
-                l1_targets = sorted(line.sharers)
-                dirty_holder = line.dirty_l1
                 dirty = dirty or line.l2_state.dirty
                 if owner:
                     value = merge_shadow(value, line.shadow)
-                self.array.invalidate(msg.line_addr)
-                self._local_purge(msg.line_addr,
-                                  partial(self._surrender, msg, tokens,
-                                          owner, dirty, value),
-                                  targets=l1_targets,
-                                  dirty_holder=dirty_holder)
+                self._drop_and_purge(
+                    msg.line_addr, line,
+                    partial(self._surrender, msg, tokens, owner, dirty,
+                            value))
             else:
                 self._surrender(msg, tokens, owner, dirty, value,
                                 False, None)
@@ -485,38 +484,29 @@ class TokenL2Controller(HomeL2Base):
     # -- receiving a migrant ---------------------------------------------
     def _on_migrate(self, msg: Msg) -> None:
         mshr = self.mshrs.get(msg.line_addr)
-        if mshr is not None and mshr.scratch.get("collecting"):
+        if mshr is not None and mshr.phase == COLLECTING:
             # We are fetching this very line: the migrant IS a data +
             # token response (deferring it behind our own MSHR would
             # deadlock — the MSHR is waiting for these tokens).
-            s = mshr.scratch
-            s["tokens_acc"] += msg.tokens
-            s["owner_acc"] = s["owner_acc"] or msg.owner_token
-            s["dirty_acc"] = s["dirty_acc"] or msg.dirty
-            s["data_seen"] = True  # a migrant carries the full line
-            s["value_acc"] = merge_shadow_opt(s["value_acc"], msg.value)
+            self._collect(mshr.fetch, msg)
             self.ctx.stats.counter("ivr_fetch_merges").inc()
             self._maybe_complete(mshr)
             return
         line = self.array.lookup(msg.line_addr, touch=False)
         if line is not None:
             # We already hold a copy: merge tokens (conservation!).
-            line.tokens += msg.tokens
-            line.owner_token = line.owner_token or msg.owner_token
-            if msg.dirty:
-                line.shadow = merge_shadow(line.shadow, msg.value)
-            if msg.owner_token:
-                line.l2_state = self._owned_state(
-                    line.tokens, msg.dirty or line.l2_state.dirty)
+            self._merge_into_line(line, msg)
             line.timestamp = max(line.timestamp, msg.timestamp)
             self.ctx.stats.counter("ivr_merges").inc()
             return
         if mshr is not None:
-            if mshr.kind == "SERVE" and "collecting" not in mshr.scratch:
+            if mshr.kind == "SERVE" and mshr.phase == ALLOCATED:
                 # Pre-fetch window: the serve transaction was allocated
-                # but hasn't reached _fetch yet — stash the migrant for
-                # _fetch to consume (deferring would deadlock).
-                mshr.scratch.setdefault("early_migrants", []).append(msg)
+                # but hasn't reached _fetch yet — start its collection
+                # with the migrant (deferring would deadlock).
+                if mshr.fetch is None:
+                    mshr.fetch = TokenFetch()
+                self._collect(mshr.fetch, msg)
                 return
             # EVICT in progress, or a completed collection mid-fill:
             # replay once the transaction retires.
@@ -548,13 +538,9 @@ class TokenL2Controller(HomeL2Base):
         L1 sharers: displacing a shared line would need an invalidation
         round nested inside the migration being installed."""
         for cand in self.array.victim_ranking(line_addr):
-            if self.mshrs.busy(cand.line_addr):
-                continue
-            if cand.line_addr in self._fwd_ops:
-                continue
-            if cand.sharers or cand.dirty_l1 is not None:
-                continue
-            return cand
+            if not (self.line_busy(cand.line_addr) or cand.sharers
+                    or cand.dirty_l1 is not None):
+                return cand
         return None
 
     def _forward_or_writeback(self, msg: Msg) -> None:

@@ -10,22 +10,30 @@ and where victims go (writeback, directory notify, or IVR migration).
 Concurrency discipline:
 
 * One live transaction per line via the MSHR file; later requests for a
-  busy line are deferred and replayed at retire.
+  busy line are deferred and replayed at retire. ``mshr.phase`` says
+  where a SERVE transaction is (allocated -> collecting -> filling ->
+  granting) and the second level's collection state hangs on
+  ``mshr.fetch``; nothing is keyed by string.
+* Every job that asks the local L1s for something — the read grant's
+  recall, the write grant's invalidations, an eviction, a forward
+  purge or recall — is one :class:`ReplyRound`: one handler for
+  ACK_INV_L1 and RECALL_RESP, one WB_L1 feed, one completion rule.
 * Remote-initiated work (forwarded GETS/GETX, invalidations, token
   grabs) must NOT block on the line MSHR — that deadlocks two homes
-  waiting on each other. It runs through per-line *forward ops* keyed
-  separately, using ``fwd=True`` tagged INV/RECALL messages so acks
-  route to the right waiter.
+  waiting on each other. Its rounds (*forward ops*) are keyed
+  separately in ``_fwd_ops`` and tag their INV/RECALL messages
+  ``fwd=True`` so each reply finds its round.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.cache.array import CacheArray
 from repro.cache.line import CacheLine, L2State
-from repro.cache.mshr import Mshr, MshrFile
+from repro.cache.mshr import COLLECTING, FILLING, GRANTING, Mshr, MshrFile
 from repro.coherence.context import SystemContext
 from repro.coherence.messages import Msg, MsgKind, Unit
 from repro.coherence.shadow import merge_shadow, merge_shadow_opt
@@ -36,6 +44,37 @@ from repro.errors import ProtocolError
 #: stale readable L1 copy — the classic missed-invalidation bug the
 #: value oracle and the epoch SWMR check must both catch.
 INJECT_SKIP_SHARER_INV = False
+
+
+@dataclass(slots=True)
+class ReplyRound:
+    """One round of INV_L1 / RECALL_L1 to local L1s and what they hand
+    back.
+
+    A home transaction hangs its round on the MSHR (``mshr.round``):
+    dirty data is absorbed into the line or victim as it arrives and
+    ``cont()`` continues the transaction. A forward op's round lives in
+    ``_fwd_ops`` (``mshr`` is None): the data is kept here for
+    ``cont(dirty, value)``, after which the purges queued behind the op
+    are re-run and the grants that waited for its data are retried.
+
+    The dirty holder's data comes back on its reply or, when that L1
+    evicted concurrently, on the crossing WB_L1 (an M eviction always
+    writes back) — in either order. A nack from the holder means it
+    poisoned its in-flight grant: the modified copy never existed and
+    nothing is owed (``dirty_holder`` is cleared).
+    """
+
+    mshr: Optional[Mshr]
+    pending: int                      # replies still expected
+    dirty_holder: Optional[int]       # the L1 that owes its data
+    cont: Callable
+    dirty: bool = False               # modified data came back
+    value: Optional[int] = None       # ... the newest of it
+    #: forward op only: (cont, targets) purges queued behind it, and
+    #: the grants parked until its data lands
+    queue: List = field(default_factory=list)
+    waiters: List = field(default_factory=list)
 
 
 class HomeL2Base:
@@ -52,7 +91,7 @@ class HomeL2Base:
                                 index_stride=ctx.home_interleave())
         self.mshrs = MshrFile(capacity=16)
         self.latency = l2_cfg.access_latency
-        self._fwd_ops: Dict[int, Dict] = {}
+        self._fwd_ops: Dict[int, ReplyRound] = {}
         self._overflow: List[Msg] = []  # requests parked on a full MSHR file
         self._build_dispatch()
         ctx.register(tile, Unit.L2, self.handle)
@@ -80,8 +119,8 @@ class HomeL2Base:
         for kind, fn in ((MsgKind.GETS, self._serve_request),
                          (MsgKind.GETX, self._serve_request),
                          (MsgKind.WB_L1, self._on_wb_l1),
-                         (MsgKind.ACK_INV_L1, self._on_ack_inv),
-                         (MsgKind.RECALL_RESP, self._on_recall_resp)):
+                         (MsgKind.ACK_INV_L1, self._on_l1_reply),
+                         (MsgKind.RECALL_RESP, self._on_l1_reply)):
             self._dispatch[kind.idx] = fn
 
     def __getstate__(self) -> dict:
@@ -112,58 +151,91 @@ class HomeL2Base:
         mshr = self.mshrs.allocate(line_addr, "SERVE",
                                    requestor=msg.requestor,
                                    issued_cycle=self.ctx.sim.cycle)
-        mshr.scratch["msg"] = msg
+        mshr.msg = msg
         self._c_l2_accesses.value += 1
         self.ctx.sim.call_after(self.latency,
                                 partial(self._serve_body, mshr))
 
     def _serve_body(self, mshr: Mshr) -> None:
-        msg: Msg = mshr.scratch["msg"]
+        msg: Msg = mshr.msg
         line = self.array.lookup(msg.line_addr)
         if msg.kind is MsgKind.GETS:
             if line is not None and line.l2_state.readable:
                 self._c_l2_hits.value += 1
-                mshr.scratch["home_hit"] = True
+                mshr.home_hit = True
                 self._grant_read(mshr, line)
             else:
-                self._start_miss(mshr, exclusive=False)
+                self._c_l2_misses.value += 1
+                self._miss(mshr, exclusive=False)
         else:  # GETX
             if line is not None and self._can_write(line):
                 self._c_l2_hits.value += 1
-                mshr.scratch["home_hit"] = True
+                mshr.home_hit = True
                 self._grant_write(mshr, line)
             elif line is not None and line.l2_state.readable:
                 self._c_l2_upgrades.value += 1
-                mshr.scratch["miss_cycle"] = self.ctx.sim.cycle
-                self._upgrade(mshr, line)
+                self._miss(mshr, exclusive=True, held=line)
             else:
-                self._start_miss(mshr, exclusive=True)
+                self._c_l2_misses.value += 1
+                self._miss(mshr, exclusive=True)
 
-    def _start_miss(self, mshr: Mshr, exclusive: bool) -> None:
-        self._c_l2_misses.value += 1
-        mshr.scratch["miss_cycle"] = self.ctx.sim.cycle
-        self._fetch(mshr, exclusive)
+    def _miss(self, mshr: Mshr, exclusive: bool,
+              held: Optional[CacheLine] = None) -> None:
+        """Enter the second level — or fall back to it from a parked
+        grant, which must leave GRANTING: forwards would otherwise be
+        deferred behind our fetch (the cross-deferral deadlock)."""
+        mshr.phase = COLLECTING
+        if mshr.miss_cycle is None:
+            mshr.miss_cycle = self.ctx.sim.cycle
+        if held is not None:
+            self._upgrade(mshr, held)
+        else:
+            self._fetch(mshr, exclusive)
+
+    # -- L1 reply rounds ---------------------------------------------------
+    def _start_round(self, line_addr: int, kind: MsgKind,
+                     targets: List[int], dirty_holder: Optional[int],
+                     cont: Callable, mshr: Optional[Mshr] = None) -> None:
+        """Send ``kind`` (INV_L1 / RECALL_L1) to ``targets`` and open
+        the round their replies belong to: ``mshr``'s, or with none the
+        line's forward op."""
+        rnd = ReplyRound(mshr, len(targets), dirty_holder, cont)
+        if mshr is None:
+            self._fwd_ops[line_addr] = rnd
+            requestor = self.tile
+        else:
+            mshr.round = rnd
+            requestor = mshr.requestor
+        for t in targets:
+            self.ctx.send(Msg(kind, line_addr, self.tile, Unit.L1,
+                              requestor=requestor, fwd=mshr is None), t)
+
+    def _parked_on_forward_op(self, line_addr: int, retry: Callable) -> bool:
+        """A forward recall/purge of the line's dirty L1 data is in
+        flight (it already cleared ``dirty_l1``): our copy is stale
+        until that data lands, and invalidations of ours would race it
+        and strip the holder first, leaving the op waiting forever for
+        data that came back on our ack instead. Park ``retry`` on the
+        op; it re-checks permissions at completion (the op may have
+        demoted or removed the line)."""
+        op = self._fwd_ops.get(line_addr)
+        if op is None or op.dirty_holder is None:
+            return False
+        op.waiters.append(retry)
+        return True
 
     # -- read grant ------------------------------------------------------
     def _grant_read(self, mshr: Mshr, line: CacheLine) -> None:
-        mshr.scratch["granting"] = True
-        req = mshr.requestor
-        op = self._fwd_ops.get(line.line_addr)
-        if op is not None and op.get("need_dirty"):
-            # A forward recall/purge of the dirty L1 data is in flight
-            # (it already cleared ``dirty_l1``): our copy is stale until
-            # that data lands, so granting now would serve a stale line.
-            # Park the grant as an op waiter and retry at completion.
-            op.setdefault("waiters", []).append(
-                partial(self._regrant_read, mshr))
+        mshr.phase = GRANTING
+        if self._parked_on_forward_op(line.line_addr,
+                                      partial(self._regrant_read, mshr)):
             return
-        if line.dirty_l1 is not None and line.dirty_l1 != req:
-            holder = line.dirty_l1
-            mshr.scratch["cont"] = partial(self._finish_read, mshr, line)
-            recall = Msg(MsgKind.RECALL_L1, line.line_addr, self.tile,
-                         Unit.L1, requestor=req)
+        holder = line.dirty_l1
+        if holder is not None and holder != mshr.requestor:
             line.dirty_l1 = None  # holder downgrades to S on recall
-            self.ctx.send(recall, holder)
+            self._start_round(line.line_addr, MsgKind.RECALL_L1, [holder],
+                              holder, partial(self._finish_read, mshr, line),
+                              mshr)
             return
         self._finish_read(mshr, line)
 
@@ -172,12 +244,7 @@ class HomeL2Base:
         if fresh is not None and fresh.l2_state.readable:
             self._grant_read(mshr, fresh)
         else:
-            # Back to the miss path: drop the granting flag or forwards
-            # would be deferred behind our fetch (the cross-deferral
-            # deadlock).
-            mshr.scratch.pop("granting", None)
-            mshr.scratch.setdefault("miss_cycle", self.ctx.sim.cycle)
-            self._fetch(mshr, exclusive=False)
+            self._miss(mshr, exclusive=False)
 
     def _finish_read(self, mshr: Mshr, line: CacheLine) -> None:
         req = mshr.requestor
@@ -188,28 +255,18 @@ class HomeL2Base:
 
     # -- write grant -----------------------------------------------------
     def _grant_write(self, mshr: Mshr, line: CacheLine) -> None:
-        mshr.scratch["granting"] = True
-        req = mshr.requestor
-        op = self._fwd_ops.get(line.line_addr)
-        if op is not None and op.get("need_dirty"):
-            # A forward recall of the dirty L1 data is in flight. Our
-            # invalidations would race it and strip the holder first,
-            # leaving the recall waiting forever for data that came
-            # back on our ack instead. Park until the op completes,
-            # then re-check permissions (the op may have demoted us).
-            op.setdefault("waiters", []).append(
-                partial(self._regrant_write, mshr))
+        mshr.phase = GRANTING
+        if self._parked_on_forward_op(line.line_addr,
+                                      partial(self._regrant_write, mshr)):
             return
+        req = mshr.requestor
         targets = sorted(line.sharers - {req})
         if INJECT_SKIP_SHARER_INV and targets:
             targets = targets[1:]
         if targets:
-            mshr.pending_acks = len(targets)
-            mshr.scratch["cont"] = partial(self._finish_write, mshr, line)
-            for t in targets:
-                inv = Msg(MsgKind.INV_L1, line.line_addr, self.tile, Unit.L1,
-                          requestor=req)
-                self.ctx.send(inv, t)
+            # No data is owed: the writer overwrites the whole line.
+            self._start_round(line.line_addr, MsgKind.INV_L1, targets, None,
+                              partial(self._finish_write, mshr, line), mshr)
             line.sharers = {req} & line.sharers
             line.dirty_l1 = None
             return
@@ -219,16 +276,10 @@ class HomeL2Base:
         fresh = self.array.lookup(mshr.line_addr, touch=False)
         if fresh is not None and self._can_write(fresh):
             self._grant_write(mshr, fresh)
-            return
-        # Back to the miss path: drop the granting flag or forwards
-        # would be deferred behind our fetch (the cross-deferral
-        # deadlock).
-        mshr.scratch.pop("granting", None)
-        mshr.scratch.setdefault("miss_cycle", self.ctx.sim.cycle)
-        if fresh is not None and fresh.l2_state.readable:
-            self._upgrade(mshr, fresh)
+        elif fresh is not None and fresh.l2_state.readable:
+            self._miss(mshr, exclusive=True, held=fresh)
         else:
-            self._fetch(mshr, exclusive=True)
+            self._miss(mshr, exclusive=True)
 
     def _finish_write(self, mshr: Mshr, line: CacheLine) -> None:
         req = mshr.requestor
@@ -241,11 +292,9 @@ class HomeL2Base:
 
     def _send_grant(self, mshr: Mshr, writable: bool,
                     value: Optional[int] = None) -> None:
-        msg: Msg = mshr.scratch["msg"]
-        grant = Msg(MsgKind.DATA_L1, msg.line_addr, self.tile, Unit.L1,
+        grant = Msg(MsgKind.DATA_L1, mshr.line_addr, self.tile, Unit.L1,
                     requestor=mshr.requestor, writable=writable,
-                    home_hit=mshr.scratch.get("home_hit", False),
-                    offchip=mshr.scratch.get("offchip", False),
+                    home_hit=mshr.home_hit, offchip=mshr.offchip,
                     value=value)
         self.ctx.send(grant, mshr.requestor)
 
@@ -262,10 +311,11 @@ class HomeL2Base:
     def _fill(self, mshr: Mshr, offchip: bool) -> None:
         """Second-level data arrived: install (``_apply_fill`` sets the
         line's state from what the subclass collected in
-        ``mshr.scratch``) and grant."""
-        mshr.scratch["offchip"] = offchip
+        ``mshr.fetch``) and grant."""
+        mshr.phase = FILLING
+        mshr.offchip = offchip
         if not offchip:
-            delay = self.ctx.sim.cycle - mshr.scratch["miss_cycle"]
+            delay = self.ctx.sim.cycle - mshr.miss_cycle
             self._s_search_delay.add(delay)
             self._c_fills_onchip.inc()
         else:
@@ -292,12 +342,9 @@ class HomeL2Base:
         self._apply_fill(mshr, existing)
         # A WB_L1 that landed while the fill was in flight carries
         # newer data than the fill source; fold it in.
-        wbv = mshr.scratch.get("wb_value")
-        if wbv is not None:
-            existing.shadow = merge_shadow(existing.shadow, wbv)
+        existing.shadow = merge_shadow(existing.shadow, mshr.wb_value)
         existing.touch(self.ctx.timestamp.now())
-        msg: Msg = mshr.scratch["msg"]
-        if msg.kind is MsgKind.GETS:
+        if mshr.msg.kind is MsgKind.GETS:
             self._grant_read(mshr, existing)
         else:
             self._grant_write(mshr, existing)
@@ -314,31 +361,24 @@ class HomeL2Base:
                                  requestor=self.tile,
                                  issued_cycle=self.ctx.sim.cycle,
                                  force=True)
-        ev.scratch["victim"] = victim
+        ev.victim = victim
         self.ctx.stats.counter("l2_evictions").inc()
         targets = sorted(victim.sharers)
         dirty_holder = victim.dirty_l1
         victim.sharers = set()
         victim.dirty_l1 = None
         if targets:
-            ev.pending_acks = len(targets)
-            ev.scratch["cont"] = partial(self._evicted, ev, cont)
             # A dirty L1 copy must hand its data back before the victim
-            # is disposed — via a dirty invalidation ack, or (if the L1
-            # evicted concurrently) via the crossing WB_L1. Disposing
-            # early would write back stale data and strand the newest
-            # value in flight.
-            ev.scratch["need_dirty"] = dirty_holder is not None
-            ev.scratch["dirty_holder"] = dirty_holder
-            for t in targets:
-                inv = Msg(MsgKind.INV_L1, victim.line_addr, self.tile,
-                          Unit.L1, requestor=self.tile)
-                self.ctx.send(inv, t)
+            # is disposed: disposing early would write back stale data
+            # and strand the newest value in flight.
+            self._start_round(victim.line_addr, MsgKind.INV_L1, targets,
+                              dirty_holder, partial(self._evicted, ev, cont),
+                              ev)
         else:
             self._evicted(ev, cont)
 
     def _evicted(self, ev: Mshr, cont: Callable[[], None]) -> None:
-        self._dispose_victim(ev.scratch["victim"])
+        self._dispose_victim(ev.victim)
         self._retire(ev)
         cont()
 
@@ -350,131 +390,106 @@ class HomeL2Base:
 
     def _pick_victim(self, line_addr: int) -> Optional[CacheLine]:
         for cand in self.array.victim_ranking(line_addr):
-            if self.mshrs.busy(cand.line_addr):
-                continue
-            if cand.line_addr in self._fwd_ops:
-                continue
-            return cand
+            if not self.line_busy(cand.line_addr):
+                return cand
         return None
+
+    def line_busy(self, line_addr: int) -> bool:
+        """A live transaction (MSHR or forward op) owns this line here."""
+        return self.mshrs.busy(line_addr) or line_addr in self._fwd_ops
 
     # ------------------------------------------------------------------
     # L1 responses
     # ------------------------------------------------------------------
+    @staticmethod
+    def _absorb_dirty(line: CacheLine, value: Optional[int]) -> None:
+        """An L1's modified data lands in ``line`` (resident, or a
+        victim awaiting disposal): the newest value wins and a clean
+        copy keeps (or gains) dirty ownership at L2."""
+        line.shadow = merge_shadow(line.shadow, value)
+        if line.l2_state is L2State.E:
+            line.l2_state = L2State.M
+        elif line.l2_state is L2State.S:
+            line.l2_state = L2State.O
+
     def _on_wb_l1(self, msg: Msg) -> None:
-        # Feed any forward op first: a purge/recall whose dirty L1
-        # evicted concurrently receives its data through this writeback.
-        op = self._fwd_ops.get(msg.line_addr)
-        if op is not None:
-            op["dirty"] = True
-            op["value"] = merge_shadow_opt(op["value"], msg.value)
-        line = self.array.lookup(msg.line_addr, touch=False)
+        line_addr = msg.line_addr
+        op = self._fwd_ops.get(line_addr)
+        mshr = self.mshrs.get(line_addr)
+        line = self.array.lookup(line_addr, touch=False)
         if line is not None:
             if line.dirty_l1 == msg.src_tile:
                 line.dirty_l1 = None
             line.sharers.discard(msg.src_tile)
-            line.shadow = merge_shadow(line.shadow, msg.value)
-            # The L1's modified data lands here; the line keeps (or
-            # gains) dirty ownership at L2.
-            if line.l2_state in (L2State.E, L2State.S):
-                line.l2_state = (L2State.M if line.l2_state is L2State.E
-                                 else L2State.O)
-            mshr = self.mshrs.get(msg.line_addr)
-            if mshr is not None and mshr.kind == "SERVE":
-                if mshr.scratch.pop("awaiting_wb", False):
-                    # A clean RECALL_RESP raced us; the grant was held
-                    # for this data — continue it now.
-                    mshr.scratch.pop("cont")()
-                else:
-                    mshr.scratch["wb_merged"] = True
+            self._absorb_dirty(line, msg.value)
+        elif mshr is not None and mshr.victim is not None:
+            # Raced our own eviction: merge into the victim so the
+            # disposal writes the newest data back.
+            self._absorb_dirty(mshr.victim, msg.value)
+        elif mshr is not None:
+            # A refetch of a line we gave away: the fill in flight is
+            # staler than this data; merge at install time, and push
+            # the value off-chip so other homes converge too.
+            mshr.wb_value = merge_shadow_opt(mshr.wb_value, msg.value)
+            self._orphan_wb(msg)
+        elif op is None:
+            # True orphan: the home no longer tracks the line at all.
+            # Forward the dirty data to the second level so the
+            # committed value is never lost.
+            self._orphan_wb(msg)
+        # A round whose dirty L1 evicted concurrently gets its data
+        # through this writeback instead of the holder's reply.
+        for rnd in (mshr.round if mshr is not None else None, op):
+            if rnd is not None:
+                rnd.dirty = True
+                rnd.value = merge_shadow_opt(rnd.value, msg.value)
+                self._round_step(line_addr, rnd)
+
+    def _on_l1_reply(self, msg: Msg) -> None:
+        """ACK_INV_L1 / RECALL_RESP: one reply of the line's forward op
+        (``msg.fwd``) or of its own transaction's round."""
+        if msg.fwd:
+            rnd = self._fwd_ops.get(msg.line_addr)
         else:
             mshr = self.mshrs.get(msg.line_addr)
-            victim = mshr.scratch.get("victim") if mshr is not None else None
-            if victim is not None:
-                # Raced our own eviction: merge into the victim so the
-                # disposal writes the newest data back.
-                victim.shadow = merge_shadow(victim.shadow, msg.value)
-                if victim.l2_state in (L2State.E, L2State.S):
-                    victim.l2_state = (L2State.M
-                                       if victim.l2_state is L2State.E
-                                       else L2State.O)
-                if mshr.scratch.pop("awaiting_wb", False):
-                    mshr.scratch.pop("cont")()
-                else:
-                    mshr.scratch["wb_merged"] = True
-            elif mshr is not None and mshr.kind == "SERVE":
-                # A refetch of a line we gave away: the fill in flight
-                # is staler than this data; merge at install time, and
-                # push the value off-chip so other homes converge too.
-                mshr.scratch["wb_value"] = merge_shadow_opt(
-                    mshr.scratch.get("wb_value"), msg.value)
-                self._orphan_wb(msg)
-            elif op is None:
-                # True orphan: the home no longer tracks the line at
-                # all. Forward the dirty data to the second level so
-                # the committed value is never lost.
-                self._orphan_wb(msg)
-        if op is not None and op.pop("awaiting_wb", False) \
-                and op["pending"] == 0:
-            self._complete_fwd_op(msg.line_addr, op)
-
-    def _on_ack_inv(self, msg: Msg) -> None:
-        if msg.fwd:
-            self._fwd_ack(msg)
-            return
-        mshr = self.mshrs.get(msg.line_addr)
-        if mshr is None or mshr.pending_acks <= 0:
-            raise ProtocolError(f"stray ACK_INV_L1 at {self.tile}: {msg}")
-        mshr.pending_acks -= 1
+            rnd = mshr.round if mshr is not None else None
+        if rnd is None or rnd.pending <= 0:
+            raise ProtocolError(
+                f"stray {msg.kind.name} at {self.tile}: {msg}")
+        rnd.pending -= 1
         if msg.dirty:
-            mshr.scratch["dirty_ack"] = True
-            victim = mshr.scratch.get("victim")
-            target = (victim if victim is not None
-                      else self.array.lookup(msg.line_addr, touch=False))
-            if target is not None:
-                target.shadow = merge_shadow(target.shadow, msg.value)
-            if victim is not None and victim.l2_state in (L2State.E,
-                                                          L2State.S):
-                victim.l2_state = (L2State.M if victim.l2_state is L2State.E
-                                   else L2State.O)
-        elif msg.nack and msg.src_tile == mshr.scratch.get("dirty_holder"):
-            # The believed-dirty holder poisoned its in-flight grant:
-            # the modified copy never existed, nothing to wait for.
-            mshr.scratch["need_dirty"] = False
-        if mshr.pending_acks == 0:
-            if mshr.scratch.get("need_dirty") \
-                    and not mshr.scratch.get("dirty_ack") \
-                    and not mshr.scratch.get("wb_merged"):
-                # The dirty L1 evicted concurrently: its data is in a
-                # WB_L1 still in flight (an M eviction always writes
-                # back). Hold the transaction until it lands.
-                mshr.scratch["awaiting_wb"] = True
-                return
-            cont = mshr.scratch.pop("cont")
-            cont()
+            rnd.dirty = True
+            rnd.value = merge_shadow_opt(rnd.value, msg.value)
+            if rnd.mshr is not None:
+                target = rnd.mshr.victim or self.array.lookup(
+                    msg.line_addr, touch=False)
+                if target is not None:
+                    self._absorb_dirty(target, msg.value)
+        elif msg.nack and msg.src_tile == rnd.dirty_holder:
+            rnd.dirty_holder = None
+        self._round_step(msg.line_addr, rnd)
 
-    def _on_recall_resp(self, msg: Msg) -> None:
-        if msg.fwd:
-            self._fwd_ack(msg)
+    def _round_step(self, line_addr: int, rnd: ReplyRound) -> None:
+        """Complete ``rnd`` once no reply is pending and the data it is
+        owed has arrived. All replies in and all clean means the dirty
+        L1 evicted concurrently and its data rides a WB_L1 still in
+        flight: continuing now would grant, dispose or surrender stale
+        data, so the round stays open until ``_on_wb_l1`` feeds it."""
+        if rnd.pending or (rnd.dirty_holder is not None and not rnd.dirty):
             return
-        mshr = self.mshrs.get(msg.line_addr)
-        if mshr is None:
-            raise ProtocolError(f"stray RECALL_RESP at {self.tile}: {msg}")
-        line = self.array.lookup(msg.line_addr, touch=False)
-        if msg.dirty:
-            if line is not None:
-                line.shadow = merge_shadow(line.shadow, msg.value)
-                if line.l2_state in (L2State.E, L2State.S):
-                    line.l2_state = (L2State.M if line.l2_state is L2State.E
-                                     else L2State.O)
-        elif not msg.nack and not mshr.scratch.pop("wb_merged", False):
-            # Clean response to a recall of a believed-dirty copy: the
-            # holder evicted concurrently and its data rides a WB_L1
-            # still in flight. Granting now would serve stale data;
-            # _on_wb_l1 continues the transaction when it lands.
-            mshr.scratch["awaiting_wb"] = True
+        if rnd.mshr is not None:
+            rnd.mshr.round = None
+            rnd.cont()
             return
-        cont = mshr.scratch.pop("cont")
-        cont()
+        del self._fwd_ops[line_addr]
+        rnd.cont(rnd.dirty, rnd.value)
+        for queued_cont, queued_targets in rnd.queue:
+            # Re-run with the targets captured at queue time (if any);
+            # with none, re-derive — sharer sets may have changed.
+            self._local_purge(line_addr, queued_cont,
+                              targets=queued_targets)
+        for waiter in rnd.waiters:
+            waiter()
 
     # ------------------------------------------------------------------
     # forward ops: remote-initiated local purge / recall
@@ -500,7 +515,7 @@ class HomeL2Base:
             # copies surviving a remote write (fuzzer-found). The
             # dirty holder is not kept: by completion the active op has
             # collected its data (every op covers the then-dirty L1).
-            op["queue"].append((cont, targets))
+            op.queue.append((cont, targets))
             return
         if targets is None:
             line = self.array.lookup(line_addr, touch=False)
@@ -512,15 +527,19 @@ class HomeL2Base:
         if not targets:
             cont(False, None)
             return
-        self._fwd_ops[line_addr] = {"pending": len(targets), "dirty": False,
-                                    "value": None,
-                                    "need_dirty": dirty_holder is not None,
-                                    "dirty_holder": dirty_holder,
-                                    "cont": cont, "queue": []}
-        for t in targets:
-            inv = Msg(MsgKind.INV_L1, line_addr, self.tile, Unit.L1,
-                      requestor=self.tile, fwd=True)
-            self.ctx.send(inv, t)
+        self._start_round(line_addr, MsgKind.INV_L1, targets, dirty_holder,
+                          cont)
+
+    def _drop_and_purge(self, line_addr: int, line: Optional[CacheLine],
+                        cont: Callable[[bool, Optional[int]], None]) -> None:
+        """Surrender ``line`` (None: not resident): out of the array at
+        once, so nothing merges into a doomed line while the purge of
+        the L1 copies captured here is in flight."""
+        targets = sorted(line.sharers) if line is not None else []
+        dirty_holder = line.dirty_l1 if line is not None else None
+        self.array.invalidate(line_addr)
+        self._local_purge(line_addr, cont, targets=targets,
+                          dirty_holder=dirty_holder)
 
     def _local_recall(self, line_addr: int,
                       cont: Callable[[bool, Optional[int]], None]) -> None:
@@ -528,7 +547,7 @@ class HomeL2Base:
         then ``cont(dirty_seen, dirty_value)``."""
         op = self._fwd_ops.get(line_addr)
         if op is not None:
-            op["queue"].append((cont, None))
+            op.queue.append((cont, None))
             return
         line = self.array.lookup(line_addr, touch=False)
         if line is None or line.dirty_l1 is None:
@@ -536,43 +555,8 @@ class HomeL2Base:
             return
         holder = line.dirty_l1
         line.dirty_l1 = None
-        self._fwd_ops[line_addr] = {"pending": 1, "dirty": False,
-                                    "value": None, "need_dirty": True,
-                                    "dirty_holder": holder,
-                                    "cont": cont, "queue": []}
-        recall = Msg(MsgKind.RECALL_L1, line_addr, self.tile, Unit.L1,
-                     requestor=self.tile, fwd=True)
-        self.ctx.send(recall, holder)
-
-    def _fwd_ack(self, msg: Msg) -> None:
-        op = self._fwd_ops.get(msg.line_addr)
-        if op is None:
-            raise ProtocolError(f"stray fwd ack at {self.tile}: {msg}")
-        op["pending"] -= 1
-        if msg.dirty:
-            op["dirty"] = True
-            op["value"] = merge_shadow_opt(op["value"], msg.value)
-        elif msg.nack and msg.src_tile == op.get("dirty_holder"):
-            op["need_dirty"] = False  # the holder's grant was poisoned
-        if op["pending"] == 0:
-            if op["need_dirty"] and op["value"] is None:
-                # The dirty L1 evicted concurrently; its data rides a
-                # WB_L1 still in flight. Hold the op open — _on_wb_l1
-                # completes it when the writeback lands.
-                op["awaiting_wb"] = True
-                return
-            self._complete_fwd_op(msg.line_addr, op)
-
-    def _complete_fwd_op(self, line_addr: int, op: Dict) -> None:
-        del self._fwd_ops[line_addr]
-        op["cont"](op["dirty"], op["value"])
-        for queued_cont, queued_targets in op["queue"]:
-            # Re-run with the targets captured at queue time (if any);
-            # with none, re-derive — sharer sets may have changed.
-            self._local_purge(line_addr, queued_cont,
-                              targets=queued_targets)
-        for waiter in op.get("waiters", []):
-            waiter()
+        self._start_round(line_addr, MsgKind.RECALL_L1, [holder], holder,
+                          cont)
 
     def _orphan_wb(self, msg: Msg) -> None:
         """An L1 writeback arrived for a line this home no longer tracks

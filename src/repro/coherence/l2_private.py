@@ -26,17 +26,35 @@ the writeback — guaranteed progress without a three-phase directory.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 from repro.cache.line import CacheLine, L2State
-from repro.cache.mshr import Mshr
+from repro.cache.mshr import GRANTING, Mshr
 from repro.coherence.l2_home import HomeL2Base
 from repro.coherence.messages import Msg, MsgKind, Unit
 from repro.coherence.shadow import merge_shadow, merge_shadow_opt
 from repro.errors import ProtocolError
 
 _RETRY_DELAY = 20  # cycles before re-asking the directory after a NACK
+
+
+@dataclass(slots=True)
+class DirFetch:
+    """What one request through the directory has gathered
+    (``mshr.fetch``): complete with the data, the directory's header
+    and as many sharer acks as the header announced. A NACK-retry
+    starts a fresh record that keeps only the retry count."""
+
+    want_x: bool
+    nack_retries: int = 0
+    data_seen: bool = False
+    header_need: Optional[int] = None  # acks the header announced
+    acks_got: int = 0
+    exclusive: bool = False            # the fill may install E
+    offchip: bool = False
+    value: Optional[int] = None        # newest shadow value seen
 
 
 class DirectoryL2Controller(HomeL2Base):
@@ -55,10 +73,9 @@ class DirectoryL2Controller(HomeL2Base):
     # requestor side
     # ------------------------------------------------------------------
     def _fetch(self, mshr: Mshr, exclusive: bool) -> None:
-        mshr.scratch.update(data_seen=False, header_need=None, acks_got=0,
-                            fill_dirty=False, fill_exclusive=False,
-                            fill_offchip=False, fill_value=None,
-                            want_x=exclusive)
+        prev: Optional[DirFetch] = mshr.fetch
+        mshr.fetch = DirFetch(exclusive,
+                              prev.nack_retries if prev is not None else 0)
         kind = MsgKind.DIR_GETX if exclusive else MsgKind.DIR_GETS
         req = Msg(kind, mshr.line_addr, self.tile, Unit.MC,
                   requestor=self.tile)
@@ -70,25 +87,25 @@ class DirectoryL2Controller(HomeL2Base):
         self._fetch(mshr, exclusive=True)
 
     def _maybe_complete(self, mshr: Mshr) -> None:
-        s = mshr.scratch
-        if not s["data_seen"] or s["header_need"] is None:
+        f: DirFetch = mshr.fetch
+        if not f.data_seen or f.header_need is None:
             return
-        if s["acks_got"] < s["header_need"]:
+        if f.acks_got < f.header_need:
             return
         # Confirm to the directory: it commits owner/sharer state and
         # unblocks queued requests for this line.
         done = Msg(MsgKind.DIR_DONE, mshr.line_addr, self.tile, Unit.MC,
-                   requestor=self.tile, writable=s["want_x"],
-                   exclusive=s["fill_exclusive"])
+                   requestor=self.tile, writable=f.want_x,
+                   exclusive=f.exclusive)
         self.ctx.send(done, self.ctx.mc_tile(mshr.line_addr))
-        self._fill(mshr, offchip=s["fill_offchip"])
+        self._fill(mshr, offchip=f.offchip)
 
     def _apply_fill(self, mshr: Mshr, line: CacheLine) -> None:
-        s = mshr.scratch
-        line.shadow = merge_shadow(line.shadow, s["fill_value"])
-        if s["want_x"]:
+        f: DirFetch = mshr.fetch
+        line.shadow = merge_shadow(line.shadow, f.value)
+        if f.want_x:
             line.l2_state = L2State.M
-        elif s["fill_exclusive"]:
+        elif f.exclusive:
             line.l2_state = L2State.E
         else:
             line.l2_state = L2State.S
@@ -111,8 +128,8 @@ class DirectoryL2Controller(HomeL2Base):
 
     def _on_data_l2(self, msg: Msg) -> None:
         mshr = self.mshrs.get(msg.line_addr)
-        if mshr is None or mshr.kind != "SERVE" or \
-                "data_seen" not in mshr.scratch:
+        f: Optional[DirFetch] = mshr.fetch if mshr is not None else None
+        if f is None:
             # Late data after a NACK-retry already completed: drop (the
             # directory's view was updated when it dispatched this).
             return
@@ -121,35 +138,32 @@ class DirectoryL2Controller(HomeL2Base):
             # old owner: retry through the directory with backoff (the
             # target's own transaction needs time to complete).
             self.ctx.stats.counter("dir_nacks").inc()
-            n = mshr.scratch.get("nack_retries", 0)
-            mshr.scratch["nack_retries"] = n + 1
-            delay = min(_RETRY_DELAY * (2 ** n), 800)
+            delay = min(_RETRY_DELAY * (2 ** f.nack_retries), 800)
+            f.nack_retries += 1
             self.ctx.sim.call_after(delay, partial(self._refetch, mshr))
             return
-        s = mshr.scratch
-        s["data_seen"] = True
-        s["fill_dirty"] = s["fill_dirty"] or msg.dirty
-        s["fill_exclusive"] = s["fill_exclusive"] or msg.exclusive
-        s["fill_offchip"] = s["fill_offchip"] or msg.offchip
-        s["fill_value"] = merge_shadow_opt(s["fill_value"], msg.value)
+        f.data_seen = True
+        f.exclusive = f.exclusive or msg.exclusive
+        f.offchip = f.offchip or msg.offchip
+        f.value = merge_shadow_opt(f.value, msg.value)
         self._maybe_complete(mshr)
 
     def _refetch(self, mshr: Mshr) -> None:
         if self.mshrs.get(mshr.line_addr) is not mshr:
             return  # completed meanwhile
-        self._fetch(mshr, mshr.scratch["want_x"])
+        self._fetch(mshr, mshr.fetch.want_x)
 
     def _on_dir_ack(self, msg: Msg) -> None:
         """Either the directory's header (ack_count >= 0, src = MC tile)
         or a sharer's invalidation ack (src = sharer tile)."""
         mshr = self.mshrs.get(msg.line_addr)
-        if mshr is None or "data_seen" not in mshr.scratch:
+        f: Optional[DirFetch] = mshr.fetch if mshr is not None else None
+        if f is None:
             return  # stray ack after retry completion: safe to drop
-        s = mshr.scratch
         if msg.fwd:          # a sharer's invalidation ack
-            s["acks_got"] += 1
+            f.acks_got += 1
         else:                # the directory's header
-            s["header_need"] = msg.ack_count
+            f.header_need = msg.ack_count
         self._maybe_complete(mshr)
 
     # ------------------------------------------------------------------
@@ -164,7 +178,7 @@ class DirectoryL2Controller(HomeL2Base):
         is safe — and serving would invalidate the line under the grant.
         """
         mshr = self.mshrs.get(line_addr)
-        return mshr is not None and bool(mshr.scratch.get("granting"))
+        return mshr is not None and mshr.phase == GRANTING
 
     def _on_forward(self, msg: Msg) -> None:
         if self._must_defer_forward(msg.line_addr):
@@ -188,13 +202,10 @@ class DirectoryL2Controller(HomeL2Base):
             self._local_recall(msg.line_addr,
                                partial(self._share_recalled, msg, line))
         else:  # DIR_FWD_GETX: hand everything over
-            targets = sorted(line.sharers)
-            dirty_holder = line.dirty_l1
-            cont = partial(self._send_data, msg, line.l2_state.dirty,
-                           line.shadow)
-            self.array.invalidate(line.line_addr)
-            self._local_purge(msg.line_addr, cont, targets=targets,
-                              dirty_holder=dirty_holder)
+            self._drop_and_purge(
+                msg.line_addr, line,
+                partial(self._send_data, msg, line.l2_state.dirty,
+                        line.shadow))
 
     def _share_recalled(self, msg: Msg, line: CacheLine, _dirty: bool,
                         value: Optional[int]) -> None:
@@ -215,12 +226,9 @@ class DirectoryL2Controller(HomeL2Base):
         """Invalidate our (shared) copy. Must not block on the MSHR: a
         concurrent upgrade of ours lost the race at the directory and
         the winner is waiting for this ack."""
-        line = self.array.lookup(msg.line_addr, touch=False)
-        targets = sorted(line.sharers) if line is not None else []
-        dirty_holder = line.dirty_l1 if line is not None else None
-        self.array.invalidate(msg.line_addr)
-        self._local_purge(msg.line_addr, partial(self._ack_dir_inv, msg),
-                          targets=targets, dirty_holder=dirty_holder)
+        self._drop_and_purge(msg.line_addr,
+                             self.array.lookup(msg.line_addr, touch=False),
+                             partial(self._ack_dir_inv, msg))
 
     def _ack_dir_inv(self, msg: Msg, _dirty: bool,
                      _value: Optional[int]) -> None:

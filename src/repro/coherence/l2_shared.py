@@ -54,9 +54,9 @@ class SharedL2Controller(HomeL2Base):
         mshr = self.mshrs.get(msg.line_addr)
         if mshr is None:
             raise ProtocolError(f"unsolicited MEM_DATA at {self.tile}")
-        mshr.scratch["fill_value"] = msg.value
+        mshr.fetch = msg.value  # all this second level collects
         self._fill(mshr, offchip=True)
 
     def _apply_fill(self, mshr: Mshr, line: CacheLine) -> None:
-        line.shadow = merge_shadow(line.shadow, mshr.scratch["fill_value"])
+        line.shadow = merge_shadow(line.shadow, mshr.fetch)
         line.l2_state = L2State.E

@@ -164,8 +164,8 @@ def merge_shadow(current: int, value: Optional[int]) -> int:
 def merge_shadow_opt(acc: Optional[int],
                      value: Optional[int]) -> Optional[int]:
     """merge_shadow over an optional accumulator (None = no data seen
-    yet) — the idiom of every in-flight value collector (MSHR
-    accumulators, forward ops, fill scratch)."""
+    yet) — the idiom of every in-flight value collector (the second
+    levels' fetch records, reply rounds, ``Mshr.wb_value``)."""
     if acc is None:
         return value
     return merge_shadow(acc, value)

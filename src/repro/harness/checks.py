@@ -39,8 +39,7 @@ from repro.params import Organization
 def _home_busy(system: CmpSystem, home: int, line_addr: int) -> bool:
     """A live transaction (MSHR or forward op) owns this line at its
     home — mid-run checks must not inspect it."""
-    l2 = system.l2s[home]
-    return l2.mshrs.busy(line_addr) or line_addr in l2._fwd_ops
+    return system.l2s[home].line_busy(line_addr)
 
 
 def check_single_writer(system: CmpSystem) -> List[str]:

@@ -18,6 +18,7 @@ from functools import partial
 
 import pytest
 
+from repro.cache.mshr import FILLING, GRANTING
 from repro.cmp.system import CmpSystem
 from repro.harness.experiment import ExperimentConfig, _traces_for
 from repro.params import Organization
@@ -68,14 +69,13 @@ def _pressure_traces():
 
 def _parked_fills(system: CmpSystem) -> int:
     """Fills waiting behind ``_make_room``: an EVICT transaction whose
-    parked ``partial(_evicted, ev, cont)`` carries the
+    reply round's ``partial(_evicted, ev, cont)`` carries the
     ``partial(_try_install, mshr)``."""
     count = 0
     for l2 in system.l2s:
         for mshr in l2.mshrs._entries.values():
-            cont = mshr.scratch.get("cont")
-            if mshr.kind == "EVICT" and cont is not None and any(
-                    isinstance(arg, partial) for arg in cont.args):
+            if mshr.kind == "EVICT" and mshr.round is not None and any(
+                    isinstance(arg, partial) for arg in mshr.round.cont.args):
                 count += 1
     return count
 
@@ -127,7 +127,7 @@ def test_restore_with_a_fill_parked_behind_make_room(org):
 
 
 def test_completed_token_collection_holds_no_timeout_event():
-    """``_maybe_complete`` pops the timeout it cancels: between token
+    """``_maybe_complete`` drops the timeout it cancels: between token
     collection and retire (the fill may park for a long time) the MSHR
     holds no event, fired or cancelled."""
     org = Organization.LOCO_CC_VMS_IVR
@@ -138,8 +138,9 @@ def test_completed_token_collection_holds_no_timeout_event():
     def collected(system):
         for l2 in system.l2s:
             for mshr in l2.mshrs._entries.values():
-                if mshr.scratch.get("collecting") is False:
-                    seen.append("timeout_ev" in mshr.scratch)
+                if mshr.phase in (FILLING, GRANTING):
+                    seen.append(mshr.fetch is not None
+                                and mshr.fetch.timeout_ev is not None)
         return len(seen) >= 50
 
     _pause_where(system, collected)

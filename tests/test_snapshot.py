@@ -461,6 +461,67 @@ def test_simulator_layers_define_no_lambda_or_nested_def():
     assert not offenders, offenders
 
 
+def _string_keyed_state(tree):
+    """(line, what) of every string-keyed access: an attribute named
+    ``scratch``, ``x["k"]``, ``x.get/pop/setdefault("k")``, ``"k" in x``.
+    ``state["k"]`` in a ``__getstate__`` is the pickled ``__dict__``."""
+    def is_str(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "scratch":
+            yield node.lineno, ".scratch"
+        elif isinstance(node, ast.Subscript) and is_str(node.slice):
+            if getattr(node.value, "id", None) != "state":
+                yield node.lineno, f"[{node.slice.value!r}]"
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("get", "pop", "setdefault")
+              and node.args and is_str(node.args[0])):
+            yield node.lineno, f".{node.func.attr}({node.args[0].value!r})"
+        elif (isinstance(node, ast.Compare) and is_str(node.left)
+              and isinstance(node.ops[0], (ast.In, ast.NotIn))):
+            yield node.lineno, f"{node.left.value!r} in"
+
+
+def test_transaction_state_is_typed_not_string_keyed():
+    """A coherence transaction is a record per concept — ``Mshr`` slots
+    with an explicit ``phase``, one ``ReplyRound`` per round of L1
+    replies, one fetch record per second level — never a dict whose key
+    *presence* is the phase. A new protocol feature is a field on one
+    of these records; this walk keeps string keys from coming back."""
+    import inspect
+
+    import repro
+    from repro.cache import mshr
+    from repro.coherence import l1, l2_cluster, l2_home, l2_private, l2_shared
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for path in [*sorted((root / "coherence").glob("*.py")),
+                 root / "cache" / "mshr.py"]:
+        offenders.extend(
+            f"{path.name}:{line} {what}" for line, what in
+            _string_keyed_state(ast.parse(path.read_text())))
+    # everything these modules define besides the controllers and the
+    # MSHR file is a record that hangs on a transaction
+    owners = (l1.L1Controller, l2_home.HomeL2Base, mshr.MshrFile)
+    records = [cls for module in (mshr, l1, l2_home, l2_cluster, l2_private,
+                                  l2_shared)
+               for _name, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__
+               and not issubclass(cls, owners)]
+    assert {"Mshr", "ReplyRound", "TokenFetch", "DirFetch"} <= \
+        {cls.__name__ for cls in records}
+    offenders.extend(f"{cls.__name__} defines no __slots__"
+                     for cls in records if "__slots__" not in vars(cls))
+    assert not offenders, offenders
+    # ... and one handler serves both kinds of L1 reply
+    from repro.coherence.messages import MsgKind
+    l2 = CmpSystem(tiny_config(Organization.SHARED),
+                   [[] for _ in range(16)]).l2s[0]
+    assert (l2._dispatch[MsgKind.ACK_INV_L1.idx]
+            == l2._dispatch[MsgKind.RECALL_RESP.idx])
+
+
 def test_service_state_machines_hold_no_clock_loop_or_coroutine():
     """The fleet's three pure layers are stepped by their owner: the
     scheduler by the machine, the machine by the consensus core's log,
