@@ -221,10 +221,9 @@ class TokenL2Controller(HomeL2Base):
 
     def _maybe_complete(self, mshr: Mshr) -> None:
         f: TokenFetch = mshr.fetch
-        if mshr.phase != COLLECTING or not f.data_seen:
-            return
-        if not (f.tokens == self.total_tokens if f.want_x
-                else f.tokens >= 1):
+        enough = (f.tokens == self.total_tokens if f.want_x
+                  else f.tokens >= 1)
+        if mshr.phase != COLLECTING or not (enough and f.data_seen):
             return
         # _fill leaves COLLECTING: token handlers stop touching this MSHR
         if f.timeout_ev is not None:
@@ -286,7 +285,8 @@ class TokenL2Controller(HomeL2Base):
 
         Once token collection completes (the phase leaves COLLECTING)
         the transaction is handing the line to a local L1 and only waits
-        on a free way and intra-cluster INV/RECALL acks — surrendering tokens *now* would
+        on a free way and on intra-cluster INV/RECALL acks —
+        surrendering tokens *now* would
         invalidate the line out from under the grant continuation, which
         then completes on the dead line and leaves a stale L1 M copy
         (write-serialization violation). Deferral here cannot deadlock:

@@ -46,6 +46,11 @@ def tiny_config(organization: Organization = Organization.SHARED,
     return cfg
 
 
+#: one-line sets: the resident line is the victim of any same-set fill
+DIRECT_MAPPED_L2 = CacheConfig(size_bytes=128, assoc=1, line_bytes=32,
+                               access_latency=4)
+
+
 def empty_traces(n: int) -> List[List[TraceEvent]]:
     return [[] for _ in range(n)]
 

@@ -5,10 +5,10 @@ import pytest
 
 from repro.cache.line import L1State, L2State
 from repro.coherence.messages import Msg, MsgKind, Unit
-from repro.params import CacheConfig, Organization
-from tests.conftest import (NEW_VALUE, OLD_VALUE, RACE_ORDERS, AccessDriver,
-                            ScriptedHome, build_system, holder_script,
-                            wb_l1)
+from repro.params import Organization
+from tests.conftest import (DIRECT_MAPPED_L2, NEW_VALUE, OLD_VALUE,
+                            RACE_ORDERS, AccessDriver, ScriptedHome,
+                            build_system, holder_script, wb_l1)
 
 ORG = Organization.PRIVATE
 
@@ -176,8 +176,7 @@ class TestDirectoryCorners:
     def test_shared_victim_that_absorbs_dirty_data_is_written_back(self):
         """S -> O at eviction: a plain S victim evicts silently, one
         that took an L1's modified data owes the directory a DIR_WB."""
-        sh = ScriptedHome(ORG, l2=CacheConfig(
-            size_bytes=128, assoc=1, line_bytes=32, access_latency=4))
+        sh = ScriptedHome(ORG, l2=DIRECT_MAPPED_L2)
         conflict = LINE + 4
         victim = sh.resident(TILE, LINE, l2_state=L2State.S,
                              sharers={TILE}, dirty_l1=TILE,

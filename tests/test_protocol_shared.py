@@ -4,10 +4,10 @@ import pytest
 
 from repro.cache.line import L1State, L2State
 from repro.coherence.messages import Msg, MsgKind, Unit
-from repro.params import CacheConfig, Organization
-from tests.conftest import (NEW_VALUE, OLD_VALUE, RACE_ORDERS, AccessDriver,
-                            ScriptedHome, build_system, holder_script,
-                            wb_l1)
+from repro.params import Organization
+from tests.conftest import (DIRECT_MAPPED_L2, NEW_VALUE, OLD_VALUE,
+                            RACE_ORDERS, AccessDriver, ScriptedHome,
+                            build_system, holder_script, wb_l1)
 
 ORG = Organization.SHARED
 
@@ -165,9 +165,6 @@ class TestConcurrency:
 HOME = 3
 LINE = 0x100 + HOME           # homed at tile 3 (line % 16)
 HOLDER, SHARER, READER = 2, 6, 9
-#: one-line sets: the resident line is the victim of any same-set fill
-DIRECT_MAPPED = CacheConfig(size_bytes=128, assoc=1, line_bytes=32,
-                            access_latency=4)
 CONFLICT = LINE + 16 * 4      # same home, same set of the 4-set slice
 
 
@@ -208,7 +205,7 @@ class TestReplyRoundRaces:
         assert sh.idle(HOME)
 
     def test_eviction_collects_the_victims_dirty_data(self, order):
-        sh = ScriptedHome(ORG, l2=DIRECT_MAPPED)
+        sh = ScriptedHome(ORG, l2=DIRECT_MAPPED_L2)
         victim = sh.resident(HOME, LINE, l2_state=L2State.E,
                              sharers={HOLDER, SHARER}, dirty_l1=HOLDER,
                              shadow=OLD_VALUE)

@@ -4,10 +4,10 @@ import pytest
 
 from repro.cache.line import L1State, L2State
 from repro.coherence.messages import Msg, MsgKind, Unit
-from repro.params import CacheConfig, Organization
-from tests.conftest import (NEW_VALUE, OLD_VALUE, RACE_ORDERS, AccessDriver,
-                            ScriptedHome, build_system, holder_script,
-                            wb_l1)
+from repro.params import Organization
+from tests.conftest import (DIRECT_MAPPED_L2, NEW_VALUE, OLD_VALUE,
+                            RACE_ORDERS, AccessDriver, ScriptedHome,
+                            build_system, holder_script, wb_l1)
 
 ORG = Organization.LOCO_CC_VMS
 
@@ -340,8 +340,7 @@ class TestTokenCorners:
     def test_ivr_victim_is_written_back_when_the_nic_is_backed_up(self):
         """Section 3.3 deadlock avoidance: never queue a migration
         behind a full outgoing NIC."""
-        sh = ScriptedHome(Organization.LOCO_CC_VMS_IVR, l2=CacheConfig(
-            size_bytes=128, assoc=1, line_bytes=32, access_latency=4))
+        sh = ScriptedHome(Organization.LOCO_CC_VMS_IVR, l2=DIRECT_MAPPED_L2)
         home = _home(sh)
         conflict = LINE + 4 * 4      # same home, same one-line set
         sh.resident(home, LINE, l2_state=L2State.M, tokens=TOTAL,
