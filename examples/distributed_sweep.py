@@ -4,7 +4,8 @@
 Starts an in-process coordinator, attaches worker *processes* to it,
 and runs an organization-comparison sweep through ``sweep(service=…)``
 — the same call that runs serially or on a local pool, now sharded
-across a fleet with warmup-prefix affinity. The demo then re-submits
+across a fleet (one unit per configuration: the metrics of a row are
+one simulation). The demo then re-submits
 the same grid to show the coordinator's result cache answering without
 simulating anything, and prints the fleet status a monitoring client
 would see.
@@ -23,6 +24,7 @@ from repro.service.worker import spawn_worker_process
 SCALE = 0.2  # keep the example quick
 ORGS = [Organization.SHARED, Organization.LOCO_CC,
         Organization.LOCO_CC_VMS, Organization.LOCO_CC_VMS_IVR]
+METRICS = ["runtime", "mpki"]
 
 
 def main() -> None:
@@ -39,13 +41,12 @@ def main() -> None:
 
     try:
         t0 = time.monotonic()
-        rows = sweep("water_spatial", metric=["runtime", "mpki"],
-                     service=address, warmup_snapshots=True,
-                     organization=ORGS, scale=[SCALE],
+        rows = sweep("water_spatial", metric=METRICS,
+                     service=address, organization=ORGS, scale=[SCALE],
                      warmup_fraction=[0.5])
         wall = time.monotonic() - t0
-        print(f"\n{len(rows)} cells in {wall:.1f}s "
-              f"(each worker owns its prefixes' warmup images)\n")
+        print(f"\n{len(rows)} rows x {len(METRICS)} metrics in "
+              f"{wall:.1f}s (one simulation per row)\n")
         print(f"{'organization':18s} {'runtime':>9s} {'mpki':>8s}")
         for row in rows:
             print(f"{row['organization'].value:18s} "
@@ -54,7 +55,7 @@ def main() -> None:
         # Same grid again: the coordinator's result memo answers
         # every cell without touching a worker.
         t0 = time.monotonic()
-        again = sweep("water_spatial", metric=["runtime", "mpki"],
+        again = sweep("water_spatial", metric=METRICS,
                       service=address, organization=ORGS,
                       scale=[SCALE], warmup_fraction=[0.5])
         print(f"\nre-submit served from the result cache in "
@@ -62,8 +63,9 @@ def main() -> None:
 
         with ServiceClient(address) as client:
             stats = client.status()["stats"]
-            print(f"fleet stats: {stats['units_completed']} simulated, "
-                  f"{stats['served_from_cache']} from cache, "
+            # a row's metrics reach the fleet as one unit
+            print(f"fleet stats: {stats['units_completed']} units "
+                  f"simulated, {stats['served_from_cache']} from cache, "
                   f"{stats['requeues']} requeues")
             client.shutdown()
     finally:

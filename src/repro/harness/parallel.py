@@ -31,11 +31,11 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
-from repro.harness.experiment import WarmupImageCache
-from repro.harness.units import SweepUnit
+from repro.harness.experiment import ExperimentConfig, WarmupImageCache
+from repro.harness.units import SweepUnit, merged_metric, project
 from repro.sim.snapshot import save_file
 from repro.sim.stats import Stats
 
@@ -86,20 +86,31 @@ def run_units(units: Sequence[SweepUnit],
               batch: Optional[int] = None) -> List[Any]:
     """Execute work units, preserving input order.
 
-    ``jobs`` <= 1 (or a single unit) runs in-process — same code path,
+    One simulation per (config, horizon) per call, on every backend:
+    units that differ only in the metric they read (a ``metric=[...]``
+    sweep, exact duplicates, a full-result unit next to named ones) are
+    dispatched as one cell whose metric covers them all, and each gets
+    its own reduction of that run — the value, and the ``cache_dir``
+    entry under its own key, it would have got alone. A unit that is
+    alone in its group is dispatched as it is.
+
+    ``jobs`` <= 1 (or a single cell) runs in-process — same code path,
     no pool overhead. ``cache_dir`` enables the JSON metric cache;
     full-``RunResult`` units (metric None) are never cached (they are
     not JSON-serializable by design). Results are cached as they
-    arrive, so an interrupt or a failing later unit keeps every
-    completed cell — the resumability the cache exists for.
+    arrive, so an interrupt or a failing later cell keeps every
+    completed one — the resumability the cache exists for. A cache
+    file that does not hold what its unit reduces to is a miss.
 
-    ``warmup_snapshots=True`` makes units sharing a config prefix fork
-    from one warmup checkpoint: each prefix group simulates its warmup
-    exactly once (skipping |group|-1 warmup re-simulations, more when
-    ``warmup_cache`` is a directory that already holds images). The
-    first unit of each prefix runs as a *leader* building the image;
-    once every leader is done the rest fork from it — on a pool, via
-    the shared directory.
+    ``warmup_snapshots=True`` makes cells sharing a config prefix (a
+    ``max_cycles`` ladder) fork from one warmup checkpoint: each prefix
+    group simulates its warmup exactly once (skipping |group|-1 warmup
+    re-simulations, more when ``warmup_cache`` already holds images).
+    The first cell of each prefix runs as a *leader* building the
+    image; once every leader is done the rest fork from it — on a pool,
+    via the shared directory. A caller's ``warmup_cache`` gets the
+    image of every prefix; without one, a prefix with a single cell
+    runs cold (nobody would read its image).
 
     ``service="host:port"`` ships the units to a running
     :mod:`repro.service` fleet instead (``jobs`` is then ignored): the
@@ -123,36 +134,42 @@ def run_units(units: Sequence[SweepUnit],
     own amortization of the same cost).
     """
     out: List[Any] = [None] * len(units)
-
-    def record(i: int, value: Any) -> None:
-        out[i] = value
-        _cache_store(cache_dir, units[i], value)
-
-    todo: List[int] = []
+    todo: Dict[Tuple[ExperimentConfig, int], List[int]] = {}
     for i, unit in enumerate(units):
-        cached = _cache_load(cache_dir, unit)
-        if cached is not None:
-            out[i] = cached[0]
-        else:
-            todo.append(i)
-    if todo and batch is not None and batch >= 1 and service is None \
+        out[i] = _cache_load(cache_dir, unit)
+        if out[i] is None:
+            todo.setdefault((unit.exp, unit.max_cycles), []).append(i)
+    # One simulation per (config, horizon): the outstanding units that
+    # differ only in the metric they read share one cell, whose metric
+    # serves them all. A unit alone in its group is its own cell.
+    work: List[Tuple[SweepUnit, List[int]]] = [
+        (units[group[0]] if len(group) == 1 else
+         SweepUnit(*key, merged_metric([units[i].metric for i in group])),
+         group) for key, group in todo.items()]
+
+    # The batcher and both backends take the outstanding cells and
+    # report each value by its position among them, as it arrives.
+    def record(pos: int, value: Any) -> None:
+        cell, group = work[pos]
+        # Every member is reduced before any is stored: a bad name
+        # caches nothing of its group.
+        values = [project(value, cell.metric, units[i].metric)
+                  for i in group]
+        for i, reduced in zip(group, values):
+            out[i] = reduced
+            _cache_store(cache_dir, units[i], reduced)
+
+    if work and batch is not None and batch >= 1 and service is None \
             and not warmup_snapshots:
         from repro.batch import run_batched
 
-        done = run_batched([units[i] for i in todo], batch)
-        for pos, i in enumerate(todo):
-            if pos in done:
-                record(i, done[pos])
-        todo = [i for pos, i in enumerate(todo) if pos not in done]
-    if not todo:
+        done = run_batched([cell for cell, _ in work], batch)
+        for pos, value in done.items():
+            record(pos, value)
+        work = [pair for pos, pair in enumerate(work) if pos not in done]
+    if not work:
         return out
-    # Both backends take the outstanding cells and report each value by
-    # its position among them, as it arrives.
-    cells = [units[i] for i in todo]
-
-    def on_row(pos: int, value: Any) -> None:
-        record(todo[pos], value)
-
+    cells = [cell for cell, _ in work]
     if service is not None:
         from repro.service.client import ServiceClient
 
@@ -162,9 +179,9 @@ def run_units(units: Sequence[SweepUnit],
                 warmup_dir=(warmup_cache.cache_dir
                             if isinstance(warmup_cache, WarmupImageCache)
                             else warmup_cache),
-                on_row=on_row)
+                on_row=record)
     else:
-        _run_local(cells, on_row, jobs, warmup_snapshots, warmup_cache)
+        _run_local(cells, record, jobs, warmup_snapshots, warmup_cache)
     return out
 
 
@@ -180,6 +197,7 @@ def _run_local(cells: List[SweepUnit], on_row: Callable[[int, Any], None],
     with contextlib.ExitStack() as stack:
         images: Optional[WarmupImageCache] = None
         phases: List[Sequence[int]] = [range(len(cells))]
+        cold: Set[int] = set()      # cells that get no image store
         if warmup_snapshots:
             images = warmup_cache \
                 if isinstance(warmup_cache, WarmupImageCache) \
@@ -202,12 +220,17 @@ def _run_local(cells: List[SweepUnit], on_row: Callable[[int, Any], None],
             # then the follower phase forks from it — a prefix's warmup
             # is never simulated twice. (The two phases are global
             # barriers: all leaders finish before any follower starts.)
-            leader_of: Dict[str, int] = {}
+            prefixes: Dict[str, List[int]] = {}
             for pos, unit in enumerate(cells):
-                leader_of.setdefault(unit.warmup_key, pos)
-            leaders = set(leader_of.values())
+                prefixes.setdefault(unit.warmup_key, []).append(pos)
+            leaders = {group[0] for group in prefixes.values()}
             phases = [sorted(leaders), [pos for pos in range(len(cells))
                                         if pos not in leaders]]
+            if warmup_cache is None:
+                # The store dies with this call, so nobody would read
+                # the image of a prefix with one cell: it runs cold.
+                cold = {group[0] for group in prefixes.values()
+                        if len(group) == 1}
         run_all = map
         if pooled:
             # Capped at the fan-out, like pmap (a fork-start pool
@@ -217,26 +240,41 @@ def _run_local(cells: List[SweepUnit], on_row: Callable[[int, Any], None],
                 max_workers=min(jobs, len(cells)))).map
         for phase in phases:
             for pos, value in zip(phase, run_all(
-                    _run_unit, [(cells[pos], images) for pos in phase])):
+                    _run_unit, [(cells[pos],
+                                 None if pos in cold else images)
+                                for pos in phase])):
                 on_row(pos, value)
 
 
-def _cache_load(cache_dir: Optional[str], unit: SweepUnit):
+def _row_value_ok(unit: SweepUnit, value: Any) -> bool:
+    """Is ``value`` what a metric-reduced ``unit`` reduces to: a number
+    for one name, a dict of numbers covering exactly the names of a
+    tuple? (The only values the JSON cache stores or serves.)"""
+    if isinstance(unit.metric, str):
+        return isinstance(value, (int, float))
+    return (isinstance(value, dict) and value.keys() == set(unit.metric)
+            and all(isinstance(v, (int, float)) for v in value.values()))
+
+
+def _cache_load(cache_dir: Optional[str], unit: SweepUnit) -> Any:
+    """The cached row value of ``unit``, or None: a missing, unreadable
+    or malformed file is a miss (the recompute repairs it)."""
     if cache_dir is None or unit.metric is None:
         return None
     path = os.path.join(cache_dir, unit.key() + ".json")
     try:
         with open(path) as f:
-            return (json.load(f)["value"],)
-    except (OSError, ValueError, KeyError):
+            value = json.load(f)["value"]
+    except (OSError, ValueError, KeyError, TypeError):
         return None
+    return value if _row_value_ok(unit, value) else None
 
 
 def _cache_store(cache_dir: Optional[str], unit: SweepUnit,
                  value) -> None:
     if cache_dir is None or unit.metric is None:
         return
-    if not isinstance(value, (int, float, dict)):
+    if not _row_value_ok(unit, value):
         return  # only JSON-scalar metric reductions are cacheable
     os.makedirs(cache_dir, exist_ok=True)
     # atomic publish: concurrent sweeps may share the dir

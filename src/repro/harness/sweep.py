@@ -9,13 +9,18 @@ Used by the ablation benches and available for exploration::
                  cores=[64],
                  metric="runtime")
 
-``metric`` may also be a *list* of metrics — the sweep then has one
-cell per (config, metric) and each row carries every metric column.
-Cells sharing a config prefix differ only post-warmup, which is what
-``warmup_snapshots=True`` exploits: the first cell of each prefix
-checkpoints the machine at the warmup mark and every other cell forks
-from that image instead of re-simulating warmup. Rows are bit-identical
-to the cold path either way.
+``metric`` may also be a *list* of metrics — each row then carries
+every metric column. A list adds columns, not simulations: the grid
+still expands to one unit per (config, metric), so each value has its
+own ``cache_dir`` entry, but ``run_units`` simulates each (config,
+horizon) once per call and every unit reads its metric off that run.
+What ``warmup_snapshots=True`` amortises is therefore the warmup of
+cells that are *different* simulations of one config prefix — a
+``max_cycles`` ladder handed to ``run_units``, or a later sweep over a
+``warmup_cache`` that was kept: the first cell of a prefix checkpoints
+the machine at the warmup mark and every other one forks from that
+image instead of re-simulating warmup. Rows are bit-identical to the
+cold path either way.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.cmp.system import RunResult
 from repro.errors import ConfigError
@@ -65,6 +65,30 @@ def reduce_result(result: Any, metric: Metric) -> Any:
     if isinstance(metric, str):
         return metric_of(result, metric)
     return {m: metric_of(result, m) for m in metric}
+
+
+def merged_metric(metrics: Sequence[Metric]) -> Metric:
+    """The one reduction that serves every one of ``metrics`` (the
+    members of one simulation): the full result if any member wants
+    it, else the first-seen-ordered union of their names."""
+    if None in metrics:
+        return None
+    names = [m for metric in metrics
+             for m in ([metric] if isinstance(metric, str) else metric)]
+    return tuple(dict.fromkeys(names))
+
+
+def project(value: Any, have: Metric, want: Metric) -> Any:
+    """A member's own reduction out of the value of the ``have``
+    reduction it was merged into (see :func:`merged_metric`): bit-
+    identical to what a unit asking for ``want`` alone reduces to."""
+    if have == want:
+        return value
+    if have is None:
+        return reduce_result(value, want)
+    if isinstance(want, str):
+        return value[want]
+    return {m: value[m] for m in want}
 
 
 def _check_metric(metric: Any) -> Metric:

@@ -123,6 +123,44 @@ def driver_factory():
     return make
 
 
+@pytest.fixture
+def simulations(monkeypatch, tmp_path_factory):
+    """Count the simulations a sweep really runs, in this process and
+    in every pool forked from it (a caller's ``WarmupImageCache``
+    counters stay at zero across a pool). Every ``run_benchmark`` call
+    a unit makes appends one word to a log file: ``hit`` if it forked
+    from a warmup image, ``miss`` if it simulated the warmup to build
+    one, ``cold`` if it had no image store. Calling the fixture returns
+    the words logged since the last call."""
+    from repro.harness import units
+    log = tmp_path_factory.mktemp("simulations") / "log"
+    log.write_text("")
+    real = units.run_benchmark
+
+    def logged(exp, max_cycles, warmup_images=None):
+        def counts():
+            return (getattr(warmup_images, "hits", 0),
+                    getattr(warmup_images, "misses", 0))
+
+        hits, misses = counts()
+        result = real(exp, max_cycles=max_cycles,
+                      warmup_images=warmup_images)
+        kind = {(hits + 1, misses): "hit",
+                (hits, misses + 1): "miss"}.get(counts(), "cold")
+        with open(log, "a") as f:   # O_APPEND: whole words, any process
+            f.write(kind + "\n")
+        return result
+
+    monkeypatch.setattr(units, "run_benchmark", logged)
+
+    def drain() -> List[str]:
+        words = log.read_text().split()
+        log.write_text("")
+        return sorted(words)
+
+    return drain
+
+
 class ScriptedHome:
     """A built system whose network is a list: ``ctx.send`` /
     ``ctx.multicast`` append to ``sent`` instead of injecting, and the

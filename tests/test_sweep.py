@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.harness.sweep import best, sweep
+from repro.harness.experiment import ExperimentConfig
+from repro.harness.parallel import run_units
+from repro.harness.sweep import best, grid_units, sweep
+from repro.harness.units import SweepUnit
 from repro.params import Organization
 
 
@@ -119,13 +122,13 @@ class TestParallelSweep:
 
 class TestOneDispatchLoop:
     """Every combination of the execution options goes through one
-    cache filter, one batch pre-pass and one dispatch loop, and returns
-    the cold serial rows."""
+    cache filter, one coalescing step, one batch pre-pass and one
+    dispatch loop, and returns the cold serial rows."""
 
     BENCH = "water_spatial"
     METRICS = ["runtime", "mpki"]
-    #: 2 prefixes x 2 metrics; the one-core cells are batchable, the
-    #: four-core cells are not
+    #: 2 prefixes x 2 metrics = 4 units, 2 simulations; the one-core
+    #: cell is batchable, the four-core cell is not
     AXES = dict(organization=[Organization.SHARED], cores=[1, 4],
                 cluster=[(1, 1)], scale=[0.04], warmup_fraction=[0.5])
 
@@ -152,11 +155,13 @@ class TestOneDispatchLoop:
                     warmup_cache=store, **self.AXES)
         assert sweep(self.BENCH, **opts) == cold
         if store is not None:
-            # one image per prefix, whichever process built it; only an
-            # in-process run counts on the caller's own cache object
+            # one image per prefix, whichever process built it (a
+            # caller's store gets it even though nothing forks: each
+            # prefix is one simulation); only an in-process run counts
+            # on the caller's own cache object
             assert len(list(store.keys())) == 2
             assert (store.misses, store.hits) == \
-                ((2, 2) if jobs is None else (0, 0))
+                ((2, 0) if jobs is None else (0, 0))
         if not cached:
             return
         files = sorted(p.name for p in (tmp_path / "rows").iterdir())
@@ -172,6 +177,169 @@ class TestOneDispatchLoop:
         monkeypatch.setattr(units, "run_benchmark", poisoned)
         assert sweep(self.BENCH, **opts) == cold
         assert experiment._trace_cache == {}
+
+
+class TestOneSimulationPerConfig:
+    """``run_units`` never simulates the same (config, horizon) twice
+    in one call: units that differ only in the metric they read are
+    served by one cell, and each gets the value — and the cache file —
+    it would have got alone."""
+
+    BENCH = "water_spatial"
+    NAMES = ["runtime", "mpki", "offchip_accesses"]
+
+    @classmethod
+    def exp(cls, org=Organization.SHARED, cores=16, cluster=(2, 2), **kw):
+        return ExperimentConfig(cls.BENCH, org, cores=cores,
+                                cluster=cluster, scale=0.04, **kw)
+
+    @staticmethod
+    def units(exps, metrics, max_cycles=50_000_000):
+        return [SweepUnit(e, max_cycles, m) for e in exps for m in metrics]
+
+    @pytest.fixture
+    def dispatched(self, monkeypatch):
+        """The cells each ``run_units`` call hands its local backend."""
+        from repro.harness import parallel
+        calls = []
+        real = parallel._run_local
+
+        def spy(cells, *args):
+            calls.append(list(cells))
+            return real(cells, *args)
+
+        monkeypatch.setattr(parallel, "_run_local", spy)
+        return calls
+
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "jobs2"])
+    def test_metric_list_adds_columns_not_simulations(self, jobs,
+                                                      simulations):
+        axes = dict(organization=[Organization.SHARED,
+                                  Organization.LOCO_CC], cores=[16],
+                    cluster=[(2, 2)], scale=[0.04])
+        rows = sweep(self.BENCH, metric=self.NAMES, jobs=jobs, **axes)
+        assert simulations() == ["cold", "cold"]
+        for name in self.NAMES:
+            assert [r[name] for r in rows] == [
+                r[name] for r in sweep(self.BENCH, metric=name, **axes)]
+
+    def test_full_result_member_serves_the_named_ones(self, simulations,
+                                                      dispatched):
+        from repro.cmp.system import RunResult
+        units = self.units([self.exp()],
+                           ["mpki", None, ("runtime", "mpki")])
+        alone = [u.run() for u in units]
+        simulations()
+        mpki, result, pair = run_units(units)
+        assert simulations() == ["cold"]
+        assert [[c.metric for c in cells] for cells in dispatched] \
+            == [[None]]
+        assert isinstance(result, RunResult)
+        assert (mpki, pair) == (alone[0], alone[2])
+        assert list(pair) == ["runtime", "mpki"]    # the member's order
+
+    def test_exact_duplicates_simulate_once(self, simulations):
+        units = self.units([self.exp()], ["runtime"] * 3)
+        values = run_units(units)
+        assert simulations() == ["cold"]
+        assert values == [units[0].run()] * 3
+
+    def test_tuple_members_get_their_own_sub_dict(self, simulations,
+                                                  dispatched):
+        units = self.units([self.exp()], [("runtime", "mpki"),
+                                          ("offchip_accesses", "mpki")])
+        alone = [u.run() for u in units]
+        simulations()
+        values = run_units(units)
+        assert simulations() == ["cold"]
+        assert dispatched[0][0].metric == ("runtime", "mpki",
+                                           "offchip_accesses")
+        assert values == alone
+        assert [list(v) for v in values] == [list(u.metric) for u in units]
+
+    def test_other_horizon_is_another_simulation(self, simulations):
+        units = self.units([self.exp()], ["runtime"]) \
+            + self.units([self.exp()], ["mpki"], max_cycles=40_000_000)
+        run_units(units)
+        assert simulations() == ["cold", "cold"]
+
+    def test_partial_cache_hit_asks_for_the_missing_names_only(
+            self, tmp_path, simulations, dispatched):
+        """...and every member's cache file is, byte for byte, the
+        one it writes when it is dispatched alone."""
+        units = self.units([self.exp()], self.NAMES + [("mpki", "runtime")])
+        alone, merged = tmp_path / "alone", tmp_path / "merged"
+        for unit in units:
+            run_units([unit], cache_dir=str(alone))
+        run_units(units[:1], cache_dir=str(merged))
+        del dispatched[:]
+        simulations()
+        values = run_units(units, cache_dir=str(merged))
+        assert simulations() == ["cold"]
+        assert [[c.metric for c in cells] for cells in dispatched] \
+            == [[("mpki", "offchip_accesses", "runtime")]]
+        assert values == run_units(units, cache_dir=str(alone))
+        assert simulations() == []
+        names = sorted(p.name for p in alone.iterdir())
+        assert names == sorted(u.key() + ".json" for u in units)
+        assert names == sorted(p.name for p in merged.iterdir())
+        for name in names:
+            assert (merged / name).read_bytes() \
+                == (alone / name).read_bytes()
+
+    def test_merged_tuple_rides_the_batcher(self, simulations,
+                                            monkeypatch):
+        import repro.batch
+        exps = [self.exp(org, cores=1, cluster=(1, 1), seed=seed)
+                for org in (Organization.SHARED, Organization.PRIVATE)
+                for seed in (1, 2)]
+        units = self.units(exps, ["runtime", "mpki"])
+        alone = [u.run() for u in units]
+        simulations()
+        batched = []
+        real = repro.batch.run_batched
+
+        def spy(cells, batch):
+            batched.append([c.metric for c in cells])
+            return real(cells, batch)
+
+        monkeypatch.setattr(repro.batch, "run_batched", spy)
+        assert run_units(units, batch=4) == alone
+        assert batched == [[("runtime", "mpki")] * 4]
+        assert simulations() == []      # every cell rode a batch
+
+    @pytest.mark.parametrize("full", [False, True],
+                             ids=["named", "with_full_result"])
+    def test_bad_name_fails_its_group_and_caches_none_of_it(
+            self, full, tmp_path):
+        units = self.units([self.exp(Organization.PRIVATE)], ["runtime"]) \
+            + self.units([self.exp()], ["runtime", "nonsense", "mpki"]
+                         + [None] * full)
+        with pytest.raises(ConfigError, match="unknown metric 'nonsense'"):
+            run_units(units, cache_dir=str(tmp_path))
+        # the earlier group completed and is kept, as ever
+        assert [p.name for p in tmp_path.iterdir()] \
+            == [units[0].key() + ".json"]
+
+    def test_singletons_are_dispatched_as_they_are(self, dispatched):
+        units = self.units([self.exp(), self.exp(Organization.PRIVATE)],
+                           [("runtime", "mpki")]) \
+            + self.units([self.exp(Organization.LOCO_CC)], ["runtime"])
+        wires = [u.to_wire() for u in units]
+        run_units(units)
+        (cells,) = dispatched
+        assert all(cell is unit for cell, unit in zip(cells, units))
+        assert [c.to_wire() for c in cells] == wires
+
+    def test_output_order_is_the_input_order(self, simulations):
+        a, b = self.exp(), self.exp(Organization.PRIVATE)
+        units = self.units([a, b, a, b], ["runtime"]) \
+            + self.units([b, a], ["mpki"])
+        alone = [u.run() for u in units]
+        simulations()
+        assert run_units(units) == alone
+        assert run_units(units, jobs=2) == alone
+        assert simulations() == ["cold"] * 4
 
 
 class TestSweepCacheRobustness:
@@ -208,6 +376,38 @@ class TestSweepCacheRobustness:
                       cache_dir=str(tmp_path), **self.AXES)
         assert again == first
 
+    @pytest.mark.parametrize("text", ["[]", "3", "null",
+                                      '{"value": null}'])
+    def test_well_formed_json_of_the_wrong_shape_recomputed(self, text,
+                                                            tmp_path):
+        """Valid JSON that is not an object with a number under
+        ``value`` is a miss like any other garbage: never a crash out
+        of ``sweep()``, never a ``None`` in a row."""
+        first = sweep("water_spatial", metric="runtime",
+                      cache_dir=str(tmp_path), **self.AXES)
+        path = self._one_cache_file(tmp_path)
+        good = path.read_bytes()
+        path.write_text(text)
+        again = sweep("water_spatial", metric="runtime",
+                      cache_dir=str(tmp_path), **self.AXES)
+        assert again == first
+        assert path.read_bytes() == good    # repaired
+
+    @pytest.mark.parametrize("value", [
+        "3", '{"runtime": 1}', '{"runtime": 1, "mpki": null}',
+        '{"runtime": 1, "mpki": 2, "finished": true}'])
+    def test_tuple_unit_served_only_a_dict_covering_its_names(
+            self, value, tmp_path):
+        unit = SweepUnit(ExperimentConfig("water_spatial",
+                                          Organization.SHARED, scale=0.04),
+                         metric=("runtime", "mpki"))
+        first = run_units([unit], cache_dir=str(tmp_path))
+        path = self._one_cache_file(tmp_path)
+        good = path.read_bytes()
+        path.write_text('{"value": %s}' % value)
+        assert run_units([unit], cache_dir=str(tmp_path)) == first
+        assert path.read_bytes() == good
+
     def test_cache_ignored_for_full_results(self, tmp_path):
         rows = sweep("water_spatial", jobs=1,
                      cache_dir=str(tmp_path), **self.AXES)
@@ -217,9 +417,6 @@ class TestSweepCacheRobustness:
     def test_workload_unit_rides_the_cache(self, tmp_path, monkeypatch):
         """A metric-reduced Table-2 workload cell (a Fig 15 cell) is
         stored and served like any other unit — it *is* a SweepUnit."""
-        from repro.harness.experiment import ExperimentConfig
-        from repro.harness.parallel import run_units
-        from repro.harness.units import SweepUnit
         unit = SweepUnit(ExperimentConfig("W0", Organization.SHARED,
                                           cluster=(4, 1), scale=0.04),
                          metric=("runtime",))
@@ -236,7 +433,6 @@ class TestSweepCacheRobustness:
     def test_failed_store_raises_and_leaves_no_staging_file(self, tmp_path):
         """A directory squatting on the final ``<key>.json`` path makes
         the publish fail; the staging file must not survive it."""
-        from repro.harness.sweep import grid_units
         (unit,) = grid_units("water_spatial", "runtime", 50_000_000,
                              self.AXES)[3]
         (tmp_path / (unit.key() + ".json")).mkdir()
