@@ -1,80 +1,68 @@
 #!/usr/bin/env python3
-"""Warmup-image forking quickstart: pay the warmup once, fork the rest.
+"""Warmup-image quickstart: keep the store, skip the warmup next time.
 
 Every simulation of one configuration re-simulates the same warmup
-region. With ``warmup_snapshots=True`` the first one pauses at the
-warmup mark, checkpoints the whole machine (event heap, caches, MSHR
-continuations, coherence state, NoC, RNG streams, stats), and every
-other one restores that image and simulates only its measured region.
-Rows are bit-identical to the cold path — the example asserts it.
+region. With ``warmup_snapshots=True`` and a ``warmup_cache``, a sweep
+pauses each machine at its warmup mark, checkpoints it (event heap,
+caches, MSHR continuations, coherence state, NoC, RNG streams, stats)
+into the store, and finishes the run. A *later* sweep over the same
+configurations — here asking for other metrics — restores those images
+and simulates only the measured region. Rows are bit-identical to the
+cold path; the example asserts it.
 
-A metric list is *not* what this is for: ``sweep(metric=[...])`` reads
-every metric off one simulation per configuration, forked or not. Two
-shapes do re-simulate a prefix, and both are shown:
-
-1. a ``max_cycles`` ladder — one configuration at several horizons,
-   handed to ``run_units`` in one call: the first cell simulates warmup
-   + measured region and writes the image, the others fork from it;
-2. a second sweep over a kept image store — here other metrics of the
-   same configuration, asked for later: it forks from the first call's
-   image and never simulates the warmup.
+Within one sweep there is nothing to fork: every configuration is one
+simulation, whatever metrics (or ``max_cycles`` horizons) its cells
+read. The store is what carries the warmup from one call to the next;
+pass a directory to keep it across processes and sessions.
 
 Run:  python examples/warmup_snapshot.py
 """
 
+import tempfile
 import time
 
-from repro.harness.experiment import ExperimentConfig, WarmupImageCache
-from repro.harness.parallel import run_units
+from repro.harness.experiment import WarmupImageCache
 from repro.harness.sweep import sweep
-from repro.harness.units import SweepUnit
 from repro.params import Organization
 
 BENCH = "water_spatial"
-AXES = dict(organization=[Organization.LOCO_CC_VMS_IVR], scale=[0.2],
-            warmup_fraction=[0.6])
-METRICS = ("runtime", "mpki", "offchip_accesses")
-HORIZONS = (50_000_000, 20_000_000, 10_000_000)    # 3 cells, 1 prefix
+AXES = dict(organization=[Organization.SHARED,
+                          Organization.LOCO_CC_VMS_IVR],
+            scale=[0.2], warmup_fraction=[0.6])
+FIRST = ["runtime", "mpki"]
+LATER = ["l2_hit_latency", "l2_misses", "offchip_accesses"]
+
+
+def timed(**opts):
+    t0 = time.monotonic()
+    rows = sweep(BENCH, **opts, **AXES)
+    return rows, time.monotonic() - t0
 
 
 def main() -> None:
-    exp = ExperimentConfig(BENCH, Organization.LOCO_CC_VMS_IVR, scale=0.2,
-                           warmup_fraction=0.6)
-    ladder = [SweepUnit(exp, horizon, METRICS) for horizon in HORIZONS]
+    with tempfile.TemporaryDirectory() as store_dir:
+        cache = WarmupImageCache(store_dir)
+        first, t_first = timed(metric=FIRST, warmup_snapshots=True,
+                               warmup_cache=cache)
+        cold_later, t_cold = timed(metric=LATER)
+        later, t_later = timed(metric=LATER, warmup_snapshots=True,
+                               warmup_cache=cache)
+        assert first == sweep(BENCH, metric=FIRST, **AXES)
+        assert later == cold_later, "forked rows must equal cold rows"
 
-    t0 = time.monotonic()
-    cold = run_units(ladder)
-    t_cold = time.monotonic() - t0
-
-    cache = WarmupImageCache()      # pass a dir to persist across runs
-    t0 = time.monotonic()
-    warm = run_units(ladder, warmup_snapshots=True, warmup_cache=cache)
-    t_warm = time.monotonic() - t0
-
-    assert warm == cold, "forked rows must be bit-identical to cold"
-
-    print(f"{BENCH} / {exp.organization.value} "
-          f"(warmup = 60% of the trace)")
-    for m in METRICS:
-        print(f"  {m:18s} {warm[0][m]}")
-    cells = len(HORIZONS)
-    print(f"\ncold ladder: {cells} cells x (warmup + measure)   "
-          f"{t_cold:5.1f}s")
-    print(f"forked     : 1 warmup + {cells} measured regions  "
-          f"{t_warm:5.1f}s   ({t_cold / max(t_warm, 1e-9):.2f}x speedup)")
-    print(f"warmup simulations skipped: {cache.hits} of {cells} "
-          f"cells (rows bit-identical)")
-
-    # Later, other metrics of the same configuration: a new simulation,
-    # forked from the image the ladder left in the store.
-    hits = cache.hits
-    later = sweep(BENCH, metric=["l2_hit_latency", "l2_misses"],
-                  warmup_snapshots=True, warmup_cache=cache, **AXES)
-    assert later == sweep(BENCH, metric=["l2_hit_latency", "l2_misses"],
-                          **AXES)
-    print(f"\nsecond sweep over the kept store: 2 more metrics, "
-          f"1 simulation, {cache.hits - hits} forked, "
-          f"{cache.misses - 1} warmups re-simulated")
+    cells = len(first)
+    print(f"{BENCH}, {cells} configurations (warmup = 60% of the trace)")
+    for row in later:
+        print(f"  {row['organization'].value:16s} "
+              + "  ".join(f"{m}={row[m]}" for m in LATER))
+    print()
+    for label, seconds in (
+            (f"first sweep: {cache.misses} warmups, images stored", t_first),
+            (f"later, cold: {cells} x (warmup + measure)", t_cold),
+            (f"later, kept: {cache.hits} forked from the store", t_later)):
+        print(f"{label:42s} {seconds:5.1f}s")
+    print(f"warmup skipped by the kept store: "
+          f"{t_cold / max(t_later, 1e-9):.2f}x (rows bit-identical)")
 
 
 if __name__ == "__main__":

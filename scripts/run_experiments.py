@@ -129,7 +129,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     cli.add_argument("--warmup-cache", default=None, metavar="DIR",
                      help="directory of warmup checkpoint images kept "
                           "across runs; cells fork from them instead of "
-                          "re-simulating warmup (bit-identical results)")
+                          "re-simulating warmup (bit-identical results). "
+                          "Local only: ignored with --service, whose "
+                          "workers run every cell cold")
     args = cli.parse_args(argv)
     backend: dict = dict(jobs=args.jobs, service=args.service)
     if args.speculation:
@@ -139,7 +141,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {out}", flush=True)
         return 0
     if args.warmup_cache is not None:
-        backend.update(warmup_snapshots=True, warmup_cache=args.warmup_cache)
+        backend.update(warmup_cache=args.warmup_cache)
     sections = run_matrix(paper_figures(args.scale), **backend)
     write_markdown(args.out, args.scale, sections)
     with open("experiments_results.json", "w") as f:

@@ -23,8 +23,10 @@ Typical single-host session::
     python scripts/sweep_service.py shutdown --connect 127.0.0.1:7077
 
 Multi-host: run ``coordinator`` on one machine and ``worker
---connect HOST:PORT`` on the others; give every worker the same
-``--warmup-cache`` directory only when it is a *shared* filesystem.
+--connect HOST:PORT`` on the others. Workers share nothing but the
+coordinator: each runs every unit cold. A warmup-image store
+(``run_experiments.py --warmup-cache``, ``sweep(warmup_cache=...)``)
+is local only and never reaches the fleet.
 
 Replication: ``fleet`` launches its coordinators as child processes
 forming one quorum. ``--replicas 1`` (the default) is a quorum of one:
@@ -206,7 +208,7 @@ def cmd_status(args) -> int:
     for w in reply["workers"]:
         busy = (f"{w['busy'][0]}#{w['busy'][1]}" if w["busy"] else "idle")
         print(f"  {w['name']:12s} pid={w['pid']} {busy:14s} "
-              f"completed={w['completed']} prefixes={w['prefixes']}")
+              f"completed={w['completed']}")
     return 0
 
 

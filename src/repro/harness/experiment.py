@@ -5,8 +5,8 @@ call, with an in-process trace cache so the *same* traces are replayed
 across the organizations being compared (paired comparison, as the
 paper does).
 
-Warmup-image reuse: every figure cell re-simulates the same warmup
-region, so :class:`WarmupImageCache` stores one deterministic
+Warmup-image reuse: every run of a config re-simulates the same
+warmup region, so :class:`WarmupImageCache` stores one deterministic
 checkpoint per *config prefix* (everything in :class:`ExperimentConfig`
 — the fields that shape the warmed machine — excluding the post-warmup
 knobs ``max_cycles``/metric). ``run_benchmark(exp,
@@ -232,9 +232,9 @@ class WarmupImageCache:
     """In-memory (+ optionally on-disk) store of warmup checkpoints.
 
     A directory-backed cache is shared across processes and sessions —
-    the disk layer is what lets sweep workers fork from an image a
-    leader built, and what lets a second figure table skip every warmup
-    the first one already simulated. Corrupt, truncated or
+    the disk layer is what lets pool workers share one store, and what
+    lets a second sweep skip every warmup the first one already
+    simulated. Corrupt, truncated or
     version-mismatched images are treated as misses and rebuilt (same
     robustness contract as the sweep JSON cache).
     """

@@ -13,7 +13,8 @@ from its own :class:`ExperimentConfig` (``seed`` field), never from
 worker identity or scheduling order, so every backend returns
 **bit-identical rows in the same order**.
 
-Besides :func:`run_units`, the dispatch every sweep goes through:
+:func:`run_units` is the dispatch every sweep goes through, and it
+simulates each config once per call. Besides it:
 
 * :func:`aggregate_stats` — fold many runs' :class:`Stats` into one via
   ``Stats.merge`` (cross-benchmark roll-ups, fleet dashboards).
@@ -22,6 +23,9 @@ Besides :func:`run_units`, the dispatch every sweep goes through:
   simulates the missing cells. The coordinator's result memo uses the
   same key but other file names (``<key>.result.json``, not
   ``<key>.json``), so the two directories do not serve each other.
+* warmup-image reuse (``warmup_cache=``): the caller's store is the
+  only thing that knows which cells share a warmup image; the local
+  backends hand it to every cell, the fleet never sees it.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.harness.experiment import ExperimentConfig, WarmupImageCache
 from repro.harness.units import SweepUnit, merged_metric, project
@@ -80,19 +84,23 @@ def _copy_images(src: WarmupImageCache, dst: WarmupImageCache) -> None:
 def run_units(units: Sequence[SweepUnit],
               jobs: Optional[int] = None,
               cache_dir: Optional[str] = None,
-              warmup_snapshots: bool = False,
               warmup_cache: Union[None, str, WarmupImageCache] = None,
               service: Optional[str] = None,
               batch: Optional[int] = None) -> List[Any]:
     """Execute work units, preserving input order.
 
-    One simulation per (config, horizon) per call, on every backend:
-    units that differ only in the metric they read (a ``metric=[...]``
-    sweep, exact duplicates, a full-result unit next to named ones) are
-    dispatched as one cell whose metric covers them all, and each gets
-    its own reduction of that run — the value, and the ``cache_dir``
-    entry under its own key, it would have got alone. A unit that is
-    alone in its group is dispatched as it is.
+    One simulation per config per call, on every backend: the
+    outstanding units of one :class:`ExperimentConfig` (a
+    ``metric=[...]`` sweep, exact duplicates, a full-result unit next
+    to named ones, a ``max_cycles`` ladder) are dispatched as one cell
+    at the group's smallest horizon, whose metric covers them all, and
+    each gets its own reduction of that run — the value, and the
+    ``cache_dir`` entry under its own key, it would have got alone. A
+    horizon only decides whether a run finishes: one that finishes
+    follows the same trajectory under every larger horizon, so when
+    the smallest rung cannot finish, the call raises the
+    ``SimulationError`` naming it and caches nothing of that group. A
+    unit that is alone in its group is dispatched as it is.
 
     ``jobs`` <= 1 (or a single cell) runs in-process — same code path,
     no pool overhead. ``cache_dir`` enables the JSON metric cache;
@@ -102,27 +110,21 @@ def run_units(units: Sequence[SweepUnit],
     completed one — the resumability the cache exists for. A cache
     file that does not hold what its unit reduces to is a miss.
 
-    ``warmup_snapshots=True`` makes cells sharing a config prefix (a
-    ``max_cycles`` ladder) fork from one warmup checkpoint: each prefix
-    group simulates its warmup exactly once (skipping |group|-1 warmup
-    re-simulations, more when ``warmup_cache`` already holds images).
-    The first cell of each prefix runs as a *leader* building the
-    image; once every leader is done the rest fork from it — on a pool,
-    via the shared directory. A caller's ``warmup_cache`` gets the
-    image of every prefix; without one, a prefix with a single cell
-    runs cold (nobody would read its image).
+    ``warmup_cache`` (a :class:`WarmupImageCache` or a directory) is
+    the caller's store of warmup checkpoints: every cell forks from
+    its config's image when the store holds one and adds it otherwise,
+    so a later call over the kept store skips every warmup this one
+    simulated. A memory-only store keeps that contract across a pool:
+    its images seed a transient directory the workers share, and the
+    images they build are folded back into it.
 
-    ``service="host:port"`` ships the units to a running
+    ``service="host:port"`` ships the cells to a running
     :mod:`repro.service` fleet instead (``jobs`` is then ignored): the
-    coordinator shards them across its workers with warmup-prefix
-    affinity and streams rows back. The local ``cache_dir`` still
-    short-circuits units it already holds, and absorbs the returned
-    rows, so local and service sweeps share one resumable cache.
-    Only a *directory* ``warmup_cache`` reaches the fleet (workers may
-    live on other hosts; there is no RAM to share) — a memory-only
-    :class:`WarmupImageCache` stays local and the workers fall back to
-    their own retained per-prefix caches, which affinity still feeds.
-    Rows are identical either way; only warmup reuse differs.
+    coordinator hands them to idle workers in order and streams rows
+    back. The local ``cache_dir`` still short-circuits units it
+    already holds, and absorbs the returned rows, so local and service
+    sweeps share one resumable cache. ``warmup_cache`` is local only:
+    fleet workers run every cell cold. Rows are identical either way.
 
     ``batch=S`` routes compatible units through the lockstep BatchSim
     backend (:mod:`repro.batch`) in groups of up to S before anything
@@ -130,22 +132,22 @@ def run_units(units: Sequence[SweepUnit],
     else falls through to the scalar path unchanged. Batched rows are
     bit-identical to scalar rows, so the JSON cache, golden stats and
     result semantics are unaffected. Ignored on the service path and
-    under ``warmup_snapshots`` (warmup forking is the scalar path's
-    own amortization of the same cost).
+    with a ``warmup_cache`` (every cell then adds its image).
     """
     out: List[Any] = [None] * len(units)
-    todo: Dict[Tuple[ExperimentConfig, int], List[int]] = {}
+    todo: Dict[ExperimentConfig, List[int]] = {}
     for i, unit in enumerate(units):
         out[i] = _cache_load(cache_dir, unit)
         if out[i] is None:
-            todo.setdefault((unit.exp, unit.max_cycles), []).append(i)
-    # One simulation per (config, horizon): the outstanding units that
-    # differ only in the metric they read share one cell, whose metric
-    # serves them all. A unit alone in its group is its own cell.
+            todo.setdefault(unit.exp, []).append(i)
+    # One simulation per config: the outstanding units of one config
+    # share one cell at their smallest horizon, whose metric serves
+    # them all. A unit alone in its group is its own cell.
     work: List[Tuple[SweepUnit, List[int]]] = [
         (units[group[0]] if len(group) == 1 else
-         SweepUnit(*key, merged_metric([units[i].metric for i in group])),
-         group) for key, group in todo.items()]
+         SweepUnit(exp, min(units[i].max_cycles for i in group),
+                   merged_metric([units[i].metric for i in group])),
+         group) for exp, group in todo.items()]
 
     # The batcher and both backends take the outstanding cells and
     # report each value by its position among them, as it arrives.
@@ -160,7 +162,7 @@ def run_units(units: Sequence[SweepUnit],
             _cache_store(cache_dir, units[i], reduced)
 
     if work and batch is not None and batch >= 1 and service is None \
-            and not warmup_snapshots:
+            and warmup_cache is None:
         from repro.batch import run_batched
 
         done = run_batched([cell for cell, _ in work], batch)
@@ -174,76 +176,45 @@ def run_units(units: Sequence[SweepUnit],
         from repro.service.client import ServiceClient
 
         with ServiceClient(service) as client:
-            client.run_units(
-                cells, warmup_snapshots=warmup_snapshots,
-                warmup_dir=(warmup_cache.cache_dir
-                            if isinstance(warmup_cache, WarmupImageCache)
-                            else warmup_cache),
-                on_row=record)
+            client.run_units(cells, on_row=record)
     else:
-        _run_local(cells, record, jobs, warmup_snapshots, warmup_cache)
+        if warmup_cache is not None and \
+                not isinstance(warmup_cache, WarmupImageCache):
+            warmup_cache = WarmupImageCache(warmup_cache)
+        _run_local(cells, record, jobs, warmup_cache)
     return out
 
 
 def _run_local(cells: List[SweepUnit], on_row: Callable[[int, Any], None],
-               jobs: Optional[int], warmup_snapshots: bool,
-               warmup_cache: Union[None, str, WarmupImageCache]) -> None:
-    """The in-process / process-pool backend of :func:`run_units`.
-
-    Serial and pooled, cold and warmup-forked are one loop: they differ
-    only in which ``map`` runs :func:`_run_unit` and which image store
-    it is handed."""
+               jobs: Optional[int],
+               images: Optional[WarmupImageCache]) -> None:
+    """The in-process / process-pool backend of :func:`run_units`:
+    serial and pooled are one loop that hands every cell the caller's
+    image store (or None) and differs only in which ``map`` runs
+    :func:`_run_unit`."""
     pooled = jobs is not None and jobs > 1 and len(cells) > 1
     with contextlib.ExitStack() as stack:
-        images: Optional[WarmupImageCache] = None
-        phases: List[Sequence[int]] = [range(len(cells))]
-        cold: Set[int] = set()      # cells that get no image store
-        if warmup_snapshots:
-            images = warmup_cache \
-                if isinstance(warmup_cache, WarmupImageCache) \
-                else WarmupImageCache(warmup_cache)
-            if pooled and images.cache_dir is None:
-                # Images cross process boundaries on disk. A caller's
-                # memory-only WarmupImageCache still honors the reuse
-                # contract across a pool: its images seed the transient
-                # directory, and images built by workers are folded
-                # back into it before the directory is removed.
+        run_all = map
+        if pooled:
+            if images is not None and images.cache_dir is None:
+                # Images cross process boundaries on disk: a memory-
+                # only store seeds a transient directory, and the
+                # images workers build are folded back into it before
+                # the directory is removed.
                 shared = WarmupImageCache(stack.enter_context(
                     tempfile.TemporaryDirectory(
                         prefix="repro-warmup-",
                         ignore_cleanup_errors=True)))
-                if images is warmup_cache:
-                    _copy_images(images, shared)
-                    stack.callback(_copy_images, shared, images)
+                _copy_images(images, shared)
+                stack.callback(_copy_images, shared, images)
                 images = shared
-            # One leader per prefix group builds (or finds) the image,
-            # then the follower phase forks from it — a prefix's warmup
-            # is never simulated twice. (The two phases are global
-            # barriers: all leaders finish before any follower starts.)
-            prefixes: Dict[str, List[int]] = {}
-            for pos, unit in enumerate(cells):
-                prefixes.setdefault(unit.warmup_key, []).append(pos)
-            leaders = {group[0] for group in prefixes.values()}
-            phases = [sorted(leaders), [pos for pos in range(len(cells))
-                                        if pos not in leaders]]
-            if warmup_cache is None:
-                # The store dies with this call, so nobody would read
-                # the image of a prefix with one cell: it runs cold.
-                cold = {group[0] for group in prefixes.values()
-                        if len(group) == 1}
-        run_all = map
-        if pooled:
             # Capped at the fan-out, like pmap (a fork-start pool
-            # launches every worker up front); one pool serves both
-            # phases.
+            # launches every worker up front).
             run_all = stack.enter_context(ProcessPoolExecutor(
                 max_workers=min(jobs, len(cells)))).map
-        for phase in phases:
-            for pos, value in zip(phase, run_all(
-                    _run_unit, [(cells[pos],
-                                 None if pos in cold else images)
-                                for pos in phase])):
-                on_row(pos, value)
+        for pos, value in enumerate(run_all(
+                _run_unit, [(cell, images) for cell in cells])):
+            on_row(pos, value)
 
 
 def _row_value_ok(unit: SweepUnit, value: Any) -> bool:

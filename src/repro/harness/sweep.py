@@ -12,15 +12,15 @@ Used by the ablation benches and available for exploration::
 ``metric`` may also be a *list* of metrics — each row then carries
 every metric column. A list adds columns, not simulations: the grid
 still expands to one unit per (config, metric), so each value has its
-own ``cache_dir`` entry, but ``run_units`` simulates each (config,
-horizon) once per call and every unit reads its metric off that run.
-What ``warmup_snapshots=True`` amortises is therefore the warmup of
-cells that are *different* simulations of one config prefix — a
-``max_cycles`` ladder handed to ``run_units``, or a later sweep over a
-``warmup_cache`` that was kept: the first cell of a prefix checkpoints
-the machine at the warmup mark and every other one forks from that
-image instead of re-simulating warmup. Rows are bit-identical to the
-cold path either way.
+own ``cache_dir`` entry, but ``run_units`` simulates each config once
+per call and every unit reads its metric off that run.
+Every cell of a sweep is therefore a different config, and what
+``warmup_snapshots=True`` with a ``warmup_cache`` amortises is a
+*later* sweep over the same configs: this one checkpoints each machine
+at its warmup mark into the store, the next forks from those images
+instead of re-simulating warmup. Without a ``warmup_cache`` there is
+nothing to keep and every cell runs cold. Rows are bit-identical to
+the cold path either way.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ def sweep(benchmark: str, metric=None,
     straight to :func:`repro.harness.parallel.run_units`, which
     documents them: ``jobs`` > 1 is a process pool (``None`` is
     serial), ``cache_dir`` a resumable JSON cache of metric cells,
-    ``warmup_snapshots`` / ``warmup_cache`` fork the cells of a config
-    prefix from one warmup checkpoint, ``service="host:port"`` ships
-    them to a :mod:`repro.service` fleet, and ``batch=S`` runs
+    ``warmup_snapshots=True`` hands the cells the ``warmup_cache``
+    image store (which is otherwise unused), ``service="host:port"``
+    ships them to a :mod:`repro.service` fleet, and ``batch=S`` runs
     single-tile cells in lockstep groups of S. Whichever are set, the
     rows are bit-identical and in the same order (per-config
     deterministic seeding).
@@ -119,9 +119,8 @@ def sweep(benchmark: str, metric=None,
     names, combos, metrics, units = grid_units(benchmark, metric,
                                                max_cycles, axes)
     values = run_units(units, jobs=jobs, cache_dir=cache_dir,
-                       warmup_snapshots=warmup_snapshots,
-                       warmup_cache=warmup_cache, service=service,
-                       batch=batch)
+                       warmup_cache=warmup_cache if warmup_snapshots
+                       else None, service=service, batch=batch)
     return _assemble_rows(names, combos, metrics, values)
 
 

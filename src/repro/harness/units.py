@@ -7,9 +7,11 @@ the same thing: *simulate one configuration and reduce it*.
 :class:`SweepUnit` (one :class:`ExperimentConfig` — a benchmark, a
 leakage or dataflow scenario, or a multi-program Table-2 workload — x
 horizon x metric) is that unit, the only one: one identity scheme
-(cache key), one warmup-prefix key (scheduling affinity), one wire
-encoding, and one execution path — which is what keeps every backend's
-rows bit-identical to each other.
+(cache key), one wire encoding, and one execution path — which is
+what keeps every backend's rows bit-identical to each other. Which
+units share a warmup image is not the unit's business: only a
+caller's :class:`~repro.harness.experiment.WarmupImageCache` and
+``run_benchmark`` know it.
 
 Wire completeness: the unit and every value it can reduce to —
 including the full :class:`~repro.cmp.system.RunResult` when
@@ -31,7 +33,6 @@ from repro.errors import ConfigError
 from repro.harness.experiment import (ExperimentConfig, HierarchyAxes,
                                       SpecAxes, WarmupImageCache,
                                       run_benchmark)
-from repro.harness.experiment import warmup_key as _warmup_key
 from repro.params import NocKind, Organization, SystemConfig
 from repro.sim.stats import Stats
 
@@ -221,13 +222,6 @@ class SweepUnit:
         blob = f"{self.exp!r}|max_cycles={self.max_cycles}" \
                f"|metric={self.metric}"
         return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-    @property
-    def warmup_key(self) -> str:
-        """The config-prefix hash warmup images are keyed on — units
-        sharing it can fork from one warmup checkpoint, which is what
-        the service's affinity sharding exploits."""
-        return _warmup_key(self.exp)
 
     def run(self, warmup_images: Optional[WarmupImageCache] = None) -> Any:
         """Simulate and reduce. Returns the full ``RunResult`` when

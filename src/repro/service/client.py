@@ -64,7 +64,7 @@ class ServiceClient:
         self.failover = len(self.addresses) > 1
         #: where the last successful handshake landed (the leader)
         self.leader_address: Optional[str] = None
-        #: warm_builds / warm_hits / from_cache of the last finished job
+        #: from_cache of the last finished job (units the memo served)
         self.last_job_stats: Dict[str, int] = {}
         self._transport: Optional[SyncTransport] = None
         self._connect()
@@ -187,8 +187,6 @@ class ServiceClient:
 
     # ------------------------------------------------------------------
     def run_units(self, units: Sequence[SweepUnit], *,
-                  warmup_snapshots: bool = False,
-                  warmup_dir: Optional[str] = None,
                   on_row: Optional[Callable[[int, Any], None]] = None
                   ) -> List[Any]:
         """Submit one job and block until every row arrived.
@@ -196,12 +194,9 @@ class ServiceClient:
         Returns values in unit order (same contract as the in-process
         :func:`repro.harness.parallel.run_units`) — including full
         ``RunResult`` objects for metric-None units, decoded from
-        their wire encoding against each unit's own config.
-        ``warmup_dir`` must be a directory visible to the *workers* (a
-        shared filesystem for a multi-host fleet); without one, each
-        worker keeps its own in-memory image cache, which affinity
-        sharding still exploits. Raises :class:`JobFailed` when a unit
-        exhausts its retries.
+        their wire encoding against each unit's own config. Workers run
+        every unit cold. Raises :class:`JobFailed` when a unit exhausts
+        its retries.
         """
         wire = [u.to_wire() for u in units]
         values: List[Any] = [None] * len(units)
@@ -211,7 +206,6 @@ class ServiceClient:
         while True:
             try:
                 return self._attempt(units, wire, values, got, state,
-                                     warmup_snapshots, warmup_dir,
                                      on_row)
             except (JobFailed, ProtocolMismatch):
                 raise  # final verdicts, never retried
@@ -239,18 +233,13 @@ class ServiceClient:
 
     def _attempt(self, units: Sequence[SweepUnit], wire: List[Any],
                  values: List[Any], got: List[bool],
-                 state: Dict[str, int], warmup_snapshots: bool,
-                 warmup_dir: Optional[str],
+                 state: Dict[str, int],
                  on_row: Optional[Callable[[int, Any], None]]
                  ) -> List[Any]:
         """One submit + row-stream cycle. Mutates ``values``/``got``/
         ``state`` in place so a fail-over retry never re-fires
         ``on_row`` for rows the caller already saw."""
-        self._send({
-            "type": "submit", "units": wire,
-            "warmup_snapshots": warmup_snapshots,
-            "warmup_dir": warmup_dir,
-        })
+        self._send({"type": "submit", "units": wire})
         accepted = self._recv()
         if accepted.get("type") != "accepted":
             raise ServiceError(f"expected accepted, got "
@@ -286,10 +275,7 @@ class ServiceClient:
                         f"{job_id}: done with {state['remaining']} "
                         f"rows missing")
                 self.last_job_stats = {
-                    "warm_builds": msg.get("warm_builds", 0),
-                    "warm_hits": msg.get("warm_hits", 0),
-                    "from_cache": msg.get("from_cache", 0),
-                }
+                    "from_cache": msg.get("from_cache", 0)}
                 return values
             elif kind == "job_failed" and msg.get("job") == job_id:
                 raise JobFailed(f"{job_id}: unit #{msg.get('idx')} "

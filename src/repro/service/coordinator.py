@@ -112,10 +112,6 @@ class _Job:
     units: List[Any]
     values: List[Any]
     remaining: int
-    warmup_snapshots: bool = False
-    warmup_dir: Optional[str] = None
-    warm_builds: int = 0
-    warm_hits: int = 0
     from_cache: int = 0
 
 
@@ -555,8 +551,6 @@ class Coordinator:
             return
         job.values[idx] = value
         job.remaining -= 1
-        job.warm_builds += msg.get("warm_builds", 0)
-        job.warm_hits += msg.get("warm_hits", 0)
         self.units_completed += 1
         self._store_result(key, value)
         self._send_row(job, idx, value)
@@ -632,9 +626,7 @@ class Coordinator:
         job_id = (f"job-r{self.cluster.node_id}."
                   f"{self._cluster_mgr.core.term}.{self._job_seq}")
         job = _Job(job_id=job_id, client=conn, units=units,
-                   values=[None] * len(units), remaining=len(units),
-                   warmup_snapshots=bool(msg.get("warmup_snapshots")),
-                   warmup_dir=msg.get("warmup_dir"))
+                   values=[None] * len(units), remaining=len(units))
         cached: List[List[Any]] = []
         skip: Set[int] = set()
         for idx, unit in enumerate(units):
@@ -676,11 +668,8 @@ class Coordinator:
         await self._try_commit({"op": "job_cancel",
                                 "job": job.job_id})
         job.client.send({"type": "done", "job": job.job_id,
-                         "warm_builds": job.warm_builds,
-                         "warm_hits": job.warm_hits,
                          "from_cache": job.from_cache})
-        self._log(f"{job.job_id}: done (builds={job.warm_builds} "
-                  f"hits={job.warm_hits} cached={job.from_cache})")
+        self._log(f"{job.job_id}: done (cached={job.from_cache})")
 
     def _status_reply(self) -> Dict[str, Any]:
         workers = []
@@ -690,7 +679,6 @@ class Coordinator:
                 "name": name, "pid": w.pid,
                 "busy": list(view.busy) if view.busy else None,
                 "completed": view.completed,
-                "prefixes": len(view.prefixes),
             })
         stats = self._sched.stats()
         stats.update(served_from_cache=self.served_from_cache,
@@ -717,18 +705,13 @@ class Coordinator:
         if not isinstance(assignments, list):
             return  # deposed mid-commit; the new leader redispatches
         for a in assignments:
-            job = self._jobs.get(a["job"])
             worker = self._workers.get(a["worker"])
-            if job is None or worker is None:
+            if a["job"] not in self._jobs or worker is None:
                 # conn vanished inside the commit window — its
                 # worker_remove commit requeues the unit
                 continue
-            worker.conn.send({
-                "type": "assign", "job": a["job"], "idx": a["idx"],
-                "unit": a["unit"],
-                "warmup_snapshots": job.warmup_snapshots,
-                "warmup_dir": job.warmup_dir,
-            })
+            worker.conn.send({"type": "assign", "job": a["job"],
+                              "idx": a["idx"], "unit": a["unit"]})
 
     async def _timer(self) -> None:
         """The one clock: steps the consensus state machine and checks

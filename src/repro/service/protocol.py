@@ -26,13 +26,18 @@ from repro.service.errors import (ConnectionClosed, FrameError,
 __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
            "encode_frame", "FrameDecoder", "check_protocol"]
 
-#: Version 6: ``kind: "sweep"`` is the only unit kind. A Table-2
+#: Version 7: the fleet carries no warmup images. ``submit`` and
+#: ``assign`` lose their warmup flag and image directory, ``result``
+#: and ``done`` their image build / fork counts, and every worker runs
+#: every unit cold — a v6 client that asked for warmup forking would
+#: have it silently ignored. Unit frames are byte-identical to v6's.
+#: (Version 6: ``kind: "sweep"`` is the only unit kind. A Table-2
 #: multi-program workload is a sweep unit whose ``benchmark`` names it
 #: (``"W0"``-``"W9"``), so a v5 worker's preset table would not know
 #: the name and a v6 coordinator refuses a v5 client's
 #: ``kind: "workload"`` submit; default sweep frames are byte-identical
 #: to v5's.
-#: (Version 5: sweep units may carry the reconfigurable-hierarchy axes
+#: Version 5: sweep units may carry the reconfigurable-hierarchy axes
 #: (``scratchpad_fraction``/``spm_latency``) in their wire form; a
 #: default-hierarchy unit's frame is byte-identical to v4, but a v4
 #: worker would silently run a scratchpad-partitioned unit on the
@@ -54,7 +59,7 @@ __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
 #: mandatory and gave unit/value payloads a ``kind`` discriminator
 #: plus full-``RunResult`` encodings — see
 #: :mod:`repro.harness.units`.)
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: hard payload ceiling — a submit of ~100k units is a few MB; anything
 #: past this is a corrupt or hostile length prefix, not a real message.

@@ -168,7 +168,6 @@ class SchedulerMachine:
         return {
             "workers": {
                 name: {"busy": list(w.busy) if w.busy else None,
-                       "prefixes": sorted(w.prefixes),
                        "completed": w.completed}
                 for name, w in s._workers.items()},
             "jobs": {
@@ -178,7 +177,6 @@ class SchedulerMachine:
             "pending": [list(u) for u in s._pending],
             "attempts": {f"{j}#{i}": st.attempts
                          for (j, i), st in s._units.items()},
-            "prefix_owner": dict(s._prefix_owner),
             "requeues": s.requeues,
             "duplicates": s.duplicates,
             "memo": dict(self.memo),

@@ -1,46 +1,36 @@
 """Pure scheduling state machine for the sweep coordinator.
 
-No sockets, no threads, no clocks — the coordinator holds a lock and
-drives this object; keeping the policy pure makes every scheduling
-property (affinity, requeue, dedup) unit-testable without a fleet.
+No sockets, no threads, no clocks — the coordinator drives this object
+from its event loop; keeping the policy pure makes every scheduling
+property (order, requeue, dedup) unit-testable without a fleet.
 
 Policy:
 
-* **Warmup-prefix affinity** — units sharing a ``warmup_key`` (their
-  :class:`ExperimentConfig` prefix) are routed to the worker that
-  *owns* that prefix, so each warmup image is built once and every
-  later unit of the prefix forks from the worker's local copy. An idle
-  worker first drains its own prefixes, then claims an unowned one.
-  It never steals a prefix whose owner is alive: affinity is worth a
-  little tail latency (a stolen unit would re-simulate the whole
-  warmup anyway, which is the work stealing would be trying to save).
+* **One FIFO** — pending units wait in one global order: ``add_job``
+  and a retry append at the back, and an idle worker takes the head.
+  Which units could share a warmup image is not the fleet's concern:
+  workers run every unit cold (``run_units`` already makes one cell of
+  every config in a call), and warmup reuse across calls is a local
+  ``warmup_cache``.
 * **Fault tolerance** — when a worker is removed, its in-flight unit
-  goes back to the *front* of the queue and its prefix ownerships are
-  released, so survivors pick the orphaned work up immediately.
+  goes back to the *front* of the queue, so survivors pick the
+  orphaned work up immediately.
 * **Idempotent completion** — a (job, idx) completes at most once.
   Late duplicate results (a worker declared dead that was merely slow,
   a unit retried after a kill that had actually finished) are reported
   as duplicates and must be dropped by the caller. Retried units stay
   bit-identical because runs are seeded by config, never by worker.
 
-The queue is one global order (``add_job`` / retry append at the back,
-a dead worker's unit goes to the front) held as an index, so
-assignment never scans it: every pending unit has a sequence number
-(``_seq``: back positive and rising, front negative and falling), a
-FIFO per prefix (``_queues``), and per owner — ``None`` for unowned —
-a heap of ``(head sequence, prefix)`` (``_ready``). "First pending unit
-this worker owns, else first of an unowned prefix" is the top live
-entry of two heaps. Heap entries are never removed in place: one is
-live while its prefix still belongs to that heap's owner and still has
-that sequence number at its head, and dead ones are dropped when they
-surface. A unit's prefix hash is computed once, in ``add_job``.
+The queue is a deque plus the set of its members, so assignment pops
+the head and never scans; only the rare removals from elsewhere (a
+requeued copy whose result raced in, a retry moving to the front, a
+cancelled job's leftovers) do.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.harness.units import SweepUnit
@@ -65,7 +55,6 @@ class Assignment:
 @dataclass
 class _UnitState:
     unit: SweepUnit
-    prefix: str
     attempts: int = 0
 
 
@@ -73,7 +62,6 @@ class _UnitState:
 class _WorkerState:
     name: str
     busy: Optional[UnitId] = None
-    prefixes: Set[str] = field(default_factory=set)
     completed: int = 0
 
 
@@ -90,82 +78,30 @@ class Scheduler:
         self._workers: Dict[str, _WorkerState] = {}
         self._jobs: Dict[str, _JobState] = {}
         self._units: Dict[UnitId, _UnitState] = {}
-        self._prefix_owner: Dict[str, str] = {}
-        # the pending index (module docstring)
-        self._seq: Dict[UnitId, int] = {}
-        self._last_seq = 0
-        self._queues: Dict[str, Deque[UnitId]] = {}
-        self._ready: Dict[Optional[str], List[Tuple[int, str]]] = {None: []}
+        # the queue in order, and the same units as a set
+        self._pending: Deque[UnitId] = deque()
+        self._queued: Set[UnitId] = set()
         self.requeues = 0
         self.duplicates = 0
 
-    # ---- pending index -----------------------------------------------
-    @property
-    def _pending(self) -> List[UnitId]:
-        """The queue in order — for snapshots and tests; nothing on
-        the dispatch path reads it."""
-        return sorted(self._seq, key=self._seq.__getitem__)
-
-    def _advertise(self, prefix: str) -> None:
-        """``prefix`` has a new head or a new owner: list it with its
-        current owner's heap."""
-        entry = (self._seq[self._queues[prefix][0]], prefix)
-        heappush(self._ready[self._prefix_owner.get(prefix)], entry)
-
     def _enqueue(self, uid: UnitId, front: bool = False) -> None:
-        prefix = self._units[uid].prefix
-        queue = self._queues.get(prefix)
-        if queue is None:
-            queue = self._queues[prefix] = deque()
-        self._last_seq += 1
         if front:
-            if uid in self._seq:  # one copy only: it moves to the front
-                queue.remove(uid)
-            self._seq[uid] = -self._last_seq
-            queue.appendleft(uid)
+            if uid in self._queued:  # one copy only: it moves to the front
+                self._pending.remove(uid)
+            self._pending.appendleft(uid)
         else:
-            self._seq[uid] = self._last_seq
-            queue.append(uid)
-        if queue[0] == uid:
-            self._advertise(prefix)
-
-    def _unqueue(self, uid: UnitId, prefix: str) -> None:
-        """Take a pending unit out: O(1) at the head of its prefix
-        (every assignment), a scan of that one prefix otherwise."""
-        del self._seq[uid]
-        queue = self._queues[prefix]
-        if queue[0] != uid:
-            queue.remove(uid)
-        else:
-            queue.popleft()
-            if queue:
-                self._advertise(prefix)
-            else:
-                del self._queues[prefix]
-
-    def _first_ready(self, owner: Optional[str]) -> Optional[UnitId]:
-        """The first pending unit among ``owner``'s prefixes."""
-        heap = self._ready[owner]
-        while heap:
-            seq, prefix = heap[0]
-            queue = self._queues.get(prefix)
-            if (queue is not None and self._seq[queue[0]] == seq
-                    and self._prefix_owner.get(prefix) == owner):
-                return queue[0]
-            heappop(heap)
-        return None
+            self._pending.append(uid)
+        self._queued.add(uid)
 
     # ---- workers -----------------------------------------------------
     def add_worker(self, name: str) -> None:
         if name in self._workers:
             raise ValueError(f"worker {name!r} already registered")
         self._workers[name] = _WorkerState(name)
-        self._ready[name] = []
 
     def remove_worker(self, name: str
                       ) -> Tuple[List[UnitId], List[UnitId]]:
-        """Drop a worker; requeue its in-flight unit (front of queue)
-        and release its prefix ownerships.
+        """Drop a worker; requeue its in-flight unit (front of queue).
 
         Returns ``(requeued, fatal)``: a death consumes the unit's
         current attempt just like a ``unit_error`` does, so a unit
@@ -176,12 +112,6 @@ class Scheduler:
         w = self._workers.pop(name, None)
         if w is None:
             return [], []
-        del self._ready[name]
-        for prefix in w.prefixes:
-            if self._prefix_owner.get(prefix) == name:
-                del self._prefix_owner[prefix]
-                if prefix in self._queues:
-                    self._advertise(prefix)
         requeued: List[UnitId] = []
         fatal: List[UnitId] = []
         if w.busy is not None and w.busy in self._units:
@@ -216,7 +146,7 @@ class Scheduler:
                 job.done.add(idx)
                 continue
             uid = (job_id, idx)
-            self._units[uid] = _UnitState(unit, unit.warmup_key)
+            self._units[uid] = _UnitState(unit)
             self._enqueue(uid)
 
     def cancel_job(self, job_id: str) -> None:
@@ -225,20 +155,14 @@ class Scheduler:
         job = self._jobs.pop(job_id, None)
         if job is None:
             return
-        touched: Set[str] = set()
-        for idx in range(len(job.units)):
-            uid = (job_id, idx)
-            state = self._units.pop(uid, None)
-            if state is not None and self._seq.pop(uid, None) is not None:
-                touched.add(state.prefix)
-        for prefix in touched:
-            queue = deque(u for u in self._queues[prefix]
-                          if u[0] != job_id)
-            if queue:
-                self._queues[prefix] = queue
-                self._advertise(prefix)
-            else:
-                del self._queues[prefix]
+        uids = [(job_id, idx) for idx in range(len(job.units))]
+        for uid in uids:
+            self._units.pop(uid, None)
+        dropped = self._queued.intersection(uids)
+        if dropped:
+            self._queued -= dropped
+            self._pending = deque(u for u in self._pending
+                                  if u not in dropped)
 
     def job_done(self, job_id: str) -> bool:
         job = self._jobs[job_id]
@@ -250,21 +174,14 @@ class Scheduler:
 
     # ---- assignment --------------------------------------------------
     def next_unit_for(self, name: str) -> Optional[Assignment]:
-        """Pick the next unit for an idle worker (affinity-aware) and
-        mark it in-flight. None when nothing is assignable."""
+        """Hand the head of the queue to an idle worker and mark it
+        in-flight. None when the worker is busy or nothing is pending."""
         w = self._workers[name]
-        if w.busy is not None:
+        if w.busy is not None or not self._pending:
             return None
-        pick = self._first_ready(name)
-        if pick is None:
-            pick = self._first_ready(None)  # claim an unowned prefix
-        if pick is None:
-            return None
+        pick = self._pending.popleft()
+        self._queued.discard(pick)
         state = self._units[pick]
-        prefix = state.prefix
-        self._prefix_owner.setdefault(prefix, name)
-        self._unqueue(pick, prefix)
-        w.prefixes.add(prefix)
         w.busy = pick
         state.attempts += 1
         return Assignment(pick[0], pick[1], state.unit)
@@ -285,11 +202,12 @@ class Scheduler:
         if idx in job.done or uid not in self._units:
             self.duplicates += 1
             return "duplicate"
-        state = self._units.pop(uid)
+        del self._units[uid]
         # a requeued copy may still sit in pending if the "dead" worker
         # raced its result in before reassignment — drop it
-        if uid in self._seq:
-            self._unqueue(uid, state.prefix)
+        if uid in self._queued:
+            self._queued.discard(uid)
+            self._pending.remove(uid)
         job.done.add(idx)
         if w is not None:
             w.completed += 1
@@ -312,7 +230,7 @@ class Scheduler:
         # uid (remove_worker already put it back); a second pending
         # copy would later be assigned concurrently or dangle after
         # completion, so requeue only when absent
-        if uid not in self._seq:
+        if uid not in self._queued:
             self._enqueue(uid)
         return "retry"
 
@@ -324,7 +242,7 @@ class Scheduler:
 
     # ---- introspection ----------------------------------------------
     def pending_count(self) -> int:
-        return len(self._seq)
+        return len(self._pending)
 
     def in_flight(self) -> Dict[str, UnitId]:
         return {n: w.busy for n, w in self._workers.items()
@@ -333,7 +251,7 @@ class Scheduler:
     def stats(self) -> Dict[str, int]:
         return {
             "workers": len(self._workers),
-            "pending": len(self._seq),
+            "pending": len(self._pending),
             "in_flight": len(self.in_flight()),
             "jobs": len(self._jobs),
             "requeues": self.requeues,

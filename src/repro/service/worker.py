@@ -9,14 +9,10 @@ flowing while a unit is compute-bound — the GIL switches threads every
 few milliseconds, which is what lets the coordinator's liveness
 monitor tell "slow simulation" from "dead process".
 
-Warmup affinity is realized *here*: the worker keeps one
-:class:`~repro.harness.experiment.WarmupImageCache` per warmup
-directory (plus a process-local in-memory cache for jobs without one)
-that lives across assignments. Because the coordinator routes every
-unit of a ``warmup_key`` prefix to the prefix's owner, the first unit
-builds the image in this cache and every later unit forks from it.
-Each ``result`` carries the build/hit *delta* for its unit, so the
-coordinator can attribute warmup work to jobs exactly.
+A worker keeps no state between assignments: each unit runs cold
+through ``SweepUnit.run``, exactly as a serial sweep without a
+``warmup_cache`` would run it (warmup images are a local store of the
+caller's, never shipped to the fleet).
 
 Runnable standalone::
 
@@ -35,7 +31,6 @@ import threading
 import traceback
 from typing import Any, Dict, Optional
 
-from repro.harness.experiment import WarmupImageCache
 from repro.harness.units import SweepUnit
 from repro.service.errors import (ConnectionClosed, FrameError,
                                   ProtocolMismatch, ServiceError)
@@ -46,39 +41,6 @@ from repro.service.transport import (Connection, LeaderHunt, Redirected,
 
 __all__ = ["Worker", "parse_address", "parse_addresses",
            "service_child_env"]
-
-#: memory-only warmup images a worker keeps (LRU) for jobs without a
-#: warmup directory
-MAX_MEMORY_IMAGES = 8
-
-
-class _BoundedImageCache(WarmupImageCache):
-    """Memory-only image cache with LRU eviction.
-
-    A worker lives for the fleet's lifetime; without a warmup
-    directory it would pin one whole-machine snapshot blob per prefix
-    it ever owned. Affinity makes the *recent* prefixes the hot ones,
-    so a small LRU keeps the forking payoff while bounding RSS.
-    An evicted image costs one warmup re-simulation, never
-    correctness."""
-
-    def __init__(self, max_images: int) -> None:
-        super().__init__(None)
-        self.max_images = max_images
-
-    def get(self, key):
-        blob = self._mem.get(key)
-        if blob is not None:  # refresh recency (dicts keep order)
-            del self._mem[key]
-            self._mem[key] = blob
-        return blob
-
-    def put(self, key, blob) -> None:
-        self._mem.pop(key, None)
-        self._mem[key] = blob
-        while len(self._mem) > self.max_images:
-            del self._mem[next(iter(self._mem))]
-
 
 def service_child_env() -> Dict[str, str]:
     """Environment for spawned service processes: this checkout's
@@ -147,9 +109,6 @@ class Worker:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_evt: Optional[asyncio.Event] = None
         self._conn: Optional[Connection] = None
-        # one image cache per warmup directory, living across
-        # assignments — the affinity payoff. None key = memory-only.
-        self._images: Dict[Optional[str], WarmupImageCache] = {}
 
     def _log(self, msg: str) -> None:
         if self.verbose:
@@ -324,16 +283,6 @@ class Worker:
                                    f"coordinator")
 
     # ------------------------------------------------------------------
-    def _images_for(self, warmup_dir: Optional[str]) -> WarmupImageCache:
-        cache = self._images.get(warmup_dir)
-        if cache is None:
-            if warmup_dir is None:  # memory-only: bound the blobs
-                cache = _BoundedImageCache(MAX_MEMORY_IMAGES)
-            else:  # disk-backed caches hold nothing in RAM
-                cache = WarmupImageCache(warmup_dir)
-            self._images[warmup_dir] = cache
-        return cache
-
     async def _run_assign(self, msg: Dict[str, Any]) -> None:
         """Simulate one assignment off-loop (executor thread) and send
         the reply. The loop — and the heartbeat — stay live
@@ -352,18 +301,9 @@ class Worker:
         job_id, idx = msg["job"], msg["idx"]
         try:
             unit = SweepUnit.from_wire(msg["unit"])
-            images: Optional[WarmupImageCache] = None
-            if msg.get("warmup_snapshots"):
-                images = self._images_for(msg.get("warmup_dir"))
-            builds0 = images.misses if images is not None else 0
-            hits0 = images.hits if images is not None else 0
-            value = unit.encode_value(unit.run(warmup_images=images))
             frame = encode_frame({
                 "type": "result", "job": job_id, "idx": idx,
-                "value": value,
-                "warm_builds": (images.misses - builds0) if images else 0,
-                "warm_hits": (images.hits - hits0) if images else 0,
-            })
+                "value": unit.encode_value(unit.run())})
             self.units_run += 1
             self._log(f"{job_id}#{idx} done")
         except Exception as exc:  # a bad unit must not kill the worker

@@ -242,34 +242,6 @@ class TestWireCompleteness:
         assert coord.served_from_cache == len(units)
 
 
-class TestWarmupAffinity:
-    def test_each_prefix_builds_exactly_once(self, fleet):
-        """2 prefixes x 3 metrics on 3 workers: affinity must route
-        each prefix to one worker, so each warmup image is built once
-        (warm_builds == prefixes) and forked for every other cell
-        (warm_hits == cells - prefixes)."""
-        _coord, address = fleet(workers=3)
-        units = units_of(AXES, METRICS)  # 2 prefixes x 3 metrics
-        with ServiceClient(address) as client:
-            values = client.run_units(units, warmup_snapshots=True)
-            stats = client.last_job_stats
-        assert stats["warm_builds"] == 2
-        assert stats["warm_hits"] == 4
-        assert values == [u.run() for u in units]
-
-    def test_affinity_survives_multiple_jobs(self, fleet):
-        """A second job over the same prefixes forks from the workers'
-        *retained* image caches: zero new builds."""
-        _coord, address = fleet(workers=3)
-        with ServiceClient(address) as client:
-            client.run_units(units_of(AXES, ["runtime"]),
-                             warmup_snapshots=True)
-            client.run_units(units_of(AXES, ["mpki"]),
-                             warmup_snapshots=True)
-            assert client.last_job_stats["warm_builds"] == 0
-            assert client.last_job_stats["warm_hits"] == 2
-
-
 class TestResultCache:
     def test_resubmit_served_from_memo_without_simulation(self, fleet):
         coord, address = fleet(workers=2)
@@ -380,9 +352,9 @@ class TestFailureModes:
 
     def test_protocol_version_mismatch_rejected(self, fleet):
         _coord, address = fleet(workers=0)
-        # a build from the future, and v5 (the last one that shipped a
-        # second unit kind on the wire)
-        for version in (999, 5):
+        # a build from the future, v6 (the last one that shipped warmup
+        # fields) and v5 (the last one that shipped a second unit kind)
+        for version in (999, 6, 5):
             peer = SyncTransport.open(address, 5)
             try:
                 peer.send({"type": "hello", "role": "client",
@@ -390,7 +362,7 @@ class TestFailureModes:
                 reply = peer.recv(timeout=5)
                 assert reply["type"] == "error"
                 assert reply["code"] == "protocol-mismatch"
-                assert reply["expected"] == PROTOCOL_VERSION == 6
+                assert reply["expected"] == PROTOCOL_VERSION == 7
                 assert "protocol" in reply["error"]
             finally:
                 peer.close()
@@ -460,19 +432,6 @@ class TestOperations:
         assert stats["jobs"] == 0
         assert stats["pending"] == 0
         assert stats["in_flight"] == 0
-
-    def test_worker_memory_image_cache_is_bounded(self):
-        """A long-lived worker must not pin every prefix's machine
-        snapshot: the memory-only cache evicts LRU past its cap."""
-        from repro.service.worker import _BoundedImageCache
-        cache = _BoundedImageCache(max_images=3)
-        for i in range(5):
-            cache.put(f"k{i}", bytes([i]) * 16)
-        assert set(cache._mem) == {"k2", "k3", "k4"}
-        assert cache.get("k2") == b"\x02" * 16  # refreshes recency
-        cache.put("k5", b"new")
-        assert set(cache._mem) == {"k4", "k2", "k5"}  # k3 was LRU
-        assert cache.get("k3") is None
 
     def test_shutdown_stops_fleet_and_worker_threads(self, fleet):
         coord, address = fleet(workers=2)

@@ -42,8 +42,7 @@ SAMPLES = {
               "protocol": PROTOCOL_VERSION, "name": "w0", "pid": 4242},
     "welcome": {"type": "welcome", "name": "w0",
                 "protocol": PROTOCOL_VERSION},
-    "submit": {"type": "submit", "units": [{"benchmark": "barnes"}],
-               "warmup_snapshots": True, "warmup_dir": None},
+    "submit": {"type": "submit", "units": [{"benchmark": "barnes"}]},
     "status": {"type": "status"},
     "ping": {"type": "ping"},
     "shutdown": {"type": "shutdown"},
@@ -52,18 +51,16 @@ SAMPLES = {
                  "cached": [[0, 1.5]]},
     "row": {"type": "row", "job": "job-1", "idx": 3,
             "value": {"runtime": 30237, "mpki": 0.1 + 0.2}},
-    "done": {"type": "done", "job": "job-1", "warm_builds": 2,
-             "warm_hits": 4, "from_cache": 0},
+    "done": {"type": "done", "job": "job-1", "from_cache": 0},
     "job_failed": {"type": "job_failed", "job": "job-1", "idx": 2,
                    "error": "ConfigError: unknown benchmark"},
     "status_reply": {"type": "status_reply", "workers": [],
                      "stats": {"pending": 0}},
     "pong": {"type": "pong"},
     "assign": {"type": "assign", "job": "job-1", "idx": 0,
-               "unit": {"benchmark": "barnes", "seed": 1},
-               "warmup_snapshots": False, "warmup_dir": None},
+               "unit": {"benchmark": "barnes", "seed": 1}},
     "result": {"type": "result", "job": "job-1", "idx": 0,
-               "value": 1e-308, "warm_builds": 1, "warm_hits": 0},
+               "value": 1e-308},
     "unit_error": {"type": "unit_error", "job": "job-1", "idx": 0,
                    "error": "boom",
                    "traceback": "Traceback (most recent call last):\n"
@@ -498,13 +495,19 @@ class TestConnection:
         asyncio.run(main())
 
 
+class TestProtocolV7:
+    """v7: no warmup field rides the wire (workers run units cold)."""
+
+    def test_hello_samples_carry_protocol_7(self):
+        assert PROTOCOL_VERSION == 7
+        for kind in ("hello", "welcome", "replica-hello"):
+            assert SAMPLES[kind]["protocol"] == 7
+        for kind in ("submit", "assign", "result", "done"):
+            assert not any(key.startswith("warm") for key in SAMPLES[kind])
+
+
 class TestProtocolV6:
     """v6: ``kind: "sweep"`` is the only unit kind on the wire."""
-
-    def test_hello_samples_carry_protocol_6(self):
-        assert PROTOCOL_VERSION == 6
-        for kind in ("hello", "welcome", "replica-hello"):
-            assert SAMPLES[kind]["protocol"] == 6
 
     def test_workload_kind_submit_gets_typed_error_frame(self):
         """A v5-era ``kind: "workload"`` unit is refused with the

@@ -1,4 +1,4 @@
-"""Scheduler policy unit tests: affinity, requeue, idempotent dedup.
+"""Scheduler policy unit tests: FIFO order, requeue, idempotent dedup.
 
 The scheduler is a pure state machine (no sockets, no clocks), so
 every fleet-level property the chaos campaign asserts end-to-end is
@@ -7,69 +7,36 @@ also pinned here in isolation, where the failure mode is readable.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.harness.experiment import ExperimentConfig
+from repro.harness.experiment import ExperimentConfig, warmup_key
 from repro.harness.units import SweepUnit
 from repro.params import Organization
+from repro.service.replica import SchedulerMachine
 from repro.service.scheduler import Scheduler
 
 
 def unit(seed: int = 1, metric: str = "runtime") -> SweepUnit:
-    """Units with equal ``seed`` share a warmup prefix; the metric
-    only varies the post-warmup reduction."""
+    """Units with equal ``seed`` share a config; the metric only
+    varies the reduction."""
     return SweepUnit(ExperimentConfig(benchmark="barnes",
                                       organization=Organization.SHARED,
                                       scale=0.05, seed=seed),
                      1_000_000, metric)
 
 
-def drain(sched: Scheduler, name: str):
-    """Assign units to ``name`` until it would block (it never does
-    here — one busy slot per worker), returning the one assignment."""
-    return sched.next_unit_for(name)
-
-
-class TestAffinity:
-    def test_same_prefix_routes_to_one_worker(self):
+class TestAssignment:
+    def test_idle_workers_take_the_queue_head_in_order(self):
+        """One FIFO: units of one config are spread like any others."""
         sched = Scheduler()
         for w in ("a", "b", "c"):
             sched.add_worker(w)
-        units = [unit(seed=1, metric=m)
-                 for m in ("runtime", "mpki", "offchip_accesses")]
-        sched.add_job("j", units)
-        first = sched.next_unit_for("a")
-        assert first is not None
-        # b and c are idle but must not take prefix-1 units: a owns it
-        assert sched.next_unit_for("b") is None
-        assert sched.next_unit_for("c") is None
-        sched.complete("a", "j", first.idx)
-        second = sched.next_unit_for("a")
-        assert second is not None and second.idx != first.idx
-
-    def test_distinct_prefixes_spread_across_workers(self):
-        sched = Scheduler()
-        for w in ("a", "b", "c"):
-            sched.add_worker(w)
-        units = [unit(seed=s) for s in (1, 2, 3)]
-        sched.add_job("j", units)
-        owners = {sched.next_unit_for(w).idx for w in ("a", "b", "c")}
-        assert owners == {0, 1, 2}
-
-    def test_own_prefix_preferred_over_new_claim(self):
-        sched = Scheduler()
-        sched.add_worker("a")
-        units = [unit(seed=1, metric="runtime"),
-                 unit(seed=2, metric="runtime"),
-                 unit(seed=1, metric="mpki")]
-        sched.add_job("j", units)
-        a0 = sched.next_unit_for("a")
-        assert a0.idx == 0  # claims prefix 1
-        sched.complete("a", "j", 0)
-        a1 = sched.next_unit_for("a")
-        # queue order would say idx 1 (prefix 2), but affinity says
-        # finish the owned prefix first
-        assert a1.idx == 2
+        sched.add_job("j", [unit(seed=1, metric="runtime"),
+                            unit(seed=1, metric="mpki"), unit(seed=2)])
+        assert [sched.next_unit_for(w).idx for w in ("a", "b", "c")] \
+            == [0, 1, 2]
 
     def test_busy_worker_gets_nothing(self):
         sched = Scheduler()
@@ -77,6 +44,34 @@ class TestAffinity:
         sched.add_job("j", [unit(seed=1), unit(seed=2)])
         assert sched.next_unit_for("a") is not None
         assert sched.next_unit_for("a") is None
+
+    def test_finished_job_leaves_nothing_in_the_snapshot(self):
+        """Once a job is done nothing replicated refers to its units:
+        state kept per config ever dispatched would grow every replica
+        for as long as its worker lives."""
+        m = SchedulerMachine()
+        for w in ("a", "b"):
+            m.apply({"op": "worker_add", "name": w})
+        units = [unit(seed=s) for s in range(12)]
+        m.apply({"op": "job_add", "job": "j", "skip": [],
+                 "units": [u.to_wire() for u in units]})
+        while True:
+            out = m.apply({"op": "dispatch"})
+            if not out:
+                break
+            for a in out:
+                m.apply({"op": "complete", "name": a["worker"],
+                         "job": a["job"], "idx": a["idx"], "key": None,
+                         "value": 1})
+        # what the coordinator commits once the last row is out
+        m.apply({"op": "job_cancel", "job": "j"})
+        snap = m.snapshot()
+        assert snap["pending"] == [] and snap["attempts"] == {}
+        assert snap["workers"] == {
+            name: {"busy": None, "completed": 6} for name in ("a", "b")}
+        residue = json.dumps([snap[k] for k in
+                              ("workers", "pending", "attempts")])
+        assert not any(warmup_key(u.exp) in residue for u in units)
 
 
 class TestWorkerDeath:
@@ -92,17 +87,6 @@ class TestWorkerDeath:
         # b picks the orphaned unit up immediately (front of queue)
         b = sched.next_unit_for("b")
         assert b.idx == a.idx
-
-    def test_prefix_ownership_released_on_death(self):
-        sched = Scheduler()
-        sched.add_worker("a")
-        sched.add_worker("b")
-        units = [unit(seed=1, metric=m) for m in ("runtime", "mpki")]
-        sched.add_job("j", units)
-        sched.next_unit_for("a")
-        assert sched.next_unit_for("b") is None  # a owns the prefix
-        sched.remove_worker("a")
-        assert sched.next_unit_for("b") is not None  # b inherits
 
     def test_removing_idle_worker_requeues_nothing(self):
         sched = Scheduler()

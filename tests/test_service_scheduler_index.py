@@ -1,16 +1,15 @@
-"""The scheduler's pending index: assignment must not scan or hash.
+"""The scheduler's pending queue: assignment must not scan it.
 
 ``tests/test_service_scheduler.py`` pins the policy and
 ``tests/test_service_replica.py`` pins ten fuzzed command logs against
-the scheduler that scanned one deque; these pin what the index is
-*for* — one prefix hash per unit, and a drain that stays linear.
+a reference FIFO model; these pin what the deque-plus-set is *for* — a
+drain that stays linear, and one pending copy of a unit.
 """
 
 from __future__ import annotations
 
 import time
 
-import repro.harness.units as units_mod
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.units import SweepUnit
 from repro.params import Organization
@@ -19,11 +18,11 @@ from repro.service.scheduler import Scheduler
 WORKERS = ("a", "b", "c")
 
 
-def units_of(n: int, per_prefix: int = 4):
-    """``n`` units, ``per_prefix`` to a warmup prefix (the seed)."""
+def units_of(n: int):
+    """``n`` units of distinct configs (the seed)."""
     return [SweepUnit(ExperimentConfig(benchmark="barnes",
                                        organization=Organization.SHARED,
-                                       scale=0.05, seed=i // per_prefix),
+                                       scale=0.05, seed=i),
                       1_000_000, "runtime") for i in range(n)]
 
 
@@ -45,38 +44,11 @@ def drain(units) -> list:
     return order
 
 
-def test_warmup_key_is_hashed_once_per_unit(monkeypatch):
-    """``SweepUnit.warmup_key`` is ``sha256(repr(exp))`` — the old
-    scan recomputed it for every pending unit it passed, on every
-    dispatch. ``units._warmup_key`` is the name the property calls
-    (``repro.harness.experiment.warmup_key``, imported under an
-    alias)."""
-    calls = []
-    real = units_mod._warmup_key
-
-    def counting(exp):
-        calls.append(exp)
-        return real(exp)
-
-    monkeypatch.setattr(units_mod, "_warmup_key", counting)
-    units = units_of(120)
-    order = drain(units)
-    assert len(calls) == len(units)
-    # and the drain it fed is the policy's: each prefix is drained by
-    # the worker that claimed it, every worker sees job order
-    owner = {}
-    for w, idx in order:
-        assert owner.setdefault(idx // 4, w) == w
-    for w in WORKERS:
-        mine = [idx for who, idx in order if who == w]
-        assert mine == sorted(mine)
-    assert sorted(idx for _w, idx in order) == list(range(120))
-
-
 def test_drain_time_is_linear_in_units():
     """A ratio on one process, not a wall-clock floor: four times the
-    units may cost about four times the drain (the deque scan cost
-    sixteen). Best of three keeps a scheduling hiccup out of it."""
+    units may cost about four times the drain (a scan of the queue
+    per assignment would cost sixteen). Best of three keeps a
+    scheduling hiccup out of it."""
     small, big = units_of(1000), units_of(4000)
 
     def best(units) -> float:
@@ -93,18 +65,19 @@ def test_drain_time_is_linear_in_units():
 def test_requeue_of_an_already_pending_unit_moves_it_to_the_front():
     """A stale ``unit_error`` from a reaped worker can put a unit back
     in the queue while another worker runs it; if that worker then dies
-    the unit is requeued at the front. The deque kept both copies (the
-    second later ran twice or dangled); the index holds one, in front."""
+    the unit is requeued at the front. A bare deque kept both copies
+    (the second later ran twice or dangled); the queue holds one, in
+    front."""
     sched = Scheduler()
     sched.add_worker("a")
-    sched.add_job("j", units_of(3, per_prefix=1))
+    sched.add_job("j", units_of(3))
     first = sched.next_unit_for("a")
     assert first.idx == 0
     assert sched.fail("ghost", "j", 0) == "retry"  # stale: a still runs it
-    assert sched._pending == [("j", 1), ("j", 2), ("j", 0)]
+    assert list(sched._pending) == [("j", 1), ("j", 2), ("j", 0)]
     assert sched.remove_worker("a") == ([("j", 0)], [])
-    assert sched._pending == [("j", 0), ("j", 1), ("j", 2)]
+    assert list(sched._pending) == [("j", 0), ("j", 1), ("j", 2)]
     sched.add_worker("b")
     assert [sched.next_unit_for("b").idx] == [0]
     assert sched.complete("b", "j", 0) == "fresh"
-    assert sched._pending == [("j", 1), ("j", 2)]
+    assert list(sched._pending) == [("j", 1), ("j", 2)]

@@ -180,10 +180,10 @@ class TestOneDispatchLoop:
 
 
 class TestOneSimulationPerConfig:
-    """``run_units`` never simulates the same (config, horizon) twice
-    in one call: units that differ only in the metric they read are
-    served by one cell, and each gets the value — and the cache file —
-    it would have got alone."""
+    """``run_units`` never simulates the same config twice in one
+    call: units that differ only in the metric they read or the
+    horizon they allow are served by one cell, and each gets the value
+    — and the cache file — it would have got alone."""
 
     BENCH = "water_spatial"
     NAMES = ["runtime", "mpki", "offchip_accesses"]
@@ -257,11 +257,40 @@ class TestOneSimulationPerConfig:
         assert values == alone
         assert [list(v) for v in values] == [list(u.metric) for u in units]
 
-    def test_other_horizon_is_another_simulation(self, simulations):
-        units = self.units([self.exp()], ["runtime"]) \
-            + self.units([self.exp()], ["mpki"], max_cycles=40_000_000)
-        run_units(units)
-        assert simulations() == ["cold", "cold"]
+    def test_ladder_is_one_simulation_at_its_smallest_horizon(
+            self, simulations, dispatched):
+        """A horizon only decides whether a run finishes: a run that
+        finishes by one follows the same trajectory under every larger
+        one, so a ``max_cycles`` ladder is one cell at its lowest
+        rung."""
+        runtime = SweepUnit(self.exp(), metric="runtime").run()
+        units = [SweepUnit(self.exp(), horizon, metric)
+                 for horizon, metric in (
+                     (50_000_000, "runtime"), (runtime, "mpki"),
+                     (40_000_000, ("runtime", "offchip_accesses")))]
+        alone = [u.run() for u in units]
+        simulations()
+        assert run_units(units) == alone
+        assert simulations() == ["cold"]
+        assert [(c.max_cycles, c.metric) for c in dispatched[0]] == [
+            (runtime, ("runtime", "mpki", "offchip_accesses"))]
+
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "jobs2"])
+    def test_unfinishable_lowest_rung_fails_its_group_and_caches_none_of_it(
+            self, jobs, tmp_path):
+        """...even though the higher rungs would finish on their own."""
+        from repro.errors import SimulationError
+        runtime = SweepUnit(self.exp(), metric="runtime").run()
+        units = self.units([self.exp(Organization.PRIVATE)], ["runtime"]) \
+            + [SweepUnit(self.exp(), horizon, "runtime")
+               for horizon in (50_000_000, runtime, runtime - 1)]
+        assert units[2].run() == runtime
+        with pytest.raises(SimulationError,
+                           match=f"the {runtime - 1}-cycle limit"):
+            run_units(units, jobs=jobs, cache_dir=str(tmp_path))
+        # the earlier group completed and is kept, as ever
+        assert [p.name for p in tmp_path.iterdir()] \
+            == [units[0].key() + ".json"]
 
     def test_partial_cache_hit_asks_for_the_missing_names_only(
             self, tmp_path, simulations, dispatched):

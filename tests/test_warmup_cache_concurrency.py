@@ -1,8 +1,8 @@
 """Concurrent builds of one warmup image must never corrupt the store.
 
-The shared image directory is written by sweep pool workers, service
-workers and interactive sweeps at once — often racing on the *same*
-prefix key when a job fans one prefix out before its image exists. The
+A kept image directory can be written by several sweeps at once (and
+by the pool workers of each) — racing on the *same* prefix key when
+two of them reach one config before its image exists. The
 contract pinned here: writers publish atomically (rename-into-place of
 a privately named temp file), so a reader observes either no image, a
 complete old image, or a complete new image — never a torn one — and a

@@ -1,12 +1,12 @@
 """Warmup-image forking at the sweep layer: equivalence and reuse.
 
-``run_units(..., warmup_snapshots=True)`` must return rows bit-identical
-to the cold path while simulating each config prefix's warmup exactly
-once — every further cell of the prefix forks from the image. Cells that
-differ only in the metric they read are one simulation anyway
-(``tests/test_sweep.py::TestOneSimulationPerConfig``), so what forks is
-a ``max_cycles`` ladder within a call, or a later call over a kept
-image store. (Speed is judged by ``benchmarks/e2e`` alone.)
+A caller's ``warmup_cache`` is a store of warmup checkpoints that
+outlives the call: the first call over a set of configs simulates each
+warmup once and fills the store, a later call over the kept store forks
+every cell from its image — and both return rows bit-identical to the
+cold path. Within one call every config is one simulation anyway
+(``tests/test_sweep.py::TestOneSimulationPerConfig``), so nothing forks
+inside a call. (Speed is judged by ``benchmarks/e2e`` alone.)
 """
 
 from __future__ import annotations
@@ -27,16 +27,13 @@ AXES = dict(organization=[Organization.SHARED, Organization.LOCO_CC],
 METRICS = ["runtime", "mpki", "offchip_accesses"]
 
 
-#: horizons of the ladder, all past the end of the run
-LADDER = (50_000_000, 40_000_000, 30_000_000)
-
-
-def ladder_units(org=Organization.SHARED, horizons=LADDER):
-    """One config prefix at several horizons: cells that share a warmup
-    image and are still one simulation each."""
-    exp = ExperimentConfig(benchmark=BENCH, organization=org, cores=16,
-                           cluster=(2, 2), scale=0.04, warmup_fraction=0.5)
-    return [SweepUnit(exp, horizon, tuple(METRICS)) for horizon in horizons]
+def config_units(orgs=(Organization.SHARED, Organization.LOCO_CC)):
+    """One multi-metric cell per organization: distinct configs, so
+    each is one simulation and one warmup image."""
+    return [SweepUnit(ExperimentConfig(benchmark=BENCH, organization=org,
+                                       cores=16, cluster=(2, 2),
+                                       scale=0.04, warmup_fraction=0.5),
+                      50_000_000, tuple(METRICS)) for org in orgs]
 
 
 class TestWarmupKey:
@@ -61,36 +58,32 @@ class TestWarmupKey:
 
 
 class TestWarmupForkedSweep:
-    def test_rows_bit_identical_and_warmups_skipped(self, simulations):
-        units = ladder_units()
+    def test_rows_bit_identical_and_warmups_skipped(self, tmp_path,
+                                                    simulations):
+        """Two calls over one kept store: the first simulates each
+        warmup and fills the store, the second forks every cell."""
+        units = config_units()
         cold = [u.run() for u in units]
         simulations()
         for jobs in (None, 2):
-            cache = WarmupImageCache()
-            assert run_units(units, jobs=jobs, warmup_snapshots=True,
-                             warmup_cache=cache) == cold
-            # 1 prefix x 3 horizons: the leader simulates the warmup
-            # once, the other |cells|-1 fork from its image.
-            assert simulations() == ["hit", "hit", "miss"]
-            if jobs is None:    # a pool counts in its workers
-                assert (cache.misses, cache.hits) == (1, 2)
+            store = str(tmp_path / f"jobs{jobs}")
+            for words in (["miss", "miss"], ["hit", "hit"]):
+                assert run_units(units, jobs=jobs,
+                                 warmup_cache=store) == cold
+                assert simulations() == words
+            assert len(list(WarmupImageCache(store).keys())) == 2
 
     def test_lone_cell_of_a_transient_store_runs_cold(self, simulations):
-        """No caller ``warmup_cache``: the image of a prefix with one
-        cell in the call would be written and deleted unread."""
-        lone = ladder_units(Organization.LOCO_CC, LADDER[:1])
-        units = ladder_units() + lone
-        cold = [u.run() for u in units]
+        """No caller ``warmup_cache``: there is no store to fill, so
+        ``warmup_snapshots=True`` runs every cell cold, serial or
+        pooled."""
+        axes = dict(AXES, cores=[16], cluster=[(2, 2)])
+        cold = sweep(BENCH, metric=METRICS, **axes)
         simulations()
         for jobs in (None, 2):
-            assert run_units(units, jobs=jobs,
-                             warmup_snapshots=True) == cold
-            assert simulations() == ["cold", "hit", "hit", "miss"]
-        # a metric list is one cell per prefix: nothing to fork at all
-        axes = dict(AXES, cores=[16], cluster=[(2, 2)])
-        assert sweep(BENCH, metric=METRICS, warmup_snapshots=True,
-                     **axes) == sweep(BENCH, metric=METRICS, **axes)
-        assert simulations() == ["cold"] * 4
+            assert sweep(BENCH, metric=METRICS, jobs=jobs,
+                         warmup_snapshots=True, **axes) == cold
+            assert simulations() == ["cold", "cold"]
 
     def test_parallel_warmup_forked_matches_serial_cold(self):
         cold = sweep(BENCH, metric=METRICS, **AXES)
@@ -112,21 +105,21 @@ class TestWarmupForkedSweep:
             == [r["mpki"] for r in sweep(BENCH, metric="mpki", **AXES)]
         assert cache.misses == 0 and cache.hits == 2
 
-    def test_memory_cache_survives_pooled_sweep(self):
+    def test_memory_cache_survives_pooled_sweep(self, simulations):
         """A memory-only WarmupImageCache keeps its reuse contract
-        across a pool: images workers build are folded back in — the
-        lone cell's too, a caller's store gets every image — so a later
-        serial call forks instead of rebuilding."""
-        units = ladder_units() + ladder_units(Organization.LOCO_CC,
-                                              LADDER[:1])
+        across a pool: the images workers build are folded back in, so
+        a second call — pooled or serial — forks every cell."""
+        units = config_units()
         cold = [u.run() for u in units]
         cache = WarmupImageCache()
-        assert run_units(units, jobs=2, warmup_snapshots=True,
-                         warmup_cache=cache) == cold
+        simulations()
+        assert run_units(units, jobs=2, warmup_cache=cache) == cold
+        assert simulations() == ["miss", "miss"]
         assert len(cache._mem) == 2    # worker-built images harvested
-        assert run_units(units, warmup_snapshots=True,
-                         warmup_cache=cache) == cold
-        assert cache.hits == 4 and cache.misses == 0
+        for jobs in (2, None):
+            assert run_units(units, jobs=jobs, warmup_cache=cache) == cold
+            assert simulations() == ["hit", "hit"]
+        assert (cache.misses, cache.hits) == (0, 2)   # the serial call
 
     def test_metric_list_without_snapshots_matches_single_metric(self):
         multi = sweep(BENCH, metric=["runtime", "mpki"], **AXES)
