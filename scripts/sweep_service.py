@@ -206,7 +206,7 @@ def cmd_status(args) -> int:
           f"requeues={stats['requeues']} "
           f"duplicates={stats['duplicates']}")
     for w in reply["workers"]:
-        busy = (f"{w['busy'][0]}#{w['busy'][1]}" if w["busy"] else "idle")
+        busy = " ".join(f"{job}#{idx}" for job, idx in w["busy"]) or "idle"
         print(f"  {w['name']:12s} pid={w['pid']} {busy:14s} "
               f"completed={w['completed']}")
     return 0

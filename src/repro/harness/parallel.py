@@ -120,11 +120,13 @@ def run_units(units: Sequence[SweepUnit],
 
     ``service="host:port"`` ships the cells to a running
     :mod:`repro.service` fleet instead (``jobs`` is then ignored): the
-    coordinator hands them to idle workers in order and streams rows
-    back. The local ``cache_dir`` still short-circuits units it
-    already holds, and absorbs the returned rows, so local and service
-    sweeps share one resumable cache. ``warmup_cache`` is local only:
-    fleet workers run every cell cold. Rows are identical either way.
+    coordinator hands them out in order to workers with a free slot
+    (each holds two, so the next cell is queued before a result goes
+    out) and streams rows back. The local ``cache_dir`` still
+    short-circuits units it already holds, and absorbs the returned
+    rows, so local and service sweeps share one resumable cache.
+    ``warmup_cache`` is local only: fleet workers run every cell cold.
+    Rows are identical either way.
 
     ``batch=S`` routes compatible units through the lockstep BatchSim
     backend (:mod:`repro.batch`) in groups of up to S before anything

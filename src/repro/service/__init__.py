@@ -3,9 +3,10 @@
 The experiment layer's third execution backend (after the serial loop
 and the process pool): a :class:`~repro.service.coordinator.Coordinator`
 accepts sweep jobs over a length-prefixed JSON socket protocol, hands
-their units in one FIFO order to idle persistent
-:class:`~repro.service.worker.Worker` processes (each runs every unit
-cold — warmup images stay with the caller), requeues the in-flight
+their units in one FIFO order to persistent
+:class:`~repro.service.worker.Worker` processes, two at a time per
+worker (each runs them one after the other, every unit cold — warmup
+images stay with the caller), requeues the in-flight
 units of dead workers, and streams rows back to
 :class:`~repro.service.client.ServiceClient` as they complete. Rows are
 bit-identical to ``sweep(jobs=0)`` — runs are seeded by config, results

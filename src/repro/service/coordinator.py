@@ -14,7 +14,7 @@ protocol version):
   requests.
 
 Fault tolerance: a worker that EOFs, errors, or misses heartbeats past
-``heartbeat_timeout`` is dropped and its in-flight unit requeued at the
+``heartbeat_timeout`` is dropped and its in-flight units requeued at the
 front of the queue (:class:`~repro.service.scheduler.Scheduler`).
 Results are deduplicated per (job, idx) *and* memoized by unit config
 hash — in memory always, on disk when ``cache_dir`` is given — so
@@ -677,7 +677,7 @@ class Coordinator:
             view = self._sched.worker_view(name)
             workers.append({
                 "name": name, "pid": w.pid,
-                "busy": list(view.busy) if view.busy else None,
+                "busy": [list(u) for u in view.busy],
                 "completed": view.completed,
             })
         stats = self._sched.stats()
@@ -694,11 +694,11 @@ class Coordinator:
     # dispatch + liveness
     # ------------------------------------------------------------------
     async def _dispatch(self) -> None:
-        """Assign pending units to idle workers. One replicated
+        """Fill free worker slots from the queue. One replicated
         ``dispatch`` command runs the whole assignment loop inside the
         machine, so every replica agrees on who runs what; the leader
         then sends the ``assign`` frames."""
-        if not self._sched.idle_workers() or (
+        if not self._sched.free_workers() or (
                 self._sched.pending_count() == 0):
             return  # nothing could be assigned — skip the log entry
         assignments = await self._try_commit({"op": "dispatch"})

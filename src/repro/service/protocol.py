@@ -26,12 +26,16 @@ from repro.service.errors import (ConnectionClosed, FrameError,
 __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
            "encode_frame", "FrameDecoder", "check_protocol"]
 
-#: Version 7: the fleet carries no warmup images. ``submit`` and
+#: Version 8: a worker holds two ``assign``s at once (the one it runs
+#: and the next) and must run them one at a time, in arrival order.
+#: Frames are byte-identical to v7's, but a v7 worker would run the two
+#: concurrently in executor threads.
+#: (Version 7: the fleet carries no warmup images. ``submit`` and
 #: ``assign`` lose their warmup flag and image directory, ``result``
 #: and ``done`` their image build / fork counts, and every worker runs
 #: every unit cold — a v6 client that asked for warmup forking would
 #: have it silently ignored. Unit frames are byte-identical to v6's.
-#: (Version 6: ``kind: "sweep"`` is the only unit kind. A Table-2
+#: Version 6: ``kind: "sweep"`` is the only unit kind. A Table-2
 #: multi-program workload is a sweep unit whose ``benchmark`` names it
 #: (``"W0"``-``"W9"``), so a v5 worker's preset table would not know
 #: the name and a v6 coordinator refuses a v5 client's
@@ -59,7 +63,7 @@ __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
 #: mandatory and gave unit/value payloads a ``kind`` discriminator
 #: plus full-``RunResult`` encodings — see
 #: :mod:`repro.harness.units`.)
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 #: hard payload ceiling — a submit of ~100k units is a few MB; anything
 #: past this is a corrupt or hostile length prefix, not a real message.

@@ -118,12 +118,13 @@ class SchedulerMachine:
         return "ok"
 
     def _op_dispatch(self, cmd: Dict[str, Any]) -> Any:
-        """Assign pending units to idle workers — the whole loop as
-        one logged command, so every replica agrees on who runs what."""
+        """Fill free worker slots from the queue — the whole loop as
+        one logged command, so every replica agrees on who runs what.
+        Each pass gives every free worker one unit (breadth first)."""
         out: List[Dict[str, Any]] = []
         while True:
             assigned = False
-            for name in self.sched.idle_workers():
+            for name in self.sched.free_workers():
                 a = self.sched.next_unit_for(name)
                 if a is None:
                     continue
@@ -167,7 +168,7 @@ class SchedulerMachine:
         s = self.sched
         return {
             "workers": {
-                name: {"busy": list(w.busy) if w.busy else None,
+                name: {"busy": [list(u) for u in w.busy],
                        "completed": w.completed}
                 for name, w in s._workers.items()},
             "jobs": {

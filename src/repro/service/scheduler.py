@@ -7,14 +7,19 @@ property (order, requeue, dedup) unit-testable without a fleet.
 Policy:
 
 * **One FIFO** — pending units wait in one global order: ``add_job``
-  and a retry append at the back, and an idle worker takes the head.
-  Which units could share a warmup image is not the fleet's concern:
-  workers run every unit cold (``run_units`` already makes one cell of
-  every config in a call), and warmup reuse across calls is a local
-  ``warmup_cache``.
-* **Fault tolerance** — when a worker is removed, its in-flight unit
-  goes back to the *front* of the queue, so survivors pick the
-  orphaned work up immediately.
+  and a retry append at the back, and a worker with a free slot takes
+  the head. Which units could share a warmup image is not the fleet's
+  concern: workers run every unit cold (``run_units`` already makes one
+  cell of every config in a call), and warmup reuse across calls is a
+  local ``warmup_cache``.
+* **Two slots per worker** (:data:`SLOTS`) — a worker holds the unit
+  it is running, ``busy[0]``, and the next one, which it runs as soon
+  as the first is done. Its result then never waits on a coordinator
+  round trip before the next unit starts.
+* **Fault tolerance** — when a worker is removed, its in-flight units
+  go back to the *front* of the queue in dispatch order, so survivors
+  pick the orphaned work up immediately. Only the running unit is
+  charged an attempt: the ones queued behind it never ran.
 * **Idempotent completion** — a (job, idx) completes at most once.
   Late duplicate results (a worker declared dead that was merely slow,
   a unit retried after a kill that had actually finished) are reported
@@ -35,12 +40,15 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.harness.units import SweepUnit
 
-__all__ = ["Scheduler", "Assignment", "DEFAULT_MAX_ATTEMPTS"]
+__all__ = ["Scheduler", "Assignment", "DEFAULT_MAX_ATTEMPTS", "SLOTS"]
 
 #: a unit that errors on this many distinct attempts fails its job —
 #: the simulator is deterministic, so one genuine failure would repeat
 #: on every worker; >1 attempts only paper over death-adjacent noise.
 DEFAULT_MAX_ATTEMPTS = 3
+
+#: units one worker holds at once: the one it runs and the next one
+SLOTS = 2
 
 UnitId = Tuple[str, int]  # (job_id, index within the job)
 
@@ -61,7 +69,7 @@ class _UnitState:
 @dataclass
 class _WorkerState:
     name: str
-    busy: Optional[UnitId] = None
+    busy: List[UnitId] = field(default_factory=list)  # [0] is running
     completed: int = 0
 
 
@@ -101,26 +109,35 @@ class Scheduler:
 
     def remove_worker(self, name: str
                       ) -> Tuple[List[UnitId], List[UnitId]]:
-        """Drop a worker; requeue its in-flight unit (front of queue).
+        """Drop a worker; requeue its in-flight units at the front of
+        the queue, in dispatch order.
 
-        Returns ``(requeued, fatal)``: a death consumes the unit's
-        current attempt just like a ``unit_error`` does, so a unit
-        that reliably *kills* its worker (OOM, segfaulting extension)
+        Returns ``(requeued, fatal)``: a death consumes the running
+        unit's attempt just like a ``unit_error`` does, so a unit that
+        reliably *kills* its worker (OOM, segfaulting extension)
         exhausts ``max_attempts`` and lands in ``fatal`` instead of
         livelocking a self-respawning fleet forever. The caller fails
-        the fatal units' jobs."""
+        the fatal units' jobs. A unit queued behind the running one
+        never ran, so its attempt is refunded — a killer must not take
+        an innocent unit of another job down with it."""
         w = self._workers.pop(name, None)
         if w is None:
             return [], []
         requeued: List[UnitId] = []
         fatal: List[UnitId] = []
-        if w.busy is not None and w.busy in self._units:
-            if self._units[w.busy].attempts >= self.max_attempts:
-                fatal.append(w.busy)
-            else:
-                self._enqueue(w.busy, front=True)
-                requeued.append(w.busy)
-                self.requeues += 1
+        for pos, uid in enumerate(w.busy):
+            state = self._units.get(uid)
+            if state is None:
+                continue  # completed elsewhere, or its job is gone
+            if pos:
+                state.attempts -= 1
+            elif state.attempts >= self.max_attempts:
+                fatal.append(uid)
+                continue
+            requeued.append(uid)
+        for uid in reversed(requeued):
+            self._enqueue(uid, front=True)
+        self.requeues += len(requeued)
         return requeued, fatal
 
     def worker_names(self) -> List[str]:
@@ -129,8 +146,10 @@ class Scheduler:
     def worker_view(self, name: str) -> _WorkerState:
         return self._workers[name]
 
-    def idle_workers(self) -> List[str]:
-        return [n for n, w in self._workers.items() if w.busy is None]
+    def free_workers(self) -> List[str]:
+        """Workers with a free slot, in sign-in order."""
+        return [n for n, w in self._workers.items()
+                if len(w.busy) < SLOTS]
 
     # ---- jobs --------------------------------------------------------
     def add_job(self, job_id: str, units: List[SweepUnit],
@@ -174,15 +193,16 @@ class Scheduler:
 
     # ---- assignment --------------------------------------------------
     def next_unit_for(self, name: str) -> Optional[Assignment]:
-        """Hand the head of the queue to an idle worker and mark it
-        in-flight. None when the worker is busy or nothing is pending."""
+        """Hand the head of the queue to a free slot of ``name`` and
+        mark it in-flight. None when both slots are taken or nothing is
+        pending."""
         w = self._workers[name]
-        if w.busy is not None or not self._pending:
+        if len(w.busy) >= SLOTS or not self._pending:
             return None
         pick = self._pending.popleft()
         self._queued.discard(pick)
         state = self._units[pick]
-        w.busy = pick
+        w.busy.append(pick)
         state.attempts += 1
         return Assignment(pick[0], pick[1], state.unit)
 
@@ -194,8 +214,8 @@ class Scheduler:
         this scheduler never saw (e.g. pre-restart leftovers)."""
         w = self._workers.get(name)
         uid = (job_id, idx)
-        if w is not None and w.busy == uid:
-            w.busy = None
+        if w is not None and uid in w.busy:
+            w.busy.remove(uid)
         job = self._jobs.get(job_id)
         if job is None:
             return "unknown"
@@ -219,8 +239,8 @@ class Scheduler:
         ``"ignored"`` (stale)."""
         w = self._workers.get(name)
         uid = (job_id, idx)
-        if w is not None and w.busy == uid:
-            w.busy = None
+        if w is not None and uid in w.busy:
+            w.busy.remove(uid)
         state = self._units.get(uid)
         if state is None or job_id not in self._jobs:
             return "ignored"
@@ -244,15 +264,15 @@ class Scheduler:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def in_flight(self) -> Dict[str, UnitId]:
-        return {n: w.busy for n, w in self._workers.items()
-                if w.busy is not None}
+    def in_flight(self) -> Dict[str, List[UnitId]]:
+        return {n: list(w.busy) for n, w in self._workers.items()
+                if w.busy}
 
     def stats(self) -> Dict[str, int]:
         return {
             "workers": len(self._workers),
             "pending": len(self._pending),
-            "in_flight": len(self.in_flight()),
+            "in_flight": sum(map(len, self.in_flight().values())),
             "jobs": len(self._jobs),
             "requeues": self.requeues,
             "duplicates": self.duplicates,

@@ -4,10 +4,18 @@ A worker connects to the coordinator, names itself, and loops: receive
 an ``assign``, simulate the unit, send the ``result`` (or a
 ``unit_error``). The socket side is a small asyncio event loop (the
 same non-blocking transport discipline as the coordinator); the
-simulation itself runs in an executor thread, so heartbeats keep
-flowing while a unit is compute-bound — the GIL switches threads every
-few milliseconds, which is what lets the coordinator's liveness
-monitor tell "slow simulation" from "dead process".
+simulation itself runs on the worker's one executor thread, so
+heartbeats keep flowing while a unit is compute-bound — the GIL
+switches threads every few milliseconds, which is what lets the
+coordinator's liveness monitor tell "slow simulation" from "dead
+process".
+
+The coordinator keeps two units assigned to each worker (the
+scheduler's ``SLOTS``), so the next unit is already queued when a
+result goes out. The single executor thread runs them strictly one at
+a time, in arrival order. When the session ends (``stop()``, a lost
+coordinator) a queued unit that has not started is cancelled and never
+runs; the coordinator requeues it without charging an attempt.
 
 A worker keeps no state between assignments: each unit runs cold
 through ``SweepUnit.run``, exactly as a serial sweep without a
@@ -29,6 +37,7 @@ import asyncio
 import os
 import threading
 import traceback
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional
 
 from repro.harness.units import SweepUnit
@@ -109,6 +118,9 @@ class Worker:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_evt: Optional[asyncio.Event] = None
         self._conn: Optional[Connection] = None
+        # one thread: assigned units run one at a time, in arrival order
+        self._executor = ThreadPoolExecutor(max_workers=1,
+                                            thread_name_prefix="sim")
 
     def _log(self, msg: str) -> None:
         if self.verbose:
@@ -124,6 +136,8 @@ class Worker:
         finally:
             self._stopping.set()
             self._loop = None
+            # the running unit finishes; a queued one never starts
+            self._executor.shutdown(wait=True, cancel_futures=True)
 
     def stop(self) -> None:
         """Ask a (possibly threaded) worker to exit after its current
@@ -255,8 +269,9 @@ class Worker:
                 return "served"
             raise
         finally:
-            # a unit finishing between coordinators drops its reply;
-            # the (re-signed-in) leader reassigns it, so that is safe
+            # a unit finishing between coordinators drops its reply,
+            # and cancelling a queued unit's task keeps it from ever
+            # starting; the (re-signed-in) leader reassigns both
             self._conn = None
             for t in tasks:
                 t.cancel()
@@ -284,16 +299,17 @@ class Worker:
 
     # ------------------------------------------------------------------
     async def _run_assign(self, msg: Dict[str, Any]) -> None:
-        """Simulate one assignment off-loop (executor thread) and send
-        the reply. The loop — and the heartbeat — stay live
-        throughout."""
+        """Simulate one assignment off-loop (the executor thread,
+        after any unit assigned before it) and send the reply. The loop
+        — and the heartbeat — stay live throughout."""
         loop = asyncio.get_running_loop()
-        frame = await loop.run_in_executor(None, self._execute, msg)
+        frame = await loop.run_in_executor(self._executor, self._execute,
+                                           msg)
         if self._conn is not None:  # else: torn down while simulating
             self._conn.send_frame(frame)
 
     def _execute(self, msg: Dict[str, Any]) -> bytes:
-        """The compute path (runs in an executor thread): decode the
+        """The compute path (runs on the executor thread): decode the
         unit, simulate, reduce, and encode the reply frame — inside
         the ``try``, so a value the wire cannot carry is a
         ``unit_error`` like any other failure, never a silent loss of

@@ -4,7 +4,7 @@ Three failure injections, each asserting the invariant that makes the
 service trustworthy for figure tables:
 
 * **SIGKILL a busy worker** — the coordinator requeues its in-flight
-  unit onto a survivor, and the final row set is *bit-identical* to a
+  units onto a survivor, and the final row set is *bit-identical* to a
   serial sweep: nothing lost, nothing duplicated, nothing perturbed
   (retried units are seeded by config, never by worker).
 * **Coordinator restart over a warm result cache** — a new coordinator
@@ -87,14 +87,14 @@ class TestWorkerKill:
 
             runner = threading.Thread(target=submit)
             runner.start()
-            # find the worker simulating the long unit (idx 0) and
-            # SIGKILL it while it is busy
+            # find the worker simulating the long unit (idx 0: the
+            # running one is busy[0]) and SIGKILL it while it is busy
             victim_pid = None
             with ServiceClient(address, row_timeout=10.0) as mon:
                 deadline = time.monotonic() + 30.0
                 while time.monotonic() < deadline:
                     for w in mon.status()["workers"]:
-                        if w["busy"] and w["busy"][1] == 0:
+                        if w["busy"] and w["busy"][0][1] == 0:
                             victim_pid = w["pid"]
                             break
                     if victim_pid is not None:
@@ -253,7 +253,7 @@ class TestLeaderKill:
                 deadline = time.monotonic() + 30.0
                 while time.monotonic() < deadline:
                     status = mon.status()
-                    if any(w["busy"] and w["busy"][1] == 0
+                    if any(w["busy"] and w["busy"][0][1] == 0
                            for w in status["workers"]):
                         leader_pid = status["pid"]
                         break

@@ -495,13 +495,14 @@ class TestConnection:
         asyncio.run(main())
 
 
-class TestProtocolV7:
-    """v7: no warmup field rides the wire (workers run units cold)."""
+class TestProtocolV8:
+    """v8: a worker holds two assigns and runs them one at a time; the
+    frames are v7's, so no warmup field rides the wire either."""
 
-    def test_hello_samples_carry_protocol_7(self):
-        assert PROTOCOL_VERSION == 7
+    def test_hello_samples_carry_protocol_8(self):
+        assert PROTOCOL_VERSION == 8
         for kind in ("hello", "welcome", "replica-hello"):
-            assert SAMPLES[kind]["protocol"] == 7
+            assert SAMPLES[kind]["protocol"] == 8
         for kind in ("submit", "assign", "result", "done"):
             assert not any(key.startswith("warm") for key in SAMPLES[kind])
 

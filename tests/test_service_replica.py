@@ -132,13 +132,13 @@ def _fuzz_log(seed: int):
 
 
 class FifoModel:
-    """The scheduling policy at its plainest: one list, scanned. It
-    speaks the part of the :class:`Scheduler` API that
-    :class:`SchedulerMachine` drives."""
+    """The scheduling policy at its plainest: one list, scanned, and two
+    slots per worker. It speaks the part of the :class:`Scheduler` API
+    that :class:`SchedulerMachine` drives."""
 
     def __init__(self, max_attempts: int = 3) -> None:
         self.max_attempts = max_attempts
-        self.busy = {}       # worker -> its in-flight uid, in sign-in order
+        self.busy = {}       # worker -> its in-flight uids, running first
         self._jobs = {}      # job -> its units
         self.attempts = {}   # every live (not yet completed) uid
         self.pending = []
@@ -146,20 +146,28 @@ class FifoModel:
     def worker_names(self):
         return list(self.busy)
 
-    def idle_workers(self):
-        return [w for w, uid in self.busy.items() if uid is None]
+    def free_workers(self):
+        return [w for w, uids in self.busy.items() if len(uids) < 2]
 
     def add_worker(self, name):
-        self.busy[name] = None
+        self.busy[name] = []
 
     def remove_worker(self, name):
-        uid = self.busy.pop(name, None)
-        if uid not in self.attempts:
-            return [], []
-        if self.attempts[uid] >= self.max_attempts:
-            return [], [uid]
-        self.pending = [uid] + [u for u in self.pending if u != uid]
-        return [uid], []
+        """The running unit pays for the death; the ones behind it
+        never ran and get their attempt back."""
+        requeued, fatal = [], []
+        for pos, uid in enumerate(self.busy.pop(name, [])):
+            if uid not in self.attempts:
+                continue
+            if pos:
+                self.attempts[uid] -= 1
+            elif self.attempts[uid] >= self.max_attempts:
+                fatal.append(uid)
+                continue
+            requeued.append(uid)
+        for uid in reversed(requeued):
+            self.pending = [uid] + [u for u in self.pending if u != uid]
+        return requeued, fatal
 
     def add_job(self, job, units, skip):
         self._jobs[job] = units
@@ -176,15 +184,19 @@ class FifoModel:
     fail_job = cancel_job
 
     def next_unit_for(self, name):
-        if self.busy[name] is not None or not self.pending:
+        if len(self.busy[name]) >= 2 or not self.pending:
             return None
-        job, idx = self.busy[name] = self.pending.pop(0)
-        self.attempts[(job, idx)] += 1
+        job, idx = uid = self.pending.pop(0)
+        self.busy[name].append(uid)
+        self.attempts[uid] += 1
         return Assignment(job, idx, self._jobs[job][idx])
 
+    def _release(self, name, uid):
+        if uid in self.busy.get(name, []):
+            self.busy[name].remove(uid)
+
     def complete(self, name, job, idx):
-        if self.busy.get(name) == (job, idx):
-            self.busy[name] = None
+        self._release(name, (job, idx))
         if job not in self._jobs:
             return "unknown"
         if self.attempts.pop((job, idx), None) is None:
@@ -193,8 +205,7 @@ class FifoModel:
         return "fresh"
 
     def fail(self, name, job, idx):
-        if self.busy.get(name) == (job, idx):
-            self.busy[name] = None
+        self._release(name, (job, idx))
         if (job, idx) not in self.attempts:
             return "ignored"
         if self.attempts[(job, idx)] >= self.max_attempts:
@@ -210,13 +221,24 @@ class TestMachineDeterminism:
         """The convergence test below compares the code with itself;
         this compares it with :class:`FifoModel`: the same result for
         every command (verdicts, requeues, the assignment sequence) and
-        the same ``pending`` order after every command."""
+        the same ``pending`` order, slots and attempt counts after every
+        command. The log must fill both slots of some worker, or the
+        second slot and its refund rule went untested."""
         log, _ref = _fuzz_log(seed)
         machine, model = SchedulerMachine(), SchedulerMachine()
         model.sched = FifoModel()
+        most_in_flight = 0
         for cmd in log:
             assert machine.apply(cmd) == model.apply(cmd), cmd
-            assert list(machine.sched._pending) == model.sched.pending
+            sched = machine.sched
+            assert list(sched._pending) == model.sched.pending
+            assert {n: w.busy for n, w in sched._workers.items()} \
+                == model.sched.busy
+            assert {u: st.attempts for u, st in sched._units.items()} \
+                == model.sched.attempts
+            most_in_flight = max([most_in_flight] + [
+                len(w.busy) for w in sched._workers.values()])
+        assert most_in_flight == 2
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fuzzed_log_converges_bit_identically(self, seed):
