@@ -60,7 +60,7 @@ from repro.service.cluster import (pick_free_ports,      # noqa: E402
                                    spawn_coordinator_process)
 from repro.service.__main__ import main as service_main  # noqa: E402
 from repro.service.errors import ServiceError            # noqa: E402
-from repro.service.worker import (Worker, parse_address,  # noqa: E402
+from repro.service.worker import (parse_address,         # noqa: E402
                                   spawn_worker_process)
 
 
@@ -69,16 +69,22 @@ def cmd_coordinator(args) -> int:
             "--heartbeat-timeout", str(args.heartbeat_timeout)]
     if args.cache_dir:
         argv += ["--cache-dir", args.cache_dir]
-    if not args.quiet:
-        argv.append("--verbose")
-    return service_main(argv)  # the entry `fleet` spawns, in-process
+    return _service(argv, args)
 
 
 def cmd_worker(args) -> int:
-    worker = Worker(args.connect, name=args.name,
-                    verbose=not args.quiet)
-    worker.run()
-    return 0
+    argv = ["worker", "--connect", args.connect]
+    if args.name:
+        argv += ["--name", args.name]
+    return _service(argv, args)
+
+
+def _service(argv: List[str], args) -> int:
+    """Run the entry `fleet` spawns, in-process; ``--quiet`` keeps the
+    ``repro.service`` loggers at their default level."""
+    if not args.quiet:
+        argv.append("--verbose")
+    return service_main(argv)
 
 
 #: a worker that dies faster than this after (re)spawn counts toward

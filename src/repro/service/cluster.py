@@ -44,6 +44,7 @@ in-flight units, never a wrong or missing row.
 
 from __future__ import annotations
 
+import logging
 import os
 import random
 import socket
@@ -57,6 +58,8 @@ from repro.service.worker import spawn_service_process
 __all__ = ["ClusterConfig", "ClusterManager", "HEARTBEAT_INTERVAL",
            "ELECTION_TIMEOUT", "COMMIT_TIMEOUT", "TICK_INTERVAL",
            "spawn_coordinator_process", "pick_free_ports"]
+
+log = logging.getLogger(__name__)
 
 #: leader lease: a leader re-sends ``replica-append`` this often
 HEARTBEAT_INTERVAL = 0.25
@@ -116,8 +119,7 @@ class ClusterManager:
     def __init__(self, cfg: ClusterConfig, machine: SchedulerMachine,
                  links: Dict[int, Any], *, seed: int,
                  on_apply: Callable[[Dict[str, Any], Any], None],
-                 on_role_change: Callable[[bool], None],
-                 log_fn: Callable[[str], None] = lambda s: None) -> None:
+                 on_role_change: Callable[[bool], None]) -> None:
         self.cfg = cfg
         self.machine = machine
         self.links = links
@@ -128,7 +130,6 @@ class ClusterManager:
                                   state_path=state_path)
         self.on_apply = on_apply
         self.on_role_change = on_role_change
-        self._log = log_fn
         #: log index -> (done, deadline, op), in index = deadline order
         self._pending: Dict[int, Tuple[Done, float, Any]] = {}
         self._now = 0.0  # the latest time the owner told us
@@ -257,8 +258,8 @@ class ClusterManager:
 
     def _start_election(self) -> None:
         request = self.core.start_election()
-        self._log(f"replica {self.cfg.node_id}: starting election "
-                  f"for term {self.core.term}")
+        log.info("replica %d: starting election for term %d",
+                 self.cfg.node_id, self.core.term)
         if self.core.on_vote_reply(  # count our own vote uniformly
                 {"type": "replica-vote-reply", "term": self.core.term,
                  "voter": self.cfg.node_id, "granted": True}):
@@ -269,14 +270,14 @@ class ClusterManager:
                 link.send(request)
 
     def _became_leader(self) -> None:
-        self._log(f"replica {self.cfg.node_id}: leader of term "
-                  f"{self.core.term}")
+        log.info("replica %d: leader of term %d", self.cfg.node_id,
+                 self.core.term)
         self._broadcast_appends()
         self.on_role_change(True)
 
     def _lost_leadership(self) -> None:
-        self._log(f"replica {self.cfg.node_id}: deposed (term "
-                  f"{self.core.term})")
+        log.info("replica %d: deposed (term %d)", self.cfg.node_id,
+                 self.core.term)
         self._fail_pending("leadership lost before commit")
         self.on_role_change(False)
 
@@ -298,10 +299,11 @@ class ClusterManager:
     def _apply_committed(self) -> None:
         for index, cmd in self.core.take_committed():
             result = self.machine.apply(cmd)
+            # first: the waiter's continuation may commit and apply more
+            self.on_apply(cmd, result)
             waiter = self._pending.pop(index, None)
             if waiter is not None:
                 waiter[0](result, None)
-            self.on_apply(cmd, result)
 
 
 # ----------------------------------------------------------------------

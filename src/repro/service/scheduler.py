@@ -143,8 +143,8 @@ class Scheduler:
     def worker_names(self) -> List[str]:
         return list(self._workers)
 
-    def worker_view(self, name: str) -> _WorkerState:
-        return self._workers[name]
+    def worker_view(self, name: str) -> Optional[_WorkerState]:
+        return self._workers.get(name)
 
     def free_workers(self) -> List[str]:
         """Workers with a free slot, in sign-in order."""

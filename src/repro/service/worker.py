@@ -22,18 +22,16 @@ through ``SweepUnit.run``, exactly as a serial sweep without a
 ``warmup_cache`` would run it (warmup images are a local store of the
 caller's, never shipped to the fleet).
 
-Runnable standalone::
-
-    PYTHONPATH=src python -m repro.service worker --connect HOST:PORT
-
-which is what ``scripts/sweep_service.py`` (and the chaos tests, which
-SIGKILL these processes) launch.
+Runnable standalone as ``python -m repro.service worker --connect
+HOST:PORT`` (:mod:`repro.service.__main__`), which is what
+``scripts/sweep_service.py`` (and the chaos tests, which SIGKILL these
+processes) launch.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
+import logging
 import os
 import threading
 import traceback
@@ -50,6 +48,8 @@ from repro.service.transport import (Connection, LeaderHunt, Redirected,
 
 __all__ = ["Worker", "parse_address", "parse_addresses",
            "service_child_env"]
+
+log = logging.getLogger(__name__)
 
 def service_child_env() -> Dict[str, str]:
     """Environment for spawned service processes: this checkout's
@@ -101,8 +101,7 @@ class Worker:
 
     def __init__(self, address: str, *, name: Optional[str] = None,
                  heartbeat_interval: float = 2.0,
-                 failover_timeout: float = 60.0,
-                 verbose: bool = False) -> None:
+                 failover_timeout: float = 60.0) -> None:
         self.address = address
         self.addresses = parse_addresses(address)
         self.name = name
@@ -110,7 +109,6 @@ class Worker:
         #: replicated fleets only: how long to hunt for a (new) leader
         #: after losing the coordinator before giving up
         self.failover_timeout = failover_timeout
-        self.verbose = verbose
         self.units_run = 0
         self.signins = 0  # successful registrations (tests watch this)
         self._leader_hint: Optional[str] = None
@@ -123,8 +121,7 @@ class Worker:
                                             thread_name_prefix="sim")
 
     def _log(self, msg: str) -> None:
-        if self.verbose:
-            print(f"[worker {self.name or os.getpid()}] {msg}", flush=True)
+        log.info("[%s] %s", self.name or os.getpid(), msg)
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -330,34 +327,3 @@ class Worker:
                 "error": f"{type(exc).__name__}: {exc}",
                 "traceback": traceback.format_exc()})
         return frame
-
-
-def main(argv: Optional[list] = None) -> int:
-    cli = argparse.ArgumentParser(
-        description="Persistent sweep-service worker.")
-    cli.add_argument("--connect", required=True, metavar="HOST:PORT",
-                     help="coordinator address (comma-separate the "
-                          "replicas of a clustered coordinator)")
-    cli.add_argument("--name", default=None,
-                     help="worker name (default: coordinator-assigned)")
-    cli.add_argument("--heartbeat", type=float, default=2.0,
-                     metavar="SECONDS", help="heartbeat interval")
-    cli.add_argument("--failover-timeout", type=float, default=60.0,
-                     metavar="SECONDS",
-                     help="replicated fleets: give up after this long "
-                          "without any leader answering")
-    cli.add_argument("--verbose", action="store_true")
-    args = cli.parse_args(argv)
-    worker = Worker(args.connect, name=args.name,
-                    heartbeat_interval=args.heartbeat,
-                    failover_timeout=args.failover_timeout,
-                    verbose=args.verbose)
-    try:
-        worker.run()
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

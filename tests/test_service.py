@@ -239,7 +239,7 @@ class TestWireCompleteness:
             assert client.last_job_stats["from_cache"] == len(units)
         assert [r.to_dict() for r in again] == \
                [r.to_dict() for r in first]
-        assert coord.served_from_cache == len(units)
+        assert coord.sessions.served_from_cache == len(units)
 
 
 class TestResultCache:
@@ -247,12 +247,12 @@ class TestResultCache:
         coord, address = fleet(workers=2)
         with ServiceClient(address) as client:
             first = client.run_units(units_of(AXES, ["runtime"]))
-            completed = coord.units_completed
+            completed = coord.sessions.units_completed
             again = client.run_units(units_of(AXES, ["runtime"]))
             assert again == first
             assert client.last_job_stats["from_cache"] == len(first)
-        assert coord.units_completed == completed  # nothing re-ran
-        assert coord.served_from_cache == len(first)
+        assert coord.sessions.units_completed == completed  # no re-run
+        assert coord.sessions.served_from_cache == len(first)
 
     def test_disk_cache_matches_local_cache_keys(self, fleet, tmp_path):
         """The coordinator's on-disk results use the same unit-key

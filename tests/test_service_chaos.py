@@ -32,9 +32,11 @@ import pytest
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.units import SweepUnit
 from repro.params import Organization
-from repro.service import (Coordinator, JobFailed, ServiceClient, Worker,
-                           pick_free_ports, spawn_coordinator_process)
+from repro.service import (ClusterConfig, Coordinator, JobFailed,
+                           ServiceClient, Worker, pick_free_ports,
+                           spawn_coordinator_process)
 from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.sessions import Sessions
 from repro.service.transport import SyncTransport
 from repro.service.worker import spawn_worker_process
 
@@ -176,8 +178,8 @@ class TestCoordinatorRestart:
                 again = client.run_units(units)  # zero workers attached
                 assert client.last_job_stats["from_cache"] == len(units)
             assert again == values
-            assert second.served_from_cache == len(units)
-            assert second.units_completed == 0
+            assert second.sessions.served_from_cache == len(units)
+            assert second.sessions.units_completed == 0
         finally:
             second.stop()
 
@@ -209,7 +211,7 @@ class TestCoordinatorRestart:
                 again = client.run_units(units)
                 assert client.last_job_stats["from_cache"] == 0
             assert again == values
-            assert second.units_completed == 1
+            assert second.sessions.units_completed == 1
         finally:
             second.stop()
             worker2.stop()
@@ -317,15 +319,21 @@ class TestSpawnedCoordinatorOptions:
 
 
 class TestCacheStoreHygiene:
+    @staticmethod
+    def _sessions(cache_dir: str) -> Sessions:
+        return Sessions(ClusterConfig(node_id=0, addresses=["127.0.0.1:1"]),
+                        {}, seed=0, now=0.0, on_shutdown=lambda: None,
+                        cache_dir=cache_dir)
+
     def test_no_tmp_residue_when_replace_fails(self, tmp_path):
         """A directory squatting on the destination makes the final
         ``os.replace`` fail — the ``.tmp-*`` staging file must not
         leak (it used to, on exactly this path)."""
-        coord = Coordinator(cache_dir=str(tmp_path))
+        sessions = self._sessions(str(tmp_path))
         key = unit(seed=1).key()
-        os.makedirs(coord._cache_path(key))
-        coord._store_result(key, 123)
-        assert coord._results[key] == 123  # memo unaffected
+        os.makedirs(sessions._cache_path(key))
+        sessions._store_result(key, 123)
+        assert sessions.machine.memo[key] == 123  # memo unaffected
         residue = [p for p in os.listdir(tmp_path) if ".tmp" in p]
         assert residue == []
 
@@ -338,10 +346,10 @@ class TestCacheStoreHygiene:
         cache.mkdir()
         os.chmod(cache, 0o555)
         try:
-            coord = Coordinator(cache_dir=str(cache))
+            sessions = self._sessions(str(cache))
             key = unit(seed=1).key()
-            coord._store_result(key, 456)
-            assert coord._results[key] == 456
+            sessions._store_result(key, 456)
+            assert sessions.machine.memo[key] == 456
             residue = [p.name for p in cache.iterdir()
                        if ".tmp" in p.name]
             assert residue == []

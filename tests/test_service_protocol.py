@@ -533,3 +533,40 @@ class TestProtocolV6:
         finally:
             peer.close()
             coord.stop()
+
+
+class TestMalformedWorkerFrames:
+    """A worker frame without a field the coordinator reads, or with one
+    of the wrong type, gets the typed error frame and the worker is
+    dropped the normal way: no unhandled ``KeyError``, no silent drop,
+    and nothing of it in the replicated log."""
+
+    @pytest.mark.parametrize("frame", [
+        {"type": "result", "job": "x"},
+        {"type": "unit_error"},
+        {"type": "result", "job": "x", "idx": "0", "value": 1},
+        {"type": "result", "job": "x", "idx": 0},
+    ], ids=["result_without_idx", "bare_unit_error", "string_idx",
+            "result_without_value"])
+    def test_typed_error_then_dropped(self, frame):
+        from repro.service import Coordinator, ServiceClient
+        coord = Coordinator()
+        address = coord.start()
+        peer = SyncTransport.open(address, 5)
+        try:
+            peer.send({"type": "hello", "role": "worker", "name": "raw",
+                       "protocol": PROTOCOL_VERSION, "pid": 1})
+            assert peer.recv(timeout=5)["type"] == "welcome"
+            with ServiceClient(address, row_timeout=5.0) as mon:
+                commit = mon.status()["cluster"]["commit"]
+                peer.send(frame)
+                reply = peer.recv(timeout=5)
+                assert reply["type"] == "error"
+                assert "malformed" in reply["error"]
+                status = mon.status()
+            assert status["stats"]["workers"] == 0
+            # one entry: the worker's removal — no ``complete``
+            assert status["cluster"]["commit"] == commit + 1
+        finally:
+            peer.close()
+            coord.stop()

@@ -23,7 +23,6 @@ The process-level leader-SIGKILL campaign lives in
 
 from __future__ import annotations
 
-import asyncio
 import json
 import random
 import socket
@@ -44,6 +43,7 @@ from repro.service.replica import (CANDIDATE, FOLLOWER, LEADER,
                                    SchedulerMachine)
 from repro.service.scheduler import Assignment
 from repro.service.transport import LeaderHunt, SyncTransport
+from tests.conftest import FakeConn, SteppedFleet
 
 BENCH = "water_spatial"
 
@@ -575,77 +575,6 @@ class TestLeaderHunt:
 # ----------------------------------------------------------------------
 # three stepped managers, in-memory links, a float clock
 # ----------------------------------------------------------------------
-class _Link:
-    """In-memory replica link: ``send`` puts the (JSON round-tripped)
-    frame on the fleet's wire."""
-
-    def __init__(self, wire, src: int, dst: int) -> None:
-        self.wire, self.src, self.dst = wire, src, dst
-
-    def send(self, msg) -> None:
-        self.wire.append((self.src, self.dst,
-                          json.loads(json.dumps(msg))))
-
-
-class _SteppedFleet:
-    """N :class:`ClusterManager` s the test steps by hand: every
-    ``step`` advances the clock, ticks each manager, then delivers the
-    wire until it is quiet. ``isolated`` nodes keep ticking but every
-    frame to or from them is lost."""
-
-    def __init__(self, seed: int, n: int = 3, step_ms: int = 10) -> None:
-        self.step_ms = step_ms
-        self.now_ms = 0
-        self.wire: list = []
-        self.isolated: set = set()
-        self.leaders: list = []  # (term, node), in the order they won
-        self.machines = [SchedulerMachine() for _ in range(n)]
-        addrs = [f"replica{i}:1" for i in range(n)]
-        self.mgrs = [
-            ClusterManager(
-                ClusterConfig(node_id=i, addresses=addrs),
-                self.machines[i],
-                {p: _Link(self.wire, i, p) for p in range(n) if p != i},
-                seed=1000 * seed + i,
-                on_apply=lambda cmd, result: None,
-                on_role_change=lambda won, i=i: self._role(i, won))
-            for i in range(n)]
-        for mgr in self.mgrs:
-            mgr.start(0.0)
-
-    def _role(self, node: int, won: bool) -> None:
-        if won:
-            self.leaders.append((self.mgrs[node].core.term, node))
-
-    @property
-    def now(self) -> float:
-        return self.now_ms / 1000
-
-    def step(self) -> None:
-        self.now_ms += self.step_ms
-        for mgr in self.mgrs:
-            mgr.tick(self.now)
-        while self.wire:
-            src, dst, msg = self.wire.pop(0)
-            if src not in self.isolated and dst not in self.isolated:
-                self.mgrs[dst].handle_message(
-                    msg, self.mgrs[dst].links[src].send, self.now)
-
-    def run(self, seconds: float) -> None:
-        for _ in range(round(seconds * 1000 / self.step_ms)):
-            self.step()
-
-    def leader(self, among=None) -> int:
-        """The one node that believes it leads (among ``among``)."""
-        nodes = range(len(self.mgrs)) if among is None else among
-        (node,) = [i for i in nodes if self.mgrs[i].is_leader]
-        return node
-
-    def snapshots(self) -> list:
-        return [json.dumps(m.snapshot(), sort_keys=True)
-                for m in self.machines]
-
-
 class TestSteppedCluster:
     """Open item 1's first schedule family: no socket, no sleep, no
     event loop — the consensus tier under a clock the test owns."""
@@ -659,7 +588,7 @@ class TestSteppedCluster:
     @staticmethod
     def _schedule(seed: int, step_ms: int = 10):
         """One fixed fault schedule; returns everything observable."""
-        fleet = _SteppedFleet(seed, step_ms=step_ms)
+        fleet = SteppedFleet(seed, step_ms=step_ms)
         outcomes: list = []
 
         def commit(node, cmd):
@@ -723,11 +652,30 @@ class TestSteppedCluster:
     def test_three_replica_schedule_replays_from_its_seed(self, seed):
         assert self._schedule(seed) == self._schedule(seed)
 
+    def test_on_apply_fires_in_log_order_when_a_continuation_commits(
+            self):
+        """A quorum of one applies a command its first ``done`` commits
+        inside that ``done``; ``on_apply`` must still see log order (the
+        nested command's fired first when the waiter ran before it)."""
+        applied = []
+        mgr = ClusterManager(
+            ClusterConfig(node_id=0, addresses=["127.0.0.1:1"]),
+            SchedulerMachine(), {}, seed=0,
+            on_apply=lambda cmd, result: applied.append(cmd["name"]),
+            on_role_change=lambda won: None)
+        mgr.start(0.0)
+        mgr.commit({"op": "worker_add", "name": "first"},
+                   lambda result, error: mgr.commit(
+                       {"op": "worker_add", "name": "second"},
+                       lambda result, error: None))
+        assert applied == ["first", "second"]
+        assert mgr.machine.sched.worker_names() == applied
+
     def test_isolated_leader_commit_expires_at_the_deadline(self):
         """Never healed: the deposed-by-nobody leader's pending commit
         fails in ``tick`` at COMMIT_TIMEOUT, exactly once."""
         from repro.service.cluster import COMMIT_TIMEOUT
-        fleet = _SteppedFleet(seed=5)
+        fleet = SteppedFleet(seed=5)
         fleet.run(4.0)
         first = fleet.leader()
         fleet.isolated = {first}
@@ -753,7 +701,7 @@ class TestSteppedCluster:
             fine, *_ = self._schedule(seed, step_ms=10)
             coarse, *_ = self._schedule(seed, step_ms=50)
             assert fine == coarse
-        mgr = _SteppedFleet(seed=3).mgrs[2]  # every link's wire unread
+        mgr = SteppedFleet(seed=3).mgrs[2]  # every link's wire unread
         due, rolls = mgr._election_due, mgr._rng.getstate()
         assert 1.8 * 1.5 <= due <= 2.0 * 1.5  # stagger + 20 % jitter
         for ms in range(10, int(due * 1000), 10):
@@ -805,8 +753,8 @@ def _assert_stranger_cannot_depose(coord: Coordinator) -> None:
     """A ``replica-hello`` from a node outside the membership gets the
     typed error frame before any consensus frame is handled: its
     term-99 vote request must not touch the leader."""
-    core = coord._cluster_mgr.core
-    before = (core.term, core.role, sorted(coord._workers))
+    core = coord.sessions.mgr.core
+    before = (core.term, core.role, sorted(coord.sessions.workers))
     assert before[1] == LEADER and before[2]
     peer = _dial(coord.address,
                  {"type": "replica-hello", "node": 7,
@@ -822,7 +770,7 @@ def _assert_stranger_cannot_depose(coord: Coordinator) -> None:
     with ServiceClient(coord.address) as client:  # still serving
         status = client.status()
     assert status["cluster"]["term"] == before[0]
-    assert (core.term, core.role, sorted(coord._workers)) == before
+    assert (core.term, core.role, sorted(coord.sessions.workers)) == before
     assert sorted(w["name"] for w in status["workers"]) == before[2]
 
 
@@ -851,8 +799,8 @@ class TestQuorumOfOne:
 
     def test_commit_never_suspends_without_peers(self):
         """The leader alone is the majority: ``done`` fires before
-        ``commit`` returns, so ``Coordinator._commit`` awaits a future
-        that is already done and finishes in its first step — nothing
+        ``commit`` returns, so a ``result`` frame's ``row`` is on the
+        client's connection when ``Sessions.frame`` returns — nothing
         can interleave between a result arriving and its row leaving."""
         machine = SchedulerMachine()
         mgr = ClusterManager(
@@ -867,19 +815,23 @@ class TestQuorumOfOne:
         assert outcomes == [("ok", None)]
         assert machine.sched.worker_names() == ["w0"]
         mgr.tick(10 ** 6)  # nothing pending, nothing to expire
-        assert outcomes == [("ok", None)]
 
-        coord = Coordinator()
-        coord._loop = asyncio.new_event_loop()  # never run
-        try:
-            coord._cluster_mgr = mgr
-            step = coord._commit({"op": "worker_add", "name": "w1"})
-            with pytest.raises(StopIteration) as finished:
-                step.send(None)  # a suspension would yield the future
-            assert finished.value.value == "ok"
-            assert machine.sched.worker_names() == ["w0", "w1"]
-        finally:
-            coord._loop.close()
+        sessions = SteppedFleet(0, n=1, sessions=True).nodes[0]
+        worker, client = FakeConn(), FakeConn()
+        assert sessions.hello(worker, {"type": "hello", "role": "worker",
+                                       "protocol": PROTOCOL_VERSION,
+                                       "name": "w1"}, 0.0)
+        assert sessions.hello(client, {"type": "hello", "role": "client",
+                                       "protocol": PROTOCOL_VERSION}, 0.0)
+        sessions.frame(client, {"type": "submit",
+                                "units": _wire_units()[:1]}, 0.0)
+        ((job, idx),) = [(m["job"], m["idx"]) for m in worker.sent
+                         if m["type"] == "assign"]
+        sessions.frame(worker, {"type": "result", "job": job, "idx": idx,
+                                "value": 7}, 0.0)
+        assert [m["type"] for m in client.sent] == [
+            "welcome", "accepted", "row", "done"]
+        assert client.sent[2]["value"] == 7
 
     def test_log_is_not_retained_but_keeps_counting(self):
         coord = Coordinator()
@@ -896,10 +848,10 @@ class TestQuorumOfOne:
                     assert client.run_units(units) == [
                         u.run() for u in units]
                 cluster = client.status()["cluster"]
-            core = coord._cluster_mgr.core
+            core = coord.sessions.mgr.core
             assert core.log.entries == []
             assert cluster["log"] == cluster["commit"] \
-                == coord._machine.applied >= 3 * 4
+                == coord.sessions.machine.applied >= 3 * 4
         finally:
             coord.stop()
             worker.stop()
@@ -1037,9 +989,8 @@ class TestReplicatedCluster:
                 # every coordinator agrees who leads
                 deadline = time.monotonic() + 10.0
                 while time.monotonic() < deadline:
-                    leaders = {c._cluster_mgr.leader_address
-                               for c in coords
-                               if c._cluster_mgr is not None}
+                    leaders = {c.sessions.mgr.leader_address
+                               for c in coords}
                     if leaders == {client.leader_address}:
                         break
                     time.sleep(0.05)

@@ -157,7 +157,7 @@ def test_queued_unit_never_runs_after_the_session_ends(how, serial):
                   "the coordinator never dropped the worker")
         stats = _fleet_stats(address)
         assert (stats["pending"], stats["requeues"]) == (2, 2)
-        attempts = coord._machine.snapshot()["attempts"]  # "job#idx"
+        attempts = coord.sessions.machine.snapshot()["attempts"]
         assert {key.rsplit("#", 1)[1]: n for key, n in attempts.items()} \
             == {"0": 1, "1": 0}
         # the held unit finishes into a closed session; the worker
