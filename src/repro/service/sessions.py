@@ -417,10 +417,11 @@ class Sessions:
                                   "idx": idx, "error": error}),
                          peer=job.client)
 
-    @staticmethod
-    def _tell(conn: Any, frame: Dict[str, Any], result: Any) -> None:
-        """A continuation that sends ``frame`` on ``conn``."""
-        conn.send(frame)
+    def _tell(self, conn: Any, frame: Dict[str, Any], result: Any) -> None:
+        """A continuation that sends ``frame`` on ``conn``, unless its
+        session ended while the commit was landing."""
+        if conn in self._sessions:
+            conn.send(frame)
 
     def _status_reply(self) -> Dict[str, Any]:
         workers = [{"name": name, "pid": w.pid, "completed": v.completed,

@@ -120,9 +120,6 @@ class Worker:
         self._executor = ThreadPoolExecutor(max_workers=1,
                                             thread_name_prefix="sim")
 
-    def _log(self, msg: str) -> None:
-        log.info("[%s] %s", self.name or os.getpid(), msg)
-
     # ------------------------------------------------------------------
     def run(self) -> None:
         """Connect and serve assignments until the coordinator says
@@ -180,8 +177,9 @@ class Worker:
                 continue
             if (self._loop.time() - window_start
                     > self.failover_timeout):
-                self._log("no leader answered within "
-                          f"{self.failover_timeout:.0f}s; giving up")
+                log.info("worker %s: no leader answered within %.0fs; "
+                         "giving up", self.name or os.getpid(),
+                         self.failover_timeout)
                 return
             await asyncio.sleep(0.4)
 
@@ -203,12 +201,14 @@ class Worker:
             try:
                 return await self._serve_at(addr)
             except Redirected as red:  # a follower named the leader
-                self._log(f"{addr} redirects to {red.leader!r}")
+                log.info("worker %s: %s redirects to %r",
+                         self.name or os.getpid(), addr, red.leader)
                 self._leader_hint = red.leader
                 hunt.redirect(red.leader)
             except (ConnectionClosed, FrameError, OSError,
                     asyncio.TimeoutError) as exc:
-                self._log(f"{addr} unreachable ({exc})")
+                log.info("worker %s: %s unreachable (%s)",
+                         self.name or os.getpid(), addr, exc)
             except ProtocolMismatch:
                 raise
             except ServiceError as exc:
@@ -217,7 +217,8 @@ class Worker:
                 # the next candidate (or the next round) resolves it
                 if len(self.addresses) == 1:
                     raise
-                self._log(f"{addr} rejected sign-in ({exc})")
+                log.info("worker %s: %s rejected sign-in (%s)",
+                         self.name or os.getpid(), addr, exc)
         return "unreachable"
 
     async def _serve_at(self, address: str) -> str:
@@ -234,7 +235,7 @@ class Worker:
             self.signins += 1
             registered = True
             self._conn = conn
-            self._log(f"registered with {address}")
+            log.info("worker %s: registered with %s", self.name, address)
             heartbeat = asyncio.create_task(self._heartbeat(conn))
             read_loop = asyncio.create_task(self._read_loop(conn, tasks))
             stop_wait = asyncio.create_task(self._stop_evt.wait())
@@ -254,7 +255,8 @@ class Worker:
             # protocol-level complaints above stay loud
             if not registered:
                 raise
-            self._log(f"coordinator went away ({exc})")
+            log.info("worker %s: coordinator went away (%s)", self.name,
+                     exc)
             return "served"
         except ProtocolMismatch:
             raise
@@ -262,7 +264,8 @@ class Worker:
             # e.g. the leader lost its quorum mid-session and erred
             # out our connection — re-sign-in, don't die loudly
             if registered and len(self.addresses) > 1:
-                self._log(f"coordinator error ({exc}); re-signing in")
+                log.info("worker %s: coordinator error (%s); re-signing "
+                         "in", self.name, exc)
                 return "served"
             raise
         finally:
@@ -288,7 +291,7 @@ class Worker:
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
             elif kind == "shutdown":
-                self._log("shutdown requested")
+                log.info("worker %s: shutdown requested", self.name)
                 return
             else:
                 raise ServiceError(f"unexpected {kind!r} from "
@@ -318,10 +321,10 @@ class Worker:
                 "type": "result", "job": job_id, "idx": idx,
                 "value": unit.encode_value(unit.run())})
             self.units_run += 1
-            self._log(f"{job_id}#{idx} done")
+            log.info("worker %s: %s#%s done", self.name, job_id, idx)
         except Exception as exc:  # a bad unit must not kill the worker
-            self._log(f"{job_id}#{idx} failed: {exc}\n"
-                      f"{traceback.format_exc()}")
+            log.info("worker %s: %s#%s failed: %s", self.name, job_id,
+                     idx, exc, exc_info=True)
             frame = encode_frame({
                 "type": "unit_error", "job": job_id, "idx": idx,
                 "error": f"{type(exc).__name__}: {exc}",

@@ -337,10 +337,15 @@ class SteppedFleet:
         for node in self.nodes:
             node.tick(self.now)
         while self.wire:
-            src, dst, msg = self.wire.pop(0)
-            if src not in self.isolated and dst not in self.isolated:
-                self.mgrs[dst].handle_message(
-                    msg, self.mgrs[dst].links[src].send, self.now)
+            self.deliver()
+
+    def deliver(self) -> None:
+        """Hand the oldest frame on the wire to its node (lost when
+        either end is isolated)."""
+        src, dst, msg = self.wire.pop(0)
+        if src not in self.isolated and dst not in self.isolated:
+            self.mgrs[dst].handle_message(
+                msg, self.mgrs[dst].links[src].send, self.now)
 
     def run(self, seconds: float) -> None:
         for _ in range(round(seconds * 1000 / self.step_ms)):

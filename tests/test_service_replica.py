@@ -815,6 +815,7 @@ class TestQuorumOfOne:
         assert outcomes == [("ok", None)]
         assert machine.sched.worker_names() == ["w0"]
         mgr.tick(10 ** 6)  # nothing pending, nothing to expire
+        assert outcomes == [("ok", None)]
 
         sessions = SteppedFleet(0, n=1, sessions=True).nodes[0]
         worker, client = FakeConn(), FakeConn()

@@ -466,6 +466,32 @@ class TestDirected:
         assert (snap["workers"], snap["jobs"], snap["pending"]) \
             == ({}, {}, [])
 
+    def test_a_client_gone_before_its_job_cancel_lands_hears_no_done(
+            self):
+        """The last row goes out and the job's ``job_cancel`` starts
+        committing; a client that closes before it lands is never sent
+        the ``done``, and the job still leaves the replicated state."""
+        fleet, leader = _trio()
+        worker = _sign_in(leader, "worker", fleet.now, name="w")
+        client = _sign_in(leader, "client", fleet.now)
+        leader.frame(client, {"type": "submit", "units": BATCHES[0][:1]},
+                     fleet.now)
+        fleet.run(0.5)
+        (assign,) = [m for m in worker.sent if m["type"] == "assign"]
+        leader.frame(worker, {"type": "result", "job": assign["job"],
+                              "idx": 0, "value": 7}, fleet.now)
+        while client.sent[-1]["type"] != "row":
+            fleet.deliver()  # frame by frame, up to the completion
+        assert fleet.wire, "the job_cancel landed with the row"
+        client.close()
+        leader.closed(client, fleet.now)
+        fleet.run(1.0)
+        assert [m["type"] for m in client.sent] == [
+            "welcome", "accepted", "row"]
+        snaps = fleet.snapshots()
+        assert len(set(snaps)) == 1
+        assert json.loads(snaps[0])["jobs"] == {}
+
     def test_a_failed_commit_ends_its_peer_session_with_the_error(self):
         """An isolated leader cannot commit a worker's result: past
         ``COMMIT_TIMEOUT`` the worker gets the typed error frame and
