@@ -30,8 +30,7 @@ from repro.service.cluster import (ClusterConfig, ClusterManager,
                                    spawn_coordinator_process)
 from repro.service.coordinator import Coordinator
 from repro.service.errors import (ConnectionClosed, FrameError, JobFailed,
-                                  ProtocolMismatch, ServiceError,
-                                  WorkerLost)
+                                  ProtocolMismatch, ServiceError)
 from repro.service.protocol import (MAX_FRAME, MESSAGE_TYPES,
                                     PROTOCOL_VERSION, FrameDecoder,
                                     encode_frame)
@@ -47,7 +46,7 @@ __all__ = [
     "parse_address", "parse_addresses",
     "ClusterConfig", "ClusterManager", "ConsensusCore", "ReplicaLog",
     "SchedulerMachine", "pick_free_ports", "spawn_coordinator_process",
-    "ServiceError", "FrameError", "ConnectionClosed", "WorkerLost",
+    "ServiceError", "FrameError", "ConnectionClosed",
     "JobFailed", "ProtocolMismatch",
     "PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES", "FrameDecoder",
     "encode_frame", "Connection", "SyncTransport",

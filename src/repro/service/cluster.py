@@ -23,7 +23,8 @@ over a float (``tests/test_service_replica.py::TestSteppedCluster``):
 * :meth:`~ClusterManager.commit`: append a scheduler command to the
   log, replicate, call ``done(result, None)`` when a majority holds it
   and it applied — or ``done(None, ServiceError)`` on lost leadership
-  or at the :data:`COMMIT_TIMEOUT` deadline, which ``tick`` checks.
+  or at the :data:`COMMIT_TIMEOUT` deadline, which ``tick`` checks; a
+  leader whose commit expires steps down (CheckQuorum).
 
 A lone coordinator runs all of this with itself as the only member.
 No peer means no heartbeat to wait for — :meth:`ClusterManager.start`
@@ -176,12 +177,19 @@ class ClusterManager:
         if self.core.role == LEADER:
             if now - self._last_broadcast >= HEARTBEAT_INTERVAL:
                 self._broadcast_appends()
-            for index in [i for i, (_, deadline, _) in
-                          self._pending.items() if now >= deadline]:
-                done, _, op = self._pending.pop(index)
-                done(None, ServiceError(
-                    f"command {op!r} not committed within "
-                    f"{COMMIT_TIMEOUT}s (quorum lost?)"))
+            expired = [i for i, (_, deadline, _) in self._pending.items()
+                       if now >= deadline]
+            if expired:
+                # CheckQuorum: leading on, it would commit the entry
+                # (continuation failed) if the quorum came back
+                self.core.step_down()
+                self._arm_election()
+                for index in expired:
+                    done, _, op = self._pending.pop(index)
+                    done(None, ServiceError(
+                        f"command {op!r} not committed within "
+                        f"{COMMIT_TIMEOUT}s (quorum lost?)"))
+                self._lost_leadership()
         elif now >= self._election_due:
             self._arm_election()
             self._start_election()

@@ -31,7 +31,8 @@ from typing import Dict, Optional, Set
 from repro.service.cluster import TICK_INTERVAL, ClusterConfig
 from repro.service.errors import (FrameError, ProtocolMismatch,
                                   ServiceError)
-from repro.service.protocol import PROTOCOL_VERSION, check_protocol
+from repro.service.protocol import (PROTOCOL_VERSION, SIGNIN_LULL,
+                                    check_protocol)
 from repro.service.sessions import Sessions
 from repro.service.transport import Connection
 
@@ -42,9 +43,6 @@ log = logging.getLogger(__name__)
 #: accept backlog — sized for bursts of a whole fleet signing in at
 #: once (``tests/test_service_scale.py`` dials 512 in one loop)
 _BACKLOG = 1024
-
-#: pause between a replica link's loss and its next dial
-RECONNECT_INTERVAL = 0.3
 
 
 class Coordinator:
@@ -278,4 +276,4 @@ class Coordinator:
                 self._links[peer] = None
                 if conn is not None:
                     conn.abort()
-            await asyncio.sleep(RECONNECT_INTERVAL)
+            await asyncio.sleep(SIGNIN_LULL)

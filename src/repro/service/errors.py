@@ -39,10 +39,6 @@ class ConnectionClosed(ServiceError):
     """
 
 
-class WorkerLost(ServiceError):
-    """A worker died or timed out; its in-flight units were requeued."""
-
-
 class JobFailed(ServiceError):
     """A sweep job failed permanently: a unit errored on every retry,
     or the coordinator went away before streaming all rows."""

@@ -12,19 +12,26 @@ prefix, garbage JSON, a non-object payload, an unknown ``type``)
 raises a typed :class:`FrameError` immediately instead of hanging or
 desynchronizing, and a stream that ends mid-frame is distinguishable
 from a clean close (:class:`ConnectionClosed`).
+
+The peers' decisions are pure objects here, driven with ``now`` passed
+in: :class:`SignIn` (whom to dial, how long to lull, when to give up)
+and :class:`JobRows` (a client's rows across resubmits). The stepped
+test (``tests/test_service_sessions.py``) drives the very same ones.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Iterator, Optional
+from typing import (Any, Callable, Dict, Iterator, List, Optional,
+                    Sequence)
 
-from repro.service.errors import (ConnectionClosed, FrameError,
+from repro.service.errors import (ConnectionClosed, FrameError, JobFailed,
                                   ProtocolMismatch, ServiceError)
 
 __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
-           "encode_frame", "FrameDecoder", "check_protocol"]
+           "SIGNIN_LULL", "encode_frame", "FrameDecoder", "check_protocol",
+           "frame_field", "raise_for_error", "SignIn", "JobRows"]
 
 #: Version 8: a worker holds two ``assign``s at once (the one it runs
 #: and the next) and must run them one at a time, in arrival order.
@@ -68,6 +75,10 @@ PROTOCOL_VERSION = 8
 #: hard payload ceiling — a submit of ~100k units is a few MB; anything
 #: past this is a corrupt or hostile length prefix, not a real message.
 MAX_FRAME = 64 * 1024 * 1024
+
+#: pause before dialing again: after a sign-in round that found no
+#: leader (let one emerge), and after a replica link's loss
+SIGNIN_LULL = 0.3
 
 _LEN = struct.Struct("!I")
 
@@ -185,3 +196,163 @@ def check_protocol(msg: Dict[str, Any], *, peer: str) -> None:
             f"{peer} speaks protocol {got!r}, this end speaks "
             f"{PROTOCOL_VERSION}; refusing to interoperate across "
             f"drifted builds")
+
+
+def frame_field(msg: Dict[str, Any], key: str, kind: type) -> Any:
+    """``msg[key]``, which the peer must have sent as a ``kind``."""
+    value = msg.get(key)
+    if type(value) is not kind:
+        raise FrameError(f"malformed {msg.get('type')!r} frame: {key!r} "
+                         f"must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def raise_for_error(msg: Dict[str, Any]) -> None:
+    """Raise the typed exception an ``error`` frame carries."""
+    if msg.get("type") == "error":
+        kind = (ProtocolMismatch if msg.get("code") == "protocol-mismatch"
+                else ServiceError)
+        raise kind(f"coordinator error: {msg.get('error')}")
+
+
+class SignIn:
+    """One peer's hunt for the leader, client and worker alike.
+
+    :meth:`dial` names whom to dial at ``now``; the owner hands back the
+    reply to its ``hello`` (:meth:`reply`) or the dial's error
+    (:meth:`failed`). A round dials the hint, then every replica, once
+    each; a ``redirect`` moves the leader it names next (unless already
+    dialed, and at most ``2 * len(addresses)`` times). A round that
+    found nobody is followed by a :data:`SIGNIN_LULL`; the first dial
+    past ``budget`` raises :class:`ServiceError` instead. The first dial
+    of all is always made, so a budget of 0 is one try."""
+
+    def __init__(self, addresses: List[str], budget: float, now: float,
+                 hint: Optional[str] = None) -> None:
+        self.addresses, self.budget = addresses, budget
+        self.deadline, self.wake = now + budget, now
+        self.dials = 0
+        self.last_error: Optional[BaseException] = None
+        self.leader: Optional[str] = None  # the address that welcomed us
+        self._round(hint)
+
+    def _round(self, hint: Optional[str]) -> None:
+        self._todo = list(dict.fromkeys(
+            ([hint] if hint else []) + self.addresses))
+        self._dialed: List[str] = []
+        self._redirects = 2 * len(self.addresses)
+        self._hint: Optional[str] = None  # opens the next round
+
+    def dial(self, now: float) -> Optional[str]:
+        """The address to dial, or None until :attr:`wake`."""
+        if now < self.wake:
+            return None
+        if self.dials and now >= self.deadline:
+            raise ServiceError(
+                f"no coordinator reachable at {','.join(self.addresses)} "
+                f"within {self.budget}s (last error: {self.last_error})")
+        if not self._todo:
+            self.wake = now + SIGNIN_LULL
+            self._round(self._hint)
+            return None
+        self.dials += 1
+        self._dialed.append(self._todo.pop(0))
+        return self._dialed[-1]
+
+    def failed(self, exc: BaseException) -> None:
+        self.last_error = exc
+
+    def reply(self, msg: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """The ``welcome``, or None while the hunt goes on. A refusal
+        is final with one address, a :class:`ProtocolMismatch` always:
+        both raise."""
+        kind, leader = msg.get("type"), msg.get("leader")
+        if kind == "welcome":
+            check_protocol(msg, peer="coordinator")
+            self.leader = self._dialed[-1]
+            return msg
+        if kind != "redirect":
+            try:
+                raise_for_error(msg)
+                raise ServiceError(f"expected welcome, got {kind!r}")
+            except ServiceError as exc:
+                if (isinstance(exc, ProtocolMismatch)
+                        or len(self.addresses) == 1):
+                    raise
+                self.last_error = exc
+        elif leader and self._redirects and leader not in self._dialed:
+            self._todo = [leader] + [a for a in self._todo if a != leader]
+            self._redirects -= 1
+            self._hint = leader
+        return None
+
+
+class JobRows:
+    """A client's rows of one job across its resubmits.
+
+    :meth:`submit` builds the ``submit`` frame (every unit, every time:
+    the memo serves finished ones back) and :meth:`frame` takes the
+    stream — ``accepted`` with the memo's rows, a ``row`` per unit, then
+    ``done``. ``values`` and ``received`` (the idx that arrived) outlive
+    a resubmit, so ``on_row(idx, value)`` fires once per idx. A unit
+    needs ``to_wire()`` and ``decode_value()`` (``SweepUnit``)."""
+
+    def __init__(self, units: Sequence[Any],
+                 on_row: Optional[Callable[[int, Any], None]] = None
+                 ) -> None:
+        self.units, self.on_row = units, on_row
+        self.values: List[Any] = [None] * len(units)
+        self.received: set = set()
+        self.from_cache = 0
+        self.job: Optional[str] = None  # the current submit's job id
+
+    @property
+    def remaining(self) -> int:
+        return len(self.units) - len(self.received)
+
+    def submit(self) -> Dict[str, Any]:
+        self.job = None
+        return {"type": "submit", "units": [u.to_wire() for u in self.units]}
+
+    def frame(self, msg: Dict[str, Any]) -> bool:
+        """Take one frame; True once the job is done. ``job_failed``, or
+        ``done`` short of rows, raises :class:`JobFailed`; a malformed
+        row :class:`FrameError`; an error or stray frame its error."""
+        raise_for_error(msg)
+        kind = msg.get("type")
+        if self.job is None:
+            if kind != "accepted":
+                raise ServiceError(f"expected accepted, got {kind!r}")
+            self.job = frame_field(msg, "job", str)
+            for pair in frame_field(msg, "cached", list):
+                if type(pair) is not list or len(pair) != 2:
+                    raise FrameError(f"malformed cached row {pair!r}")
+                self._take(*pair)
+        elif msg.get("job") != self.job or kind not in (
+                "row", "done", "job_failed"):
+            raise ServiceError(f"unexpected {kind!r} while waiting for "
+                               f"{self.job} rows")
+        elif kind == "row":
+            if "value" not in msg:
+                raise FrameError("malformed 'row' frame: no 'value'")
+            self._take(msg.get("idx"), msg["value"])
+        elif kind == "job_failed":
+            raise JobFailed(f"{self.job}: unit #{msg.get('idx')} failed "
+                            f"permanently: {msg.get('error')}")
+        elif self.remaining:
+            raise JobFailed(f"{self.job}: done with {self.remaining} "
+                            f"rows missing")
+        else:
+            self.from_cache = msg.get("from_cache", 0)
+            return True
+        return False
+
+    def _take(self, idx: Any, wire_value: Any) -> None:
+        if type(idx) is not int or not 0 <= idx < len(self.units):
+            raise FrameError(f"{self.job}: no unit #{idx!r} among "
+                             f"{len(self.units)}")
+        self.values[idx] = self.units[idx].decode_value(wire_value)
+        if idx not in self.received:
+            self.received.add(idx)
+            if self.on_row is not None:
+                self.on_row(idx, self.values[idx])

@@ -391,6 +391,11 @@ class ConsensusCore:
             return True
         return False
 
+    def step_down(self) -> None:
+        """A leader that lost its quorum: the term and vote stand."""
+        self.role = FOLLOWER
+        self.leader_id = None
+
     # -- leader side: appending & committing ---------------------------
     def append_command(self, cmd: Dict[str, Any]) -> int:
         """Leader-only: put a command in the log; returns its index."""

@@ -47,7 +47,8 @@ from repro.errors import ConfigError
 from repro.harness.units import SweepUnit
 from repro.service.cluster import ClusterConfig, ClusterManager
 from repro.service.errors import FrameError, ServiceError
-from repro.service.protocol import PROTOCOL_VERSION, check_protocol
+from repro.service.protocol import (PROTOCOL_VERSION, check_protocol,
+                                    frame_field)
 from repro.service.replica import SchedulerMachine
 from repro.sim.snapshot import save_file
 
@@ -71,15 +72,6 @@ class _Job:
     units: List[SweepUnit]
     remaining: int
     from_cache: int = 0
-
-
-def _field(msg: Dict[str, Any], key: str, kind: type) -> Any:
-    """``msg[key]``, which a peer must have sent as a ``kind``."""
-    value = msg.get(key)
-    if type(value) is not kind:
-        raise FrameError(f"malformed {msg['type']!r} frame: {key!r} "
-                         f"must be {kind.__name__}, got {value!r}")
-    return value
 
 
 class Sessions:
@@ -279,7 +271,8 @@ class Sessions:
         self._dispatch()
 
     def _on_result(self, worker: _WorkerConn, msg: Dict[str, Any]) -> None:
-        job_id, idx = _field(msg, "job", str), _field(msg, "idx", int)
+        job_id = frame_field(msg, "job", str)
+        idx = frame_field(msg, "idx", int)
         if "value" not in msg:
             raise FrameError("malformed 'result' frame: no 'value'")
         value = msg["value"]
@@ -313,7 +306,8 @@ class Sessions:
 
     def _on_unit_error(self, worker: _WorkerConn,
                        msg: Dict[str, Any]) -> None:
-        job_id, idx = _field(msg, "job", str), _field(msg, "idx", int)
+        job_id = frame_field(msg, "job", str)
+        idx = frame_field(msg, "idx", int)
         error = msg.get("error", "unknown unit error")
         if msg.get("traceback"):
             log.info("worker traceback for %s#%d:\n%s", job_id, idx,

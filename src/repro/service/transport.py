@@ -1,4 +1,4 @@
-"""Framed connections and sign-in: the one of each every peer shares.
+"""Framed connections: the one of each every peer shares.
 
 One connection class per I/O style, one read loop in each, both over
 the incremental :class:`~repro.service.protocol.FrameDecoder`, which
@@ -20,9 +20,9 @@ mid-frame: :class:`FrameError`):
   ``recv``/``send`` they cannot bound: a monotonic deadline raises
   ``socket.timeout`` for the caller to translate.
 
-Sign-in is shared the same way: :func:`parse_addresses` reads the
-replica list, :class:`LeaderHunt` orders one round of dials and
-:func:`check_welcome` interprets the reply to a ``hello``.
+:func:`parse_addresses` reads a replica list; whom to dial from it, and
+what the reply to a ``hello`` means, is the pure
+:class:`~repro.service.protocol.SignIn`.
 """
 
 from __future__ import annotations
@@ -33,14 +33,11 @@ import socket
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.service.errors import (ConnectionClosed, ProtocolMismatch,
-                                  ServiceError)
-from repro.service.protocol import (FrameDecoder, check_protocol,
-                                    encode_frame)
+from repro.service.errors import ConnectionClosed, ServiceError
+from repro.service.protocol import FrameDecoder, encode_frame
 
 __all__ = ["Connection", "SyncTransport", "SEND_TIMEOUT",
-           "parse_address", "parse_addresses", "LeaderHunt",
-           "Redirected", "raise_for_error", "check_welcome"]
+           "parse_address", "parse_addresses"]
 
 _RECV_CHUNK = 1 << 16
 
@@ -50,7 +47,7 @@ SEND_TIMEOUT = 30.0
 
 
 # ----------------------------------------------------------------------
-# sign-in: addresses, the dial order, the reply to a hello
+# addresses
 # ----------------------------------------------------------------------
 def parse_address(address: str) -> Tuple[str, int]:
     """``host:port`` -> ``(host, port)`` (IPv4/hostname form)."""
@@ -73,62 +70,6 @@ def parse_addresses(address: str) -> List[str]:
     for a in addrs:
         parse_address(a)
     return addrs
-
-
-class Redirected(Exception):
-    """Control flow of a sign-in round: a follower answered ``hello``
-    with ``redirect`` (``leader`` is None mid-election)."""
-
-    def __init__(self, leader: Optional[str]) -> None:
-        super().__init__(leader)
-        self.leader = leader
-
-
-class LeaderHunt:
-    """The dial order of one sign-in round: the last-known leader,
-    then the configured replicas; :meth:`redirect` moves the leader a
-    follower named to the front — unless it was already dialed, and at
-    most ``2 * len(addresses)`` times, so stale hints end the round."""
-
-    def __init__(self, addresses: list, hint: Optional[str] = None) -> None:
-        self._todo = list(dict.fromkeys(
-            ([hint] if hint else []) + addresses))
-        self._dialed: set = set()
-        self._redirects_left = 2 * len(addresses)
-
-    def __iter__(self):
-        while self._todo:
-            self._dialed.add(self._todo[0])
-            yield self._todo.pop(0)
-
-    def redirect(self, leader: Optional[str]) -> None:
-        if leader and self._redirects_left and leader not in self._dialed:
-            self._todo = [leader] + [a for a in self._todo if a != leader]
-            self._redirects_left -= 1
-
-
-def raise_for_error(msg: Dict[str, Any]) -> None:
-    """Raise the typed exception an ``error`` frame carries."""
-    if msg.get("type") == "error":
-        kind = (ProtocolMismatch if msg.get("code") == "protocol-mismatch"
-                else ServiceError)
-        raise kind(f"coordinator error: {msg.get('error')}")
-
-
-def check_welcome(reply: Dict[str, Any]) -> Dict[str, Any]:
-    """Interpret the coordinator's reply to a ``hello`` — the one
-    sign-in rule of client and worker. Returns the ``welcome`` frame;
-    raises :class:`Redirected` when a follower points at the leader,
-    :class:`ProtocolMismatch` across drifted builds and
-    :class:`ServiceError` for any other refusal."""
-    raise_for_error(reply)
-    if reply.get("type") == "redirect":
-        raise Redirected(reply.get("leader"))
-    if reply.get("type") != "welcome":
-        raise ServiceError(f"expected welcome, got "
-                           f"{reply.get('type')!r}")
-    check_protocol(reply, peer="coordinator")
-    return reply
 
 
 # ----------------------------------------------------------------------

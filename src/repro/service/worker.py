@@ -17,6 +17,10 @@ a time, in arrival order. When the session ends (``stop()``, a lost
 coordinator) a queued unit that has not started is cancelled and never
 runs; the coordinator requeues it without charging an attempt.
 
+Sign-in is :class:`~repro.service.protocol.SignIn`: with one address
+one try, and the worker exits when its session ends; with several, a
+fresh ``failover_timeout`` hunt for the leader after each session.
+
 A worker keeps no state between assignments: each unit runs cold
 through ``SweepUnit.run``, exactly as a serial sweep without a
 ``warmup_cache`` would run it (warmup images are a local store of the
@@ -41,10 +45,11 @@ from typing import Any, Dict, Optional
 from repro.harness.units import SweepUnit
 from repro.service.errors import (ConnectionClosed, FrameError,
                                   ProtocolMismatch, ServiceError)
-from repro.service.protocol import PROTOCOL_VERSION, encode_frame
-from repro.service.transport import (Connection, LeaderHunt, Redirected,
-                                     check_welcome, parse_address,
-                                     parse_addresses, raise_for_error)
+from repro.service.protocol import (PROTOCOL_VERSION, SignIn,
+                                    encode_frame, frame_field,
+                                    raise_for_error)
+from repro.service.transport import (Connection, parse_address,
+                                     parse_addresses)
 
 __all__ = ["Worker", "parse_address", "parse_addresses",
            "service_child_env"]
@@ -111,7 +116,6 @@ class Worker:
         self.failover_timeout = failover_timeout
         self.units_run = 0
         self.signins = 0  # successful registrations (tests watch this)
-        self._leader_hint: Optional[str] = None
         self._stopping = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_evt: Optional[asyncio.Event] = None
@@ -157,117 +161,80 @@ class Worker:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_evt = asyncio.Event()
-        if self._stopping.is_set():  # stop() raced run()
-            return
-        # Session loop: sign in somewhere, serve until the connection
-        # ends, then (several addresses only) hunt for the new leader.
-        # A single-address worker exits on loss — the fleet CLI's
-        # respawner owns its lifecycle.
-        window_start = self._loop.time()
+        # a single-address worker's lifecycle is the fleet CLI's
+        # respawner's: one try, and exit when the session ends
+        budget = self.failover_timeout if len(self.addresses) > 1 else 0.0
+        leader = None
         while not self._stopping.is_set():
-            outcome = await self._session()
-            if outcome == "shutdown" or self._stopping.is_set():
+            signin = SignIn(self.addresses, budget, self._loop.time(),
+                            leader)
+            conn = await self._sign_in(signin)
+            if conn is None:
                 return
-            if len(self.addresses) == 1:
+            leader = signin.leader
+            log.info("worker %s: registered with %s", self.name, leader)
+            if await self._serve(conn) or len(self.addresses) == 1:
                 return
-            if outcome == "served":
-                # we *were* registered; leader died — restart the
-                # fail-over clock and go hunt for its successor
-                window_start = self._loop.time()
-                continue
-            if (self._loop.time() - window_start
-                    > self.failover_timeout):
-                log.info("worker %s: no leader answered within %.0fs; "
-                         "giving up", self.name or os.getpid(),
-                         self.failover_timeout)
-                return
-            await asyncio.sleep(0.4)
 
-    async def _session(self) -> str:
-        """One sign-in attempt: dial the replicas (last-known leader
-        first), follow ``redirect`` frames, then serve assignments
-        until the connection ends.
-
-        Returns ``"shutdown"`` (coordinator said stop / stop() was
-        called), ``"served"`` (registered, then lost the leader) or
-        ``"unreachable"`` (nobody welcomed us this round).
-        Protocol-level complaints (:class:`ProtocolMismatch`,
-        :class:`ServiceError`) stay loud and propagate."""
-        hunt = LeaderHunt(self.addresses, self._leader_hint)
-        self._leader_hint = None
-        for addr in hunt:
-            if self._stopping.is_set():
-                break
+    async def _sign_in(self, signin: SignIn) -> Optional[Connection]:
+        """The connection ``signin`` found, or None once stopped or past
+        its budget; a refusal it deems final propagates."""
+        while not self._stopping.is_set():
+            now = self._loop.time()
             try:
-                return await self._serve_at(addr)
-            except Redirected as red:  # a follower named the leader
-                log.info("worker %s: %s redirects to %r",
-                         self.name or os.getpid(), addr, red.leader)
-                self._leader_hint = red.leader
-                hunt.redirect(red.leader)
-            except (ConnectionClosed, FrameError, OSError,
-                    asyncio.TimeoutError) as exc:
-                log.info("worker %s: %s unreachable (%s)",
-                         self.name or os.getpid(), addr, exc)
-            except ProtocolMismatch:
-                raise
+                address = signin.dial(now)
             except ServiceError as exc:
-                # a replica mid-election can answer with a transient
-                # error; with one address that is final, with several
-                # the next candidate (or the next round) resolves it
-                if len(self.addresses) == 1:
-                    raise
-                log.info("worker %s: %s rejected sign-in (%s)",
-                         self.name or os.getpid(), addr, exc)
-        return "unreachable"
+                log.info("worker %s: %s; giving up",
+                         self.name or os.getpid(), exc)
+                return None
+            if address is None:
+                await asyncio.sleep(signin.wake - now)
+                continue
+            conn = None
+            try:
+                conn = await Connection.open(address, 30.0)
+                conn.send({"type": "hello", "role": "worker",
+                           "protocol": PROTOCOL_VERSION,
+                           "name": self.name, "pid": os.getpid()})
+                welcome = signin.reply(await conn.read(30.0))
+                if welcome is not None:
+                    self.name = welcome.get("name", self.name)
+                    conn, welcomed = None, conn
+                    return welcomed
+            except (ConnectionClosed, FrameError, OSError) as exc:
+                log.info("worker %s: %s unreachable (%s)",
+                         self.name or os.getpid(), address, exc)
+                signin.failed(exc)
+            finally:
+                if conn is not None:
+                    conn.close()
+                    await conn.wait_closed()
+        return None
 
-    async def _serve_at(self, address: str) -> str:
-        conn = await Connection.open(address, 30.0)
+    async def _serve(self, conn: Connection) -> bool:
+        """Serve assignments until the session ends: True on
+        ``shutdown`` or :meth:`stop`, False when the coordinator is lost."""
+        self.signins += 1
+        self._conn = conn
         tasks: set = set()
-        registered = False
+        heartbeat = asyncio.create_task(self._heartbeat(conn))
+        read_loop = asyncio.create_task(self._read_loop(conn, tasks))
+        stop_wait = asyncio.create_task(self._stop_evt.wait())
+        tasks.update({heartbeat, read_loop, stop_wait})
         try:
-            conn.send({"type": "hello", "role": "worker",
-                       "protocol": PROTOCOL_VERSION,
-                       "name": self.name, "pid": os.getpid()})
-            welcome = check_welcome(await conn.read(30.0))
-            self.name = welcome.get("name", self.name)
-            self._leader_hint = address
-            self.signins += 1
-            registered = True
-            self._conn = conn
-            log.info("worker %s: registered with %s", self.name, address)
-            heartbeat = asyncio.create_task(self._heartbeat(conn))
-            read_loop = asyncio.create_task(self._read_loop(conn, tasks))
-            stop_wait = asyncio.create_task(self._stop_evt.wait())
-            tasks.update({heartbeat, read_loop, stop_wait})
             done, _pending = await asyncio.wait(
-                {read_loop, stop_wait},
-                return_when=asyncio.FIRST_COMPLETED)
+                {read_loop, stop_wait}, return_when=asyncio.FIRST_COMPLETED)
             if read_loop in done:
                 read_loop.result()  # surface protocol-level errors
-            return "shutdown"
-        except (ConnectionClosed, FrameError, OSError,
-                asyncio.TimeoutError) as exc:
-            # transport-level loss (incl. a close racing a frame
-            # mid-flight at shutdown, and a stalled coordinator our
-            # send pump gave up on) ends this *session* quietly — the
-            # coordinator requeues anything it owed; only
-            # protocol-level complaints above stay loud
-            if not registered:
-                raise
-            log.info("worker %s: coordinator went away (%s)", self.name,
-                     exc)
-            return "served"
+            return True
         except ProtocolMismatch:
             raise
-        except ServiceError as exc:
-            # e.g. the leader lost its quorum mid-session and erred
-            # out our connection — re-sign-in, don't die loudly
-            if registered and len(self.addresses) > 1:
-                log.info("worker %s: coordinator error (%s); re-signing "
-                         "in", self.name, exc)
-                return "served"
-            raise
+        except (ServiceError, OSError) as exc:
+            # a lost or stalled coordinator, a malformed frame or a
+            # leader's typed error ends the *session* quietly; the
+            # coordinator requeues anything it owed
+            log.info("worker %s: session ended (%s)", self.name, exc)
+            return False
         finally:
             # a unit finishing between coordinators drops its reply,
             # and cancelling a queued unit's task keeps it from ever
@@ -287,6 +254,9 @@ class Worker:
             raise_for_error(msg)
             kind = msg.get("type")
             if kind == "assign":
+                # the reply names both: without them the session ends
+                frame_field(msg, "job", str)
+                frame_field(msg, "idx", int)
                 task = asyncio.create_task(self._run_assign(msg))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)

@@ -291,17 +291,18 @@ class FakeConn:
 class SteppedFleet:
     """N replicas the test steps by hand: every ``step`` advances the
     clock, ticks each node, then delivers the wire until it is quiet.
-    ``isolated`` nodes keep ticking but every frame to or from them is
-    lost. A node is a bare :class:`ClusterManager` (whose wins land in
-    ``leaders``) or, with ``sessions``, a :class:`Sessions` that owns
-    one (``session_kw`` go to its constructor)."""
+    Every frame on a ``cut`` (src, dst) link is lost; :meth:`isolate`
+    cuts all of one node's, which keeps ticking. A node is a bare
+    :class:`ClusterManager` (whose wins land in ``leaders``) or, with
+    ``sessions``, a :class:`Sessions` that owns one (``session_kw`` go
+    to its constructor)."""
 
     def __init__(self, seed: int, n: int = 3, step_ms: int = 10,
                  sessions: bool = False, **session_kw) -> None:
         self.step_ms = step_ms
         self.now_ms = 0
         self.wire: list = []
-        self.isolated: set = set()
+        self.cut: set = set()
         self.leaders: list = []  # (term, node), in the order they won
         self.addrs = [f"replica{i}:1" for i in range(n)]
         self.nodes: list = []
@@ -339,11 +340,16 @@ class SteppedFleet:
         while self.wire:
             self.deliver()
 
+    def isolate(self, node: int) -> None:
+        n = len(self.nodes)
+        self.cut = {(a, b) for a in range(n) for b in range(n)
+                    if a != b and node in (a, b)}
+
     def deliver(self) -> None:
-        """Hand the oldest frame on the wire to its node (lost when
-        either end is isolated)."""
+        """Hand the oldest frame on the wire to its node (lost on a cut
+        link)."""
         src, dst, msg = self.wire.pop(0)
-        if src not in self.isolated and dst not in self.isolated:
+        if (src, dst) not in self.cut:
             self.mgrs[dst].handle_message(
                 msg, self.mgrs[dst].links[src].send, self.now)
 

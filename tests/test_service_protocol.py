@@ -15,6 +15,11 @@ the scheduler state machine, so its contract is pinned hard:
 * a clean EOF between frames is :class:`ConnectionClosed`, distinct
   from corruption, so "worker went away" can be requeued without
   masking protocol bugs.
+
+The peers' pure halves are pinned here too, without a socket or a
+sleep: :class:`SignIn` (dial order, redirects, the lull, the budget,
+which refusals are final) and :class:`JobRows` (rows once per idx
+across resubmits; malformed rows refused).
 """
 
 from __future__ import annotations
@@ -25,13 +30,18 @@ import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
-from repro.service.errors import (ConnectionClosed, FrameError,
-                                  ServiceError)
+from repro.harness.experiment import ExperimentConfig
+from repro.harness.units import SweepUnit
+from repro.params import Organization
+from repro.service.errors import (ConnectionClosed, FrameError, JobFailed,
+                                  ProtocolMismatch, ServiceError)
 from repro.service.protocol import (MAX_FRAME, MESSAGE_TYPES,
-                                    PROTOCOL_VERSION, FrameDecoder,
+                                    PROTOCOL_VERSION, SIGNIN_LULL,
+                                    FrameDecoder, JobRows, SignIn,
                                     encode_frame)
 from repro.service.transport import Connection, SyncTransport
 
@@ -570,3 +580,243 @@ class TestMalformedWorkerFrames:
         finally:
             peer.close()
             coord.stop()
+
+
+class TestMalformedCoordinatorFrames:
+    @pytest.mark.parametrize("assign", [
+        {"type": "assign", "unit": {}},
+        {"type": "assign", "job": "j", "idx": "0", "unit": {}},
+    ], ids=["no_job_or_idx", "string_idx"])
+    def test_an_assign_the_worker_cannot_answer_ends_its_session(
+            self, assign):
+        """The worker refuses the frame and closes its connection (and,
+        with one address, exits). It used to read the fields outside its
+        ``try``: the task died unretrieved, heartbeats went on, and the
+        coordinator held the unit until the worker died."""
+        from repro.service import Worker
+        server = socket.create_server(("127.0.0.1", 0))
+        server.settimeout(10)
+        worker = Worker(f"127.0.0.1:{server.getsockname()[1]}", name="w",
+                        heartbeat_interval=0.1)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        peer = None
+        try:
+            peer = SyncTransport(server.accept()[0])
+            assert peer.recv(timeout=10)["type"] == "hello"
+            peer.send({"type": "welcome", "name": "w",
+                       "protocol": PROTOCOL_VERSION})
+            peer.send(assign)
+            deadline = time.monotonic() + 5.0
+            with pytest.raises(ConnectionClosed):
+                while time.monotonic() < deadline:
+                    assert peer.recv(timeout=5)["type"] == "heartbeat"
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert (worker.signins, worker.units_run) == (1, 0)
+        finally:
+            worker.stop()
+            thread.join(timeout=10)
+            if peer is not None:
+                peer.close()
+            server.close()
+
+
+# ----------------------------------------------------------------------
+# sign-in: one hunt for the leader, shared by client and worker
+# ----------------------------------------------------------------------
+WELCOME = {"type": "welcome", "protocol": PROTOCOL_VERSION}
+
+
+def redirect(leader):
+    return {"type": "redirect", "term": 1, "leader": leader}
+
+
+def hunt(signin: SignIn, answer, now: float = 0.0) -> list:
+    """Dial until the round ends or someone welcomes us; ``answer(addr)``
+    is the reply to that ``hello`` (None: the dial failed)."""
+    dialed = []
+    while (address := signin.dial(now)) is not None:
+        dialed.append(address)
+        assert len(dialed) < 100, "the hunt never terminated"
+        reply = answer(address)
+        if reply is None:
+            signin.failed(OSError(f"{address} refused"))
+        elif signin.reply(reply) is not None:
+            break
+    return dialed
+
+
+class TestSignIn:
+    def test_hint_first_then_configured_replicas_deduplicated(self):
+        assert hunt(SignIn(["a:1", "b:2", "c:3"], 60, 0.0, "b:2"),
+                    lambda a: None) == ["b:2", "a:1", "c:3"]
+        assert hunt(SignIn(["a:1"], 60, 0.0), lambda a: None) == ["a:1"]
+
+    def test_redirect_splices_the_named_leader_in_next(self):
+        """Moved up, not repeated; a redirect to one already dialed this
+        round is ignored, and the welcome names the leader."""
+        signin = SignIn(["a:1", "b:2", "c:3"], 60, 0.0)
+        answers = {"a:1": redirect("c:3"), "c:3": redirect("a:1"),
+                   "b:2": None}
+        assert hunt(signin, answers.get) == ["a:1", "c:3", "b:2"]
+        answers["b:2"] = WELCOME
+        assert hunt(signin, answers.get, SIGNIN_LULL) == ["c:3", "a:1",
+                                                          "b:2"]
+        assert signin.leader == "b:2"
+
+    def test_replica_redirecting_to_a_stale_address_terminates(self):
+        """Every dial answers ``redirect`` to the same dead address:
+        it is tried once, then the round ends."""
+        signin = SignIn(["a:1", "b:2"], 60, 0.0)
+        assert hunt(signin, lambda a: redirect("stale:9")) == [
+            "a:1", "stale:9", "b:2"]
+
+    def test_ever_new_redirects_are_bounded(self):
+        """A (buggy or hostile) replica naming a fresh leader on every
+        dial cannot keep the round going: at most ``2 * len(addresses)``
+        redirects are followed."""
+        addresses = ["a:1", "b:2", "c:3"]
+        fresh = iter(range(100))
+        dialed = hunt(SignIn(addresses, 60, 0.0),
+                      lambda a: redirect(f"fresh:{next(fresh)}"))
+        assert len(dialed) == len(addresses) + 2 * len(addresses)
+        assert [a for a in dialed if a in addresses] == addresses
+
+    def test_empty_redirect_is_ignored(self):
+        """A follower mid-election knows no leader."""
+        signin = SignIn(["a:1", "b:2"], 60, 0.0)
+        assert hunt(signin, lambda a: redirect(None)) == ["a:1", "b:2"]
+
+    def test_a_round_that_finds_nobody_lulls_then_starts_over(self):
+        signin = SignIn(["a:1", "b:2"], 60, 10.0)
+        assert hunt(signin, {"a:1": redirect("b:2")}.get, 10.0) == [
+            "a:1", "b:2"]
+        assert signin.wake == 10.0 + SIGNIN_LULL
+        assert signin.dial(10.0 + SIGNIN_LULL / 2) is None
+        # the next round opens with the leader the last redirect named
+        assert hunt(signin, lambda a: WELCOME, signin.wake) == ["b:2"]
+
+    def test_past_the_budget_the_hunt_fails_with_the_last_error(self):
+        signin = SignIn(["a:1", "b:2"], 5.0, 100.0)
+        assert hunt(signin, lambda a: None, 100.0) == ["a:1", "b:2"]
+        assert signin.dial(104.9 - SIGNIN_LULL) == "a:1"
+        signin.failed(OSError("connection refused"))
+        with pytest.raises(ServiceError, match="within 5.0s .*last error: "
+                                               "connection refused"):
+            signin.dial(105.0)
+
+    @pytest.mark.parametrize("addresses", [["a:1"], ["a:1", "b:2"]])
+    def test_protocol_mismatch_is_final(self, addresses):
+        mismatch = {"type": "error", "code": "protocol-mismatch",
+                    "error": "peer speaks protocol 7"}
+        for reply in (mismatch, dict(WELCOME, protocol=7)):
+            signin = SignIn(addresses, 60, 0.0)
+            signin.dial(0.0)
+            with pytest.raises(ProtocolMismatch):
+                signin.reply(reply)
+
+    def test_a_refusal_is_skipped_only_while_another_replica_remains(
+            self):
+        refusal = {"type": "error", "error": "leadership lost"}
+        signin = SignIn(["a:1", "b:2"], 60, 0.0)
+        assert hunt(signin, {"a:1": refusal, "b:2": WELCOME}.get) == [
+            "a:1", "b:2"]
+        assert "leadership lost" in str(signin.last_error)
+        # one address: refused is refused (a worker raises it)
+        signin = SignIn(["a:1"], 60, 0.0)
+        with pytest.raises(ServiceError, match="leadership lost"):
+            hunt(signin, lambda a: refusal)
+
+    def test_a_budget_of_zero_is_one_try(self):
+        """The single-address worker's hunt: one dial, and an
+        unreachable coordinator ends it (the worker exits quietly)."""
+        signin = SignIn(["a:1"], 0.0, 7.0)
+        with pytest.raises(ServiceError, match="last error: a:1 refused"):
+            hunt(signin, lambda a: None, 7.0)
+        assert signin.dials == 1
+
+
+# ----------------------------------------------------------------------
+# a client's rows of one job
+# ----------------------------------------------------------------------
+UNITS = [SweepUnit(ExperimentConfig("water_spatial", Organization.SHARED,
+                                    scale=0.04, seed=seed),
+                   50_000_000, "runtime") for seed in (1, 2, 3)]
+
+
+def _accepted(job, cached=()):
+    return {"type": "accepted", "job": job, "total": len(UNITS),
+            "cached": [list(pair) for pair in cached]}
+
+
+def _row(job, idx, value):
+    return {"type": "row", "job": job, "idx": idx, "value": value}
+
+
+class TestJobRows:
+    def test_each_row_fires_once_across_a_resubmit(self):
+        fired = []
+        rows = JobRows(UNITS, on_row=lambda i, v: fired.append((i, v)))
+        assert rows.submit() == {"type": "submit",
+                                 "units": [u.to_wire() for u in UNITS]}
+        assert not rows.frame(_accepted("j1", [(0, 10)]))
+        assert not rows.frame(_row("j1", 1, 11))
+        assert (rows.received, rows.remaining) == ({0, 1}, 1)
+        # the session ends; the resubmit's memo serves both back
+        rows.submit()
+        assert not rows.frame(_accepted("j2", [(0, 10), (1, 11)]))
+        assert not rows.frame(_row("j2", 2, 12))
+        assert rows.frame({"type": "done", "job": "j2", "from_cache": 2})
+        assert fired == [(0, 10), (1, 11), (2, 12)]
+        assert (rows.values, rows.from_cache) == ([10, 11, 12], 2)
+
+    def test_a_failed_or_short_job_raises_job_failed(self):
+        rows = JobRows(UNITS)
+        rows.submit()
+        rows.frame(_accepted("j1"))
+        with pytest.raises(JobFailed, match="#1 failed permanently: boom"):
+            rows.frame({"type": "job_failed", "job": "j1", "idx": 1,
+                        "error": "boom"})
+        with pytest.raises(JobFailed, match="3 rows missing"):
+            rows.frame({"type": "done", "job": "j1", "from_cache": 0})
+
+    @pytest.mark.parametrize("frame", [
+        _row("j1", 3, 1), _row("j1", -1, 1), _row("j1", "0", 1),
+        _row("j1", True, 1), {"type": "row", "job": "j1", "idx": 0},
+    ], ids=["idx_past_the_end", "negative_idx", "string_idx", "bool_idx",
+            "no_value"])
+    def test_a_malformed_row_is_refused(self, frame):
+        """An out-of-range idx used to raise a bare ``IndexError`` out of
+        ``run_units``, and a negative one silently marked another unit
+        done."""
+        rows = JobRows(UNITS)
+        rows.submit()
+        rows.frame(_accepted("j1"))
+        with pytest.raises(FrameError):
+            rows.frame(frame)
+        assert (rows.received, rows.values) == (set(), [None] * 3)
+
+    @pytest.mark.parametrize("cached", [[[5, 1]], [[-1, 1]], [[0]], [7]],
+                             ids=["idx_past_the_end", "negative_idx",
+                                  "no_value", "not_a_pair"])
+    def test_a_malformed_cached_pair_is_refused(self, cached):
+        rows = JobRows(UNITS)
+        rows.submit()
+        with pytest.raises(FrameError):
+            rows.frame(dict(_accepted("j1"), cached=cached))
+        assert rows.received == set()
+
+    def test_error_and_stray_frames_raise_typed(self):
+        rows = JobRows(UNITS)
+        rows.submit()
+        with pytest.raises(ServiceError, match="expected accepted"):
+            rows.frame(_row("j1", 0, 1))
+        rows.frame(_accepted("j1"))
+        with pytest.raises(ServiceError, match="unexpected 'row'"):
+            rows.frame(_row("j0", 0, 1))  # another job's row
+        with pytest.raises(ProtocolMismatch):
+            rows.frame({"type": "error", "code": "protocol-mismatch",
+                        "error": "drift"})
+        with pytest.raises(ServiceError, match="quorum lost"):
+            rows.frame({"type": "error", "error": "quorum lost"})

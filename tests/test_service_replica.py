@@ -42,7 +42,7 @@ from repro.service.replica import (CANDIDATE, FOLLOWER, LEADER,
                                    ConsensusCore, ReplicaLog,
                                    SchedulerMachine)
 from repro.service.scheduler import Assignment
-from repro.service.transport import LeaderHunt, SyncTransport
+from repro.service.transport import SyncTransport
 from tests.conftest import FakeConn, SteppedFleet
 
 BENCH = "water_spatial"
@@ -523,56 +523,6 @@ class TestConsensusPersistence:
 
 
 # ----------------------------------------------------------------------
-# the leader hunt (one rule, shared by client and worker)
-# ----------------------------------------------------------------------
-class TestLeaderHunt:
-    def test_hint_first_then_configured_replicas_deduplicated(self):
-        assert list(LeaderHunt(["a:1", "b:2", "c:3"], "b:2")) == [
-            "b:2", "a:1", "c:3"]
-        assert list(LeaderHunt(["a:1"])) == ["a:1"]
-
-    def test_redirect_splices_the_named_leader_in_next(self):
-        hunt = LeaderHunt(["a:1", "b:2", "c:3"])
-        dial = iter(hunt)
-        assert next(dial) == "a:1"
-        hunt.redirect("c:3")
-        assert list(dial) == ["c:3", "b:2"]  # moved up, not repeated
-        hunt.redirect("a:1")  # already dialed this round: ignored
-        assert list(hunt) == []
-
-    def test_replica_redirecting_to_a_stale_address_terminates(self):
-        """Every dial answers ``redirect`` to the same dead address:
-        it is tried once, then the round ends."""
-        hunt = LeaderHunt(["a:1", "b:2"])
-        dialed = []
-        for addr in hunt:
-            dialed.append(addr)
-            hunt.redirect("stale:9")
-        assert dialed == ["a:1", "stale:9", "b:2"]
-
-    def test_ever_new_redirects_are_bounded(self):
-        """A (buggy or hostile) replica naming a fresh leader on every
-        dial cannot keep the round going: at most ``2 * len(addresses)``
-        redirects are followed."""
-        addresses = ["a:1", "b:2", "c:3"]
-        hunt = LeaderHunt(addresses)
-        dialed = []
-        for addr in hunt:
-            dialed.append(addr)
-            hunt.redirect(f"fresh:{len(dialed)}")
-            assert len(dialed) < 100, "the hunt never terminated"
-        assert len(dialed) == len(addresses) + 2 * len(addresses)
-        assert [a for a in dialed if a in addresses] == addresses
-
-    def test_empty_redirect_is_ignored(self):
-        hunt = LeaderHunt(["a:1", "b:2"])
-        dial = iter(hunt)
-        next(dial)
-        hunt.redirect(None)  # mid-election follower: no leader known
-        assert list(dial) == ["b:2"]
-
-
-# ----------------------------------------------------------------------
 # three stepped managers, in-memory links, a float clock
 # ----------------------------------------------------------------------
 class TestSteppedCluster:
@@ -619,7 +569,7 @@ class TestSteppedCluster:
         # 3. cut the leader off mid-commit: the others elect a
         # higher-term leader; the old one still thinks it leads, and
         # its pending commit has neither completed nor failed yet
-        fleet.isolated = {first}
+        fleet.isolate(first)
         commit(first, {"op": "worker_add", "name": "lost"})
         fleet.run(4.0)
         rest = [i for i in range(3) if i != first]
@@ -630,7 +580,7 @@ class TestSteppedCluster:
         # 4. heal: the new leader's heartbeat deposes the old one,
         # whose pending done fires — once, with the typed error —
         # and whose uncommitted entry is truncated away
-        fleet.isolated = set()
+        fleet.cut = set()
         commit(second, {"op": "worker_add", "name": "w1"})
         fleet.run(8.0)  # past COMMIT_TIMEOUT: still exactly once
         assert fleet.leader() == second
@@ -678,7 +628,7 @@ class TestSteppedCluster:
         fleet = SteppedFleet(seed=5)
         fleet.run(4.0)
         first = fleet.leader()
-        fleet.isolated = {first}
+        fleet.isolate(first)
         errors: list = []
         fleet.mgrs[first].commit(
             {"op": "worker_add", "name": "lost"},

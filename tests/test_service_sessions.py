@@ -1,18 +1,15 @@
-"""The coordinator's sessions without a socket: exactly-once rows under
-a seeded fault schedule, stepped under a clock the test owns.
+"""The fleet's sessions without a socket: exactly-once rows under a
+seeded fault schedule, stepped under a clock the test owns.
 
-:class:`~repro.service.sessions.Sessions` is driven the way the
-coordinator drives it — ``hello`` / ``frame`` / ``closed`` / ``tick`` —
-by actors playing three workers and one client over fake connections,
-against a quorum of one and against three replicas on in-memory links
-(``SteppedFleet``). No unit is ever simulated: a worker answers an
-``assign`` with a value derived from the unit it names. Each seed's
-schedule has out-of-order and duplicate results, ``unit_error``
-retries up to a fatal one, a worker closed while it holds two units, a
-worker silent past the heartbeat timeout whose stale result arrives
-after the drop, a client that vanishes mid-job and resubmits, and —
-with three replicas — one isolated leader, after which the actors
-resubmit as ``ServiceClient`` and ``Worker`` do.
+Three workers and a client drive :class:`~repro.service.sessions.Sessions`
+as the coordinator does (``hello`` / ``frame`` / ``closed`` / ``tick``),
+against a quorum of one and three replicas (``SteppedFleet``). They sign
+in through the real ``SignIn`` on the fleet clock, and the client's rows
+go through the real ``JobRows``; only the fault schedule is the test's,
+and no unit is ever simulated. Each seed has out-of-order and duplicate
+results, ``unit_error`` retries up to a fatal one, a worker killed
+holding two units, a silent worker whose stale result arrives after the
+drop, a client that vanishes mid-job, and one leader cut off.
 """
 
 from __future__ import annotations
@@ -29,30 +26,31 @@ from repro.harness.experiment import ExperimentConfig
 from repro.harness.units import SweepUnit
 from repro.params import Organization
 from repro.service.cluster import COMMIT_TIMEOUT
-from repro.service.protocol import PROTOCOL_VERSION
+from repro.service.errors import ConnectionClosed, JobFailed, ServiceError
+from repro.service.protocol import PROTOCOL_VERSION, JobRows, SignIn
 from tests.conftest import FakeConn, SteppedFleet
 
 STEP_MS = 50
 HEARTBEAT_TIMEOUT = 1.0
 N_UNITS = 6
 #: the client's three jobs: the first has a unit that always errors
-BATCHES = [[SweepUnit(ExperimentConfig("water_spatial",
-                                       Organization.SHARED, scale=0.04,
-                                       seed=100 * b + i + 1),
-                      50_000_000, "runtime").to_wire()
+BATCHES = [[SweepUnit(ExperimentConfig("water_spatial", Organization.SHARED,
+                                       scale=0.04, seed=100 * b + i + 1),
+                      50_000_000, "runtime")
             for i in range(N_UNITS)] for b in range(3)]
+#: the leader cut off in the last job: isolated (till deposed, or past
+#: COMMIT_TIMEOUT), or deaf (its followers hear it; it hears nothing)
+PARTITIONS = [("isolated", 3.0), ("isolated", 6.0), ("deaf", 6.0)]
 
 
-def value_of(unit) -> int:
-    """What a worker answers for ``unit``: no simulation, just a value
-    every replica's memo and the client can check."""
-    return unit["seed"] * 10
+def value_of(seed: int) -> int:
+    """A worker's answer for the unit of ``seed``: nothing simulated."""
+    return seed * 10
 
 
 class Peer(FakeConn):
-    """One connection of the schedule: every frame Sessions sends lands
-    in the schedule's transcript, and an open connection's in
-    ``inbox``."""
+    """One connection: every frame Sessions sends lands in the
+    schedule's transcript, and an open connection's in ``inbox``."""
 
     def __init__(self, world: "World", name: str, node: int) -> None:
         super().__init__()
@@ -72,19 +70,19 @@ class Peer(FakeConn):
 class World:
     """One seeded schedule: the fleet, the actors, what they saw."""
 
-    def __init__(self, seed: int, replicas: int) -> None:
+    def __init__(self, seed: int, replicas: int, partition=None) -> None:
         self.rng = random.Random(seed)
         self.fleet = SteppedFleet(seed, n=replicas, step_ms=STEP_MS,
                                   sessions=True,
                                   heartbeat_timeout=HEARTBEAT_TIMEOUT)
-        self.transcript: list = []
-        self.late: list = []     # frames sent on a closed connection
+        self.partition = partition or self.rng.choice(PARTITIONS)
+        self.transcript, self.late = [], []  # late: on a closed conn
         self.seen: set = set()   # the faults this schedule reached
         self.dials = 0
-        self.poison = self.rng.randrange(N_UNITS)  # of the first job
+        # a unit of the first job errs always, one of the last once
+        self.poison = BATCHES[0][self.rng.randrange(N_UNITS)].exp.seed
         self.vanish_after = self.rng.randint(1, N_UNITS)  # 2nd job's rows
-        self.flaky = self.rng.randrange(N_UNITS)   # errs once per unit
-        self.erred: set = set()  # the flaky units' seeds that erred
+        self.flaky = BATCHES[2][self.rng.randrange(N_UNITS)].exp.seed
         self.client = Client(self)
         self.workers = [Worker(self, f"w{i}") for i in range(3)]
 
@@ -92,35 +90,13 @@ class World:
     def now(self) -> float:
         return self.fleet.now
 
-    def dial(self, name: str, hello, hint):
-        """Sign in as ``ServiceClient`` and ``Worker`` do: the last
-        leader first, then every replica, following redirects."""
-        todo = list(dict.fromkeys(
-            ([hint] if hint is not None else [])
-            + list(range(len(self.fleet.nodes)))))
-        while todo:
-            node = todo.pop(0)
-            self.dials += 1
-            conn = Peer(self, f"{name}@{node}#{self.dials}", node)
-            if self.fleet.nodes[node].hello(conn, hello, self.now):
-                return conn
-            leader = conn.inbox[-1]["leader"]
-            self.hang_up(conn)
-            if leader is not None:
-                nxt = self.fleet.addrs.index(leader)
-                if nxt in todo:
-                    todo.remove(nxt)
-                    todo.insert(0, nxt)
-        return None
-
     def send(self, conn: Peer, msg) -> None:
         """The owner's read loop hands one frame to Sessions."""
         if not self.fleet.nodes[conn.node].frame(conn, msg, self.now):
             self.hang_up(conn)
 
     def hang_up(self, conn: Peer) -> None:
-        """The read loop ends: EOF, the peer's ``bye``, or the session
-        closed from the coordinator's side."""
+        """The read loop ends: EOF, a ``bye``, or a closed session."""
         conn.close()
         conn.hung_up = True
         self.fleet.nodes[conn.node].closed(conn, self.now)
@@ -131,39 +107,82 @@ class World:
             actor.step()
 
     def run(self) -> None:
-        """Until the client has run all its jobs and no worker is
-        silent, with the leader isolated once during the last job
-        (three replicas); then every actor says ``bye`` and the quorum
-        settles."""
-        heal_at = None
-        while not self.client.finished or any(
+        """Until the client ran all its jobs and no worker is silent or
+        link cut; then everyone says ``bye`` and the quorum settles."""
+        fleet, heal_at = self.fleet, None
+        while not self.client.finished or fleet.cut or any(
                 self.now < w.silent_until for w in self.workers):
             assert self.now < 60.0, "the schedule never finished"
             self.step()
-            if (len(self.fleet.nodes) > 1 and heal_at is None
-                    and self.client.batch == 2 and self.client.rows):
-                leader = self.fleet.leader()
-                self.fleet.isolated = {leader}
-                # 3 s: deposed on heal; 6 s: its commits time out first
-                heal_at = self.now + self.rng.choice([3.0, 6.0])
-                self.seen.add("isolation")
+            if heal_at is None and len(fleet.nodes) > 1 \
+                    and self.client.batch == 2 and self.client.rows.received:
+                kind, span = self.partition
+                leader = fleet.leader()
+                fleet.isolate(leader)
+                if kind == "deaf":  # only what is sent to it is lost
+                    fleet.cut = {c for c in fleet.cut if c[1] == leader}
+                heal_at = self.now + span
+                self.seen.add(kind)
             if heal_at is not None and self.now >= heal_at:
-                self.fleet.isolated = set()
+                fleet.cut = set()
         for worker in self.workers:
             worker.leave()
-        self.fleet.run(1.0)
+        fleet.run(5.0)
 
 
-class Worker:
-    """A worker: runs nothing, answers what it holds in a seeded order,
-    falls silent or dies once, and re-signs-in after losing its
-    session."""
+class Actor:
+    """What the real peers share: a :class:`SignIn` on the fleet clock
+    picks whom to dial and reads the reply; its welcome is the session."""
+
+    def __init__(self, world: World, name: str, role: str) -> None:
+        self.world, self.name = world, name
+        self.hello = {"type": "hello", "role": role, "name": name,
+                      "protocol": PROTOCOL_VERSION, "pid": 1}
+        self.conn = None     # the session
+        self.leader = None   # where the last session was
+        self.signin = None   # the hunt for the next one
+        self.dialed = None   # its connection awaiting the hello's reply
+
+    def sign_in(self) -> bool:
+        """One step of the hunt; True once welcomed."""
+        w = self.world
+        self.signin = self.signin or SignIn(w.fleet.addrs, 30.0, w.now,
+                                            self.leader)
+        if self.dialed is None:
+            address = self.signin.dial(w.now)
+            if address is None:
+                return False  # the lull between rounds
+            w.dials, node = w.dials + 1, w.fleet.addrs.index(address)
+            conn = self.dialed = Peer(w, f"{self.name}#{w.dials}", node)
+            if not w.fleet.nodes[node].hello(conn, self.hello, w.now):
+                w.hang_up(conn)  # a redirect: the reply is in the inbox
+        conn = self.dialed
+        if not conn.inbox and not conn.closed:
+            return False  # the reply is not in yet
+        self.dialed = None
+        if not conn.inbox:
+            self.signin.failed(ConnectionClosed("closed before a reply"))
+        elif self.signin.reply(conn.inbox.popleft()):
+            self.conn, self.leader = conn, self.signin.leader
+            self.signin = None
+            return True
+        w.hang_up(conn)
+        return False
+
+    def session_ended(self) -> bool:
+        """Hang up a session the coordinator closed; True if none."""
+        if self.conn is not None and self.conn.closed:
+            self.world.hang_up(self.conn)
+            self.conn = None
+        return self.conn is None
+
+
+class Worker(Actor):
+    """Answers what it holds in a seeded order, falls silent or dies
+    once, and re-signs-in after losing its session."""
 
     def __init__(self, world: World, name: str) -> None:
-        self.world, self.name = world, name
-        self.conn = None
-        self.hint = None
-        self.welcomed = False
+        super().__init__(world, name, "worker")
         self.held: list = []       # assigns, in arrival order
         self.silent_until = 0.0
         self.silenced = False
@@ -171,13 +190,12 @@ class Worker:
     def answer(self, assign):
         unit, w = assign["unit"], self.world
         reply = {"job": assign["job"], "idx": assign["idx"]}
-        poisoned = unit["seed"] == BATCHES[0][w.poison]["seed"]
-        if poisoned or (assign["idx"] == w.flaky
-                        and unit["seed"] not in w.erred):
-            w.erred.add(unit["seed"])
+        if unit["seed"] in (w.poison, w.flaky):
+            if unit["seed"] == w.flaky:
+                w.flaky = None
             w.seen.add("unit_error")
             return dict(reply, type="unit_error", error="boom")
-        return dict(reply, type="result", value=value_of(unit))
+        return dict(reply, type="result", value=value_of(unit["seed"]))
 
     def step(self) -> None:
         w = self.world
@@ -186,33 +204,18 @@ class Worker:
         if self.silenced:
             self.silenced = False
             assert self.conn.closed, "silent past the timeout, not dropped"
-        if self.conn is not None and self.conn.closed:
-            if self.held and not self.conn.hung_up:
-                # a result in flight when the coordinator ended the
-                # session reaches it after the drop
-                w.send(self.conn, self.answer(self.held[0]))
-                w.seen.add("stale_result")
-            if not self.conn.hung_up:
-                w.hang_up(self.conn)
-            self.conn = None
-        if self.conn is None:
-            self.welcomed, self.held = False, []
-            self.conn = w.dial(self.name, {
-                "type": "hello", "role": "worker", "name": self.name,
-                "protocol": PROTOCOL_VERSION, "pid": 1}, self.hint)
-            if self.conn is None:
-                self.silent_until = w.now + 0.3  # until the next round
-            else:
-                self.hint = self.conn.node
+        if self.held and self.conn.closed and not self.conn.hung_up:
+            # a result in flight at the drop reaches the coordinator
+            w.send(self.conn, self.answer(self.held[0]))
+            w.seen.add("stale_result")
+        if self.session_ended():
+            self.held = []
+            self.sign_in()
             return
         while self.conn.inbox:
             msg = self.conn.inbox.popleft()
-            if msg["type"] == "welcome":
-                self.welcomed = True
-            elif msg["type"] == "assign":
+            if msg["type"] == "assign":
                 self.held.append(msg)
-        if not self.welcomed:
-            return
         if self._fault():
             return
         roll = w.rng.random()
@@ -240,7 +243,7 @@ class Worker:
         if "killed" not in w.seen and len(self.held) == 2:
             w.seen.add("killed")
             w.hang_up(self.conn)  # the process died; the socket EOFs
-            self.conn = None
+            self.conn, self.held = None, []
             self.silent_until = w.now + 0.3  # the respawn
             return True
         if "killed" in w.seen and "silent" not in w.seen and self.held:
@@ -255,62 +258,45 @@ class Worker:
             self.world.send(self.conn, {"type": "bye"})
 
 
-class Client:
-    """The client: runs ``BATCHES`` one job after the other, resubmits
-    (as ``ServiceClient`` does) whenever its session ends, and vanishes
-    once in the middle of its second job."""
+class Client(Actor):
+    """Runs ``BATCHES`` one after the other, a :class:`JobRows` each,
+    resubmits whenever its session ends, and vanishes mid second job."""
 
     def __init__(self, world: World) -> None:
-        self.world = world
-        self.conn = None
-        self.hint = None
+        super().__init__(world, "client", "client")
         self.batch = 0
-        self.jobs: dict = {}     # job id -> its frames, in order
-        self.batch_of: dict = {}  # job id -> the batch it runs
-        self.rows = 0            # rows of the job it waits on
+        self.rows = JobRows(BATCHES[0])
+        self.ledgers: list = []   # each finished batch's JobRows
+        self.jobs: dict = {}  # job id -> (its batch, its frames)
         self.finished = False
-        self.next_dial = 0.0
-
-    def submit(self) -> None:
-        self.rows = 0
-        self.world.send(self.conn, {"type": "submit",
-                                    "units": BATCHES[self.batch]})
 
     def step(self) -> None:
         w = self.world
         if self.finished:
             return
-        if self.conn is not None and self.conn.closed:
-            if not self.conn.hung_up:
-                w.hang_up(self.conn)
-            self.conn = None
-        if self.conn is None:
-            if w.now < self.next_dial:
-                return
-            self.conn = w.dial("client", {
-                "type": "hello", "role": "client",
-                "protocol": PROTOCOL_VERSION}, self.hint)
-            if self.conn is None:
-                self.next_dial = w.now + 0.3  # a lull: let a leader emerge
-            else:
-                self.hint = self.conn.node
-                self.submit()
+        if self.session_ended():
+            if self.sign_in():
+                w.send(self.conn, self.rows.submit())
             return
-        while self.conn.inbox and not self.conn.closed:
+        # frames sent before a close are read; a vanished client's lost
+        while self.conn.inbox and not self.conn.hung_up:
             msg = self.conn.inbox.popleft()
-            if msg["type"] in ("welcome", "error"):
-                continue  # an error ends the session: resubmit
-            self.batch_of.setdefault(msg["job"], self.batch)
-            self.jobs.setdefault(msg["job"], []).append(msg)
-            self.rows += msg["type"] == "row"
-            if msg["type"] in ("done", "job_failed"):
-                self._ended(msg["job"])
-            elif (self.batch == 1 and self.rows == w.vanish_after
-                    and "vanished" not in w.seen):
-                w.seen.add("vanished")  # unread frames are lost
+            if "job" in msg:
+                self.jobs.setdefault(msg["job"], (self.batch, []))[1] \
+                    .append(msg)
+            try:
+                ended = self.rows.frame(msg)
+            except JobFailed:
+                ended = True
+            except ServiceError:  # the error frame of a failed commit
                 w.hang_up(self.conn)
-        if self.conn.closed:
-            self.conn = None
+                return
+            if ended:
+                self._ended(msg["job"])
+            elif (self.batch == 1 and len(self.rows.received)
+                    >= w.vanish_after and "vanished" not in w.seen):
+                w.seen.add("vanished")
+                w.hang_up(self.conn)
 
     def _ended(self, job: str) -> None:
         """A job ended: the replica serving it holds nothing of it."""
@@ -318,9 +304,11 @@ class Client:
         assert job not in snap["jobs"]
         assert all(j != job for j, _ in snap["pending"])
         assert not [u for u in snap["attempts"] if u.startswith(job + "#")]
+        self.ledgers.append(self.rows)
         self.batch += 1
         if self.batch < len(BATCHES):
-            self.submit()
+            self.rows = JobRows(BATCHES[self.batch])
+            self.world.send(self.conn, self.rows.submit())
         else:
             self.world.send(self.conn, {"type": "bye"})
             self.finished = True
@@ -340,7 +328,8 @@ def check_job(batch: int, frames) -> str:
         if msg["type"] == "row":
             assert msg["idx"] not in got, f"{msg['job']}#{msg['idx']} twice"
             got[msg["idx"]] = msg["value"]
-    assert got == {idx: value_of(BATCHES[batch][idx]) for idx in got}
+    assert got == {idx: value_of(BATCHES[batch][idx].exp.seed)
+                   for idx in got}
     final = rest[-1]["type"] if rest else "accepted"
     if final == "done":
         assert sorted(got) == list(range(N_UNITS))
@@ -348,17 +337,21 @@ def check_job(batch: int, frames) -> str:
     return final
 
 
-def run_schedule(seed: int, replicas: int):
+def run_schedule(seed: int, replicas: int, partition=None):
     """Play one seed; check everything; return what must replay."""
-    world = World(seed, replicas)
+    world = World(seed, replicas, partition)
     world.run()
     client = world.client
-    finals = [(client.batch_of[job], check_job(client.batch_of[job], fr))
-              for job, fr in client.jobs.items()]
+    finals = [(batch, check_job(batch, frames))
+              for batch, frames in client.jobs.values()]
     # every job ended or was abandoned; each batch's last job ended,
     # the first one on its poisoned unit
     last = {batch: final for batch, final in finals}
     assert last == {0: "job_failed", 1: "done", 2: "done"}, finals
+    # the ledgers kept every value across vanish, resubmits, partition
+    for batch, rows in enumerate(client.ledgers[1:], 1):
+        assert rows.values == [value_of(u.exp.seed)
+                               for u in BATCHES[batch]]
     assert world.late == []  # no assign — nothing — on a closed conn
     snaps = world.fleet.snapshots()
     assert len(set(snaps)) == 1
@@ -368,7 +361,7 @@ def run_schedule(seed: int, replicas: int):
     expected = {"unit_error", "out_of_order", "duplicate", "killed",
                 "silent", "stale_result", "vanished"}
     if replicas > 1:
-        expected.add("isolation")
+        expected.add(world.partition[0])
     assert expected <= world.seen, expected - world.seen
     return world.transcript, snaps
 
@@ -388,6 +381,14 @@ class TestSteppedSessions:
     def test_every_unit_reaches_the_client_exactly_once(self, seed,
                                                          replicas):
         assert run_schedule(seed, replicas) == run_schedule(seed, replicas)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_deaf_leader_steps_down_and_every_row_arrives(self, seed):
+        """CheckQuorum: no ack reaches the leader, its commits expire and
+        it steps down; the next leader's ``reset`` makes all resubmit.
+        Leading on, it committed the expired entries once acks returned:
+        a ``complete`` became a row nobody streamed; the client hung."""
+        run_schedule(seed, 3, partition=("deaf", COMMIT_TIMEOUT + 1.0))
 
 
 def _solo():
@@ -419,7 +420,7 @@ class TestDirected:
         sessions = _solo()
         worker = _sign_in(sessions, "worker", name="w")
         client = _sign_in(sessions, "client")
-        submit = {"type": "submit", "units": BATCHES[0][:1]}
+        submit = JobRows(BATCHES[0][:1]).submit()
         sessions.frame(client, submit, 0.0)
         (assign,) = [m for m in worker.sent if m["type"] == "assign"]
         sessions.frame(worker, {"type": "result", "job": assign["job"],
@@ -452,8 +453,7 @@ class TestDirected:
         fleet, leader = _trio()
         worker = _sign_in(leader, "worker", fleet.now, name="w")
         client = _sign_in(leader, "client", fleet.now)
-        leader.frame(client, {"type": "submit", "units": BATCHES[0]},
-                     fleet.now)
+        leader.frame(client, JobRows(BATCHES[0]).submit(), fleet.now)
         for conn in (worker, client):
             conn.close()
             leader.closed(conn, fleet.now)
@@ -474,8 +474,7 @@ class TestDirected:
         fleet, leader = _trio()
         worker = _sign_in(leader, "worker", fleet.now, name="w")
         client = _sign_in(leader, "client", fleet.now)
-        leader.frame(client, {"type": "submit", "units": BATCHES[0][:1]},
-                     fleet.now)
+        leader.frame(client, JobRows(BATCHES[0][:1]).submit(), fleet.now)
         fleet.run(0.5)
         (assign,) = [m for m in worker.sent if m["type"] == "assign"]
         leader.frame(worker, {"type": "result", "job": assign["job"],
@@ -499,11 +498,10 @@ class TestDirected:
         fleet, leader = _trio()
         worker = _sign_in(leader, "worker", fleet.now, name="w")
         client = _sign_in(leader, "client", fleet.now)
-        leader.frame(client, {"type": "submit", "units": BATCHES[0]},
-                     fleet.now)
+        leader.frame(client, JobRows(BATCHES[0]).submit(), fleet.now)
         fleet.run(0.5)
         assign = next(m for m in worker.sent if m["type"] == "assign")
-        fleet.isolated = {fleet.leader()}
+        fleet.isolate(fleet.leader())
         leader.frame(worker, {"type": "result", "job": assign["job"],
                               "idx": assign["idx"], "value": 1}, fleet.now)
         fleet.run(COMMIT_TIMEOUT + 0.1)
