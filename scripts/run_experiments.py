@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Run the paper's figure matrix and write EXPERIMENTS.md.
 
-Binds the figure declarations of ``repro.harness.figures`` to benchmark
-subsets that finish in minutes and hands them to ``figures.run_figures``,
-which simulates the de-duplicated union of their cells in one
-``run_units`` call: in-process, on a ``--jobs N`` pool or on a
-``--service HOST:PORT`` fleet (Fig 15's multi-program cells included).
+Binds the figure declarations of ``repro.harness.figures`` (the
+paper's figures, the router cost table and the transient-leakage
+table) to benchmark subsets that finish in minutes and hands them to
+``figures.run_figures``, which simulates the de-duplicated union of
+their cells in one ``run_units`` call: in-process, on a ``--jobs N``
+pool or on a ``--service HOST:PORT`` fleet (Fig 15's multi-program
+and the leakage cells included).
 Cells are deterministically seeded, so the backend does not change the
 tables. If a cell fails, finished cells stay in a temporary result
 cache, each figure is retried on its own, those that still fail become
@@ -47,6 +49,7 @@ def paper_figures(scale: float) -> Dict[str, figures.Figure]:
         figs[f"fig{n}_256"] = bind(fig, benchmarks=BENCHES_256, cores=256)
     figs["fig15"] = bind(f.fig15, workloads=WORKLOADS)
     figs["fig16"] = bind(f.fig16, benchmarks=BENCHES_FS)
+    figs["leakage"] = f.fig_leakage  # fixed machine shape: no scale
     return figs
 
 
@@ -96,23 +99,6 @@ def write_markdown(out: str, scale: float, sections: dict) -> None:
         f.write("\n".join(lines))
 
 
-def write_leakage(out: str, **backend) -> None:
-    """The --speculation path: the cache-leakage scenario pack."""
-    from repro.harness.leakage import leakage_report
-    table = leakage_report(**backend)
-    print(table, flush=True)
-    with open(out, "w") as f:
-        f.write("\n".join([
-            "# Transient-execution cache leakage by L2 organization",
-            "",
-            "From `scripts/run_experiments.py --speculation`: a victim core's "
-            "*squashed* speculative loads touch secret-dependent cache sets; "
-            "an attacker core recovers the secret from the timing of its own "
-            "committed probe loads. Accuracy 1.0 = every bit leaks, ~0.5 = "
-            "guessing; `off` columns are the control arm (no speculation).",
-            "", "```", table, "```", ""]))
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     cli = argparse.ArgumentParser(description=__doc__)
     cli.add_argument("scale", nargs="?", type=float, default=0.5,
@@ -123,9 +109,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                      help="worker processes for the cells (default 1)")
     cli.add_argument("--service", default=None, metavar="HOST:PORT",
                      help="sweep-service fleet to run the cells on")
-    cli.add_argument("--speculation", action="store_true",
-                     help="run the transient-leakage scenario pack "
-                          "instead and write LEAKAGE.md")
     cli.add_argument("--warmup-cache", default=None, metavar="DIR",
                      help="directory of warmup checkpoint images kept "
                           "across runs; cells fork from them instead of "
@@ -134,12 +117,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           "workers run every cell cold")
     args = cli.parse_args(argv)
     backend: dict = dict(jobs=args.jobs, service=args.service)
-    if args.speculation:
-        # don't clobber the paper matrix when no explicit path was given
-        out = "LEAKAGE.md" if args.out == "EXPERIMENTS.md" else args.out
-        write_leakage(out, **backend)
-        print(f"wrote {out}", flush=True)
-        return 0
     if args.warmup_cache is not None:
         backend.update(warmup_cache=args.warmup_cache)
     sections = run_matrix(paper_figures(args.scale), **backend)

@@ -70,8 +70,9 @@ class SpecConfig:
     #: committed LOADs in [probe_base, probe_end) are attacker probes:
     #: the second and later access to each such line is timed and
     #: bucketed into per-bit ``leak_probes_b{k}`` / ``leak_slow_b{k}``
-    #: counters, with ``k = ((addr - probe_base) // probe_stride)
-    #: % probe_mod``. ``probe_base=-1`` (default) disables recording.
+    #: counters (all ``probe_mod`` of each exist from construction),
+    #: with ``k = ((addr - probe_base) // probe_stride) % probe_mod``.
+    #: ``probe_base=-1`` (default) disables recording.
     probe_base: int = -1
     probe_end: int = -1
     probe_stride: int = 1
@@ -207,6 +208,13 @@ class Core:
         if spec is not None:
             self._c_spec_issued = stats.counter("spec_issued")
             self._c_spec_squashed = stats.counter("spec_squashed")
+            # Every bucket's counters exist from the start, so a bit
+            # that never sees a (slow) probe still reads 0.
+            buckets = range(spec.probe_mod if spec.probe_base >= 0 else 0)
+            self._c_leak_probes = [stats.counter(f"leak_probes_b{bit}")
+                                   for bit in buckets]
+            self._c_leak_slow = [stats.counter(f"leak_slow_b{bit}")
+                                 for bit in buckets]
 
     def __getstate__(self) -> dict:
         # The trace is large and re-derivable from the experiment seed:
@@ -378,9 +386,9 @@ class Core:
                        partial(self._probe_measured, bit, self.sim.cycle))
 
     def _probe_measured(self, bit: int, start: int) -> None:
-        self.stats.counter(f"leak_probes_b{bit}").inc()
+        self._c_leak_probes[bit].inc()
         if self.sim.cycle - start >= self.spec.probe_threshold:
-            self.stats.counter(f"leak_slow_b{bit}").inc()
+            self._c_leak_slow[bit].inc()
         self._step()
 
     # -- synchronization --------------------------------------------------

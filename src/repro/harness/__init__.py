@@ -2,7 +2,7 @@
 
 from repro.harness.experiment import ExperimentConfig, run_benchmark
 from repro.harness.parallel import aggregate_stats
-from repro.harness.report import format_table, normalize
+from repro.harness.report import format_table
 from repro.harness.sweep import best, sweep
 from repro.harness.checks import (check_all, check_directory,
                                   check_epoch, check_home_metadata,
@@ -14,7 +14,6 @@ __all__ = [
     "ExperimentConfig",
     "run_benchmark",
     "format_table",
-    "normalize",
     "best",
     "sweep",
     "aggregate_stats",

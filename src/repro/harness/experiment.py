@@ -6,10 +6,10 @@ across the organizations being compared (paired comparison, as the
 paper does).
 
 Warmup-image reuse: every run of a config re-simulates the same
-warmup region, so :class:`WarmupImageCache` stores one deterministic
-checkpoint per *config prefix* (everything in :class:`ExperimentConfig`
-— the fields that shape the warmed machine — excluding the post-warmup
-knobs ``max_cycles``/metric). ``run_benchmark(exp,
+warmup region, so :class:`WarmupImageCache` keeps, in a directory,
+one deterministic checkpoint per *config prefix* (everything in
+:class:`ExperimentConfig` — the fields that shape the warmed machine —
+excluding the post-warmup knobs ``max_cycles``/metric). ``run_benchmark(exp,
 warmup_images=cache)`` forks the measured region from the image instead
 of re-simulating warmup; results are bit-identical to the cold path.
 The image never embeds traces (they are re-derived from the config
@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cmp.system import CmpSystem, RunResult
 from repro.errors import ConfigError, SnapshotError
@@ -229,19 +229,17 @@ _IMAGE_SUFFIX = ".warmup.snap"
 
 
 class WarmupImageCache:
-    """In-memory (+ optionally on-disk) store of warmup checkpoints.
+    """A directory of warmup checkpoints, one file per image.
 
-    A directory-backed cache is shared across processes and sessions —
-    the disk layer is what lets pool workers share one store, and what
-    lets a second sweep skip every warmup the first one already
-    simulated. Corrupt, truncated or
-    version-mismatched images are treated as misses and rebuilt (same
-    robustness contract as the sweep JSON cache).
+    The directory is shared across processes and sessions — it is what
+    lets pool workers share one store, and what lets a second sweep
+    skip every warmup the first one already simulated. Corrupt,
+    truncated or version-mismatched images are treated as misses and
+    rebuilt (same robustness contract as the sweep JSON cache).
     """
 
-    def __init__(self, cache_dir: Optional[str] = None) -> None:
+    def __init__(self, cache_dir: str) -> None:
         self.cache_dir = cache_dir
-        self._mem: Dict[str, bytes] = {}
         # Outcome counters, maintained by run_benchmark (not by get():
         # a blob that turns out corrupt/stale forces a full warmup
         # re-simulation and must count as a miss, not a hit).
@@ -249,50 +247,29 @@ class WarmupImageCache:
         self.misses = 0      # no usable image: warmup simulated (+saved)
 
     def _path(self, key: str) -> str:
-        assert self.cache_dir is not None
         return os.path.join(self.cache_dir, key + _IMAGE_SUFFIX)
 
-    def keys(self) -> Iterator[str]:
-        """Every key this cache holds an image for, in memory or in
-        its directory (how one cache's images are copied to another)."""
-        # a copy: the caller's get() may reorder an LRU subclass's dict
-        yield from list(self._mem)
-        if self.cache_dir is not None and os.path.isdir(self.cache_dir):
-            for name in os.listdir(self.cache_dir):
-                if name.endswith(_IMAGE_SUFFIX):
-                    yield name[:-len(_IMAGE_SUFFIX)]
-
     def get(self, key: str) -> Optional[bytes]:
-        blob = self._mem.get(key)
-        if blob is None and self.cache_dir is not None:
-            try:
-                with open(self._path(key), "rb") as f:
-                    blob = f.read()
-            except OSError:
-                blob = None
-        return blob
+        try:
+            with open(self._path(key), "rb") as f:
+                return f.read()
+        except OSError:
+            return None
 
     def put(self, key: str, blob: bytes) -> None:
-        # Directory-backed caches keep images on disk only: whole-
-        # machine blobs are read once per forked run, and pinning one
-        # per config prefix in RAM for the process lifetime adds up
-        # over a figure matrix. Memory is the store only when there is
-        # no directory.
-        if self.cache_dir is not None:
-            from repro.sim.snapshot import save_file
-            os.makedirs(self.cache_dir, exist_ok=True)
-            save_file(self._path(key), blob)
-        else:
-            self._mem[key] = blob
+        # On disk only: whole-machine blobs are read once per forked
+        # run, and pinning one per config prefix in RAM for the
+        # process lifetime adds up over a figure matrix.
+        from repro.sim.snapshot import save_file
+        os.makedirs(self.cache_dir, exist_ok=True)
+        save_file(self._path(key), blob)
 
     def discard(self, key: str) -> None:
         """Drop a bad image (it will be rebuilt on the next miss)."""
-        self._mem.pop(key, None)
-        if self.cache_dir is not None:
-            try:
-                os.remove(self._path(key))
-            except OSError:
-                pass
+        try:
+            os.remove(self._path(key))
+        except OSError:
+            pass
 
 
 def run_benchmark(exp: ExperimentConfig,

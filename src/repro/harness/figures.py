@@ -6,9 +6,11 @@ figure's tables as ``(title, paper's headline, rows)`` triples with
 ``rows = {row -> {series -> value}}`` (the rows and series the paper
 plots). The cells of a figure are exactly what its arithmetic reads —
 :func:`figure_cells` lists them without simulating — so there is one
-encoding of each figure, and every cell reduces to the one
+encoding of each figure. Every paper cell reduces to the one
 :data:`METRICS` tuple, which gives a cell that several figures share
-(``blackscholes``/SHARED is read by six of them) one unit key.
+(``blackscholes``/SHARED is read by six of them) one unit key; the
+transient-leakage table (:func:`fig_leakage`, not in the paper) is a
+declaration too, whose cells reduce to their probe counters.
 
 :func:`run_figures` runs the de-duplicated union of many declarations'
 cells through one :func:`~repro.harness.parallel.run_units` call and
@@ -27,7 +29,10 @@ from __future__ import annotations
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from repro.harness.experiment import SCALE_MEDIUM, ExperimentConfig
+from repro.harness.experiment import SCALE_MEDIUM, ExperimentConfig, SpecAxes
+from repro.harness.leakage import (LEAK_BENCHMARKS, LEAK_CLUSTER,
+                                   LEAK_CORES, LEAK_MAX_CYCLES,
+                                   probe_metrics, recovery_accuracy)
 from repro.harness.parallel import run_units
 from repro.harness.units import SweepUnit
 from repro.noc.power import router_budget
@@ -55,6 +60,8 @@ _LOCO_STACK = [(Organization.LOCO_CC, "LOCO CC"),
 _NOCS = [(NocKind.SMART, "SMART"), (NocKind.CONVENTIONAL, "Conv"),
          (NocKind.FLATTENED_BUTTERFLY, "HighRadix")]
 _SHAPES = [((4, 1), "4x1"), ((8, 1), "8x1"), ((4, 4), "4x4")]
+_LEAK_ORGS = (Organization.PRIVATE, Organization.SHARED,
+              Organization.LOCO_CC, _LOCO)
 
 
 def _cell(benchmark: str, org: Organization, cores: int = 64,
@@ -189,6 +196,27 @@ def fig_router(v: Lookup) -> List[Table]:
              "high-radix 6.7x area / 2.3x power vs SMART", rows)]
 
 
+def fig_leakage(v: Lookup, benchmarks: Sequence[str] = LEAK_BENCHMARKS
+                ) -> List[Table]:
+    """Transient-execution leakage (not in the paper): secret-bit
+    recovery per L2 organization and scenario, speculation off (the
+    control arm) vs on. Each cell reads its probe counters."""
+    rows: Rows = {org.name: {} for org in _LEAK_ORGS}
+    for b in benchmarks:
+        for org in _LEAK_ORGS:
+            for mode in ("off", "on"):
+                exp = ExperimentConfig(
+                    benchmark=b, organization=org, cores=LEAK_CORES,
+                    cluster=LEAK_CLUSTER, warmup_fraction=0.0,
+                    spec=SpecAxes(mode=mode))
+                counts = v(SweepUnit(exp, LEAK_MAX_CYCLES,
+                                     probe_metrics(exp)))
+                rows[org.name][f"{b[len('leak_'):]}/{mode}"] = \
+                    recovery_accuracy(counts, exp)
+    return [("Transient-leakage bit recovery (1.0 = full leak, "
+             "~0.5 = noise)", "", rows)]
+
+
 def fig14(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
           scale: float = SCALE_MEDIUM) -> List[Table]:
     hit: Rows = {}
@@ -258,14 +286,14 @@ def fig16(v: Lookup, benchmarks: Optional[Sequence[str]] = None,
 def figure_cells(fig: Figure) -> List[SweepUnit]:
     """The cells a declaration reads, in first-use order, without
     simulating: its arithmetic is evaluated once against a recorder
-    that answers 1.0 for every metric (no figure branches on a value).
+    that answers 1.0 for every metric of a cell (no figure's choice of
+    cells depends on a value).
     """
-    ones = dict.fromkeys(METRICS, 1.0)
     seen: Dict[SweepUnit, None] = {}
 
     def record(cell: SweepUnit) -> Mapping[str, Any]:
         seen[cell] = None
-        return ones
+        return dict.fromkeys(cell.metric, 1.0)
 
     fig(record)
     return list(seen)

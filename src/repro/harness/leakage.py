@@ -34,16 +34,21 @@ The *control arm* runs the identical traces with ``SpecAxes(mode="off")``:
 the victim's SPEC_LOADs are squashed without issuing, so any recovery
 accuracy above chance there would mean the channel is not actually
 carried by transient traffic.
+
+This module is the scenario algebra only. The leakage table is a
+figure declaration, :func:`repro.harness.figures.fig_leakage`: one
+cell per scenario x organization x arm, each reduced to its
+:func:`probe_metrics` counters, so leak cells run, cache and ship like
+every other figure cell.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import List, Mapping, Tuple
 
 from repro.errors import ConfigError
-from repro.params import Organization
 from repro.traces.adversarial import (LEAK_BASE, leak_evict_reload,
                                       leak_prime_probe)
 
@@ -149,40 +154,8 @@ def spec_config_for(exp: "ExperimentConfig") -> "SpecConfig":
 
 
 # ----------------------------------------------------------------------
-# bit recovery + the per-organization leakage report
+# bit recovery
 # ----------------------------------------------------------------------
-def recover_bits(result: "RunResult", exp: "ExperimentConfig") -> List[int]:
-    """Attacker's guess of the secret, from its probe-timing counters.
-
-    prime+probe: a *slow* probe in bit k's set means the victim evicted
-    primed lines — bit 1. evict+reload has inverted polarity: a *fast*
-    reload means the victim's transient load refetched the target.
-    """
-    geo = geometry_for(exp)
-    bits = []
-    for k in range(geo.n_bits):
-        probes = result.stats.value(f"leak_probes_b{k}")
-        slow = result.stats.value(f"leak_slow_b{k}")
-        if exp.benchmark == "leak_prime_probe":
-            bits.append(1 if slow > 0 else 0)
-        else:
-            bits.append(1 if probes > 0 and slow == 0 else 0)
-    return bits
-
-
-def recovery_accuracy(result: "RunResult",
-                      exp: "ExperimentConfig") -> float:
-    """Fraction of secret bits the attacker recovered correctly.
-
-    1.0 = the channel leaks every bit; ~0.5 = indistinguishable from
-    guessing (what a closed channel and the control arm should show).
-    """
-    geo = geometry_for(exp)
-    secret = secret_bits(exp.seed, geo.n_bits)
-    guess = recover_bits(result, exp)
-    return sum(g == s for g, s in zip(guess, secret)) / len(secret)
-
-
 #: the leakage experiment's machine shape: one 4x4 mesh, 2x2 clusters
 #: (attacker tile 0 and victim tile 1 share a cluster), default cache
 #: scaling. Small enough for CI, big enough that every organization is
@@ -191,64 +164,42 @@ LEAK_CORES = 16
 LEAK_CLUSTER = (2, 2)
 LEAK_MAX_CYCLES = 5_000_000
 
-_ALL_ORGS = (Organization.PRIVATE, Organization.SHARED,
-             Organization.LOCO_CC, Organization.LOCO_CC_VMS_IVR)
+
+def probe_metrics(exp: "ExperimentConfig") -> Tuple[str, ...]:
+    """The counters a leak cell reduces to: what :func:`recover_bits`
+    reads, ``leak_probes_b{k}`` and ``leak_slow_b{k}`` per secret bit."""
+    return tuple(f"leak_{kind}_b{k}"
+                 for k in range(geometry_for(exp).n_bits)
+                 for kind in ("probes", "slow"))
 
 
-def leakage_rows(benchmark: str = "leak_prime_probe",
-                 organizations: Sequence[Organization] = _ALL_ORGS,
-                 seed: int = 1,
-                 speculation: Sequence[str] = ("off", "on"),
-                 jobs: Optional[int] = None,
-                 service: Optional[str] = None,
-                 max_cycles: int = LEAK_MAX_CYCLES
-                 ) -> List[Dict[str, Any]]:
-    """Run one leakage scenario across organizations x speculation arms.
+def recover_bits(counts: Mapping[str, float],
+                 exp: "ExperimentConfig") -> List[int]:
+    """Attacker's guess of the secret, from its probe-timing counters
+    (``{name: count}`` over :func:`probe_metrics`).
 
-    Rides the ordinary sweep machinery (serial / process pool /
-    service fleet), so rows are bit-identical across backends. Each row
-    gains ``accuracy`` (bit-recovery vs the true secret) and
-    ``transient`` (wrong-path loads the victim actually issued).
+    prime+probe: a *slow* probe in bit k's set means the victim evicted
+    primed lines — bit 1. evict+reload has inverted polarity: a *fast*
+    reload means the victim's transient load refetched the target.
     """
-    from repro.harness.experiment import ExperimentConfig, SpecAxes
-    from repro.harness.sweep import sweep
-    rows = sweep(benchmark, metric=None, max_cycles=max_cycles,
-                 jobs=jobs, service=service,
-                 organization=list(organizations),
-                 spec=[SpecAxes(mode=mode) for mode in speculation],
-                 cores=[LEAK_CORES], cluster=[LEAK_CLUSTER],
-                 warmup_fraction=[0.0], seed=[seed])
-    for row in rows:
-        spec = row.pop("spec")
-        row["speculation"] = spec.mode
-        exp = ExperimentConfig(benchmark=benchmark,
-                               organization=row["organization"],
-                               cores=LEAK_CORES, cluster=LEAK_CLUSTER,
-                               warmup_fraction=0.0, seed=seed, spec=spec)
-        result = row["result"]
-        row["accuracy"] = recovery_accuracy(result, exp)
-        row["transient"] = result.stats.value("spec_issued")
-    return rows
+    bits = []
+    for k in range(geometry_for(exp).n_bits):
+        probes = counts[f"leak_probes_b{k}"]
+        slow = counts[f"leak_slow_b{k}"]
+        if exp.benchmark == "leak_prime_probe":
+            bits.append(1 if slow > 0 else 0)
+        else:
+            bits.append(1 if probes > 0 and slow == 0 else 0)
+    return bits
 
 
-def leakage_report(organizations: Sequence[Organization] = _ALL_ORGS,
-                   seed: int = 1,
-                   benchmarks: Sequence[str] = LEAK_BENCHMARKS,
-                   jobs: Optional[int] = None,
-                   service: Optional[str] = None,
-                   max_cycles: int = LEAK_MAX_CYCLES) -> str:
-    """The figures-style leakage table: bit-recovery accuracy per
-    organization, per scenario, speculation off (control) vs on."""
-    from repro.harness.report import format_table
-    cells: Dict[str, Dict[str, float]] = {
-        org.name: {} for org in organizations}
-    for benchmark in benchmarks:
-        short = benchmark[len("leak_"):]
-        for row in leakage_rows(benchmark, organizations=organizations,
-                                seed=seed, jobs=jobs, service=service,
-                                max_cycles=max_cycles):
-            col = f"{short}/{row['speculation']}"
-            cells[row["organization"].name][col] = row["accuracy"]
-    return format_table(
-        "Transient-leakage bit recovery (1.0 = full leak, ~0.5 = noise)",
-        cells)
+def recovery_accuracy(counts: Mapping[str, float],
+                      exp: "ExperimentConfig") -> float:
+    """Fraction of secret bits the attacker recovered correctly.
+
+    1.0 = the channel leaks every bit; ~0.5 = indistinguishable from
+    guessing (what a closed channel and the control arm should show).
+    """
+    secret = secret_bits(exp.seed, geometry_for(exp).n_bits)
+    guess = recover_bits(counts, exp)
+    return sum(g == s for g, s in zip(guess, secret)) / len(secret)

@@ -33,7 +33,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -66,19 +65,10 @@ def pmap(fn, items: Sequence[Any], jobs: Optional[int] = None) -> List[Any]:
 
 def _run_unit(args: Tuple[SweepUnit, Optional[WarmupImageCache]]) -> Any:
     """Simulate one unit against the image store the dispatch chose
-    (module-level so a pool can pickle it; a directory-backed store
-    pickles as its path and each worker re-opens it)."""
+    (module-level so a pool can pickle it; the store pickles as its
+    directory, which every worker opens)."""
     unit, images = args
     return unit.run(warmup_images=images)
-
-
-def _copy_images(src: WarmupImageCache, dst: WarmupImageCache) -> None:
-    """Give ``dst`` every image ``src`` holds that it lacks."""
-    for key in src.keys():
-        if dst.get(key) is None:
-            blob = src.get(key)
-            if blob is not None:
-                dst.put(key, blob)
 
 
 def run_units(units: Sequence[SweepUnit],
@@ -110,13 +100,11 @@ def run_units(units: Sequence[SweepUnit],
     completed one — the resumability the cache exists for. A cache
     file that does not hold what its unit reduces to is a miss.
 
-    ``warmup_cache`` (a :class:`WarmupImageCache` or a directory) is
-    the caller's store of warmup checkpoints: every cell forks from
+    ``warmup_cache`` (a :class:`WarmupImageCache` or its directory)
+    is the caller's store of warmup checkpoints: every cell forks from
     its config's image when the store holds one and adds it otherwise,
     so a later call over the kept store skips every warmup this one
-    simulated. A memory-only store keeps that contract across a pool:
-    its images seed a transient directory the workers share, and the
-    images they build are folded back into it.
+    simulated. Pool workers share the directory.
 
     ``service="host:port"`` ships the cells to a running
     :mod:`repro.service` fleet instead (``jobs`` is then ignored): the
@@ -198,18 +186,6 @@ def _run_local(cells: List[SweepUnit], on_row: Callable[[int, Any], None],
     with contextlib.ExitStack() as stack:
         run_all = map
         if pooled:
-            if images is not None and images.cache_dir is None:
-                # Images cross process boundaries on disk: a memory-
-                # only store seeds a transient directory, and the
-                # images workers build are folded back into it before
-                # the directory is removed.
-                shared = WarmupImageCache(stack.enter_context(
-                    tempfile.TemporaryDirectory(
-                        prefix="repro-warmup-",
-                        ignore_cleanup_errors=True)))
-                _copy_images(images, shared)
-                stack.callback(_copy_images, shared, images)
-                images = shared
             # Capped at the fan-out, like pmap (a fork-start pool
             # launches every worker up front).
             run_all = stack.enter_context(ProcessPoolExecutor(

@@ -2,17 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
-
-
-def normalize(values: Mapping[str, float],
-              baseline_key: str) -> Dict[str, float]:
-    """Each value divided by the baseline's (the paper's "normalized
-    runtime against shared cache" style). Baseline maps to 1.0."""
-    base = values[baseline_key]
-    if base == 0:
-        return {k: 0.0 for k in values}
-    return {k: v / base for k, v in values.items()}
+from typing import Mapping, Optional, Sequence
 
 
 def format_table(title: str, rows: Mapping[str, Mapping[str, float]],

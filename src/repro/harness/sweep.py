@@ -17,8 +17,9 @@ per call and every unit reads its metric off that run.
 Every cell of a sweep is therefore a different config, and what
 ``warmup_snapshots=True`` with a ``warmup_cache`` amortises is a
 *later* sweep over the same configs: this one checkpoints each machine
-at its warmup mark into the store, the next forks from those images
-instead of re-simulating warmup. Without a ``warmup_cache`` there is
+at its warmup mark into the store (a :class:`WarmupImageCache` or its
+directory), the next forks from those images instead of re-simulating
+warmup. Without a ``warmup_cache`` there is
 nothing to keep and every cell runs cold. Rows are bit-identical to
 the cold path either way.
 """

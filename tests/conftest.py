@@ -24,6 +24,12 @@ from repro.service.replica import SchedulerMachine
 from repro.service.sessions import Sessions
 from repro.traces.events import Op, TraceEvent
 
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (256-core systems)")
+
+
 ALL_ORGS = list(Organization)
 LOCO_ORGS = [Organization.LOCO_CC, Organization.LOCO_CC_VMS,
              Organization.LOCO_CC_VMS_IVR]

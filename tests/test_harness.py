@@ -11,7 +11,7 @@ from repro.errors import TraceError
 from repro.harness import units
 from repro.harness.experiment import (ExperimentConfig, clear_trace_cache,
                                       run_benchmark)
-from repro.harness.report import format_table, normalize
+from repro.harness.report import format_table
 from repro.harness import figures
 from repro.params import NocKind, Organization
 from repro.traces.multiprogram import CLUSTER_SHAPE
@@ -96,14 +96,6 @@ class TestExperimentConfig:
 
 
 class TestReport:
-    def test_normalize(self):
-        vals = {"a": 2.0, "b": 4.0}
-        n = normalize(vals, "a")
-        assert n == {"a": 1.0, "b": 2.0}
-
-    def test_normalize_zero_baseline(self):
-        assert normalize({"a": 0.0, "b": 1.0}, "a") == {"a": 0.0, "b": 0.0}
-
     def test_format_table_has_rows_and_avg(self):
         rows = {"x": {"c1": 1.0, "c2": 2.0},
                 "y": {"c1": 3.0, "c2": 4.0}}

@@ -1,14 +1,22 @@
 """The cache-leakage scenario pack: probe-line algebra, trace shape,
-end-to-end bit recovery, and the speculation fields on the wire."""
+end-to-end bit recovery through the ``fig_leakage`` declaration, and
+the speculation fields on the wire."""
+
+from functools import partial
 
 import pytest
 
+from repro.harness import units
 from repro.harness.experiment import ExperimentConfig, SpecAxes
+from repro.harness.figures import fig_leakage, figure_cells, run_figures
 from repro.harness.leakage import (ATTACKER, LEAK_BENCHMARKS, LEAK_CLUSTER,
-                                   LEAK_CORES, VICTIM, build_leak_traces,
-                                   geometry_for, leakage_rows,
-                                   leakage_report, secret_bits,
+                                   LEAK_CORES, LEAK_MAX_CYCLES, VICTIM,
+                                   build_leak_traces, geometry_for,
+                                   probe_metrics, secret_bits,
                                    spec_config_for)
+from repro.harness.parallel import run_units
+from repro.harness.report import format_table
+from repro.harness.units import SweepUnit
 from repro.params import Organization
 from repro.traces.events import Op
 
@@ -102,39 +110,87 @@ class TestLeakTraces:
 
 
 class TestEndToEnd:
+    PRIME_PROBE = partial(fig_leakage, benchmarks=["leak_prime_probe"])
+
     def test_prime_probe_distinguishes_organizations(self):
         """The acceptance-criteria run: with speculation on, the shared
         L2 leaks the full secret while the private L2 stays near
         chance; the control arm (speculation off) never leaks."""
-        rows = leakage_rows("leak_prime_probe",
-                            organizations=[Organization.SHARED,
-                                           Organization.PRIVATE])
-        acc = {(r["organization"], r["speculation"]): r["accuracy"]
-               for r in rows}
-        assert acc[(Organization.SHARED, "on")] == 1.0
-        assert acc[(Organization.PRIVATE, "on")] < 0.7
-        assert acc[(Organization.SHARED, "off")] < 0.7
-        assert acc[(Organization.PRIVATE, "off")] < 0.7
+        cells = figure_cells(self.PRIME_PROBE)
+        assert len(cells) == 8          # 4 organizations x 2 arms
+        # each config read once more, in the same simulation: the
+        # transient loads the victim issued, and that the run finished
+        extra = [SweepUnit(c.exp, c.max_cycles, ("spec_issued", "finished"))
+                 for c in cells]
+        values = run_units(cells + extra)
+        (_title, _paper, rows), = self.PRIME_PROBE(
+            dict(zip(cells, values)).__getitem__)
+        assert rows["SHARED"]["prime_probe/on"] == 1.0
+        assert rows["PRIVATE"]["prime_probe/on"] < 0.7
+        assert rows["SHARED"]["prime_probe/off"] < 0.7
+        assert rows["PRIVATE"]["prime_probe/off"] < 0.7
         # the channel is carried by transient traffic, nothing else
-        for r in rows:
-            if r["speculation"] == "on":
-                assert r["transient"] > 0
+        for unit, value in zip(extra, values[len(cells):]):
+            if unit.exp.spec.mode == "on":
+                assert value["spec_issued"] > 0
             else:
-                assert r["transient"] == 0
-            assert r["result"].finished
+                assert value["spec_issued"] == 0
+            assert value["finished"]
 
     def test_report_formats_per_org_columns(self):
-        text = leakage_report(organizations=[Organization.SHARED],
-                              benchmarks=["leak_prime_probe"])
+        (title, _paper, rows), = run_figures(
+            {"leak": self.PRIME_PROBE})["leak"]
+        text = format_table(title, rows)
         assert "SHARED" in text
         assert "prime_probe/on" in text
         assert "prime_probe/off" in text
         assert "1.000" in text
 
+    def test_table_pins_every_organization_and_arm(self):
+        """The published table at seed 1: both scenarios x the four
+        organizations x speculation off/on (7/16 and 9/16 are the
+        chance-level recoveries of this secret)."""
+        (_title, _paper, rows), = run_figures(
+            {"leak": fig_leakage})["leak"]
+        low, high = 7 / 16, 9 / 16
+        assert rows == {
+            "PRIVATE": {"prime_probe/off": low, "prime_probe/on": low,
+                        "evict_reload/off": low, "evict_reload/on": 1.0},
+            "SHARED": {"prime_probe/off": low, "prime_probe/on": 1.0,
+                       "evict_reload/off": low, "evict_reload/on": 1.0},
+            "LOCO_CC": {"prime_probe/off": low, "prime_probe/on": 1.0,
+                        "evict_reload/off": low, "evict_reload/on": 1.0},
+            "LOCO_CC_VMS_IVR": {
+                "prime_probe/off": low, "prime_probe/on": low,
+                "evict_reload/off": high, "evict_reload/on": high}}
+
+    @pytest.mark.parametrize("speculation", ["off", "on"])
+    def test_probe_metrics_cell_runs_in_both_arms(self, speculation):
+        """Every bucket's counters exist from the start, so a bit with
+        no slow probe (some bit, in both arms) reads 0 instead of
+        being an unknown metric."""
+        exp = leak_exp(speculation=speculation)
+        value = SweepUnit(exp, LEAK_MAX_CYCLES, probe_metrics(exp)).run()
+        n_bits = geometry_for(exp).n_bits
+        assert len(value) == 2 * n_bits
+        assert min(value[f"leak_slow_b{k}"] for k in range(n_bits)) == 0
+        assert min(value[f"leak_probes_b{k}"] for k in range(n_bits)) > 0
+
+    def test_second_run_is_served_from_the_row_cache(self, tmp_path,
+                                                     monkeypatch):
+        first = run_figures({"leak": fig_leakage}, cache_dir=str(tmp_path))
+        assert len(list(tmp_path.glob("*.json"))) == 16
+
+        def poisoned(*args, **kwargs):
+            raise AssertionError("cached leak cells must not simulate")
+
+        monkeypatch.setattr(units, "run_benchmark", poisoned)
+        assert run_figures({"leak": fig_leakage},
+                           cache_dir=str(tmp_path)) == first
+
 
 class TestSpeculationOnTheWire:
     def test_sweep_unit_round_trips_spec_fields(self):
-        from repro.harness.units import SweepUnit
         exp = leak_exp(speculation="on")
         unit = SweepUnit(exp, max_cycles=1000, metric="runtime")
         again = SweepUnit.from_wire(unit.to_wire())
@@ -144,7 +200,6 @@ class TestSpeculationOnTheWire:
 
     def test_speculating_units_never_batch(self):
         from repro.batch.grouping import batchable
-        from repro.harness.units import SweepUnit
         base = ExperimentConfig(benchmark="water_spatial",
                                 organization=Organization.SHARED,
                                 cores=1, cluster=(1, 1), scale=0.04)

@@ -106,7 +106,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("backend",
                              ["jobs2", "warmup_snapshots", "service"])
     def test_table2_workload_rows_bit_identical_to_serial(
-            self, backend, fleet, w0_serial):
+            self, backend, fleet, w0_serial, tmp_path):
         """Multi-program cells ride every backend like any other
         benchmark name — warmup forking included."""
         assert all(r["runtime"] > 0 for r in w0_serial)
@@ -118,7 +118,7 @@ class TestEquivalence:
             assert sweep("W0", metric="runtime", service=address,
                          **W0_AXES) == w0_serial
         else:
-            store = WarmupImageCache()
+            store = WarmupImageCache(str(tmp_path))
             for hits in (0, 2):  # the second call forks every cell
                 assert sweep("W0", metric="runtime",
                              warmup_snapshots=True, warmup_cache=store,

@@ -71,7 +71,8 @@ class TestWarmupForkedSweep:
                 assert run_units(units, jobs=jobs,
                                  warmup_cache=store) == cold
                 assert simulations() == words
-            assert len(list(WarmupImageCache(store).keys())) == 2
+            assert len(list((tmp_path / f"jobs{jobs}").glob(
+                "*.warmup.snap"))) == 2
 
     def test_lone_cell_of_a_transient_store_runs_cold(self, simulations):
         """No caller ``warmup_cache``: there is no store to fill, so
@@ -105,17 +106,17 @@ class TestWarmupForkedSweep:
             == [r["mpki"] for r in sweep(BENCH, metric="mpki", **AXES)]
         assert cache.misses == 0 and cache.hits == 2
 
-    def test_memory_cache_survives_pooled_sweep(self, simulations):
-        """A memory-only WarmupImageCache keeps its reuse contract
-        across a pool: the images workers build are folded back in, so
-        a second call — pooled or serial — forks every cell."""
+    def test_image_dir_survives_pooled_sweep(self, tmp_path, simulations):
+        """A WarmupImageCache keeps its reuse contract across a pool:
+        the images workers build land in its directory, so a second
+        call — pooled or serial — forks every cell."""
         units = config_units()
         cold = [u.run() for u in units]
-        cache = WarmupImageCache()
+        cache = WarmupImageCache(str(tmp_path))
         simulations()
         assert run_units(units, jobs=2, warmup_cache=cache) == cold
         assert simulations() == ["miss", "miss"]
-        assert len(cache._mem) == 2    # worker-built images harvested
+        assert len(list(tmp_path.glob("*.warmup.snap"))) == 2
         for jobs in (2, None):
             assert run_units(units, jobs=jobs, warmup_cache=cache) == cold
             assert simulations() == ["hit", "hit"]
