@@ -183,13 +183,10 @@ class _Batch:
         self.l2hit_n = z()
         self.miss_n = z()
         self.miss_tot = z()
-        self.miss_sq = z()
-        self.miss_min = np.full(S, np.iinfo(np.int64).max, np.int64)
-        self.miss_max = np.full(S, -1, np.int64)
         # Pending deferred stat slots (fire cycle, -1 = none).
         self.slot_wb_l1 = np.full(S, -1, np.int64)
         self.slot_dir_wb = np.full(S, -1, np.int64)
-        self.mark_snap: List[Optional[Tuple[dict, dict]]] = [None] * S
+        self.mark_snap: List[Optional[Dict[str, Any]]] = [None] * S
 
         self.dir_org = sh.org_kind == "dir"
         self.hit_c = sh.l1_lat + sh.l2_lat + 2
@@ -217,62 +214,50 @@ class _Batch:
     def _miss_sample(self, lanes: np.ndarray, values) -> None:
         self.miss_n[lanes] += 1
         self.miss_tot[lanes] += values
-        self.miss_sq[lanes] += values * values \
-            if isinstance(values, np.ndarray) else values * values
-        self.miss_min[lanes] = np.minimum(self.miss_min[lanes], values)
-        self.miss_max[lanes] = np.maximum(self.miss_max[lanes], values)
 
-    def _capture_mark(self, row: int) -> Tuple[dict, dict]:
-        """Snapshot ``Stats.mark()`` for one lane: every *existing*
-        counter's value and every sampler's (count, total). Called at
-        the mark event, after its instruction slot is charged and
-        before its memory reference issues — exactly where
-        ``WarmupTracker.note_ref`` fires in the scalar core."""
+    def _stat_state(self, row: int, cores_finished: int) -> Dict[str, Any]:
+        """One lane's statistics in :meth:`Stats.to_wire` form: every
+        counter the scalar machine has created by now and every
+        sampler's (count, total). Taken at the mark event — after its
+        instruction slot is charged and before its memory reference
+        issues, exactly where ``WarmupTracker.note_ref`` fires in the
+        scalar core — and at the end of the run."""
         l2m = int(self.l2_miss[row])
         d = int(self.dlv[row])
-        counters = {
+        counters = dict.fromkeys(_EAGER_COUNTERS, 0)
+        counters.update({
             "smart.injected": int(self.inj[row]),
-            "smart.mcast_injected": 0,
             "smart.delivered": d,
-            "smart.flit_hops": 0,
-            "smart.premature_stops": 0,
-            "smart.arb_losses": 0,
-            "smart.buffer_backoff": 0,
-            "smart.mcast_forks": 0,
             "l2_accesses": int(self.l2_acc[row]),
             "l2_hits": int(self.l2_hit[row]),
             "l2_misses": l2m,
-            "l2_upgrades": 0,
-            "fills_onchip": 0,
             "fills_offchip": l2m,
             "l1_hits": int(self.l1_hits[row]),
             "l1_misses": int(self.l1_misses[row]),
             "instructions": int(self.instr[row]),
             "mem_refs": int(self.mem_refs[row]),
-            "cores_finished": 0,
-        }
-        # Lazily-created counters appear in the mark snapshot only once
-        # something incremented them (matching Stats.mark over the
-        # counters that exist at that point).
-        if l2m:
-            counters["offchip_fetches"] = l2m
-        ev = int(self.l2_evict[row])
-        if ev:
-            counters["l2_evictions"] = ev
-        ow = int(self.off_wb[row])
-        if ow:
-            counters["offchip_writebacks"] = ow
+            "cores_finished": cores_finished,
+        })
+        # Lazily-created counters exist only once something incremented
+        # them (a final dirty eviction whose deferred writeback was
+        # dropped never creates offchip_writebacks — just as the scalar
+        # MC handler never runs).
+        for name, value in (("offchip_fetches", l2m),
+                            ("l2_evictions", int(self.l2_evict[row])),
+                            ("offchip_writebacks", int(self.off_wb[row]))):
+            if value:
+                counters[name] = value
         n_hit = int(self.l2hit_n[row])
+        hit = (n_hit, float(n_hit * self.hit_elapsed))
         samplers = {
             "smart.latency": (d, float(d)),
             "search_delay": (0, 0.0),
-            "l2_hit_latency": (n_hit, float(n_hit * self.hit_elapsed)),
-            "l2_access_latency_onchip":
-                (n_hit, float(n_hit * self.hit_elapsed)),
+            "l2_hit_latency": hit,
+            "l2_access_latency_onchip": hit,
             "miss_latency": (int(self.miss_n[row]),
                              float(self.miss_tot[row])),
         }
-        return counters, samplers
+        return {"counters": counters, "samplers": samplers}
 
     # ------------------------------------------------------------------
     def run(self) -> None:
@@ -289,7 +274,7 @@ class _Batch:
             self._flush_due(n, t)
             self.instr[:n] += gap + 1
             for row in self.mark_map.get(k, ()):
-                self.mark_snap[row] = self._capture_mark(row)
+                self.mark_snap[row] = self._stat_state(row, 0)
             bar = opk == _OP_BARRIER
             if bar.any():
                 self.C[:n][bar] = t[bar]
@@ -497,62 +482,15 @@ class _Batch:
 
     def _build_result(self, row: int, lane: LaneSpec,
                       runtime: int) -> RunResult:
-        stats = Stats()
-        values = {
-            "smart.injected": int(self.inj[row]),
-            "smart.delivered": int(self.dlv[row]),
-            "l2_accesses": int(self.l2_acc[row]),
-            "l2_hits": int(self.l2_hit[row]),
-            "l2_misses": int(self.l2_miss[row]),
-            "fills_offchip": int(self.l2_miss[row]),
-            "l1_hits": int(self.l1_hits[row]),
-            "l1_misses": int(self.l1_misses[row]),
-            "instructions": int(self.instr[row]),
-            "mem_refs": int(self.mem_refs[row]),
-            "cores_finished": 1,
-        }
-        for name in _EAGER_COUNTERS:
-            stats.counter(name).value = values.get(name, 0)
-        # Lazily-created counters exist only if something incremented
-        # them (a final dirty eviction whose deferred writeback was
-        # dropped never creates offchip_writebacks — just as the scalar
-        # MC handler never runs).
-        if self.l2_miss[row]:
-            stats.counter("offchip_fetches").value = int(self.l2_miss[row])
-        if self.l2_evict[row]:
-            stats.counter("l2_evictions").value = int(self.l2_evict[row])
-        if self.off_wb[row]:
-            stats.counter("offchip_writebacks").value = int(self.off_wb[row])
-        d = int(self.dlv[row])
-        self._set_sampler(stats, "smart.latency", d, float(d), float(d), 1, 1)
-        self._set_sampler(stats, "search_delay", 0, 0.0, 0.0, None, None)
-        n_hit = int(self.l2hit_n[row])
-        he = self.hit_elapsed
-        for name in ("l2_hit_latency", "l2_access_latency_onchip"):
-            self._set_sampler(stats, name, n_hit, float(n_hit * he),
-                              float(n_hit * he * he), he, he)
-        self._set_sampler(stats, "miss_latency", int(self.miss_n[row]),
-                          float(self.miss_tot[row]),
-                          float(self.miss_sq[row]),
-                          int(self.miss_min[row]), int(self.miss_max[row]))
-        snap = self.mark_snap[row]
-        if snap is not None:
-            stats._mark_counters = dict(snap[0])
-            stats._mark_samplers = dict(snap[1])
+        wire = self._stat_state(row, 1)
+        mark = self.mark_snap[row]
+        if mark is not None:
+            wire["mark_counters"] = mark["counters"]
+            wire["mark_samplers"] = mark["samplers"]
         return RunResult(config=lane.config, runtime=runtime,
-                         instructions=int(self.instr[row]), stats=stats,
+                         instructions=int(self.instr[row]),
+                         stats=Stats.from_wire(wire),
                          finished=True, per_core_finish=[runtime])
-
-    @staticmethod
-    def _set_sampler(stats: Stats, name: str, count: int, total: float,
-                     sq_total: float, mn, mx) -> None:
-        s = stats.sampler(name)
-        s.count = count
-        s.total = total
-        s.sq_total = sq_total
-        if count:
-            s.min = mn
-            s.max = mx
 
 
 def simulate_group(shape: GroupShape,

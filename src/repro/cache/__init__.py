@@ -2,7 +2,7 @@
 
 from repro.cache.line import CacheLine, L1State, L2State
 from repro.cache.array import CacheArray
-from repro.cache.replacement import LruPolicy, PseudoLruPolicy, make_policy
+from repro.cache.replacement import LruPolicy
 from repro.cache.mshr import Mshr, MshrFile
 from repro.cache.timestamp import CoarseTimestamp
 
@@ -12,8 +12,6 @@ __all__ = [
     "L2State",
     "CacheArray",
     "LruPolicy",
-    "PseudoLruPolicy",
-    "make_policy",
     "Mshr",
     "MshrFile",
     "CoarseTimestamp",

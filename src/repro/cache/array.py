@@ -11,10 +11,10 @@ by indexing with the full line address, which preserves uniformity).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.cache.line import CacheLine
-from repro.cache.replacement import make_policy
+from repro.cache.replacement import LruPolicy
 from repro.errors import ConfigError
 from repro.params import CacheConfig
 
@@ -30,16 +30,14 @@ class CacheArray:
     addresses congruent mod ``stride``).
     """
 
-    def __init__(self, config: CacheConfig, policy: str = "lru",
-                 index_stride: int = 1) -> None:
+    def __init__(self, config: CacheConfig, index_stride: int = 1) -> None:
         if index_stride < 1:
             raise ConfigError("index_stride must be >= 1")
         self.config = config
         self.index_stride = index_stride
         self.num_sets = config.num_sets
         self.assoc = config.assoc
-        make_policy(policy, self.assoc)  # validate name/assoc eagerly
-        self._policy = policy
+        LruPolicy(self.assoc)  # validate assoc eagerly
         # A set is materialised by its first ``allocate``. Until then it
         # holds nothing of its own: every untouched set shares one
         # never-written empty dict and two immutable way maps, so all
@@ -48,7 +46,7 @@ class CacheArray:
         # costs one dict and three short lists (its policy is a list
         # of ways, LRU first).
         self._sets: List[Dict[int, CacheLine]] = [{}] * self.num_sets
-        self._policies: List[Optional[Any]] = [None] * self.num_sets
+        self._policies: List[Optional[LruPolicy]] = [None] * self.num_sets
         # way bookkeeping: each resident line carries its own way
         # (``CacheLine.way``) and the reverse way -> line_addr map
         # (None = free) makes victim resolution an O(1) list index —
@@ -87,8 +85,7 @@ class CacheArray:
             raise ConfigError(f"line {line_addr:#x} already resident")
         policy = self._policies[idx]
         if policy is None:
-            policy = self._policies[idx] = make_policy(self._policy,
-                                                       self.assoc)
+            policy = self._policies[idx] = LruPolicy(self.assoc)
             self._sets[idx] = {}
             self._addr_of_way[idx] = [None] * self.assoc
             self._free_ways[idx] = list(range(self.assoc))

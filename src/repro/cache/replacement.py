@@ -1,14 +1,12 @@
-"""Replacement policies for set-associative arrays.
+"""Replacement policy for set-associative arrays.
 
-``LruPolicy`` is the paper's implied policy; ``PseudoLruPolicy``
-(tree-PLRU) is provided for ablations — it approximates LRU with one
-bit per internal tree node, which is what real L2s typically build.
-Policies are per-*set* objects so state never leaks across sets.
+``LruPolicy`` is the paper's implied policy. Policies are per-*set*
+objects so state never leaks across sets.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.errors import ConfigError
 
@@ -46,55 +44,3 @@ class LruPolicy:
     def victim_ranking(self) -> List[int]:
         """Ways ordered from most- to least-evictable."""
         return list(self._order)
-
-
-class PseudoLruPolicy:
-    """Tree-PLRU: one bit per internal node of a binary tree over ways.
-
-    Requires power-of-two associativity (as hardware PLRU does).
-    """
-
-    __slots__ = ("assoc", "_bits")
-
-    def __init__(self, assoc: int) -> None:
-        if assoc < 1 or assoc & (assoc - 1):
-            raise ConfigError("PLRU needs power-of-two associativity")
-        self.assoc = assoc
-        self._bits: Dict[int, int] = {}
-
-    def touch(self, way: int) -> None:
-        node = 1
-        span = self.assoc
-        while span > 1:
-            span //= 2
-            go_right = way % (span * 2) >= span
-            # Point the bit AWAY from the touched way.
-            self._bits[node] = 0 if go_right else 1
-            node = node * 2 + (1 if go_right else 0)
-
-    def victim(self) -> int:
-        node = 1
-        way = 0
-        span = self.assoc
-        while span > 1:
-            span //= 2
-            bit = self._bits.get(node, 0)
-            if bit:
-                way += span
-            node = node * 2 + bit
-        return way
-
-    def victim_ranking(self) -> List[int]:
-        """Approximate ranking: PLRU victim first, then remaining ways."""
-        first = self.victim()
-        return [first] + [w for w in range(self.assoc) if w != first]
-
-
-_POLICIES = {"lru": LruPolicy, "plru": PseudoLruPolicy}
-
-
-def make_policy(name: str, assoc: int):
-    """Factory: 'lru' or 'plru'."""
-    if name not in _POLICIES:
-        raise ConfigError(f"unknown replacement policy {name!r}")
-    return _POLICIES[name](assoc)

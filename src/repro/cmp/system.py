@@ -115,7 +115,6 @@ class CmpSystem:
                  traces: Sequence[Sequence[TraceEvent]],
                  full_system: bool = False,
                  barrier_populations: Optional[Sequence[int]] = None,
-                 keep_samples: bool = False,
                  warmup_fraction: float = 0.0,
                  speculation: Optional[SpecConfig] = None) -> None:
         if len(traces) != config.num_tiles:
@@ -123,7 +122,7 @@ class CmpSystem:
                 f"need {config.num_tiles} traces, got {len(traces)}")
         self.config = config
         self.sim = Simulator()
-        self.stats = Stats(keep_samples=keep_samples)
+        self.stats = Stats()
         self.rng = RngStreams(config.seed)
         mesh = Mesh(config.mesh_width, config.mesh_height)
         self.network = build_network(self.sim, mesh, config.noc, self.stats)

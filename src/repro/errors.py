@@ -38,11 +38,6 @@ class DeadlockError(SimulationError):
     """No progress was made for longer than the configured watchdog window."""
 
 
-class StatsError(ReproError):
-    """A statistics aggregation would lose or corrupt data (e.g. merging
-    histograms whose bin shapes disagree)."""
-
-
 class SnapshotError(ReproError):
     """A checkpoint image could not be produced or restored.
 

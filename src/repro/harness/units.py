@@ -114,46 +114,6 @@ def _check_metric(metric: Any) -> Metric:
 RESULT_MARKER = "__run_result__"
 
 
-def _stats_to_wire(stats: Stats) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
-        "counters": {n: c.value for n, c in stats._counters.items()},
-        "samplers": {n: [s.count, s.total, s.sq_total, s.min, s.max,
-                         s._samples]
-                     for n, s in stats._samplers.items()},
-        "histograms": {n: [h.bin_width, len(h.bins) - 1, h.bins,
-                           h.count, h.total]
-                       for n, h in stats._histograms.items()},
-        "keep_samples": stats._keep_samples,
-    }
-    if stats._mark_counters is not None:
-        out["mark_counters"] = dict(stats._mark_counters)
-        out["mark_samplers"] = {n: list(v) for n, v
-                                in (stats._mark_samplers or {}).items()}
-    return out
-
-
-def _stats_from_wire(wire: Dict[str, Any]) -> Stats:
-    stats = Stats(keep_samples=bool(wire.get("keep_samples")))
-    for name, value in wire["counters"].items():
-        stats.counter(name).value = value
-    for name, (count, total, sq_total, mn, mx, samples) \
-            in wire["samplers"].items():
-        s = stats.sampler(name)
-        s.count, s.total, s.sq_total = count, total, sq_total
-        s.min, s.max = mn, mx
-        s._samples = list(samples) if samples is not None else None
-    for name, (bin_width, num_bins, bins, count, total) \
-            in wire["histograms"].items():
-        h = stats.histogram(name, bin_width, num_bins)
-        h.bins = list(bins)
-        h.count, h.total = count, total
-    if "mark_counters" in wire:
-        stats._mark_counters = dict(wire["mark_counters"])
-        stats._mark_samplers = {n: (c, t) for n, (c, t)
-                                in wire["mark_samplers"].items()}
-    return stats
-
-
 def encode_result(result: RunResult) -> Dict[str, Any]:
     """Encode a full :class:`RunResult` as a JSON-safe wire object.
 
@@ -161,10 +121,10 @@ def encode_result(result: RunResult) -> Dict[str, Any]:
     config is reconstructed from the *unit* on the receiving side
     (:meth:`SweepUnit.decode_value`), because the unit already
     determines it exactly and re-deriving it is what guarantees the
-    two can never disagree. All statistics state
-    (counters, sampler moments, histogram bins, the warmup mark) is
-    JSON-exact, so every derived metric of the decoded result is
-    bit-identical to the original's.
+    two can never disagree. The statistics ride in their own wire form
+    (:meth:`Stats.to_wire`: counters, sampler count/total, the warmup
+    mark), which is JSON-exact, so every derived metric of the decoded
+    result is bit-identical to the original's.
     """
     return {
         RESULT_MARKER: 1,
@@ -172,7 +132,7 @@ def encode_result(result: RunResult) -> Dict[str, Any]:
         "instructions": result.instructions,
         "finished": result.finished,
         "per_core_finish": list(result.per_core_finish),
-        "stats": _stats_to_wire(result.stats),
+        "stats": result.stats.to_wire(),
     }
 
 
@@ -191,7 +151,7 @@ def decode_result(wire: Dict[str, Any],
             config=config,
             runtime=wire["runtime"],
             instructions=wire["instructions"],
-            stats=_stats_from_wire(wire["stats"]),
+            stats=Stats.from_wire(wire["stats"]),
             finished=wire["finished"],
             per_core_finish=list(wire["per_core_finish"]),
         )

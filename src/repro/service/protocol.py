@@ -33,11 +33,16 @@ __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
            "SIGNIN_LULL", "encode_frame", "FrameDecoder", "check_protocol",
            "frame_field", "raise_for_error", "SignIn", "JobRows"]
 
-#: Version 8: a worker holds two ``assign``s at once (the one it runs
+#: Version 9: an encoded ``RunResult``'s ``stats`` is
+#: :meth:`~repro.sim.stats.Stats.to_wire` — each sampler is
+#: ``[count, total]`` (v8 sent six fields per sampler and two more
+#: stats keys), so a v8 peer could not decode a v9 full-result value
+#: (nor a v9 peer a v8 one).
+#: (Version 8: a worker holds two ``assign``s at once (the one it runs
 #: and the next) and must run them one at a time, in arrival order.
 #: Frames are byte-identical to v7's, but a v7 worker would run the two
 #: concurrently in executor threads.
-#: (Version 7: the fleet carries no warmup images. ``submit`` and
+#: Version 7: the fleet carries no warmup images. ``submit`` and
 #: ``assign`` lose their warmup flag and image directory, ``result``
 #: and ``done`` their image build / fork counts, and every worker runs
 #: every unit cold — a v6 client that asked for warmup forking would
@@ -70,7 +75,7 @@ __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
 #: mandatory and gave unit/value payloads a ``kind`` discriminator
 #: plus full-``RunResult`` encodings — see
 #: :mod:`repro.harness.units`.)
-PROTOCOL_VERSION = 8
+PROTOCOL_VERSION = 9
 
 #: hard payload ceiling — a submit of ~100k units is a few MB; anything
 #: past this is a corrupt or hostile length prefix, not a real message.

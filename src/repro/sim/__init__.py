@@ -2,14 +2,13 @@
 
 from repro.sim.kernel import Event, Simulator
 from repro.sim.rng import RngStreams
-from repro.sim.stats import Counter, Histogram, LatencySampler, Stats
+from repro.sim.stats import Counter, LatencySampler, Stats
 
 __all__ = [
     "Event",
     "Simulator",
     "RngStreams",
     "Counter",
-    "Histogram",
     "LatencySampler",
     "Stats",
 ]

@@ -1,23 +1,23 @@
 """Statistics primitives used by every component of the simulator.
 
-Three building blocks:
+Two building blocks, which is all the paper's figures read:
 
-* :class:`Counter` — a named integer counter.
-* :class:`Histogram` — fixed-width binned distribution with overflow bin.
-* :class:`LatencySampler` — running mean/min/max/count of samples; keeps
-  the raw samples optionally for percentile queries in tests.
+* :class:`Counter` — a named integer counter (MPKI, off-chip accesses,
+  runtime read counter deltas);
+* :class:`LatencySampler` — a sample count and running total (L2 hit
+  latency and search delay read sampler means).
 
 :class:`Stats` is a flat namespace of those, created on demand, so
 controllers can do ``stats.counter("l2_miss").inc()`` without central
-registration. :meth:`Stats.to_dict` renders everything for reports.
+registration. :meth:`Stats.to_dict` renders everything for reports, and
+:meth:`Stats.to_wire` / :meth:`Stats.from_wire` are its one exact JSON
+form (counters, ``[count, total]`` per sampler, the warmup mark) — no
+other module reads its private layout.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
-
-from repro.errors import StatsError
+from typing import Any, Dict, Optional, Tuple
 
 
 class Counter:
@@ -32,108 +32,39 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __repr__(self) -> str:
         return f"Counter({self.name}={self.value})"
 
 
-class Histogram:
-    """Fixed-width binned histogram with a final overflow bin."""
-
-    def __init__(self, name: str, bin_width: int = 1, num_bins: int = 64) -> None:
-        if bin_width <= 0 or num_bins <= 0:
-            raise ValueError("bin_width and num_bins must be positive")
-        self.name = name
-        self.bin_width = bin_width
-        self.bins: List[int] = [0] * (num_bins + 1)  # last bin = overflow
-        self.count = 0
-        self.total = 0
-
-    def add(self, value: float) -> None:
-        idx = int(value // self.bin_width)
-        if idx < 0:
-            # Negative samples are clamped to the first bin, NOT folded
-            # into the overflow bin: "below range" must not masquerade
-            # as "too large".
-            idx = 0
-        elif idx >= len(self.bins) - 1:
-            idx = len(self.bins) - 1
-        self.bins[idx] += 1
-        self.count += 1
-        self.total += value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def __repr__(self) -> str:
-        return f"Histogram({self.name}, n={self.count}, mean={self.mean:.2f})"
-
-
 class LatencySampler:
-    """Running latency statistics; optionally retains raw samples."""
+    """Running sample count and total; ``total`` is a float, so it
+    round-trips through JSON repr-exactly and every mean with it."""
 
-    def __init__(self, name: str, keep_samples: bool = False) -> None:
+    __slots__ = ("name", "count", "total")
+
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.total = 0.0
-        self.sq_total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self._samples: Optional[List[float]] = [] if keep_samples else None
 
     def add(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.sq_total += value * value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if self._samples is not None:
-            self._samples.append(value)
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    @property
-    def stddev(self) -> float:
-        if self.count < 2:
-            return 0.0
-        var = self.sq_total / self.count - self.mean ** 2
-        return math.sqrt(max(var, 0.0))
-
-    def percentile(self, p: float) -> float:
-        """Return the p-th percentile (requires keep_samples=True)."""
-        if self._samples is None:
-            raise ValueError(f"{self.name}: samples were not retained")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        k = min(len(ordered) - 1, max(0, int(round(p / 100.0 * (len(ordered) - 1)))))
-        return ordered[k]
-
-    @property
-    def samples(self) -> List[float]:
-        if self._samples is None:
-            raise ValueError(f"{self.name}: samples were not retained")
-        return list(self._samples)
 
     def __repr__(self) -> str:
         return f"LatencySampler({self.name}, n={self.count}, mean={self.mean:.2f})"
 
 
 class Stats:
-    """On-demand flat registry of counters/histograms/samplers."""
+    """On-demand flat registry of counters and samplers."""
 
-    def __init__(self, keep_samples: bool = False) -> None:
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
         self._samplers: Dict[str, LatencySampler] = {}
-        self._keep_samples = keep_samples
         self._mark_counters: Optional[Dict[str, int]] = None
         self._mark_samplers: Optional[Dict[str, Tuple[int, float]]] = None
 
@@ -142,14 +73,9 @@ class Stats:
             self._counters[name] = Counter(name)
         return self._counters[name]
 
-    def histogram(self, name: str, bin_width: int = 1, num_bins: int = 64) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name, bin_width, num_bins)
-        return self._histograms[name]
-
     def sampler(self, name: str) -> LatencySampler:
         if name not in self._samplers:
-            self._samplers[name] = LatencySampler(name, self._keep_samples)
+            self._samplers[name] = LatencySampler(name)
         return self._samplers[name]
 
     # warmup mark ------------------------------------------------------------
@@ -212,36 +138,13 @@ class Stats:
 
     def merge(self, other: "Stats") -> None:
         """Accumulate another Stats object into this one (counters and
-        sampler moments only; histograms merged bin-wise when shapes match)."""
+        sampler counts/totals; the warmup mark is not merged)."""
         for name, c in other._counters.items():
             self.counter(name).inc(c.value)
         for name, s in other._samplers.items():
             mine = self.sampler(name)
             mine.count += s.count
             mine.total += s.total
-            mine.sq_total += s.sq_total
-            for bound in (s.min, s.max):
-                if bound is None:
-                    continue
-                if mine.min is None or bound < mine.min:
-                    mine.min = bound
-                if mine.max is None or bound > mine.max:
-                    mine.max = bound
-            if mine._samples is not None and s._samples is not None:
-                mine._samples.extend(s._samples)
-        for name, h in other._histograms.items():
-            mine = self.histogram(name, h.bin_width, len(h.bins) - 1)
-            if len(mine.bins) != len(h.bins) or mine.bin_width != h.bin_width:
-                # Dropping the incoming bins here would silently zero a
-                # shard's contribution to an aggregated histogram.
-                raise StatsError(
-                    f"histogram {name!r} shape mismatch on merge: "
-                    f"{len(mine.bins)} bins x width {mine.bin_width} vs "
-                    f"{len(h.bins)} bins x width {h.bin_width}")
-            for i, v in enumerate(h.bins):
-                mine.bins[i] += v
-            mine.count += h.count
-            mine.total += h.total
 
     def to_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
@@ -250,10 +153,36 @@ class Stats:
         for name, s in sorted(self._samplers.items()):
             out[f"{name}.mean"] = s.mean
             out[f"{name}.count"] = s.count
-        # Histograms render under a `.hist.` namespace so a histogram
-        # and a sampler sharing a name cannot clobber each other's
-        # `{name}.mean` / `{name}.count` entries.
-        for name, h in sorted(self._histograms.items()):
-            out[f"{name}.hist.mean"] = h.mean
-            out[f"{name}.hist.count"] = h.count
         return out
+
+    # wire form --------------------------------------------------------------
+    def to_wire(self) -> Dict[str, Any]:
+        """The JSON-exact encoding :meth:`from_wire` rebuilds: every
+        counter, ``[count, total]`` per sampler and, once marked, the
+        warmup mark in the same two shapes."""
+        out: Dict[str, Any] = {
+            "counters": {n: c.value for n, c in self._counters.items()},
+            "samplers": {n: [s.count, s.total]
+                         for n, s in self._samplers.items()},
+        }
+        if self._mark_counters is not None:
+            out["mark_counters"] = dict(self._mark_counters)
+            out["mark_samplers"] = {n: list(v) for n, v
+                                    in self._mark_samplers.items()}
+        return out
+
+    @classmethod
+    def from_wire(cls, wire: Dict[str, Any]) -> "Stats":
+        """Rebuild a :class:`Stats` from :meth:`to_wire` output (a
+        sampler or mark entry may be a list or a tuple)."""
+        stats = cls()
+        for name, value in wire["counters"].items():
+            stats.counter(name).value = value
+        for name, (count, total) in wire["samplers"].items():
+            s = stats.sampler(name)
+            s.count, s.total = count, total
+        if "mark_counters" in wire:
+            stats._mark_counters = dict(wire["mark_counters"])
+            stats._mark_samplers = {n: (c, t) for n, (c, t)
+                                    in wire["mark_samplers"].items()}
+        return stats

@@ -6,8 +6,8 @@ Three layers of defense, all tier-1:
   across every batchable organization, benchmarks, scales, seeds,
   cache pressures and warmup fractions (including the 0.0 / 1.0
   edges), each compared to the scalar simulator on the *full wire
-  encoding* of the RunResult (every counter, every sampler moment,
-  the warmup mark snapshot — not just headline metrics);
+  encoding* of the RunResult (every counter, every sampler's
+  count/total, the warmup mark — not just headline metrics);
 * grouping/fallback unit tests — mixed shapes, batch of 1,
   non-batchable metrics/organizations/core counts, cycle-limit lanes
   (which must surface the scalar path's canonical error);

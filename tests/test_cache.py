@@ -6,17 +6,17 @@ import pytest
 from repro.cache.array import CacheArray
 from repro.cache.line import CacheLine, L1State, L2State
 from repro.cache.mshr import MshrFile
-from repro.cache.replacement import LruPolicy, PseudoLruPolicy, make_policy
+from repro.cache.replacement import LruPolicy
 from repro.cache.timestamp import CoarseTimestamp
 from repro.errors import ConfigError, ProtocolError
 from repro.params import CacheConfig
 from repro.sim.kernel import Simulator
 
 
-def small_array(sets=4, assoc=2, policy="lru"):
+def small_array(sets=4, assoc=2):
     cfg = CacheConfig(size_bytes=sets * assoc * 32, assoc=assoc,
                       line_bytes=32, access_latency=1)
-    return CacheArray(cfg, policy=policy)
+    return CacheArray(cfg)
 
 
 class TestCacheArray:
@@ -111,32 +111,6 @@ class TestReplacementPolicies:
             p.touch(w)
         p.touch(0)
         assert p.victim() == 1
-
-    def test_plru_requires_pow2(self):
-        with pytest.raises(ConfigError):
-            PseudoLruPolicy(3)
-
-    def test_plru_never_victimizes_just_touched(self):
-        p = PseudoLruPolicy(4)
-        for w in range(4):
-            p.touch(w)
-            assert p.victim() != w
-
-    def test_plru_ranking_covers_all_ways(self):
-        p = PseudoLruPolicy(8)
-        assert sorted(p.victim_ranking()) == list(range(8))
-
-    def test_factory(self):
-        assert isinstance(make_policy("lru", 4), LruPolicy)
-        assert isinstance(make_policy("plru", 4), PseudoLruPolicy)
-        with pytest.raises(ConfigError):
-            make_policy("rand", 4)
-
-    def test_plru_array_integration(self):
-        a = small_array(sets=2, assoc=4, policy="plru")
-        for i in range(16):
-            a.allocate(i * 2)  # all in set 0
-            assert a.resident_count <= 8
 
 
 class TestMshrFile:

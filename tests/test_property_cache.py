@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cache.array import CacheArray
 from repro.cache.line import CacheLine
-from repro.cache.replacement import LruPolicy, make_policy
+from repro.cache.replacement import LruPolicy
 from repro.errors import ConfigError
 from repro.params import CacheConfig
 
@@ -88,13 +88,13 @@ class TestCacheArrayProperties:
             assert idx == a.set_index((addr // stride) * stride)
 
 
-def eager_array(config, policy, index_stride):
+def eager_array(config, index_stride):
     """Reference: an array whose every set owns its dict, policy and
     way maps from construction (the layout before sets were made
     lazy)."""
-    a = CacheArray(config, policy=policy, index_stride=index_stride)
+    a = CacheArray(config, index_stride=index_stride)
     for idx in range(a.num_sets):
-        a._policies[idx] = make_policy(policy, a.assoc)
+        a._policies[idx] = LruPolicy(a.assoc)
         a._sets[idx] = {}
         a._addr_of_way[idx] = [None] * a.assoc
         a._free_ways[idx] = list(range(a.assoc))
@@ -128,15 +128,14 @@ array_ops = st.lists(
 
 
 class TestLazySetsDifferential:
-    @given(ops=array_ops, policy=st.sampled_from(["lru", "plru"]),
-           stride=st.sampled_from([1, 16]),
+    @given(ops=array_ops, stride=st.sampled_from([1, 16]),
            sets=st.sampled_from([1, 4, 8]), assoc=st.sampled_from([1, 2, 4]))
     @settings(max_examples=120, deadline=None)
     def test_fresh_array_answers_like_a_materialised_one(
-            self, ops, policy, stride, sets, assoc):
+            self, ops, stride, sets, assoc):
         config = array_config(sets, assoc)
-        lazy = CacheArray(config, policy=policy, index_stride=stride)
-        eager = eager_array(config, policy, stride)
+        lazy = CacheArray(config, index_stride=stride)
+        eager = eager_array(config, stride)
         for op, addr in ops:
             assert outcome(lazy, op, addr) == outcome(eager, op, addr), \
                 (op, addr)

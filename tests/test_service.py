@@ -352,11 +352,13 @@ class TestFailureModes:
 
     def test_protocol_version_mismatch_rejected(self, fleet):
         _coord, address = fleet(workers=0)
-        # a build from the future, v7 (whose workers would run two
+        # a build from the future, v8 (whose full-result values carry
+        # the old stats encoding), v7 (whose workers would run two
         # assigns at once), v6 (the last one that shipped warmup fields)
         # and v5 (the last one that shipped a second unit kind)
-        for version, role in ((999, "client"), (7, "worker"),
-                              (7, "client"), (6, "client"), (5, "client")):
+        for version, role in ((999, "client"), (8, "worker"), (8, "client"),
+                              (7, "worker"), (7, "client"), (6, "client"),
+                              (5, "client")):
             peer = SyncTransport.open(address, 5)
             try:
                 peer.send({"type": "hello", "role": role,
@@ -364,7 +366,7 @@ class TestFailureModes:
                 reply = peer.recv(timeout=5)
                 assert reply["type"] == "error"
                 assert reply["code"] == "protocol-mismatch"
-                assert reply["expected"] == PROTOCOL_VERSION == 8
+                assert reply["expected"] == PROTOCOL_VERSION == 9
                 assert "protocol" in reply["error"]
             finally:
                 peer.close()

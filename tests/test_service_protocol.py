@@ -505,14 +505,15 @@ class TestConnection:
         asyncio.run(main())
 
 
-class TestProtocolV8:
-    """v8: a worker holds two assigns and runs them one at a time; the
-    frames are v7's, so no warmup field rides the wire either."""
+class TestProtocolV9:
+    """v9: a full-result value's stats are ``[count, total]`` samplers
+    with no histograms; the frames are v8's, so no warmup field rides
+    the wire either."""
 
-    def test_hello_samples_carry_protocol_8(self):
-        assert PROTOCOL_VERSION == 8
+    def test_hello_samples_carry_protocol_9(self):
+        assert PROTOCOL_VERSION == 9
         for kind in ("hello", "welcome", "replica-hello"):
-            assert SAMPLES[kind]["protocol"] == 8
+            assert SAMPLES[kind]["protocol"] == 9
         for kind in ("submit", "assign", "result", "done"):
             assert not any(key.startswith("warm") for key in SAMPLES[kind])
 

@@ -563,6 +563,28 @@ def test_service_state_machines_hold_no_clock_loop_or_coroutine():
     assert not offenders, offenders
 
 
+def test_only_stats_reads_its_private_layout():
+    """``Stats`` owns its format: every other module goes through its
+    accessors and ``to_wire`` / ``from_wire``, so a new statistic kind
+    or wire shape is a change to ``sim/stats.py`` alone. An attribute
+    access — or a string naming one, for ``getattr`` — of a private
+    field anywhere else under ``src/repro/`` fails here."""
+    import repro
+    root = pathlib.Path(repro.__file__).parent
+    private = {"_counters", "_samplers", "_mark_counters", "_mark_samplers"}
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "sim/stats.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                offenders.append(f"{rel}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Constant) and node.value in private:
+                offenders.append(f"{rel}:{node.lineno} {node.value!r}")
+    assert not offenders, offenders
+
+
 # ----------------------------------------------------------------------
 # corruption & version mismatch
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Unit tests for statistics primitives."""
 
+import json
+
 import pytest
 
-from repro.sim.stats import Counter, Histogram, LatencySampler, Stats
+from repro.sim.stats import Counter, LatencySampler, Stats
 
 
 class TestCounter:
@@ -12,55 +14,6 @@ class TestCounter:
         c.inc(5)
         assert c.value == 6
 
-    def test_reset(self):
-        c = Counter("x")
-        c.inc(3)
-        c.reset()
-        assert c.value == 0
-
-
-class TestHistogram:
-    def test_binning(self):
-        h = Histogram("h", bin_width=10, num_bins=4)
-        for v in (0, 9, 10, 39):
-            h.add(v)
-        assert h.bins[0] == 2
-        assert h.bins[1] == 1
-        assert h.bins[3] == 1
-
-    def test_overflow_bin(self):
-        h = Histogram("h", bin_width=1, num_bins=2)
-        h.add(100)
-        assert h.bins[-1] == 1
-
-    def test_negative_values_clamp_to_first_bin_not_overflow(self):
-        h = Histogram("h", bin_width=10, num_bins=4)
-        h.add(-1)
-        h.add(-1000)
-        assert h.bins[0] == 2
-        assert h.bins[-1] == 0
-
-    def test_negative_and_overflow_edges_stay_distinct(self):
-        h = Histogram("h", bin_width=1, num_bins=2)
-        h.add(-5)     # below range -> first bin
-        h.add(1000)   # above range -> overflow bin
-        assert h.bins[0] == 1
-        assert h.bins[-1] == 1
-        assert h.count == 2
-
-    def test_mean(self):
-        h = Histogram("h")
-        h.add(2)
-        h.add(4)
-        assert h.mean == 3.0
-
-    def test_empty_mean_is_zero(self):
-        assert Histogram("h").mean == 0.0
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bin_width=0)
-
 
 class TestLatencySampler:
     def test_moments(self):
@@ -68,22 +21,8 @@ class TestLatencySampler:
         for v in (1.0, 2.0, 3.0):
             s.add(v)
         assert s.count == 3
+        assert s.total == 6.0
         assert s.mean == 2.0
-        assert s.min == 1.0
-        assert s.max == 3.0
-        assert s.stddev == pytest.approx(0.8165, abs=1e-3)
-
-    def test_percentiles_require_samples(self):
-        s = LatencySampler("s")
-        with pytest.raises(ValueError):
-            s.percentile(50)
-
-    def test_percentiles(self):
-        s = LatencySampler("s", keep_samples=True)
-        for v in range(1, 101):
-            s.add(float(v))
-        assert s.percentile(50) == pytest.approx(50, abs=1)
-        assert s.percentile(99) == pytest.approx(99, abs=1)
 
     def test_empty_mean(self):
         assert LatencySampler("s").mean == 0.0
@@ -121,17 +60,6 @@ class TestStats:
         assert d["c"] == 7
         assert d["s.mean"] == 4.0
         assert d["s.count"] == 1
-
-    def test_to_dict_histogram_does_not_clobber_sampler(self):
-        st = Stats()
-        st.sampler("lat").add(4.0)
-        st.histogram("lat").add(10)
-        st.histogram("lat").add(20)
-        d = st.to_dict()
-        assert d["lat.mean"] == 4.0       # sampler untouched
-        assert d["lat.count"] == 1
-        assert d["lat.hist.mean"] == 15.0  # histogram namespaced
-        assert d["lat.hist.count"] == 2
 
     def test_mark_and_delta(self):
         st = Stats()
@@ -177,3 +105,68 @@ class TestStats:
         st.mark()
         st.counter("late").inc(3)
         assert st.delta("late") == 3
+
+
+def _unmarked():
+    st = Stats()
+    st.counter("c").inc(4)
+    for v in (0.1, 0.2, 0.7):
+        st.sampler("s").add(v)
+    st.sampler("empty")
+    return st
+
+
+def _marked():
+    st = _unmarked()
+    st.mark()
+    st.counter("c").inc(3)
+    st.sampler("s").add(1.3)
+    return st
+
+
+def _created_after_mark():
+    st = _marked()
+    st.counter("late").inc(2)
+    st.sampler("late_s").add(5.5)
+    st.sampler("late_s").add(0.25)
+    return st
+
+
+class TestWireForm:
+    @pytest.mark.parametrize("build", [_unmarked, _marked,
+                                       _created_after_mark])
+    def test_json_round_trip_is_exact(self, build):
+        st = build()
+        wire = json.loads(json.dumps(st.to_wire()))
+        back = Stats.from_wire(wire)
+        d = st.to_dict()
+        assert back.to_dict() == d
+        assert back.marked == st.marked
+        counters = [k for k in d if not k.endswith((".mean", ".count"))]
+        samplers = [k[:-len(".mean")] for k in d if k.endswith(".mean")]
+        assert counters and samplers
+        for name in counters:
+            assert back.delta(name) == st.delta(name)
+        for name in samplers:
+            assert back.delta_mean(name) == st.delta_mean(name)
+        assert back.to_wire() == wire
+
+    def test_sampler_is_count_and_total(self):
+        wire = _created_after_mark().to_wire()
+        assert wire["samplers"]["s"] == [4, 0.1 + 0.2 + 0.7 + 1.3]
+        assert wire["mark_samplers"] == {"s": [3, 0.1 + 0.2 + 0.7],
+                                         "empty": [0, 0.0]}
+        assert wire["mark_counters"] == {"c": 4}
+        assert "mark_counters" not in _unmarked().to_wire()
+
+    def test_decode_refuses_a_six_field_sampler(self):
+        """A v8-era full result (``[count, total, sq_total, min, max,
+        samples]`` samplers) is a typed refusal, not a wrong mean."""
+        from repro.errors import ConfigError
+        from repro.harness.units import RESULT_MARKER, decode_result
+        wire = {RESULT_MARKER: 1, "runtime": 1, "instructions": 1,
+                "finished": True, "per_core_finish": [1],
+                "stats": {"counters": {},
+                          "samplers": {"s": [1, 2.0, 4.0, 2.0, 2.0, None]}}}
+        with pytest.raises(ConfigError, match="malformed encoded RunResult"):
+            decode_result(wire, None)
