@@ -111,6 +111,9 @@ class RunResult:
 class CmpSystem:
     """A buildable, runnable instance of the target CMP (Table 1)."""
 
+    #: set by :meth:`close`; a class default, so no image carries it
+    _closed = False
+
     def __init__(self, config: SystemConfig,
                  traces: Sequence[Sequence[TraceEvent]],
                  full_system: bool = False,
@@ -206,6 +209,7 @@ class CmpSystem:
         uninterrupted :meth:`run` — pauses land on cycle boundaries and
         the kernel re-enters them exactly.
         """
+        self._refuse_if_closed("resume")
         if not self._started:
             raise SimulationError("resume() before start()/run()")
         done = self._done_predicate()
@@ -234,6 +238,7 @@ class CmpSystem:
         before/at the mark. Either way, :meth:`resume` completes the run
         bit-identically to a straight :meth:`run`.
         """
+        self._refuse_if_closed("run_until_warmup")
         self.start()
         tracker = self.warmup_tracker
         if tracker is None or self.stats.marked:
@@ -263,6 +268,7 @@ class CmpSystem:
         recorded here.
         """
         from repro.sim import snapshot
+        self._refuse_if_closed("checkpoint")
         if self._trace_digests is None:
             self._trace_digests = [_trace_digest(core.trace)
                                    for core in self.cores]
@@ -312,6 +318,39 @@ class CmpSystem:
         for core, trace in zip(system.cores, traces):
             core.trace = trace
         return system
+
+    # ------------------------------------------------------------------
+    # release
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Break the machine's reference cycles, so that dropping the
+        last reference to it frees it by reference counting alone.
+
+        A built machine is one cyclic graph: the kernel's heap, tickers
+        and registry hold callbacks into the components that hold the
+        kernel, the context's handler rows hold the controllers that
+        hold the context, and the network's receivers hold the context.
+        This drops those five containers. What was measured stays
+        readable (``stats``, the cores' counts, the caches' contents),
+        but the machine no longer runs: :meth:`resume`,
+        :meth:`run_until_warmup` and :meth:`checkpoint` raise
+        :class:`SimulationError`. Idempotent.
+        """
+        self._closed = True
+        sim = self.sim
+        sim._heap.clear()
+        sim._live_events = 0
+        sim._tickers.clear()
+        sim._awake.clear()
+        sim._awake_count = 0
+        sim.registry.clear()
+        self.ctx._handlers.clear()
+        self.network._receivers.clear()
+
+    def _refuse_if_closed(self, method: str) -> None:
+        if self._closed:
+            raise SimulationError(
+                f"{method}() on a machine released by close()")
 
     # ------------------------------------------------------------------
     # quiescence

@@ -28,7 +28,7 @@ from repro.cache.array import CacheArray
 from repro.cache.line import CacheLine, L1State
 from repro.cache.mshr import MshrFile
 from repro.coherence.context import SystemContext
-from repro.coherence.messages import Msg, MsgKind, Unit
+from repro.coherence.messages import Msg, MsgKind, Unit, dispatch_table
 from repro.errors import ProtocolError
 
 DoneCb = Callable[[], None]
@@ -45,7 +45,6 @@ class L1Controller:
         self.latency = ctx.config.l1.access_latency
         #: consecutive poisoned fills per line, for reissue backoff
         self._poison_streak: dict = {}
-        self._build_dispatch()
         ctx.register(tile, Unit.L1, self.handle)
         # Bound once: these fire on every memory reference / fill.
         st = ctx.stats
@@ -125,32 +124,11 @@ class L1Controller:
     # ------------------------------------------------------------------
     # message handling
     # ------------------------------------------------------------------
-    def _build_dispatch(self) -> None:
-        """Dispatch table of bound methods indexed by the dense
-        import-time ``MsgKind.idx`` (enum-keyed dicts pay a
-        Python-level Enum.__hash__ per probe). Derived state: excluded
-        from snapshots (a table of bound methods per tile bloats every
-        image) and rebuilt on restore."""
-        self._dispatch = [None] * len(MsgKind)
-        for kind, fn in ((MsgKind.DATA_L1, self._on_data),
-                         (MsgKind.INV_L1, self._on_inv),
-                         (MsgKind.RECALL_L1, self._on_recall)):
-            self._dispatch[kind.idx] = fn
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_dispatch"]  # derived; rebuilt in __setstate__
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._build_dispatch()
-
     def handle(self, msg: Msg) -> None:
         fn = self._dispatch[msg.kind.idx]
         if fn is None:
             raise ProtocolError(f"L1 at tile {self.tile} got {msg}")
-        fn(msg)
+        fn(self, msg)
 
     def _on_data(self, msg: Msg) -> None:
         line_addr = msg.line_addr
@@ -278,6 +256,10 @@ class L1Controller:
                    requestor=msg.requestor, dirty=dirty, fwd=msg.fwd,
                    nack=nack, value=line.shadow if dirty else None)
         self.ctx.send(resp, msg.src_tile)
+
+    _dispatch = dispatch_table(None, ((MsgKind.DATA_L1, _on_data),
+                                      (MsgKind.INV_L1, _on_inv),
+                                      (MsgKind.RECALL_L1, _on_recall)))
 
     # ------------------------------------------------------------------
     def resident_state(self, line_addr: int) -> L1State:

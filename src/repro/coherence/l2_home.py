@@ -35,7 +35,7 @@ from repro.cache.array import CacheArray
 from repro.cache.line import CacheLine, L2State
 from repro.cache.mshr import COLLECTING, FILLING, GRANTING, Mshr, MshrFile
 from repro.coherence.context import SystemContext
-from repro.coherence.messages import Msg, MsgKind, Unit
+from repro.coherence.messages import Msg, MsgKind, Unit, dispatch_table
 from repro.coherence.shadow import merge_shadow, merge_shadow_opt
 from repro.errors import ProtocolError
 
@@ -93,7 +93,6 @@ class HomeL2Base:
         self.latency = l2_cfg.access_latency
         self._fwd_ops: Dict[int, ReplyRound] = {}
         self._overflow: List[Msg] = []  # requests parked on a full MSHR file
-        self._build_dispatch()
         ctx.register(tile, Unit.L2, self.handle)
         # Bound once: these fire for every L2 access/fill.
         st = ctx.stats
@@ -108,32 +107,20 @@ class HomeL2Base:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def _build_dispatch(self) -> None:
-        """First-level dispatch table of bound methods, indexed by the
-        dense import-time ``MsgKind.idx`` (enum-keyed dicts pay a
-        Python-level Enum.__hash__ per probe); anything not claimed
-        here belongs to the subclass's second level. Derived state:
-        excluded from snapshots (a per-tile table of bound methods
-        bloats every image) and rebuilt on restore."""
-        self._dispatch = [self._handle_level2] * len(MsgKind)
-        for kind, fn in ((MsgKind.GETS, self._serve_request),
-                         (MsgKind.GETX, self._serve_request),
-                         (MsgKind.WB_L1, self._on_wb_l1),
-                         (MsgKind.ACK_INV_L1, self._on_l1_reply),
-                         (MsgKind.RECALL_RESP, self._on_l1_reply)):
-            self._dispatch[kind.idx] = fn
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_dispatch"]  # derived; rebuilt in __setstate__
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._build_dispatch()
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Each concrete home gets its own first-level table, so the
+        kinds not claimed here resolve to that subclass's
+        ``_handle_level2`` (second level)."""
+        super().__init_subclass__(**kwargs)
+        cls._dispatch = dispatch_table(cls._handle_level2, (
+            (MsgKind.GETS, cls._serve_request),
+            (MsgKind.GETX, cls._serve_request),
+            (MsgKind.WB_L1, cls._on_wb_l1),
+            (MsgKind.ACK_INV_L1, cls._on_l1_reply),
+            (MsgKind.RECALL_RESP, cls._on_l1_reply)))
 
     def handle(self, msg: Msg) -> None:
-        self._dispatch[msg.kind.idx](msg)
+        self._dispatch[msg.kind.idx](self, msg)
 
     # ------------------------------------------------------------------
     # first-level service

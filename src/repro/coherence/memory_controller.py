@@ -25,7 +25,7 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro.coherence.context import SystemContext
 from repro.coherence.directory import Directory
-from repro.coherence.messages import Msg, MsgKind, Unit
+from repro.coherence.messages import Msg, MsgKind, Unit, dispatch_table
 from repro.errors import ProtocolError
 
 
@@ -54,42 +54,14 @@ class MemoryController:
         # they are not created before something counts
         self._c_fetches = None
         self._c_writebacks = None
-        self._build_dispatch()
         ctx.register(tile, Unit.MC, self.handle)
 
     # ------------------------------------------------------------------
-    def _build_dispatch(self) -> None:
-        """Dispatch table of bound methods indexed by the dense
-        import-time ``MsgKind.idx`` (the L1 / home-L2 idiom). Derived
-        state: excluded from snapshots and rebuilt on restore."""
-        self._dispatch = [None] * len(MsgKind)
-        for kind, fn in ((MsgKind.MEM_READ, self._mem_read),
-                         (MsgKind.MEM_WB, self._count_writeback),
-                         (MsgKind.DIR_GETS, self._dir_request_later),
-                         (MsgKind.DIR_GETX, self._dir_request_later),
-                         (MsgKind.DIR_DONE, self._dir_done),
-                         (MsgKind.DIR_WB, self._dir_writeback_later),
-                         (MsgKind.TOK_GETS, self._token_request),
-                         (MsgKind.TOK_GETX, self._token_request),
-                         (MsgKind.TOK_WB, self._token_writeback),
-                         (MsgKind.PERSIST_START, self._persist_start),
-                         (MsgKind.PERSIST_DONE, self._persist_done)):
-            self._dispatch[kind.idx] = fn
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_dispatch"]  # derived; rebuilt in __setstate__
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._build_dispatch()
-
     def handle(self, msg: Msg) -> None:
         fn = self._dispatch[msg.kind.idx]
         if fn is None:
             raise ProtocolError(f"MC at tile {self.tile} got {msg}")
-        fn(msg)
+        fn(self, msg)
 
     def _dir_request_later(self, msg: Msg) -> None:
         self.ctx.sim.call_after(self.dir_latency,
@@ -321,6 +293,19 @@ class MemoryController:
             self._grant(msg.line_addr)
         else:
             del self._persist[msg.line_addr]
+
+    _dispatch = dispatch_table(None, (
+        (MsgKind.MEM_READ, _mem_read),
+        (MsgKind.MEM_WB, _count_writeback),
+        (MsgKind.DIR_GETS, _dir_request_later),
+        (MsgKind.DIR_GETX, _dir_request_later),
+        (MsgKind.DIR_DONE, _dir_done),
+        (MsgKind.DIR_WB, _dir_writeback_later),
+        (MsgKind.TOK_GETS, _token_request),
+        (MsgKind.TOK_GETX, _token_request),
+        (MsgKind.TOK_WB, _token_writeback),
+        (MsgKind.PERSIST_START, _persist_start),
+        (MsgKind.PERSIST_DONE, _persist_done)))
 
     # ------------------------------------------------------------------
     # introspection for tests

@@ -141,6 +141,18 @@ for _i, _u in enumerate(Unit):
 del _i, _k, _u
 
 
+def dispatch_table(default, routes):
+    """A controller class's message dispatch, indexed by the dense
+    ``MsgKind.idx``: ``routes`` pairs kinds with plain functions, called
+    as ``fn(controller, msg)``; every other kind gets ``default``. Keep
+    it a class attribute: a per-instance table of bound methods made
+    each controller a reference cycle of its own."""
+    table = [default] * len(MsgKind)
+    for kind, fn in routes:
+        table[kind.idx] = fn
+    return table
+
+
 @dataclass(slots=True)
 class Msg:
     """One coherence message (the payload of one network packet)."""

@@ -19,6 +19,7 @@ module's process-global trace cache).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 from dataclasses import dataclass, field, fields
@@ -282,9 +283,35 @@ def run_benchmark(exp: ExperimentConfig,
     With ``warmup_images``, the run forks from the config prefix's
     warmup checkpoint when one exists (bit-identical to the cold path,
     minus the warmup re-simulation) and creates it otherwise.
+
+    The cyclic collector is paused for the whole cell: a running
+    machine leaves no cyclic garbage, and :meth:`CmpSystem.close` makes
+    the finished one acyclic, so reference counting frees all of it
+    when the cell returns (or raises). The caller's
+    ``gc.isenabled()`` is restored either way.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        system = _build_or_restore(exp, max_cycles, warmup_images)
+        try:
+            result = system.resume(max_cycles=max_cycles)
+            system.check_token_conservation()
+        finally:
+            system.close()
+        return result
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _build_or_restore(exp: ExperimentConfig, max_cycles: int,
+                      warmup_images: Optional[WarmupImageCache]
+                      ) -> CmpSystem:
+    """``exp``'s machine, started: forked from its warmup image when
+    ``warmup_images`` holds one, else built cold (and imaged at its
+    warmup mark when ``warmup_images`` is given)."""
     traces, populations = _traces_for(exp)
-    system: Optional[CmpSystem] = None
     snapshots = warmup_images is not None and exp.warmup_fraction > 0.0
     if snapshots:
         key = warmup_key(exp)
@@ -293,31 +320,29 @@ def run_benchmark(exp: ExperimentConfig,
             try:
                 system = CmpSystem.restore(blob, traces)
                 warmup_images.hits += 1
+                return system
             except SnapshotError:
                 # stale/corrupt image: rebuild below, repair the cache
                 warmup_images.discard(key)
-    if system is None:
-        speculation = None
-        if exp.spec.mode != "off" or exp.benchmark.startswith("leak_"):
-            # Leakage benchmarks keep the probe recorder live even with
-            # speculation "off" — that is the control arm of the
-            # experiment (probe timing with no transient traffic).
-            from repro.harness.leakage import spec_config_for
-            speculation = spec_config_for(exp)
-        system = CmpSystem(exp.system_config(), traces,
-                           full_system=exp.full_system,
-                           barrier_populations=populations,
-                           warmup_fraction=exp.warmup_fraction,
-                           speculation=speculation)
-        if snapshots:
-            warmup_images.misses += 1
-            if system.run_until_warmup(max_cycles=max_cycles):
-                warmup_images.put(key, system.checkpoint())
-        else:
-            system.start()
-    result = system.resume(max_cycles=max_cycles)
-    system.check_token_conservation()
-    return result
+    speculation = None
+    if exp.spec.mode != "off" or exp.benchmark.startswith("leak_"):
+        # Leakage benchmarks keep the probe recorder live even with
+        # speculation "off" — that is the control arm of the
+        # experiment (probe timing with no transient traffic).
+        from repro.harness.leakage import spec_config_for
+        speculation = spec_config_for(exp)
+    system = CmpSystem(exp.system_config(), traces,
+                       full_system=exp.full_system,
+                       barrier_populations=populations,
+                       warmup_fraction=exp.warmup_fraction,
+                       speculation=speculation)
+    if snapshots:
+        warmup_images.misses += 1
+        if system.run_until_warmup(max_cycles=max_cycles):
+            warmup_images.put(key, system.checkpoint())
+    else:
+        system.start()
+    return system
 
 
 def clear_trace_cache() -> None:

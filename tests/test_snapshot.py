@@ -461,6 +461,31 @@ def test_simulator_layers_define_no_lambda_or_nested_def():
     assert not offenders, offenders
 
 
+def test_simulator_layers_rebuild_no_derived_state_on_restore():
+    """An image is the machine as it stands: nothing in it is derived
+    and rebuilt on restore. Dispatch tables are class attributes of
+    plain functions, so no class defines ``__setstate__`` and no module
+    builds a per-instance table (which also made each controller a
+    reference cycle that only the cyclic collector could free)."""
+    import repro
+    root = pathlib.Path(repro.__file__).parent
+    offenders = []
+    for layer in ("sim", "coherence", "noc", "cmp", "cache"):
+        for path in sorted((root / layer).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    offenders.extend(
+                        f"{layer}/{path.name}:{item.lineno} "
+                        f"{node.name}.__setstate__" for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and item.name == "__setstate__")
+                elif (isinstance(node, ast.FunctionDef)
+                      and node.name == "_build_dispatch"):
+                    offenders.append(
+                        f"{layer}/{path.name}:{node.lineno} _build_dispatch")
+    assert not offenders, offenders
+
+
 def _string_keyed_state(tree):
     """(line, what) of every string-keyed access: an attribute named
     ``scratch``, ``x["k"]``, ``x.get/pop/setdefault("k")``, ``"k" in x``.
