@@ -3,7 +3,7 @@
 
 Every simulation of one configuration re-simulates the same warmup
 region. With ``warmup_snapshots=True`` and a ``warmup_cache``, a sweep
-pauses each machine at its warmup mark, checkpoints it (event heap,
+pauses each machine at its warmup mark, checkpoints it (event queue,
 caches, MSHR continuations, coherence state, NoC, RNG streams, stats)
 into the store, and finishes the run. A *later* sweep over the same
 configurations — here asking for other metrics — restores those images

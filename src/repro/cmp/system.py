@@ -213,7 +213,8 @@ class CmpSystem:
         if not self._started:
             raise SimulationError("resume() before start()/run()")
         done = self._done_predicate()
-        self.sim.run(until=max_cycles, stop_when=done)
+        if self.sim.cycle <= max_cycles:  # an image may be past it
+            self.sim.run(until=max_cycles, stop_when=done)
         finished = done()
         if not finished:
             raise SimulationError(
@@ -256,7 +257,7 @@ class CmpSystem:
     # checkpoint / restore
     # ------------------------------------------------------------------
     def checkpoint(self) -> bytes:
-        """Serialize the whole machine — kernel (event heap, tickers,
+        """Serialize the whole machine — kernel (event queue, tickers,
         epoch hooks), caches, MSHRs, coherence controllers, NoC, RNG
         streams, Stats (incl. warmup marks), cores — into a versioned
         image.
@@ -326,24 +327,19 @@ class CmpSystem:
         """Break the machine's reference cycles, so that dropping the
         last reference to it frees it by reference counting alone.
 
-        A built machine is one cyclic graph: the kernel's heap, tickers
-        and registry hold callbacks into the components that hold the
-        kernel, the context's handler rows hold the controllers that
-        hold the context, and the network's receivers hold the context.
-        This drops those five containers. What was measured stays
+        A built machine is one cyclic graph: the kernel's event queue,
+        tickers and registry hold callbacks into the components that
+        hold the kernel, the context's handler rows hold the controllers
+        that hold the context, and the network's receivers hold the
+        context. :meth:`Simulator.close` empties the kernel's side and
+        this drops the other two containers. What was measured stays
         readable (``stats``, the cores' counts, the caches' contents),
         but the machine no longer runs: :meth:`resume`,
         :meth:`run_until_warmup` and :meth:`checkpoint` raise
         :class:`SimulationError`. Idempotent.
         """
         self._closed = True
-        sim = self.sim
-        sim._heap.clear()
-        sim._live_events = 0
-        sim._tickers.clear()
-        sim._awake.clear()
-        sim._awake_count = 0
-        sim.registry.clear()
+        self.sim.close()
         self.ctx._handlers.clear()
         self.network._receivers.clear()
 

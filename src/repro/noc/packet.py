@@ -50,10 +50,10 @@ class Packet:
     ``injected_at`` / ``delivered_at``.
 
     The router owns the rest and sets them itself: ``at`` (the router
-    holding the flit), ``order`` (the age-priority sort key
-    ``(injected_at, seq)``, computed once when the flit enters the
-    fabric so the per-cycle arbitration sort needs no Python-level
-    key), ``ready`` (first cycle the flit may traverse) and ``plan``
+    holding the flit), ``order`` (the age priority ``(injected_at,
+    seq)``, stamped once when the flit enters the fabric; the router
+    keeps its buffered flits in this order as they enter, so no tick
+    sorts), ``ready`` (first cycle the flit may traverse) and ``plan``
     (the interned route plan from ``at`` toward ``dst``) whenever the
     flit is buffered at a router, ``got`` (how many of the plan's links
     this tick's arbitration granted) for every mover of a tick, and

@@ -28,16 +28,22 @@ unicast, the next home router of a VMS tree copy, which ejects there
 and forks). Route plans are interned once per ``(at, dst)`` into a flat
 table of ``(link_ids, routers, hops)`` tuples, link reservations live
 in a flat list indexed by link id, and an arbitration claim is the
-stamp ``link_busy[id] = cycle`` — see ``BaseNetwork.__init__``.
+stamp ``link_busy[id] = cycle`` — see ``BaseNetwork.__init__``. Every
+buffered flit, whatever router holds it, sits in one list kept in age
+order (``BaseNetwork._flits``, sorted by ``Packet.order``): a flit's age
+never changes, so a tick gathers its movers in priority order with one
+scan and sorts nothing. A flit that moves keeps its place; only
+ejection removes one, and only a NIC drain or a VMS fork branch (either
+may be older than the newest flit) inserts anywhere but the end.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from functools import partial
 from operator import attrgetter
-from typing import (Callable, Deque, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.noc.packet import Packet
@@ -52,7 +58,7 @@ Link = Tuple[int, int]  # directed (src_tile, dst_tile)
 Plan = Tuple[Tuple[int, ...], Tuple[int, ...], int]
 
 
-#: C-level sort key for the age-priority arbitration sort
+#: C-level key that keeps ``BaseNetwork._flits`` in age order
 _order_of = attrgetter("order")
 
 
@@ -87,12 +93,10 @@ class BaseNetwork:
         self.stats = stats if stats is not None else Stats()
         self.name = name
         n = mesh.num_tiles
-        # One flat buffer list per tile. VN separation is a *capacity*
-        # concept here (the pooled occupancy check below); keeping one
-        # list per tile instead of per (tile, vn) halves the per-cycle
-        # mover scan, and arbitration order is unaffected because the
-        # mover sort key (injected_at, seq) is a total order.
-        self._buffers: List[List[Packet]] = [[] for _ in range(n)]
+        # Every buffered flit of every router, in age order (the
+        # arbitration priority). VN separation is a *capacity* concept
+        # here (the pooled per-router occupancy check below).
+        self._flits: List[Packet] = []
         self._occupancy: List[int] = [0] * n
         self._capacity = config.num_vns * config.vcs_per_vn * config.vc_depth
         self._nic_queues: List[Deque[Packet]] = [deque() for _ in range(n)]
@@ -112,7 +116,6 @@ class BaseNetwork:
         # ``_link_busy[id] < cycle``.
         self._link_ids: Dict[Link, int] = {}
         self._link_busy: List[int] = []
-        self._active: Set[int] = set()
         self._nic_active: Set[int] = set()  # tiles with a NIC backlog
         self._in_flight = 0
         # Age tie-break: flits are numbered as they enter the fabric.
@@ -152,11 +155,14 @@ class BaseNetwork:
         src, dst = packet.src, packet.dst
         if dst is None:
             raise NetworkError("packet needs a dst (or use multicast())")
+        n = self._n
+        if not (0 <= src < n and 0 <= dst < n) or packet.size_flits < 1:
+            self._refuse(packet)
         packet.injected_at = self.sim.cycle
         self._c_injected.value += 1
         if dst == src:
             # Loopback through the NIC: one cycle, no link or buffer
-            # touched (so nothing of _enqueue_nic's checks applies).
+            # touched.
             self._in_flight += 1
             self.sim.call_after(1, partial(self._deliver_local, packet))
             return
@@ -168,6 +174,8 @@ class BaseNetwork:
         of the virtual mesh ``vms``. Base fabrics (no VMS hardware
         support) fall back to serial unicasts from the source — the
         paper's "15 copies sent from the source" case."""
+        if not 0 <= packet.src < self._n or packet.size_flits < 1:
+            self._refuse(packet)
         packet.injected_at = self.sim.cycle
         self._c_mcast_injected.value += 1
         src = packet.src
@@ -191,6 +199,15 @@ class BaseNetwork:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _refuse(self, packet: Packet) -> None:
+        """Raise why ``send`` / ``multicast`` refuse ``packet``: a tile
+        the plan table would misindex (``-1`` aliases tile ``n - 1``'s
+        row) or no head flit. Nothing is counted or queued first."""
+        for tile in (packet.src, packet.dst):
+            if tile is not None and not 0 <= tile < self._n:
+                raise NetworkError(f"tile {tile} out of range")
+        raise NetworkError("size_flits must be >= 1")
+
     def _deliver_local(self, packet: Packet) -> None:
         cycle = self.sim.cycle
         packet.delivered_at = cycle
@@ -203,26 +220,16 @@ class BaseNetwork:
         receiver(packet)
 
     def _enqueue_nic(self, flit: Packet) -> None:
-        # Where outside input enters the fabric: the flat plan table
-        # must never be indexed out of range, and a packet occupies its
-        # links for at least its head flit.
         tile = flit.at
-        leg_dst = flit.dst
-        n = self._n
-        if not 0 <= leg_dst < n:
-            raise NetworkError(f"tile {leg_dst} out of range")
-        if flit.size_flits < 1:
-            raise NetworkError("size_flits must be >= 1")
         self._in_flight += 1
         seq = self._flit_seq
         self._flit_seq = seq + 1
         flit.order = (flit.injected_at, seq)
-        active = self._active
-        if not active:
-            # Asleep exactly when no tile is active: tick() reports
-            # bool(_active) to the kernel and tiles only leave in tick.
+        flits = self._flits
+        if not flits and not self._nic_active:
+            # Asleep exactly when nothing is buffered or queued: that is
+            # what tick() reports to the kernel.
             self.sim.wake(self._tid)
-        active.add(tile)
         # Injection happens in the event phase, always before this
         # cycle's tick phase, so when the NIC has no backlog and the
         # router has buffer room we can do now exactly what
@@ -232,13 +239,13 @@ class BaseNetwork:
         # nic_backlog() observable identical to the queued path.
         occupancy = self._occupancy
         if not self._nic_queues[tile] and occupancy[tile] < self._capacity:
-            # inlined _buffer_flit (hot)
+            # inlined _buffer_flit (hot); the newest flit goes last
             flit.ready = self.sim.cycle + self.injection_delay
-            plan = self._plans[tile * n + leg_dst]
+            plan = self._plans[tile * self._n + flit.dst]
             if plan is None:
-                plan = self._intern_plan(tile, leg_dst)
+                plan = self._intern_plan(tile, flit.dst)
             flit.plan = plan
-            self._buffers[tile].append(flit)
+            flits.append(flit)
             occupancy[tile] += 1
             pending = self._nic_pending
             pending[tile] = pending.get(tile, 0) + 1
@@ -249,16 +256,16 @@ class BaseNetwork:
     def _buffer_flit(self, flit: Packet, ready: int) -> None:
         """Place ``flit`` in the router at ``flit.at``, first able to
         traverse at cycle ``ready``, with its plan from there to
-        ``flit.dst``."""
+        ``flit.dst``. A drained or forked flit may be older than flits
+        already buffered, so it goes to its age-order place."""
         tile = flit.at
         flit.ready = ready
         plan = self._plans[tile * self._n + flit.dst]
         if plan is None:
             plan = self._intern_plan(tile, flit.dst)
         flit.plan = plan
-        self._buffers[tile].append(flit)
+        insort(self._flits, flit, key=_order_of)
         self._occupancy[tile] += 1
-        self._active.add(tile)
 
     def _fire_ejects(self) -> None:
         """Deliver the packets the latest tick ejected (see
@@ -331,22 +338,48 @@ class BaseNetwork:
             self._nic_pending.clear()
         if self._nic_active:
             self._drain_nics(cycle)
-        occupancy = self._occupancy
-        buffers = self._buffers
-        movers = [flit for tile in self._active
-                  if occupancy[tile]  # else NIC backlog only; nothing to move
-                  for flit in buffers[tile] if flit.ready <= cycle]
+        link_busy = self._link_busy
+        # Distance-priority arbitration, position by position in age
+        # order: one scan of ``_flits`` gathers the movers and makes
+        # their position-0 (local) claims. A claim is the stamp
+        # ``link_busy[id] = cycle``: it blocks every later mover this
+        # tick and reads free next cycle. A flit that fails a claim stops
+        # (``got`` = links claimed so far); only advancing flits go on.
+        movers: List[Packet] = []
+        live: List[Packet] = []
+        for flit in self._flits:
+            if flit.ready <= cycle:
+                movers.append(flit)
+                plan = flit.plan
+                link = plan[0][0]
+                if link_busy[link] >= cycle:
+                    flit.got = 0
+                    continue
+                link_busy[link] = cycle
+                if plan[2] > 1:
+                    live.append(flit)
+                else:
+                    flit.got = 1
         if movers:
-            if len(movers) > 1:
-                # Age-priority (injected_at, seq) total order: gather
-                # order is irrelevant, so buffers need no VN structure.
-                movers.sort(key=_order_of)
-                self._arbitrate_and_move(movers, cycle)
-            else:
-                self._move_single(movers[0], cycle)
-        # _active is maintained in place (tiles leave in _finish_moves
-        # the moment they empty), so no per-tick rebuild is needed.
-        return bool(self._active)
+            pos = 1
+            while live:
+                advancing: List[Packet] = []
+                nxt = pos + 1
+                for flit in live:
+                    plan = flit.plan
+                    link = plan[0][pos]
+                    if link_busy[link] >= cycle:
+                        flit.got = pos  # flit stops before this link
+                        continue
+                    link_busy[link] = cycle
+                    if nxt < plan[2]:
+                        advancing.append(flit)
+                    else:
+                        flit.got = nxt
+                live = advancing
+                pos = nxt
+            self._finish_moves(movers, cycle)
+        return bool(self._flits or self._nic_active)
 
     def _drain_nics(self, cycle: int) -> None:
         occupancy = self._occupancy
@@ -359,52 +392,7 @@ class BaseNetwork:
             if not q:
                 self._nic_active.discard(tile)
 
-    def _move_single(self, flit: Packet, cycle: int) -> None:
-        """Uncontended fast path: with one mover this cycle only
-        physical link reservations (serialization tails) can stop the
-        flit. Identical outcome to running the general arbiter on a
-        singleton list."""
-        link_busy = self._link_busy
-        got = 0
-        for link in flit.plan[0]:
-            if link_busy[link] >= cycle:
-                break
-            link_busy[link] = cycle
-            got += 1
-        flit.got = got
-        self._finish_moves((flit,), cycle)
-
-    def _arbitrate_and_move(self, movers: List[Packet], cycle: int) -> None:
-        link_busy = self._link_busy
-        # Distance-priority arbitration: position 0 (local) claims
-        # first. A claim is the stamp ``link_busy[id] = cycle``: it
-        # blocks every later mover this tick, whether or not the
-        # claimant ends up moving, and reads free again next cycle. A
-        # flit that fails to claim its next link stops for the cycle
-        # (``got`` = links claimed so far), so only still-advancing
-        # flits are rescanned per position (``movers`` is
-        # priority-ordered already).
-        live = movers
-        pos = 0
-        while live:
-            advancing: List[Packet] = []
-            nxt = pos + 1
-            for flit in live:
-                plan = flit.plan
-                link = plan[0][pos]
-                if link_busy[link] >= cycle:
-                    flit.got = pos  # flit stops before this link
-                    continue
-                link_busy[link] = cycle
-                if nxt < plan[2]:
-                    advancing.append(flit)
-                else:
-                    flit.got = nxt
-            live = advancing
-            pos = nxt
-        self._finish_moves(movers, cycle)
-
-    def _finish_moves(self, movers: Sequence[Packet], cycle: int) -> None:
+    def _finish_moves(self, movers: List[Packet], cycle: int) -> None:
         """The one copy of the post-arbitration rules, in priority
         order over the tick's movers (each has its ``got`` set):
         all-or-nothing release, back-off from full routers (cannot stop
@@ -420,12 +408,10 @@ class BaseNetwork:
         else schedules during the tick phase, so one event per tick —
         scheduled by the tick's first ejection — delivers the whole
         batch exactly where per-packet events would have fired."""
+        flits = self._flits
         occupancy = self._occupancy
         capacity = self._capacity
         link_busy = self._link_busy
-        buffers = self._buffers
-        nic_queues = self._nic_queues
-        active = self._active
         plans = self._plans
         n = self._n
         ejects = self._ejects
@@ -457,30 +443,23 @@ class BaseNetwork:
             flit_hops += got * size
             if got < full:
                 premature += 1
-            src = flit.at
-            buffers[src].remove(flit)
-            left = occupancy[src] = occupancy[src] - 1
-            # In-place _active maintenance: this is the only place a
-            # tile's occupancy can drop, so tick never rebuilds the set.
-            if not left and not nic_queues[src]:
-                active.discard(src)
+            occupancy[flit.at] -= 1
             flit.at = to
             if to == leg_dst:
+                flits.remove(flit)
                 if not ejects:
                     self.sim.call_after(1, self._fire_ejects)
                 ejects.append(flit)
                 if flit.vms is not None:
                     self._fork(flit, cycle)
             else:
-                # inlined _buffer_flit (hot)
+                # inlined _buffer_flit (hot); it keeps its age and place
                 flit.ready = ready
                 plan = plans[to * n + leg_dst]
                 if plan is None:
                     plan = self._intern_plan(to, leg_dst)
                 flit.plan = plan
-                buffers[to].append(flit)
                 occupancy[to] += 1
-                active.add(to)
         self._c_flit_hops.value += flit_hops
         self._c_delivered.value += len(ejects)
         if losses:

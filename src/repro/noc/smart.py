@@ -48,6 +48,8 @@ class SmartNetwork(BaseNetwork):
         so flits stop exactly at home routers unless contention stops
         them early (then they resume with fresh SSRs, like unicasts).
         """
+        if not 0 <= packet.src < self._n or packet.size_flits < 1:
+            self._refuse(packet)
         packet.injected_at = self.sim.cycle
         self._c_mcast_injected.value += 1
         root = packet.src

@@ -12,16 +12,17 @@ Python cycle-level NoC + coherence model tractable:
   so an idle network costs nothing and the kernel can fast-forward
   between events.
 
-The event queue is a binary heap of ``(cycle, seq, event-or-callable)``
-tuples; ``seq`` is a monotonically increasing tie-breaker so same-cycle
-events run in the order they were scheduled (deterministic replay).
-Plain tuples keep heap sifting in C — an :class:`Event` comparison
-method in the hot path would dominate large runs, and the unique
-``seq`` guarantees comparisons never reach the third element (which is
-a cancellable :class:`Event` for :meth:`Simulator.schedule` and the
-bare callable for the allocation-free :meth:`Simulator.call_after`).
+The event queue is one list of entries per cycle (``_buckets``) plus a
+heap of the cycles that have one (``_cycles``, plain ints). Entries are
+appended as scheduled, so same-cycle events run in scheduling order
+(deterministic replay) with no tie-break key, and a delay-0 event
+scheduled while a cycle fires joins the list being iterated. An entry
+is a cancellable :class:`Event` (:meth:`Simulator.schedule`) or a bare
+callable (the allocation-free :meth:`Simulator.call_after`). Cancels
+are lazy: a bucket of only cancelled events is dropped when reached,
+never counted as progress or taken as a fast-forward target.
 
-Everything the kernel stores — heap callbacks, tickers, epoch hooks,
+Everything the kernel stores — queued callbacks, tickers, epoch hooks,
 the registry — is part of a checkpoint, and a checkpoint is a plain
 :mod:`pickle` (:mod:`repro.sim.snapshot`): hand the kernel bound
 methods or :func:`functools.partial` objects over them, never a lambda
@@ -31,7 +32,7 @@ or a nested function.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.errors import DeadlockError, SimulationError
 
@@ -39,20 +40,19 @@ from repro.errors import DeadlockError, SimulationError
 class Event:
     """A scheduled callback, cancellable while queued."""
 
-    __slots__ = ("cycle", "seq", "fn", "cancelled", "_sim")
+    __slots__ = ("cycle", "fn", "cancelled", "_sim")
 
-    def __init__(self, cycle: int, seq: int, fn: Callable[[], None],
+    def __init__(self, cycle: int, fn: Callable[[], None],
                  sim: "Optional[Simulator]" = None) -> None:
         self.cycle = cycle
-        self.seq = seq
         self.fn = fn
         self.cancelled = False
         self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing (it stays in the heap lazily,
+        """Prevent the event from firing (it stays in its bucket lazily,
         but lets go of its callback: a cancelled timeout must not keep
-        the transaction it guarded alive until the heap reaches it)."""
+        the transaction it guarded alive until the loop reaches it)."""
         if not self.cancelled:
             self.cancelled = True
             self.fn = None
@@ -61,7 +61,7 @@ class Event:
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "live"
-        return f"Event(cycle={self.cycle}, seq={self.seq}, {state})"
+        return f"Event(cycle={self.cycle}, {state})"
 
 
 class EpochHook:
@@ -117,8 +117,10 @@ class Simulator:
 
     def __init__(self, deadlock_window: int = 2_000_000) -> None:
         self.cycle: int = 0
-        self._heap: List[Tuple[int, int, Event]] = []
-        self._seq: int = 0
+        self._buckets: Dict[int, List[Any]] = {}
+        self._cycles: List[int] = []
+        # iterator over the bucket being fired (see __getstate__)
+        self._firing: Optional[Iterator[Any]] = None
         self._tickers: List[Any] = []
         self._awake: List[bool] = []
         self._awake_count: int = 0
@@ -140,32 +142,26 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: int, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run ``delay`` cycles from now (delay >= 0)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        cycle = self.cycle + delay
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(cycle, seq, fn, self)
-        self._live_events += 1
-        heapq.heappush(self._heap, (cycle, seq, ev))
+        ev = Event(self.cycle + delay, fn, self)
+        self.call_after(delay, ev)
         return ev
 
     def call_after(self, delay: int, fn: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`schedule` without the :class:`Event`
-        wrapper — no handle, no cancellation. The heap holds the bare
-        callable; interleaving with Event entries is exact because the
-        ``(cycle, seq)`` prefix alone orders the heap (``seq`` is
-        globally unique, so tuple comparison never reaches the third
-        element). Hot paths that never cancel (cache latencies, packet
+        wrapper — no handle, no cancellation: the bucket holds the bare
+        callable. Hot paths that never cancel (cache latencies, packet
         ejections, memory responses) use this to skip one object
         allocation per scheduled callback."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         cycle = self.cycle + delay
-        seq = self._seq
-        self._seq = seq + 1
         self._live_events += 1
-        heapq.heappush(self._heap, (cycle, seq, fn))
+        bucket = self._buckets.get(cycle)
+        if bucket is None:
+            self._buckets[cycle] = [fn]
+            heapq.heappush(self._cycles, cycle)
+        else:
+            bucket.append(fn)
 
     def at(self, cycle: int, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` at an absolute cycle (must not be in the past)."""
@@ -213,31 +209,26 @@ class Simulator:
     def run(self, until: Optional[int] = None,
             stop_when: Optional[Callable[[], bool]] = None) -> int:
         """Run until the event queue drains, ``until`` cycles elapse, or
-        ``stop_when()`` becomes true. Returns the final cycle."""
+        ``stop_when()`` becomes true. Returns the final cycle. An
+        ``until`` before the current cycle (a rewind) is an error."""
+        if until is not None and until < self.cycle:
+            raise SimulationError(
+                f"run(until={until}) would rewind the clock from cycle "
+                f"{self.cycle}")
         self._running = True
         self._stop_requested = False
         last_progress_cycle = self.cycle
         deadlock_window = self._deadlock_window
-        heap = self._heap
-        heappop = heapq.heappop
+        next_live = self._next_live_cycle
         while not self._stop_requested:
             if stop_when is not None and stop_when():
                 break
-            # Inline _peek_cycle: this loop runs once per simulated
-            # cycle-with-work, so the two peeks are worth keeping free
-            # of call overhead.
-            while heap:
-                head = heap[0][2]
-                if head.__class__ is Event and head.cancelled:
-                    heappop(heap)
-                else:
-                    break
             if self._awake_count:
                 target = self.cycle
-            elif heap:
-                target = heap[0][0]  # fast-forward over idle gap
             else:
-                break  # nothing scheduled, nothing awake: simulation done
+                target = next_live()  # fast-forward over idle gap
+                if target is None:
+                    break  # nothing scheduled, nothing awake: done
             if until is not None and target > until:
                 self.cycle = until
                 break
@@ -250,13 +241,7 @@ class Simulator:
                     f"no progress since cycle {last_progress_cycle} "
                     f"(now {self.cycle})")
             if not self._awake_count:
-                while heap:
-                    head = heap[0][2]
-                    if head.__class__ is Event and head.cancelled:
-                        heappop(heap)
-                    else:
-                        break
-                if not heap:
+                if next_live() is None:
                     break
             else:
                 self.cycle += 1
@@ -266,16 +251,19 @@ class Simulator:
         self._running = False
         return self.cycle
 
-    def _peek_cycle(self) -> Optional[int]:
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            ev = head[2]
-            # call_after entries are bare callables — always live.
-            if ev.__class__ is Event and ev.cancelled:
-                heapq.heappop(heap)
-                continue
-            return head[0]
+    def _next_live_cycle(self) -> Optional[int]:
+        """The first cycle with a live event, dropping the buckets in
+        front of it that hold only cancelled events (lazy cancel)."""
+        buckets = self._buckets
+        cycles = self._cycles
+        while cycles:
+            cycle = cycles[0]
+            for entry in buckets[cycle]:
+                # call_after entries are bare callables — always live.
+                if entry.__class__ is not Event or not entry.cancelled:
+                    return cycle
+            heapq.heappop(cycles)
+            del buckets[cycle]
         return None
 
     def _run_cycle(self) -> bool:
@@ -284,28 +272,42 @@ class Simulator:
         Returns True if anything ran.
         """
         progressed = False
-        heap = self._heap
-        heappop = heapq.heappop
+        cycles = self._cycles
         cycle = self.cycle
-        while heap and heap[0][0] <= cycle:
-            entry = heappop(heap)
-            ev = entry[2]
-            if ev.__class__ is Event:
-                if ev.cancelled:
-                    continue
-                # Mark consumed so a late cancel() (e.g. a token-protocol
-                # timeout cancelled after it already fired) is a no-op and
-                # cannot decrement the live-event counter a second time.
-                ev.cancelled = True
-                fn = ev.fn
-            else:
-                fn = ev  # bare call_after callable
-            if entry[0] < cycle:
+        while cycles and cycles[0] <= cycle:
+            due = cycles[0]
+            bucket = self._buckets[due]
+            if due < cycle and any(e.__class__ is not Event or not e.cancelled
+                                   for e in bucket):
                 raise SimulationError(
-                    f"event for cycle {entry[0]} fired late at {cycle}")
-            self._live_events -= 1
-            progressed = True
-            fn()
+                    f"event for cycle {due} fired late at {cycle}")
+            # the cycle stays queued while it fires: a delay-0 event
+            # joins this very list and is reached by this iterator
+            self._firing = it = iter(bucket)
+            try:
+                for ev in it:
+                    if ev.__class__ is Event:
+                        if ev.cancelled:
+                            continue
+                        # Mark consumed so a late cancel() (e.g. a
+                        # token-protocol timeout cancelled after it
+                        # already fired) is a no-op and cannot decrement
+                        # the live-event counter a second time.
+                        ev.cancelled = True
+                        fn = ev.fn
+                    else:
+                        fn = ev  # bare call_after callable
+                    self._live_events -= 1
+                    progressed = True
+                    fn()
+            except BaseException:
+                # keep queued exactly what has not fired
+                del bucket[:len(bucket) - it.__length_hint__()]
+                raise
+            finally:
+                self._firing = None
+            heapq.heappop(cycles)
+            del self._buckets[due]
         if self._awake_count and cycle != self._ticked_cycle:
             self._ticked_cycle = cycle
             awake = self._awake
@@ -324,18 +326,30 @@ class Simulator:
         maintained as a counter at schedule/cancel/fire time."""
         return self._live_events
 
+    def close(self) -> None:
+        """Drop every queued event, ticker and registry entry: the
+        callbacks they hold are what ties a finished machine into one
+        cyclic graph. The kernel is inert afterwards. Idempotent."""
+        self._buckets.clear()
+        self._cycles.clear()
+        self._live_events = 0
+        self._tickers.clear()
+        self._awake.clear()
+        self._awake_count = 0
+        self.registry.clear()
+
     # ------------------------------------------------------------------
     # checkpoint / restore
     # ------------------------------------------------------------------
     def checkpoint(self) -> bytes:
         """Serialize the kernel and everything reachable from it — the
-        event heap (with its continuations), tickers, epoch hooks and
+        event queue (with its continuations), tickers, epoch hooks and
         registry — into a versioned snapshot image.
 
         May be called while paused (between run() calls) or from inside
         an event (an epoch hook): the host call stack is never part of
-        the image — continuation lives entirely in the heap — and
-        ``__getstate__`` normalizes the transient run-loop flags.
+        the image — continuation lives entirely in the event queue — and
+        ``__getstate__`` normalizes the transient run-loop state.
         Restoring the image and calling :meth:`run` continues
         bit-identically to the uninterrupted run: the tick-phase guard
         (``_ticked_cycle``) keeps cycle re-entry exact.
@@ -349,6 +363,15 @@ class Simulator:
         # must restore as a paused kernel.
         state["_running"] = False
         state["_stop_requested"] = False
+        it = self._firing
+        if it is not None:
+            # ...holding only the unfired rest of the current bucket: a
+            # bare callable that fired would otherwise fire again.
+            state["_firing"] = None
+            bucket = self._buckets[self.cycle]
+            state["_buckets"] = {
+                **self._buckets,
+                self.cycle: bucket[len(bucket) - it.__length_hint__():]}
         return state
 
     @staticmethod

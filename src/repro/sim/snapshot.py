@@ -2,7 +2,7 @@
 
 A machine image is a cleartext JSON header followed by a stock
 :mod:`pickle` of the object graph. That works because the simulator's
-live state is ordinary data: every *continuation* it stores (event-heap
+live state is ordinary data: every *continuation* it stores (event-queue
 entries, MSHR callbacks, forward-op waiters, NoC receivers, oracle
 wrappers) is a bound method or a :func:`functools.partial` over one,
 which :mod:`pickle` serializes by name with identity and cycles intact.

@@ -117,7 +117,7 @@ def test_closed_machine_is_freed_by_reference_counting(exp, restored,
 
 
 class TestClosedMachineRefuses:
-    """A released machine has an empty heap and no handlers: running
+    """A released machine has no queued events and no handlers: running
     it would "finish" at once and imaging it would save a gutted
     machine, so each entry point refuses by name."""
 
@@ -205,9 +205,13 @@ def _parked_fills(system: CmpSystem) -> int:
     return count
 
 
-def _cancelled_in_heap(system: CmpSystem) -> int:
-    return sum(1 for entry in system.sim._heap
-               if entry[2].__class__ is Event and entry[2].cancelled)
+def _queued_events(system: CmpSystem):
+    return [entry for bucket in system.sim._buckets.values()
+            for entry in bucket if entry.__class__ is Event]
+
+
+def _cancelled_in_queue(system: CmpSystem) -> int:
+    return sum(1 for entry in _queued_events(system) if entry.cancelled)
 
 
 def _pause_where(system: CmpSystem, ready, limit: int = 40_000) -> int:
@@ -226,17 +230,17 @@ def test_restore_with_a_fill_parked_behind_make_room(org):
 
     def ready(system):
         # the token machine must also hold a cancelled timeout in its
-        # heap, callback already dropped
+        # event queue, callback already dropped
         return _parked_fills(system) and (
-            not token or _cancelled_in_heap(system))
+            not token or _cancelled_in_queue(system))
 
     straight = CmpSystem(tiny_config(org), traces, warmup_fraction=0.35)
     r_straight = straight.run()
 
     paused = CmpSystem(tiny_config(org), traces, warmup_fraction=0.35)
     _pause_where(paused, ready)
-    assert all(entry[2].fn is None for entry in paused.sim._heap
-               if entry[2].__class__ is Event and entry[2].cancelled)
+    assert all(entry.fn is None for entry in _queued_events(paused)
+               if entry.cancelled)
     image = paused.checkpoint()
     r_resumed = paused.resume()
 

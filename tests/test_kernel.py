@@ -1,9 +1,31 @@
 """Unit tests for the discrete-event kernel."""
 
+from functools import partial
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.kernel import Simulator
+
+
+class _Log:
+    """Picklable continuation target: notes ``(name, cycle)`` into the
+    kernel's registry, and can checkpoint the kernel from inside an
+    event (the image goes to ``images``, outside the registry)."""
+
+    images = []
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.seen = sim.registry.setdefault("seen", [])
+
+    def note(self, name):
+        self.seen.append((name, self.sim.cycle))
+
+    def snap(self):
+        self.note("snap")
+        self.sim.call_after(0, partial(self.note, "after-snap"))
+        _Log.images.append(self.sim.checkpoint())
 
 
 class TestScheduling:
@@ -116,7 +138,7 @@ class TestScheduling:
         assert sim.pending_events() == 0
 
     def test_cancel_drops_the_callback_and_never_calls_none(self):
-        """A cancelled event stays in the heap but lets go of ``fn``
+        """A cancelled event stays queued but lets go of ``fn``
         (a timeout's lambda names the transaction it guarded); the
         loop skips it, and a cancel that comes after the event fired
         touches nothing."""
@@ -125,8 +147,8 @@ class TestScheduling:
         dropped = sim.schedule(3, lambda: seen.append("dropped"))
         fired = sim.schedule(4, lambda: seen.append("fired"))
         dropped.cancel()
-        assert dropped.fn is None and any(e[2] is dropped
-                                          for e in sim._heap)
+        assert dropped.fn is None and any(e is dropped
+                                          for e in sim._buckets[3])
         sim.run()
         assert seen == ["fired"]
         fired.cancel()  # late: already consumed
@@ -157,6 +179,127 @@ class TestScheduling:
         ev.cancel()
         ev.cancel()
         assert sim.pending_events() == 1
+
+    def test_run_until_before_now_is_refused(self):
+        """The clock never moves backwards: pausing at 12 and asking
+        for ``until=5`` used to set the clock to 5, so an event
+        scheduled next fired at cycle 6, after one that had fired at
+        10. ``until`` equal to the current cycle re-enters it."""
+        sim = Simulator()
+        seen = []
+        sim.schedule(10, lambda: seen.append(sim.cycle))
+        sim.schedule(20, lambda: seen.append(sim.cycle))
+        sim.run(until=12)
+        assert (seen, sim.cycle) == ([10], 12)
+        with pytest.raises(SimulationError, match=r"until=5\b.*\b12\b"):
+            sim.run(until=5)
+        assert sim.cycle == 12
+        sim.run(until=12)
+        sim.schedule(1, lambda: seen.append(sim.cycle))
+        sim.run()
+        assert seen == [10, 13, 20]
+
+
+class TestEventBuckets:
+    """The queue is one list per cycle plus a heap of cycles: same-cycle
+    entries fire in list order, which must equal scheduling order."""
+
+    def test_interleaved_schedule_call_after_and_delay0_keep_order(self):
+        sim = Simulator()
+        seen = []
+
+        def note(name):
+            return lambda: seen.append((name, sim.cycle))
+
+        def at1():
+            seen.append(("at1", sim.cycle))
+            sim.call_after(0, note("zero-a"))
+            sim.schedule(1, note("next"))
+            sim.schedule(0, note("zero-b")).cancel()
+            sim.schedule(0, note("zero-c"))
+
+        sim.schedule(2, note("e2"))
+        sim.call_after(2, note("c2"))
+        sim.schedule(1, at1)
+        sim.schedule(2, note("dropped")).cancel()
+        sim.call_after(1, note("c1"))
+        sim.schedule(2, note("e2b"))
+        sim.run()
+        assert seen == [("at1", 1), ("c1", 1), ("zero-a", 1),
+                        ("zero-c", 1), ("e2", 2), ("c2", 2), ("e2b", 2),
+                        ("next", 2)]
+        assert sim.pending_events() == 0 and not sim._buckets
+
+    def test_all_cancelled_bucket_is_no_progress_and_no_target(self):
+        """A cycle holding only cancelled events is skipped like a
+        cancelled heap head: the loop never visits it, the run ends
+        where the last live event fired, and visiting it does nothing."""
+        sim = Simulator()
+        visits = []
+        sim.schedule(5, lambda: None).cancel()
+        sim.schedule(5, lambda: None).cancel()
+        sim.schedule(9, lambda: None)
+        sim.schedule(14, lambda: None).cancel()
+        sim.run(stop_when=lambda: visits.append(sim.cycle) and False)
+        assert visits == [0] and sim.cycle == 9  # straight from 0 to 9
+        assert not sim._buckets and not sim._cycles
+        sim.schedule(0, lambda: None).cancel()
+        assert sim._run_cycle() is False
+        assert sim.pending_events() == 0
+
+    def test_checkpoint_inside_an_event_images_only_unfired_entries(self):
+        """Cycle 3 holds a bare ``call_after`` before the event that
+        checkpoints: the image must hold only what has not fired, or
+        the restored kernel fires that callable a second time."""
+        def build():
+            sim = Simulator()
+            log = _Log(sim)
+            sim.call_after(3, partial(log.note, "bare"))
+            sim.schedule(3, log.snap)
+            sim.call_after(3, partial(log.note, "bare-after"))
+            sim.schedule(3, partial(log.note, "event-after"))
+            sim.schedule(4, partial(log.note, "next"))
+            return sim
+
+        del _Log.images[:]
+        straight = build()
+        straight.run()
+        expect = [("bare", 3), ("snap", 3), ("bare-after", 3),
+                  ("event-after", 3), ("after-snap", 3), ("next", 4)]
+        assert straight.registry["seen"] == expect
+        restored = Simulator.restore(_Log.images[0])
+        assert restored.registry["seen"] == [("bare", 3), ("snap", 3)]
+        assert restored.pending_events() == 4 and restored._firing is None
+        restored.run()
+        assert restored.registry["seen"] == expect
+        assert restored.cycle == straight.cycle == 4
+        assert len(_Log.images) == 1  # snap itself fired exactly once
+
+    def test_close_drops_every_queued_entry_and_ticker(self):
+        sim = Simulator()
+        sim.schedule(3, lambda: None)
+        sim.call_after(5, lambda: None)
+        sim.wake(sim.add_ticker(TestTickers.CountdownTicker(4)))
+        sim.registry["peer"] = object()
+        sim.close()
+        assert sim.pending_events() == 0 and not sim.registry
+        assert sim.run() == 0  # nothing left to fire or tick
+
+    def test_exception_leaves_exactly_the_unfired_entries_queued(self):
+        sim = Simulator()
+        seen = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.call_after(2, lambda: seen.append("first"))
+        sim.call_after(2, boom)
+        sim.call_after(2, lambda: seen.append("last"))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert seen == ["first"] and sim.pending_events() == 1
+        sim.run()
+        assert seen == ["first", "last"] and sim.cycle == 2
 
 
 class TestTickers:

@@ -1,6 +1,8 @@
 """NoC tests: latencies matching the paper, contention, multicast,
 bandwidth, and backpressure across the three fabrics."""
 
+from functools import partial
+
 import pytest
 
 from repro.errors import NetworkError
@@ -297,7 +299,7 @@ class TestRoutePlans:
     @pytest.mark.parametrize("cls", [SmartNetwork, ConventionalNetwork,
                                      FlattenedButterflyNetwork])
     def test_out_of_range_tile_is_a_network_error(self, cls):
-        sim, net, _ = make_net(cls, mesh_side=4)
+        sim, net, delivered = make_net(cls, mesh_side=4)
         for at, dst in ((0, 16), (0, -1), (16, 0), (3, 4 * 4 + 3)):
             with pytest.raises(NetworkError):
                 net._compute_plan(at, dst)
@@ -307,6 +309,105 @@ class TestRoutePlans:
             with pytest.raises(NetworkError):
                 net.send(Packet(src=1, dst=dst))
         assert net.in_flight == 0
+        # The source is checked too, loopback included, and both entries
+        # refuse before counting, numbering or queueing anything. With
+        # plan (15 -> 3) interned, src -1 would ride tile 15's row
+        # (-1 * 16 + 3); a (16, 16) loopback would fail a cycle later.
+        net.send(Packet(src=15, dst=3))
+        sim.run()
+        assert net._plans[15 * 16 + 3] is not None
+        before = (net.stats.to_dict(), net._flit_seq, sim.pending_events(),
+                  len(delivered))
+        vms = VirtualMesh(ClusterMap(Mesh(4, 4), 2, 2), 0)
+        for bad in (Packet(src=-1, dst=3), Packet(src=16, dst=16),
+                    Packet(src=16, dst=3), Packet(src=-1, dst=-1),
+                    Packet(src=2, dst=5, size_flits=0)):
+            with pytest.raises(NetworkError):
+                net.send(bad)
+        for src in (-1, 16):
+            with pytest.raises(NetworkError):
+                net.multicast(Packet(src=src, dst=None), vms)
+        assert (net.stats.to_dict(), net._flit_seq, sim.pending_events(),
+                len(delivered)) == before
+        assert not net._flits and not any(net._nic_queues)
+        sim.run()
+        assert len(delivered) == before[3] and net.in_flight == 0
+
+
+class TestAgeOrderedFlits:
+    """The router keeps every buffered flit in one list in age order
+    instead of sorting the movers per tick. Checked after every tick
+    under contended traffic with one-flit VCs, so full routers make NICs
+    queue (a drained flit is inserted behind younger ones) and, on
+    SMART, VMS forks insert branches that carry an older
+    ``injected_at``: the list stays sorted, each router's occupancy is
+    its count of listed flits, and every packet in flight is listed,
+    queued at a NIC or ejecting (the traffic has no loopbacks, which
+    ride an event instead). Conventional's hop-by-hop pooled buffers
+    wedge at this buffer size above about 5 packets per cycle, hence
+    its rate."""
+
+    @pytest.mark.parametrize("kind,per_cycle", [
+        (NocKind.SMART, 8), (NocKind.CONVENTIONAL, 5),
+        (NocKind.FLATTENED_BUTTERFLY, 8),
+    ], ids=["smart", "conventional", "flattened_butterfly"])
+    def test_flit_list_sorted_and_occupancy_exact_after_every_tick(
+            self, kind, per_cycle):
+        sim = Simulator()
+        mesh = Mesh(8, 8)
+        net = build_network(sim, mesh, NocConfig(kind=kind, vcs_per_vn=1,
+                                                 vc_depth=1))
+        delivered = []
+        for tile in range(mesh.num_tiles):
+            net.attach(tile, delivered.append)
+        vms = VirtualMesh(ClusterMap(mesh, 4, 4), 5)
+        seen = {"ticks": 0, "inside": 0, "backlog": 0}
+        real_tick, real_buffer = net.tick, net._buffer_flit
+
+        def buffer_flit(flit, ready):
+            real_buffer(flit, ready)
+            seen["inside"] += net._flits[-1] is not flit
+
+        def tick(cycle):
+            busy = real_tick(cycle)
+            flits = net._flits
+            assert all(a.order < b.order for a, b in zip(flits, flits[1:]))
+            at = [0] * mesh.num_tiles
+            for flit in flits:
+                at[flit.at] += 1
+            assert at == net._occupancy
+            queued = sum(map(len, net._nic_queues))
+            assert net.in_flight == len(flits) + queued + len(net._ejects)
+            assert busy == bool(flits or net._nic_active)
+            seen["ticks"] += 1
+            seen["backlog"] += any(net._nic_queues)
+            return busy
+
+        net.tick, net._buffer_flit = tick, buffer_flit
+        state = 7
+        copies = 0
+        for i in range(1500):
+            state = (1103515245 * state + 12345) & 0x7FFFFFFF
+            src, dst = state % 64, (state >> 8) % 64
+            if dst == src:
+                dst = (dst + 1) % 64
+            if i % 25 == 0:
+                packet = Packet(src=vms.members[i % 4], dst=None,
+                                size_flits=1 + 4 * (i % 2))
+                sim.schedule(i // per_cycle,
+                             partial(net.multicast, packet, vms))
+                copies += len(vms.members) - 1
+            else:
+                sim.schedule(i // per_cycle, partial(
+                    net.send, Packet(src=src, dst=dst,
+                                     size_flits=1 + 4 * (state % 3 == 0))))
+                copies += 1
+        sim.run(until=50_000)
+        assert len(delivered) == copies and net.in_flight == 0
+        assert not net._flits and seen["ticks"] > 100
+        assert seen["inside"] > 0 and seen["backlog"] > 0
+        if kind is NocKind.SMART:
+            assert net.stats.value("smart.mcast_forks") > 0
 
 
 class TestVmsMulticast:

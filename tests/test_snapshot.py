@@ -5,7 +5,7 @@ any cycle boundary and restored — in this process or a fresh one — must
 continue exactly like the uninterrupted run, for every organization:
 same ``Stats.to_dict()``, same runtime, same per-line shadow versions,
 same shadow-oracle verdict. Silent drift in any serialized subsystem
-(event heap, MSHR continuations, RNG streams, NoC state, replacement
+(event queue, MSHR continuations, RNG streams, NoC state, replacement
 order) shows up here as a hard inequality.
 """
 
@@ -23,7 +23,7 @@ import pytest
 
 from repro.cmp.system import CmpSystem
 from repro.coherence.shadow import ShadowOracle
-from repro.errors import SnapshotError
+from repro.errors import SimulationError, SnapshotError
 from repro.harness.fuzz import SnapshotRecorder
 from repro.noc.interface import build_network
 from repro.noc.packet import Packet
@@ -123,6 +123,21 @@ class TestRoundTripProperties:
         assert r_forked.mpki == r_straight.mpki
         assert r_forked.l2_hit_latency == r_straight.l2_hit_latency
         assert _shadow_image(forked) == _shadow_image(straight)
+
+    def test_restored_past_its_horizon_still_hits_the_cycle_limit(self):
+        """The kernel refuses ``run(until=)`` before its clock, so
+        ``resume()`` does not call it on an image already past
+        ``max_cycles``: it reports the horizon, as a cell whose warmup
+        image outruns a lower ``max_cycles`` rung always has."""
+        traces = generate_traces(_spec(0), 16, seed=7)
+        warm = _build(Organization.SHARED, traces)
+        assert warm.run_until_warmup()
+        horizon = warm.sim.cycle - 1
+        forked = CmpSystem.restore(warm.checkpoint(), traces)
+        with pytest.raises(SimulationError,
+                           match=f"the {horizon}-cycle limit"):
+            forked.resume(max_cycles=horizon)
+        assert forked.sim.cycle == horizon + 1
 
     @pytest.mark.parametrize("org", ORGS4, ids=lambda o: o.value)
     def test_epoch0_snapshot_equals_fresh_construction(self, org):
@@ -281,7 +296,7 @@ def _continuation_names(fn, out):
 
 class _ImageRecorder(SnapshotRecorder):
     """Checkpoints every ``period`` cycles and keeps the newest image
-    plus, per continuation seen live in the event heap, the first image
+    plus, per continuation seen live in the event queue, the first image
     that holds it."""
 
     def __init__(self, system, period):
@@ -291,9 +306,12 @@ class _ImageRecorder(SnapshotRecorder):
     def _snap(self, cycle):
         super()._snap(cycle)
         names = set()
-        for _cycle, _seq, entry in self.system.sim._heap:
-            _continuation_names(
-                entry.fn if entry.__class__ is Event else entry, names)
+        # what the image holds: while an event fires, only the unfired
+        # rest of its cycle
+        for bucket in self.system.sim.__getstate__()["_buckets"].values():
+            for entry in bucket:
+                _continuation_names(
+                    entry.fn if entry.__class__ is Event else entry, names)
         for name in names - self.first_with.keys():
             self.first_with[name] = self.latest
 
@@ -391,7 +409,7 @@ class TestPeriodicCheckpoints:
         assert result.stats.value("spec_issued") > 0
 
     #: what each organization's storm must be caught holding in its
-    #: event heap (seed and geometry are picked for it)
+    #: event queue (seed and geometry are picked for it)
     STORM_CONTINUATIONS = {
         Organization.PRIVATE: {"_refetch", "_reissue"},
         Organization.SHARED: {"_commit_then"},
