@@ -3,7 +3,7 @@
 
 Subcommands::
 
-    fleet        the coordinator quorum + N worker processes on this host
+    fleet        a coordinator + N worker processes on this host
     coordinator  just the coordinator (workers join from anywhere)
     worker       one worker, attached to a running coordinator
     status       fleet snapshot (workers, queue depth, cache counters)
@@ -28,16 +28,11 @@ coordinator: each runs every unit cold. A warmup-image store
 (``run_experiments.py --warmup-cache``, ``sweep(warmup_cache=...)``)
 is local only and never reaches the fleet.
 
-Replication: ``fleet`` launches its coordinators as child processes
-forming one quorum. ``--replicas 1`` (the default) is a quorum of one:
-it leads from its first instant, commits without a round trip, and its
-death ends the fleet with rc 1. ``--replicas 3`` runs three
-(consecutive ports from ``--bind``, or all-ephemeral with port 0) that
-elect a leader and replicate every scheduling decision; workers and
-clients get the comma-separated replica list and follow redirects.
-SIGKILL the leader and the survivors finish the job — a killed replica
-is *not* respawned (the quorum margin is the failure budget); the
-fleet exits nonzero only when a majority is gone.
+``fleet`` launches its coordinator as a child process. A client's
+``shutdown`` ends it with rc 0 and the fleet winds down with rc 0; a
+coordinator that dies otherwise ends the fleet with rc 1. Restarting
+it over the same ``--cache-dir`` serves every finished unit back from
+the result memo.
 """
 
 from __future__ import annotations
@@ -56,11 +51,11 @@ if REPO_SRC not in sys.path:
     sys.path.insert(0, REPO_SRC)
 
 from repro.service.client import ServiceClient           # noqa: E402
-from repro.service.cluster import (pick_free_ports,      # noqa: E402
-                                   spawn_coordinator_process)
 from repro.service.__main__ import main as service_main  # noqa: E402
 from repro.service.errors import ServiceError            # noqa: E402
 from repro.service.worker import (parse_address,         # noqa: E402
+                                  pick_free_ports,
+                                  spawn_coordinator_process,
                                   spawn_worker_process)
 
 
@@ -93,30 +88,23 @@ _FLEET_MIN_UPTIME = 5.0
 
 
 def cmd_fleet(args) -> int:
-    """``fleet``: ``--replicas`` coordinator processes + the workers.
+    """``fleet``: a coordinator process + the workers.
 
-    A dead worker slot is respawned (the leader already requeued its
-    units). A replica exiting rc 0 means a client committed
-    ``shutdown`` through the log — wind the fleet down; a *killed*
-    replica is not respawned (a rejoining node can disturb a stable
-    term, and the quorum margin is the failure budget the operator
-    asked for): the fleet fails only once a majority is gone."""
+    A dead worker slot is respawned (the coordinator already requeued
+    its units). The coordinator exiting rc 0 means a client asked for
+    ``shutdown`` — wind the fleet down; any other exit fails the
+    fleet."""
     host, port = parse_address(args.bind)
-    ports = (pick_free_ports(args.replicas, host) if port == 0
-             else [port + i for i in range(args.replicas)])
-    addresses = [f"{host}:{p}" for p in ports]
-    addr_list = ",".join(addresses)
-    quorum = args.replicas // 2 + 1
-    replicas: List[subprocess.Popen] = []
+    address = f"{host}:{port or pick_free_ports(1, host)[0]}"
+    coordinator: Optional[subprocess.Popen] = None
     procs: List[subprocess.Popen] = []
     spawned_at = [0.0] * args.workers
     crash_streak = [0] * args.workers
-    standing = args.replicas
     rc = 0
 
     def spawn_worker(i: int) -> subprocess.Popen:
         spawned_at[i] = time.monotonic()
-        return spawn_worker_process(addr_list, name=f"w{i}",
+        return spawn_worker_process(address, name=f"w{i}",
                                     verbose=not args.quiet)
 
     # SIGTERM runs the same orderly teardown as Ctrl-C: wrappers (the
@@ -129,37 +117,28 @@ def cmd_fleet(args) -> int:
 
     prev_term = signal.signal(signal.SIGTERM, _on_term)
     try:
-        replicas += [
-            spawn_coordinator_process(
-                addresses, i, cache_dir=args.cache_dir,
-                heartbeat_timeout=args.heartbeat_timeout,
-                verbose=not args.quiet)
-            for i in range(args.replicas)]
-        print(f"coordinator on {addr_list} (quorum {quorum} of "
-              f"{args.replicas}); starting {args.workers} workers",
-              flush=True)
-        # a single-address worker exits when nobody answers, so the
-        # workers start once a leader does
-        ServiceClient(addr_list, connect_timeout=30.0).close()
+        coordinator = spawn_coordinator_process(
+            address, cache_dir=args.cache_dir,
+            heartbeat_timeout=args.heartbeat_timeout,
+            verbose=not args.quiet)
+        print(f"coordinator on {address}; starting {args.workers} "
+              f"workers", flush=True)
+        # a worker exits when nobody answers, so the workers start
+        # once the coordinator does
+        ServiceClient(address, connect_timeout=30.0).close()
         procs += [spawn_worker(i) for i in range(args.workers)]
         while not rc:
             # workers found dead *before* the tick are respawned only
-            # if the quorum still stands after it: a fleet told to shut
-            # down loses its workers first, and must not regrow them
+            # if the coordinator still runs after it: a fleet told to
+            # shut down loses its workers first, and must not regrow them
             dead = [i for i, p in enumerate(procs) if p.poll() is not None]
             time.sleep(1.0)
-            codes = [r.poll() for r in replicas]
-            alive = codes.count(None)
-            if 0 in codes:
-                break  # shutdown committed: the quorum is winding down
-            if alive < standing:
-                standing = alive
-                print(f"replica exit codes now {codes}; the dead are not "
-                      f"respawned — {alive} alive, quorum {quorum}",
+            code = coordinator.poll()
+            if code == 0:
+                break  # a client asked for shutdown
+            if code is not None:
+                print(f"coordinator exited rc={code}", file=sys.stderr,
                       flush=True)
-            if alive < quorum:
-                print(f"quorum lost: {alive} of {len(replicas)} replicas "
-                      f"alive (need {quorum})", file=sys.stderr, flush=True)
                 rc = 1
                 break
             for i in dead:
@@ -181,17 +160,19 @@ def cmd_fleet(args) -> int:
                       f"respawning", flush=True)
                 procs[i] = spawn_worker(i)
     except ServiceError as exc:
-        print(f"no leader emerged: {exc}", file=sys.stderr, flush=True)
+        print(f"the coordinator never answered: {exc}", file=sys.stderr,
+              flush=True)
         rc = 1
     except KeyboardInterrupt:
         pass
     finally:
         signal.signal(signal.SIGTERM, prev_term)
-    for p in procs + replicas:
+    children = procs + ([coordinator] if coordinator is not None else [])
+    for p in children:
         if p.poll() is None:
             p.terminate()
     deadline = time.monotonic() + 5.0
-    for p in procs + replicas:
+    for p in children:
         try:
             p.wait(timeout=max(0.1, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
@@ -241,9 +222,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             p.add_argument("--heartbeat-timeout", type=float, default=8.0)
         if connect:
             p.add_argument("--connect", required=True,
-                           metavar="HOST:PORT[,HOST:PORT…]",
-                           help="coordinator address (comma-separate "
-                                "the replicas of a clustered one)")
+                           metavar="HOST:PORT",
+                           help="coordinator address")
 
     p = sub.add_parser("coordinator", help="run a coordinator")
     common(p, bind=True)
@@ -258,10 +238,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="coordinator + N local workers (respawning)")
     common(p, bind=True)
     p.add_argument("--workers", type=int, default=os.cpu_count() or 2)
-    p.add_argument("--replicas", type=int, default=1,
-                   help="coordinator replicas (>1 = replicated quorum "
-                        "on consecutive ports from --bind; leader "
-                        "death becomes a non-event)")
     p.add_argument("--max-respawns", type=int, default=5,
                    help="consecutive fast crashes of one worker slot "
                         "before the fleet gives up and exits nonzero")

@@ -12,40 +12,35 @@ units of dead workers, and streams rows back to
 bit-identical to ``sweep(jobs=0)`` — runs are seeded by config, results
 are deduplicated per unit, and retries are idempotent.
 
-Every coordinator commits scheduler commands through a consensus log
-(:mod:`repro.service.replica`); a lone one is a quorum of one. Start N
-of them with a :class:`~repro.service.cluster.ClusterConfig` and they
-elect a leader and replicate that log; clients and workers follow
-``redirect`` frames to the leader and fail over when it dies.
+There is one coordinator per fleet. Its pure
+:class:`~repro.service.sessions.Sessions` calls the
+:class:`~repro.service.scheduler.Scheduler` directly; a client that
+loses it mid-job gets a typed :class:`JobFailed`, and a coordinator
+restarted over the same ``cache_dir`` serves finished units back from
+its result memo without re-simulating them.
 
-Entry points: ``scripts/sweep_service.py`` (launch a fleet,
-``--replicas N`` for a replicated one), ``sweep(..., service=
-"host:port")`` (use one), and ``examples/distributed_sweep.py``
-(the tour).
+Entry points: ``scripts/sweep_service.py`` (launch a fleet),
+``sweep(..., service="host:port")`` (use one), and
+``examples/distributed_sweep.py`` (the tour).
 """
 
 from repro.service.client import ServiceClient
-from repro.service.cluster import (ClusterConfig, ClusterManager,
-                                   pick_free_ports,
-                                   spawn_coordinator_process)
 from repro.service.coordinator import Coordinator
 from repro.service.errors import (ConnectionClosed, FrameError, JobFailed,
                                   ProtocolMismatch, ServiceError)
 from repro.service.protocol import (MAX_FRAME, MESSAGE_TYPES,
                                     PROTOCOL_VERSION, FrameDecoder,
                                     encode_frame)
-from repro.service.replica import (ConsensusCore, ReplicaLog,
-                                   SchedulerMachine)
 from repro.service.scheduler import Scheduler
-from repro.service.transport import (Connection, SyncTransport,
-                                     parse_address, parse_addresses)
-from repro.service.worker import Worker
+from repro.service.transport import Connection, SyncTransport, parse_address
+from repro.service.worker import (Worker, pick_free_ports,
+                                  spawn_coordinator_process,
+                                  spawn_worker_process)
 
 __all__ = [
     "Coordinator", "Worker", "ServiceClient", "Scheduler",
-    "parse_address", "parse_addresses",
-    "ClusterConfig", "ClusterManager", "ConsensusCore", "ReplicaLog",
-    "SchedulerMachine", "pick_free_ports", "spawn_coordinator_process",
+    "parse_address", "pick_free_ports", "spawn_coordinator_process",
+    "spawn_worker_process",
     "ServiceError", "FrameError", "ConnectionClosed",
     "JobFailed", "ProtocolMismatch",
     "PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES", "FrameDecoder",

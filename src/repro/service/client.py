@@ -18,9 +18,12 @@ discipline as the event-loop coordinator), which is what makes
 kernel timeout. ``on_row`` gives callers a live hook (progress bars,
 incremental plotting) without threads.
 
-Whom to dial, how long to lull and when to give up is
+When to dial, how long to lull and when to give up is
 :class:`~repro.service.protocol.SignIn` (budget ``connect_timeout``); a
-job's rows across fail-overs are :class:`~repro.service.protocol.JobRows`.
+job's rows are :class:`~repro.service.protocol.JobRows`. A coordinator
+lost mid-job is a typed :class:`~repro.service.errors.JobFailed`;
+:meth:`ServiceClient.reconnect` then dials it again (a restarted
+coordinator over the same ``cache_dir`` serves finished units back).
 """
 
 from __future__ import annotations
@@ -34,56 +37,39 @@ from repro.service.errors import (ConnectionClosed, FrameError, JobFailed,
                                   ProtocolMismatch, ServiceError)
 from repro.service.protocol import (PROTOCOL_VERSION, JobRows, SignIn,
                                     raise_for_error)
-from repro.service.transport import SyncTransport, parse_addresses
+from repro.service.transport import SyncTransport, parse_address
 
 __all__ = ["ServiceClient"]
-
-#: leader-flap backstop: how many times one ``run_units`` call will
-#: resubmit after losing its coordinator before giving up
-_MAX_RESUBMITS = 8
 
 
 class ServiceClient:
     """One connection to a sweep coordinator (usable as a context
-    manager). Not thread-safe; open one client per thread.
-
-    ``address`` may be a comma-separated replica list; the client then
-    dials until one replica answers ``welcome``, following ``redirect``
-    frames to the current leader, and :meth:`run_units` transparently
-    fails over (rediscover + resubmit — safe because per-(job, idx)
-    completion is idempotent and the replicated result memo serves
-    already-finished units without re-simulation)."""
+    manager). Not thread-safe; open one client per thread. A bad
+    ``address`` raises :class:`ServiceError` before anything is
+    dialed."""
 
     def __init__(self, address: str, *,
                  connect_timeout: float = 30.0,
                  row_timeout: Optional[float] = None) -> None:
+        parse_address(address)
         self.address = address
-        self.addresses = parse_addresses(address)
         self.connect_timeout = connect_timeout
         self.row_timeout = row_timeout
-        #: fail-over is on exactly when there is more than one replica
-        #: to fail over *to* (a single-address coordinator's death
-        #: stays a typed JobFailed)
-        self.failover = len(self.addresses) > 1
-        #: where the last successful handshake landed (the leader)
-        self.leader_address: Optional[str] = None
         #: from_cache of the last finished job (units the memo served)
         self.last_job_stats: Dict[str, int] = {}
         self._transport: Optional[SyncTransport] = None
         self.reconnect()
 
     def reconnect(self) -> None:
-        """Drop the current connection (if any) and find a coordinator
-        that welcomes us — the leader, in a replicated fleet — within
-        ``connect_timeout``: also the retry hook after a coordinator
-        restart or fail-over (a job in flight must be resubmitted; the
+        """Drop the current connection (if any) and sign in with the
+        coordinator within ``connect_timeout``: also the retry hook after
+        a coordinator restart (a job in flight must be resubmitted; the
         coordinator's result memo makes that cheap)."""
         if self._transport is not None:
             self._transport.close()
             self._transport = None
-        signin = SignIn(self.addresses, self.connect_timeout,
-                        time.monotonic(), self.leader_address)
-        self.leader_address = None
+        signin = SignIn(self.address, self.connect_timeout,
+                        time.monotonic())
         while self._transport is None:
             now = time.monotonic()
             address = signin.dial(now)
@@ -97,14 +83,13 @@ class ServiceClient:
                 transport.send({"type": "hello", "role": "client",
                                 "protocol": PROTOCOL_VERSION},
                                timeout=timeout)
-                if signin.reply(transport.recv(timeout=timeout)):
-                    self._transport, transport = transport, None
+                signin.reply(transport.recv(timeout=timeout))
+                self._transport, transport = transport, None
             except (OSError, ConnectionClosed, FrameError) as exc:
                 signin.failed(exc)
             finally:
                 if transport is not None:
                     transport.close()
-        self.leader_address = signin.leader
 
     # ------------------------------------------------------------------
     def _recv(self) -> Dict[str, Any]:
@@ -167,36 +152,18 @@ class ServiceClient:
         ``RunResult`` objects for metric-None units, decoded from
         their wire encoding against each unit's own config. Workers run
         every unit cold. Raises :class:`JobFailed` when a unit exhausts
-        its retries.
+        its retries, or when the session ends mid-job.
         """
         rows = JobRows(units, on_row)
-        resubmits = 0
-        while True:
-            try:
-                self._transport.send(rows.submit())
-                while not rows.frame(self._recv()):
-                    pass
-                self.last_job_stats = {"from_cache": rows.from_cache}
-                return rows.values
-            except (JobFailed, ProtocolMismatch):
-                raise  # final verdicts, never retried
-            except ServiceError as exc:  # the session ended mid-job
-                if not self.failover:
-                    raise JobFailed(
-                        f"coordinator went away with {rows.remaining} "
-                        f"rows outstanding ({exc})") from None
-                resubmits += 1
-                if resubmits > _MAX_RESUBMITS:
-                    raise JobFailed(
-                        f"gave up after {_MAX_RESUBMITS} fail-overs "
-                        f"with {rows.remaining} rows outstanding "
-                        f"(last: {exc})") from None
-                # rediscover the leader and resubmit everything: the
-                # replicated memo serves finished units back instantly
-                try:
-                    self.reconnect()
-                except ProtocolMismatch:
-                    raise
-                except ServiceError as exc2:
-                    raise JobFailed(
-                        f"fail-over found no leader: {exc2}") from None
+        try:
+            self._transport.send(rows.submit())
+            while not rows.frame(self._recv()):
+                pass
+        except (JobFailed, ProtocolMismatch):
+            raise  # final verdicts
+        except ServiceError as exc:  # the session ended mid-job
+            raise JobFailed(
+                f"coordinator went away with {rows.remaining} rows "
+                f"outstanding ({exc})") from None
+        self.last_job_stats = {"from_cache": rows.from_cache}
+        return rows.values

@@ -2,13 +2,11 @@
 :class:`~repro.service.sessions.Sessions`, the pure state machine that
 makes every job, worker and memo decision.
 
-One listening socket serves every role. A worker's or client's
-``hello`` and every later frame go to ``Sessions``; on EOF or an error
-the peer gets the typed ``error`` frame and ``Sessions.closed`` ends
-its session. A ``replica-hello`` link, like our one reconnecting link
-per peer (:meth:`_peer_link`), carries consensus frames to the
-:class:`~repro.service.cluster.ClusterManager`. The one timer
-(:meth:`_timer`) calls ``Sessions.tick`` with monotonic ``loop.time()``.
+One listening socket serves workers and clients. A peer's ``hello``
+and every later frame go to ``Sessions``; on EOF or an error the peer
+gets the typed ``error`` frame and ``Sessions.closed`` ends its
+session. The one timer (:meth:`_timer`) calls ``Sessions.tick`` with
+monotonic ``loop.time()`` every ``monitor_interval``.
 
 Concurrency model: a single-threaded asyncio event loop, in one
 background thread so ``start()``/``stop()`` keep their blocking API.
@@ -24,15 +22,11 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import os
 import threading
-from typing import Dict, Optional, Set
+from typing import Optional, Set
 
-from repro.service.cluster import TICK_INTERVAL, ClusterConfig
-from repro.service.errors import (FrameError, ProtocolMismatch,
-                                  ServiceError)
-from repro.service.protocol import (PROTOCOL_VERSION, SIGNIN_LULL,
-                                    check_protocol)
+from repro.service.errors import ProtocolMismatch, ServiceError
+from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.sessions import Sessions
 from repro.service.transport import Connection
 
@@ -49,18 +43,13 @@ class Coordinator:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  cache_dir: Optional[str] = None,
                  heartbeat_timeout: float = 8.0,
-                 monitor_interval: float = 0.5,
-                 cluster: Optional[ClusterConfig] = None) -> None:
+                 monitor_interval: float = 0.5) -> None:
         self.host = host
         self.port = port
-        self.cache_dir = cache_dir
-        self.heartbeat_timeout = heartbeat_timeout
         self.monitor_interval = monitor_interval
-        self.cluster = cluster
-        self.sessions: Sessions  # built in _main, after bind
-        # peer id -> our outbound connection to it (None while down);
-        # shared with the manager, which sends through it
-        self._links: Dict[int, Optional[Connection]] = {}
+        self.sessions = Sessions(on_shutdown=self._request_shutdown,
+                                 cache_dir=cache_dir,
+                                 heartbeat_timeout=heartbeat_timeout)
         self._conns: Set[Connection] = set()
         self._conn_tasks: Set[asyncio.Task] = set()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -131,16 +120,6 @@ class Coordinator:
         if self._shutdown_evt is not None:
             self._shutdown_evt.set()
 
-    def _on_shutdown(self) -> None:
-        """A ``shutdown`` command committed: stop. A leader with
-        followers first lets the commit-index broadcast reach them."""
-        mgr = self.sessions.mgr
-        if mgr.is_leader and mgr.core.peers():
-            assert self._loop is not None
-            self._loop.call_later(0.3, self._request_shutdown)
-        else:
-            self._request_shutdown()
-
     async def _main(self) -> None:
         self._shutdown_evt = asyncio.Event()
         try:
@@ -153,30 +132,17 @@ class Coordinator:
             self._ready.set()
             return
         self.port = server.sockets[0].getsockname()[1]
-        # no configured membership: a quorum of one, at the bound address
-        self.cluster = self.cluster or ClusterConfig(
-            node_id=0, addresses=[self.address])
-        assert self._loop is not None
-        self.sessions = Sessions(
-            self.cluster, self._links,
-            seed=os.getpid() ^ self.cluster.node_id, now=self._loop.time(),
-            on_shutdown=self._on_shutdown, cache_dir=self.cache_dir,
-            heartbeat_timeout=self.heartbeat_timeout)
         self._ready.set()
         log.info("coordinator listening on %s (single-threaded event "
-                 "loop, replica %d/%d)", self.address,
-                 self.cluster.node_id, self.cluster.n_nodes)
-        background = [asyncio.create_task(self._timer())] + [
-            asyncio.create_task(self._peer_link(peer))
-            for peer in self.sessions.mgr.core.peers()]
+                 "loop)", self.address)
+        timer = asyncio.create_task(self._timer())
         try:
             await self._shutdown_evt.wait()
         finally:
             self._stopping = True
             self.sessions.stop()
-            for task in background:
-                task.cancel()
-            await asyncio.gather(*background, return_exceptions=True)
+            timer.cancel()
+            await asyncio.gather(timer, return_exceptions=True)
             server.close()
             await server.wait_closed()
             for conn in list(self._conns):
@@ -193,16 +159,10 @@ class Coordinator:
                 conn.abort()
 
     async def _timer(self) -> None:
-        """The one clock: steps the consensus state machine and checks
-        worker liveness. A quorum with peers needs ``tick`` every
-        ``TICK_INTERVAL``; without peers nothing is ever due between
-        liveness checks, so the loop wakes only for those."""
+        """The one clock: checks worker liveness."""
         assert self._loop is not None
-        period = self.monitor_interval
-        if self.sessions.mgr.core.peers():
-            period = min(period, TICK_INTERVAL)
         while True:
-            await asyncio.sleep(period)
+            await asyncio.sleep(self.monitor_interval)
             self.sessions.tick(self._loop.time())
 
     # ------------------------------------------------------------------
@@ -216,26 +176,13 @@ class Coordinator:
             task.add_done_callback(self._conn_tasks.discard)
         conn = Connection(reader, writer)
         self._conns.add(conn)
-        loop, mgr = asyncio.get_running_loop(), self.sessions.mgr
+        loop = asyncio.get_running_loop()
         try:
-            hello = await conn.read(30.0)
-            if hello.get("type") == "replica-hello":
-                check_protocol(hello, peer="replica peer")
-                node = hello.get("node")
-                if node not in mgr.core.peers():
-                    # consensus frames from a non-member could depose
-                    # the leader
-                    raise FrameError(f"replica {node!r} is not a member "
-                                     f"of this quorum")
-                log.info("replica %s connected", node)
-                while not self._stopping:
-                    mgr.handle_message(await conn.read(), conn.send,
+            live = self.sessions.hello(conn, await conn.read(30.0),
                                        loop.time())
-            else:
-                live = self.sessions.hello(conn, hello, loop.time())
-                while live and not self._stopping:
-                    live = self.sessions.frame(conn, await conn.read(),
-                                               loop.time())
+            while live and not self._stopping:
+                live = self.sessions.frame(conn, await conn.read(),
+                                           loop.time())
         except asyncio.TimeoutError:
             pass  # never said hello — drop silently
         except (ServiceError, OSError) as exc:
@@ -251,29 +198,3 @@ class Coordinator:
             self._conns.discard(conn)
             conn.close()
             await conn.wait_closed()
-
-    async def _peer_link(self, peer: int) -> None:
-        """Our outbound link to replica ``peer``: dial, say
-        ``replica-hello``, feed what comes back to the manager, and
-        redial forever — a dead peer is a normal condition (the quorum
-        rule, not the link, decides what that means)."""
-        assert self._loop is not None and self.cluster is not None
-        while True:
-            conn = None
-            try:
-                conn = await Connection.open(
-                    self.cluster.addresses[peer], 5.0)
-                conn.send({"type": "replica-hello",
-                           "node": self.cluster.node_id,
-                           "protocol": PROTOCOL_VERSION})
-                self._links[peer] = conn
-                while True:
-                    self.sessions.mgr.handle_message(
-                        await conn.read(), conn.send, self._loop.time())
-            except (OSError, ServiceError, asyncio.TimeoutError):
-                pass
-            finally:
-                self._links[peer] = None
-                if conn is not None:
-                    conn.abort()
-            await asyncio.sleep(SIGNIN_LULL)

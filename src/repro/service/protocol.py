@@ -14,7 +14,7 @@ desynchronizing, and a stream that ends mid-frame is distinguishable
 from a clean close (:class:`ConnectionClosed`).
 
 The peers' decisions are pure objects here, driven with ``now`` passed
-in: :class:`SignIn` (whom to dial, how long to lull, when to give up)
+in: :class:`SignIn` (when to dial, how long to lull, when to give up)
 and :class:`JobRows` (a client's rows across resubmits). The stepped
 test (``tests/test_service_sessions.py``) drives the very same ones.
 """
@@ -33,12 +33,17 @@ __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
            "SIGNIN_LULL", "encode_frame", "FrameDecoder", "check_protocol",
            "frame_field", "raise_for_error", "SignIn", "JobRows"]
 
-#: Version 9: an encoded ``RunResult``'s ``stats`` is
+#: Version 10: the fleet has one coordinator. The frame that sent a
+#: peer on to the leading replica and the five consensus frames between
+#: replicas are gone, and ``status_reply`` has no ``cluster`` entry; a
+#: v9 peer given a replica list would wait for a pointer to the leader
+#: that no coordinator sends.
+#: (Version 9: an encoded ``RunResult``'s ``stats`` is
 #: :meth:`~repro.sim.stats.Stats.to_wire` — each sampler is
 #: ``[count, total]`` (v8 sent six fields per sampler and two more
 #: stats keys), so a v8 peer could not decode a v9 full-result value
 #: (nor a v9 peer a v8 one).
-#: (Version 8: a worker holds two ``assign``s at once (the one it runs
+#: Version 8: a worker holds two ``assign``s at once (the one it runs
 #: and the next) and must run them one at a time, in arrival order.
 #: Frames are byte-identical to v7's, but a v7 worker would run the two
 #: concurrently in executor threads.
@@ -63,26 +68,23 @@ __all__ = ["PROTOCOL_VERSION", "MAX_FRAME", "MESSAGE_TYPES",
 #: a v3 worker would silently run a speculation-on unit with
 #: speculation off and return committed-only rows missing every
 #: ``leak_*`` counter.
-#: Version 3 added coordinator replication. ``redirect`` tells a client or
-#: worker which replica currently leads (follow it, don't retry here);
-#: ``replica-hello`` opens a replica-to-replica link, over which the
-#: consensus traffic flows (``replica-vote``/``replica-vote-reply``
-#: elections, ``replica-append``/``replica-append-ack`` log
-#: replication — see :mod:`repro.service.replica`. A v2 peer would
-#: treat a redirect as an unknown frame and hang against a follower,
-#: which is exactly the drift the mandatory version field catches.
+#: Version 3 added coordinator replication (retired in v10): a frame
+#: telling a client or worker which replica leads, and the consensus
+#: frames (votes, log appends and their acks) between replicas. A v2
+#: peer would treat the pointer to the leader as an unknown frame and
+#: hang against a follower, which is exactly the drift the mandatory
+#: version field catches.
 #: Version 2 made the ``protocol`` field in ``hello``/``welcome``
 #: mandatory and gave unit/value payloads a ``kind`` discriminator
 #: plus full-``RunResult`` encodings — see
 #: :mod:`repro.harness.units`.)
-PROTOCOL_VERSION = 9
+PROTOCOL_VERSION = 10
 
 #: hard payload ceiling — a submit of ~100k units is a few MB; anything
 #: past this is a corrupt or hostile length prefix, not a real message.
 MAX_FRAME = 64 * 1024 * 1024
 
-#: pause before dialing again: after a sign-in round that found no
-#: leader (let one emerge), and after a replica link's loss
+#: pause before dialing again after a sign-in that found nobody
 SIGNIN_LULL = 0.3
 
 _LEN = struct.Struct("!I")
@@ -96,11 +98,6 @@ MESSAGE_TYPES = frozenset({
     "accepted", "row", "done", "job_failed", "status_reply", "pong",
     # coordinator <-> worker
     "assign", "result", "unit_error", "heartbeat",
-    # replica -> client/worker: you reached a follower, go there
-    "redirect",
-    # replica <-> replica: consensus traffic (repro.service.replica)
-    "replica-hello", "replica-vote", "replica-vote-reply",
-    "replica-append", "replica-append-ack",
     # either direction: fatal protocol-level complaint before drop
     "error",
 })
@@ -221,32 +218,21 @@ def raise_for_error(msg: Dict[str, Any]) -> None:
 
 
 class SignIn:
-    """One peer's hunt for the leader, client and worker alike.
+    """One peer's sign-in with the coordinator, client and worker alike.
 
-    :meth:`dial` names whom to dial at ``now``; the owner hands back the
-    reply to its ``hello`` (:meth:`reply`) or the dial's error
-    (:meth:`failed`). A round dials the hint, then every replica, once
-    each; a ``redirect`` moves the leader it names next (unless already
-    dialed, and at most ``2 * len(addresses)`` times). A round that
-    found nobody is followed by a :data:`SIGNIN_LULL`; the first dial
-    past ``budget`` raises :class:`ServiceError` instead. The first dial
-    of all is always made, so a budget of 0 is one try."""
+    :meth:`dial` says whether to dial ``address`` at ``now``; the owner
+    hands back the reply to its ``hello`` (:meth:`reply`) or the dial's
+    error (:meth:`failed`). A dial that found nobody is followed by a
+    :data:`SIGNIN_LULL`; the first dial past ``budget`` raises
+    :class:`ServiceError` instead. The first dial of all is always made,
+    so a budget of 0 is one try."""
 
-    def __init__(self, addresses: List[str], budget: float, now: float,
-                 hint: Optional[str] = None) -> None:
-        self.addresses, self.budget = addresses, budget
+    def __init__(self, address: str, budget: float, now: float) -> None:
+        self.address, self.budget = address, budget
         self.deadline, self.wake = now + budget, now
         self.dials = 0
         self.last_error: Optional[BaseException] = None
-        self.leader: Optional[str] = None  # the address that welcomed us
-        self._round(hint)
-
-    def _round(self, hint: Optional[str]) -> None:
-        self._todo = list(dict.fromkeys(
-            ([hint] if hint else []) + self.addresses))
-        self._dialed: List[str] = []
-        self._redirects = 2 * len(self.addresses)
-        self._hint: Optional[str] = None  # opens the next round
+        self._lull = False  # a dial went out: lull before the next
 
     def dial(self, now: float) -> Optional[str]:
         """The address to dial, or None until :attr:`wake`."""
@@ -254,42 +240,28 @@ class SignIn:
             return None
         if self.dials and now >= self.deadline:
             raise ServiceError(
-                f"no coordinator reachable at {','.join(self.addresses)} "
-                f"within {self.budget}s (last error: {self.last_error})")
-        if not self._todo:
+                f"no coordinator reachable at {self.address} within "
+                f"{self.budget}s (last error: {self.last_error})")
+        if self._lull:
+            self._lull = False
             self.wake = now + SIGNIN_LULL
-            self._round(self._hint)
             return None
         self.dials += 1
-        self._dialed.append(self._todo.pop(0))
-        return self._dialed[-1]
+        self._lull = True
+        return self.address
 
     def failed(self, exc: BaseException) -> None:
         self.last_error = exc
 
-    def reply(self, msg: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """The ``welcome``, or None while the hunt goes on. A refusal
-        is final with one address, a :class:`ProtocolMismatch` always:
-        both raise."""
-        kind, leader = msg.get("type"), msg.get("leader")
-        if kind == "welcome":
-            check_protocol(msg, peer="coordinator")
-            self.leader = self._dialed[-1]
-            return msg
-        if kind != "redirect":
-            try:
-                raise_for_error(msg)
-                raise ServiceError(f"expected welcome, got {kind!r}")
-            except ServiceError as exc:
-                if (isinstance(exc, ProtocolMismatch)
-                        or len(self.addresses) == 1):
-                    raise
-                self.last_error = exc
-        elif leader and self._redirects and leader not in self._dialed:
-            self._todo = [leader] + [a for a in self._todo if a != leader]
-            self._redirects -= 1
-            self._hint = leader
-        return None
+    def reply(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+        """The ``welcome``; anything else is a refusal, which is final:
+        a typed ``error`` frame raises its error, a stray frame
+        :class:`ServiceError`."""
+        if msg.get("type") != "welcome":
+            raise_for_error(msg)
+            raise ServiceError(f"expected welcome, got {msg.get('type')!r}")
+        check_protocol(msg, peer="coordinator")
+        return msg
 
 
 class JobRows:

@@ -1,8 +1,9 @@
 """Pure scheduling state machine for the sweep coordinator.
 
-No sockets, no threads, no clocks — the coordinator drives this object
-from its event loop; keeping the policy pure makes every scheduling
-property (order, requeue, dedup) unit-testable without a fleet.
+No sockets, no threads, no clocks — the coordinator's
+:class:`~repro.service.sessions.Sessions` calls this object directly;
+keeping the policy pure makes every scheduling property (order,
+requeue, dedup) unit-testable without a fleet.
 
 Policy:
 
@@ -77,7 +78,6 @@ class _WorkerState:
 class _JobState:
     units: List[SweepUnit]
     done: Set[int] = field(default_factory=set)
-    failed: bool = False
 
 
 class Scheduler:
@@ -206,6 +206,22 @@ class Scheduler:
         state.attempts += 1
         return Assignment(pick[0], pick[1], state.unit)
 
+    def dispatch(self) -> List[Tuple[str, Assignment]]:
+        """Fill every free slot from the queue: ``(worker, assignment)``
+        pairs in assignment order. Each pass gives every free worker one
+        unit (breadth first), so a short queue spreads over the fleet
+        before any worker takes a second unit."""
+        out: List[Tuple[str, Assignment]] = []
+        while self._pending:
+            passed = len(out)
+            for name in self.free_workers():
+                a = self.next_unit_for(name)
+                if a is not None:
+                    out.append((name, a))
+            if len(out) == passed:
+                break
+        return out
+
     # ---- completion --------------------------------------------------
     def complete(self, name: str, job_id: str, idx: int) -> str:
         """Record a result arrival. Returns ``"fresh"`` when this is
@@ -253,12 +269,6 @@ class Scheduler:
         if uid not in self._queued:
             self._enqueue(uid)
         return "retry"
-
-    def fail_job(self, job_id: str) -> None:
-        job = self._jobs.get(job_id)
-        if job is not None:
-            job.failed = True
-        self.cancel_job(job_id)
 
     # ---- introspection ----------------------------------------------
     def pending_count(self) -> int:

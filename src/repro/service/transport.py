@@ -6,7 +6,7 @@ owns the EOF rule (clean between frames: :class:`ConnectionClosed`;
 mid-frame: :class:`FrameError`):
 
 * :class:`Connection` — the event-loop connection of the coordinator
-  (accepted sockets and outbound replica links) and the worker. Sends
+  (its accepted sockets) and the worker. Sends
   are queued, never awaited by the caller; one pump task drains the
   queue with a ``send_timeout``-bounded ``drain()`` per frame. A peer
   that stops reading therefore aborts *its own* connection at the
@@ -20,8 +20,8 @@ mid-frame: :class:`FrameError`):
   ``recv``/``send`` they cannot bound: a monotonic deadline raises
   ``socket.timeout`` for the caller to translate.
 
-:func:`parse_addresses` reads a replica list; whom to dial from it, and
-what the reply to a ``hello`` means, is the pure
+:func:`parse_address` reads the one coordinator address; when to dial
+it, and what the reply to a ``hello`` means, is the pure
 :class:`~repro.service.protocol.SignIn`.
 """
 
@@ -31,13 +31,13 @@ import asyncio
 import selectors
 import socket
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.service.errors import ConnectionClosed, ServiceError
 from repro.service.protocol import FrameDecoder, encode_frame
 
 __all__ = ["Connection", "SyncTransport", "SEND_TIMEOUT",
-           "parse_address", "parse_addresses"]
+           "parse_address"]
 
 _RECV_CHUNK = 1 << 16
 
@@ -50,26 +50,13 @@ SEND_TIMEOUT = 30.0
 # addresses
 # ----------------------------------------------------------------------
 def parse_address(address: str) -> Tuple[str, int]:
-    """``host:port`` -> ``(host, port)`` (IPv4/hostname form)."""
+    """``host:port`` -> ``(host, port)`` (IPv4/hostname form). A
+    comma-separated list is refused: the fleet has one coordinator."""
     host, sep, port = address.rpartition(":")
-    if not sep or not port.isdigit():
+    if "," in address or not sep or not port.isdigit():
         raise ServiceError(f"bad service address {address!r} "
-                           f"(expected host:port)")
+                           f"(expected one host:port)")
     return host or "127.0.0.1", int(port)
-
-
-def parse_addresses(address: str) -> List[str]:
-    """``host:port[,host:port...]`` -> list of addresses (validated).
-
-    One address is a quorum of one; several are the replicas of a
-    larger one — clients and workers dial until one answers
-    ``welcome`` (following ``redirect`` frames to the leader)."""
-    addrs = [a.strip() for a in address.split(",") if a.strip()]
-    if not addrs:
-        raise ServiceError(f"bad service address {address!r}")
-    for a in addrs:
-        parse_address(a)
-    return addrs
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,9 @@ a time, in arrival order. When the session ends (``stop()``, a lost
 coordinator) a queued unit that has not started is cancelled and never
 runs; the coordinator requeues it without charging an attempt.
 
-Sign-in is :class:`~repro.service.protocol.SignIn`: with one address
-one try, and the worker exits when its session ends; with several, a
-fresh ``failover_timeout`` hunt for the leader after each session.
+Sign-in is :class:`~repro.service.protocol.SignIn` with a budget of
+0: one try, and the worker exits when its session ends (the fleet
+CLI respawns it).
 
 A worker keeps no state between assignments: each unit runs cold
 through ``SweepUnit.run``, exactly as a serial sweep without a
@@ -29,7 +29,9 @@ caller's, never shipped to the fleet).
 Runnable standalone as ``python -m repro.service worker --connect
 HOST:PORT`` (:mod:`repro.service.__main__`), which is what
 ``scripts/sweep_service.py`` (and the chaos tests, which SIGKILL these
-processes) launch.
+processes) launch. The process helpers at the top of this module
+spawn those entries — a worker or a coordinator — for the fleet CLI,
+the examples and the tests.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
+import socket
 import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.harness.units import SweepUnit
 from repro.service.errors import (ConnectionClosed, FrameError,
@@ -48,11 +51,11 @@ from repro.service.errors import (ConnectionClosed, FrameError,
 from repro.service.protocol import (PROTOCOL_VERSION, SignIn,
                                     encode_frame, frame_field,
                                     raise_for_error)
-from repro.service.transport import (Connection, parse_address,
-                                     parse_addresses)
+from repro.service.transport import Connection, parse_address
 
-__all__ = ["Worker", "parse_address", "parse_addresses",
-           "service_child_env"]
+__all__ = ["Worker", "parse_address", "service_child_env",
+           "spawn_worker_process", "spawn_coordinator_process",
+           "pick_free_ports"]
 
 log = logging.getLogger(__name__)
 
@@ -93,27 +96,56 @@ def spawn_service_process(argv: list, verbose: bool, capture: bool):
 
 def spawn_worker_process(address: str, *, name: Optional[str] = None,
                          verbose: bool = False, capture: bool = False):
-    """Start a worker process attached to ``address`` (which may be a
-    comma-separated replica list)."""
+    """Start a worker process attached to the coordinator at
+    ``address``."""
     argv = ["worker", "--connect", address]
     if name:
         argv += ["--name", name]
     return spawn_service_process(argv, verbose, capture)
 
 
+def spawn_coordinator_process(address: str, *,
+                              cache_dir: Optional[str] = None,
+                              heartbeat_timeout: Optional[float] = None,
+                              verbose: bool = False,
+                              capture: bool = False):
+    """Start a coordinator process listening on ``address``."""
+    argv = ["coordinator", "--bind", address]
+    if cache_dir:
+        argv += ["--cache-dir", cache_dir]
+    if heartbeat_timeout is not None:
+        argv += ["--heartbeat-timeout", str(heartbeat_timeout)]
+    return spawn_service_process(argv, verbose, capture)
+
+
+def pick_free_ports(n: int, host: str = "127.0.0.1") -> List[int]:
+    """Reserve ``n`` distinct free TCP ports. The sockets are held
+    open while picking (so the kernel cannot hand the same port out
+    twice), then closed — a brief race with other processes remains,
+    which is fine for tests and single-operator fleets; production
+    deployments pass explicit ports."""
+    socks = []
+    try:
+        for _ in range(n):
+            s = socket.socket()
+            s.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            s.bind((host, 0))
+            socks.append(s)
+        return [s.getsockname()[1] for s in socks]
+    finally:
+        for s in socks:
+            s.close()
+
+
 class Worker:
     """One persistent simulation worker (see module docstring)."""
 
     def __init__(self, address: str, *, name: Optional[str] = None,
-                 heartbeat_interval: float = 2.0,
-                 failover_timeout: float = 60.0) -> None:
+                 heartbeat_interval: float = 2.0) -> None:
+        parse_address(address)  # a bad address fails here, undialed
         self.address = address
-        self.addresses = parse_addresses(address)
         self.name = name
         self.heartbeat_interval = heartbeat_interval
-        #: replicated fleets only: how long to hunt for a (new) leader
-        #: after losing the coordinator before giving up
-        self.failover_timeout = failover_timeout
         self.units_run = 0
         self.signins = 0  # successful registrations (tests watch this)
         self._stopping = threading.Event()
@@ -161,20 +193,14 @@ class Worker:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stop_evt = asyncio.Event()
-        # a single-address worker's lifecycle is the fleet CLI's
-        # respawner's: one try, and exit when the session ends
-        budget = self.failover_timeout if len(self.addresses) > 1 else 0.0
-        leader = None
-        while not self._stopping.is_set():
-            signin = SignIn(self.addresses, budget, self._loop.time(),
-                            leader)
-            conn = await self._sign_in(signin)
-            if conn is None:
-                return
-            leader = signin.leader
-            log.info("worker %s: registered with %s", self.name, leader)
-            if await self._serve(conn) or len(self.addresses) == 1:
-                return
+        # the lifecycle is the fleet CLI's respawner's: one try, and
+        # exit when the session ends
+        conn = await self._sign_in(SignIn(self.address, 0.0,
+                                          self._loop.time()))
+        if conn is not None:
+            log.info("worker %s: registered with %s", self.name,
+                     self.address)
+            await self._serve(conn)
 
     async def _sign_in(self, signin: SignIn) -> Optional[Connection]:
         """The connection ``signin`` found, or None once stopped or past
@@ -197,10 +223,9 @@ class Worker:
                            "protocol": PROTOCOL_VERSION,
                            "name": self.name, "pid": os.getpid()})
                 welcome = signin.reply(await conn.read(30.0))
-                if welcome is not None:
-                    self.name = welcome.get("name", self.name)
-                    conn, welcomed = None, conn
-                    return welcomed
+                self.name = welcome.get("name", self.name)
+                conn, welcomed = None, conn
+                return welcomed
             except (ConnectionClosed, FrameError, OSError) as exc:
                 log.info("worker %s: %s unreachable (%s)",
                          self.name or os.getpid(), address, exc)
@@ -211,9 +236,9 @@ class Worker:
                     await conn.wait_closed()
         return None
 
-    async def _serve(self, conn: Connection) -> bool:
-        """Serve assignments until the session ends: True on
-        ``shutdown`` or :meth:`stop`, False when the coordinator is lost."""
+    async def _serve(self, conn: Connection) -> None:
+        """Serve assignments until the session ends: on ``shutdown``,
+        :meth:`stop` or a lost coordinator."""
         self.signins += 1
         self._conn = conn
         tasks: set = set()
@@ -226,19 +251,17 @@ class Worker:
                 {read_loop, stop_wait}, return_when=asyncio.FIRST_COMPLETED)
             if read_loop in done:
                 read_loop.result()  # surface protocol-level errors
-            return True
         except ProtocolMismatch:
             raise
         except (ServiceError, OSError) as exc:
-            # a lost or stalled coordinator, a malformed frame or a
-            # leader's typed error ends the *session* quietly; the
+            # a lost or stalled coordinator, a malformed frame or the
+            # coordinator's typed error ends the session quietly; the
             # coordinator requeues anything it owed
             log.info("worker %s: session ended (%s)", self.name, exc)
-            return False
         finally:
-            # a unit finishing between coordinators drops its reply,
-            # and cancelling a queued unit's task keeps it from ever
-            # starting; the (re-signed-in) leader reassigns both
+            # a unit finishing after the session drops its reply, and
+            # cancelling a queued unit's task keeps it from ever
+            # starting; the coordinator reassigns both
             self._conn = None
             for t in tasks:
                 t.cancel()

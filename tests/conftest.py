@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
-from functools import partial
 from typing import List, Optional, Sequence
 
 import pytest
@@ -19,9 +18,6 @@ from repro.cmp.system import CmpSystem
 from repro.coherence.messages import Msg, MsgKind, Unit
 from repro.params import (CacheConfig, IvrConfig, NocConfig, NocKind,
                           Organization, SystemConfig)
-from repro.service.cluster import ClusterConfig, ClusterManager
-from repro.service.replica import SchedulerMachine
-from repro.service.sessions import Sessions
 from repro.traces.events import Op, TraceEvent
 
 
@@ -265,20 +261,8 @@ def holder_script(order: str, reply_kind: MsgKind, line_addr: int,
 
 
 # ----------------------------------------------------------------------
-# the fleet's replicas, stepped by hand (tests/test_service_*.py)
+# the coordinator's sessions, driven by hand (tests/test_service_*.py)
 # ----------------------------------------------------------------------
-class SteppedLink:
-    """In-memory replica link: ``send`` puts the (JSON round-tripped)
-    frame on the fleet's wire."""
-
-    def __init__(self, wire, src: int, dst: int) -> None:
-        self.wire, self.src, self.dst = wire, src, dst
-
-    def send(self, msg) -> None:
-        self.wire.append((self.src, self.dst,
-                          json.loads(json.dumps(msg))))
-
-
 class FakeConn:
     """A connection as :class:`Sessions` sees one: ``send`` appends the
     (JSON round-tripped) frame to ``sent``; ``close`` marks it closed."""
@@ -292,83 +276,3 @@ class FakeConn:
 
     def close(self) -> None:
         self.closed = True
-
-
-class SteppedFleet:
-    """N replicas the test steps by hand: every ``step`` advances the
-    clock, ticks each node, then delivers the wire until it is quiet.
-    Every frame on a ``cut`` (src, dst) link is lost; :meth:`isolate`
-    cuts all of one node's, which keeps ticking. A node is a bare
-    :class:`ClusterManager` (whose wins land in ``leaders``) or, with
-    ``sessions``, a :class:`Sessions` that owns one (``session_kw`` go
-    to its constructor)."""
-
-    def __init__(self, seed: int, n: int = 3, step_ms: int = 10,
-                 sessions: bool = False, **session_kw) -> None:
-        self.step_ms = step_ms
-        self.now_ms = 0
-        self.wire: list = []
-        self.cut: set = set()
-        self.leaders: list = []  # (term, node), in the order they won
-        self.addrs = [f"replica{i}:1" for i in range(n)]
-        self.nodes: list = []
-        for i in range(n):
-            cfg = ClusterConfig(node_id=i, addresses=self.addrs)
-            links = {p: SteppedLink(self.wire, i, p)
-                     for p in range(n) if p != i}
-            if sessions:
-                node = Sessions(cfg, links, seed=1000 * seed + i, now=0.0,
-                                on_shutdown=lambda: None, **session_kw)
-            else:
-                node = ClusterManager(
-                    cfg, SchedulerMachine(), links, seed=1000 * seed + i,
-                    on_apply=lambda cmd, result: None,
-                    on_role_change=partial(self._role, i))
-            self.nodes.append(node)
-        self.mgrs = [node.mgr if sessions else node for node in self.nodes]
-        self.machines = [mgr.machine for mgr in self.mgrs]
-        if not sessions:  # a Sessions starts its manager itself
-            for mgr in self.mgrs:
-                mgr.start(0.0)
-
-    def _role(self, node: int, won: bool) -> None:
-        if won:
-            self.leaders.append((self.mgrs[node].core.term, node))
-
-    @property
-    def now(self) -> float:
-        return self.now_ms / 1000
-
-    def step(self) -> None:
-        self.now_ms += self.step_ms
-        for node in self.nodes:
-            node.tick(self.now)
-        while self.wire:
-            self.deliver()
-
-    def isolate(self, node: int) -> None:
-        n = len(self.nodes)
-        self.cut = {(a, b) for a in range(n) for b in range(n)
-                    if a != b and node in (a, b)}
-
-    def deliver(self) -> None:
-        """Hand the oldest frame on the wire to its node (lost on a cut
-        link)."""
-        src, dst, msg = self.wire.pop(0)
-        if (src, dst) not in self.cut:
-            self.mgrs[dst].handle_message(
-                msg, self.mgrs[dst].links[src].send, self.now)
-
-    def run(self, seconds: float) -> None:
-        for _ in range(round(seconds * 1000 / self.step_ms)):
-            self.step()
-
-    def leader(self, among=None) -> int:
-        """The one node that believes it leads (among ``among``)."""
-        nodes = range(len(self.mgrs)) if among is None else among
-        (node,) = [i for i in nodes if self.mgrs[i].is_leader]
-        return node
-
-    def snapshots(self) -> list:
-        return [json.dumps(m.snapshot(), sort_keys=True)
-                for m in self.machines]

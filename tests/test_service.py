@@ -12,6 +12,9 @@ to serve; the kill-and-requeue campaign lives in
 
 from __future__ import annotations
 
+import json
+import socket
+import struct
 import threading
 import time
 
@@ -352,11 +355,13 @@ class TestFailureModes:
 
     def test_protocol_version_mismatch_rejected(self, fleet):
         _coord, address = fleet(workers=0)
-        # a build from the future, v8 (whose full-result values carry
-        # the old stats encoding), v7 (whose workers would run two
-        # assigns at once), v6 (the last one that shipped warmup fields)
-        # and v5 (the last one that shipped a second unit kind)
-        for version, role in ((999, "client"), (8, "worker"), (8, "client"),
+        # a build from the future, v9 (whose peers take replica lists
+        # and wait for a pointer to the leader), v8 (whose full-result
+        # values carry the old stats encoding), v7 (whose workers would
+        # run two assigns at once), v6 (the last one that shipped warmup
+        # fields) and v5 (the last one that shipped a second unit kind)
+        for version, role in ((999, "client"), (9, "worker"), (9, "client"),
+                              (8, "worker"), (8, "client"),
                               (7, "worker"), (7, "client"), (6, "client"),
                               (5, "client")):
             peer = SyncTransport.open(address, 5)
@@ -366,7 +371,7 @@ class TestFailureModes:
                 reply = peer.recv(timeout=5)
                 assert reply["type"] == "error"
                 assert reply["code"] == "protocol-mismatch"
-                assert reply["expected"] == PROTOCOL_VERSION == 9
+                assert reply["expected"] == PROTOCOL_VERSION == 10
                 assert "protocol" in reply["error"]
             finally:
                 peer.close()
@@ -403,15 +408,27 @@ class TestFailureModes:
             peer.close()
 
     def test_unknown_role_rejected(self, fleet):
-        _coord, address = fleet(workers=0)
-        peer = SyncTransport.open(address, 5)
-        try:
-            peer.send({"type": "hello", "role": "wizard",
-                       "protocol": PROTOCOL_VERSION})
-            reply = peer.recv(timeout=5)
-            assert reply["type"] == "error"
-        finally:
-            peer.close()
+        """A hello with a role the coordinator does not serve gets the
+        typed error frame — and so does a v9 coordinator replica's
+        ``replica-hello``, a frame type no longer on the wire."""
+        coord, address = fleet(workers=0)
+        for first in ({"type": "hello", "role": "wizard",
+                       "protocol": PROTOCOL_VERSION},
+                      {"type": "replica-hello", "node": 1,
+                       "protocol": PROTOCOL_VERSION}):
+            payload = json.dumps(first).encode()
+            sock = socket.create_connection(("127.0.0.1",
+                                             coord.port), 5)
+            peer = SyncTransport(sock)
+            try:
+                # raw bytes: encode_frame refuses unknown types
+                sock.sendall(struct.pack("!I", len(payload)) + payload)
+                reply = peer.recv(timeout=5)
+                assert reply["type"] == "error", first
+            finally:
+                peer.close()
+        with ServiceClient(address) as client:  # still serving
+            assert client.ping()
 
 
 class TestOperations:
@@ -436,6 +453,22 @@ class TestOperations:
         assert stats["jobs"] == 0
         assert stats["pending"] == 0
         assert stats["in_flight"] == 0
+
+    def test_stop_still_dismisses_the_workers(self):
+        """``Coordinator.stop()`` with no client ``shutdown`` before it
+        sends every signed-in worker the ``shutdown`` frame."""
+        coord = Coordinator()
+        address = coord.start()
+        peer = SyncTransport.open(address, 10)
+        try:
+            peer.send({"type": "hello", "role": "worker", "name": "raw",
+                       "protocol": PROTOCOL_VERSION, "pid": 1})
+            assert peer.recv(timeout=10)["type"] == "welcome"
+            coord.stop()
+            assert peer.recv(timeout=10) == {"type": "shutdown"}
+        finally:
+            peer.close()
+            coord.stop()
 
     def test_shutdown_stops_fleet_and_worker_threads(self, fleet):
         coord, address = fleet(workers=2)

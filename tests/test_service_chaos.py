@@ -1,6 +1,6 @@
 """Chaos campaign: the fleet must survive what processes do — die.
 
-Three failure injections, each asserting the invariant that makes the
+Four failure injections, each asserting the invariant that makes the
 service trustworthy for figure tables:
 
 * **SIGKILL a busy worker** — the coordinator requeues its in-flight
@@ -10,12 +10,8 @@ service trustworthy for figure tables:
 * **Coordinator restart over a warm result cache** — a new coordinator
   with the same ``cache_dir`` serves the repeated job without a single
   worker attached.
-* **Coordinator dies mid-job** — a solo (single-address) client gets
-  a typed :class:`JobFailed`, not a hang.
-* **SIGKILL the cluster leader mid-job** — with a 3-replica quorum the
-  same death is a non-event: the survivors elect a new leader, workers
-  re-sign-in, the client resubmits, and the rows still come back
-  bit-identical to serial.
+* **Coordinator dies mid-job** — the client gets a typed
+  :class:`JobFailed`, not a hang.
 * **The result-cache store hits filesystem trouble** — no
   ``.tmp-*`` staging residue may survive a failed store.
 """
@@ -32,9 +28,8 @@ import pytest
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.units import SweepUnit
 from repro.params import Organization
-from repro.service import (ClusterConfig, Coordinator, JobFailed,
-                           ServiceClient, Worker, pick_free_ports,
-                           spawn_coordinator_process)
+from repro.service import (Coordinator, JobFailed, ServiceClient, Worker,
+                           pick_free_ports, spawn_coordinator_process)
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.service.sessions import Sessions
 from repro.service.transport import SyncTransport
@@ -218,86 +213,19 @@ class TestCoordinatorRestart:
             thread2.join(timeout=10)
 
 
-class TestLeaderKill:
-    def test_sigkill_leader_mid_job_quorum_finishes_identically(self):
-        """SIGKILL the *leader* replica while a worker is mid-unit:
-        the surviving quorum elects a new leader, the workers and the
-        client fail over, and the job finishes with rows bit-identical
-        to the serial path — no :class:`JobFailed`, no lost row."""
-        addrs = [f"127.0.0.1:{p}" for p in pick_free_ports(3)]
-        addr_list = ",".join(addrs)
-        replicas = [spawn_coordinator_process(addrs, i, capture=True)
-                    for i in range(3)]
-        workers = [spawn_worker_process(addr_list, name=f"lw{i}",
-                                        capture=True) for i in range(2)]
-        # one long unit (~2.5s kill window) + four short ones
-        units = [unit(seed=9, scale=0.2)] + \
-                [unit(seed=s) for s in range(1, 5)]
-        try:
-            _wait_for_workers(addr_list, 2, timeout=60.0)
-            values: list = []
-            errors: list = []
-
-            def submit() -> None:
-                try:
-                    with ServiceClient(addr_list,
-                                       connect_timeout=60.0) as client:
-                        values.extend(client.run_units(units))
-                except Exception as exc:  # pragma: no cover
-                    errors.append(exc)
-
-            runner = threading.Thread(target=submit)
-            runner.start()
-            # wait until the long unit is in flight, then kill the
-            # replica that is actually leading (status names its pid)
-            leader_pid = None
-            with ServiceClient(addr_list, row_timeout=10.0) as mon:
-                deadline = time.monotonic() + 30.0
-                while time.monotonic() < deadline:
-                    status = mon.status()
-                    if any(w["busy"] and w["busy"][0][1] == 0
-                           for w in status["workers"]):
-                        leader_pid = status["pid"]
-                        break
-                    time.sleep(0.02)
-            assert leader_pid is not None, \
-                "long unit was never observed in flight"
-            assert leader_pid in {p.pid for p in replicas}
-            os.kill(leader_pid, signal.SIGKILL)
-            runner.join(timeout=180)
-            assert not runner.is_alive()
-            assert not errors, errors  # fail-over, not failure
-            assert values == [u.run() for u in units]
-            # the survivors hold a quorum under a fresh leader
-            with ServiceClient(addr_list,
-                               connect_timeout=60.0) as mon:
-                status = mon.status()
-            assert status["pid"] != leader_pid
-            assert status["cluster"]["role"] == "leader"
-        finally:
-            for p in workers + replicas:
-                if p.poll() is None:
-                    p.terminate()
-            for p in workers + replicas:
-                try:
-                    p.wait(timeout=10)
-                except Exception:
-                    p.kill()
-
-
 class TestSpawnedCoordinatorOptions:
     def test_heartbeat_timeout_reaches_the_spawned_coordinator(self):
         """``fleet --heartbeat-timeout T`` goes through
         ``spawn_coordinator_process``; it used to drop T on the floor
-        (every spawned replica ran with 8 s). A worker that signs in
+        (every spawned coordinator ran with 8 s). A worker that signs in
         and then falls silent must be dropped on *our* clock."""
-        addrs = [f"127.0.0.1:{pick_free_ports(1)[0]}"]
-        proc = spawn_coordinator_process(addrs, 0, heartbeat_timeout=0.5,
+        address = f"127.0.0.1:{pick_free_ports(1)[0]}"
+        proc = spawn_coordinator_process(address, heartbeat_timeout=0.5,
                                          capture=True)
         mute = None
         try:
-            with ServiceClient(addrs[0], row_timeout=10.0) as mon:
-                mute = SyncTransport.open(addrs[0], 10)
+            with ServiceClient(address, row_timeout=10.0) as mon:
+                mute = SyncTransport.open(address, 10)
                 mute.send(
                     {"type": "hello", "role": "worker", "name": "mute",
                      "protocol": PROTOCOL_VERSION, "pid": 1})
@@ -321,9 +249,7 @@ class TestSpawnedCoordinatorOptions:
 class TestCacheStoreHygiene:
     @staticmethod
     def _sessions(cache_dir: str) -> Sessions:
-        return Sessions(ClusterConfig(node_id=0, addresses=["127.0.0.1:1"]),
-                        {}, seed=0, now=0.0, on_shutdown=lambda: None,
-                        cache_dir=cache_dir)
+        return Sessions(on_shutdown=lambda: None, cache_dir=cache_dir)
 
     def test_no_tmp_residue_when_replace_fails(self, tmp_path):
         """A directory squatting on the destination makes the final
@@ -333,7 +259,7 @@ class TestCacheStoreHygiene:
         key = unit(seed=1).key()
         os.makedirs(sessions._cache_path(key))
         sessions._store_result(key, 123)
-        assert sessions.machine.memo[key] == 123  # memo unaffected
+        assert sessions.memo[key] == 123  # memo unaffected
         residue = [p for p in os.listdir(tmp_path) if ".tmp" in p]
         assert residue == []
 
@@ -349,7 +275,7 @@ class TestCacheStoreHygiene:
             sessions = self._sessions(str(cache))
             key = unit(seed=1).key()
             sessions._store_result(key, 456)
-            assert sessions.machine.memo[key] == 456
+            assert sessions.memo[key] == 456
             residue = [p.name for p in cache.iterdir()
                        if ".tmp" in p.name]
             assert residue == []

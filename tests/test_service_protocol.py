@@ -17,9 +17,10 @@ the scheduler state machine, so its contract is pinned hard:
   masking protocol bugs.
 
 The peers' pure halves are pinned here too, without a socket or a
-sleep: :class:`SignIn` (dial order, redirects, the lull, the budget,
-which refusals are final) and :class:`JobRows` (rows once per idx
-across resubmits; malformed rows refused).
+sleep: :class:`SignIn` (the lull, the budget, refusals are final) and
+:class:`JobRows` (rows once per idx across resubmits; malformed rows
+refused). A coordinator address is one ``host:port``: a replica list
+is refused before anything is dialed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from repro.service.protocol import (MAX_FRAME, MESSAGE_TYPES,
                                     PROTOCOL_VERSION, SIGNIN_LULL,
                                     FrameDecoder, JobRows, SignIn,
                                     encode_frame)
-from repro.service.transport import Connection, SyncTransport
+from repro.service.transport import (Connection, SyncTransport,
+                                     parse_address)
 
 #: one representative payload per message type — keep in sync with
 #: MESSAGE_TYPES (the completeness test below enforces it)
@@ -76,20 +78,6 @@ SAMPLES = {
                    "traceback": "Traceback (most recent call last):\n"
                                 "  ...\nValueError: boom\n"},
     "heartbeat": {"type": "heartbeat"},
-    "redirect": {"type": "redirect", "leader": "127.0.0.1:7077",
-                 "term": 3},
-    "replica-hello": {"type": "replica-hello", "node": 1,
-                      "protocol": PROTOCOL_VERSION},
-    "replica-vote": {"type": "replica-vote", "term": 4, "candidate": 2,
-                     "last_index": 17, "last_term": 3},
-    "replica-vote-reply": {"type": "replica-vote-reply", "term": 4,
-                           "voter": 0, "granted": True},
-    "replica-append": {"type": "replica-append", "term": 4, "leader": 2,
-                       "prev_index": 17, "prev_term": 3,
-                       "entries": [[4, {"op": "dispatch"}]],
-                       "commit": 17},
-    "replica-append-ack": {"type": "replica-append-ack", "term": 4,
-                           "follower": 0, "ok": True, "match": 18},
     "error": {"type": "error", "error": "protocol version mismatch"},
 }
 
@@ -505,17 +493,19 @@ class TestConnection:
         asyncio.run(main())
 
 
-class TestProtocolV9:
-    """v9: a full-result value's stats are ``[count, total]`` samplers
-    with no histograms; the frames are v8's, so no warmup field rides
-    the wire either."""
+class TestProtocolV10:
+    """v10: one coordinator — no frame points a peer at a leader and
+    none links two coordinators; a full-result value's stats are v9's
+    ``[count, total]`` samplers, and no warmup field rides the wire."""
 
-    def test_hello_samples_carry_protocol_9(self):
-        assert PROTOCOL_VERSION == 9
-        for kind in ("hello", "welcome", "replica-hello"):
-            assert SAMPLES[kind]["protocol"] == 9
+    def test_hello_samples_carry_protocol_10(self):
+        assert PROTOCOL_VERSION == 10
+        for kind in ("hello", "welcome"):
+            assert SAMPLES[kind]["protocol"] == 10
         for kind in ("submit", "assign", "result", "done"):
             assert not any(key.startswith("warm") for key in SAMPLES[kind])
+        assert not any(kind.startswith("replica") or kind == "redirect"
+                       for kind in MESSAGE_TYPES)
 
 
 class TestProtocolV6:
@@ -550,7 +540,7 @@ class TestMalformedWorkerFrames:
     """A worker frame without a field the coordinator reads, or with one
     of the wrong type, gets the typed error frame and the worker is
     dropped the normal way: no unhandled ``KeyError``, no silent drop,
-    and nothing of it in the replicated log."""
+    and nothing of it reaches the scheduler."""
 
     @pytest.mark.parametrize("frame", [
         {"type": "result", "job": "x"},
@@ -569,15 +559,15 @@ class TestMalformedWorkerFrames:
                        "protocol": PROTOCOL_VERSION, "pid": 1})
             assert peer.recv(timeout=5)["type"] == "welcome"
             with ServiceClient(address, row_timeout=5.0) as mon:
-                commit = mon.status()["cluster"]["commit"]
                 peer.send(frame)
                 reply = peer.recv(timeout=5)
                 assert reply["type"] == "error"
                 assert "malformed" in reply["error"]
                 status = mon.status()
-            assert status["stats"]["workers"] == 0
-            # one entry: the worker's removal — no ``complete``
-            assert status["cluster"]["commit"] == commit + 1
+            stats = status["stats"]
+            assert stats["workers"] == 0
+            assert (stats["units_completed"], stats["duplicates"],
+                    stats["results_cached"]) == (0, 0, 0)
         finally:
             peer.close()
             coord.stop()
@@ -624,118 +614,101 @@ class TestMalformedCoordinatorFrames:
 
 
 # ----------------------------------------------------------------------
-# sign-in: one hunt for the leader, shared by client and worker
+# sign-in with the one coordinator, shared by client and worker
 # ----------------------------------------------------------------------
 WELCOME = {"type": "welcome", "protocol": PROTOCOL_VERSION}
+REPLICAS = "127.0.0.1:7077,127.0.0.1:7078"
 
 
-def redirect(leader):
-    return {"type": "redirect", "term": 1, "leader": leader}
-
-
-def hunt(signin: SignIn, answer, now: float = 0.0) -> list:
-    """Dial until the round ends or someone welcomes us; ``answer(addr)``
-    is the reply to that ``hello`` (None: the dial failed)."""
+def tries(signin: SignIn, answer, now: float = 0.0) -> list:
+    """Dial until ``dial`` says wait or someone welcomes us;
+    ``answer(addr)`` is the reply to that ``hello`` (None: the dial
+    failed)."""
     dialed = []
     while (address := signin.dial(now)) is not None:
         dialed.append(address)
-        assert len(dialed) < 100, "the hunt never terminated"
+        assert len(dialed) < 100, "the sign-in never paused"
         reply = answer(address)
         if reply is None:
             signin.failed(OSError(f"{address} refused"))
-        elif signin.reply(reply) is not None:
+        else:
+            signin.reply(reply)
             break
     return dialed
 
 
 class TestSignIn:
-    def test_hint_first_then_configured_replicas_deduplicated(self):
-        assert hunt(SignIn(["a:1", "b:2", "c:3"], 60, 0.0, "b:2"),
-                    lambda a: None) == ["b:2", "a:1", "c:3"]
-        assert hunt(SignIn(["a:1"], 60, 0.0), lambda a: None) == ["a:1"]
-
-    def test_redirect_splices_the_named_leader_in_next(self):
-        """Moved up, not repeated; a redirect to one already dialed this
-        round is ignored, and the welcome names the leader."""
-        signin = SignIn(["a:1", "b:2", "c:3"], 60, 0.0)
-        answers = {"a:1": redirect("c:3"), "c:3": redirect("a:1"),
-                   "b:2": None}
-        assert hunt(signin, answers.get) == ["a:1", "c:3", "b:2"]
-        answers["b:2"] = WELCOME
-        assert hunt(signin, answers.get, SIGNIN_LULL) == ["c:3", "a:1",
-                                                          "b:2"]
-        assert signin.leader == "b:2"
-
-    def test_replica_redirecting_to_a_stale_address_terminates(self):
-        """Every dial answers ``redirect`` to the same dead address:
-        it is tried once, then the round ends."""
-        signin = SignIn(["a:1", "b:2"], 60, 0.0)
-        assert hunt(signin, lambda a: redirect("stale:9")) == [
-            "a:1", "stale:9", "b:2"]
-
-    def test_ever_new_redirects_are_bounded(self):
-        """A (buggy or hostile) replica naming a fresh leader on every
-        dial cannot keep the round going: at most ``2 * len(addresses)``
-        redirects are followed."""
-        addresses = ["a:1", "b:2", "c:3"]
-        fresh = iter(range(100))
-        dialed = hunt(SignIn(addresses, 60, 0.0),
-                      lambda a: redirect(f"fresh:{next(fresh)}"))
-        assert len(dialed) == len(addresses) + 2 * len(addresses)
-        assert [a for a in dialed if a in addresses] == addresses
-
-    def test_empty_redirect_is_ignored(self):
-        """A follower mid-election knows no leader."""
-        signin = SignIn(["a:1", "b:2"], 60, 0.0)
-        assert hunt(signin, lambda a: redirect(None)) == ["a:1", "b:2"]
-
     def test_a_round_that_finds_nobody_lulls_then_starts_over(self):
-        signin = SignIn(["a:1", "b:2"], 60, 10.0)
-        assert hunt(signin, {"a:1": redirect("b:2")}.get, 10.0) == [
-            "a:1", "b:2"]
+        """A failed dial is followed by a :data:`SIGNIN_LULL`, then the
+        same address is dialed again."""
+        signin = SignIn("a:1", 60, 10.0)
+        assert tries(signin, lambda a: None, 10.0) == ["a:1"]
         assert signin.wake == 10.0 + SIGNIN_LULL
         assert signin.dial(10.0 + SIGNIN_LULL / 2) is None
-        # the next round opens with the leader the last redirect named
-        assert hunt(signin, lambda a: WELCOME, signin.wake) == ["b:2"]
+        assert tries(signin, lambda a: WELCOME, signin.wake) == ["a:1"]
+        assert signin.dials == 2
 
     def test_past_the_budget_the_hunt_fails_with_the_last_error(self):
-        signin = SignIn(["a:1", "b:2"], 5.0, 100.0)
-        assert hunt(signin, lambda a: None, 100.0) == ["a:1", "b:2"]
-        assert signin.dial(104.9 - SIGNIN_LULL) == "a:1"
+        signin = SignIn("a:1", 5.0, 100.0)
+        assert tries(signin, lambda a: None, 100.0) == ["a:1"]
+        assert signin.dial(104.9) == "a:1"
         signin.failed(OSError("connection refused"))
         with pytest.raises(ServiceError, match="within 5.0s .*last error: "
                                                "connection refused"):
             signin.dial(105.0)
 
-    @pytest.mark.parametrize("addresses", [["a:1"], ["a:1", "b:2"]])
-    def test_protocol_mismatch_is_final(self, addresses):
-        mismatch = {"type": "error", "code": "protocol-mismatch",
-                    "error": "peer speaks protocol 7"}
-        for reply in (mismatch, dict(WELCOME, protocol=7)):
-            signin = SignIn(addresses, 60, 0.0)
-            signin.dial(0.0)
-            with pytest.raises(ProtocolMismatch):
-                signin.reply(reply)
+    @pytest.mark.parametrize("reply", [
+        {"type": "error", "code": "protocol-mismatch",
+         "error": "peer speaks protocol 7"},
+        dict(WELCOME, protocol=9)], ids=["error_frame", "old_welcome"])
+    def test_protocol_mismatch_is_final(self, reply):
+        signin = SignIn("a:1", 60, 0.0)
+        signin.dial(0.0)
+        with pytest.raises(ProtocolMismatch):
+            signin.reply(reply)
 
-    def test_a_refusal_is_skipped_only_while_another_replica_remains(
-            self):
-        refusal = {"type": "error", "error": "leadership lost"}
-        signin = SignIn(["a:1", "b:2"], 60, 0.0)
-        assert hunt(signin, {"a:1": refusal, "b:2": WELCOME}.get) == [
-            "a:1", "b:2"]
-        assert "leadership lost" in str(signin.last_error)
-        # one address: refused is refused (a worker raises it)
-        signin = SignIn(["a:1"], 60, 0.0)
-        with pytest.raises(ServiceError, match="leadership lost"):
-            hunt(signin, lambda a: refusal)
+    def test_a_refusal_is_final(self):
+        """A typed error frame, or anything but a welcome, ends the
+        sign-in: there is no other coordinator to try."""
+        refusal = {"type": "error", "error": "go away"}
+        with pytest.raises(ServiceError, match="go away"):
+            tries(SignIn("a:1", 60, 0.0), lambda a: refusal)
+        with pytest.raises(ServiceError, match="expected welcome, got "
+                                               "'pong'"):
+            tries(SignIn("a:1", 60, 0.0), lambda a: {"type": "pong"})
 
     def test_a_budget_of_zero_is_one_try(self):
-        """The single-address worker's hunt: one dial, and an
-        unreachable coordinator ends it (the worker exits quietly)."""
-        signin = SignIn(["a:1"], 0.0, 7.0)
+        """The worker's sign-in: one dial, and an unreachable
+        coordinator ends it (the worker exits quietly)."""
+        signin = SignIn("a:1", 0.0, 7.0)
         with pytest.raises(ServiceError, match="last error: a:1 refused"):
-            hunt(signin, lambda a: None, 7.0)
+            tries(signin, lambda a: None, 7.0)
         assert signin.dials == 1
+
+
+class TestOneAddress:
+    def test_a_replica_list_is_refused_before_anything_is_dialed(
+            self, monkeypatch):
+        """``parse_address`` used to read the list as host
+        ``127.0.0.1:7077,127.0.0.1`` and port 7078, so an old replica
+        list failed only at the connect budget, with the wrong error."""
+        with pytest.raises(ServiceError, match="one host:port"):
+            parse_address(REPLICAS)
+        assert parse_address("127.0.0.1:7077") == ("127.0.0.1", 7077)
+
+        def no_dial(*args, **kw):
+            raise AssertionError("dialed a replica list")
+        monkeypatch.setattr(socket, "create_connection", no_dial)
+        monkeypatch.setattr(socket, "socket", no_dial)
+        from repro.harness.sweep import sweep
+        from repro.service import ServiceClient, Worker
+        for make in (lambda: ServiceClient(REPLICAS),
+                     lambda: Worker(REPLICAS),
+                     lambda: sweep("water_spatial", metric="runtime",
+                                   service=REPLICAS, scale=[0.04],
+                                   organization=[Organization.SHARED])):
+            with pytest.raises(ServiceError, match="one host:port"):
+                make()
 
 
 # ----------------------------------------------------------------------

@@ -2,21 +2,23 @@
 
 The scheduler is a pure state machine (no sockets, no clocks), so
 every fleet-level property the chaos campaign asserts end-to-end is
-also pinned here in isolation, where the failure mode is readable.
+also pinned here in isolation, where the failure mode is readable —
+and ten fuzzed call sequences pin it against :class:`FifoModel`, the
+same policy written as plainly as it can be.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from repro.harness.experiment import ExperimentConfig, warmup_key
 from repro.harness.units import SweepUnit
 from repro.params import Organization
-from repro.service.replica import SchedulerMachine
 from repro.service.scheduler import (DEFAULT_MAX_ATTEMPTS, SLOTS,
-                                     Scheduler)
+                                     Assignment, Scheduler)
 
 
 def unit(seed: int = 1, metric: str = "runtime") -> SweepUnit:
@@ -58,43 +60,42 @@ class TestAssignment:
         """One pass of ``dispatch`` gives every free worker one unit, so
         a short queue spreads over the fleet before any worker takes a
         second unit."""
-        m = SchedulerMachine()
+        sched = Scheduler()
         for w in ("a", "b"):
-            m.apply({"op": "worker_add", "name": w})
-        m.apply({"op": "job_add", "job": "j", "skip": [],
-                 "units": [unit(seed=s).to_wire() for s in range(5)]})
-        out = m.apply({"op": "dispatch"})
-        assert [(a["worker"], a["idx"]) for a in out] == [
+            sched.add_worker(w)
+        sched.add_job("j", [unit(seed=s) for s in range(5)])
+        out = sched.dispatch()
+        assert [(name, a.idx) for name, a in out] == [
             ("a", 0), ("b", 1), ("a", 2), ("b", 3)]
-        assert m.snapshot()["workers"]["a"]["busy"] == [["j", 0], ["j", 2]]
-        assert m.sched.stats()["in_flight"] == 4
+        assert sched.worker_view("a").busy == [("j", 0), ("j", 2)]
+        assert sched.stats()["in_flight"] == 4
+        assert sched.dispatch() == []  # every slot is taken
 
-    def test_finished_job_leaves_nothing_in_the_snapshot(self):
-        """Once a job is done nothing replicated refers to its units:
-        state kept per config ever dispatched would grow every replica
+    def test_finished_job_leaves_nothing_behind(self):
+        """Once a job is done no scheduler state refers to its units:
+        state kept per config ever dispatched would grow the coordinator
         for as long as its worker lives."""
-        m = SchedulerMachine()
+        sched = Scheduler()
         for w in ("a", "b"):
-            m.apply({"op": "worker_add", "name": w})
+            sched.add_worker(w)
         units = [unit(seed=s) for s in range(12)]
-        m.apply({"op": "job_add", "job": "j", "skip": [],
-                 "units": [u.to_wire() for u in units]})
+        sched.add_job("j", units)
         while True:
-            out = m.apply({"op": "dispatch"})
+            out = sched.dispatch()
             if not out:
                 break
-            for a in out:
-                m.apply({"op": "complete", "name": a["worker"],
-                         "job": a["job"], "idx": a["idx"], "key": None,
-                         "value": 1})
-        # what the coordinator commits once the last row is out
-        m.apply({"op": "job_cancel", "job": "j"})
-        snap = m.snapshot()
-        assert snap["pending"] == [] and snap["attempts"] == {}
-        assert snap["workers"] == {
-            name: {"busy": [], "completed": 6} for name in ("a", "b")}
-        residue = json.dumps([snap[k] for k in
-                              ("workers", "pending", "attempts")])
+            for name, a in out:
+                assert sched.complete(name, a.job_id, a.idx) == "fresh"
+        # what the coordinator does once the last row is out
+        sched.cancel_job("j")
+        assert (sched._jobs, list(sched._pending), sched._units) \
+            == ({}, [], {})
+        assert {n: (w.busy, w.completed)
+                for n, w in sched._workers.items()} == {
+            name: ([], 6) for name in ("a", "b")}
+        residue = json.dumps(
+            [sorted(sched._units), list(sched._pending),
+             {n: w.busy for n, w in sched._workers.items()}])
         assert not any(warmup_key(u.exp) in residue for u in units)
 
 
@@ -146,7 +147,7 @@ class TestWorkerDeath:
                 assert requeued == [("j", 0)] and fatal == []
             else:
                 assert requeued == [] and fatal == [("j", 0)]
-        sched.fail_job("j")
+        sched.cancel_job("j")
         assert sched.pending_count() == 0
 
     def test_killer_unit_never_charges_the_unit_queued_behind_it(self):
@@ -155,34 +156,28 @@ class TestWorkerDeath:
         running unit pays for a death: K exhausts its attempts and
         fails its job, I never ran, so its attempts stay at 0 and its
         job completes."""
-        m = SchedulerMachine()
-        m.apply({"op": "job_add", "job": "jK", "skip": [],
-                 "units": [unit(seed=1).to_wire()]})
-        m.apply({"op": "job_add", "job": "jI", "skip": [],
-                 "units": [unit(seed=2).to_wire()]})
+        sched = Scheduler()
+        sched.add_job("jK", [unit(seed=1)])
+        sched.add_job("jI", [unit(seed=2)])
         for death in range(DEFAULT_MAX_ATTEMPTS):
             name = f"w{death}"
-            m.apply({"op": "worker_add", "name": name})
-            out = m.apply({"op": "dispatch"})
-            assert [(a["job"], a["idx"]) for a in out] == [("jK", 0),
-                                                           ("jI", 0)]
-            got = m.apply({"op": "worker_remove", "name": name})
+            sched.add_worker(name)
+            assert [(a.job_id, a.idx) for _, a in sched.dispatch()] == [
+                ("jK", 0), ("jI", 0)]
+            got = sched.remove_worker(name)
             if death < DEFAULT_MAX_ATTEMPTS - 1:
-                assert got == {"requeued": [["jK", 0], ["jI", 0]],
-                               "fatal": []}
+                assert got == ([("jK", 0), ("jI", 0)], [])
             else:
-                assert got == {"requeued": [["jI", 0]],
-                               "fatal": [["jK", 0]]}
-            assert m.snapshot()["attempts"] == {"jK#0": death + 1,
-                                                "jI#0": 0}
-        m.apply({"op": "job_fail", "job": "jK"})  # what the caller does
-        m.apply({"op": "worker_add", "name": "survivor"})
-        assert [(a["job"], a["idx"]) for a in
-                m.apply({"op": "dispatch"})] == [("jI", 0)]
-        assert m.apply({"op": "complete", "name": "survivor", "job": "jI",
-                        "idx": 0, "key": None, "value": 1}) == "fresh"
-        assert m.sched.job_done("jI")
-        assert "jK" not in m.snapshot()["jobs"]
+                assert got == ([("jI", 0)], [("jK", 0)])
+            assert {u: st.attempts for u, st in sched._units.items()} \
+                == {("jK", 0): death + 1, ("jI", 0): 0}
+        sched.cancel_job("jK")  # what the caller does
+        sched.add_worker("survivor")
+        assert [(a.job_id, a.idx) for _, a in sched.dispatch()] == [
+            ("jI", 0)]
+        assert sched.complete("survivor", "jI", 0) == "fresh"
+        assert sched.job_done("jI")
+        assert "jK" not in sched._jobs
 
     def test_duplicate_worker_name_rejected(self):
         sched = Scheduler()
@@ -267,7 +262,7 @@ class TestFailures:
             assert a is not None, f"attempt {attempt}"
             verdict = sched.fail("a", "j", a.idx)
             assert verdict == ("retry" if attempt < 2 else "fatal")
-        sched.fail_job("j")
+        sched.cancel_job("j")
         assert sched.pending_count() == 0
 
     def test_unit_error_charges_exactly_the_unit_that_raised(self):
@@ -311,3 +306,160 @@ class TestFailures:
         assert stats["pending"] == 0
         assert stats["jobs"] == 1
         assert sched.in_flight() == {"a": [("j", 0), ("j", 1)]}
+
+
+# ----------------------------------------------------------------------
+# the reference model: the same policy, scanned
+# ----------------------------------------------------------------------
+class FifoModel:
+    """The scheduling policy at its plainest: one list, scanned, and two
+    slots per worker. It speaks the part of the :class:`Scheduler` API
+    that the coordinator's sessions call."""
+
+    def __init__(self, max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> None:
+        self.max_attempts = max_attempts
+        self.busy = {}       # worker -> its in-flight uids, running first
+        self._jobs = {}      # job -> its units
+        self.attempts = {}   # every live (not yet completed) uid
+        self.pending = []
+
+    def free_workers(self):
+        return [w for w, uids in self.busy.items() if len(uids) < 2]
+
+    def add_worker(self, name):
+        self.busy[name] = []
+
+    def remove_worker(self, name):
+        """The running unit pays for the death; the ones behind it
+        never ran and get their attempt back."""
+        requeued, fatal = [], []
+        for pos, uid in enumerate(self.busy.pop(name, [])):
+            if uid not in self.attempts:
+                continue
+            if pos:
+                self.attempts[uid] -= 1
+            elif self.attempts[uid] >= self.max_attempts:
+                fatal.append(uid)
+                continue
+            requeued.append(uid)
+        for uid in reversed(requeued):
+            self.pending = [uid] + [u for u in self.pending if u != uid]
+        return requeued, fatal
+
+    def add_job(self, job, units, skip=None):
+        self._jobs[job] = units
+        for idx in range(len(units)):
+            if idx not in (skip or ()):
+                self.attempts[(job, idx)] = 0
+                self.pending.append((job, idx))
+
+    def cancel_job(self, job):
+        for idx in range(len(self._jobs.pop(job, []))):
+            self.attempts.pop((job, idx), None)
+        self.pending = [u for u in self.pending if u[0] != job]
+
+    def next_unit_for(self, name):
+        if len(self.busy[name]) >= 2 or not self.pending:
+            return None
+        job, idx = uid = self.pending.pop(0)
+        self.busy[name].append(uid)
+        self.attempts[uid] += 1
+        return Assignment(job, idx, self._jobs[job][idx])
+
+    def dispatch(self):
+        """Pass over the free workers, one unit each, until a pass
+        assigns nothing."""
+        out = []
+        while True:
+            got = [(w, a) for w in self.free_workers()
+                   if (a := self.next_unit_for(w)) is not None]
+            if not got:
+                return out
+            out += got
+
+    def _release(self, name, uid):
+        if uid in self.busy.get(name, []):
+            self.busy[name].remove(uid)
+
+    def complete(self, name, job, idx):
+        self._release(name, (job, idx))
+        if job not in self._jobs:
+            return "unknown"
+        if self.attempts.pop((job, idx), None) is None:
+            return "duplicate"
+        self.pending = [u for u in self.pending if u != (job, idx)]
+        return "fresh"
+
+    def fail(self, name, job, idx):
+        self._release(name, (job, idx))
+        if (job, idx) not in self.attempts:
+            return "ignored"
+        if self.attempts[(job, idx)] >= self.max_attempts:
+            return "fatal"
+        if (job, idx) not in self.pending:
+            self.pending.append((job, idx))
+        return "retry"
+
+
+def _fuzzed_calls(seed: int):
+    """A random-but-valid call sequence: yields ``(method, *args)``
+    and takes each call's result back through ``send``, so dispatch
+    output feeds completes and failures, like the live coordinator."""
+    rng = random.Random(seed)
+    units = [unit(seed=s, metric=m) for s in (1, 2, 3)
+             for m in ("runtime", "mpki")]
+    workers, inflight = [], []
+    wseq = jseq = 0
+    for _ in range(rng.randrange(60, 100)):
+        roll = rng.random()
+        if roll < 0.18 or not workers:
+            wseq += 1
+            workers.append(f"w{wseq}")
+            yield ("add_worker", workers[-1])
+        elif roll < 0.28:
+            name = workers.pop(rng.randrange(len(workers)))
+            yield ("remove_worker", name)
+            inflight = [(w, a) for w, a in inflight if w != name]
+        elif roll < 0.45:
+            jseq += 1
+            n = rng.randrange(1, 4)
+            skip = {i for i in range(n) if rng.random() < 0.2}
+            yield ("add_job", f"j{jseq}",
+                   [rng.choice(units) for _ in range(n)], skip)
+        elif roll < 0.60 or roll >= 0.95:
+            inflight.extend((yield ("dispatch",)))
+        elif roll < 0.80 and inflight:
+            name, a = inflight.pop(rng.randrange(len(inflight)))
+            yield (rng.choices(["complete", "fail"], [0.7, 0.3])[0],
+                   name, a.job_id, a.idx)
+        elif roll < 0.85 and jseq:
+            yield ("cancel_job", f"j{rng.randrange(1, jseq + 1)}")
+
+
+class TestAgainstTheModel:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fuzzed_log_matches_the_scanning_scheduler(self, seed):
+        """The same result for every call (verdicts, requeues, the
+        assignment sequence) and the same ``pending`` order, slots and
+        attempt counts after every call. The sequence must fill both
+        slots of some worker, or the second slot and its refund rule
+        went untested."""
+        sched, model = Scheduler(), FifoModel()
+        calls = _fuzzed_calls(seed)
+        call, most_in_flight = next(calls, None), 0
+        while call is not None:
+            method, *args = call
+            result = getattr(sched, method)(*args)
+            assert result == getattr(model, method)(*args), call
+            assert list(sched._pending) == model.pending
+            assert {n: w.busy for n, w in sched._workers.items()} \
+                == model.busy
+            assert {u: st.attempts for u, st in sched._units.items()} \
+                == model.attempts
+            most_in_flight = max([most_in_flight] + [
+                len(w.busy) for w in sched._workers.values()])
+            try:
+                call = calls.send(result)
+            except StopIteration:
+                call = None
+        assert most_in_flight == 2

@@ -1,9 +1,9 @@
 """The scheduler's pending queue: assignment must not scan it.
 
-``tests/test_service_scheduler.py`` pins the policy and
-``tests/test_service_replica.py`` pins ten fuzzed command logs against
-a reference FIFO model; these pin what the deque-plus-set is *for* — a
-drain that stays linear, and one pending copy of a unit.
+``tests/test_service_scheduler.py`` pins the policy, and ten fuzzed
+call sequences against a reference FIFO model; these pin what the
+deque-plus-set is *for* — a drain that stays linear, and one pending
+copy of a unit.
 """
 
 from __future__ import annotations

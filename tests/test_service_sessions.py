@@ -1,15 +1,15 @@
 """The fleet's sessions without a socket: exactly-once rows under a
 seeded fault schedule, stepped under a clock the test owns.
 
-Three workers and a client drive :class:`~repro.service.sessions.Sessions`
-as the coordinator does (``hello`` / ``frame`` / ``closed`` / ``tick``),
-against a quorum of one and three replicas (``SteppedFleet``). They sign
-in through the real ``SignIn`` on the fleet clock, and the client's rows
-go through the real ``JobRows``; only the fault schedule is the test's,
+Three workers and a client drive one
+:class:`~repro.service.sessions.Sessions` as the coordinator does
+(``hello`` / ``frame`` / ``closed`` / ``tick``). They sign in through
+the real ``SignIn`` on the test's clock, and the client's rows go
+through the real ``JobRows``; only the fault schedule is the test's,
 and no unit is ever simulated. Each seed has out-of-order and duplicate
 results, ``unit_error`` retries up to a fatal one, a worker killed
 holding two units, a silent worker whose stale result arrives after the
-drop, a client that vanishes mid-job, and one leader cut off.
+drop, and a client that vanishes mid-job.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ import pytest
 from repro.harness.experiment import ExperimentConfig
 from repro.harness.units import SweepUnit
 from repro.params import Organization
-from repro.service.cluster import COMMIT_TIMEOUT
-from repro.service.errors import ConnectionClosed, JobFailed, ServiceError
+from repro.service.errors import JobFailed
 from repro.service.protocol import PROTOCOL_VERSION, JobRows, SignIn
-from tests.conftest import FakeConn, SteppedFleet
+from repro.service.sessions import Sessions
+from tests.conftest import FakeConn
 
 STEP_MS = 50
 HEARTBEAT_TIMEOUT = 1.0
@@ -38,9 +38,8 @@ BATCHES = [[SweepUnit(ExperimentConfig("water_spatial", Organization.SHARED,
                                        scale=0.04, seed=100 * b + i + 1),
                       50_000_000, "runtime")
             for i in range(N_UNITS)] for b in range(3)]
-#: the leader cut off in the last job: isolated (till deposed, or past
-#: COMMIT_TIMEOUT), or deaf (its followers hear it; it hears nothing)
-PARTITIONS = [("isolated", 3.0), ("isolated", 6.0), ("deaf", 6.0)]
+#: where the actors' ``SignIn`` dials: the one coordinator
+ADDRESS = "coordinator:1"
 
 
 def value_of(seed: int) -> int:
@@ -48,13 +47,21 @@ def value_of(seed: int) -> int:
     return seed * 10
 
 
+def leftovers(sessions: Sessions) -> dict:
+    """Every piece of scheduler state a job or worker could leave."""
+    sched = sessions.sched
+    return {"jobs": sorted(sched._jobs), "pending": list(sched._pending),
+            "attempts": sorted(sched._units),
+            "workers": sorted(sched._workers)}
+
+
 class Peer(FakeConn):
     """One connection: every frame Sessions sends lands in the
     schedule's transcript, and an open connection's in ``inbox``."""
 
-    def __init__(self, world: "World", name: str, node: int) -> None:
+    def __init__(self, world: "World", name: str) -> None:
         super().__init__()
-        self.world, self.name, self.node = world, name, node
+        self.world, self.name = world, name
         self.inbox: deque = deque()
         self.hung_up = False  # the owner's read loop has ended
 
@@ -68,14 +75,14 @@ class Peer(FakeConn):
 
 
 class World:
-    """One seeded schedule: the fleet, the actors, what they saw."""
+    """One seeded schedule: the coordinator, the actors, what they
+    saw."""
 
-    def __init__(self, seed: int, replicas: int, partition=None) -> None:
+    def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
-        self.fleet = SteppedFleet(seed, n=replicas, step_ms=STEP_MS,
-                                  sessions=True,
-                                  heartbeat_timeout=HEARTBEAT_TIMEOUT)
-        self.partition = partition or self.rng.choice(PARTITIONS)
+        self.now_ms = 0
+        self.sessions = Sessions(on_shutdown=lambda: None,
+                                 heartbeat_timeout=HEARTBEAT_TIMEOUT)
         self.transcript, self.late = [], []  # late: on a closed conn
         self.seen: set = set()   # the faults this schedule reached
         self.dials = 0
@@ -88,86 +95,58 @@ class World:
 
     @property
     def now(self) -> float:
-        return self.fleet.now
+        return self.now_ms / 1000
 
     def send(self, conn: Peer, msg) -> None:
         """The owner's read loop hands one frame to Sessions."""
-        if not self.fleet.nodes[conn.node].frame(conn, msg, self.now):
+        if not self.sessions.frame(conn, msg, self.now):
             self.hang_up(conn)
 
     def hang_up(self, conn: Peer) -> None:
         """The read loop ends: EOF, a ``bye``, or a closed session."""
         conn.close()
         conn.hung_up = True
-        self.fleet.nodes[conn.node].closed(conn, self.now)
+        self.sessions.closed(conn, self.now)
 
     def step(self) -> None:
-        self.fleet.step()
+        self.now_ms += STEP_MS
+        self.sessions.tick(self.now)
         for actor in [self.client] + self.workers:
             actor.step()
 
     def run(self) -> None:
-        """Until the client ran all its jobs and no worker is silent or
-        link cut; then everyone says ``bye`` and the quorum settles."""
-        fleet, heal_at = self.fleet, None
-        while not self.client.finished or fleet.cut or any(
+        """Until the client ran all its jobs and no worker is silent;
+        then everyone says ``bye``."""
+        while not self.client.finished or any(
                 self.now < w.silent_until for w in self.workers):
             assert self.now < 60.0, "the schedule never finished"
             self.step()
-            if heal_at is None and len(fleet.nodes) > 1 \
-                    and self.client.batch == 2 and self.client.rows.received:
-                kind, span = self.partition
-                leader = fleet.leader()
-                fleet.isolate(leader)
-                if kind == "deaf":  # only what is sent to it is lost
-                    fleet.cut = {c for c in fleet.cut if c[1] == leader}
-                heal_at = self.now + span
-                self.seen.add(kind)
-            if heal_at is not None and self.now >= heal_at:
-                fleet.cut = set()
         for worker in self.workers:
             worker.leave()
-        fleet.run(5.0)
 
 
 class Actor:
-    """What the real peers share: a :class:`SignIn` on the fleet clock
-    picks whom to dial and reads the reply; its welcome is the session."""
+    """What the real peers share: a :class:`SignIn` on the test's clock
+    dials and reads the reply; its welcome is the session."""
 
     def __init__(self, world: World, name: str, role: str) -> None:
         self.world, self.name = world, name
         self.hello = {"type": "hello", "role": role, "name": name,
                       "protocol": PROTOCOL_VERSION, "pid": 1}
         self.conn = None     # the session
-        self.leader = None   # where the last session was
-        self.signin = None   # the hunt for the next one
-        self.dialed = None   # its connection awaiting the hello's reply
 
-    def sign_in(self) -> bool:
-        """One step of the hunt; True once welcomed."""
+    def sign_in(self) -> None:
+        """Dial and say hello; the welcome (or the typed refusal
+        ``SignIn.reply`` raises) is in the inbox before ``hello``
+        returns."""
         w = self.world
-        self.signin = self.signin or SignIn(w.fleet.addrs, 30.0, w.now,
-                                            self.leader)
-        if self.dialed is None:
-            address = self.signin.dial(w.now)
-            if address is None:
-                return False  # the lull between rounds
-            w.dials, node = w.dials + 1, w.fleet.addrs.index(address)
-            conn = self.dialed = Peer(w, f"{self.name}#{w.dials}", node)
-            if not w.fleet.nodes[node].hello(conn, self.hello, w.now):
-                w.hang_up(conn)  # a redirect: the reply is in the inbox
-        conn = self.dialed
-        if not conn.inbox and not conn.closed:
-            return False  # the reply is not in yet
-        self.dialed = None
-        if not conn.inbox:
-            self.signin.failed(ConnectionClosed("closed before a reply"))
-        elif self.signin.reply(conn.inbox.popleft()):
-            self.conn, self.leader = conn, self.signin.leader
-            self.signin = None
-            return True
-        w.hang_up(conn)
-        return False
+        signin = SignIn(ADDRESS, 30.0, w.now)
+        assert signin.dial(w.now) == ADDRESS
+        w.dials += 1
+        conn = Peer(w, f"{self.name}#{w.dials}")
+        assert w.sessions.hello(conn, self.hello, w.now)
+        signin.reply(conn.inbox.popleft())
+        self.conn = conn
 
     def session_ended(self) -> bool:
         """Hang up a session the coordinator closed; True if none."""
@@ -275,8 +254,8 @@ class Client(Actor):
         if self.finished:
             return
         if self.session_ended():
-            if self.sign_in():
-                w.send(self.conn, self.rows.submit())
+            self.sign_in()
+            w.send(self.conn, self.rows.submit())
             return
         # frames sent before a close are read; a vanished client's lost
         while self.conn.inbox and not self.conn.hung_up:
@@ -288,9 +267,6 @@ class Client(Actor):
                 ended = self.rows.frame(msg)
             except JobFailed:
                 ended = True
-            except ServiceError:  # the error frame of a failed commit
-                w.hang_up(self.conn)
-                return
             if ended:
                 self._ended(msg["job"])
             elif (self.batch == 1 and len(self.rows.received)
@@ -299,11 +275,11 @@ class Client(Actor):
                 w.hang_up(self.conn)
 
     def _ended(self, job: str) -> None:
-        """A job ended: the replica serving it holds nothing of it."""
-        snap = self.world.fleet.nodes[self.conn.node].machine.snapshot()
-        assert job not in snap["jobs"]
-        assert all(j != job for j, _ in snap["pending"])
-        assert not [u for u in snap["attempts"] if u.startswith(job + "#")]
+        """A job ended: the scheduler holds nothing of it."""
+        sched = self.world.sessions.sched
+        assert job not in sched._jobs
+        assert all(j != job for j, _ in sched._pending)
+        assert all(j != job for j, _ in sched._units)
         self.ledgers.append(self.rows)
         self.batch += 1
         if self.batch < len(BATCHES):
@@ -337,9 +313,9 @@ def check_job(batch: int, frames) -> str:
     return final
 
 
-def run_schedule(seed: int, replicas: int, partition=None):
+def run_schedule(seed: int):
     """Play one seed; check everything; return what must replay."""
-    world = World(seed, replicas, partition)
+    world = World(seed)
     world.run()
     client = world.client
     finals = [(batch, check_job(batch, frames))
@@ -348,27 +324,23 @@ def run_schedule(seed: int, replicas: int, partition=None):
     # the first one on its poisoned unit
     last = {batch: final for batch, final in finals}
     assert last == {0: "job_failed", 1: "done", 2: "done"}, finals
-    # the ledgers kept every value across vanish, resubmits, partition
+    # the ledgers kept every value across the vanish and resubmit
     for batch, rows in enumerate(client.ledgers[1:], 1):
         assert rows.values == [value_of(u.exp.seed)
                                for u in BATCHES[batch]]
     assert world.late == []  # no assign — nothing — on a closed conn
-    snaps = world.fleet.snapshots()
-    assert len(set(snaps)) == 1
-    snap = json.loads(snaps[0])
-    assert (snap["jobs"], snap["pending"], snap["attempts"],
-            snap["workers"]) == ({}, [], {}, {})
+    left = leftovers(world.sessions)
+    assert left == {"jobs": [], "pending": [], "attempts": [],
+                    "workers": []}
     expected = {"unit_error", "out_of_order", "duplicate", "killed",
                 "silent", "stale_result", "vanished"}
-    if replicas > 1:
-        expected.add(world.partition[0])
     assert expected <= world.seen, expected - world.seen
-    return world.transcript, snaps
+    return world.transcript, world.sessions.memo
 
 
 class TestSteppedSessions:
     """No socket, no sleep, no event loop: the sessions under a clock
-    and a network the test owns."""
+    the test owns."""
 
     @pytest.fixture(autouse=True)
     def _no_sockets(self, monkeypatch):
@@ -376,31 +348,14 @@ class TestSteppedSessions:
             raise AssertionError("stepped sessions opened a socket")
         monkeypatch.setattr(socket, "socket", refuse)
 
-    @pytest.mark.parametrize("replicas", [1, 3])
     @pytest.mark.parametrize("seed", range(20))
-    def test_every_unit_reaches_the_client_exactly_once(self, seed,
-                                                         replicas):
-        assert run_schedule(seed, replicas) == run_schedule(seed, replicas)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_a_deaf_leader_steps_down_and_every_row_arrives(self, seed):
-        """CheckQuorum: no ack reaches the leader, its commits expire and
-        it steps down; the next leader's ``reset`` makes all resubmit.
-        Leading on, it committed the expired entries once acks returned:
-        a ``complete`` became a row nobody streamed; the client hung."""
-        run_schedule(seed, 3, partition=("deaf", COMMIT_TIMEOUT + 1.0))
+    def test_every_unit_reaches_the_client_exactly_once(self, seed):
+        assert run_schedule(seed) == run_schedule(seed)
 
 
 def _solo():
-    """A quorum of one, ready to serve."""
-    return SteppedFleet(0, n=1, sessions=True).nodes[0]
-
-
-def _trio():
-    """Three replicas, past the first election and its ``reset``."""
-    fleet = SteppedFleet(0, n=3, sessions=True)
-    fleet.run(4.0)
-    return fleet, fleet.nodes[fleet.leader()]
+    """A coordinator's sessions, ready to serve."""
+    return Sessions(on_shutdown=lambda: None)
 
 
 def _sign_in(sessions, role: str, now: float = 0.0, **fields) -> FakeConn:
@@ -414,9 +369,8 @@ def _sign_in(sessions, role: str, now: float = 0.0, **fields) -> FakeConn:
 class TestDirected:
     def test_a_job_the_memo_serves_in_full_commits_nothing(self):
         """A resubmitted finished job gets ``done`` right after
-        ``accepted``, and the log gains no entry (it used to commit a
-        ``job_cancel`` for a job the machine never saw — a quorum round
-        trip before ``done``)."""
+        ``accepted``, and the scheduler never sees it (it used to be
+        added only to be cancelled again before ``done``)."""
         sessions = _solo()
         worker = _sign_in(sessions, "worker", name="w")
         client = _sign_in(sessions, "client")
@@ -425,14 +379,18 @@ class TestDirected:
         (assign,) = [m for m in worker.sent if m["type"] == "assign"]
         sessions.frame(worker, {"type": "result", "job": assign["job"],
                                 "idx": 0, "value": 7}, 0.0)
-        applied = sessions.machine.applied
+        added = []
+        real_add_job = sessions.sched.add_job
+        sessions.sched.add_job = lambda *a, **kw: (added.append(a[0]),
+                                                   real_add_job(*a, **kw))
         client.sent.clear()
         sessions.frame(client, submit, 0.0)
         accepted, done = client.sent
         assert (accepted["type"], accepted["cached"]) == ("accepted",
                                                           [[0, 7]])
         assert (done["type"], done["from_cache"]) == ("done", 1)
-        assert sessions.machine.applied == applied
+        assert added == []
+        assert leftovers(sessions)["jobs"] == []
         assert sessions.served_from_cache == 1
 
     def test_worker_sign_in_logs_at_info(self, caplog):
@@ -444,68 +402,57 @@ class TestDirected:
             == [("repro.service.sessions", logging.INFO,
                  "worker w7 (pid 42) joined")]
 
-    def test_a_session_that_ends_before_its_commit_lands_hears_nothing(
-            self):
-        """With peers a commit lands a round trip later: a worker gone
-        before its ``worker_add`` lands is never welcomed, a client gone
-        before its ``job_add`` lands is never accepted, and neither
-        leaves anything in the replicated state."""
-        fleet, leader = _trio()
-        worker = _sign_in(leader, "worker", fleet.now, name="w")
-        client = _sign_in(leader, "client", fleet.now)
-        leader.frame(client, JobRows(BATCHES[0]).submit(), fleet.now)
-        for conn in (worker, client):
-            conn.close()
-            leader.closed(conn, fleet.now)
-        fleet.run(1.0)
-        assert worker.sent == []
-        assert [m["type"] for m in client.sent] == ["welcome"]
-        snaps = fleet.snapshots()
-        assert len(set(snaps)) == 1
-        snap = json.loads(snaps[0])
-        assert (snap["workers"], snap["jobs"], snap["pending"]) \
-            == ({}, {}, [])
-
-    def test_a_client_gone_before_its_job_cancel_lands_hears_no_done(
-            self):
-        """The last row goes out and the job's ``job_cancel`` starts
-        committing; a client that closes before it lands is never sent
-        the ``done``, and the job still leaves the replicated state."""
-        fleet, leader = _trio()
-        worker = _sign_in(leader, "worker", fleet.now, name="w")
-        client = _sign_in(leader, "client", fleet.now)
-        leader.frame(client, JobRows(BATCHES[0][:1]).submit(), fleet.now)
-        fleet.run(0.5)
+    def test_a_result_row_leaves_before_frame_returns(self):
+        """The scheduler is called directly: a ``result`` frame's ``row``
+        (and the job's ``done``) is on the client's connection when
+        ``frame`` returns — nothing interleaves between the two."""
+        sessions = _solo()
+        worker = _sign_in(sessions, "worker", name="w1")
+        client = _sign_in(sessions, "client")
+        sessions.frame(client, JobRows(BATCHES[0][:1]).submit(), 0.0)
         (assign,) = [m for m in worker.sent if m["type"] == "assign"]
-        leader.frame(worker, {"type": "result", "job": assign["job"],
-                              "idx": 0, "value": 7}, fleet.now)
-        while client.sent[-1]["type"] != "row":
-            fleet.deliver()  # frame by frame, up to the completion
-        assert fleet.wire, "the job_cancel landed with the row"
-        client.close()
-        leader.closed(client, fleet.now)
-        fleet.run(1.0)
+        sessions.frame(worker, {"type": "result", "job": assign["job"],
+                                "idx": assign["idx"], "value": 7}, 0.0)
         assert [m["type"] for m in client.sent] == [
-            "welcome", "accepted", "row"]
-        snaps = fleet.snapshots()
-        assert len(set(snaps)) == 1
-        assert json.loads(snaps[0])["jobs"] == {}
+            "welcome", "accepted", "row", "done"]
+        assert client.sent[2]["value"] == 7
 
-    def test_a_failed_commit_ends_its_peer_session_with_the_error(self):
-        """An isolated leader cannot commit a worker's result: past
-        ``COMMIT_TIMEOUT`` the worker gets the typed error frame and
-        its session ends (it re-signs-in elsewhere)."""
-        fleet, leader = _trio()
-        worker = _sign_in(leader, "worker", fleet.now, name="w")
-        client = _sign_in(leader, "client", fleet.now)
-        leader.frame(client, JobRows(BATCHES[0]).submit(), fleet.now)
-        fleet.run(0.5)
+    def test_after_stop_only_the_workers_shutdown_is_sent(self):
+        """``stop`` dismisses the workers; every input after it — a
+        hello, a result, a submit, a close, a tick past every deadline
+        — is ignored: nothing is sent and no state changes."""
+        sessions = _solo()
+        worker = _sign_in(sessions, "worker", name="w")
+        client = _sign_in(sessions, "client")
+        sessions.frame(client, JobRows(BATCHES[0]).submit(), 0.0)
         assign = next(m for m in worker.sent if m["type"] == "assign")
-        fleet.isolate(fleet.leader())
-        leader.frame(worker, {"type": "result", "job": assign["job"],
-                              "idx": assign["idx"], "value": 1}, fleet.now)
-        fleet.run(COMMIT_TIMEOUT + 0.1)
-        assert worker.closed
-        assert worker.sent[-1]["type"] == "error"
-        assert "not committed within" in worker.sent[-1]["error"]
-        assert not leader.frame(worker, {"type": "heartbeat"}, fleet.now)
+
+        def state():
+            return (leftovers(sessions), sessions.sched.stats(),
+                    dict(sessions.memo), sorted(sessions.workers),
+                    sorted(sessions.jobs), sessions.units_completed,
+                    sessions.rows_streamed, sessions.heartbeats_seen)
+
+        before = state()
+        sent = (list(worker.sent), list(client.sent))
+        sessions.stop()
+        assert worker.sent[len(sent[0]):] == [{"type": "shutdown"}]
+        assert client.sent == sent[1]
+        newcomer = FakeConn()
+        assert not sessions.hello(newcomer, {
+            "type": "hello", "role": "worker", "name": "late",
+            "protocol": PROTOCOL_VERSION}, 1.0)
+        assert not sessions.frame(worker, {
+            "type": "result", "job": assign["job"], "idx": assign["idx"],
+            "value": 7}, 1.0)
+        assert not sessions.frame(worker, {"type": "heartbeat"}, 1.0)
+        assert not sessions.frame(client, JobRows(BATCHES[1]).submit(),
+                                  1.0)
+        sessions.tick(10 ** 6)
+        for conn in (worker, client, newcomer):
+            sessions.closed(conn, 10 ** 6)
+        assert newcomer.sent == []
+        assert worker.sent[len(sent[0]):] == [{"type": "shutdown"}]
+        assert client.sent == sent[1]
+        assert not (worker.closed or client.closed)
+        assert state() == before

@@ -157,9 +157,9 @@ def test_queued_unit_never_runs_after_the_session_ends(how, serial):
                   "the coordinator never dropped the worker")
         stats = _fleet_stats(address)
         assert (stats["pending"], stats["requeues"]) == (2, 2)
-        attempts = coord.sessions.machine.snapshot()["attempts"]
-        assert {key.rsplit("#", 1)[1]: n for key, n in attempts.items()} \
-            == {"0": 1, "1": 0}
+        attempts = {idx: state.attempts for (_, idx), state
+                    in coord.sessions.sched._units.items()}
+        assert attempts == {0: 1, 1: 0}
         # the held unit finishes into a closed session; the worker
         # exits without starting the unit queued behind it
         worker.release.set()

@@ -567,25 +567,22 @@ def test_transaction_state_is_typed_not_string_keyed():
 
 def test_service_state_machines_hold_no_clock_loop_or_coroutine():
     """The fleet's pure layers are stepped by their owner: the
-    scheduler by the machine, the machine by the consensus core's log,
-    the cluster manager by ``tick`` / ``handle_message`` / ``commit``,
-    the sessions by ``hello`` / ``frame`` / ``closed`` / ``tick``, a
-    peer's sign-in and job rows (``protocol.py``) by the frames it reads
-    and the ``now`` it passes. None may import a clock, an event loop or
-    a thread, and none may define a coroutine — that is what lets a test
-    drive three replicas, their workers and a client from a ``for`` loop
-    (``tests/test_service_replica.py``, ``tests/test_service_sessions.py``)."""
+    scheduler by the sessions' direct calls, the sessions by ``hello`` /
+    ``frame`` / ``closed`` / ``tick``, a peer's sign-in and job rows
+    (``protocol.py``) by the frames it reads and the ``now`` it passes.
+    None may import a clock, an event loop or a thread, and none may
+    define a coroutine — that is what lets a test drive workers and a
+    client from a ``for`` loop (``tests/test_service_sessions.py``)."""
     import inspect
 
     import repro
-    from repro.service.cluster import ClusterManager
     from repro.service.protocol import JobRows, SignIn
+    from repro.service.scheduler import Scheduler
     from repro.service.sessions import Sessions
     root = pathlib.Path(repro.__file__).parent / "service"
     banned = {"asyncio", "time", "threading", "selectors"}
     offenders = []
-    for name in ("scheduler.py", "replica.py", "cluster.py", "sessions.py",
-                 "protocol.py"):
+    for name in ("scheduler.py", "sessions.py", "protocol.py"):
         for node in ast.walk(ast.parse((root / name).read_text())):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -600,7 +597,7 @@ def test_service_state_machines_hold_no_clock_loop_or_coroutine():
                              if m.split(".")[0] in banned)
     offenders.extend(
         f"{cls.__name__}.{attr} is a coroutine function"
-        for cls in (ClusterManager, Sessions, SignIn, JobRows)
+        for cls in (Scheduler, Sessions, SignIn, JobRows)
         for attr, fn in vars(cls).items()
         if inspect.iscoroutinefunction(fn))
     assert not offenders, offenders
