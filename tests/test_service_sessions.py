@@ -1,7 +1,7 @@
 """The fleet's sessions without a socket: exactly-once rows under a
 seeded fault schedule, stepped under a clock the test owns.
 
-Three workers and a client drive one
+One or three workers and a client drive one
 :class:`~repro.service.sessions.Sessions` as the coordinator does
 (``hello`` / ``frame`` / ``closed`` / ``tick``). They sign in through
 the real ``SignIn`` on the test's clock, and the client's rows go
@@ -78,7 +78,7 @@ class World:
     """One seeded schedule: the coordinator, the actors, what they
     saw."""
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, workers: int) -> None:
         self.rng = random.Random(seed)
         self.now_ms = 0
         self.sessions = Sessions(on_shutdown=lambda: None,
@@ -91,7 +91,7 @@ class World:
         self.vanish_after = self.rng.randint(1, N_UNITS)  # 2nd job's rows
         self.flaky = BATCHES[2][self.rng.randrange(N_UNITS)].exp.seed
         self.client = Client(self)
-        self.workers = [Worker(self, f"w{i}") for i in range(3)]
+        self.workers = [Worker(self, f"w{i}") for i in range(workers)]
 
     @property
     def now(self) -> float:
@@ -215,7 +215,8 @@ class Worker(Actor):
 
     def _fault(self) -> bool:
         """Once per schedule, while the client runs its second job: one
-        worker dies holding two units, another falls silent."""
+        worker dies holding two units, then one (the same, when it is
+        alone) falls silent."""
         w = self.world
         if w.client.batch != 1:
             return False
@@ -313,9 +314,9 @@ def check_job(batch: int, frames) -> str:
     return final
 
 
-def run_schedule(seed: int):
+def run_schedule(seed: int, workers: int):
     """Play one seed; check everything; return what must replay."""
-    world = World(seed)
+    world = World(seed, workers)
     world.run()
     client = world.client
     finals = [(batch, check_job(batch, frames))
@@ -348,9 +349,11 @@ class TestSteppedSessions:
             raise AssertionError("stepped sessions opened a socket")
         monkeypatch.setattr(socket, "socket", refuse)
 
+    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("seed", range(20))
-    def test_every_unit_reaches_the_client_exactly_once(self, seed):
-        assert run_schedule(seed) == run_schedule(seed)
+    def test_every_unit_reaches_the_client_exactly_once(self, seed,
+                                                         workers):
+        assert run_schedule(seed, workers) == run_schedule(seed, workers)
 
 
 def _solo():
