@@ -1,8 +1,11 @@
-"""Cache substrate: lines, set-associative arrays, MSHRs, timestamps."""
+"""Cache substrate: lines, set-associative LRU arrays, MSHRs, timestamps.
+
+Replacement is not a separate object: each set of a
+:class:`CacheArray` is one dict of its lines in recency order.
+"""
 
 from repro.cache.line import CacheLine, L1State, L2State
 from repro.cache.array import CacheArray
-from repro.cache.replacement import LruPolicy
 from repro.cache.mshr import Mshr, MshrFile
 from repro.cache.timestamp import CoarseTimestamp
 
@@ -11,7 +14,6 @@ __all__ = [
     "L1State",
     "L2State",
     "CacheArray",
-    "LruPolicy",
     "Mshr",
     "MshrFile",
     "CoarseTimestamp",

@@ -2,7 +2,8 @@
 
 A :class:`CacheLine` carries everything any controller in the system
 needs; unused fields stay at their defaults (e.g. L1 lines never use
-``sharers`` or ``tokens``).
+``sharers`` or ``tokens``). A line holds no placement of its own: where
+it sits in its set's recency order is the array's business.
 """
 
 from __future__ import annotations
@@ -82,10 +83,6 @@ class CacheLine:
     """
 
     line_addr: int
-    #: way this line occupies in its set, maintained by CacheArray —
-    #: carried on the line so the hot lookup/invalidate paths need no
-    #: parallel addr->way dict probe (-1 = not resident in an array)
-    way: int = -1
     l1_state: L1State = L1State.I
     l2_state: L2State = L2State.I
     sharers: Set[int] = field(default_factory=set)

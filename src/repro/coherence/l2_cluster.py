@@ -261,22 +261,11 @@ class TokenL2Controller(HomeL2Base):
     # ------------------------------------------------------------------
     # level-2 message handling
     # ------------------------------------------------------------------
-    def _handle_level2(self, msg: Msg) -> None:
-        kind = msg.kind
-        if kind in (MsgKind.TOK_DATA, MsgKind.TOK_ACK):
-            self._on_token_response(msg)
-        elif kind is MsgKind.TOK_GETS:
-            self.ctx.sim.call_after(self.latency,
-                                    partial(self._peer_gets, msg))
-        elif kind is MsgKind.TOK_GETX:
-            self.ctx.sim.call_after(self.latency,
-                                    partial(self._peer_getx, msg))
-        elif kind is MsgKind.PERSIST_GRANT:
-            self._on_persist_grant(msg)
-        elif kind is MsgKind.IVR_MIGRATE:
-            self._on_migrate(msg)
-        else:
-            raise ProtocolError(f"token L2 at {self.tile} got {msg}")
+    def _peer_gets_later(self, msg: Msg) -> None:
+        self.ctx.sim.call_after(self.latency, partial(self._peer_gets, msg))
+
+    def _peer_getx_later(self, msg: Msg) -> None:
+        self.ctx.sim.call_after(self.latency, partial(self._peer_getx, msg))
 
     # -- grant-window protection ----------------------------------------
     def _defer_if_granting(self, msg: Msg) -> bool:
@@ -586,3 +575,10 @@ class TokenL2Controller(HomeL2Base):
     def _finish_write(self, mshr: Mshr, line: CacheLine) -> None:
         line.migrations = 0
         super()._finish_write(mshr, line)
+
+    _level2_routes = ((MsgKind.TOK_DATA, _on_token_response),
+                      (MsgKind.TOK_ACK, _on_token_response),
+                      (MsgKind.TOK_GETS, _peer_gets_later),
+                      (MsgKind.TOK_GETX, _peer_getx_later),
+                      (MsgKind.PERSIST_GRANT, _on_persist_grant),
+                      (MsgKind.IVR_MIGRATE, _on_migrate))

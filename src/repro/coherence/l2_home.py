@@ -107,20 +107,29 @@ class HomeL2Base:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
+    #: second-level ``(MsgKind, plain function)`` pairs; each concrete
+    #: home declares its own at the end of its class body
+    _level2_routes: tuple = ()
+
     def __init_subclass__(cls, **kwargs) -> None:
-        """Each concrete home gets its own first-level table, so the
-        kinds not claimed here resolve to that subclass's
-        ``_handle_level2`` (second level)."""
+        """Each concrete home gets one dispatch table of its own: the
+        first-level routes claimed here plus the subclass's
+        ``_level2_routes``. Every other kind is a ``None`` row, which
+        ``handle`` refuses."""
         super().__init_subclass__(**kwargs)
-        cls._dispatch = dispatch_table(cls._handle_level2, (
+        cls._dispatch = dispatch_table(None, (
             (MsgKind.GETS, cls._serve_request),
             (MsgKind.GETX, cls._serve_request),
             (MsgKind.WB_L1, cls._on_wb_l1),
             (MsgKind.ACK_INV_L1, cls._on_l1_reply),
-            (MsgKind.RECALL_RESP, cls._on_l1_reply)))
+            (MsgKind.RECALL_RESP, cls._on_l1_reply),
+            *cls._level2_routes))
 
     def handle(self, msg: Msg) -> None:
-        self._dispatch[msg.kind.idx](self, msg)
+        fn = self._dispatch[msg.kind.idx]
+        if fn is None:
+            raise ProtocolError(f"L2 at tile {self.tile} got {msg}")
+        fn(self, msg)
 
     # ------------------------------------------------------------------
     # first-level service
@@ -572,6 +581,3 @@ class HomeL2Base:
 
     def _dispose_victim(self, victim: CacheLine) -> None:
         raise NotImplementedError
-
-    def _handle_level2(self, msg: Msg) -> None:
-        raise ProtocolError(f"L2 at tile {self.tile} got {msg}")

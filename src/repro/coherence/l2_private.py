@@ -35,7 +35,6 @@ from repro.cache.mshr import GRANTING, Mshr
 from repro.coherence.l2_home import HomeL2Base
 from repro.coherence.messages import Msg, MsgKind, Unit
 from repro.coherence.shadow import merge_shadow, merge_shadow_opt
-from repro.errors import ProtocolError
 
 _RETRY_DELAY = 20  # cycles before re-asking the directory after a NACK
 
@@ -113,19 +112,6 @@ class DirectoryL2Controller(HomeL2Base):
     # ------------------------------------------------------------------
     # level-2 message handling
     # ------------------------------------------------------------------
-    def _handle_level2(self, msg: Msg) -> None:
-        kind = msg.kind
-        if kind is MsgKind.DATA_L2:
-            self._on_data_l2(msg)
-        elif kind is MsgKind.DIR_ACK:
-            self._on_dir_ack(msg)
-        elif kind in (MsgKind.DIR_FWD_GETS, MsgKind.DIR_FWD_GETX):
-            self._on_forward(msg)
-        elif kind is MsgKind.DIR_INV:
-            self._on_dir_inv(msg)
-        else:
-            raise ProtocolError(f"directory L2 at {self.tile} got {msg}")
-
     def _on_data_l2(self, msg: Msg) -> None:
         mshr = self.mshrs.get(msg.line_addr)
         f: Optional[DirFetch] = mshr.fetch if mshr is not None else None
@@ -254,3 +240,9 @@ class DirectoryL2Controller(HomeL2Base):
         wb = Msg(MsgKind.DIR_WB, msg.line_addr, self.tile, Unit.MC,
                  requestor=self.tile, dirty=True, value=msg.value)
         self.ctx.send(wb, self.ctx.mc_tile(msg.line_addr))
+
+    _level2_routes = ((MsgKind.DATA_L2, _on_data_l2),
+                      (MsgKind.DIR_ACK, _on_dir_ack),
+                      (MsgKind.DIR_FWD_GETS, _on_forward),
+                      (MsgKind.DIR_FWD_GETX, _on_forward),
+                      (MsgKind.DIR_INV, _on_dir_inv))

@@ -48,9 +48,7 @@ class SharedL2Controller(HomeL2Base):
                  requestor=self.tile, dirty=True, value=msg.value)
         self.ctx.send(wb, self.ctx.mc_tile(msg.line_addr))
 
-    def _handle_level2(self, msg: Msg) -> None:
-        if msg.kind is not MsgKind.MEM_DATA:
-            raise ProtocolError(f"shared L2 at {self.tile} got {msg}")
+    def _on_mem_data(self, msg: Msg) -> None:
         mshr = self.mshrs.get(msg.line_addr)
         if mshr is None:
             raise ProtocolError(f"unsolicited MEM_DATA at {self.tile}")
@@ -60,3 +58,5 @@ class SharedL2Controller(HomeL2Base):
     def _apply_fill(self, mshr: Mshr, line: CacheLine) -> None:
         line.shadow = merge_shadow(line.shadow, mshr.fetch)
         line.l2_state = L2State.E
+
+    _level2_routes = ((MsgKind.MEM_DATA, _on_mem_data),)

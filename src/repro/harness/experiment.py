@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
@@ -126,6 +127,18 @@ class ExperimentConfig:
     #: reconfigurable memory hierarchy axis group
     hierarchy: HierarchyAxes = field(kw_only=True,
                                      default_factory=HierarchyAxes)
+
+    def __post_init__(self) -> None:
+        # Wire units reach here through SweepUnit.from_wire: refuse an
+        # axis value no machine or trace has, rather than simulate it.
+        for name in ("scale", "cache_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"{name} must be finite and > 0, got {value!r}")
+        if not 0.0 <= self.warmup_fraction <= 1.0:
+            raise ConfigError(f"warmup_fraction must be in [0, 1], got "
+                              f"{self.warmup_fraction!r}")
 
     def __repr__(self) -> str:
         # The flat-era repr, byte-for-byte: warmup_key/SweepUnit.key hash

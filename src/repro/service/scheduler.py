@@ -140,9 +140,6 @@ class Scheduler:
         self.requeues += len(requeued)
         return requeued, fatal
 
-    def worker_names(self) -> List[str]:
-        return list(self._workers)
-
     def worker_view(self, name: str) -> Optional[_WorkerState]:
         return self._workers.get(name)
 

@@ -1,12 +1,13 @@
-"""Unit tests for the cache substrate: arrays, replacement, MSHRs,
+"""Unit tests for the cache substrate: arrays (recency order), MSHRs,
 lines, timestamps."""
+
+import pickle
 
 import pytest
 
 from repro.cache.array import CacheArray
 from repro.cache.line import CacheLine, L1State, L2State
 from repro.cache.mshr import MshrFile
-from repro.cache.replacement import LruPolicy
 from repro.cache.timestamp import CoarseTimestamp
 from repro.errors import ConfigError, ProtocolError
 from repro.params import CacheConfig
@@ -74,19 +75,6 @@ class TestCacheArray:
         assert a.set_full(3)
         assert not a.set_full(1)  # resident line: not "full" for it
 
-    def test_victim_candidate_nondestructive(self):
-        a = small_array(sets=1, assoc=2)
-        a.allocate(1)
-        a.allocate(2)
-        cand = a.victim_candidate(3)
-        assert cand.line_addr == 1
-        assert a.contains(1) and a.contains(2)
-
-    def test_victim_candidate_none_when_space(self):
-        a = small_array(sets=1, assoc=2)
-        a.allocate(1)
-        assert a.victim_candidate(3) is None
-
     def test_victim_ranking_order(self):
         a = small_array(sets=1, assoc=4)
         for i in (1, 2, 3, 4):
@@ -103,14 +91,36 @@ class TestCacheArray:
         assert a.resident_count == 2
         assert len(list(a.lines())) == 2
 
+    def test_index_stride_spreads_congruent_addresses(self):
+        # An address-interleaved slice only sees addresses congruent
+        # mod stride; the stride must be stripped before set indexing.
+        stride = 4
+        cfg = CacheConfig(size_bytes=8 * 2 * 32, assoc=2, line_bytes=32,
+                          access_latency=1)
+        a = CacheArray(cfg, index_stride=stride)
+        seen = {a.set_index(base * stride) for base in range(a.num_sets)}
+        assert seen == set(range(a.num_sets))
 
-class TestReplacementPolicies:
-    def test_lru_victim_is_least_recent(self):
-        p = LruPolicy(4)
-        for w in (0, 1, 2, 3):
-            p.touch(w)
-        p.touch(0)
-        assert p.victim() == 1
+    def test_untouched_sets_share_one_empty_dict_across_pickle(self):
+        a = small_array(sets=4, assoc=2)
+        a.allocate(1)
+        a.lookup(5)  # read-only queries never materialise a set
+        a.invalidate(6)
+        b = pickle.loads(pickle.dumps(a))
+        for arr in (a, b):
+            shared = [s is arr._empty for s in arr._sets]
+            assert shared == [True, False, True, True]
+            assert arr._empty == {}
+        b.allocate(2)  # materialises its own set; the shared one stays empty
+        assert b._sets[2] is not b._empty and b._empty == {}
+        assert [ln.line_addr for ln in b.lines()] == [1, 2]
+
+    def test_zero_associativity_rejected(self):
+        cfg = CacheConfig(size_bytes=32, assoc=1, line_bytes=32,
+                          access_latency=1)
+        object.__setattr__(cfg, "assoc", 0)
+        with pytest.raises(ConfigError):
+            CacheArray(cfg)
 
 
 class TestMshrFile:
@@ -192,126 +202,3 @@ class TestCoarseTimestamp:
     def test_bad_quantum(self):
         with pytest.raises(ConfigError):
             CoarseTimestamp(Simulator(), 0)
-
-
-class _ReferenceListLru:
-    """The seed's O(assoc) list-based LRU, kept as a behavioral oracle
-    for the OrderedDict implementation."""
-
-    def __init__(self, assoc):
-        self._order = list(range(assoc))
-
-    def touch(self, way):
-        self._order.remove(way)
-        self._order.append(way)
-
-    def victim(self):
-        return self._order[0]
-
-    def victim_ranking(self):
-        return list(self._order)
-
-
-class TestLruEquivalence:
-    def test_matches_reference_list_lru_on_random_ops(self):
-        import random
-        rng = random.Random(20140301)
-        for assoc in (1, 2, 4, 8, 16):
-            fast, ref = LruPolicy(assoc), _ReferenceListLru(assoc)
-            for _ in range(500):
-                way = rng.randrange(assoc)
-                fast.touch(way)
-                ref.touch(way)
-                assert fast.victim() == ref.victim()
-                assert fast.victim_ranking() == ref.victim_ranking()
-
-    def test_initial_order_is_way_order(self):
-        p = LruPolicy(4)
-        assert p.victim_ranking() == [0, 1, 2, 3]
-        assert p.victim() == 0
-
-
-class TestWayBookkeepingInvariants:
-    def _check_way_invariants(self, a):
-        """Per-line ways and the way->addr map must stay mutually
-        inverse and disjoint from the free list, per set."""
-        for idx in range(a.num_sets):
-            lines = a._sets[idx]
-            addr_of_way = a._addr_of_way[idx]
-            free = a._free_ways[idx]
-            ways = {addr: line.way for addr, line in lines.items()}
-            assert len(set(ways.values())) == len(ways)  # no way reuse
-            for addr, way in ways.items():
-                assert addr_of_way[way] == addr
-                assert way not in free
-            for way, addr in enumerate(addr_of_way):
-                if addr is not None:
-                    assert ways[addr] == way
-            assert len(ways) + len(free) == a.assoc
-            if a._policies[idx] is None:  # set not materialised yet
-                assert not lines
-
-    def test_free_way_reused_after_invalidate(self):
-        a = small_array(sets=1, assoc=2)
-        line0, _ = a.allocate(0)
-        a.allocate(1)
-        freed_way = line0.way
-        a.invalidate(0)
-        assert line0.way == -1  # off-array lines carry no way
-        self._check_way_invariants(a)
-        line2, _ = a.allocate(2)
-        assert line2.way == freed_way
-        self._check_way_invariants(a)
-
-    def test_invariants_through_mixed_churn(self):
-        import random
-        rng = random.Random(7)
-        a = small_array(sets=4, assoc=4)
-        resident = set()
-        for step in range(800):
-            addr = rng.randrange(64)
-            if addr in resident and rng.random() < 0.4:
-                a.invalidate(addr)
-                resident.discard(addr)
-            elif addr not in resident:
-                _, victim = a.allocate(addr)
-                resident.add(addr)
-                if victim is not None:
-                    resident.discard(victim.line_addr)
-            else:
-                a.lookup(addr)
-            self._check_way_invariants(a)
-        assert a.resident_count == len(resident)
-
-    def test_victim_candidate_is_pure(self):
-        a = small_array(sets=1, assoc=2)
-        a.allocate(0)
-        a.allocate(1)
-        a.lookup(0)  # make 1 the LRU
-        before_rank = [ln.line_addr for ln in a.victim_ranking(2)]
-        cand1 = a.victim_candidate(2)
-        cand2 = a.victim_candidate(2)
-        assert cand1 is cand2
-        assert cand1.line_addr == 1
-        assert [ln.line_addr for ln in a.victim_ranking(2)] == before_rank
-        assert a.resident_count == 2
-
-    def test_index_stride_spreads_congruent_addresses(self):
-        # An address-interleaved slice only sees addresses congruent
-        # mod stride; the stride must be stripped before set indexing.
-        stride = 4
-        cfg = CacheConfig(size_bytes=8 * 2 * 32, assoc=2, line_bytes=32,
-                          access_latency=1)
-        a = CacheArray(cfg, index_stride=stride)
-        seen = {a.set_index(base * stride) for base in range(a.num_sets)}
-        assert seen == set(range(a.num_sets))
-
-    def test_inverse_way_unmapped_rejected(self):
-        a = small_array(sets=1, assoc=2)
-        with pytest.raises(ConfigError):  # untouched set
-            a._inverse_way(0, 0)
-        line, _ = a.allocate(0)
-        way = line.way
-        a.invalidate(0)
-        with pytest.raises(ConfigError):  # materialised, way freed
-            a._inverse_way(0, way)

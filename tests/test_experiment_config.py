@@ -160,6 +160,38 @@ class TestGroupedFlatEquivalence:
             HierarchyAxes(spm_latency=0)
 
 
+#: axis values no machine or trace has: each must be a typed refusal
+OUT_OF_RANGE = [("scale", -1.0), ("scale", 0.0), ("scale", float("nan")),
+                ("scale", float("inf")), ("cache_scale", -0.5),
+                ("cache_scale", 0.0), ("cache_scale", float("nan")),
+                ("warmup_fraction", -0.2), ("warmup_fraction", 1.5),
+                ("warmup_fraction", float("nan"))]
+
+
+class TestAxisRanges:
+    @pytest.mark.parametrize("name, value", OUT_OF_RANGE)
+    def test_out_of_range_axis_refused(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            ExperimentConfig("water_spatial", Organization.SHARED,
+                             **{name: value})
+
+    @pytest.mark.parametrize("name, value", OUT_OF_RANGE)
+    def test_out_of_range_wire_unit_refused(self, name, value):
+        wire = SweepUnit(ExperimentConfig("water_spatial",
+                                          Organization.SHARED),
+                         1000, "runtime").to_wire()
+        wire[name] = value
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            SweepUnit.from_wire(wire)
+
+    @pytest.mark.parametrize("kw", [
+        dict(warmup_fraction=0.0), dict(warmup_fraction=1.0),
+        dict(scale=1e-6, cache_scale=1e-6), dict(scale=4, cache_scale=2)])
+    def test_range_ends_accepted(self, kw):
+        exp = ExperimentConfig("water_spatial", Organization.SHARED, **kw)
+        assert all(getattr(exp, k) == v for k, v in kw.items())
+
+
 class TestSweepAxes:
     def test_grouped_spellings_are_valid_axes(self):
         _validate_axes({"spec": [SpecAxes()],

@@ -2,15 +2,19 @@
 
 import pytest
 
+from repro.coherence.l2_cluster import TokenL2Controller
+from repro.coherence.l2_private import DirectoryL2Controller
+from repro.coherence.l2_shared import SharedL2Controller
 from repro.coherence.messages import (DATA_KINDS, VN_OF_KIND, Msg, MsgKind,
                                       Unit)
-from repro.errors import NetworkError
+from repro.errors import NetworkError, ProtocolError
 from repro.noc.interface import build_network
 from repro.noc.packet import Packet, VirtualNetwork
 from repro.noc.topology import ClusterMap, Mesh
 from repro.noc.vms import VirtualMesh
-from repro.params import NocConfig, NocKind
+from repro.params import NocConfig, NocKind, Organization
 from repro.sim.kernel import Simulator
+from tests.conftest import build_system
 
 
 class TestMsg:
@@ -99,3 +103,21 @@ class TestPacket:
         plain = p.clone_for(0, 3)
         assert plain.mcast_root is None and plain.vms is None
         assert "pkt_id" not in Packet.__slots__
+
+
+class TestHomeDispatch:
+    @pytest.mark.parametrize("organization, cls, kind", [
+        # each home gets a kind that another home's second level routes
+        (Organization.SHARED, SharedL2Controller, MsgKind.TOK_DATA),
+        (Organization.PRIVATE, DirectoryL2Controller, MsgKind.MEM_DATA),
+        (Organization.LOCO_CC_VMS, TokenL2Controller, MsgKind.DIR_INV),
+    ])
+    def test_unrouted_kind_is_refused(self, organization, cls, kind):
+        system = build_system(organization)
+        l2 = system.l2s[5]
+        assert type(l2) is cls
+        assert cls._dispatch[kind.idx] is None
+        with pytest.raises(ProtocolError, match=f"tile 5 got .*{kind.name}"):
+            l2.handle(Msg(kind, 0x40, 0, Unit.L2, requestor=0))
+        # the first level is routed in every home
+        assert cls._dispatch[MsgKind.GETS.idx] is not None

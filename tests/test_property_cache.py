@@ -1,14 +1,12 @@
 """Property-based tests (hypothesis) for the cache substrate."""
 
 import pickle
-from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.array import CacheArray
 from repro.cache.line import CacheLine
-from repro.cache.replacement import LruPolicy
 from repro.errors import ConfigError
 from repro.params import CacheConfig
 
@@ -21,6 +19,13 @@ def array_config(sets, assoc):
 ops = st.lists(
     st.tuples(st.sampled_from(["access", "invalidate"]),
               st.integers(min_value=0, max_value=255)),
+    min_size=1, max_size=300)
+
+
+model_ops = st.lists(
+    st.tuples(st.sampled_from(["access", "access", "invalidate", "peek",
+                               "pickle"]),
+              st.integers(min_value=0, max_value=63)),
     min_size=1, max_size=300)
 
 
@@ -49,30 +54,41 @@ class TestCacheArrayProperties:
             for r in resident:
                 assert a.contains(r)
 
-    @given(ops=ops)
-    @settings(max_examples=40, deadline=None)
-    def test_matches_reference_lru_model(self, ops):
-        """The array with one set must behave exactly like a textbook
-        LRU list."""
-        assoc = 4
-        a = CacheArray(array_config(1, assoc))
-        model = []  # LRU .. MRU
+    @given(ops=model_ops, sets=st.sampled_from([1, 2, 4]),
+           assoc=st.sampled_from([1, 2, 4, 8]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_lru_model(self, ops, sets, assoc):
+        """Every set of the array must behave exactly like a textbook
+        LRU list of its own, across a pickle round trip too."""
+        a = CacheArray(array_config(sets, assoc))
+        model = [[] for _ in range(sets)]  # per set: LRU .. MRU
 
         for op, addr in ops:
+            lru = model[a.set_index(addr)]
             if op == "access":
                 if a.lookup(addr) is None:
                     _, victim = a.allocate(addr)
-                    if victim is not None:
-                        assert victim.line_addr == model[0]
-                        model.pop(0)
-                    model.append(addr)
+                    if len(lru) == assoc:
+                        assert victim.line_addr == lru.pop(0)
+                    else:
+                        assert victim is None
+                    lru.append(addr)
                 else:
-                    model.remove(addr)
-                    model.append(addr)
-            else:
+                    lru.remove(addr)
+                    lru.append(addr)
+            elif op == "invalidate":
                 if a.invalidate(addr) is not None:
-                    model.remove(addr)
-            assert set(model) == {ln.line_addr for ln in a.lines()}
+                    lru.remove(addr)
+            elif op == "peek":
+                line = a.lookup(addr, touch=False)
+                assert (line is not None) == (addr in lru)
+            else:
+                a = pickle.loads(pickle.dumps(a))
+            assert [ln.line_addr for ln in a.victim_ranking(addr)] == lru
+            assert a.set_full(addr) == (len(lru) == assoc
+                                        and addr not in lru)
+        assert sorted(ln.line_addr for ln in a.lines()) == \
+            sorted(addr for lru in model for addr in lru)
 
     @given(addrs=st.lists(st.integers(0, 10_000), min_size=1,
                           max_size=100),
@@ -89,24 +105,19 @@ class TestCacheArrayProperties:
 
 
 def eager_array(config, index_stride):
-    """Reference: an array whose every set owns its dict, policy and
-    way maps from construction (the layout before sets were made
-    lazy)."""
+    """Reference: an array whose every set owns its dict from
+    construction (the layout before sets were made lazy)."""
     a = CacheArray(config, index_stride=index_stride)
-    for idx in range(a.num_sets):
-        a._policies[idx] = LruPolicy(a.assoc)
-        a._sets[idx] = {}
-        a._addr_of_way[idx] = [None] * a.assoc
-        a._free_ways[idx] = list(range(a.assoc))
+    a._sets = [{} for _ in range(a.num_sets)]
     return a
 
 
 def outcome(array, op, addr):
-    """What one operation returns (lines as (addr, way)), or that it
-    raised."""
+    """What one operation returns (lines as their addresses), or that
+    it raised."""
     def plain(value):
         if isinstance(value, CacheLine):
-            return value.line_addr, value.way
+            return value.line_addr
         if isinstance(value, (tuple, list)):
             return [plain(v) for v in value]
         return value
@@ -120,9 +131,8 @@ def outcome(array, op, addr):
 
 array_ops = st.lists(
     st.tuples(st.sampled_from(["lookup", "lookup_quiet", "contains",
-                               "allocate", "invalidate", "victim_candidate",
-                               "victim_ranking", "set_full",
-                               "set_occupancy"]),
+                               "allocate", "invalidate", "victim_ranking",
+                               "set_full"]),
               st.integers(min_value=0, max_value=400)),
     min_size=1, max_size=200)
 
@@ -140,62 +150,5 @@ class TestLazySetsDifferential:
             assert outcome(lazy, op, addr) == outcome(eager, op, addr), \
                 (op, addr)
         assert lazy.resident_count == eager.resident_count
-        assert sorted((ln.line_addr, ln.way) for ln in lazy.lines()) == \
-            sorted((ln.line_addr, ln.way) for ln in eager.lines())
-
-
-class TestLruPolicyProperties:
-    @given(touches=st.lists(st.integers(0, 3), min_size=1, max_size=60))
-    @settings(max_examples=60, deadline=None)
-    def test_victim_is_least_recently_touched(self, touches):
-        p = LruPolicy(4)
-        for w in touches:
-            p.touch(w)
-        last_touch = {w: i for i, w in enumerate(touches)}
-        victim = p.victim()
-        untouched = [w for w in range(4) if w not in last_touch]
-        if untouched:
-            assert victim in untouched
-        else:
-            assert last_touch[victim] == min(last_touch.values())
-
-    @given(touches=st.lists(st.integers(0, 7), min_size=1, max_size=60))
-    @settings(max_examples=40, deadline=None)
-    def test_ranking_is_permutation(self, touches):
-        p = LruPolicy(8)
-        for w in touches:
-            p.touch(w)
-        assert sorted(p.victim_ranking()) == list(range(8))
-
-
-lru_ops = st.lists(
-    st.tuples(st.sampled_from(["touch", "touch", "victim",
-                               "victim_ranking", "pickle"]),
-              st.integers(min_value=0, max_value=15)),
-    min_size=1, max_size=120)
-
-
-class TestListLruDifferential:
-    @given(ops=lru_ops, assoc=st.integers(min_value=1, max_value=16))
-    @settings(max_examples=120, deadline=None)
-    def test_list_lru_matches_ordered_dict_model(self, ops, assoc):
-        """The list ``LruPolicy`` against the hash-linked order it
-        replaced (``move_to_end`` / first key / key order), with a
-        pickle round trip wherever the op stream asks for one."""
-        policy = LruPolicy(assoc)
-        model = OrderedDict((way, None) for way in range(assoc))
-        for op, arg in ops:
-            way = arg % assoc
-            if op == "touch":
-                policy.touch(way)
-                model.move_to_end(way)
-            elif op == "victim":
-                assert policy.victim() == next(iter(model))
-            elif op == "victim_ranking":
-                ranking = policy.victim_ranking()
-                assert ranking == list(model)
-                ranking.clear()  # a copy: the caller may not reach in
-            else:
-                policy = pickle.loads(pickle.dumps(policy))
-                assert policy.assoc == assoc
-        assert policy.victim_ranking() == list(model)
+        assert sorted(ln.line_addr for ln in lazy.lines()) == \
+            sorted(ln.line_addr for ln in eager.lines())
