@@ -37,8 +37,6 @@ class CacheArray:
     def __init__(self, config: CacheConfig, index_stride: int = 1) -> None:
         if index_stride < 1:
             raise ConfigError("index_stride must be >= 1")
-        if config.assoc < 1:
-            raise ConfigError("associativity must be >= 1")
         self.config = config
         self.index_stride = index_stride
         self.num_sets = config.num_sets

@@ -1,8 +1,7 @@
-"""The tiled CMP: cores, tiles, system builder, organization factory."""
+"""The tiled CMP: cores, the system builder and its per-organization
+home-L2 table (``HOME_L2``)."""
 
 from repro.cmp.core import Core, SyncState
-from repro.cmp.organizations import make_l2_controller
-from repro.cmp.system import CmpSystem, RunResult
+from repro.cmp.system import HOME_L2, CmpSystem, RunResult
 
-__all__ = ["Core", "SyncState", "make_l2_controller", "CmpSystem",
-           "RunResult"]
+__all__ = ["Core", "SyncState", "HOME_L2", "CmpSystem", "RunResult"]

@@ -1,32 +1,44 @@
 """The full tiled-CMP system: build, run, and harvest results.
 
 ``CmpSystem`` wires together the simulation kernel, the selected NoC,
-one L1 + L2 controller per tile, the memory controllers, and one core
-per tile replaying its trace. ``run()`` drives the simulation until all
-cores finish (or a cycle limit) and returns a :class:`RunResult` with
-the metrics every figure of the paper is computed from.
+one L1 + home L2 (``HOME_L2``) per tile, the memory controllers, and one
+core per tile replaying its trace. ``run()`` drives the simulation until
+all cores finish (or a cycle limit) and returns a :class:`RunResult`
+with the metrics every figure of the paper is computed from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Type
 
 from repro.cmp.core import Core, SpecConfig, SyncState, WarmupTracker
-from repro.cmp.organizations import make_l2_controller
 from repro.cmp.scratchpad import ScratchpadUnit
 from repro.coherence.context import SystemContext
 from repro.coherence.l1 import L1Controller
+from repro.coherence.l2_cluster import TokenL2Controller
+from repro.coherence.l2_home import HomeL2Base
+from repro.coherence.l2_private import DirectoryL2Controller
+from repro.coherence.l2_shared import SharedL2Controller
 from repro.coherence.memory_controller import MemoryController
 from repro.errors import ConfigError, SimulationError
-from repro.noc.interface import build_network
+from repro.noc import FABRICS
 from repro.noc.topology import Mesh
-from repro.params import SystemConfig
+from repro.params import Organization, SystemConfig
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.stats import Counter, Stats
 from repro.traces.events import TraceEvent
+
+#: the home-L2 slice class of each organization (paper Section 4)
+HOME_L2: Dict[Organization, Type[HomeL2Base]] = {
+    Organization.PRIVATE: DirectoryL2Controller,
+    Organization.SHARED: SharedL2Controller,
+    Organization.LOCO_CC: DirectoryL2Controller,
+    Organization.LOCO_CC_VMS: TokenL2Controller,
+    Organization.LOCO_CC_VMS_IVR: TokenL2Controller,
+}
 
 
 def _trace_digest(trace: Sequence[TraceEvent]) -> str:
@@ -128,13 +140,14 @@ class CmpSystem:
         self.stats = Stats()
         self.rng = RngStreams(config.seed)
         mesh = Mesh(config.mesh_width, config.mesh_height)
-        self.network = build_network(self.sim, mesh, config.noc, self.stats)
+        self.network = FABRICS[config.noc.kind](self.sim, mesh, config.noc,
+                                                self.stats)
         self.ctx = SystemContext(self.sim, self.network, config,
                                  self.stats, self.rng)
         self.mcs = [MemoryController(self.ctx, t)
                     for t in self.ctx.mc_tiles]
-        self.l2s = [make_l2_controller(self.ctx, t)
-                    for t in range(config.num_tiles)]
+        home_l2 = HOME_L2[config.organization]
+        self.l2s = [home_l2(self.ctx, t) for t in range(config.num_tiles)]
         self.l1s = [L1Controller(self.ctx, t)
                     for t in range(config.num_tiles)]
         # Reconfigurable hierarchy: one scratchpad unit per tile when

@@ -3,7 +3,7 @@
 Bundles the simulator, the network, the configuration, address-mapping
 helpers (home tile, memory-controller tile), the coarse timestamp
 source, RNG streams and the run's Stats — so controller constructors
-stay small and mapping policy lives in exactly one place.
+stay small and mapping policy lives in exactly one place: the home table.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.noc.packet import Packet
 from repro.noc.router import BaseNetwork
 from repro.noc.topology import ClusterMap, Mesh
 from repro.noc.vms import VirtualMesh, build_all_vms
-from repro.params import Organization, SystemConfig
+from repro.params import SystemConfig
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.sim.stats import Stats
@@ -73,6 +73,14 @@ class SystemContext:
         self.cluster_map = ClusterMap(self.mesh, config.cluster_width,
                                       config.cluster_height)
         self.vms: Dict[int, VirtualMesh] = build_all_vms(self.cluster_map)
+        # Where a line lives: ``_homes[tile * _interleave + residue]``,
+        # one slot per tile of the organization's home cluster.
+        homes = ClusterMap(self.mesh, *config.home_cluster)
+        self._interleave = homes.cluster_size
+        self._homes: List[int] = [
+            homes.home_tile(homes.cluster_of(tile), hnid)
+            for tile in range(self.mesh.num_tiles)
+            for hnid in range(self._interleave)]
         self.timestamp = CoarseTimestamp(sim, config.ivr.timestamp_quantum)
         self.mc_tiles = edge_mc_tiles(self.mesh, config.memory.num_controllers)
         self.data_flits = config.data_flits()
@@ -104,24 +112,16 @@ class SystemContext:
     # address mapping
     # ------------------------------------------------------------------
     def home_tile(self, tile: int, line_addr: int) -> int:
-        """The home L2 tile for ``line_addr`` as seen from ``tile``."""
-        org = self.config.organization
-        if org is Organization.PRIVATE:
-            return tile
-        if org is Organization.SHARED:
-            return line_addr % self.mesh.num_tiles
-        return self.cluster_map.home_tile_for_line(tile, line_addr)
+        """The home L2 tile for ``line_addr`` as seen from ``tile``: one
+        lookup in the home table."""
+        k = self._interleave
+        return self._homes[tile * k + line_addr % k]
 
     def home_interleave(self) -> int:
         """How many distinct home slices the L2 address space is
         interleaved across — the stride an L2 array must strip before
         set indexing (see CacheArray.index_stride)."""
-        org = self.config.organization
-        if org is Organization.PRIVATE:
-            return 1
-        if org is Organization.SHARED:
-            return self.mesh.num_tiles
-        return self.cluster_map.cluster_size
+        return self._interleave
 
     def l2_config_for(self, tile: int):
         """The coherent L2 slice configuration at ``tile`` — the full

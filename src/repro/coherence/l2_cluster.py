@@ -90,10 +90,8 @@ class TokenFetch:
 class TokenL2Controller(HomeL2Base):
     """Cluster home slice running the token/VMS inter-cluster protocol."""
 
-    def __init__(self, ctx: SystemContext, tile: int,
-                 ivr_enabled: bool) -> None:
+    def __init__(self, ctx: SystemContext, tile: int) -> None:
         super().__init__(ctx, tile)
-        self.ivr_enabled = ivr_enabled
         self.total_tokens = ctx.cluster_map.num_clusters
         self.my_cluster = ctx.cluster_map.cluster_of(tile)
 
@@ -428,7 +426,7 @@ class TokenL2Controller(HomeL2Base):
         self._token_writeback(msg.line_addr, 0, False, True, msg.value)
 
     def _should_migrate(self, victim: CacheLine) -> bool:
-        if not self.ivr_enabled:
+        if not self.ctx.config.organization.uses_ivr:
             return False
         if self.ctx.cluster_map.num_clusters < 2:
             return False

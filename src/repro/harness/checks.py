@@ -110,19 +110,6 @@ def check_sharer_lists(system: CmpSystem,
     return violations
 
 
-def _sharer_domain(system: CmpSystem, home: int) -> set:
-    """The L1 tiles a home L2 may legally list as sharers."""
-    org = system.config.organization
-    if org is Organization.PRIVATE:
-        return {home}
-    if org is Organization.SHARED:
-        return set(range(system.config.num_tiles))
-    cm = system.ctx.cluster_map
-    cluster = cm.cluster_of(home)
-    return {t for t in range(system.config.num_tiles)
-            if cm.cluster_of(t) == cluster}
-
-
 def check_home_metadata(system: CmpSystem,
                         allow_transient: bool = False) -> List[str]:
     """L2-side metadata for every resident line — including lines with
@@ -132,16 +119,17 @@ def check_home_metadata(system: CmpSystem,
     * a set ``dirty_l1`` pointer must name an L1 that actually holds
       the line in M (a stale pointer makes the home recall garbage);
     * the dirty holder must be on the sharer list;
-    * sharer bits must stay inside the organization's legal domain
-      (private: the local tile; LOCO: the home's cluster).
+    * a sharer bit must name a tile whose home for the line is this
+      slice (private: the local tile; shared: any tile; LOCO: the
+      home's cluster).
     """
     violations: List[str] = []
+    home_tile = system.ctx.home_tile
     for home in range(system.config.num_tiles):
         l2 = system.l2s[home]
-        domain = _sharer_domain(system, home)
         for line in l2.array.lines():
             addr = line.line_addr
-            stray = line.sharers - domain
+            stray = {t for t in line.sharers if home_tile(t, addr) != home}
             if stray:
                 violations.append(
                     f"line {addr:#x}: home {home} lists out-of-domain "

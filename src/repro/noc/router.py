@@ -25,10 +25,11 @@ Host-side layout: a ``Packet`` is its own head flit — the routers move
 the object the sender injected, and ``flit`` below names a packet in
 that role; it stops for good at ``flit.dst`` (the destination of a
 unicast, the next home router of a VMS tree copy, which ejects there
-and forks). Route plans are interned once per ``(at, dst)`` into a flat
-table of ``(link_ids, routers, hops)`` tuples, link reservations live
-in a flat list indexed by link id, and an arbitration claim is the
-stamp ``link_busy[id] = cycle`` — see ``BaseNetwork.__init__``. Every
+and forks). Route plans follow one XY rule (``Mesh.xy_next_stop``) and
+are interned once per ``(at, dst)`` into a flat table of ``(link_ids,
+routers, hops)`` tuples, link reservations live in a flat list indexed
+by link id, and an arbitration claim is the stamp ``link_busy[id] =
+cycle`` — see ``BaseNetwork.__init__``. Every
 buffered flit, whatever router holds it, sits in one list kept in age
 order (``BaseNetwork._flits``, sorted by ``Packet.order``): a flit's age
 never changes, so a tick gathers its movers in priority order with one
@@ -308,27 +309,15 @@ class BaseNetwork:
 
     def _compute_plan(self, at: int, leg_dst: int
                       ) -> Tuple[List[Link], List[int]]:
-        """Default planner: unit-link XY walk of up to
-        ``max_hops_per_move`` hops along one dimension (X first, then
-        Y; SMART 1D never bypasses a turn). Tile ids are row-major, so
-        a unit step is ``at +- 1`` or ``at +- width``."""
-        if not (0 <= at < self._n and 0 <= leg_dst < self._n):
-            raise NetworkError(f"tile {at} or {leg_dst} out of range")
-        width = self.mesh.width
-        y, x = divmod(at, width)
-        dst_y, dst_x = divmod(leg_dst, width)
-        if x != dst_x:
-            step, hops = (1, dst_x - x) if dst_x > x else (-1, x - dst_x)
-        else:
-            step, hops = ((width, dst_y - y) if dst_y > y
-                          else (-width, y - dst_y))
-        links: List[Link] = []
-        routers: List[int] = []
-        for _ in range(min(hops, self.max_hops_per_move)):
-            links.append((at, at + step))
-            at += step
-            routers.append(at)
-        return links, routers
+        """Default planner: the XY rule's next stop
+        (``Mesh.xy_next_stop``, at most ``max_hops_per_move`` hops along
+        one dimension; SMART 1D never bypasses a turn), walked as a
+        chain of unit links."""
+        nxt, hops = self.mesh.xy_next_stop(at, leg_dst,
+                                           self.max_hops_per_move)
+        step = (nxt - at) // hops if hops else 0
+        routers = [at + step * i for i in range(1, hops + 1)]
+        return list(zip([at, *routers[:-1]], routers)), routers
 
     # -- main per-cycle evaluation --------------------------------------
     def tick(self, cycle: int) -> bool:

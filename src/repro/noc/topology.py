@@ -155,10 +155,6 @@ class ClusterMap:
         dy = hnid // self.cluster_width
         return self.mesh.tile(origin.x + dx, origin.y + dy)
 
-    def home_tile_for_line(self, tile: int, line_addr: int) -> int:
-        """Home tile of ``line_addr`` within the cluster containing ``tile``."""
-        return self.home_tile(self.cluster_of(tile), self.hnid_of_line(line_addr))
-
     def vms_members(self, hnid: int) -> Tuple[int, ...]:
         """All same-``hnid`` home tiles across clusters (one per cluster),
         ordered by cluster id — these are the nodes of the VMS."""

@@ -31,11 +31,6 @@ class Organization(Enum):
     LOCO_CC_VMS_IVR = "loco_cc_vms_ivr"
 
     @property
-    def is_loco(self) -> bool:
-        return self in (Organization.LOCO_CC, Organization.LOCO_CC_VMS,
-                        Organization.LOCO_CC_VMS_IVR)
-
-    @property
     def uses_vms(self) -> bool:
         return self in (Organization.LOCO_CC_VMS, Organization.LOCO_CC_VMS_IVR)
 
@@ -241,6 +236,16 @@ class SystemConfig:
     @property
     def cluster_size(self) -> int:
         return self.cluster_width * self.cluster_height
+
+    @property
+    def home_cluster(self) -> Tuple[int, int]:
+        """``(width, height)`` of the tile block a line's homes span: a
+        tile (private), the mesh (shared) or a cluster (LOCO)."""
+        if self.organization is Organization.PRIVATE:
+            return 1, 1
+        if self.organization is Organization.SHARED:
+            return self.mesh_width, self.mesh_height
+        return self.cluster_width, self.cluster_height
 
     @property
     def clusters_x(self) -> int:

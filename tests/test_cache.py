@@ -116,11 +116,9 @@ class TestCacheArray:
         assert [ln.line_addr for ln in b.lines()] == [1, 2]
 
     def test_zero_associativity_rejected(self):
-        cfg = CacheConfig(size_bytes=32, assoc=1, line_bytes=32,
-                          access_latency=1)
-        object.__setattr__(cfg, "assoc", 0)
         with pytest.raises(ConfigError):
-            CacheArray(cfg)
+            CacheConfig(size_bytes=32, assoc=0, line_bytes=32,
+                        access_latency=1)
 
 
 class TestMshrFile:

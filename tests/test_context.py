@@ -3,6 +3,7 @@ placement."""
 
 import pytest
 
+from repro.cmp.system import HOME_L2
 from repro.coherence.context import SystemContext, edge_mc_tiles
 from repro.coherence.messages import Msg, MsgKind, Unit
 from repro.errors import ConfigError
@@ -64,6 +65,37 @@ class TestHomeMapping:
         assert build_system(Organization.SHARED).ctx.home_interleave() == 16
         assert build_system(
             Organization.LOCO_CC).ctx.home_interleave() == 4  # 2x2 cluster
+
+    def test_home_l2_covers_every_organization(self):
+        assert set(HOME_L2) == set(Organization)
+
+    @pytest.mark.parametrize("cluster", [(2, 2), (4, 1), (4, 4)])
+    @pytest.mark.parametrize("mesh", [4, 8])
+    @pytest.mark.parametrize("org", list(Organization))
+    def test_home_map_matches_reference(self, org, mesh, cluster):
+        """Every tile's home for every line residue, against the
+        paper's placement: the tile itself (private), ``line % n``
+        (shared), the requester's cluster origin plus ``hnid`` (LOCO)."""
+        cw, ch = cluster
+        n = mesh * mesh
+
+        def reference(tile, line):
+            if org is Organization.PRIVATE:
+                return tile
+            if org is Organization.SHARED:
+                return line % n
+            x, y = tile % mesh, tile // mesh
+            hnid = line % (cw * ch)
+            return ((y // ch * ch + hnid // cw) * mesh
+                    + x // cw * cw + hnid % cw)
+
+        ctx = build_system(org, mesh=mesh, cluster=cluster).ctx
+        for tile in range(n):
+            for line in [*range(2 * n), 1000003]:
+                assert ctx.home_tile(tile, line) == reference(tile, line)
+        assert ctx.home_interleave() == {
+            Organization.PRIVATE: 1, Organization.SHARED: n,
+        }.get(org, cw * ch)
 
 
 class TestDispatch:

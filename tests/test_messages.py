@@ -8,7 +8,7 @@ from repro.coherence.l2_shared import SharedL2Controller
 from repro.coherence.messages import (DATA_KINDS, VN_OF_KIND, Msg, MsgKind,
                                       Unit)
 from repro.errors import NetworkError, ProtocolError
-from repro.noc.interface import build_network
+from repro.noc import FABRICS
 from repro.noc.packet import Packet, VirtualNetwork
 from repro.noc.topology import ClusterMap, Mesh
 from repro.noc.vms import VirtualMesh
@@ -60,7 +60,7 @@ class TestMsg:
 
 
 def fabrics():
-    return [build_network(Simulator(), Mesh(4, 4), NocConfig(kind=kind))
+    return [FABRICS[kind](Simulator(), Mesh(4, 4), NocConfig(kind=kind))
             for kind in NocKind]
 
 

@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 from repro.errors import NetworkError
+from repro.noc import FABRICS
 from repro.noc.conventional import ConventionalNetwork
 from repro.noc.flattened_butterfly import FlattenedButterflyNetwork
 from repro.noc.packet import Packet
@@ -13,7 +14,6 @@ from repro.noc.smart import SmartNetwork
 from repro.noc.topology import ClusterMap, Mesh
 from repro.noc.vms import VirtualMesh
 from repro.params import NocConfig, NocKind
-from repro.noc.interface import build_network
 from repro.sim.kernel import Simulator
 
 
@@ -172,7 +172,7 @@ class TestContention:
         routing, not just speed."""
         sim = Simulator()
         mesh = Mesh(8, 8)
-        net = build_network(sim, mesh, NocConfig(kind=kind))
+        net = FABRICS[kind](sim, mesh, NocConfig(kind=kind))
         delivered = []
         for tile in range(mesh.num_tiles):
             net.attach(tile, delivered.append)
@@ -355,7 +355,7 @@ class TestAgeOrderedFlits:
             self, kind, per_cycle):
         sim = Simulator()
         mesh = Mesh(8, 8)
-        net = build_network(sim, mesh, NocConfig(kind=kind, vcs_per_vn=1,
+        net = FABRICS[kind](sim, mesh, NocConfig(kind=kind, vcs_per_vn=1,
                                                  vc_depth=1))
         delivered = []
         for tile in range(mesh.num_tiles):
@@ -475,8 +475,8 @@ class TestBuildNetwork:
     ])
     def test_factory(self, kind, cls):
         sim = Simulator()
-        net = build_network(sim, Mesh(4, 4), NocConfig(kind=kind))
-        assert isinstance(net, cls)
+        assert FABRICS[kind] is cls
+        assert isinstance(cls(sim, Mesh(4, 4), NocConfig(kind=kind)), cls)
 
     def test_nic_backlog_reported(self):
         sim, net, _ = make_net(SmartNetwork)

@@ -96,10 +96,8 @@ class TestSystemConfig:
 
 class TestOrganizationFlags:
     def test_loco_flags(self):
-        assert Organization.LOCO_CC.is_loco
         assert not Organization.LOCO_CC.uses_vms
         assert Organization.LOCO_CC_VMS.uses_vms
         assert not Organization.LOCO_CC_VMS.uses_ivr
         assert Organization.LOCO_CC_VMS_IVR.uses_ivr
-        assert not Organization.SHARED.is_loco
         assert not Organization.PRIVATE.uses_vms

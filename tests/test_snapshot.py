@@ -25,7 +25,7 @@ from repro.cmp.system import CmpSystem
 from repro.coherence.shadow import ShadowOracle
 from repro.errors import SimulationError, SnapshotError
 from repro.harness.fuzz import SnapshotRecorder
-from repro.noc.interface import build_network
+from repro.noc import FABRICS
 from repro.noc.packet import Packet
 from repro.noc.topology import Mesh
 from repro.params import NocConfig, NocKind, Organization
@@ -243,7 +243,7 @@ class TestNetworkMidEjectionRoundTrip:
     def _loaded_network(kind):
         sim = Simulator()
         mesh = Mesh(4, 4)
-        net = build_network(sim, mesh, NocConfig(kind=kind))
+        net = FABRICS[kind](sim, mesh, NocConfig(kind=kind))
         sim.registry["net"] = net
         sim.registry["log"] = []
         for tile in range(mesh.num_tiles):

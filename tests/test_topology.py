@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import NetworkError
+from repro.noc import FABRICS
 from repro.noc.topology import ClusterMap, Coord, Mesh
+from repro.params import NocConfig, NocKind
+from repro.sim.kernel import Simulator
 
 
 class TestMesh:
@@ -62,6 +65,30 @@ class TestMesh:
         # X+Y traversal takes at least 2 (no bypass at turns)
         assert m.smart_hops(0, 9, 4) == 2
 
+    def test_fabrics_cover_every_kind(self):
+        assert set(FABRICS) == set(NocKind)
+
+    @pytest.mark.parametrize("kind", list(NocKind))
+    def test_planners_follow_xy_next_stop(self, kind):
+        """Every fabric's route plan for every (at, dst) pair ends where
+        the one XY rule stops; the mesh fabrics get there in unit links,
+        the flattened butterfly in one express channel."""
+        m = Mesh(8, 8)
+        net = FABRICS[kind](Simulator(), m, NocConfig(kind=kind))
+        for at in range(64):
+            for dst in range(64):
+                if at == dst:
+                    continue
+                links, routers = net._compute_plan(at, dst)
+                nxt, moved = m.xy_next_stop(at, dst, net.max_hops_per_move)
+                assert routers[-1] == nxt
+                if kind is NocKind.FLATTENED_BUTTERFLY:
+                    assert links == [(at, nxt)]
+                    continue
+                assert len(links) == moved
+                assert links == list(zip([at, *routers[:-1]], routers))
+                assert all(m.hops(a, b) == 1 for a, b in links)
+
 
 class TestClusterMap:
     def test_4x4_clusters_on_8x8(self):
@@ -94,7 +121,7 @@ class TestClusterMap:
         cm = ClusterMap(Mesh(8, 8), 4, 4)
         for tile in range(64):
             for line in (0, 1, 5, 11, 15, 1000003):
-                home = cm.home_tile_for_line(tile, line)
+                home = cm.home_tile(cm.cluster_of(tile), cm.hnid_of_line(line))
                 assert cm.cluster_of(home) == cm.cluster_of(tile)
 
     def test_hnid_balances(self):
