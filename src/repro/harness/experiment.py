@@ -23,10 +23,10 @@ import gc
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.cmp.system import CmpSystem, RunResult
+from repro.cmp.system import HOME_L2, CmpSystem, RunResult
 from repro.errors import ConfigError, SnapshotError
 from repro.params import (HierarchyConfig, NocKind, Organization,
                           SystemConfig, paper_config)
@@ -42,7 +42,14 @@ SCALE_MEDIUM = 1.0    # EXPERIMENTS.md numbers
 
 #: (per-core traces, barrier populations or None)
 _Traces = Tuple[List[List[TraceEvent]], Optional[List[int]]]
+#: trace key -> traces, least recently used first
 _trace_cache: Dict[Tuple, _Traces] = {}
+#: The trace cache's bound, in trace events (about 100 bytes each, so
+#: ~25 MiB): a long-lived process (a fleet worker, the serial matrix)
+#: keeps the most recently used sets that fit, and always the newest.
+#: A 64-core set at scale 0.5 is 48k events, a 256-core one 192k; the
+#: largest benchmark job touches 32 one-core sets of 29k events in all.
+_TRACE_CACHE_EVENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -171,6 +178,34 @@ class ExperimentConfig:
                 spm_latency=self.hierarchy.spm_latency))
         return cfg
 
+    def machine(self) -> "ExperimentConfig":
+        """The canonical config of the machine ``CmpSystem`` builds for
+        this one: configs with equal machines simulate identically, so
+        :func:`~repro.harness.parallel.run_units` runs one simulation
+        per machine.
+
+        The rule is read off the declarations. ``cluster`` counts only
+        where something reads it: an organization that builds virtual
+        meshes over the configured cluster map (``uses_vms``), or a
+        trace family that keys on it (``leak_*``). Every other config
+        takes ``cluster := home_cluster``, and the organization becomes
+        the first :class:`Organization` the machine cannot tell from
+        it: the same home-L2 class over the same home cluster, with the
+        same VMS / IVR flags (:func:`_organization_reads`). Everything
+        else is kept. An invalid config raises :class:`ConfigError`.
+        """
+        cfg = self.system_config()
+        cluster = self.cluster
+        if not (self.organization.uses_vms
+                or "cluster" in _trace_family(self)[1]):
+            cluster = cfg.home_cluster
+            cfg = cfg.with_cluster(*cluster)
+        reads = _organization_reads(cfg)
+        organization = next(
+            org for org in Organization
+            if _organization_reads(cfg.with_organization(org)) == reads)
+        return replace(self, organization=organization, cluster=cluster)
+
 
 #: every axis name a sweep grid may vary: the config's field names
 SWEEP_AXES = frozenset(f.name for f in fields(ExperimentConfig))
@@ -208,6 +243,14 @@ _TRACE_FAMILIES = (
 )
 
 
+def _organization_reads(cfg: SystemConfig) -> Tuple:
+    """All a built machine reads of its organization: the home-L2
+    class, the tile block a line's homes span, and the VMS / IVR flags
+    of the token protocol."""
+    org = cfg.organization
+    return HOME_L2[org], cfg.home_cluster, org.uses_vms, org.uses_ivr
+
+
 def _trace_family(exp: ExperimentConfig) -> Tuple:
     return next(row for row in _TRACE_FAMILIES if row[0](exp.benchmark))
 
@@ -221,10 +264,20 @@ def _trace_key(exp: ExperimentConfig) -> Tuple:
 
 def _traces_for(exp: ExperimentConfig) -> _Traces:
     key = _trace_key(exp)
-    if key not in _trace_cache:
+    traces = _trace_cache.pop(key, None)
+    if traces is None:
         _claims, _key_fields, build = _trace_family(exp)
-        _trace_cache[key] = build(exp)
-    return _trace_cache[key]
+        traces = build(exp)
+        # evict least recently used sets until the new one fits
+        total = sum(map(_events, _trace_cache.values())) + _events(traces)
+        while _trace_cache and total > _TRACE_CACHE_EVENTS:
+            total -= _events(_trace_cache.pop(next(iter(_trace_cache))))
+    _trace_cache[key] = traces
+    return traces
+
+
+def _events(traces: _Traces) -> int:
+    return sum(map(len, traces[0]))
 
 
 def warmup_key(exp: ExperimentConfig) -> str:

@@ -14,7 +14,7 @@ worker identity or scheduling order, so every backend returns
 **bit-identical rows in the same order**.
 
 :func:`run_units` is the dispatch every sweep goes through, and it
-simulates each config once per call. Besides it:
+simulates each machine once per call. Besides it:
 
 * :func:`aggregate_stats` — fold many runs' :class:`Stats` into one via
   ``Stats.merge`` (cross-benchmark roll-ups, fleet dashboards).
@@ -34,6 +34,7 @@ import contextlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -79,16 +80,20 @@ def run_units(units: Sequence[SweepUnit],
               batch: Optional[int] = None) -> List[Any]:
     """Execute work units, preserving input order.
 
-    One simulation per config per call, on every backend: the
-    outstanding units of one :class:`ExperimentConfig` (a
-    ``metric=[...]`` sweep, exact duplicates, a full-result unit next
-    to named ones, a ``max_cycles`` ladder) are dispatched as one cell
+    One simulation per machine per call, on every backend: the
+    outstanding units whose configs declare one machine
+    (:meth:`ExperimentConfig.machine` — a private or shared home
+    ignores the cluster shape, LOCO with one-tile clusters is private)
+    — a ``metric=[...]`` sweep, exact duplicates, a full-result unit
+    next to named ones, a ``max_cycles`` ladder, one machine under
+    several names — are dispatched as one cell of the canonical config
     at the group's smallest horizon, whose metric covers them all, and
-    each gets its own reduction of that run — the value, and the
-    ``cache_dir`` entry under its own key, it would have got alone. A
-    horizon only decides whether a run finishes: one that finishes
-    follows the same trajectory under every larger horizon, so when
-    the smallest rung cannot finish, the call raises the
+    each gets its own reduction of that run — the value (a full
+    ``RunResult`` carries the member's own ``system_config()``), and
+    the ``cache_dir`` entry under its own key, it would have got
+    alone. A horizon only decides whether a run finishes: one that
+    finishes follows the same trajectory under every larger horizon,
+    so when the smallest rung cannot finish, the call raises the
     ``SimulationError`` naming it and caches nothing of that group. A
     unit that is alone in its group is dispatched as it is.
 
@@ -129,24 +134,31 @@ def run_units(units: Sequence[SweepUnit],
     for i, unit in enumerate(units):
         out[i] = _cache_load(cache_dir, unit)
         if out[i] is None:
-            todo.setdefault(unit.exp, []).append(i)
-    # One simulation per config: the outstanding units of one config
-    # share one cell at their smallest horizon, whose metric serves
-    # them all. A unit alone in its group is its own cell.
+            todo.setdefault(unit.exp.machine(), []).append(i)
+    # One simulation per machine: the outstanding units of one machine
+    # share one cell of its canonical config at their smallest
+    # horizon, whose metric serves them all. A unit alone in its group
+    # is its own cell.
     work: List[Tuple[SweepUnit, List[int]]] = [
         (units[group[0]] if len(group) == 1 else
-         SweepUnit(exp, min(units[i].max_cycles for i in group),
+         SweepUnit(machine, min(units[i].max_cycles for i in group),
                    merged_metric([units[i].metric for i in group])),
-         group) for exp, group in todo.items()]
+         group) for machine, group in todo.items()]
 
     # The batcher and both backends take the outstanding cells and
     # report each value by its position among them, as it arrives.
     def record(pos: int, value: Any) -> None:
         cell, group = work[pos]
+
+        def own(unit: SweepUnit) -> Any:
+            if unit.metric is None and unit.exp != cell.exp:
+                # a full result names the member's config, not the cell's
+                return replace(value, config=unit.exp.system_config())
+            return project(value, cell.metric, unit.metric)
+
         # Every member is reduced before any is stored: a bad name
         # caches nothing of its group.
-        values = [project(value, cell.metric, units[i].metric)
-                  for i in group]
+        values = [own(units[i]) for i in group]
         for i, reduced in zip(group, values):
             out[i] = reduced
             _cache_store(cache_dir, units[i], reduced)

@@ -12,9 +12,10 @@ Used by the ablation benches and available for exploration::
 ``metric`` may also be a *list* of metrics — each row then carries
 every metric column. A list adds columns, not simulations: the grid
 still expands to one unit per (config, metric), so each value has its
-own ``cache_dir`` entry, but ``run_units`` simulates each config once
-per call and every unit reads its metric off that run.
-Every cell of a sweep is therefore a different config, and what
+own ``cache_dir`` entry, but ``run_units`` simulates each machine once
+per call (configs that declare one machine share it:
+:meth:`ExperimentConfig.machine`) and every unit reads its metric off
+that run. Every cell of a sweep is therefore a different machine, and what
 ``warmup_snapshots=True`` with a ``warmup_cache`` amortises is a
 *later* sweep over the same configs: this one checkpoints each machine
 at its warmup mark into the store (a :class:`WarmupImageCache` or its

@@ -1,4 +1,4 @@
-"""Mesh coordinates, XY routing helpers, and cluster geometry.
+"""Mesh coordinates, the XY routing rule, and cluster geometry.
 
 Tile ids are row-major: tile ``(x, y)`` has id ``y * width + x`` with
 ``(0, 0)`` at the bottom-left, matching the paper's Figure 1 labelling
@@ -8,7 +8,7 @@ Tile ids are row-major: tile ``(x, y)`` has id ``y * width + x`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from repro.errors import NetworkError
 
@@ -26,7 +26,7 @@ class Coord:
 
 
 class Mesh:
-    """Geometry of a ``width x height`` mesh: id<->coord maps, hop math."""
+    """Geometry of a ``width x height`` mesh: id<->coord maps, the XY rule."""
 
     def __init__(self, width: int, height: int) -> None:
         if width < 1 or height < 1:
@@ -48,11 +48,6 @@ class Mesh:
             raise NetworkError(f"coord ({x},{y}) out of range")
         return y * self.width + x
 
-    def hops(self, a: int, b: int) -> int:
-        """Manhattan distance between two tiles."""
-        ca, cb = self.coord(a), self.coord(b)
-        return abs(ca.x - cb.x) + abs(ca.y - cb.y)
-
     def xy_next_stop(self, at: int, dst: int, max_hops: int) -> Tuple[int, int]:
         """XY-dimension-ordered progress from ``at`` toward ``dst``.
 
@@ -71,27 +66,6 @@ class Mesh:
             step = max(-max_hops, min(max_hops, delta))
             return self.tile(ca.x, ca.y + step), abs(step)
         return at, 0
-
-    def xy_path(self, src: int, dst: int) -> List[int]:
-        """Full hop-by-hop XY route, inclusive of both endpoints."""
-        path = [src]
-        at = src
-        while at != dst:
-            at, moved = self.xy_next_stop(at, dst, 1)
-            if moved == 0:
-                break
-            path.append(at)
-        return path
-
-    def smart_hops(self, src: int, dst: int, hpc_max: int) -> int:
-        """Minimum SMART-hops for an XY route (paper Section 2).
-
-        X-only or Y-only segments each need ``ceil(len/hpc_max)``
-        SMART-hops; a turn forces a stop (SMART 1D).
-        """
-        cs, cd = self.coord(src), self.coord(dst)
-        dx, dy = abs(cs.x - cd.x), abs(cs.y - cd.y)
-        return -(-dx // hpc_max) + (-(-dy // hpc_max))
 
 
 class ClusterMap:
@@ -131,12 +105,6 @@ class ClusterMap:
         cx = cluster % self.clusters_x
         cy = cluster // self.clusters_x
         return Coord(cx * self.cluster_width, cy * self.cluster_height)
-
-    def tiles_in_cluster(self, cluster: int) -> List[int]:
-        origin = self.cluster_origin(cluster)
-        return [self.mesh.tile(origin.x + dx, origin.y + dy)
-                for dy in range(self.cluster_height)
-                for dx in range(self.cluster_width)]
 
     def hnid_of_line(self, line_addr: int) -> int:
         """Home-node id within a cluster for a cache-line address.

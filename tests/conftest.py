@@ -16,6 +16,7 @@ import pytest
 
 from repro.cmp.system import CmpSystem
 from repro.coherence.messages import Msg, MsgKind, Unit
+from repro.noc.topology import ClusterMap, Mesh
 from repro.params import (CacheConfig, IvrConfig, NocConfig, NocKind,
                           Organization, SystemConfig)
 from repro.traces.events import Op, TraceEvent
@@ -24,6 +25,41 @@ from repro.traces.events import Op, TraceEvent
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: a long-running test (256-core systems)")
+
+
+# ---------------------------------------------------------------------------
+# reference mesh geometry: the closed forms the routing tests check the
+# simulator's one XY rule (``Mesh.xy_next_stop``) and cluster map against
+# ---------------------------------------------------------------------------
+def hops(mesh: Mesh, a: int, b: int) -> int:
+    """Manhattan distance between two tiles."""
+    ca, cb = mesh.coord(a), mesh.coord(b)
+    return abs(ca.x - cb.x) + abs(ca.y - cb.y)
+
+
+def xy_path(mesh: Mesh, src: int, dst: int) -> List[int]:
+    """Full hop-by-hop XY route, inclusive of both endpoints."""
+    path = [src]
+    while path[-1] != dst:
+        path.append(mesh.xy_next_stop(path[-1], dst, 1)[0])
+    return path
+
+
+def smart_hops(mesh: Mesh, src: int, dst: int, hpc_max: int) -> int:
+    """Minimum SMART-hops for an XY route (paper Section 2): X-only or
+    Y-only segments each need ``ceil(len / hpc_max)`` SMART-hops; a
+    turn forces a stop (SMART 1D)."""
+    cs, cd = mesh.coord(src), mesh.coord(dst)
+    dx, dy = abs(cs.x - cd.x), abs(cs.y - cd.y)
+    return -(-dx // hpc_max) + (-(-dy // hpc_max))
+
+
+def tiles_in_cluster(cm: ClusterMap, cluster: int) -> List[int]:
+    """Every tile of one cluster, row-major from its origin."""
+    origin = cm.cluster_origin(cluster)
+    return [cm.mesh.tile(origin.x + dx, origin.y + dy)
+            for dy in range(cm.cluster_height)
+            for dx in range(cm.cluster_width)]
 
 
 ALL_ORGS = list(Organization)

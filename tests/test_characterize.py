@@ -11,6 +11,7 @@ from repro.traces.characterize import (capacity_pressure, characterize,
                                        profile_report)
 from repro.traces.events import Op, TraceEvent
 from repro.traces.synthetic import WorkloadSpec, generate_traces
+from tests.conftest import xy_path
 
 
 class TestCharacterize:
@@ -102,6 +103,6 @@ class TestVisualize:
 
     def test_path_markers(self):
         mesh = Mesh(4, 4)
-        path = mesh.xy_path(0, 15)
+        path = xy_path(mesh, 0, 15)
         text = render_path(mesh, path)
         assert "S" in text and "D" in text

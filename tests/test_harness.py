@@ -57,6 +57,28 @@ class TestExperimentConfig:
             scale=0.05))
         assert r1.instructions == r2.instructions
 
+    def test_trace_cache_keeps_the_recently_used_sets_that_fit(
+            self, monkeypatch):
+        from repro.harness import experiment
+        clear_trace_cache()
+        a, b, c = (ExperimentConfig("water_spatial", Organization.SHARED,
+                                    cores=1, scale=0.04, seed=seed)
+                   for seed in (1, 2, 3))
+        first = experiment._traces_for(a)
+        size = experiment._events(first)
+        monkeypatch.setattr(experiment, "_TRACE_CACHE_EVENTS", 2 * size)
+        experiment._traces_for(b)
+        assert experiment._traces_for(a) is first     # a hit, now newest
+        experiment._traces_for(c)                     # evicts b, not a
+        assert list(experiment._trace_cache) == [
+            experiment._trace_key(e) for e in (a, c)]
+        assert experiment._traces_for(a) is first
+        # the newest set is kept even when it alone is over the bound
+        monkeypatch.setattr(experiment, "_TRACE_CACHE_EVENTS", size - 1)
+        experiment._traces_for(b)
+        assert list(experiment._trace_cache) == [experiment._trace_key(b)]
+        clear_trace_cache()
+
     def test_table2_workload_smoke(self):
         r = run_benchmark(ExperimentConfig(
             "W0", Organization.LOCO_CC_VMS_IVR,

@@ -10,6 +10,7 @@ from repro.noc.topology import ClusterMap, Mesh
 from repro.noc.vms import xy_tree_children
 from repro.params import NocConfig
 from repro.sim.kernel import Simulator
+from tests.conftest import hops, smart_hops, xy_path
 
 tiles64 = st.integers(min_value=0, max_value=63)
 
@@ -19,21 +20,21 @@ class TestRoutingProperties:
     @settings(max_examples=100, deadline=None)
     def test_xy_path_length_is_manhattan(self, src, dst):
         m = Mesh(8, 8)
-        path = m.xy_path(src, dst)
-        assert len(path) == m.hops(src, dst) + 1
+        path = xy_path(m, src, dst)
+        assert len(path) == hops(m, src, dst) + 1
         # consecutive path elements are mesh neighbours
         for a, b in zip(path, path[1:]):
-            assert m.hops(a, b) == 1
+            assert hops(m, a, b) == 1
 
     @given(src=tiles64, dst=tiles64,
            hpc=st.sampled_from([1, 2, 4, 8]))
     @settings(max_examples=100, deadline=None)
     def test_smart_hops_bounds(self, src, dst, hpc):
         m = Mesh(8, 8)
-        sh = m.smart_hops(src, dst, hpc)
-        hops = m.hops(src, dst)
-        assert sh <= hops  # never worse than per-hop
-        assert sh * hpc >= hops  # each SMART-hop covers <= hpc
+        sh = smart_hops(m, src, dst, hpc)
+        manhattan = hops(m, src, dst)
+        assert sh <= manhattan  # never worse than per-hop
+        assert sh * hpc >= manhattan  # each SMART-hop covers <= hpc
 
     @given(at=tiles64, dst=tiles64, max_hops=st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
@@ -44,7 +45,7 @@ class TestRoutingProperties:
             assert moved == 0
         else:
             assert 1 <= moved <= max_hops
-            assert m.hops(nxt, dst) == m.hops(at, dst) - moved
+            assert hops(m, nxt, dst) == hops(m, at, dst) - moved
 
 
 class TestTreeProperties:

@@ -219,6 +219,24 @@ class TestWireCompleteness:
         assert [r["result"].to_dict() for r in svc] == \
                [r["result"].to_dict() for r in cold]
 
+    def test_one_machine_under_two_names_is_one_fleet_cell(self, fleet):
+        """Private and LOCO with one-tile clusters are one machine:
+        ``run_units`` ships one cell, and each row is what its config
+        gets alone, its own ``system_config()`` included."""
+        _coord, address = fleet(workers=2)
+        axes = dict(organization=[Organization.PRIVATE,
+                                  Organization.LOCO_CC],
+                    cores=[16], cluster=[(1, 1)], scale=[0.04])
+        svc = sweep(BENCH, metric=None, service=address, **axes)
+        alone = [SweepUnit(ExperimentConfig(
+                     BENCH, org, cores=16, cluster=(1, 1),
+                     scale=0.04)).run() for org in axes["organization"]]
+        with ServiceClient(address) as client:
+            assert client.status()["stats"]["units_completed"] == 1
+        for row, want in zip(svc, alone):
+            assert row["result"].config == want.config
+            assert row["result"].to_dict() == want.to_dict()
+
     def test_workload_unit_round_trips_through_fleet(self, fleet):
         _coord, address = fleet(workers=2)
         units = [SweepUnit(ExperimentConfig(

@@ -179,6 +179,21 @@ class TestOneDispatchLoop:
         assert experiment._trace_cache == {}
 
 
+@pytest.fixture
+def dispatched(monkeypatch):
+    """The cells each ``run_units`` call hands its local backend."""
+    from repro.harness import parallel
+    calls = []
+    real = parallel._run_local
+
+    def spy(cells, *args):
+        calls.append(list(cells))
+        return real(cells, *args)
+
+    monkeypatch.setattr(parallel, "_run_local", spy)
+    return calls
+
+
 class TestOneSimulationPerConfig:
     """``run_units`` never simulates the same config twice in one
     call: units that differ only in the metric they read or the
@@ -196,20 +211,6 @@ class TestOneSimulationPerConfig:
     @staticmethod
     def units(exps, metrics, max_cycles=50_000_000):
         return [SweepUnit(e, max_cycles, m) for e in exps for m in metrics]
-
-    @pytest.fixture
-    def dispatched(self, monkeypatch):
-        """The cells each ``run_units`` call hands its local backend."""
-        from repro.harness import parallel
-        calls = []
-        real = parallel._run_local
-
-        def spy(cells, *args):
-            calls.append(list(cells))
-            return real(cells, *args)
-
-        monkeypatch.setattr(parallel, "_run_local", spy)
-        return calls
 
     @pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "jobs2"])
     def test_metric_list_adds_columns_not_simulations(self, jobs,
@@ -318,9 +319,11 @@ class TestOneSimulationPerConfig:
 
     def test_merged_tuple_rides_the_batcher(self, simulations,
                                             monkeypatch):
+        """...and LOCO with one-tile clusters rides it as private."""
         import repro.batch
         exps = [self.exp(org, cores=1, cluster=(1, 1), seed=seed)
-                for org in (Organization.SHARED, Organization.PRIVATE)
+                for org in (Organization.SHARED, Organization.PRIVATE,
+                            Organization.LOCO_CC)
                 for seed in (1, 2)]
         units = self.units(exps, ["runtime", "mpki"])
         alone = [u.run() for u in units]
@@ -369,6 +372,54 @@ class TestOneSimulationPerConfig:
         assert run_units(units) == alone
         assert run_units(units, jobs=2) == alone
         assert simulations() == ["cold"] * 4
+
+
+class TestOneSimulationPerMachine:
+    """Configs that declare one machine (``ExperimentConfig.machine``)
+    are one simulation: a grid of every organization x three cluster
+    shapes simulates its 10 distinct machines, not its 15 configs, and
+    every unit still gets the value, full-result config and cache file
+    it would have got alone."""
+
+    BENCH = "barnes"
+    AXES = dict(organization=list(Organization),
+                cluster=[(1, 1), (2, 2), (4, 1)], cores=[16], scale=[0.02])
+    MACHINES = 10
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        """Each config's cold result, simulated on its own."""
+        return [u.run() for u in
+                grid_units(self.BENCH, None, 50_000_000, self.AXES)[3]]
+
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "jobs2"])
+    def test_grid_simulates_each_machine_once(self, jobs, alone,
+                                              simulations, dispatched):
+        from repro.harness.units import encode_result
+        simulations()
+        rows = sweep(self.BENCH, jobs=jobs, **self.AXES)
+        assert len(simulations()) == self.MACHINES
+        (cells,) = dispatched
+        assert len(cells) == self.MACHINES
+        assert all(c.exp == c.exp.machine() for c in cells)
+        assert len(rows) == len(alone) == 15
+        for row, want in zip(rows, alone):
+            assert row["result"].config == want.config
+            assert encode_result(row["result"]) == encode_result(want)
+
+    def test_cache_files_keep_their_unit_keys(self, alone, tmp_path,
+                                              simulations):
+        from repro.harness.units import metric_of
+        names = ("runtime", "mpki")
+        units = grid_units(self.BENCH, list(names), 50_000_000,
+                           self.AXES)[3]
+        simulations()
+        values = run_units(units, cache_dir=str(tmp_path))
+        assert len(simulations()) == self.MACHINES
+        assert values == [metric_of(result, name)
+                          for result in alone for name in names]
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == sorted(u.key() + ".json" for u in units)
 
 
 class TestSweepCacheRobustness:

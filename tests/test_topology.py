@@ -7,6 +7,7 @@ from repro.noc import FABRICS
 from repro.noc.topology import ClusterMap, Coord, Mesh
 from repro.params import NocConfig, NocKind
 from repro.sim.kernel import Simulator
+from tests.conftest import hops, smart_hops, tiles_in_cluster, xy_path
 
 
 class TestMesh:
@@ -30,13 +31,13 @@ class TestMesh:
 
     def test_hops_manhattan(self):
         m = Mesh(8, 8)
-        assert m.hops(0, 63) == 14
-        assert m.hops(0, 0) == 0
-        assert m.hops(0, 7) == 7
+        assert hops(m, 0, 63) == 14
+        assert hops(m, 0, 0) == 0
+        assert hops(m, 0, 7) == 7
 
     def test_xy_path_goes_x_first(self):
         m = Mesh(4, 4)
-        path = m.xy_path(0, 15)  # (0,0) -> (3,3)
+        path = xy_path(m, 0, 15)  # (0,0) -> (3,3)
         coords = [m.coord(t) for t in path]
         # X varies first, then Y
         assert coords[0] == Coord(0, 0)
@@ -59,11 +60,11 @@ class TestMesh:
         """Corner to corner of an 8x8 mesh with HPCmax=4 takes 4
         SMART-hops (paper Section 2)."""
         m = Mesh(8, 8)
-        assert m.smart_hops(0, 63, 4) == 4
+        assert smart_hops(m, 0, 63, 4) == 4
         # X-only 4 hops: 1 SMART-hop
-        assert m.smart_hops(0, 4, 4) == 1
+        assert smart_hops(m, 0, 4, 4) == 1
         # X+Y traversal takes at least 2 (no bypass at turns)
-        assert m.smart_hops(0, 9, 4) == 2
+        assert smart_hops(m, 0, 9, 4) == 2
 
     def test_fabrics_cover_every_kind(self):
         assert set(FABRICS) == set(NocKind)
@@ -87,7 +88,7 @@ class TestMesh:
                     continue
                 assert len(links) == moved
                 assert links == list(zip([at, *routers[:-1]], routers))
-                assert all(m.hops(a, b) == 1 for a, b in links)
+                assert all(hops(m, a, b) == 1 for a, b in links)
 
 
 class TestClusterMap:
@@ -111,7 +112,7 @@ class TestClusterMap:
         cm = ClusterMap(Mesh(8, 8), 4, 4)
         seen = set()
         for c in range(cm.num_clusters):
-            tiles = cm.tiles_in_cluster(c)
+            tiles = tiles_in_cluster(cm, c)
             assert len(tiles) == 16
             assert not (seen & set(tiles))
             seen.update(tiles)
