@@ -4,8 +4,6 @@
 Subcommands::
 
     fleet        a coordinator + N worker processes on this host
-    coordinator  just the coordinator (workers join from anywhere)
-    worker       one worker, attached to a running coordinator
     status       fleet snapshot (workers, queue depth, cache counters)
     shutdown     stop the whole fleet
 
@@ -22,7 +20,8 @@ Typical single-host session::
     PY
     python scripts/sweep_service.py shutdown --connect 127.0.0.1:7077
 
-Multi-host: run ``coordinator`` on one machine and ``worker
+Multi-host: run ``python -m repro.service coordinator --bind
+HOST:PORT`` on one machine and ``python -m repro.service worker
 --connect HOST:PORT`` on the others. Workers share nothing but the
 coordinator: each runs every unit cold. A warmup-image store
 (``run_experiments.py --warmup-cache``, ``sweep(warmup_cache=...)``)
@@ -31,8 +30,8 @@ is local only and never reaches the fleet.
 ``fleet`` launches its coordinator as a child process. A client's
 ``shutdown`` ends it with rc 0 and the fleet winds down with rc 0; a
 coordinator that dies otherwise ends the fleet with rc 1. Restarting
-it over the same ``--cache-dir`` serves every finished unit back from
-the result memo.
+it over the same ``--cache-dir`` serves every finished metric row back
+from the row store a local ``sweep(cache_dir=...)`` shares.
 """
 
 from __future__ import annotations
@@ -51,35 +50,11 @@ if REPO_SRC not in sys.path:
     sys.path.insert(0, REPO_SRC)
 
 from repro.service.client import ServiceClient           # noqa: E402
-from repro.service.__main__ import main as service_main  # noqa: E402
 from repro.service.errors import ServiceError            # noqa: E402
 from repro.service.worker import (parse_address,         # noqa: E402
                                   pick_free_ports,
                                   spawn_coordinator_process,
                                   spawn_worker_process)
-
-
-def cmd_coordinator(args) -> int:
-    argv = ["coordinator", "--bind", args.bind,
-            "--heartbeat-timeout", str(args.heartbeat_timeout)]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    return _service(argv, args)
-
-
-def cmd_worker(args) -> int:
-    argv = ["worker", "--connect", args.connect]
-    if args.name:
-        argv += ["--name", args.name]
-    return _service(argv, args)
-
-
-def _service(argv: List[str], args) -> int:
-    """Run the entry `fleet` spawns, in-process; ``--quiet`` keeps the
-    ``repro.service`` loggers at their default level."""
-    if not args.quiet:
-        argv.append("--verbose")
-    return service_main(argv)
 
 
 #: a worker that dies faster than this after (re)spawn counts toward
@@ -218,21 +193,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                            metavar="HOST:PORT",
                            help="listen address (port 0 = ephemeral)")
             p.add_argument("--cache-dir", default=None, metavar="DIR",
-                           help="persistent result cache (restart-warm)")
+                           help="metric row store (shared with "
+                                "sweep(cache_dir=))")
             p.add_argument("--heartbeat-timeout", type=float, default=8.0)
         if connect:
             p.add_argument("--connect", required=True,
                            metavar="HOST:PORT",
                            help="coordinator address")
-
-    p = sub.add_parser("coordinator", help="run a coordinator")
-    common(p, bind=True)
-    p.set_defaults(fn=cmd_coordinator)
-
-    p = sub.add_parser("worker", help="run one worker")
-    common(p, connect=True)
-    p.add_argument("--name", default=None)
-    p.set_defaults(fn=cmd_worker)
 
     p = sub.add_parser("fleet",
                        help="coordinator + N local workers (respawning)")

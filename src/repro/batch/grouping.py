@@ -36,7 +36,7 @@ import numpy as np
 from repro.harness.experiment import (HierarchyAxes, _trace_key,
                                       _traces_for)
 from repro.harness.units import SweepUnit, reduce_result
-from repro.params import NocKind, Organization
+from repro.params import NocKind, Organization, SystemConfig
 
 from repro.batch.engine import (GroupShape, LaneSpec, mark_event_of,
                                 pack_trace, simulate_group)
@@ -85,11 +85,9 @@ def batchable(unit: SweepUnit) -> bool:
             and _metric_ok(unit.metric))
 
 
-def group_shape(unit: SweepUnit) -> GroupShape:
-    """The lockstep-compatibility key of a batchable unit."""
-    cfg = unit.exp.system_config()
-    kind = "shared" if unit.exp.organization is Organization.SHARED \
-        else "dir"
+def group_shape(cfg: SystemConfig) -> GroupShape:
+    """The lockstep-compatibility key of a batchable unit's machine."""
+    kind = "shared" if cfg.organization is Organization.SHARED else "dir"
     return GroupShape(
         org_kind=kind,
         l1_sets=cfg.l1.num_sets, l1_ways=cfg.l1.assoc,
@@ -117,8 +115,8 @@ def run_batched(units: List[SweepUnit], batch: int) -> Dict[int, Any]:
             continue
         exp = unit.exp
         try:
-            shape = group_shape(unit)
             cfg = exp.system_config()
+            shape = group_shape(cfg)
             trace = _traces_for(exp)[0][0]
         except Exception:
             continue  # scalar path reports the canonical error

@@ -58,6 +58,7 @@ from repro.errors import ConfigError, ReproError
 from repro.harness.checks import check_all, check_epoch
 from repro.params import (CacheConfig, NocConfig, NocKind, Organization,
                           SystemConfig)
+from repro.sim.snapshot import save_file
 from repro.traces.adversarial import SPEC_SCENARIOS, generate_adversarial
 from repro.traces.events import Op, TraceEvent
 
@@ -346,22 +347,33 @@ def _replay_outcome(cfg: FuzzConfig, organization: Organization,
     return _drive_fuzz_system(cfg, organization, system)
 
 
+#: the committed architectural history every run of one trace set must
+#: share, whatever the organization or the speculative front-end
+_HISTORY = ("instructions", "mem_refs", "stores", "loads")
+
+
+def _outcome_diff(a: OrgOutcome, b: OrgOutcome, attrs: Sequence[str],
+                  a_name: str, b_name: str) -> List[str]:
+    """One line per field of ``attrs`` on which two outcomes differ,
+    then one for their per-line store counts (up to four lines named)."""
+    diffs = [f"{attr}: {a_name}={getattr(a, attr)!r} vs "
+             f"{b_name}={getattr(b, attr)!r}"
+             for attr in attrs if getattr(a, attr) != getattr(b, attr)]
+    if a.store_counts != b.store_counts:
+        lines = sorted(k for k in a.store_counts.keys() | b.store_counts
+                       if a.store_counts.get(k) != b.store_counts.get(k))
+        diffs.append(f"per-line store counts diverge on lines "
+                     f"{[hex(k) for k in lines[:4]]}")
+    return diffs
+
+
 def _snapshot_divergence(primary: OrgOutcome,
                          replay: OrgOutcome) -> List[str]:
     """Field-by-field comparison of the straight run and its replay —
     any difference means checkpoint/restore lost or invented state."""
-    diffs: List[str] = []
-    for attr in ("ok", "phase", "instructions", "mem_refs", "stores",
-                 "loads", "runtime"):
-        a, b = getattr(primary, attr), getattr(replay, attr)
-        if a != b:
-            diffs.append(f"{attr}: straight={a!r} vs replayed={b!r}")
-    if primary.store_counts != replay.store_counts:
-        keys = sorted(set(primary.store_counts) ^ set(replay.store_counts)
-                      | {k for k, v in primary.store_counts.items()
-                         if replay.store_counts.get(k) != v})[:4]
-        diffs.append(f"per-line store counts diverge on "
-                     f"{[hex(k) for k in keys]}")
+    diffs = _outcome_diff(primary, replay,
+                          ("ok", "phase") + _HISTORY + ("runtime",),
+                          "straight", "replayed")
     if primary.violations != replay.violations:
         diffs.append(f"violation lists diverge "
                      f"({len(primary.violations)} vs "
@@ -450,47 +462,19 @@ def _spec_check(on: OrgOutcome, off: OrgOutcome) -> List[str]:
     if not on.ok:
         # the on-arm failure is already reported via its outcome
         return []
-    diffs: List[str] = []
-    for attr in ("instructions", "mem_refs", "stores", "loads"):
-        a, b = getattr(on, attr), getattr(off, attr)
-        if a != b:
-            diffs.append(f"speculation changed committed {attr} on "
-                         f"{on.organization.value}: on={a} vs off={b}")
-    if on.store_counts != off.store_counts:
-        keys = set(on.store_counts) ^ set(off.store_counts)
-        keys |= {k for k in on.store_counts
-                 if off.store_counts.get(k) != on.store_counts[k]}
-        diffs.append(f"speculation changed per-line store counts on "
-                     f"{on.organization.value}: lines "
-                     f"{[hex(k) for k in sorted(keys)[:4]]}")
-    return diffs
+    return [f"speculation changed committed history on "
+            f"{on.organization.value}: {d}"
+            for d in _outcome_diff(on, off, _HISTORY, "on", "off")]
 
 
 def _cross_check(outcomes: Sequence[OrgOutcome]) -> List[str]:
     """The same trace must commit the same architectural history on
     every organization that completed cleanly."""
     clean = [o for o in outcomes if o.phase in ("ok", "oracle", "final")]
-    if len(clean) < 2:
-        return []
-    ref = clean[0]
-    diffs: List[str] = []
-    for other in clean[1:]:
-        for attr in ("instructions", "mem_refs", "stores", "loads"):
-            a, b = getattr(ref, attr), getattr(other, attr)
-            if a != b:
-                diffs.append(
-                    f"{attr} diverge: {ref.organization.value}={a} vs "
-                    f"{other.organization.value}={b}")
-        if ref.store_counts != other.store_counts:
-            keys = set(ref.store_counts) ^ set(other.store_counts)
-            keys |= {k for k in ref.store_counts
-                     if other.store_counts.get(k) != ref.store_counts[k]}
-            sample = sorted(keys)[:4]
-            diffs.append(
-                f"per-line store counts diverge between "
-                f"{ref.organization.value} and {other.organization.value} "
-                f"on lines {[hex(k) for k in sample]}")
-    return diffs
+    return [f"histories diverge: {d}" for other in clean[1:]
+            for d in _outcome_diff(clean[0], other, _HISTORY,
+                                   clean[0].organization.value,
+                                   other.organization.value)]
 
 
 # ----------------------------------------------------------------------
@@ -592,10 +576,7 @@ def save_repro(path: str, cfg: FuzzConfig, organization: Organization,
                    for trace in traces],
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(blob, f, indent=1)
-    os.replace(tmp, path)
+    save_file(path, json.dumps(blob, indent=1).encode())
 
 
 def load_repro(path: str) -> Tuple[FuzzConfig, Organization,

@@ -18,11 +18,12 @@ simulates each machine once per call. Besides it:
 
 * :func:`aggregate_stats` — fold many runs' :class:`Stats` into one via
   ``Stats.merge`` (cross-benchmark roll-ups, fleet dashboards).
-* JSON result caching keyed on the unit hash (``cache_dir=``):
+* JSON row caching keyed on the unit hash (``cache_dir=``):
   re-running a sweep after an interrupt, or growing one axis, only
-  simulates the missing cells. The coordinator's result memo uses the
-  same key but other file names (``<key>.result.json``, not
-  ``<key>.json``), so the two directories do not serve each other.
+  simulates the missing cells. The rows go through the one row store
+  (:func:`~repro.harness.units.load_row` /
+  :func:`~repro.harness.units.store_row`) that a coordinator's
+  ``--cache-dir`` uses too, so one directory serves both.
 * warmup-image reuse (``warmup_cache=``): the caller's store is the
   only thing that knows which cells share a warmup image; the local
   backends hand it to every cell, the fleet never sees it.
@@ -31,7 +32,6 @@ simulates each machine once per call. Besides it:
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -39,8 +39,8 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from repro.harness.experiment import ExperimentConfig, WarmupImageCache
-from repro.harness.units import SweepUnit, merged_metric, project
-from repro.sim.snapshot import save_file
+from repro.harness.units import (SweepUnit, load_row, merged_metric,
+                                 project, store_row)
 from repro.sim.stats import Stats
 
 __all__ = ["run_units", "aggregate_stats", "pmap"]
@@ -132,7 +132,7 @@ def run_units(units: Sequence[SweepUnit],
     out: List[Any] = [None] * len(units)
     todo: Dict[ExperimentConfig, List[int]] = {}
     for i, unit in enumerate(units):
-        out[i] = _cache_load(cache_dir, unit)
+        out[i] = load_row(cache_dir, unit)
         if out[i] is None:
             todo.setdefault(unit.exp.machine(), []).append(i)
     # One simulation per machine: the outstanding units of one machine
@@ -161,7 +161,7 @@ def run_units(units: Sequence[SweepUnit],
         values = [own(units[i]) for i in group]
         for i, reduced in zip(group, values):
             out[i] = reduced
-            _cache_store(cache_dir, units[i], reduced)
+            store_row(cache_dir, units[i], reduced)
 
     if work and batch is not None and batch >= 1 and service is None \
             and warmup_cache is None:
@@ -205,42 +205,6 @@ def _run_local(cells: List[SweepUnit], on_row: Callable[[int, Any], None],
         for pos, value in enumerate(run_all(
                 _run_unit, [(cell, images) for cell in cells])):
             on_row(pos, value)
-
-
-def _row_value_ok(unit: SweepUnit, value: Any) -> bool:
-    """Is ``value`` what a metric-reduced ``unit`` reduces to: a number
-    for one name, a dict of numbers covering exactly the names of a
-    tuple? (The only values the JSON cache stores or serves.)"""
-    if isinstance(unit.metric, str):
-        return isinstance(value, (int, float))
-    return (isinstance(value, dict) and value.keys() == set(unit.metric)
-            and all(isinstance(v, (int, float)) for v in value.values()))
-
-
-def _cache_load(cache_dir: Optional[str], unit: SweepUnit) -> Any:
-    """The cached row value of ``unit``, or None: a missing, unreadable
-    or malformed file is a miss (the recompute repairs it)."""
-    if cache_dir is None or unit.metric is None:
-        return None
-    path = os.path.join(cache_dir, unit.key() + ".json")
-    try:
-        with open(path) as f:
-            value = json.load(f)["value"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    return value if _row_value_ok(unit, value) else None
-
-
-def _cache_store(cache_dir: Optional[str], unit: SweepUnit,
-                 value) -> None:
-    if cache_dir is None or unit.metric is None:
-        return
-    if not _row_value_ok(unit, value):
-        return  # only JSON-scalar metric reductions are cacheable
-    os.makedirs(cache_dir, exist_ok=True)
-    # atomic publish: concurrent sweeps may share the dir
-    save_file(os.path.join(cache_dir, unit.key() + ".json"), json.dumps({
-        "unit": repr(unit), "value": value}).encode())
 
 
 def aggregate_stats(results: Sequence[Any]) -> Stats:

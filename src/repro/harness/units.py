@@ -20,11 +20,19 @@ including the full :class:`~repro.cmp.system.RunResult` when
 ``__run_result__`` marker). JSON float round-tripping is repr-exact, so
 a result decoded from the wire reports every derived metric
 bit-identically to the in-process object it was encoded from.
+
+Row store: a finished metric row is one file, ``<key>.json`` holding
+``{"unit": repr(unit), "value": value}``, written by :func:`store_row`
+and read back, validated, by :func:`load_row`. The local sweep's
+``cache_dir`` and the coordinator's ``--cache-dir`` both go through
+them, so one directory serves either. Full results never reach disk.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
@@ -34,10 +42,11 @@ from repro.harness.experiment import (ExperimentConfig, HierarchyAxes,
                                       SpecAxes, WarmupImageCache,
                                       run_benchmark)
 from repro.params import NocKind, Organization, SystemConfig
+from repro.sim.snapshot import save_file
 from repro.sim.stats import Stats
 
 __all__ = ["SweepUnit", "Metric", "metric_of", "reduce_result",
-           "encode_result", "decode_result"]
+           "encode_result", "decode_result", "load_row", "store_row"]
 
 #: what a unit reduces to: the full ``RunResult`` (``None``), one scalar
 #: metric (``str``), or a dict of several (tuple of names).
@@ -268,3 +277,45 @@ class SweepUnit:
             return SweepUnit(exp, wire["max_cycles"], wire["metric"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed wire unit: {exc!r}") from exc
+
+
+# ---------------------------------------------------------------------------
+# row store
+# ---------------------------------------------------------------------------
+
+def _row_value_ok(unit: SweepUnit, value: Any) -> bool:
+    """Is ``value`` what a metric-reduced ``unit`` reduces to: a number
+    for one name, a dict of numbers covering exactly the names of a
+    tuple? (The only values the row store writes or serves.)"""
+    if isinstance(unit.metric, str):
+        return isinstance(value, (int, float))
+    return (isinstance(value, dict) and value.keys() == set(unit.metric)
+            and all(isinstance(v, (int, float)) for v in value.values()))
+
+
+def load_row(cache_dir: Optional[str], unit: SweepUnit) -> Any:
+    """The stored row value of ``unit``, or None: no ``cache_dir``, a
+    full-result unit, and a missing, unreadable or malformed file are
+    all misses (the recompute repairs the file)."""
+    if cache_dir is None or unit.metric is None:
+        return None
+    try:
+        with open(os.path.join(cache_dir, unit.key() + ".json")) as f:
+            value = json.load(f)["value"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return value if _row_value_ok(unit, value) else None
+
+
+def store_row(cache_dir: Optional[str], unit: SweepUnit, value: Any) -> None:
+    """Publish ``unit``'s row under ``cache_dir`` (atomically: several
+    sweeps and a coordinator may share the directory). Writes nothing
+    without a ``cache_dir`` or for a value :func:`load_row` would not
+    serve; a failed write raises ``OSError`` and leaves no staging
+    file."""
+    if cache_dir is None or unit.metric is None \
+            or not _row_value_ok(unit, value):
+        return
+    os.makedirs(cache_dir, exist_ok=True)
+    save_file(os.path.join(cache_dir, unit.key() + ".json"), json.dumps({
+        "unit": repr(unit), "value": value}).encode())

@@ -16,8 +16,9 @@ There is one coordinator per fleet. Its pure
 :class:`~repro.service.sessions.Sessions` calls the
 :class:`~repro.service.scheduler.Scheduler` directly; a client that
 loses it mid-job gets a typed :class:`JobFailed`, and a coordinator
-restarted over the same ``cache_dir`` serves finished units back from
-its result memo without re-simulating them.
+restarted over the same ``cache_dir`` serves finished metric rows back
+from the row store a local ``sweep(cache_dir=)`` shares, without
+re-simulating them.
 
 Entry points: ``scripts/sweep_service.py`` (launch a fleet),
 ``sweep(..., service="host:port")`` (use one), and

@@ -23,7 +23,8 @@ When to dial, how long to lull and when to give up is
 job's rows are :class:`~repro.service.protocol.JobRows`. A coordinator
 lost mid-job is a typed :class:`~repro.service.errors.JobFailed`;
 :meth:`ServiceClient.reconnect` then dials it again (a restarted
-coordinator over the same ``cache_dir`` serves finished units back).
+coordinator over the same ``cache_dir`` serves finished metric rows
+back).
 """
 
 from __future__ import annotations

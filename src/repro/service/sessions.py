@@ -21,27 +21,28 @@ mutated or sent but the workers' ``shutdown``.
 
 A worker that closes, errs or stays silent past ``heartbeat_timeout``
 is dropped and its in-flight units are requeued. Results are
-deduplicated per (job, idx) and memoized by unit config hash — in
-:attr:`Sessions.memo`, and on disk under ``cache_dir`` — so retries
-stay idempotent and a resubmit (to this coordinator, or to a restarted
-one over a warm cache directory) re-simulates nothing.
+deduplicated per (job, idx) and memoized by unit config hash in
+:attr:`Sessions.memo` (wire values, full results included), so retries
+stay idempotent and a resubmit re-simulates nothing. With a
+``cache_dir``, metric rows also go to the row store every sweep uses
+(:func:`~repro.harness.units.load_row` /
+:func:`~repro.harness.units.store_row`): a restarted coordinator, or a
+local ``run_units(cache_dir=)``, over that directory serves them.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigError
-from repro.harness.units import SweepUnit
+from repro.harness.units import SweepUnit, load_row, store_row
 from repro.service.errors import FrameError
 from repro.service.protocol import (PROTOCOL_VERSION, check_protocol,
                                     frame_field)
 from repro.service.scheduler import Scheduler
-from repro.sim.snapshot import save_file
 
 __all__ = ["Sessions"]
 
@@ -203,7 +204,7 @@ class Sessions:
             job = self.jobs[job_id]
             job.remaining -= 1
             self.units_completed += 1
-            self._store_result(job.units[idx].key(), value)
+            self._store_result(job.units[idx], value)
             job.client.send({"type": "row", "job": job_id, "idx": idx,
                              "value": value})
             self.rows_streamed += 1
@@ -256,9 +257,13 @@ class Sessions:
         job_id = f"job-{self._job_seq}"
         cached = []
         for idx, unit in enumerate(units):
-            value = self._load_result(unit)
-            if value is not None:
-                cached.append([idx, value[0]])
+            key = unit.key()
+            if key not in self.memo:
+                value = load_row(self.cache_dir, unit)
+                if value is None:
+                    continue
+                self.memo[key] = value
+            cached.append([idx, self.memo[key]])
         self.served_from_cache += len(cached)
         job = _Job(job_id, conn, units, remaining=len(units) - len(cached),
                    from_cache=len(cached))
@@ -314,39 +319,12 @@ class Sessions:
                 {"type": "assign", "job": a.job_id, "idx": a.idx,
                  "unit": a.unit.to_wire()})
 
-    # ------------------------------------------------------------------
-    # result memo (idempotency + restart warm cache)
-    # ------------------------------------------------------------------
-    def _cache_path(self, key: str) -> str:
-        assert self.cache_dir is not None
-        return os.path.join(self.cache_dir, f"{key}.result.json")
-
-    def _load_result(self, unit: SweepUnit):
-        """Returns a 1-tuple holding the memoized value, or None."""
-        key = unit.key()
-        if key in self.memo:
-            return (self.memo[key],)
-        if self.cache_dir is not None:
-            try:
-                with open(self._cache_path(key)) as f:
-                    value = json.load(f)["value"]
-            except (OSError, ValueError, KeyError):
-                return None
-            self.memo[key] = value
-            return (value,)
-        return None
-
-    def _store_result(self, key: str, value: Any) -> None:
-        """Memoize one value, and persist it to the cache directory. A
-        failed write is non-fatal, and ``save_file`` removes its staging
-        file when it fails: a long-lived coordinator on a full/read-only
-        disk must not shed tmp litter on every completion."""
-        self.memo[key] = value
-        if self.cache_dir is not None and isinstance(
-                value, (int, float, dict)):
-            try:
-                os.makedirs(self.cache_dir, exist_ok=True)
-                save_file(self._cache_path(key), json.dumps(
-                    {"key": key, "value": value}).encode())
-            except OSError:
-                pass
+    def _store_result(self, unit: SweepUnit, value: Any) -> None:
+        """Memoize one wire value and store its row. A failed write is
+        logged, not raised: a coordinator on a full or read-only disk
+        keeps serving from memory."""
+        self.memo[unit.key()] = value
+        try:
+            store_row(self.cache_dir, unit, value)
+        except OSError as exc:
+            log.warning("row of %s not stored: %s", unit.key(), exc)

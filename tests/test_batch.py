@@ -103,7 +103,9 @@ def test_mixed_shapes_group_separately():
     a = SweepUnit(_exp(seed=1))
     b = SweepUnit(_exp(seed=2, cache_scale=0.0625))  # different geometry
     c = SweepUnit(_exp(seed=3))
-    assert group_shape(a) == group_shape(c) != group_shape(b)
+    shape_a, shape_b, shape_c = (group_shape(u.exp.system_config())
+                                 for u in (a, b, c))
+    assert shape_a == shape_c != shape_b
     got = run_batched([a, b, c], batch=8)
     assert set(got) == {0, 1, 2}
     for i, unit in enumerate((a, b, c)):

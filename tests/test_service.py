@@ -276,16 +276,51 @@ class TestResultCache:
         assert coord.sessions.served_from_cache == len(first)
 
     def test_disk_cache_matches_local_cache_keys(self, fleet, tmp_path):
-        """The coordinator's on-disk results use the same unit-key
-        naming as the local JSON cache, so the two stores are
-        interchangeable evidence of a completed unit."""
+        """The coordinator writes its rows through the local sweep's
+        row store: one ``<key>.json`` per unit."""
         _coord, address = fleet(workers=2, cache_dir=str(tmp_path))
         units = units_of(AXES, ["runtime"])
         with ServiceClient(address) as client:
             client.run_units(units)
-        for u in units:
-            assert (tmp_path /
-                    f"{u.key()}.result.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(f"{u.key()}.json" for u in units)
+
+    def test_local_rows_serve_a_coordinator_without_workers(
+            self, fleet, tmp_path):
+        """One directory, local sweep first: a coordinator over it
+        answers the whole job from disk, with no worker to run it."""
+        from repro.harness.parallel import run_units
+        units = units_of(AXES, ["runtime", ("runtime", "mpki")])
+        local = run_units(units, cache_dir=str(tmp_path))
+        coord, address = fleet(workers=0, cache_dir=str(tmp_path))
+        with ServiceClient(address, row_timeout=10.0) as client:
+            assert client.run_units(units) == local
+            assert client.last_job_stats["from_cache"] == len(units)
+        assert coord.sessions.units_completed == 0
+
+    def test_coordinator_rows_serve_a_local_sweep(self, fleet, tmp_path):
+        """One directory, coordinator first: a local sweep over it
+        finds every row and never dials the (dead) fleet address."""
+        from repro.harness.parallel import run_units
+        _coord, address = fleet(workers=2, cache_dir=str(tmp_path))
+        units = units_of(AXES, ["runtime", ("runtime", "mpki")])
+        with ServiceClient(address) as client:
+            served = client.run_units(units)
+        assert run_units(units, cache_dir=str(tmp_path),
+                         service="127.0.0.1:1") == served
+
+    def test_full_results_stay_off_disk(self, fleet, tmp_path):
+        """A full ``RunResult`` is memoized in RAM only: nothing lands
+        in the cache directory, and a resubmit is still served."""
+        coord, address = fleet(workers=1, cache_dir=str(tmp_path))
+        units = units_of(AXES, [None])[:1]
+        with ServiceClient(address) as client:
+            (first,) = client.run_units(units)
+            (again,) = client.run_units(units)
+            assert client.last_job_stats["from_cache"] == 1
+        assert list(tmp_path.iterdir()) == []
+        assert again.to_dict() == first.to_dict()
+        assert coord.sessions.units_completed == 1
 
     def test_local_cache_dir_short_circuits_service(self, fleet,
                                                     tmp_path):

@@ -256,10 +256,10 @@ class TestCacheStoreHygiene:
         ``os.replace`` fail — the ``.tmp-*`` staging file must not
         leak (it used to, on exactly this path)."""
         sessions = self._sessions(str(tmp_path))
-        key = unit(seed=1).key()
-        os.makedirs(sessions._cache_path(key))
-        sessions._store_result(key, 123)
-        assert sessions.memo[key] == 123  # memo unaffected
+        u = unit(seed=1)
+        os.makedirs(tmp_path / (u.key() + ".json"))
+        sessions._store_result(u, 123)
+        assert sessions.memo[u.key()] == 123  # memo unaffected
         residue = [p for p in os.listdir(tmp_path) if ".tmp" in p]
         assert residue == []
 
@@ -273,9 +273,9 @@ class TestCacheStoreHygiene:
         os.chmod(cache, 0o555)
         try:
             sessions = self._sessions(str(cache))
-            key = unit(seed=1).key()
-            sessions._store_result(key, 456)
-            assert sessions.memo[key] == 456
+            u = unit(seed=1)
+            sessions._store_result(u, 456)
+            assert sessions.memo[u.key()] == 456
             residue = [p.name for p in cache.iterdir()
                        if ".tmp" in p.name]
             assert residue == []

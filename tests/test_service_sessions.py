@@ -396,6 +396,22 @@ class TestDirected:
         assert leftovers(sessions)["jobs"] == []
         assert sessions.served_from_cache == 1
 
+    @pytest.mark.parametrize("stored", [
+        {"unit": "?", "value": "junk"}, {"unit": "?", "value": {"bogus": 1}},
+        [1, 2], 7], ids=["str_value", "dict_value", "list_file", "int_file"])
+    def test_a_malformed_stored_row_is_a_miss(self, stored, tmp_path):
+        """A row file that does not hold a ``runtime`` number is neither
+        served nor raised: the submit is accepted with nothing cached."""
+        unit = BATCHES[0][0]
+        (tmp_path / (unit.key() + ".json")).write_text(json.dumps(stored))
+        sessions = Sessions(on_shutdown=lambda: None,
+                            cache_dir=str(tmp_path))
+        client = _sign_in(sessions, "client")
+        assert sessions.frame(client, JobRows([unit]).submit(), 0.0)
+        (accepted,) = client.sent[1:]
+        assert (accepted["type"], accepted["cached"]) == ("accepted", [])
+        assert sessions.memo == {} and sessions.served_from_cache == 0
+
     def test_worker_sign_in_logs_at_info(self, caplog):
         sessions = _solo()
         with caplog.at_level(logging.INFO, logger="repro.service"):
