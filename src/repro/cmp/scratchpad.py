@@ -1,6 +1,6 @@
 """Per-tile software-managed scratchpad (reconfigurable hierarchy).
 
-Each tile of a :class:`~repro.params.HierarchyConfig`-partitioned
+Each tile of a :class:`~repro.params.HierarchyAxes`-partitioned
 machine carves ``scratchpad_fraction`` of its L2 SRAM into a
 :class:`ScratchpadUnit`: a flat, tag-less, *non-coherent* slot array
 addressed by software. The global scratchpad address space is

@@ -151,16 +151,12 @@ class CmpSystem:
         self.l1s = [L1Controller(self.ctx, t)
                     for t in range(config.num_tiles)]
         # Reconfigurable hierarchy: one scratchpad unit per tile when
-        # any tile partitions its SRAM (all-default hierarchies build
-        # none — the machine is bit-identical to the pre-hierarchy
-        # simulator). Every tile gets a unit even at fraction 0 so
-        # remote SPM traffic always finds a handler.
-        self.spms: List[ScratchpadUnit] = []
-        if config.hierarchy.enabled:
-            self.spms = [
-                ScratchpadUnit(self.ctx, t, self.ctx.spm_lines_for(t),
-                               config.hierarchy.spm_latency)
-                for t in range(config.num_tiles)]
+        # the tiles partition their SRAM (an all-cache machine builds
+        # none — it is bit-identical to the pre-hierarchy simulator).
+        self.spms: List[ScratchpadUnit] = [
+            ScratchpadUnit(self.ctx, t, self.ctx.spm_lines,
+                           config.hierarchy.spm_latency)
+            for t in range(config.num_tiles)] if self.ctx.spm_lines else []
         self.sync = SyncState(config.num_tiles)
         pops = (list(barrier_populations) if barrier_populations is not None
                 else [config.num_tiles] * config.num_tiles)

@@ -9,7 +9,7 @@ stay small and mapping policy lives in exactly one place: the home table.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.cache.timestamp import CoarseTimestamp
 from repro.coherence.messages import Msg, Unit
@@ -84,16 +84,12 @@ class SystemContext:
         self.timestamp = CoarseTimestamp(sim, config.ivr.timestamp_quantum)
         self.mc_tiles = edge_mc_tiles(self.mesh, config.memory.num_controllers)
         self.data_flits = config.data_flits()
-        # Reconfigurable hierarchy: per-tile (cache slice, spm lines)
-        # partitions of the L2 SRAM, computed once. Default-hierarchy
-        # machines get an empty table and l2_config_for returns the
-        # shared config object unchanged (bit-identity with the
-        # pre-hierarchy simulator).
-        self._l2_partitions: Dict[int, Tuple] = {}
-        if config.hierarchy.enabled:
-            for tile in range(self.mesh.num_tiles):
-                frac = config.hierarchy.fraction_for(tile)
-                self._l2_partitions[tile] = config.l2.partitioned(frac)
+        # Reconfigurable hierarchy: every tile's L2 SRAM splits into
+        # the coherent slice and ``spm_lines`` of scratchpad. A default
+        # hierarchy keeps ``config.l2`` itself and no scratchpad
+        # (bit-identity with the pre-hierarchy simulator).
+        self.l2_slice, self.spm_lines = config.l2.partitioned(
+            config.hierarchy.scratchpad_fraction)
         #: optional value-level oracle (repro.coherence.shadow): attached
         #: by the stress harness, None in normal runs (zero cost beyond
         #: one attribute test per L1 access).
@@ -122,18 +118,6 @@ class SystemContext:
         interleaved across — the stride an L2 array must strip before
         set indexing (see CacheArray.index_stride)."""
         return self._interleave
-
-    def l2_config_for(self, tile: int):
-        """The coherent L2 slice configuration at ``tile`` — the full
-        ``config.l2`` on a default hierarchy, the partition's cache
-        share when the tile donates SRAM to a scratchpad."""
-        part = self._l2_partitions.get(tile)
-        return self.config.l2 if part is None else part[0]
-
-    def spm_lines_for(self, tile: int) -> int:
-        """Scratchpad capacity (lines) at ``tile``; 0 = no scratchpad."""
-        part = self._l2_partitions.get(tile)
-        return 0 if part is None else part[1]
 
     def mc_tile(self, line_addr: int) -> int:
         """The memory controller owning ``line_addr`` (address-interleaved)."""

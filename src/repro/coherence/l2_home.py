@@ -83,14 +83,12 @@ class HomeL2Base:
     def __init__(self, ctx: SystemContext, tile: int) -> None:
         self.ctx = ctx
         self.tile = tile
-        # The coherent slice may be smaller than config.l2 when the
-        # tile donates SRAM to a scratchpad (reconfigurable hierarchy);
-        # on default hierarchies l2_config_for returns config.l2 itself.
-        l2_cfg = ctx.l2_config_for(tile)
-        self.array = CacheArray(l2_cfg,
+        # The coherent slice is smaller than config.l2 when the tiles
+        # donate SRAM to a scratchpad (reconfigurable hierarchy).
+        self.array = CacheArray(ctx.l2_slice,
                                 index_stride=ctx.home_interleave())
         self.mshrs = MshrFile(capacity=16)
-        self.latency = l2_cfg.access_latency
+        self.latency = ctx.l2_slice.access_latency
         self._fwd_ops: Dict[int, ReplyRound] = {}
         self._overflow: List[Msg] = []  # requests parked on a full MSHR file
         ctx.register(tile, Unit.L2, self.handle)

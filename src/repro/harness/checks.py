@@ -31,9 +31,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.cache.line import L1State
-from repro.cmp.system import CmpSystem
+from repro.cmp.system import HOME_L2, CmpSystem
+from repro.coherence.l2_private import DirectoryL2Controller
 from repro.errors import SimulationError
-from repro.params import Organization
 
 
 def _home_busy(system: CmpSystem, home: int, line_addr: int) -> bool:
@@ -178,7 +178,7 @@ def check_directory(system: CmpSystem) -> List[str]:
                 violations.append(
                     f"line {line.line_addr:#x}: resident at L2 {tile}, "
                     f"which is not its home ({legal})")
-    if org in (Organization.PRIVATE, Organization.LOCO_CC):
+    if HOME_L2[org] is DirectoryL2Controller:
         by_mc = {t: mc for t, mc in zip(system.ctx.mc_tiles, system.mcs)}
         for tile in range(system.config.num_tiles):
             for line in system.l2s[tile].array.lines():

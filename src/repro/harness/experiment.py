@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cmp.system import HOME_L2, CmpSystem, RunResult
 from repro.errors import ConfigError, SnapshotError
-from repro.params import (HierarchyConfig, NocKind, Organization,
+from repro.params import (HierarchyAxes, NocKind, Organization,
                           SystemConfig, paper_config)
 from repro.traces.benchmarks import get_benchmark
 from repro.traces.events import TraceEvent
@@ -68,29 +68,16 @@ class SpecAxes:
     window: int = 8
     rate: float = 0.0
 
-
-@dataclass(frozen=True)
-class HierarchyAxes:
-    """The reconfigurable-memory-hierarchy axis group.
-
-    ``scratchpad_fraction`` of each tile's L2 SRAM is carved into a
-    software-managed scratchpad (0.0 = the all-cache machine, bit-
-    identical to the pre-hierarchy simulator); ``spm_latency`` is the
-    local scratchpad access latency in cycles. Per-tile overrides are
-    a :class:`repro.params.HierarchyConfig` concern — the sweep axes
-    stay chip-wide scalars so units hash and wire-encode trivially.
-    """
-
-    scratchpad_fraction: float = 0.0
-    spm_latency: int = 2
-
     def __post_init__(self) -> None:
-        if not 0.0 <= self.scratchpad_fraction < 1.0:
-            raise ConfigError(
-                f"scratchpad_fraction must be in [0, 1), got "
-                f"{self.scratchpad_fraction}")
-        if self.spm_latency < 1:
-            raise ConfigError("spm_latency must be >= 1")
+        if self.mode not in ("off", "on"):
+            raise ConfigError(f"speculation must be 'off' or 'on', got "
+                              f"{self.mode!r}")
+        if self.window < 1:
+            raise ConfigError(f"spec_window must be >= 1, got "
+                              f"{self.window!r}")
+        if not 0.0 <= self.rate <= 1.0:
+            raise ConfigError(f"spec_rate must be in [0, 1], got "
+                              f"{self.rate!r}")
 
 
 _DEFAULT_HIERARCHY = HierarchyAxes()
@@ -168,14 +155,11 @@ class ExperimentConfig:
         return s + ")"
 
     def system_config(self) -> SystemConfig:
-        cfg = paper_config(self.cores, organization=self.organization)
+        cfg = paper_config(self.cores, organization=self.organization,
+                           hierarchy=self.hierarchy)
         cfg = cfg.with_cluster(*self.cluster).with_noc(self.noc)
         if self.cache_scale != 1.0:
             cfg = cfg.with_cache_scale(self.cache_scale)
-        if self.hierarchy != _DEFAULT_HIERARCHY:
-            cfg = cfg.with_hierarchy(HierarchyConfig(
-                scratchpad_fraction=self.hierarchy.scratchpad_fraction,
-                spm_latency=self.hierarchy.spm_latency))
         return cfg
 
     def machine(self) -> "ExperimentConfig":

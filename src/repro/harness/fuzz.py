@@ -15,6 +15,11 @@ trace set (:mod:`repro.traces.adversarial`), which is replayed through
   (:func:`check_all`) including token conservation, directory state and
   the value end-state.
 
+Every seed runs on one fixed machine, ``_FUZZ_MACHINE``: a 4x4 SMART
+mesh of 2x2 clusters with 1 KB L1s and 4 KB L2 slices. A
+:class:`FuzzConfig` picks only the seed, the organizations and the
+detectors.
+
 On top, the runs are **differential**: the same trace must execute the
 same architectural history on every organization (instruction counts,
 memory references, per-line store counts), so an organization that
@@ -56,8 +61,7 @@ from repro.coherence import l2_cluster, l2_home
 from repro.coherence.shadow import ShadowOracle
 from repro.errors import ConfigError, ReproError
 from repro.harness.checks import check_all, check_epoch
-from repro.params import (CacheConfig, NocConfig, NocKind, Organization,
-                          SystemConfig)
+from repro.params import CacheConfig, Organization, SystemConfig
 from repro.sim.snapshot import save_file
 from repro.traces.adversarial import SPEC_SCENARIOS, generate_adversarial
 from repro.traces.events import Op, TraceEvent
@@ -83,18 +87,26 @@ _INJECT_FLAGS = {
 }
 
 
+#: The one fuzz machine: 16 tiles in 2x2 clusters on the default (SMART)
+#: NoC, so every organization has several homes and clusters, and tiny
+#: caches (1 KB L1, 4 KB L2 slices) so the adversarial traces force
+#: eviction races.
+_FUZZ_MACHINE = SystemConfig(
+    mesh_width=4, mesh_height=4, cluster_width=2, cluster_height=2,
+    l1=CacheConfig(size_bytes=1024, assoc=4, line_bytes=32,
+                   access_latency=1),
+    l2=CacheConfig(size_bytes=4096, assoc=8, line_bytes=32,
+                   access_latency=4))
+
+
 @dataclass(frozen=True)
 class FuzzConfig:
-    """One fuzz work unit: which seed, machine shape and detectors."""
+    """One fuzz work unit on :data:`_FUZZ_MACHINE`: which seed,
+    organizations and detectors."""
 
     seed: int = 0
     scenario: Optional[str] = None          # None: seed-selected
     organizations: Tuple[Organization, ...] = DEFAULT_ORGS
-    mesh: int = 4                           # 4x4 tiles
-    cluster: Tuple[int, int] = (2, 2)
-    l1_bytes: int = 1024                    # tiny caches: eviction races
-    l2_bytes: int = 4096
-    noc: NocKind = NocKind.SMART
     epoch_period: int = 1000                # cycles between invariant hooks
     max_cycles: int = 3_000_000
     inject: Optional[str] = None            # test-only fault injection
@@ -105,7 +117,6 @@ class FuzzConfig:
     #: between the arms. Wrong-path traffic may perturb timing freely;
     #: anything architectural it changes is a bug.
     speculation: bool = False
-    spec_window: int = 8
     spec_rate: float = 0.05                 # mispredict rate per mem op
     #: checkpoint the machine every N cycles and, after the run,
     #: replay from the LAST snapshot — the replay must reproduce the
@@ -115,21 +126,12 @@ class FuzzConfig:
     snapshot_every: Optional[int] = None
 
     def system_config(self, organization: Organization) -> SystemConfig:
-        return SystemConfig(
-            mesh_width=self.mesh, mesh_height=self.mesh,
-            cluster_width=self.cluster[0], cluster_height=self.cluster[1],
-            organization=organization,
-            l1=CacheConfig(size_bytes=self.l1_bytes, assoc=4, line_bytes=32,
-                           access_latency=1),
-            l2=CacheConfig(size_bytes=self.l2_bytes, assoc=8, line_bytes=32,
-                           access_latency=4),
-            noc=NocConfig(kind=self.noc),
-            seed=self.seed + 1,
-        )
+        return replace(_FUZZ_MACHINE, organization=organization,
+                       seed=self.seed + 1)
 
     @property
     def num_cores(self) -> int:
-        return self.mesh * self.mesh
+        return _FUZZ_MACHINE.num_tiles
 
 
 @dataclass
@@ -240,9 +242,7 @@ def _build_fuzz_system(cfg: FuzzConfig, organization: Organization,
     """A fuzz machine with detectors attached. Every handle the drive
     phase needs lives in ``system.fuzz_state`` so a *restored* system
     carries its own (restored) oracle, violation list and hooks."""
-    spec = (SpecConfig(issue=True, window=cfg.spec_window,
-                       rate=cfg.spec_rate)
-            if speculative else None)
+    spec = SpecConfig(issue=True, rate=cfg.spec_rate) if speculative else None
     system = CmpSystem(cfg.system_config(organization), traces,
                        speculation=spec)
     oracle = ShadowOracle()
@@ -560,16 +560,10 @@ def save_repro(path: str, cfg: FuzzConfig, organization: Organization,
         "seed": cfg.seed,
         "scenario": scenario,
         "organization": organization.value,
-        "mesh": cfg.mesh,
-        "cluster": list(cfg.cluster),
-        "l1_bytes": cfg.l1_bytes,
-        "l2_bytes": cfg.l2_bytes,
-        "noc": cfg.noc.value,
         "epoch_period": cfg.epoch_period,
         "max_cycles": cfg.max_cycles,
         "inject": cfg.inject,
         "speculation": cfg.speculation,
-        "spec_window": cfg.spec_window,
         "spec_rate": cfg.spec_rate,
         "detail": detail,
         "traces": [[[ev.op.name, ev.line_addr, ev.gap] for ev in trace]
@@ -588,12 +582,9 @@ def load_repro(path: str) -> Tuple[FuzzConfig, Organization,
     cfg = FuzzConfig(
         seed=blob["seed"], scenario=blob["scenario"],
         organizations=(organization,),
-        mesh=blob["mesh"], cluster=tuple(blob["cluster"]),
-        l1_bytes=blob["l1_bytes"], l2_bytes=blob["l2_bytes"],
-        noc=NocKind(blob["noc"]), epoch_period=blob["epoch_period"],
+        epoch_period=blob["epoch_period"],
         max_cycles=blob["max_cycles"], inject=blob.get("inject"),
         speculation=blob.get("speculation", False),
-        spec_window=blob.get("spec_window", 8),
         spec_rate=blob.get("spec_rate", 0.05))
     traces = [[TraceEvent(Op[name], addr, gap)
                for name, addr, gap in trace]

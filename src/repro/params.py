@@ -142,55 +142,29 @@ class IvrConfig:
 
 
 @dataclass(frozen=True)
-class HierarchyConfig:
-    """Per-tile memory-hierarchy reconfiguration (ROADMAP item 5).
+class HierarchyAxes:
+    """The reconfigurable memory hierarchy, chip-wide.
 
-    Each tile's local L2 SRAM can be split between its coherent cache
-    slice and a software-managed scratchpad (Versa-style: the same SRAM
-    banks, repartitioned per workload). ``scratchpad_fraction`` is the
-    chip-wide default split; ``tile_fractions`` overrides individual
-    tiles — ``((tile, fraction), ...)`` — so heterogeneous layouts
-    (e.g. an all-cache border around a systolic core) are expressible.
-    Remote scratchpad reads/writes ride the existing NoC as
-    non-coherent ``SPM_*`` message kinds.
-
-    The all-default instance (fraction 0 everywhere) means "no
-    scratchpad anywhere": no SPM units are built and the machine is
-    bit-identical to the pre-hierarchy simulator.
+    ``scratchpad_fraction`` of every tile's L2 SRAM is carved into a
+    software-managed scratchpad (Versa-style: the same SRAM banks,
+    repartitioned per workload); remote scratchpad reads/writes ride
+    the NoC as non-coherent ``SPM_*`` message kinds. ``spm_latency`` is
+    the local scratchpad access latency in cycles — SRAM without tag
+    match or coherence, so cheaper than the L2's 4 cycles. The default
+    (0.0) is the all-cache machine: no scratchpad units are built and
+    it is bit-identical to the pre-hierarchy simulator.
     """
 
-    #: fraction of each tile's L2 SRAM given to the scratchpad
     scratchpad_fraction: float = 0.0
-    #: local scratchpad access latency (cycles) — SRAM without tag
-    #: match or coherence, so cheaper than the L2's 4 cycles
     spm_latency: int = 2
-    #: per-tile overrides of ``scratchpad_fraction``
-    tile_fractions: Tuple[Tuple[int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        for frac in (self.scratchpad_fraction,
-                     *(f for _, f in self.tile_fractions)):
-            if not 0.0 <= frac < 1.0:
-                raise ConfigError(
-                    f"scratchpad fraction {frac} outside [0, 1): the "
-                    f"coherent slice must keep at least one set")
+        if not 0.0 <= self.scratchpad_fraction < 1.0:
+            raise ConfigError(
+                f"scratchpad_fraction must be in [0, 1), got "
+                f"{self.scratchpad_fraction}")
         if self.spm_latency < 1:
-            raise ConfigError("scratchpad latency must be >= 1")
-        tiles = [t for t, _ in self.tile_fractions]
-        if len(tiles) != len(set(tiles)):
-            raise ConfigError("duplicate tile in tile_fractions")
-
-    @property
-    def enabled(self) -> bool:
-        """Does any tile have a scratchpad partition?"""
-        return (self.scratchpad_fraction > 0.0
-                or any(f > 0.0 for _, f in self.tile_fractions))
-
-    def fraction_for(self, tile: int) -> float:
-        for t, frac in self.tile_fractions:
-            if t == tile:
-                return frac
-        return self.scratchpad_fraction
+            raise ConfigError("spm_latency must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -209,7 +183,7 @@ class SystemConfig:
     noc: NocConfig = field(default_factory=NocConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     ivr: IvrConfig = field(default_factory=IvrConfig)
-    hierarchy: HierarchyConfig = field(default_factory=HierarchyConfig)
+    hierarchy: HierarchyAxes = field(default_factory=HierarchyAxes)
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -282,9 +256,6 @@ class SystemConfig:
         (:meth:`CacheConfig.scaled`)."""
         return replace(self, l1=self.l1.scaled(factor),
                        l2=self.l2.scaled(factor))
-
-    def with_hierarchy(self, hierarchy: HierarchyConfig) -> "SystemConfig":
-        return replace(self, hierarchy=hierarchy)
 
 
 def paper_config(cores: int = 64, **overrides) -> SystemConfig:

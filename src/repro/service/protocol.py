@@ -15,8 +15,8 @@ from a clean close (:class:`ConnectionClosed`).
 
 The peers' decisions are pure objects here, driven with ``now`` passed
 in: :class:`SignIn` (when to dial, how long to lull, when to give up)
-and :class:`JobRows` (a client's rows across resubmits). The stepped
-test (``tests/test_service_sessions.py``) drives the very same ones.
+and :class:`JobRows` (a client's rows of one job). The stepped test
+(``tests/test_service_sessions.py``) drives the very same ones.
 """
 
 from __future__ import annotations
@@ -265,14 +265,13 @@ class SignIn:
 
 
 class JobRows:
-    """A client's rows of one job across its resubmits.
+    """A client's rows of one job.
 
-    :meth:`submit` builds the ``submit`` frame (every unit, every time:
-    the memo serves finished ones back) and :meth:`frame` takes the
-    stream — ``accepted`` with the memo's rows, a ``row`` per unit, then
-    ``done``. ``values`` and ``received`` (the idx that arrived) outlive
-    a resubmit, so ``on_row(idx, value)`` fires once per idx. A unit
-    needs ``to_wire()`` and ``decode_value()`` (``SweepUnit``)."""
+    :meth:`submit` builds the ``submit`` frame (every unit: the memo
+    serves finished ones back) and :meth:`frame` takes the stream —
+    ``accepted`` with the memo's rows, a ``row`` per unit, then
+    ``done``. ``on_row(idx, value)`` fires once per idx. A unit needs
+    ``to_wire()`` and ``decode_value()`` (``SweepUnit``)."""
 
     def __init__(self, units: Sequence[Any],
                  on_row: Optional[Callable[[int, Any], None]] = None
@@ -281,14 +280,13 @@ class JobRows:
         self.values: List[Any] = [None] * len(units)
         self.received: set = set()
         self.from_cache = 0
-        self.job: Optional[str] = None  # the current submit's job id
+        self.job: Optional[str] = None  # the job id, once accepted
 
     @property
     def remaining(self) -> int:
         return len(self.units) - len(self.received)
 
     def submit(self) -> Dict[str, Any]:
-        self.job = None
         return {"type": "submit", "units": [u.to_wire() for u in self.units]}
 
     def frame(self, msg: Dict[str, Any]) -> bool:

@@ -95,6 +95,29 @@ class TestFlatEraPins:
         assert "scratchpad_fraction" not in wire
         assert "spm_latency" not in wire
 
+    def test_hierarchy_unit_repr_keys_and_wire_pinned(self):
+        """A scratchpad unit's identity and frame are literal: where
+        ``HierarchyAxes`` is declared must not move a byte of them."""
+        exp = ExperimentConfig("dataflow_gemm", Organization.SHARED,
+                               cores=16, cluster=(2, 2), scale=0.25,
+                               hierarchy=HierarchyAxes(0.5, 3))
+        unit = SweepUnit(exp, 1_000_000, "runtime")
+        assert repr(exp).endswith(
+            "spec_rate=0.0, hierarchy=HierarchyAxes("
+            "scratchpad_fraction=0.5, spm_latency=3))")
+        assert unit.key() == "2cc8c4d555008bbbc762df28"
+        assert warmup_key(exp) == "4124650e4ca96b118e8a7e94"
+        assert json.dumps(unit.to_wire(), sort_keys=True) == (
+            '{"benchmark": "dataflow_gemm", "cache_scale": 0.125, '
+            '"cluster": [2, 2], "cores": 16, "full_system": false, '
+            '"kind": "sweep", "max_cycles": 1000000, '
+            '"metric": "runtime", "noc": "smart", '
+            '"organization": "shared", "scale": 0.25, '
+            '"scratchpad_fraction": 0.5, "seed": 1, "spec_rate": 0.0, '
+            '"spec_window": 8, "speculation": "off", "spm_latency": 3, '
+            '"warmup_fraction": 0.35}')
+        assert SweepUnit.from_wire(unit.to_wire()) == unit
+
 
 class TestGroupedFlatEquivalence:
     """The flat spellings of the grouped axes are gone: one config
@@ -183,6 +206,30 @@ class TestAxisRanges:
         wire[name] = value
         with pytest.raises(ConfigError, match=f"^{name} must"):
             SweepUnit.from_wire(wire)
+
+    @pytest.mark.parametrize("name, value", [
+        ("speculation", "ON"), ("speculation", "bogus"),
+        ("spec_window", 0), ("spec_window", -3),
+        ("spec_rate", float("nan")), ("spec_rate", 7.0),
+        ("spec_rate", -0.05)])
+    def test_out_of_range_spec_wire_unit_refused(self, name, value):
+        """A speculation mode, window or rate no core has is refused at
+        decode: they used to run with speculation on, fail mid-run, or
+        mispredict never or on every reference."""
+        wire = SweepUnit(ExperimentConfig(
+            "water_spatial", Organization.SHARED, cores=4, cluster=(2, 2),
+            spec=SpecAxes("on", 8, 0.05)), 1000, "runtime").to_wire()
+        wire[name] = value
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            SweepUnit.from_wire(wire)
+
+    @pytest.mark.parametrize("spec", [
+        SpecAxes("on", 1, 0.0), SpecAxes("on", 8, 1.0), SpecAxes("off")])
+    def test_spec_range_ends_accepted(self, spec):
+        unit = SweepUnit(ExperimentConfig("water_spatial",
+                                          Organization.SHARED, spec=spec),
+                         1000, "runtime")
+        assert SweepUnit.from_wire(unit.to_wire()) == unit
 
     @pytest.mark.parametrize("kw", [
         dict(warmup_fraction=0.0), dict(warmup_fraction=1.0),

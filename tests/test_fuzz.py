@@ -14,7 +14,8 @@ from repro.coherence.shadow import ShadowOracle
 from repro.harness.checks import check_epoch
 from repro.harness.fuzz import (FuzzConfig, load_repro, run_seed,
                                 run_trace_set, save_repro, shrink_traces)
-from repro.params import Organization
+from repro.params import CacheConfig, NocConfig, NocKind, Organization, \
+    SystemConfig
 from repro.traces.adversarial import SCENARIOS, generate_adversarial
 from tests.conftest import AccessDriver, build_system
 
@@ -103,6 +104,22 @@ class TestShadowOracle:
 
 
 class TestFuzzEngine:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("org", list(Organization))
+    def test_fuzz_machine_pinned(self, seed, org):
+        """The fuzz machine, written out field by field: a 4x4 mesh of
+        2x2 clusters with tiny caches on SMART, seeded one past the
+        fuzz seed."""
+        assert FuzzConfig(seed=seed).system_config(org) == SystemConfig(
+            mesh_width=4, mesh_height=4, cluster_width=2, cluster_height=2,
+            organization=org,
+            l1=CacheConfig(size_bytes=1024, assoc=4, line_bytes=32,
+                           access_latency=1),
+            l2=CacheConfig(size_bytes=4096, assoc=8, line_bytes=32,
+                           access_latency=4),
+            noc=NocConfig(kind=NocKind.SMART), seed=seed + 1)
+        assert FuzzConfig(seed=seed).num_cores == 16
+
     def test_clean_seeds_pass_all_orgs(self):
         from repro.harness.fuzz import DEFAULT_ORGS
         for seed in range(4):

@@ -1,4 +1,4 @@
-"""Reconfigurable per-tile memory hierarchy: scratchpad partitions.
+"""Reconfigurable memory hierarchy: scratchpad partitions.
 
 Covers the partitioned L2 sizing, the global-SPM address convention,
 remote scratchpad traffic on the NoC, snapshot round-trips with SPM
@@ -10,15 +10,12 @@ the same geometry while committing the identical instruction stream.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cmp.system import CmpSystem
-from repro.errors import ConfigError
 from repro.harness.experiment import (ExperimentConfig, HierarchyAxes,
                                       _traces_for, run_benchmark)
 from repro.batch.grouping import batchable
 from repro.harness.units import SweepUnit
-from repro.params import CacheConfig, HierarchyConfig, Organization
+from repro.params import CacheConfig, Organization
 from repro.traces.events import SPM_STRIDE, spm_addr
 
 
@@ -48,22 +45,6 @@ class TestPartitionedSizing:
         assert cache is l2
         assert spm_lines == 0
 
-    def test_hierarchy_config_validation(self):
-        with pytest.raises(ConfigError):
-            HierarchyConfig(scratchpad_fraction=1.0)
-        with pytest.raises(ConfigError):
-            HierarchyConfig(spm_latency=0)
-        with pytest.raises(ConfigError):
-            HierarchyConfig(tile_fractions=((3, 0.5), (3, 0.25)))
-
-    def test_per_tile_overrides(self):
-        h = HierarchyConfig(scratchpad_fraction=0.25,
-                            tile_fractions=((0, 0.5), (5, 0.0)))
-        assert h.enabled
-        assert h.fraction_for(0) == 0.5
-        assert h.fraction_for(5) == 0.0
-        assert h.fraction_for(9) == 0.25
-
     def test_default_hierarchy_leaves_l2_config_untouched(self):
         # The bit-identity guarantee: a default-hierarchy machine's
         # home L2 slices are built from the *same object* as before,
@@ -71,16 +52,17 @@ class TestPartitionedSizing:
         _, allc = _twin_configs()
         cfg = allc.system_config()
         system = CmpSystem(cfg, _traces_for(allc)[0])
-        assert system.ctx.l2_config_for(3) is cfg.l2
-        assert system.ctx.spm_lines_for(3) == 0
+        assert system.ctx.l2_slice is cfg.l2
+        assert system.ctx.spm_lines == 0
+        assert all(l2.array.config is cfg.l2 for l2 in system.l2s)
         assert system.spms == []
 
     def test_partitioned_machine_shrinks_home_l2(self):
         spm, _ = _twin_configs()
         cfg = spm.system_config()
         system = CmpSystem(cfg, _traces_for(spm)[0])
-        assert system.ctx.l2_config_for(3).size_bytes < cfg.l2.size_bytes
-        assert system.ctx.spm_lines_for(3) > 0
+        assert system.ctx.l2_slice.size_bytes < cfg.l2.size_bytes
+        assert system.ctx.spm_lines > 0
         assert len(system.spms) == 16
 
 

@@ -18,9 +18,9 @@ the scheduler state machine, so its contract is pinned hard:
 
 The peers' pure halves are pinned here too, without a socket or a
 sleep: :class:`SignIn` (the lull, the budget, refusals are final) and
-:class:`JobRows` (rows once per idx across resubmits; malformed rows
-refused). A coordinator address is one ``host:port``: a replica list
-is refused before anything is dialed.
+:class:`JobRows` (rows once per idx; malformed rows refused). A
+coordinator address is one ``host:port``: a replica list is refused
+before anything is dialed.
 """
 
 from __future__ import annotations
@@ -729,7 +729,7 @@ def _row(job, idx, value):
 
 
 class TestJobRows:
-    def test_each_row_fires_once_across_a_resubmit(self):
+    def test_each_row_fires_once(self):
         fired = []
         rows = JobRows(UNITS, on_row=lambda i, v: fired.append((i, v)))
         assert rows.submit() == {"type": "submit",
@@ -737,13 +737,10 @@ class TestJobRows:
         assert not rows.frame(_accepted("j1", [(0, 10)]))
         assert not rows.frame(_row("j1", 1, 11))
         assert (rows.received, rows.remaining) == ({0, 1}, 1)
-        # the session ends; the resubmit's memo serves both back
-        rows.submit()
-        assert not rows.frame(_accepted("j2", [(0, 10), (1, 11)]))
-        assert not rows.frame(_row("j2", 2, 12))
-        assert rows.frame({"type": "done", "job": "j2", "from_cache": 2})
+        assert not rows.frame(_row("j1", 2, 12))
+        assert rows.frame({"type": "done", "job": "j1", "from_cache": 1})
         assert fired == [(0, 10), (1, 11), (2, 12)]
-        assert (rows.values, rows.from_cache) == ([10, 11, 12], 2)
+        assert (rows.values, rows.from_cache) == ([10, 11, 12], 1)
 
     def test_a_failed_or_short_job_raises_job_failed(self):
         rows = JobRows(UNITS)

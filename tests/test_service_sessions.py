@@ -239,13 +239,14 @@ class Worker(Actor):
 
 
 class Client(Actor):
-    """Runs ``BATCHES`` one after the other, a :class:`JobRows` each,
-    resubmits whenever its session ends, and vanishes mid second job."""
+    """Runs ``BATCHES`` one after the other, a :class:`JobRows` per
+    submit, resubmits whenever its session ends, and vanishes mid
+    second job."""
 
     def __init__(self, world: World) -> None:
         super().__init__(world, "client", "client")
         self.batch = 0
-        self.rows = JobRows(BATCHES[0])
+        self.rows = None  # a fresh JobRows at each submit
         self.ledgers: list = []   # each finished batch's JobRows
         self.jobs: dict = {}  # job id -> (its batch, its frames)
         self.finished = False
@@ -256,6 +257,7 @@ class Client(Actor):
             return
         if self.session_ended():
             self.sign_in()
+            self.rows = JobRows(BATCHES[self.batch])
             w.send(self.conn, self.rows.submit())
             return
         # frames sent before a close are read; a vanished client's lost
@@ -325,7 +327,7 @@ def run_schedule(seed: int, workers: int):
     # the first one on its poisoned unit
     last = {batch: final for batch, final in finals}
     assert last == {0: "job_failed", 1: "done", 2: "done"}, finals
-    # the ledgers kept every value across the vanish and resubmit
+    # the resubmit after the vanish collected every value
     for batch, rows in enumerate(client.ledgers[1:], 1):
         assert rows.values == [value_of(u.exp.seed)
                                for u in BATCHES[batch]]
